@@ -622,8 +622,18 @@ let bench_tests () =
        Test.make ~name:"kernel/identifiability-analysis"
          (Staged.stage (fun () ->
               Tomo.Identifiability.analyze model ~effective)));
+      (* The per-tick path: two triangular solves against the factor the
+         selection already carries. *)
       Test.make ~name:"kernel/prob-engine-solve"
         (Staged.stage (fun () -> Tomo.Prob_engine.solve selection obs));
+      (* What a selection pays once for that: ordering + factorization of
+         its A·Aᵀ. *)
+      (let cols = Tomo.Eqn.n_vars selection.Tomo.Algorithm1.registry
+       and rows =
+         Array.map (fun r -> r.Tomo.Eqn.vars) selection.Tomo.Algorithm1.rows
+       in
+       Test.make ~name:"kernel/sparse-chol-factor"
+         (Staged.stage (fun () -> Tomo_linalg.Sparse_chol.factor ~cols rows)));
       Test.make ~name:"kernel/nullspace-update-alg2"
         (Staged.stage (fun () ->
              Array.fold_left (fun m r -> Nullspace.update m r) nsp alg2_batch));
@@ -834,9 +844,10 @@ let write_bench_json ~rows ~sim ~snapshot =
 (* When TOMO_METRICS_OUT / TOMO_TRACE are set, print the counter
    snapshot next to the Bechamel numbers (and write the JSON file via
    the sink's exit hook), so BENCH_*.json trajectories carry the
-   structural counters — equations formed, null-space updates, CGLS
-   iterations — behind the timings.  With neither variable set the
-   instrumentation stays disabled and adds no measurable cost. *)
+   structural counters — equations formed, null-space updates,
+   factorizations, CGLS iterations — behind the timings.  With neither
+   variable set the instrumentation stays disabled and adds no
+   measurable cost. *)
 let emit_metrics_snapshot () =
   if Tomo_obs.Metrics.enabled () then begin
     Format.fprintf ppf
@@ -850,7 +861,7 @@ let emit_metrics_snapshot () =
 let () =
   Tomo_obs.Sink.init ();
   (* Count the pipeline work of the reproduction pass (equations formed,
-     null-space updates, CGLS iterations, pool batches) for the JSON
+     null-space updates, factorizations, pool batches) for the JSON
      file, then restore the sink-chosen state so the Bechamel loops run
      with exactly the instrumentation cost the sinks asked for. *)
   let metrics_were_enabled = Tomo_obs.Metrics.enabled () in

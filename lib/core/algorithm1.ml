@@ -2,6 +2,7 @@ module Bitset = Tomo_util.Bitset
 module Combin = Tomo_util.Combin
 module Matrix = Tomo_linalg.Matrix
 module Nullspace = Tomo_linalg.Nullspace
+module Sparse_chol = Tomo_linalg.Sparse_chol
 module Sparse_gauss = Tomo_linalg.Sparse_gauss
 
 let src = Logs.Src.create "tomo.algorithm1" ~doc:"Path-set selection"
@@ -41,7 +42,30 @@ type selection = {
   registry : Eqn.registry;
   rows : Eqn.row array;
   nullspace : Matrix.t;
+  identifiable : bool array;
+  factor : Sparse_chol.t option;
 }
+
+let identifiable_flags registry nullspace =
+  Array.init (Eqn.n_vars registry) (fun v ->
+      Nullspace.in_row_space ~tol:1e-6 nullspace v)
+
+(* The selected rows are independent by construction, so their A·Aᵀ is
+   positive definite: factor it once here and every solve until the next
+   selection is two triangular solves. *)
+let finish model effective registry rows nullspace =
+  {
+    model;
+    effective;
+    registry;
+    rows;
+    nullspace;
+    identifiable = identifiable_flags registry nullspace;
+    factor =
+      Some
+        (Sparse_chol.factor ~cols:(Eqn.n_vars registry)
+           (Array.map (fun r -> r.Eqn.vars) rows));
+  }
 
 (* Per-variable candidate state: rows enumerated lazily from subsets of
    the pool Paths(E) \ Paths(Ē), with a cursor over rows already tested.
@@ -85,14 +109,7 @@ let select ?(config = default_config) model obs =
   in
   List.iter (fun s -> ignore (Eqn.add registry s)) targets;
   let n = Eqn.n_vars registry in
-  if n = 0 then
-    {
-      model;
-      effective;
-      registry;
-      rows = [||];
-      nullspace = Matrix.make 0 0 0.0;
-    }
+  if n = 0 then finish model effective registry [||] (Matrix.make 0 0 0.0)
   else begin
     Obs.Metrics.set_gauge g_unknowns (float_of_int n);
     if Obs.Trace.enabled () then
@@ -227,17 +244,8 @@ let select ?(config = default_config) model obs =
            nullity %d"
           (Bitset.count effective) n (Array.length rows)
           (Matrix.cols nullspace));
-    { model; effective; registry; rows; nullspace }
+    finish model effective registry rows nullspace
   end
 
-let identifiable sel v =
-  if Eqn.n_vars sel.registry = 0 then false
-  else Nullspace.in_row_space ~tol:1e-6 sel.nullspace v
-
 let n_identifiable sel =
-  let n = Eqn.n_vars sel.registry in
-  let count = ref 0 in
-  for v = 0 to n - 1 do
-    if identifiable sel v then incr count
-  done;
-  !count
+  Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 sel.identifiable

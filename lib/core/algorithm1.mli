@@ -56,16 +56,27 @@ type selection = {
   nullspace : Tomo_linalg.Matrix.t;
       (** basis of the null space of the selected system; a variable is
           identifiable iff its row here is zero *)
+  identifiable : bool array;
+      (** per variable: its null-space row is zero
+          ({!identifiable_flags}), decided once per selection *)
+  factor : Tomo_linalg.Sparse_chol.t option;
+      (** [Some] iff the rows are linearly independent, as Algorithm 1
+          guarantees: their factorized [A·Aᵀ], so every solve against
+          this selection is two triangular solves.  [None] for a
+          redundant, possibly inconsistent row pool
+          (Correlation-heuristic), which {!Prob_engine} solves by least
+          squares instead. *)
 }
 
 (** [select ?config model obs] runs the algorithm.  [obs] is only used to
     decide which paths are always good (potentially-congested analysis);
-    the selection itself is purely structural. *)
+    the selection itself is purely structural.  The selected rows are
+    factorized ({!Tomo_linalg.Sparse_chol}) before returning. *)
 val select : ?config:config -> Model.t -> Observations.t -> selection
 
-(** [identifiable sel v] tests whether variable [v] is uniquely
-    determined by the selected system. *)
-val identifiable : selection -> int -> bool
+(** [identifiable_flags registry nullspace] marks each registered
+    variable whose row of the null-space basis [nullspace] is zero. *)
+val identifiable_flags : Eqn.registry -> Tomo_linalg.Matrix.t -> bool array
 
 (** [n_identifiable sel] counts identifiable variables. *)
 val n_identifiable : selection -> int

@@ -37,6 +37,10 @@ let compute ?(config = default_config) model obs =
       registry;
       rows;
       nullspace;
+      identifiable = Algorithm1.identifiable_flags registry nullspace;
+      (* Redundant rows with inconsistent right-hand sides: A·Aᵀ is
+         singular, so the pool is solved by least squares. *)
+      factor = None;
     }
   in
   let engine = Prob_engine.solve selection obs in

@@ -1,6 +1,7 @@
 module Bitset = Tomo_util.Bitset
 module Cgls = Tomo_linalg.Cgls
 module Sparse = Tomo_linalg.Sparse
+module Sparse_chol = Tomo_linalg.Sparse_chol
 module Obs = Tomo_obs
 
 let c_solves = Obs.Metrics.counter "prob_engine_solves"
@@ -8,25 +9,28 @@ let c_solves = Obs.Metrics.counter "prob_engine_solves"
 type t = {
   selection : Algorithm1.selection;
   values : float array;
-  identifiable : bool array;
   obs : Observations.t;
 }
+
+let identifiable t v = t.selection.Algorithm1.identifiable.(v)
 
 let solve_b (selection : Algorithm1.selection) obs b =
   Obs.Trace.with_span "prob_engine.solve" @@ fun () ->
   Obs.Metrics.incr c_solves;
-  let n = Eqn.n_vars selection.Algorithm1.registry in
-  let rows =
-    Array.map (fun r -> r.Eqn.vars) selection.Algorithm1.rows
+  let values =
+    match selection.Algorithm1.factor with
+    | Some f -> Sparse_chol.solve f b
+    | None ->
+        (* A redundant, possibly inconsistent pool has no factor: its
+           minimum-norm least-squares solution comes from CGLS. *)
+        let n = Eqn.n_vars selection.Algorithm1.registry in
+        let rows =
+          Array.map (fun r -> r.Eqn.vars) selection.Algorithm1.rows
+        in
+        let a = Sparse.of_incidence ~rows:(Array.length rows) ~cols:n rows in
+        Cgls.solve_sparse ~a ~b ()
   in
-  (* Incidence coefficients are exactly 1.0, so the sparse CGLS path
-     performs the same floating-point operations as the index-list one. *)
-  let a = Sparse.of_incidence ~rows:(Array.length rows) ~cols:n rows in
-  let values = Cgls.solve_sparse ~a ~b () in
-  let identifiable =
-    Array.init n (fun v -> Algorithm1.identifiable selection v)
-  in
-  { selection; values; identifiable; obs }
+  { selection; values; obs }
 
 let solve (selection : Algorithm1.selection) obs =
   let b =
@@ -59,7 +63,7 @@ let good_prob_est t s =
 
 let good_prob t s =
   match var_of t s with
-  | Some v when t.identifiable.(v) -> Some (clamp01 (exp t.values.(v)))
+  | Some v when identifiable t v -> Some (clamp01 (exp t.values.(v)))
   | Some _ | None -> None
 
 let model t = t.selection.Algorithm1.model
@@ -163,7 +167,7 @@ let quotient_good_prob t e =
   let c = m.Model.corr_of_link.(e) in
   let quotients = ref [] in
   for v = 0 to Eqn.n_vars reg - 1 do
-    if t.identifiable.(v) then begin
+    if identifiable t v then begin
       let s = Eqn.subset_of_var reg v in
       if
         s.Subsets.corr = c
@@ -176,7 +180,7 @@ let quotient_good_prob t e =
                (Array.to_list s.Subsets.links))
         in
         match var_of t (Subsets.make m ~corr:c b_links) with
-        | Some vb when t.identifiable.(vb) ->
+        | Some vb when identifiable t vb ->
             quotients := exp (t.values.(v) -. t.values.(vb)) :: !quotients
         | Some _ | None -> ()
       end
@@ -241,7 +245,7 @@ let link_identifiable t e =
   else
     let c = m.Model.corr_of_link.(e) in
     match var_of t (Subsets.make m ~corr:c [| e |]) with
-    | Some v -> t.identifiable.(v)
+    | Some v -> identifiable t v
     | None -> false
 
 (* Σ_{A ⊆ set} (−1)^{|A|} G(A ∪ base): the inclusion–exclusion core used

@@ -4,10 +4,13 @@
     Given the path sets selected by {!Algorithm1}, each contributes one
     linear equation in the logs of the subset good-probabilities; the
     right-hand sides are the (smoothed) empirical log-frequencies from
-    {!Observations}.  The system is solved by minimum-norm least squares
-    ({!Tomo_linalg.Cgls}); variables whose null-space row vanishes are
-    uniquely determined ("identifiable"), the rest are reported from the
-    minimum-norm solution and flagged.
+    {!Observations}.  The system is solved for its minimum-norm
+    solution: through the selection's factor
+    ({!Tomo_linalg.Sparse_chol}, exact, two triangular solves) when its
+    rows are independent, by least squares ({!Tomo_linalg.Cgls}) when
+    the selection is a redundant pool without one.  Variables whose
+    null-space row vanishes are uniquely determined ("identifiable"),
+    the rest are reported from the minimum-norm solution and flagged.
 
     From the good probabilities, congestion probabilities of link sets
     follow by inclusion–exclusion within a correlation set and by
@@ -16,7 +19,6 @@
 type t = {
   selection : Algorithm1.selection;
   values : float array;  (** per variable: log good-probability *)
-  identifiable : bool array;  (** per variable *)
   obs : Observations.t;
       (** kept for the fallback marginal's observable dependence test *)
 }

@@ -1,0 +1,21 @@
+(** Monotonic time for the durations the metrics record.
+
+    Wall-clock time ([Unix.gettimeofday]) can be stepped back, and a
+    duration measured across the step comes out negative: it lands in a
+    histogram's underflow bucket and drags its minimum and sum below
+    zero.  Durations are therefore read from the monotonic clock
+    (bechamel's [CLOCK_MONOTONIC] binding).  Epoch timestamps — event
+    [ts], span [start_s] — stay on the wall clock.
+
+    [start] and [observe_since] touch the clock only while
+    {!Metrics.enabled} holds, so timing a stage costs a branch when
+    metrics are off. *)
+
+(** [start ()] is the monotonic clock in seconds (arbitrary origin)
+    while metrics are enabled, else [0.0] without reading the clock. *)
+val start : unit -> float
+
+(** [observe_since h t0] records the seconds elapsed since [t0] into
+    [h] while metrics are enabled.  A [t0] of [0.0] (taken while
+    metrics were off) is never recorded. *)
+val observe_since : Metrics.histogram -> float -> unit

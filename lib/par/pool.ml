@@ -17,7 +17,7 @@ type batch = {
   n : int;
   mutable next : int;
   mutable completed : int;
-  enqueued_at : float;
+  enqueued_at : float;  (* Obs.Clock.start at submission *)
 }
 
 type t = {
@@ -66,8 +66,7 @@ let claim ?own t =
       go t.open_batches
 
 let run_claimed t (b, start, len) =
-  if Obs.Metrics.enabled () then
-    Obs.Metrics.observe h_task_wait (Unix.gettimeofday () -. b.enqueued_at);
+  Obs.Clock.observe_since h_task_wait b.enqueued_at;
   (* [run] stores its own result/exception; it must not raise. *)
   for i = start to start + len - 1 do
     b.run i
@@ -210,7 +209,7 @@ let parallel_map ?pool f xs =
           Mutex.unlock first_exn
     in
     let b =
-      { run; n; next = 0; completed = 0; enqueued_at = Unix.gettimeofday () }
+      { run; n; next = 0; completed = 0; enqueued_at = Obs.Clock.start () }
     in
     Mutex.lock t.m;
     if t.closed then begin
@@ -238,8 +237,7 @@ let parallel_map ?pool f xs =
     drive ();
     Mutex.unlock t.m;
     Obs.Metrics.incr c_batches;
-    if Obs.Metrics.enabled () then
-      Obs.Metrics.observe h_batch (Unix.gettimeofday () -. b.enqueued_at);
+    Obs.Clock.observe_since h_batch b.enqueued_at;
     (match !exn with
     | Some (e, bt) -> Printexc.raise_with_backtrace e bt
     | None -> ());

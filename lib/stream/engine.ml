@@ -108,7 +108,7 @@ let build_selection t ~always =
       ("tick", string_of_int (Window.ticks t.window));
       ("always_good", string_of_int (Bitset.count always));
     ];
-  let t0 = Unix.gettimeofday () in
+  let t0 = Obs.Clock.start () in
   let selection =
     Tomo.Algorithm1.select ?config:t.select_config t.model
       (Window.observations t.window)
@@ -126,8 +126,7 @@ let build_selection t ~always =
           if Bitset.subset mask col then counts.(i) <- counts.(i) + 1)
         row_masks)
     t.window;
-  if Obs.Metrics.enabled () then
-    Obs.Metrics.observe h_stage_reselect (Unix.gettimeofday () -. t0);
+  Obs.Clock.observe_since h_stage_reselect t0;
   { selection; row_masks; counts; always_good = always }
 
 (* Refresh [sel.counts] after one ring slot was replaced. *)
@@ -144,12 +143,11 @@ let solve ?pool t =
   Obs.Trace.with_span "stream.solve" @@ fun () ->
   let s = Option.get t.sel in
   let obs = Window.observations t.window in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Obs.Clock.start () in
   let engine =
     Tomo.Prob_engine.solve_with_counts s.selection obs ~counts:s.counts
   in
-  if Obs.Metrics.enabled () then
-    Obs.Metrics.observe h_solve (Unix.gettimeofday () -. t0);
+  Obs.Clock.observe_since h_solve t0;
   (* Marginal extraction fans out per correlation set: each set's links
      are independent reads of the solved engine, and the correlation
      sets partition the links, so the scatter below writes every link
@@ -160,7 +158,7 @@ let solve ?pool t =
   let per_set =
     Pool.parallel_map ?pool
       (fun c ->
-        let t1 = Unix.gettimeofday () in
+        let t1 = Obs.Clock.start () in
         let links = Tomo.Model.corr_set_links t.model c in
         let cells =
           Array.map
@@ -169,8 +167,7 @@ let solve ?pool t =
                 Tomo.Prob_engine.link_identifiable engine e ))
             links
         in
-        if Obs.Metrics.enabled () then
-          Obs.Metrics.observe h_corrset (Unix.gettimeofday () -. t1);
+        Obs.Clock.observe_since h_corrset t1;
         (links, cells))
       (Array.init (Tomo.Model.n_corr_sets t.model) Fun.id)
   in
@@ -184,8 +181,7 @@ let solve ?pool t =
         links)
     per_set;
   Obs.Metrics.incr c_estimates;
-  if Obs.Metrics.enabled () then
-    Obs.Metrics.observe h_stage_solve (Unix.gettimeofday () -. t0);
+  Obs.Clock.observe_since h_stage_solve t0;
   let n_vars = Tomo.Eqn.n_vars s.selection.Tomo.Algorithm1.registry in
   let n_rows = Array.length s.selection.Tomo.Algorithm1.rows in
   t.n_estimates <- t.n_estimates + 1;
@@ -213,7 +209,7 @@ let ensure_selection t =
 
 let ingest ?pool t good =
   Obs.Trace.with_span "stream.tick" @@ fun () ->
-  let t0 = Unix.gettimeofday () in
+  let t0 = Obs.Clock.start () in
   Obs.Metrics.incr c_ticks;
   let evicted = Window.push t.window good in
   if Obs.Metrics.enabled () then begin
@@ -224,8 +220,7 @@ let ingest ?pool t good =
   end;
   let est =
     if not (Window.is_full t.window) then begin
-      if Obs.Metrics.enabled () then
-        Obs.Metrics.observe h_stage_ingest (Unix.gettimeofday () -. t0);
+      Obs.Clock.observe_since h_stage_ingest t0;
       None
     end
     else begin
@@ -234,20 +229,17 @@ let ingest ?pool t good =
         when Bitset.equal s.always_good (Window.always_good_paths t.window)
         ->
           update_counts s ~evicted ~fresh:good;
-          if Obs.Metrics.enabled () then
-            Obs.Metrics.observe h_stage_ingest (Unix.gettimeofday () -. t0)
+          Obs.Clock.observe_since h_stage_ingest t0
       | _ ->
           (* The ingest stage ends where re-selection begins: charge the
              push + count bookkeeping here, the Algorithm 1 re-run to
              [stream_stage_reselect_s] inside [build_selection]. *)
-          if Obs.Metrics.enabled () then
-            Obs.Metrics.observe h_stage_ingest (Unix.gettimeofday () -. t0);
+          Obs.Clock.observe_since h_stage_ingest t0;
           ensure_selection t);
       Some (solve ?pool t)
     end
   in
-  if Obs.Metrics.enabled () then
-    Obs.Metrics.observe h_tick (Unix.gettimeofday () -. t0);
+  Obs.Clock.observe_since h_tick t0;
   est
 
 let current ?pool t =
@@ -263,10 +255,9 @@ let run ?pool ?snapshot_out ?(snapshot_every = 1) ?max_ticks t source
     invalid_arg "Engine.run: non-positive snapshot interval";
   let budget = match max_ticks with Some k -> k | None -> max_int in
   let save_snapshot path =
-    let t0 = Unix.gettimeofday () in
+    let t0 = Obs.Clock.start () in
     Snapshot.save path (snapshot t);
-    if Obs.Metrics.enabled () then
-      Obs.Metrics.observe h_stage_snapshot (Unix.gettimeofday () -. t0)
+    Obs.Clock.observe_since h_stage_snapshot t0
   in
   let maybe_snapshot () =
     match snapshot_out with

@@ -25,8 +25,9 @@
     configured): counters [stream_ticks], [stream_estimates],
     [stream_reselects]; gauges [stream_window_occupancy],
     [stream_window_capacity]; histograms [stream_tick_s] (whole-tick
-    latency), [stream_solve_s] (CGLS solve), [stream_corrset_solve_s]
-    (per-correlation-set marginal extraction), and the per-tick stage
+    latency), [stream_solve_s] (the factorized solve),
+    [stream_corrset_solve_s] (per-correlation-set marginal extraction),
+    all on the monotonic {!Tomo_obs.Clock}, and the per-tick stage
     profile [stream_stage_ingest_s] / [stream_stage_reselect_s] /
     [stream_stage_solve_s] / [stream_stage_snapshot_s] (window push +
     count bookkeeping, Algorithm 1 re-run, estimate, atomic snapshot

@@ -105,6 +105,10 @@ val fold_words : ('a -> int -> int -> 'a) -> 'a -> t -> 'a
 (** [word_bits] is the number of bits per packed word ([Sys.int_size]). *)
 val word_bits : int
 
+(** [popcount w] is the number of set bits of the packed word [w], for
+    kernels that keep their own word arrays. *)
+val popcount : int -> int
+
 (** [invariant t] is [true] iff the internal tail invariant holds: every
     bit at index ≥ [length t] in the last packed word is zero.  Exposed
     for the property-test battery; every exported operation preserves

@@ -20,6 +20,7 @@ module Bayesian = Tomo.Bayesian
 module Metrics = Tomo.Metrics
 module Toy = Tomo.Toy
 module Pc_result = Tomo.Pc_result
+module W = Tomo_experiments.Workload
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -122,7 +123,54 @@ let test_alg1_reports_equations_formed () =
         (Tomo_obs.Metrics.counter_value c >= 1);
       check_int "equations_formed counts the kept equations"
         (Array.length sel.Algorithm1.rows)
-        (Tomo_obs.Metrics.counter_value c))
+        (Tomo_obs.Metrics.counter_value c);
+      (* Solve health moved from the per-tick CGLS residual to the
+         factorization, recorded once per selection. *)
+      let counter name = Tomo_obs.Metrics.(counter_value (counter name)) in
+      let hist name = Tomo_obs.Metrics.(histogram_stats (histogram name)) in
+      check_int "one factorization" 1 (counter "sparse_chol_factorizations");
+      check_int "no dropped rows" 0 (counter "sparse_chol_dropped_rows");
+      let l_nnz = hist "sparse_chol_l_nnz" in
+      check_int "L size observed once" 1 l_nnz.Tomo_obs.Metrics.count;
+      check_bool "L holds at least the diagonal" true
+        (l_nnz.Tomo_obs.Metrics.min_v
+        >= float_of_int (Array.length sel.Algorithm1.rows));
+      let ratio = hist "sparse_chol_pivot_ratio" in
+      check_int "pivot ratio observed once" 1 ratio.Tomo_obs.Metrics.count;
+      check_bool "pivot ratio >= 1" true (ratio.Tomo_obs.Metrics.min_v >= 1.0);
+      let (_ : Prob_engine.t) = Prob_engine.solve sel obs in
+      check_int "the solve runs no CGLS" 0 (counter "cgls_solves");
+      check_int "no CGLS residual recorded" 0
+        (hist "cgls_final_residual").Tomo_obs.Metrics.count;
+      check_int "the solve does not refactor" 1
+        (counter "sparse_chol_factorizations"))
+
+(* The factorized solve against the least-squares one it replaced: on
+   the small Brite and Sparse workloads, Correlation-complete's link
+   marginals through the selection's factor match those of the same
+   selection solved by CGLS (its factor removed) to 1e-8. *)
+let test_factorized_matches_cgls () =
+  List.iter
+    (fun topology ->
+      let w =
+        W.prepare
+          (W.spec ~scale:W.Small ~seed:3 topology Tomo_netsim.Scenario.Random)
+      in
+      let model = w.W.model and obs = w.W.obs in
+      let r, engine = Correlation_complete.compute model obs in
+      let sel = engine.Prob_engine.selection in
+      check_bool "selection is factorized" true (sel.Algorithm1.factor <> None);
+      let cgls =
+        Prob_engine.solve { sel with Algorithm1.factor = None } obs
+      in
+      Array.iteri
+        (fun e m ->
+          checkf 1e-8
+            (Printf.sprintf "%s link %d"
+               (W.topology_to_string topology) e)
+            (Prob_engine.link_marginal cgls e) m)
+        r.Pc_result.marginals)
+    [ W.Brite; W.Sparse ]
 
 let test_alg1_effective_restriction () =
   (* With p3 always good, only {e1} and {e2} remain unknowns (paper §5.2
@@ -874,6 +922,8 @@ let () =
             test_correlation_heuristic_runs;
           Alcotest.test_case "complete forms fewer equations" `Slow
             test_correlation_complete_fewer_rows;
+          Alcotest.test_case "factorized solve == CGLS (1e-8)" `Slow
+            test_factorized_matches_cgls;
         ] );
       ( "sparsity",
         [

@@ -920,6 +920,133 @@ let test_witness_default_knob () =
       check_int "k=3 maintains 3 witnesses" 3
         (Nullspace.witness_count (Nullspace.tracker 5)))
 
+(* ------------------------------------------------------------------ *)
+(* Sparse Cholesky minimum-norm solve                                  *)
+(* ------------------------------------------------------------------ *)
+
+module Sparse_chol = Tomo_linalg.Sparse_chol
+
+let residual_inf ~rows ~b x =
+  let worst = ref 0.0 in
+  Array.iteri
+    (fun i r ->
+      let s = Array.fold_left (fun acc j -> acc +. x.(j)) 0.0 r in
+      worst := Float.max !worst (abs_float (s -. b.(i))))
+    rows;
+  !worst
+
+let all_finite = Array.for_all Float.is_finite
+
+(* n = 0: every link certified good leaves no unknowns and no rows. *)
+let test_chol_empty () =
+  let f = Sparse_chol.factor ~cols:0 [||] in
+  check_int "nothing dropped" 0 (Sparse_chol.dropped f);
+  check_int "empty solution" 0 (Array.length (Sparse_chol.solve f [||]));
+  let f = Sparse_chol.factor ~cols:4 [||] in
+  check_bool "no equations: zero solution" true
+    (Sparse_chol.solve f [||] = [| 0.0; 0.0; 0.0; 0.0 |])
+
+let test_chol_single_row () =
+  let rows = [| [| 0; 2 |] |] in
+  let f = Sparse_chol.factor ~cols:3 rows in
+  let x = Sparse_chol.solve f [| 4.0 |] in
+  (* min ‖x‖ subject to x0 + x2 = 4 *)
+  checkf "x0" 2.0 x.(0);
+  checkf "x1" 0.0 x.(1);
+  checkf "x2" 2.0 x.(2);
+  check_int "L holds the diagonal only" 1 (Sparse_chol.l_nnz f);
+  checkf "pivot ratio" 1.0 (Sparse_chol.pivot_ratio f)
+
+(* A path that was never good: its all-good count is 0, and the smoothed
+   log-frequency log((0 + 0.5) / (T + 1)) is finite, so the row solves
+   like any other. *)
+let test_chol_always_bad_path () =
+  let rows = [| [| 0 |]; [| 0; 1 |]; [| 1; 2 |] |] in
+  let always_bad = log (0.5 /. 101.0) in
+  let b = [| log 0.9; always_bad; log 0.7 |] in
+  let f = Sparse_chol.factor ~cols:3 rows in
+  let x = Sparse_chol.solve f b in
+  check_bool "finite" true (all_finite x);
+  check_bool "solves every row" true (residual_inf ~rows ~b x <= 1e-12)
+
+(* A duplicated row and a row that is the sum of two others: each pivot
+   collapses to rounding noise, the row is dropped and counted, and the
+   consistent system is still solved exactly — no NaN, no exception. *)
+let test_chol_dependent_rows () =
+  let rows = [| [| 0; 1 |]; [| 1; 2 |]; [| 0; 1 |] |] in
+  let f = Sparse_chol.factor ~cols:3 rows in
+  check_int "duplicate dropped" 1 (Sparse_chol.dropped f);
+  let b = [| 1.0; 2.0; 1.0 |] in
+  let x = Sparse_chol.solve f b in
+  check_bool "finite" true (all_finite x);
+  check_bool "consistent system solved" true (residual_inf ~rows ~b x <= 1e-12);
+  (* Inconsistent right-hand side on the dropped copy: still finite. *)
+  check_bool "inconsistent copy stays finite" true
+    (all_finite (Sparse_chol.solve f [| 1.0; 2.0; 5.0 |]));
+  let rows = [| [| 0 |]; [| 1 |]; [| 0; 1 |]; [| 2 |] |] in
+  let f = Sparse_chol.factor ~cols:3 rows in
+  check_int "sum row dropped" 1 (Sparse_chol.dropped f);
+  let b = [| 1.0; 2.0; 3.0; 4.0 |] in
+  check_bool "sum system solved" true
+    (residual_inf ~rows ~b (Sparse_chol.solve f b) <= 1e-12);
+  let f = Sparse_chol.factor ~cols:2 [| [| 0 |]; [||] |] in
+  check_int "empty row dropped" 1 (Sparse_chol.dropped f);
+  check_bool "empty row stays finite" true
+    (all_finite (Sparse_chol.solve f [| 1.0; 3.0 |]))
+
+let test_chol_validation () =
+  Alcotest.check_raises "index out of range"
+    (Invalid_argument "Sparse_chol.factor: variable index out of range")
+    (fun () -> ignore (Sparse_chol.factor ~cols:2 [| [| 2 |] |]));
+  let f = Sparse_chol.factor ~cols:2 [| [| 0; 1 |] |] in
+  Alcotest.check_raises "rhs size"
+    (Invalid_argument "Sparse_chol.solve: size mismatch") (fun () ->
+      ignore (Sparse_chol.solve f [| 1.0; 2.0 |]))
+
+let bits_equal x y =
+  Array.length x = Array.length y
+  && Array.for_all2
+       (fun u v -> Int64.equal (Int64.bits_of_float u) (Int64.bits_of_float v))
+       x y
+
+(* Random incidence systems cut down to their greedy independent rows —
+   the shape Algorithm 1 hands over. *)
+let independent_system rng ~n ~m =
+  let rows = Array.init m (fun _ -> random_idxs rng n) in
+  let keep = Sgauss.select_independent ~tol:1e-8 ~cols:n rows in
+  let kept = List.filteri (fun i _ -> keep.(i)) (Array.to_list rows) in
+  Array.of_list kept
+
+let prop_chol_min_norm =
+  QCheck.Test.make
+    ~name:"Sparse_chol: A·x = b, x ⟂ null(A), x ≈ CGLS, factor deterministic"
+    ~count:150
+    QCheck.(triple (int_range 1 16) (int_range 1 40) (int_range 0 10_000))
+    (fun (n, m, seed) ->
+      let rng = Rng.create (seed + 41_000) in
+      let rows = independent_system rng ~n ~m in
+      let r = Array.length rows in
+      let b = Array.init r (fun _ -> Rng.uniform rng ~lo:(-4.) ~hi:0.) in
+      let f = Sparse_chol.factor ~cols:n rows in
+      let x = Sparse_chol.solve f b in
+      let nb = Nullspace.basis_of_incidence ~rows:r ~cols:n rows in
+      let ntx = ref 0.0 in
+      for c = 0 to Matrix.cols nb - 1 do
+        let s = ref 0.0 in
+        for i = 0 to n - 1 do
+          s := !s +. (Matrix.get nb i c *. x.(i))
+        done;
+        ntx := Float.max !ntx (abs_float !s)
+      done;
+      let cg = Cgls.solve ~n_vars:n ~rows ~b () in
+      let f' = Sparse_chol.factor ~cols:n rows in
+      Sparse_chol.dropped f = 0
+      && residual_inf ~rows ~b x <= 1e-9
+      && !ntx <= 1e-9
+      && Array.for_all2 (fun u v -> abs_float (u -. v) <= 1e-7) x cg
+      && f = f'
+      && bits_equal x (Sparse_chol.solve f' b))
+
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "linalg"
@@ -1018,6 +1145,17 @@ let () =
           qc prop_sparse_rref_matches_dense_random;
           qc prop_sparse_nullspace_same_kernel;
           qc prop_cgls_sparse_bit_identical;
+        ] );
+      ( "cholesky",
+        [
+          Alcotest.test_case "no unknowns" `Quick test_chol_empty;
+          Alcotest.test_case "single row" `Quick test_chol_single_row;
+          Alcotest.test_case "always-bad path" `Quick
+            test_chol_always_bad_path;
+          Alcotest.test_case "dependent rows dropped" `Quick
+            test_chol_dependent_rows;
+          Alcotest.test_case "validation" `Quick test_chol_validation;
+          qc prop_chol_min_norm;
         ] );
       ( "witness",
         [

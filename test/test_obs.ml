@@ -172,6 +172,25 @@ let test_metrics_disabled_noop () =
   check_int "histogram unchanged while disabled" 0
     (Metrics.histogram_stats h).Metrics.count
 
+(* Stage durations come from the monotonic clock, which is read only
+   while metrics are enabled: a start taken with metrics off is 0 and
+   never recorded, and a recorded duration is never negative. *)
+let test_clock_durations () =
+  let h = Metrics.histogram "test_obs.clock_h" in
+  Metrics.set_enabled false;
+  check_bool "no clock read while disabled" true
+    (Tomo_obs.Clock.start () = 0.0);
+  with_metrics @@ fun () ->
+  Tomo_obs.Clock.observe_since h 0.0;
+  check_int "a start taken while disabled is dropped" 0
+    (Metrics.histogram_stats h).Metrics.count;
+  let t0 = Tomo_obs.Clock.start () in
+  check_bool "enabled start reads the clock" true (t0 > 0.0);
+  Tomo_obs.Clock.observe_since h t0;
+  let s = Metrics.histogram_stats h in
+  check_int "one duration" 1 s.Metrics.count;
+  check_bool "never negative" true (s.Metrics.min_v >= 0.0)
+
 let test_snapshot_shape () =
   with_metrics @@ fun () ->
   let c = Metrics.counter "test_obs.snap_b" in
@@ -749,6 +768,8 @@ let () =
             test_histogram;
           Alcotest.test_case "disabled mode records nothing" `Quick
             test_metrics_disabled_noop;
+          Alcotest.test_case "monotonic stage durations" `Quick
+            test_clock_durations;
           Alcotest.test_case "snapshot shape" `Quick test_snapshot_shape;
           Alcotest.test_case "quantile edge cases" `Quick test_quantile_edges;
           Alcotest.test_case "quantile across buckets" `Quick

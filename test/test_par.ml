@@ -227,6 +227,41 @@ let test_sparse_kernel_bit_identical () =
       check_bool "nullspace basis" true (matrices_equal bs bs'))
     seq
 
+(* One factor, two domains: the factor is immutable and each solve
+   allocates its own work vector, so domains solving against a shared
+   selection at the same time must read exactly what a lone solve
+   reads. *)
+let test_shared_factor_two_domains () =
+  let module Sparse_chol = Tomo_linalg.Sparse_chol in
+  let module Sparse_gauss = Tomo_linalg.Sparse_gauss in
+  let rng = Rng.create 77 in
+  let nvars = 120 in
+  let rows =
+    Array.init 150 (fun _ ->
+        let r = ref [] in
+        for j = nvars - 1 downto 0 do
+          if Rng.bool rng ~p:0.06 then r := j :: !r
+        done;
+        match !r with [] -> [| Rng.int rng nvars |] | l -> Array.of_list l)
+  in
+  let keep = Sparse_gauss.select_independent ~cols:nvars rows in
+  let rows =
+    Array.of_list (List.filteri (fun i _ -> keep.(i)) (Array.to_list rows))
+  in
+  let f = Sparse_chol.factor ~cols:nvars rows in
+  let rhs =
+    Array.init 200 (fun _ ->
+        Array.init (Array.length rows) (fun _ ->
+            Rng.uniform rng ~lo:(-3.) ~hi:0.))
+  in
+  let expected = Array.map (Sparse_chol.solve f) rhs in
+  let solve_all () = Array.map (Sparse_chol.solve f) rhs in
+  let d1 = Domain.spawn solve_all and d2 = Domain.spawn solve_all in
+  let r1 = Domain.join d1 and r2 = Domain.join d2 in
+  let bits = Array.map (Array.map Int64.bits_of_float) in
+  check_bool "domain 1 == lone solve" true (bits r1 = bits expected);
+  check_bool "domain 2 == lone solve" true (bits r2 = bits expected)
+
 (* The simulator itself under the pool: every interval derives its own
    RNG streams from its index, so the interval fan-out inside [Run.run]
    must be bit-identical whatever the pool size — across dynamics and
@@ -363,6 +398,8 @@ let () =
             test_fig4a_bit_identical;
           Alcotest.test_case "sparse kernels bit-identical" `Quick
             test_sparse_kernel_bit_identical;
+          Alcotest.test_case "shared factor, two domains" `Quick
+            test_shared_factor_two_domains;
           QCheck_alcotest.to_alcotest run_bit_identical_qcheck;
         ] );
       ( "tracker",
