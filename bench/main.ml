@@ -108,8 +108,8 @@ let interval_inputs w =
 (* Paper-scale incidence fixture for the sparse-kernel benchmarks: ~400
    correlation-subset variables, 520 equations, each touching a short
    block of consecutive variables (the shape Algorithm 1's selections
-   produce once subsets are numbered in discovery order).  Density ≈ 2%,
-   comfortably under the routing threshold. *)
+   produce once subsets are numbered in discovery order).  Density ≈ 2%.
+   The dense copy feeds the dense-kernel rows. *)
 let paper_incidence =
   lazy
     (let nvars = 400 and nrows = 520 in
@@ -126,30 +126,31 @@ let paper_incidence =
      let sp = Sparse.of_incidence ~rows:nrows ~cols:nvars idxs in
      (sp, Sparse.to_matrix sp, idxs))
 
-(* The guarantee the routing relies on, checked on the bench workload
-   every run (CI greps for the OK line): the sparse elimination must be
-   bit-identical to the dense one — same rank, same pivot columns, every
-   entry of the reduced matrix equal. *)
+(* The guarantee that lets incidence rows eliminate on the sparse
+   kernel, checked on the bench workload every run (CI greps for the OK
+   line): [Sparse_gauss.rref] must be bit-identical to the dense
+   [Gauss.rref] — same rank, same pivot columns, every entry of the
+   reduced matrix equal. *)
 let check_sparse_parity () =
-  let _, dense, _ = Lazy.force paper_incidence in
-  let d = Gauss.rref_dense dense in
-  let s = Gauss.rref_sparse dense in
+  let sparse, dense, _ = Lazy.force paper_incidence in
+  let d = Gauss.rref dense in
+  let s = Sparse_gauss.rref sparse in
   let entries_equal =
-    let ok = ref (Matrix.rows d.Gauss.reduced = Matrix.rows s.Gauss.reduced
-                  && Matrix.cols d.Gauss.reduced = Matrix.cols s.Gauss.reduced)
-    in
-    if !ok then
-      for i = 0 to Matrix.rows d.Gauss.reduced - 1 do
-        for j = 0 to Matrix.cols d.Gauss.reduced - 1 do
-          if Matrix.get d.Gauss.reduced i j <> Matrix.get s.Gauss.reduced i j
-          then ok := false
-        done
-      done;
+    let dr = d.Gauss.reduced and sr = s.Sparse_gauss.reduced in
+    Matrix.rows dr = Sparse.rows sr
+    && Matrix.cols dr = Sparse.cols sr
+    &&
+    let ok = ref true in
+    for i = 0 to Matrix.rows dr - 1 do
+      for j = 0 to Matrix.cols dr - 1 do
+        if Matrix.get dr i j <> Sparse.get sr i j then ok := false
+      done
+    done;
     !ok
   in
   if
-    d.Gauss.rank = s.Gauss.rank
-    && d.Gauss.pivot_cols = s.Gauss.pivot_cols
+    d.Gauss.rank = s.Sparse_gauss.rank
+    && d.Gauss.pivot_cols = s.Sparse_gauss.pivot_cols
     && entries_equal
   then Format.fprintf ppf "sparse rref parity: OK@."
   else
@@ -157,7 +158,7 @@ let check_sparse_parity () =
       (Printf.sprintf
          "sparse rref parity: FAILED (dense rank %d, sparse rank %d, \
           entries %s)"
-         d.Gauss.rank s.Gauss.rank
+         d.Gauss.rank s.Sparse_gauss.rank
          (if entries_equal then "equal" else "diverged"))
 
 (* ------------------------------------------------------------------ *)
@@ -197,99 +198,6 @@ let check_sim_parity () =
   Pool.set_default_jobs saved;
   if a = b then Format.fprintf ppf "sim -j1 == -j4 bit-equality: OK@."
   else failwith "sim -j1 == -j4 bit-equality: FAILED"
-
-(* The guarantee the witness prefilter relies on, checked on the bench
-   workload every run (CI greps for the OK line): a selection with the
-   prefilter enabled must be bit-identical to one with it disabled —
-   same rows (paths and variables), same registry size, every entry of
-   the null-space basis equal.  The prefilter only short-circuits
-   dependent rows; a witness hit on an independent row would change the
-   selection and trip this gate. *)
-let check_witness_parity () =
-  let w = Lazy.force fixture in
-  let model = w.W.model and obs = w.W.obs in
-  let base = Tomo.Algorithm1.select model obs in
-  let off =
-    Tomo.Algorithm1.select
-      ~config:
-        { Tomo.Algorithm1.default_config with Tomo.Algorithm1.witness_k = Some 0 }
-      model obs
-  in
-  let open Tomo.Algorithm1 in
-  let rows_equal =
-    Array.length base.rows = Array.length off.rows
-    && Array.for_all2
-         (fun (a : Tomo.Eqn.row) (b : Tomo.Eqn.row) ->
-           a.Tomo.Eqn.paths = b.Tomo.Eqn.paths
-           && a.Tomo.Eqn.vars = b.Tomo.Eqn.vars)
-         base.rows off.rows
-  in
-  let ns_equal =
-    let a = base.nullspace and b = off.nullspace in
-    let ok = ref (Matrix.rows a = Matrix.rows b && Matrix.cols a = Matrix.cols b) in
-    if !ok then
-      for i = 0 to Matrix.rows a - 1 do
-        for j = 0 to Matrix.cols a - 1 do
-          if Matrix.get a i j <> Matrix.get b i j then ok := false
-        done
-      done;
-    !ok
-  in
-  let vars_equal =
-    Tomo.Eqn.n_vars base.registry = Tomo.Eqn.n_vars off.registry
-  in
-  if rows_equal && ns_equal && vars_equal then
-    Format.fprintf ppf "witness prefilter parity: OK@."
-  else
-    failwith
-      (Printf.sprintf
-         "witness prefilter parity: FAILED (rows %s, nullspace %s, registry \
-          %s)"
-         (if rows_equal then "equal" else "diverged")
-         (if ns_equal then "equal" else "diverged")
-         (if vars_equal then "equal" else "diverged"))
-
-(* The guarantee the identifiability pruner relies on, checked on the
-   bench workload every run (CI greps for the OK line): the pruned
-   enumeration must be bit-identical to the exhaustive fan-out — every
-   link marginal equal to the last bit, same identifiability flags,
-   same system dimensions.  The pruner only skips subset sizes with a
-   proof of emptiness and charges their would-be visits against the
-   enumeration budget arithmetically; a wrong proof or a budget
-   mismatch would change the estimates and trip this gate. *)
-let check_ident_prune_parity () =
-  let w = Lazy.force fixture in
-  let model = w.W.model and obs = w.W.obs in
-  (* Fire the ambiguity classification once on the bench workload so the
-     [ident_ambiguous_links] counter lands in the JSON snapshot. *)
-  ignore
-    (Tomo.Identifiability.ambiguous_links model
-       ~effective:(Tomo.Subsets.effective_links model obs));
-  let saved = Tomo.Subsets.ident_prune_enabled () in
-  Tomo.Subsets.set_ident_prune true;
-  let on, _ = Tomo.Correlation_complete.compute model obs in
-  Tomo.Subsets.set_ident_prune false;
-  let off, _ = Tomo.Correlation_complete.compute model obs in
-  Tomo.Subsets.set_ident_prune saved;
-  let open Tomo.Pc_result in
-  let marginals_equal =
-    Array.length on.marginals = Array.length off.marginals
-    && Array.for_all2
-         (fun a b -> Int64.bits_of_float a = Int64.bits_of_float b)
-         on.marginals off.marginals
-  in
-  let flags_equal = on.identifiable = off.identifiable in
-  let dims_equal = on.n_rows = off.n_rows && on.n_vars = off.n_vars in
-  if marginals_equal && flags_equal && dims_equal then
-    Format.fprintf ppf "identifiability prune parity: OK@."
-  else
-    failwith
-      (Printf.sprintf
-         "identifiability prune parity: FAILED (marginals %s, flags %s, \
-          dims %s)"
-         (if marginals_equal then "equal" else "diverged")
-         (if flags_equal then "equal" else "diverged")
-         (if dims_equal then "equal" else "diverged"))
 
 (* Wall-clock scaling of the simulation itself on the paper-scale cell
    (Brite default topology, 1000 intervals — the Fig. 4 setting): one
@@ -682,14 +590,18 @@ let bench_tests () =
     ]
   in
   (* Sparse-vs-dense elimination on the paper-scale incidence fixture:
-     the dense pair quantifies what the auto-routing buys. *)
+     the dense pair is what the same system costs as a dense matrix. *)
   let paper_sparse, paper_dense, paper_rows = Lazy.force paper_incidence in
   (* The dependent-row tax, isolated: rejecting a row already in the
      span, with the witness prefilter's O(k·nnz) short-circuit vs the
      exact O(nnz·p) projection.  A row of the incidence system is in its
      row space by construction, and a rejection never mutates the
      tracker, so one tracker per variant is reused across timed calls. *)
-  let paper_basis = Nullspace.basis ~backend:`Sparse paper_dense in
+  let paper_nullspace () =
+    Nullspace.basis_of_incidence ~rows:(Sparse.rows paper_sparse)
+      ~cols:(Sparse.cols paper_sparse) paper_rows
+  in
+  let paper_basis = paper_nullspace () in
   let dep_row = paper_rows.(0) in
   let tr_wit = Nullspace.tracker_of_matrix ~witness_k:2 paper_basis in
   let tr_exact = Nullspace.tracker_of_matrix ~witness_k:0 paper_basis in
@@ -704,11 +616,11 @@ let bench_tests () =
       Test.make ~name:"kernel/sparse-rref"
         (Staged.stage (fun () -> Sparse_gauss.rref paper_sparse));
       Test.make ~name:"kernel/dense-rref-paper"
-        (Staged.stage (fun () -> Gauss.rref_dense paper_dense));
+        (Staged.stage (fun () -> Gauss.rref paper_dense));
       Test.make ~name:"kernel/sparse-nullspace"
-        (Staged.stage (fun () -> Nullspace.basis ~backend:`Sparse paper_dense));
+        (Staged.stage paper_nullspace);
       Test.make ~name:"kernel/nullspace-recompute-dense-paper"
-        (Staged.stage (fun () -> Nullspace.basis ~backend:`Dense paper_dense));
+        (Staged.stage (fun () -> Nullspace.basis paper_dense));
     ]
   in
   Test.make_grouped ~name:"tomo" ~fmt:"%s %s"
@@ -868,8 +780,12 @@ let () =
   Tomo_obs.Metrics.set_enabled true;
   check_sparse_parity ();
   check_sim_parity ();
-  check_witness_parity ();
-  check_ident_prune_parity ();
+  (* Classify the bench workload's links once so the
+     [ident_ambiguous_links] counter lands in the JSON snapshot. *)
+  (let w = Lazy.force fixture in
+   ignore
+     (Tomo.Identifiability.ambiguous_links w.W.model
+        ~effective:(Tomo.Subsets.effective_links w.W.model w.W.obs)));
   if enabled "TOMO_BENCH_FIGURES" then reproduction_pass ();
   let pipeline_snapshot = Tomo_obs.Metrics.snapshot () in
   Tomo_obs.Metrics.set_enabled metrics_were_enabled;

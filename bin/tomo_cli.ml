@@ -72,18 +72,6 @@ let jobs_arg =
            available cores). $(docv)=1 forces sequential execution; \
            results are bit-identical either way.")
 
-let sparse_threshold_arg =
-  Arg.(
-    value
-    & opt (some float) None
-    & info [ "sparse-threshold" ] ~docv:"D"
-        ~doc:
-          "Route auto-dispatched elimination through the sparse kernel \
-           when the system density is at most $(docv) (default 0.25; 0 \
-           forces the dense kernel everywhere; same as \
-           TOMO_SPARSE_THRESHOLD). Results are bit-identical either \
-           way.")
-
 let metrics_out_arg =
   Arg.(
     value
@@ -93,18 +81,6 @@ let metrics_out_arg =
           "Write a JSON snapshot of every counter, gauge and histogram \
            to $(docv) (\"-\" for stdout; same as TOMO_METRICS_OUT). \
            Written atomically, and periodically with --flush-every.")
-
-let ident_prune_arg =
-  Arg.(
-    value
-    & opt (some bool) None
-    & info [ "ident-prune" ] ~docv:"BOOL"
-        ~doc:
-          "Enable or disable the identifiability pruner: subset sizes \
-           proven to contain no inducible correlation subset are \
-           skipped before fanning out combinations (default enabled; \
-           same as TOMO_IDENT_PRUNE). Results are bit-identical either \
-           way — only the work done differs.")
 
 let events_out_arg =
   Arg.(
@@ -120,8 +96,7 @@ let events_out_arg =
    the TOMO_TRACE / TOMO_METRICS_OUT / TOMO_EVENTS_OUT environment) and
    flush them once the command is done.  Events are configured before
    the pool resize so the startup [pool_resize] lands in the log. *)
-let with_obs ?ident_prune sparse jobs trace metrics_out events_out f =
-  Option.iter Tomo.Subsets.set_ident_prune ident_prune;
+let with_obs jobs trace metrics_out events_out f =
   let events_out =
     match events_out with
     | Some p -> Some p
@@ -131,7 +106,6 @@ let with_obs ?ident_prune sparse jobs trace metrics_out events_out f =
         | some -> some)
   in
   Tomo_obs.Events.configure events_out;
-  Option.iter Tomo_linalg.Sparse.set_density_threshold sparse;
   Option.iter Tomo_par.Pool.set_default_jobs jobs;
   Tomo_obs.Sink.init
     ?trace:(if trace then Some Tomo_obs.Sink.Trace_human else None)
@@ -1006,22 +980,19 @@ let all scale seed seeds csv =
 let cmd name doc f =
   Cmd.v (Cmd.info name ~doc)
     Term.(
-      const (fun scale seed seeds sparse jobs ident trace mout eout ->
-          with_obs ?ident_prune:ident sparse jobs trace mout eout (fun () ->
-              f scale seed seeds))
-      $ scale_arg $ seed_arg $ seeds_arg $ sparse_threshold_arg $ jobs_arg
-      $ ident_prune_arg $ trace_arg $ metrics_out_arg $ events_out_arg)
+      const (fun scale seed seeds jobs trace mout eout ->
+          with_obs jobs trace mout eout (fun () -> f scale seed seeds))
+      $ scale_arg $ seed_arg $ seeds_arg $ jobs_arg $ trace_arg
+      $ metrics_out_arg $ events_out_arg)
 
 let cmd_csv name doc f =
   Cmd.v
     (Cmd.info name ~doc)
     Term.(
-      const (fun scale seed seeds csv sparse jobs ident trace mout eout ->
-          with_obs ?ident_prune:ident sparse jobs trace mout eout (fun () ->
-              f scale seed seeds csv))
-      $ scale_arg $ seed_arg $ seeds_arg $ csv_arg $ sparse_threshold_arg
-      $ jobs_arg $ ident_prune_arg $ trace_arg $ metrics_out_arg
-      $ events_out_arg)
+      const (fun scale seed seeds csv jobs trace mout eout ->
+          with_obs jobs trace mout eout (fun () -> f scale seed seeds csv))
+      $ scale_arg $ seed_arg $ seeds_arg $ csv_arg $ jobs_arg $ trace_arg
+      $ metrics_out_arg $ events_out_arg)
 
 let gen_trace_cmd =
   Cmd.v
@@ -1031,13 +1002,13 @@ let gen_trace_cmd =
           stream as a replayable tomo-trace file.")
     Term.(
       const (fun scale seed topology scenario nonstationary intervals out
-                sparse jobs trace mout eout ->
-          with_obs sparse jobs trace mout eout (fun () ->
+                jobs trace mout eout ->
+          with_obs jobs trace mout eout (fun () ->
               run_gen_trace scale seed topology scenario nonstationary
                 intervals out))
       $ scale_arg $ seed_arg $ topology_arg $ scenario_arg
-      $ nonstationary_arg $ intervals_arg $ out_arg $ sparse_threshold_arg
-      $ jobs_arg $ trace_arg $ metrics_out_arg $ events_out_arg)
+      $ nonstationary_arg $ intervals_arg $ out_arg $ jobs_arg $ trace_arg
+      $ metrics_out_arg $ events_out_arg)
 
 let serve_cmd =
   Cmd.v
@@ -1053,9 +1024,8 @@ let serve_cmd =
       const (fun scale seed topology replay ingest window snapshot_in
                 snapshot_out snapshot_every max_ticks report_out progress
                 listen flush_every linger ingest_queue ingest_policy
-                idle_timeout snapshot_dir report_dir sparse jobs trace mout
-                eout ->
-          with_obs sparse jobs trace mout eout (fun () ->
+                idle_timeout snapshot_dir report_dir jobs trace mout eout ->
+          with_obs jobs trace mout eout (fun () ->
               run_serve scale seed topology replay ingest window snapshot_in
                 snapshot_out snapshot_every max_ticks report_out progress
                 listen flush_every linger ingest_queue ingest_policy
@@ -1064,9 +1034,8 @@ let serve_cmd =
       $ window_arg $ snapshot_in_arg $ snapshot_out_arg $ snapshot_every_arg
       $ max_ticks_arg $ report_out_arg $ progress_arg $ listen_arg
       $ flush_every_arg $ linger_arg $ ingest_queue_arg $ ingest_policy_arg
-      $ idle_timeout_arg $ snapshot_dir_arg $ report_dir_arg
-      $ sparse_threshold_arg $ jobs_arg $ trace_arg $ metrics_out_arg
-      $ events_out_arg)
+      $ idle_timeout_arg $ snapshot_dir_arg $ report_dir_arg $ jobs_arg
+      $ trace_arg $ metrics_out_arg $ events_out_arg)
 
 let send_trace_cmd =
   Cmd.v
@@ -1089,13 +1058,13 @@ let batch_report_cmd =
           replay file and write the same tomo-report format as serve — \
           the two must diff equal.")
     Term.(
-      const (fun scale seed topology replay window report_out sparse jobs
-                trace mout eout ->
-          with_obs sparse jobs trace mout eout (fun () ->
+      const (fun scale seed topology replay window report_out jobs trace
+                mout eout ->
+          with_obs jobs trace mout eout (fun () ->
               run_batch_report scale seed topology replay window report_out))
       $ scale_arg $ seed_arg $ topology_arg $ replay_arg $ window_arg
-      $ report_out_arg $ sparse_threshold_arg $ jobs_arg $ trace_arg
-      $ metrics_out_arg $ events_out_arg)
+      $ report_out_arg $ jobs_arg $ trace_arg $ metrics_out_arg
+      $ events_out_arg)
 
 let table2_cmd =
   Cmd.v

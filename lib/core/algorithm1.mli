@@ -39,11 +39,12 @@ type config = {
       (** candidate path sets enumerated per subset (default 300) *)
   tol : float;  (** numerical tolerance for rank decisions *)
   witness_k : int option;
-      (** witness vectors for the independence prefilter ([None] =
-          {!Tomo_linalg.Nullspace.default_witness_k}, i.e. the
-          [TOMO_WITNESS_K] default; [Some 0] forces the exact path).
-          Selections are bit-identical whatever the value — the
-          prefilter only short-circuits dependent rows. *)
+      (** witness vectors for the independence prefilter ([None] = the
+          tracker's 2).  Selections are bit-identical whatever the
+          value — the prefilter only short-circuits dependent rows — so
+          this is a test reference switch: [Some 0] runs the exact
+          dependence test alone, which the witness parity properties
+          compare the default against. *)
 }
 
 val default_config : config

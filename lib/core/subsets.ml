@@ -12,16 +12,10 @@ let c_capped = Obs.Metrics.counter "subsets_enumeration_capped"
 let c_pruned = Obs.Metrics.counter "ident_pruned_sets"
 
 (* The identifiability pruner is a pure skip of provably empty work, so
-   it defaults on; TOMO_IDENT_PRUNE=0 (or --ident-prune false) restores
-   the exhaustive fan-out for parity runs. *)
-let ident_prune =
-  ref
-    (match Sys.getenv_opt "TOMO_IDENT_PRUNE" with
-    | Some "0" -> false
-    | _ -> true)
-
+   it is always on; switching it off only serves the parity properties
+   that compare it with the exhaustive fan-out. *)
+let ident_prune = ref true
 let set_ident_prune b = ident_prune := b
-let ident_prune_enabled () = !ident_prune
 
 type t = { corr : int; links : int array }
 
@@ -142,9 +136,9 @@ let inducible model ~effective s =
    into [subsets_enumeration_capped] (the budget path used to be
    silently uncounted).
 
-   When pruning is on, [Identifiability.inducible_size_witness] proves
-   some sizes contain no inducible subset at all; those sizes are
-   skipped without generating their combinations, but their would-be
+   The pruner's [Identifiability.inducible_size_witness] proves some
+   sizes contain no inducible subset at all; those sizes are skipped
+   without generating their combinations, but their would-be
    visits are still charged against the budget ([Combin.choose]
    arithmetic instead of iteration), so the surviving visit sequence —
    and with it every found subset, counter and truncation decision — is

@@ -4,11 +4,11 @@ let c_solves = Obs.Metrics.counter "cgls_solves"
 let c_iterations = Obs.Metrics.counter "cgls_iterations"
 let h_residual = Obs.Metrics.histogram "cgls_final_residual"
 
-(* Per-domain scratch vectors, grown on demand and reused across solves:
-   the experiment harness calls [solve] once per probability computation
-   and previously allocated the four CG work vectors every time.  The
-   buffers may be longer than the live prefix, so every loop below runs
-   over explicit [m] / [n_vars] bounds.  Domain-local storage keeps
+(* Per-domain scratch vectors, grown on demand and reused across solves,
+   so the experiment harness, which solves once per probability
+   computation, does not allocate the four CG work vectors every time.
+   The buffers may be longer than the live prefix, so every loop below
+   runs over explicit [m] / [n_vars] bounds.  Domain-local storage keeps
    parallel solves (tomo_par) from sharing a buffer. *)
 type scratch = {
   mutable sr : float array; (* residual, length >= m *)
@@ -22,12 +22,41 @@ let scratch_key : scratch Domain.DLS.key =
 
 let ensure a n = if Array.length a >= n then a else Array.make n 0.0
 
-(* The CG iteration, abstracted over the matrix application: [solve]
-   instantiates it with incidence closures (coefficient 1 per index),
-   [solve_sparse] with general sparse rows.  Multiplying by a stored
-   coefficient of exactly 1.0 is the identity, so an incidence system
-   routed through either entry point yields bit-identical solutions. *)
-let solve_core ~m ~n_vars ~apply_a ~apply_at ~b ~max_iter ~tol =
+let solve_sparse ~a ~b ?max_iter ?(tol = 1e-12) () =
+  let m = Sparse.rows a and n_vars = Sparse.cols a in
+  if Array.length b <> m then
+    invalid_arg "Cgls.solve_sparse: size mismatch";
+  (* Freeze the system into flat CSR once per solve: the CG iteration
+     sweeps A hundreds of times, and the packed arrays replace two
+     pointer chases per row per sweep with contiguous streaming. *)
+  let csr = Sparse.to_csr a in
+  let rp = csr.Sparse.row_ptr
+  and ci = csr.Sparse.col_idx
+  and vs = csr.Sparse.values in
+  let apply_a v out =
+    for i = 0 to m - 1 do
+      let acc = ref 0.0 in
+      for k = Array.unsafe_get rp i to Array.unsafe_get rp (i + 1) - 1 do
+        acc :=
+          !acc
+          +. (Array.unsafe_get vs k
+              *. Array.unsafe_get v (Array.unsafe_get ci k))
+      done;
+      Array.unsafe_set out i !acc
+    done
+  in
+  let apply_at w out =
+    Array.fill out 0 n_vars 0.0;
+    for i = 0 to m - 1 do
+      let wi = Array.unsafe_get w i in
+      if wi <> 0.0 then
+        for k = Array.unsafe_get rp i to Array.unsafe_get rp (i + 1) - 1 do
+          let j = Array.unsafe_get ci k in
+          Array.unsafe_set out j
+            (Array.unsafe_get out j +. (wi *. Array.unsafe_get vs k))
+        done
+    done
+  in
   let max_iter =
     match max_iter with Some n -> n | None -> (4 * n_vars) + 100
   in
@@ -88,73 +117,3 @@ let solve_core ~m ~n_vars ~apply_a ~apply_at ~b ~max_iter ~tol =
     end;
     x
   end
-
-let solve ~n_vars ~rows ~b ?max_iter ?(tol = 1e-12) () =
-  let m = Array.length rows in
-  if Array.length b <> m then invalid_arg "Cgls.solve: size mismatch";
-  Array.iter
-    (Array.iter (fun j ->
-         if j < 0 || j >= n_vars then
-           invalid_arg "Cgls.solve: variable index out of range"))
-    rows;
-  (* A·v for incidence rows: per-row sum of selected coordinates. *)
-  let apply_a v out =
-    for i = 0 to m - 1 do
-      let row = Array.unsafe_get rows i in
-      let acc = ref 0.0 in
-      Array.iter (fun j -> acc := !acc +. Array.unsafe_get v j) row;
-      Array.unsafe_set out i !acc
-    done
-  in
-  (* Aᵀ·w: scatter row values onto their variables. *)
-  let apply_at w out =
-    Array.fill out 0 n_vars 0.0;
-    for i = 0 to m - 1 do
-      let wi = Array.unsafe_get w i in
-      if wi <> 0.0 then
-        Array.iter
-          (fun j ->
-            Array.unsafe_set out j (Array.unsafe_get out j +. wi))
-          (Array.unsafe_get rows i)
-    done
-  in
-  solve_core ~m ~n_vars ~apply_a ~apply_at ~b ~max_iter ~tol
-
-let solve_sparse ~a ~b ?max_iter ?(tol = 1e-12) () =
-  let m = Sparse.rows a and n_vars = Sparse.cols a in
-  if Array.length b <> m then
-    invalid_arg "Cgls.solve_sparse: size mismatch";
-  (* Freeze the system into flat CSR once per solve: the CG iteration
-     sweeps A hundreds of times, and the packed arrays replace two
-     pointer chases per row per sweep with contiguous streaming.  Per-
-     row entry order is preserved by [to_csr], so the accumulation
-     order — hence every float — is identical to the row-view loops. *)
-  let csr = Sparse.to_csr a in
-  let rp = csr.Sparse.row_ptr
-  and ci = csr.Sparse.col_idx
-  and vs = csr.Sparse.values in
-  let apply_a v out =
-    for i = 0 to m - 1 do
-      let acc = ref 0.0 in
-      for k = Array.unsafe_get rp i to Array.unsafe_get rp (i + 1) - 1 do
-        acc :=
-          !acc
-          +. (Array.unsafe_get vs k
-              *. Array.unsafe_get v (Array.unsafe_get ci k))
-      done;
-      Array.unsafe_set out i !acc
-    done
-  in
-  let apply_at w out =
-    Array.fill out 0 n_vars 0.0;
-    for i = 0 to m - 1 do
-      let wi = Array.unsafe_get w i in
-      if wi <> 0.0 then
-        for k = Array.unsafe_get rp i to Array.unsafe_get rp (i + 1) - 1 do
-          let j = Array.unsafe_get ci k in
-          Array.unsafe_set out j
-            (Array.unsafe_get out j +. (wi *. Array.unsafe_get vs k))
-        done
-    done
-  in
-  solve_core ~m ~n_vars ~apply_a ~apply_at ~b ~max_iter ~tol

@@ -3,7 +3,8 @@
     The tomography equation systems have rows that are incidence vectors:
     each row is the set of correlation-subset variables appearing in one
     equation, with all coefficients equal to 1.  CGLS solves
-    [min ‖A·x − b‖₂] for such systems without ever materializing [A];
+    [min ‖A·x − b‖₂] for such systems from their sparse rows alone,
+    never forming [AᵀA];
     started from [x = 0] it converges to the *minimum-norm* least-squares
     solution, whose identifiable coordinates (decided separately via
     {!Nullspace}) equal those of every other minimizer.
@@ -14,27 +15,12 @@
     harness — do not churn the allocator, and concurrent solves from
     tomo_par workers each use their own scratch. *)
 
-(** [solve ~n_vars ~rows ~b ?max_iter ?tol ()] where [rows.(i)] lists the
-    variable indices of equation [i] (coefficient 1 each) and [b.(i)] its
-    right-hand side.  Iterates until the normal-equation residual norm
-    falls below [tol] (relative to its initial value, default [1e-12]) or
-    [max_iter] iterations (default [4 · n_vars + 100]).
-    @raise Invalid_argument on size mismatch or an out-of-range index. *)
-val solve :
-  n_vars:int ->
-  rows:int array array ->
-  b:float array ->
-  ?max_iter:int ->
-  ?tol:float ->
-  unit ->
-  float array
-
-(** [solve_sparse ~a ~b ()] is {!solve} over a general sparse system
-    [a] ({!Sparse.t}, arbitrary coefficients).  On an incidence matrix
-    built with {!Sparse.of_incidence} (all coefficients exactly [1.0])
-    it performs the identical floating-point operations as [solve], so
-    the two entry points are interchangeable bit for bit — this is how
-    the probability-computation solves route through the sparse layer.
+(** [solve_sparse ~a ~b ?max_iter ?tol ()] solves [min ‖a·x − b‖₂] for
+    a sparse system [a] ({!Sparse.t}; the tomography pools build it with
+    {!Sparse.of_incidence}, all coefficients [1.0]).  Iterates until the
+    normal-equation residual norm falls below [tol] (relative to its
+    initial value, default [1e-12]) or [max_iter] iterations (default
+    [4 · cols a + 100]).
     @raise Invalid_argument on size mismatch. *)
 val solve_sparse :
   a:Sparse.t ->

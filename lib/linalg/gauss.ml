@@ -13,7 +13,7 @@ let c_dense = Obs.Metrics.counter "dense_rref_calls"
    the boxed reference kernel performs (same pivoting, same order), so
    results are bit-identical — test/test_differential.ml holds that
    line against the naive float-array-array oracle. *)
-let rref_dense ?(tol = default_tol) m =
+let rref ?(tol = default_tol) m =
   Obs.Metrics.incr c_dense;
   let a = Matrix.copy m in
   let nr = Matrix.rows a and nc = Matrix.cols a in
@@ -69,54 +69,4 @@ let rref_dense ?(tol = default_tol) m =
   done;
   { reduced = a; pivot_cols = List.rev !pivots; rank = !r }
 
-let rref_sparse ?tol m =
-  let { Sparse_gauss.reduced; pivot_cols; rank } =
-    Sparse_gauss.rref ?tol (Sparse.of_matrix m)
-  in
-  { reduced = Sparse.to_matrix reduced; pivot_cols; rank }
-
-(* Auto-routing entry point: count the nonzeros once (the dense kernel
-   scans the matrix for [max_abs] anyway) and hand incidence-sparse
-   systems to the sparse kernel.  Both kernels perform the identical
-   sequence of floating-point operations on nonzero entries, so callers
-   cannot observe the routing except through speed. *)
-let rref ?tol m =
-  let nr = Matrix.rows m and nc = Matrix.cols m in
-  if nr * nc < Sparse.auto_size_floor then rref_dense ?tol m
-  else begin
-    let nnz = ref 0 in
-    for i = 0 to nr - 1 do
-      for j = 0 to nc - 1 do
-        if Matrix.unsafe_get m i j <> 0.0 then incr nnz
-      done
-    done;
-    if Sparse.prefers_sparse ~rows:nr ~cols:nc ~nnz:!nnz then
-      rref_sparse ?tol m
-    else rref_dense ?tol m
-  end
-
 let rank ?tol m = (rref ?tol m).rank
-
-let solve ?(tol = default_tol) a b =
-  let n = Matrix.rows a in
-  if Matrix.cols a <> n then invalid_arg "Gauss.solve: matrix not square";
-  if Array.length b <> n then invalid_arg "Gauss.solve: size mismatch";
-  let aug = Matrix.init n (n + 1) (fun i j ->
-      if j < n then Matrix.get a i j else b.(i))
-  in
-  let { reduced; rank; _ } = rref ~tol aug in
-  if rank < n then failwith "Gauss.solve: singular matrix";
-  Array.init n (fun i -> Matrix.get reduced i n)
-
-let inverse ?(tol = default_tol) a =
-  let n = Matrix.rows a in
-  if Matrix.cols a <> n then invalid_arg "Gauss.inverse: matrix not square";
-  let aug = Matrix.init n (2 * n) (fun i j ->
-      if j < n then Matrix.get a i j else if j - n = i then 1.0 else 0.0)
-  in
-  let { reduced; pivot_cols; rank } = rref ~tol aug in
-  (* [A|I] always has full row rank; A is singular exactly when one of
-     the n pivots lands in the identity half. *)
-  if rank < n || List.exists (fun j -> j >= n) pivot_cols then
-    failwith "Gauss.inverse: singular matrix";
-  Matrix.init n n (fun i j -> Matrix.get reduced i (n + j))

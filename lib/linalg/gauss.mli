@@ -1,10 +1,12 @@
-(** Gaussian elimination: reduced row-echelon form, rank, and exact solves
-    of square systems.
+(** Gaussian elimination over dense matrices: reduced row-echelon form
+    and rank.
 
     Pivoting is partial (largest absolute entry in the column) and rank
     decisions use a tolerance relative to the largest entry encountered,
     which is appropriate for the 0/1 incidence matrices produced by the
-    tomography equation builder. *)
+    tomography equation builder.  Incidence rows held as index arrays
+    eliminate through {!Sparse_gauss} instead, which performs the same
+    floating-point operations on the stored entries. *)
 
 (** Result of [rref]. *)
 type rref = {
@@ -17,35 +19,10 @@ type rref = {
     {!Sparse_gauss.rref}. *)
 val default_tol : float
 
-(** [rref ?tol m] computes the reduced row-echelon form.  [tol] (default
-    [1e-10]) is the relative threshold below which a pivot candidate is
-    treated as zero.
-
-    Routing: matrices with at least {!Sparse.auto_size_floor} entries
-    whose density is at or below {!Sparse.density_threshold} are
-    eliminated by the sparse kernel ({!Sparse_gauss.rref}); everything
-    else walks the dense rows.  Both kernels perform the identical
-    floating-point operations on nonzero entries, so the result is the
-    same bit for bit (up to the sign of zero entries) whichever path
-    runs. *)
+(** [rref ?tol m] computes the reduced row-echelon form of a copy of
+    [m] with the dense kernel.  [tol] (default [1e-10]) is the relative
+    threshold below which a pivot candidate is treated as zero. *)
 val rref : ?tol:float -> Matrix.t -> rref
-
-(** [rref_dense ?tol m] forces the dense kernel (benchmarks and
-    equivalence tests). *)
-val rref_dense : ?tol:float -> Matrix.t -> rref
-
-(** [rref_sparse ?tol m] forces the sparse kernel regardless of density:
-    converts, eliminates via {!Sparse_gauss.rref}, converts back. *)
-val rref_sparse : ?tol:float -> Matrix.t -> rref
 
 (** [rank ?tol m] is the numerical rank. *)
 val rank : ?tol:float -> Matrix.t -> int
-
-(** [solve ?tol a b] solves the square system [a · x = b].
-    @raise Invalid_argument if [a] is not square or sizes mismatch.
-    @raise Failure if [a] is singular at tolerance [tol]. *)
-val solve : ?tol:float -> Matrix.t -> float array -> float array
-
-(** [inverse ?tol a] is the inverse of a square matrix.
-    @raise Failure if singular. *)
-val inverse : ?tol:float -> Matrix.t -> Matrix.t

@@ -47,34 +47,11 @@ let extract_basis ~n ~rank ~pivot_cols ~get =
     free_cols;
   out
 
-let basis ?tol ?(backend = `Auto) m =
+let basis ?tol m =
   Obs.Metrics.incr c_recomputes;
-  let nr = Matrix.rows m and n = Matrix.cols m in
-  let use_sparse =
-    match backend with
-    | `Sparse -> true
-    | `Dense -> false
-    | `Auto ->
-        nr * n >= Sparse.auto_size_floor
-        &&
-        let nnz = ref 0 in
-        for i = 0 to nr - 1 do
-          for j = 0 to n - 1 do
-            if Matrix.unsafe_get m i j <> 0.0 then incr nnz
-          done
-        done;
-        Sparse.prefers_sparse ~rows:nr ~cols:n ~nnz:!nnz
-  in
-  if use_sparse then
-    let { Sparse_gauss.reduced; pivot_cols; rank } =
-      Sparse_gauss.rref ?tol (Sparse.of_matrix m)
-    in
-    extract_basis ~n ~rank ~pivot_cols ~get:(fun piv fc ->
-        Sparse.get reduced piv fc)
-  else
-    let { Gauss.reduced; pivot_cols; rank } = Gauss.rref_dense ?tol m in
-    extract_basis ~n ~rank ~pivot_cols ~get:(fun piv fc ->
-        Matrix.get reduced piv fc)
+  let { Gauss.reduced; pivot_cols; rank } = Gauss.rref ?tol m in
+  extract_basis ~n:(Matrix.cols m) ~rank ~pivot_cols ~get:(fun piv fc ->
+      Matrix.get reduced piv fc)
 
 let nullity ?tol m = Matrix.cols (basis ?tol m)
 
@@ -245,19 +222,11 @@ let update ?(tol = default_tol) n r =
    Eliminations apply the same projection to each witness as to every
    basis column ([u' = u − (r·u / pivot) · n_j]), so the invariant
    [u_c = N · g_c] is maintained in place at O(nnz(pivot column)) per
-   accepted row. *)
+   accepted row.  Trackers keep [default_k] witnesses unless the caller
+   passes [?witness_k] ([0] runs the exact test alone — the reference
+   the parity properties compare against). *)
 
-let env_witness_k () =
-  match Sys.getenv_opt "TOMO_WITNESS_K" with
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some v when v >= 0 -> min v 16
-      | _ -> 2)
-  | None -> 2
-
-let default_k = ref (env_witness_k ())
-let default_witness_k () = !default_k
-let set_default_witness_k k = default_k := min (max 0 k) 16
+let default_k = 2
 
 (* Witness coefficients are drawn from seeded streams keyed only by the
    tracker dimension and witness index, so a tracker's behaviour never
@@ -298,7 +267,7 @@ type tracker = {
 let default_witness_tol_factor = 1e-4
 
 let make_tracker ~tol ~witness_k ~witness_tol ~nvars ~p ~colbuf ~weights =
-  let k = match witness_k with Some k -> min (max 0 k) 16 | None -> !default_k in
+  let k = match witness_k with Some k -> min (max 0 k) 16 | None -> default_k in
   let wtol =
     match witness_tol with Some w -> w | None -> tol *. default_witness_tol_factor
   in

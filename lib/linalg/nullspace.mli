@@ -8,18 +8,12 @@
     against the new row in [O(n·p)].  Both the from-scratch construction
     and the incremental update live here. *)
 
-(** [basis ?tol ?backend m] is an [n × p] matrix whose columns span the
-    null space of the [r × n] matrix [m] ([p] = nullity).  When the null
-    space is trivial the result has [0] columns.
-
-    [backend] picks the elimination kernel: [`Auto] (default) applies
-    {!Sparse.prefers_sparse} — big, sparse systems eliminate via
-    {!Sparse_gauss} and extract the basis straight from the sparse
-    reduced form, everything else stays on {!Gauss.rref_dense};
-    [`Dense] and [`Sparse] force a kernel (benchmarks and equivalence
-    tests).  All three produce the same basis bit for bit. *)
-val basis :
-  ?tol:float -> ?backend:[ `Auto | `Dense | `Sparse ] -> Matrix.t -> Matrix.t
+(** [basis ?tol m] is an [n × p] matrix whose columns span the null
+    space of the dense [r × n] matrix [m] ([p] = nullity), read off the
+    reduced form {!Gauss.rref} computes.  When the null space is trivial
+    the result has [0] columns.  Incidence systems held as index arrays
+    take {!basis_of_incidence} instead. *)
+val basis : ?tol:float -> Matrix.t -> Matrix.t
 
 (** [nullity ?tol m] is [cols (basis m)]. *)
 val nullity : ?tol:float -> Matrix.t -> int
@@ -96,23 +90,20 @@ type tracker
     test — and the accepted eliminations are bit-identical with the
     prefilter on or off, so a tracker at [witness_k = 0] and one at the
     default produce the same selections bit for bit (enforced by the
-    qcheck parity battery and the bench startup gate).
+    qcheck parity battery).
 
-    [k] defaults to [TOMO_WITNESS_K] (2 when unset; 0 disables the
-    prefilter).  The witness coefficients are derived from seeded
+    [k] is 2 unless a tracker is built with [?witness_k] ([0] disables
+    the prefilter).  The witness coefficients are derived from seeded
     {!Tomo_util.Rng.split_int} streams keyed by the tracker dimension
     and witness index only, so decisions never depend on how many
     trackers the process created before. *)
 
-(** Process default for [k], initialized from [TOMO_WITNESS_K]. *)
-val default_witness_k : unit -> int
-
-val set_default_witness_k : int -> unit
-
 (** [tracker ?tol ?witness_k ?witness_tol n] starts from the identity
     basis: the null space of the empty system over [n] variables.
-    [witness_k] overrides {!default_witness_k}; [witness_tol] overrides
-    the witness-dot rejection threshold ([tol · 1e-4]). *)
+    [witness_k] sets the number of witnesses (default 2, clamped to
+    0..16; [0] is the exact-test reference the parity properties use);
+    [witness_tol] overrides the witness-dot rejection threshold
+    ([tol · 1e-4]). *)
 val tracker : ?tol:float -> ?witness_k:int -> ?witness_tol:float -> int -> tracker
 
 (** [tracker_of_matrix ?tol ?witness_k ?witness_tol m] adopts the

@@ -1,8 +1,9 @@
 module Obs = Tomo_obs
 
 (* Kernel observability: how often the sparse elimination runs and how
-   sparse its inputs actually are, so BENCH_perf.json trajectories show
-   whether the density threshold routes the paper-scale systems here. *)
+   sparse its inputs are, so BENCH_perf.json trajectories show the
+   shape of the incidence systems the batched null-space seed
+   ({!Nullspace.basis_of_incidence}) hands it. *)
 let c_rrefs = Obs.Metrics.counter "sparse_rref_calls"
 let h_nnz = Obs.Metrics.histogram "sparse_rref_input_nnz"
 let h_density = Obs.Metrics.histogram "sparse_rref_input_density"

@@ -261,9 +261,8 @@ let test_enumerate_budget_cap () =
       ~corr_sets:[| [| 0; 1; 2; 3; 4; 5 |] |]
   in
   let eff = all_effective m in
-  let saved = Subsets.ident_prune_enabled () in
   Fun.protect
-    ~finally:(fun () -> Subsets.set_ident_prune saved)
+    ~finally:(fun () -> Subsets.set_ident_prune true)
     (fun () ->
       List.iter
         (fun prune ->

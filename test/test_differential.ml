@@ -77,7 +77,7 @@ let matrix_of_incidence ~rows ~cols idxs =
 (* Reference kernels (boxed storage, identical operation sequence)     *)
 (* ------------------------------------------------------------------ *)
 
-(* Mirror of [Gauss.rref_dense] over [float array array]: same partial
+(* Mirror of [Gauss.rref] over [float array array]: same partial
    pivoting (strictly-greater keeps the earliest row), same relative
    threshold, same normalise-then-eliminate order. *)
 let ref_rref ?(tol = Gauss.default_tol) (rows : float array array) nc =
@@ -135,8 +135,8 @@ let ref_rref ?(tol = Gauss.default_tol) (rows : float array array) nc =
   done;
   (a, List.rev !pivots, !r)
 
-(* Mirror of [Nullspace.basis ~backend:`Dense]: reference rref, then the
-   free-column basis extraction, all on boxed storage. *)
+(* Mirror of [Nullspace.basis]: reference rref, then the free-column
+   basis extraction, all on boxed storage. *)
 let ref_basis ?tol (rows : float array array) n =
   let reduced, pivot_cols, rank = ref_rref ?tol rows n in
   let is_pivot = Array.make n false in
@@ -160,9 +160,9 @@ let ref_basis ?tol (rows : float array array) n =
     free_cols;
   out
 
-(* Mirror of [Cgls.solve] (and, through coefficient-1 rows, of
-   [Cgls.solve_sparse] on an incidence system): fresh boxed work vectors,
-   incidence closures, same iteration and early exits. *)
+(* Mirror of [Cgls.solve_sparse] on an incidence system (multiplying by
+   a stored coefficient of exactly 1.0 is the identity): fresh boxed
+   work vectors, incidence closures, same iteration and early exits. *)
 let ref_cgls ~n_vars ~rows ~b ~tol =
   let m = Array.length rows in
   let max_iter = (4 * n_vars) + 100 in
@@ -281,7 +281,7 @@ let prop_rref_dense_matches_reference =
     ~count:120 dims_gen (fun ((_, r, c) as k) ->
       let rng = seeded_rng k in
       let m = random_dense rng r c in
-      let { Gauss.reduced; pivot_cols; rank } = Gauss.rref_dense m in
+      let { Gauss.reduced; pivot_cols; rank } = Gauss.rref m in
       let ref_red, ref_pivots, ref_rank = ref_rref (Matrix.to_rows m) c in
       rank = ref_rank && pivot_cols = ref_pivots
       && matrices_agree reduced ref_red)
@@ -293,7 +293,7 @@ let prop_rref_incidence_matches_reference =
       let rng = seeded_rng k in
       let idxs = random_incidence rng ~rows:r ~cols:c in
       let m = matrix_of_incidence ~rows:r ~cols:c idxs in
-      let { Gauss.reduced; pivot_cols; rank } = Gauss.rref_dense m in
+      let { Gauss.reduced; pivot_cols; rank } = Gauss.rref m in
       let ref_red, ref_pivots, ref_rank = ref_rref (Matrix.to_rows m) c in
       rank = ref_rank && pivot_cols = ref_pivots
       && matrices_agree reduced ref_red)
@@ -318,21 +318,22 @@ let prop_nullspace_matches_reference =
       let rng = seeded_rng k in
       let idxs = random_incidence rng ~rows:r ~cols:c in
       let m = matrix_of_incidence ~rows:r ~cols:c idxs in
-      let basis = Nullspace.basis ~backend:`Dense m in
+      let basis = Nullspace.basis m in
       let ref_b = ref_basis (Matrix.to_rows m) c in
       matrices_agree basis ref_b)
 
-let prop_cgls_matches_reference =
-  QCheck.Test.make ~name:"flat CGLS == boxed reference (bitwise)" ~count:80
-    dims_gen (fun ((_, r, c) as k) ->
+(* Algorithm 1 seeds its basis through the sparse kernel; the basis it
+   extracts must equal the boxed dense oracle's bit for bit, except that
+   the sparse kernel cannot reproduce a dense [-0.0]. *)
+let prop_incidence_nullspace_matches_reference =
+  QCheck.Test.make
+    ~name:"basis_of_incidence == boxed reference (zero signs free)"
+    ~count:120 dims_gen (fun ((_, r, c) as k) ->
       let rng = seeded_rng k in
-      let rows = random_incidence rng ~rows:r ~cols:c in
-      let b =
-        Array.init r (fun _ -> Rng.uniform rng ~lo:(-2.0) ~hi:2.0)
-      in
-      let x = Cgls.solve ~n_vars:c ~rows ~b () in
-      let ref_x = ref_cgls ~n_vars:c ~rows ~b ~tol:1e-12 in
-      vectors_agree x ref_x)
+      let idxs = random_incidence rng ~rows:r ~cols:c in
+      let m = matrix_of_incidence ~rows:r ~cols:c idxs in
+      let basis = Nullspace.basis_of_incidence ~rows:r ~cols:c idxs in
+      matrices_agree ~loose_zeros:true basis (ref_basis (Matrix.to_rows m) c))
 
 let prop_cgls_sparse_matches_reference =
   QCheck.Test.make ~name:"flat-CSR CGLS == boxed reference (bitwise)"
@@ -362,16 +363,17 @@ let test_large_fixture () =
   let r = 60 and c = 45 in
   let idxs = random_incidence rng ~rows:r ~cols:c in
   let m = matrix_of_incidence ~rows:r ~cols:c idxs in
-  let { Gauss.reduced; pivot_cols; rank } = Gauss.rref_dense m in
+  let { Gauss.reduced; pivot_cols; rank } = Gauss.rref m in
   let ref_red, ref_pivots, ref_rank = ref_rref (Matrix.to_rows m) c in
   Alcotest.(check int) "rank" ref_rank rank;
   Alcotest.(check (list int)) "pivots" ref_pivots pivot_cols;
   Alcotest.(check bool) "reduced bits" true (matrices_agree reduced ref_red);
-  let basis = Nullspace.basis ~backend:`Dense m in
+  let basis = Nullspace.basis m in
   Alcotest.(check bool) "basis bits" true
     (matrices_agree basis (ref_basis (Matrix.to_rows m) c));
   let b = Array.init r (fun i -> float_of_int (i mod 7) /. 3.0) in
-  let x = Cgls.solve ~n_vars:c ~rows:idxs ~b () in
+  let a = Sparse.of_incidence ~rows:r ~cols:c idxs in
+  let x = Cgls.solve_sparse ~a ~b () in
   Alcotest.(check bool) "cgls bits" true
     (vectors_agree x (ref_cgls ~n_vars:c ~rows:idxs ~b ~tol:1e-12))
 
@@ -385,10 +387,12 @@ let () =
           qc prop_rref_incidence_matches_reference;
           qc prop_rref_sparse_matches_reference;
         ] );
-      ("nullspace", [ qc prop_nullspace_matches_reference ]);
-      ( "cgls",
-        [ qc prop_cgls_matches_reference; qc prop_cgls_sparse_matches_reference ]
-      );
+      ( "nullspace",
+        [
+          qc prop_nullspace_matches_reference;
+          qc prop_incidence_nullspace_matches_reference;
+        ] );
+      ("cgls", [ qc prop_cgls_sparse_matches_reference ]);
       ("selection", [ qc prop_select_matches_reference ]);
       ( "fixtures",
         [ Alcotest.test_case "large incidence fixture" `Quick test_large_fixture ]

@@ -184,22 +184,28 @@ let prop_max_identifiable_size_sound =
 (* The pruner's contract: the enumerated subset list and the truncation
    counter are bit-identical with pruning on and off, including under
    tight find caps and visit budgets. *)
-let enumerate_with ~prune m ~effective ~max_size ~limit_per_set =
-  let saved = Subsets.ident_prune_enabled () in
+let enumerate_counted ~prune m ~effective ~max_size ~limit_per_set =
   Subsets.set_ident_prune prune;
   Fun.protect
-    ~finally:(fun () -> Subsets.set_ident_prune saved)
+    ~finally:(fun () -> Subsets.set_ident_prune true)
     (fun () ->
       Tomo_obs.Metrics.set_enabled true;
       Tomo_obs.Metrics.reset ();
       let subsets = Subsets.enumerate m ~effective ~max_size ~limit_per_set in
-      let capped =
-        Tomo_obs.Metrics.counter_value
-          (Tomo_obs.Metrics.counter "subsets_enumeration_capped")
+      let counter name =
+        Tomo_obs.Metrics.counter_value (Tomo_obs.Metrics.counter name)
       in
+      let capped = counter "subsets_enumeration_capped" in
+      let pruned = counter "ident_pruned_sets" in
       Tomo_obs.Metrics.set_enabled false;
       Tomo_obs.Metrics.reset ();
-      (List.map Subsets.key subsets, capped))
+      (List.map Subsets.key subsets, capped, pruned))
+
+let enumerate_with ~prune m ~effective ~max_size ~limit_per_set =
+  let keys, capped, _ =
+    enumerate_counted ~prune m ~effective ~max_size ~limit_per_set
+  in
+  (keys, capped)
 
 let prop_pruned_enumeration_identical =
   QCheck.Test.make ~name:"pruned enumeration bit-identical to exhaustive"
@@ -230,10 +236,9 @@ let prop_pruned_estimates_identical =
         Observations.set_interval_statuses obs ~interval:i ~good
       done;
       let compute prune =
-        let saved = Subsets.ident_prune_enabled () in
         Subsets.set_ident_prune prune;
         Fun.protect
-          ~finally:(fun () -> Subsets.set_ident_prune saved)
+          ~finally:(fun () -> Subsets.set_ident_prune true)
           (fun () -> fst (Tomo.Correlation_complete.compute m obs))
       in
       let on = compute true and off = compute false in
@@ -244,6 +249,67 @@ let prop_pruned_estimates_identical =
       && on.identifiable = off.identifiable
       && on.n_rows = off.n_rows
       && on.n_vars = off.n_vars)
+
+(* The word-size fallbacks.  A correlation set wider than [Sys.int_size]
+   links cannot be masked, so [Identifiability.close] falls back to the
+   minimum-signature bound and [Eqn.resolver] delegates to [Eqn.row].
+   Here 70 links are covered by the 2-link chain paths [i; i+1]: every
+   signature has 2 links, so no singleton is inducible and the pruner
+   skips size 1. *)
+let test_wide_set_fallbacks () =
+  let n = 70 in
+  check_bool "wider than a word" true (n > Sys.int_size);
+  let m =
+    Model.make ~n_links:n
+      ~paths:(Array.init (n - 1) (fun i -> [| i; i + 1 |]))
+      ~corr_sets:[| Array.init n Fun.id |]
+  in
+  let eff = Identifiability.covered_links m in
+  let w =
+    Identifiability.inducible_size_witness m ~effective:eff ~corr:0
+      ~max_size:3
+  in
+  check_bool "size 1 proven empty" false w.(0);
+  check_bool "size 2 not ruled out" true w.(1);
+  List.iter
+    (fun limit_per_set ->
+      let tag = Printf.sprintf "limit %d" limit_per_set in
+      let keys, capped, pruned =
+        enumerate_counted ~prune:true m ~effective:eff ~max_size:3
+          ~limit_per_set
+      in
+      let keys', capped', _ =
+        enumerate_counted ~prune:false m ~effective:eff ~max_size:3
+          ~limit_per_set
+      in
+      check_bool (tag ^ ": same subsets") true (keys = keys');
+      check_int (tag ^ ": same truncation count") capped' capped;
+      check_bool (tag ^ ": size 1 pruned") true (pruned > 0))
+    [ 1; 5; 500 ];
+  (* Register every single-path subset and, for even [i], the 3-link
+     subset of the pair [i], [i+1], so pair rows resolve both ways. *)
+  let reg = Tomo.Eqn.registry () in
+  ignore (Tomo.Eqn.register_single_path_vars m ~effective:eff reg);
+  for i = 0 to n - 3 do
+    if i mod 2 = 0 then
+      ignore (Tomo.Eqn.row_grow m ~effective:eff reg ~paths:[| i; i + 1 |])
+  done;
+  let rz = Tomo.Eqn.resolver m ~effective:eff reg in
+  let same paths =
+    Tomo.Eqn.row_fast rz ~paths = Tomo.Eqn.row m ~effective:eff reg ~paths
+  in
+  for i = 0 to n - 2 do
+    check_bool (Printf.sprintf "path %d" i) true (same [| i |])
+  done;
+  for i = 0 to n - 3 do
+    check_bool (Printf.sprintf "pair %d" i) true (same [| i; i + 1 |])
+  done;
+  check_bool "single path resolves" true
+    (Tomo.Eqn.row m ~effective:eff reg ~paths:[| 0 |] <> None);
+  check_bool "even pair resolves" true
+    (Tomo.Eqn.row m ~effective:eff reg ~paths:[| 0; 1 |] <> None);
+  check_bool "odd pair unregistered" true
+    (Tomo.Eqn.row m ~effective:eff reg ~paths:[| 1; 2 |] = None)
 
 (* Deterministic spot checks on hand-built topologies. *)
 
@@ -311,6 +377,8 @@ let () =
         [
           qc prop_pruned_enumeration_identical;
           qc prop_pruned_estimates_identical;
+          Alcotest.test_case "70-link set: word-size fallbacks" `Quick
+            test_wide_set_fallbacks;
         ] );
       ( "topologies",
         [

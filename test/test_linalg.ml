@@ -3,9 +3,10 @@
 
 module Matrix = Tomo_linalg.Matrix
 module Gauss = Tomo_linalg.Gauss
-module Qr = Tomo_linalg.Qr
-module Lstsq = Tomo_linalg.Lstsq
+module Qr = Tomo_oracles.Qr
+module Lstsq = Tomo_oracles.Lstsq
 module Nullspace = Tomo_linalg.Nullspace
+module Sparse = Tomo_linalg.Sparse
 module Rng = Tomo_util.Rng
 
 let check_int = Alcotest.(check int)
@@ -157,38 +158,40 @@ let test_gauss_rank () =
   in
   check_int "rank-1 matrix" 1 (Gauss.rank deficient)
 
+(* [rref] of the augmented matrix [A | B] for a square, nonsingular [A]
+   reduces the left half to the identity, leaving [A⁻¹·B] on the right. *)
+let augmented a b =
+  let n = Matrix.rows a and k = Matrix.cols b in
+  Matrix.init n (n + k) (fun i j ->
+      if j < n then Matrix.get a i j else Matrix.get b i (j - n))
+
+let right_half { Gauss.reduced; _ } n =
+  Matrix.init n (Matrix.cols reduced - n) (fun i j ->
+      Matrix.get reduced i (n + j))
+
 let test_gauss_solve () =
   let a = Matrix.of_rows [| [| 2.; 1. |]; [| 1.; 3. |] |] in
-  let x = Gauss.solve a [| 5.; 10. |] in
-  checkf "x0" 1.0 x.(0);
-  checkf "x1" 3.0 x.(1)
+  let r = Gauss.rref (augmented a (Matrix.of_rows [| [| 5. |]; [| 10. |] |])) in
+  check_bool "pivots in A" true (r.Gauss.pivot_cols = [ 0; 1 ]);
+  let x = right_half r 2 in
+  checkf "x0" 1.0 (Matrix.get x 0 0);
+  checkf "x1" 3.0 (Matrix.get x 1 0)
 
 let test_gauss_singular () =
+  (* A singular A leaves a pivot in the right-hand column: the system
+     [x0 + x1 = 1; 2x0 + 2x1 = 3] is inconsistent. *)
   let a = Matrix.of_rows [| [| 1.; 1. |]; [| 2.; 2. |] |] in
-  Alcotest.check_raises "singular" (Failure "Gauss.solve: singular matrix")
-    (fun () -> ignore (Gauss.solve a [| 1.; 2. |]))
+  let r = Gauss.rref (augmented a (Matrix.of_rows [| [| 1. |]; [| 3. |] |])) in
+  check_int "rank of A" 1 (Gauss.rank a);
+  check_bool "pivot lands in the right-hand side" true
+    (r.Gauss.pivot_cols = [ 0; 2 ])
 
 let test_gauss_inverse () =
   let a = Matrix.of_rows [| [| 4.; 7. |]; [| 2.; 6. |] |] in
-  let inv = Gauss.inverse a in
+  let inv = right_half (Gauss.rref (augmented a (Matrix.identity 2))) 2 in
   let prod = Matrix.mul a inv in
   check_bool "A·A⁻¹ = I" true
     (Matrix.equal_approx ~tol:1e-9 prod (Matrix.identity 2))
-
-let prop_gauss_solve_random =
-  QCheck.Test.make ~name:"Gauss.solve solves random well-conditioned systems"
-    ~count:100 (QCheck.int_range 1 15) (fun n ->
-      let rng = Rng.create (n * 31) in
-      (* Diagonally dominant => nonsingular and well conditioned. *)
-      let a =
-        Matrix.init n n (fun i j ->
-            if i = j then 10.0 +. Rng.float rng 1.0
-            else Rng.uniform rng ~lo:(-1.0) ~hi:1.0)
-      in
-      let x_true = Array.init n (fun _ -> Rng.uniform rng ~lo:(-5.) ~hi:5.) in
-      let b = Matrix.mul_vec a x_true in
-      let x = Gauss.solve a b in
-      Array.for_all2 (fun u v -> abs_float (u -. v) < 1e-6) x x_true)
 
 let prop_rank_product_bound =
   QCheck.Test.make ~name:"rank(AB) <= min(rank A, rank B) via low-rank build"
@@ -372,7 +375,7 @@ let prop_basis_annihilated =
 (* SVD                                                                 *)
 (* ------------------------------------------------------------------ *)
 
-module Svd = Tomo_linalg.Svd
+module Svd = Tomo_oracles.Svd
 
 let test_svd_reconstruct () =
   let rng = Rng.create 31 in
@@ -448,38 +451,42 @@ let prop_svd_nullspace_annihilated =
 
 module Cgls = Tomo_linalg.Cgls
 
+(* The pools solve incidence systems: every row a set of variables with
+   coefficient 1. *)
+let cgls_incidence ~n_vars rows b =
+  Cgls.solve_sparse
+    ~a:(Sparse.of_incidence ~rows:(Array.length rows) ~cols:n_vars rows)
+    ~b ()
+
 let test_cgls_exact () =
   (* x0 + x1 = 3; x0 = 1 — consistent square system over incidence
      rows. *)
-  let x =
-    Cgls.solve ~n_vars:2 ~rows:[| [| 0; 1 |]; [| 0 |] |] ~b:[| 3.; 1. |] ()
-  in
+  let x = cgls_incidence ~n_vars:2 [| [| 0; 1 |]; [| 0 |] |] [| 3.; 1. |] in
   checkf "x0" 1.0 x.(0);
   checkf "x1" 2.0 x.(1)
 
 let test_cgls_min_norm () =
   (* Single equation x0 + x1 = 2: minimizers form a line; CGLS from 0
      returns the minimum-norm point (1,1). *)
-  let x = Cgls.solve ~n_vars:2 ~rows:[| [| 0; 1 |] |] ~b:[| 2.0 |] () in
+  let x = cgls_incidence ~n_vars:2 [| [| 0; 1 |] |] [| 2.0 |] in
   checkf "x0 = 1" 1.0 x.(0);
   checkf "x1 = 1" 1.0 x.(1)
 
 let test_cgls_overdetermined_mean () =
   (* Three copies of x = b_i: least squares = mean. *)
   let x =
-    Cgls.solve ~n_vars:1
-      ~rows:[| [| 0 |]; [| 0 |]; [| 0 |] |]
-      ~b:[| 1.0; 2.0; 6.0 |] ()
+    cgls_incidence ~n_vars:1 [| [| 0 |]; [| 0 |]; [| 0 |] |]
+      [| 1.0; 2.0; 6.0 |]
   in
   checkf "mean" 3.0 x.(0)
 
 let test_cgls_validation () =
   Alcotest.check_raises "bad index"
-    (Invalid_argument "Cgls.solve: variable index out of range") (fun () ->
-      ignore (Cgls.solve ~n_vars:1 ~rows:[| [| 1 |] |] ~b:[| 1.0 |] ()));
+    (Invalid_argument "Sparse.of_incidence: index out of range") (fun () ->
+      ignore (cgls_incidence ~n_vars:1 [| [| 1 |] |] [| 1.0 |]));
   Alcotest.check_raises "size mismatch"
-    (Invalid_argument "Cgls.solve: size mismatch") (fun () ->
-      ignore (Cgls.solve ~n_vars:1 ~rows:[| [| 0 |] |] ~b:[||] ()))
+    (Invalid_argument "Cgls.solve_sparse: size mismatch") (fun () ->
+      ignore (cgls_incidence ~n_vars:1 [| [| 0 |] |] [||]))
 
 let prop_cgls_matches_qr_least_squares =
   QCheck.Test.make ~name:"CGLS matches QR least squares on incidence rows"
@@ -496,7 +503,7 @@ let prop_cgls_matches_qr_least_squares =
             Array.of_list !r)
       in
       let b = Array.init m (fun _ -> Rng.uniform rng ~lo:(-2.) ~hi:2.) in
-      let x = Cgls.solve ~n_vars:n ~rows ~b () in
+      let x = cgls_incidence ~n_vars:n rows b in
       let a =
         Matrix.init m n (fun i j ->
             if Array.exists (fun k -> k = j) rows.(i) then 1.0 else 0.0)
@@ -520,7 +527,6 @@ let prop_cgls_matches_qr_least_squares =
 (* Sparse storage + sparse elimination                                 *)
 (* ------------------------------------------------------------------ *)
 
-module Sparse = Tomo_linalg.Sparse
 module Sparse_gauss = Tomo_linalg.Sparse_gauss
 
 (* Exact per-entry equality (the bit-identity contract; OCaml [=] on
@@ -617,24 +623,6 @@ let test_sparse_row_ops () =
   checkf "dropped" 0.0 (Sparse.get a 2 1);
   checkf "kept above from_row" 1.0 (Sparse.get a 0 1)
 
-let test_sparse_routing_policy () =
-  let saved = Sparse.density_threshold () in
-  Fun.protect
-    ~finally:(fun () -> Sparse.set_density_threshold saved)
-    (fun () ->
-      Sparse.set_density_threshold 0.25;
-      check_bool "small stays dense" false
-        (Sparse.prefers_sparse ~rows:10 ~cols:10 ~nnz:1);
-      check_bool "big sparse routes sparse" true
-        (Sparse.prefers_sparse ~rows:100 ~cols:100 ~nnz:500);
-      check_bool "big dense stays dense" false
-        (Sparse.prefers_sparse ~rows:100 ~cols:100 ~nnz:5000);
-      Sparse.set_density_threshold 0.0;
-      check_bool "zero threshold disables" false
-        (Sparse.prefers_sparse ~rows:100 ~cols:100 ~nnz:1);
-      Sparse.set_density_threshold 7.0;
-      checkf "clamped to 1" 1.0 (Sparse.density_threshold ()))
-
 let prop_sparse_rref_bit_identical_incidence =
   QCheck.Test.make
     ~name:"sparse rref ≡ dense rref on 0/1 incidence matrices (exact)"
@@ -643,7 +631,7 @@ let prop_sparse_rref_bit_identical_incidence =
     (fun (r, c, seed) ->
       let rng = Rng.create (seed + 17_000) in
       let m = random_incidence rng r c 0.2 in
-      let d = Gauss.rref_dense m in
+      let d = Gauss.rref m in
       let s = Sparse_gauss.rref (Sparse.of_matrix m) in
       d.Gauss.rank = s.Sparse_gauss.rank
       && d.Gauss.pivot_cols = s.Sparse_gauss.pivot_cols
@@ -657,14 +645,14 @@ let prop_sparse_rref_matches_dense_random =
     QCheck.(triple (int_range 1 12) (int_range 1 12) (int_range 0 10_000))
     (fun (r, c, seed) ->
       let rng = Rng.create (seed + 19_000) in
-      (* Half-dense real entries: well above the routing threshold, so
-         this exercises the kernel itself, not the router. *)
+      (* Half-dense real entries with arbitrary coefficients, unlike
+         the 0/1 incidence rows the sparse kernel serves. *)
       let m =
         Matrix.init r c (fun _ _ ->
             if Rng.bool rng ~p:0.5 then Rng.uniform rng ~lo:(-3.) ~hi:3.
             else 0.0)
       in
-      let d = Gauss.rref_dense m in
+      let d = Gauss.rref m in
       let s = Sparse_gauss.rref (Sparse.of_matrix m) in
       d.Gauss.rank = s.Sparse_gauss.rank
       && d.Gauss.pivot_cols = s.Sparse_gauss.pivot_cols
@@ -679,8 +667,14 @@ let prop_sparse_nullspace_same_kernel =
     (fun (r, c, seed) ->
       let rng = Rng.create (seed + 23_000) in
       let m = random_incidence rng r c 0.25 in
-      let nd = Nullspace.basis ~backend:`Dense m in
-      let ns = Nullspace.basis ~backend:`Sparse m in
+      let rows =
+        Array.init r (fun i ->
+            List.init c Fun.id
+            |> List.filter (fun j -> Matrix.get m i j <> 0.0)
+            |> Array.of_list)
+      in
+      let nd = Nullspace.basis m in
+      let ns = Nullspace.basis_of_incidence ~rows:r ~cols:c rows in
       let p = Matrix.cols nd in
       Matrix.cols ns = p
       && (p = 0 || Matrix.max_abs (Matrix.mul m ns) < 1e-9)
@@ -693,27 +687,6 @@ let prop_sparse_nullspace_same_kernel =
                if j < p then Matrix.get nd i j else Matrix.get ns i (j - p))
          in
          Gauss.rank both = p))
-
-let prop_cgls_sparse_bit_identical =
-  QCheck.Test.make
-    ~name:"Cgls.solve_sparse ≡ Cgls.solve on incidence systems (exact)"
-    ~count:80
-    QCheck.(triple (int_range 1 10) (int_range 1 8) (int_range 0 10_000))
-    (fun (m, n, seed) ->
-      let rng = Rng.create (seed + 29_000) in
-      let rows =
-        Array.init m (fun _ ->
-            let r = ref [] in
-            for j = n - 1 downto 0 do
-              if Rng.bool rng ~p:0.5 then r := j :: !r
-            done;
-            Array.of_list !r)
-      in
-      let b = Array.init m (fun _ -> Rng.uniform rng ~lo:(-2.) ~hi:2.) in
-      let x = Cgls.solve ~n_vars:n ~rows ~b () in
-      let a = Sparse.of_incidence ~rows:m ~cols:n rows in
-      let y = Cgls.solve_sparse ~a ~b () in
-      Array.for_all2 (fun u v -> u = v) x y)
 
 (* Gauss edge cases pinning the kernels the sparse layer must mirror. *)
 
@@ -728,22 +701,13 @@ let test_gauss_edge_1x1 () =
 
 let test_gauss_all_zero () =
   let m = Matrix.make 3 4 0.0 in
-  let d = Gauss.rref_dense m in
+  let d = Gauss.rref m in
   let s = Sparse_gauss.rref (Sparse.of_matrix m) in
   check_int "zero rank (dense)" 0 d.Gauss.rank;
   check_int "zero rank (sparse)" 0 s.Sparse_gauss.rank;
   check_bool "reduced stays zero" true
     (matrices_exact m (Sparse.to_matrix s.Sparse_gauss.reduced));
   check_int "full nullity" 4 (Nullspace.nullity m)
-
-let test_gauss_singular_inverse () =
-  let a = Matrix.of_rows [| [| 1.; 2. |]; [| 2.; 4. |] |] in
-  Alcotest.check_raises "singular inverse"
-    (Failure "Gauss.inverse: singular matrix") (fun () ->
-      ignore (Gauss.inverse a));
-  Alcotest.check_raises "singular solve"
-    (Failure "Gauss.solve: singular matrix") (fun () ->
-      ignore (Gauss.solve a [| 1.; 2. |]))
 
 let test_gauss_tolerance_scaling () =
   (* The rank tolerance is relative to the largest entry, so scaling a
@@ -752,7 +716,7 @@ let test_gauss_tolerance_scaling () =
   let rng = Rng.create 61 in
   let m = random_incidence rng 9 12 0.3 in
   let big = Matrix.init 9 12 (fun i j -> 1e8 *. Matrix.get m i j) in
-  let d = Gauss.rref_dense m and dbig = Gauss.rref_dense big in
+  let d = Gauss.rref m and dbig = Gauss.rref big in
   check_int "dense rank invariant" d.Gauss.rank dbig.Gauss.rank;
   check_bool "dense pivots invariant" true
     (d.Gauss.pivot_cols = dbig.Gauss.pivot_cols);
@@ -907,18 +871,19 @@ let test_witness_defect_after_interleaving () =
   check_bool "witness defect below 1e-6" true
     (Nullspace.witness_defect wit < 1e-6)
 
-(* The TOMO_WITNESS_K default is a process-wide knob; trackers built
-   while it is 0 run the exact path. *)
+(* Trackers keep two witnesses unless built with [?witness_k], which
+   sets the count per tracker (clamped to 0..16); 0 runs the exact
+   dependence test alone. *)
 let test_witness_default_knob () =
-  let saved = Nullspace.default_witness_k () in
-  Fun.protect
-    ~finally:(fun () -> Nullspace.set_default_witness_k saved)
-    (fun () ->
-      Nullspace.set_default_witness_k 0;
-      check_int "k=0 disables" 0 (Nullspace.witness_count (Nullspace.tracker 5));
-      Nullspace.set_default_witness_k 3;
-      check_int "k=3 maintains 3 witnesses" 3
-        (Nullspace.witness_count (Nullspace.tracker 5)))
+  check_int "default k = 2" 2 (Nullspace.witness_count (Nullspace.tracker 5));
+  check_int "k=0 disables" 0
+    (Nullspace.witness_count (Nullspace.tracker ~witness_k:0 5));
+  check_int "k=3 maintains 3 witnesses" 3
+    (Nullspace.witness_count (Nullspace.tracker ~witness_k:3 5));
+  check_int "clamped to 16" 16
+    (Nullspace.witness_count (Nullspace.tracker ~witness_k:99 5));
+  check_int "tracker_of_matrix default" 2
+    (Nullspace.witness_count (Nullspace.tracker_of_matrix (Matrix.identity 4)))
 
 (* ------------------------------------------------------------------ *)
 (* Sparse Cholesky minimum-norm solve                                  *)
@@ -1038,7 +1003,7 @@ let prop_chol_min_norm =
         done;
         ntx := Float.max !ntx (abs_float !s)
       done;
-      let cg = Cgls.solve ~n_vars:n ~rows ~b () in
+      let cg = cgls_incidence ~n_vars:n rows b in
       let f' = Sparse_chol.factor ~cols:n rows in
       Sparse_chol.dropped f = 0
       && residual_inf ~rows ~b x <= 1e-9
@@ -1074,7 +1039,6 @@ let () =
           Alcotest.test_case "solve" `Quick test_gauss_solve;
           Alcotest.test_case "singular detection" `Quick test_gauss_singular;
           Alcotest.test_case "inverse" `Quick test_gauss_inverse;
-          qc prop_gauss_solve_random;
           qc prop_rank_product_bound;
         ] );
       ( "qr",
@@ -1129,8 +1093,6 @@ let () =
         [
           Alcotest.test_case "1x1 matrices" `Quick test_gauss_edge_1x1;
           Alcotest.test_case "all-zero matrix" `Quick test_gauss_all_zero;
-          Alcotest.test_case "singular solve/inverse raise" `Quick
-            test_gauss_singular_inverse;
           Alcotest.test_case "tolerance scales with magnitude" `Quick
             test_gauss_tolerance_scaling;
         ] );
@@ -1139,12 +1101,9 @@ let () =
           Alcotest.test_case "dense round-trip" `Quick test_sparse_roundtrip;
           Alcotest.test_case "of_incidence" `Quick test_sparse_of_incidence;
           Alcotest.test_case "row operations" `Quick test_sparse_row_ops;
-          Alcotest.test_case "routing policy" `Quick
-            test_sparse_routing_policy;
           qc prop_sparse_rref_bit_identical_incidence;
           qc prop_sparse_rref_matches_dense_random;
           qc prop_sparse_nullspace_same_kernel;
-          qc prop_cgls_sparse_bit_identical;
         ] );
       ( "cholesky",
         [
