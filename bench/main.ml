@@ -691,20 +691,6 @@ let bench_json_path () =
   | Some p -> Some p
   | None -> Some "BENCH_perf.json"
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let json_float f =
   if Float.is_nan f then "null" else Printf.sprintf "%.6g" f
 
@@ -715,8 +701,8 @@ let write_bench_json ~rows ~sim ~snapshot =
       let b = Buffer.create 4096 in
       Buffer.add_string b "{\n";
       Buffer.add_string b "  \"schema\": \"tomo-bench/1\",\n";
-      Printf.bprintf b "  \"scale\": \"%s\",\n"
-        (json_escape (W.scale_to_string scale));
+      Printf.bprintf b "  \"scale\": %s,\n"
+        (Tomo_obs.Json.quote (W.scale_to_string scale));
       Printf.bprintf b "  \"seed\": %d,\n" seed;
       Printf.bprintf b "  \"jobs\": %d,\n" (Tomo_par.Pool.default_jobs ());
       (* Host fingerprint: timing rows only compare meaningfully between
@@ -724,18 +710,18 @@ let write_bench_json ~rows ~sim ~snapshot =
          the core counts differ — check_bench_regression.py keys off
          [cpu_cores] to skip that comparison. *)
       Printf.bprintf b
-        "  \"host\": {\"cpu_cores\": %d, \"ocaml_version\": \"%s\", \
+        "  \"host\": {\"cpu_cores\": %d, \"ocaml_version\": %s, \
          \"word_size\": %d},\n"
         (Domain.recommended_domain_count ())
-        (json_escape Sys.ocaml_version)
+        (Tomo_obs.Json.quote Sys.ocaml_version)
         Sys.word_size;
       Buffer.add_string b "  \"benchmarks\": [";
       List.iteri
         (fun i (name, ns, r2) ->
           if i > 0 then Buffer.add_char b ',';
           Printf.bprintf b
-            "\n    {\"name\": \"%s\", \"ns_per_call\": %s, \"r_square\": %s}"
-            (json_escape name) (json_float ns) (json_float r2))
+            "\n    {\"name\": %s, \"ns_per_call\": %s, \"r_square\": %s}"
+            (Tomo_obs.Json.quote name) (json_float ns) (json_float r2))
         rows;
       Buffer.add_string b "\n  ],\n";
       (match sim with

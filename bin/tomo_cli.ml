@@ -603,23 +603,8 @@ let run_gen_trace scale seed topology scenario nonstationary intervals out =
 type published_status = {
   lock : Mutex.t;
   mutable published : Stream.Engine.status;
-  started_at : float;
+  started : float;  (** monotonic, for [uptime_s] *)
 }
-
-let json_str s =
-  let b = Buffer.create (String.length s + 2) in
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"';
-  Buffer.contents b
 
 let start_telemetry ~spec ~scale ~seed ~topology ~replay ~window engine =
   let listen =
@@ -637,7 +622,7 @@ let start_telemetry ~spec ~scale ~seed ~topology ~replay ~window engine =
     {
       lock = Mutex.create ();
       published = Stream.Engine.status engine;
-      started_at = Unix.gettimeofday ();
+      started = Tomo_obs.Clock.now ();
     }
   in
   let read_status () =
@@ -647,10 +632,12 @@ let start_telemetry ~spec ~scale ~seed ~topology ~replay ~window engine =
     s
   in
   let engine_json () =
-    let now = Unix.gettimeofday () in
-    Stream.Engine.status_json ~uptime_s:(now -. t.started_at)
+    Stream.Engine.status_json
+      ~uptime_s:(Tomo_obs.Clock.now () -. t.started)
       ?snapshot_age_s:
-        (Option.map (fun t0 -> now -. t0) (Stream.Snapshot.last_saved_at ()))
+        (Option.map
+           (fun t0 -> Unix.gettimeofday () -. t0)
+           (Stream.Snapshot.last_saved_at ()))
       ?last_error:(Tomo_obs.Sink.last_error ())
       (read_status ())
   in
@@ -658,10 +645,10 @@ let start_telemetry ~spec ~scale ~seed ~topology ~replay ~window engine =
     Printf.sprintf
       "{\"config\":{\"scale\":%s,\"seed\":%d,\"topology\":%s,\"replay\":%s,\
        \"window\":%d},\"engine\":%s}"
-      (json_str (W.scale_to_string scale))
+      (Tomo_obs.Json.quote (W.scale_to_string scale))
       seed
-      (json_str (W.topology_to_string topology))
-      (json_str replay) window (engine_json ())
+      (Tomo_obs.Json.quote (W.topology_to_string topology))
+      (Tomo_obs.Json.quote replay) window (engine_json ())
   in
   let exporter =
     Tomo_obs.Exporter.start ~health:engine_json ~status:status_body listen
@@ -738,7 +725,7 @@ let run_serve_replay scale seed topology replay window snapshot_in
       Format.fprintf ppf "Replay drained; telemetry lingers %gs@." linger;
       Thread.delay linger
   | _ -> ());
-  Option.iter (Tomo_obs.Flusher.stop ?final_flush:None) flusher;
+  Option.iter Tomo_obs.Flusher.stop flusher;
   (match telemetry with
   | Some (exporter, _) -> Tomo_obs.Exporter.stop exporter
   | None -> ());
@@ -783,10 +770,10 @@ let start_ingest_telemetry ~spec ~scale ~seed ~topology ~ingest ~window hub =
     Printf.sprintf
       "{\"config\":{\"scale\":%s,\"seed\":%d,\"topology\":%s,\"ingest\":%s,\
        \"window\":%d},\"hub\":%s}"
-      (json_str (W.scale_to_string scale))
+      (Tomo_obs.Json.quote (W.scale_to_string scale))
       seed
-      (json_str (W.topology_to_string topology))
-      (json_str ingest) window
+      (Tomo_obs.Json.quote (W.topology_to_string topology))
+      (Tomo_obs.Json.quote ingest) window
       (Tomo_net.Hub.status_json hub)
   in
   let exporter = Tomo_obs.Exporter.start ~status:status_body listen in
@@ -841,7 +828,7 @@ let run_serve_ingest scale seed topology ingest window snapshot_every
     (Tomo_net.Hub.policy_to_string policy);
   Tomo_net.Hub.run hub;
   Tomo_net.Listener.stop listener;
-  Option.iter (Tomo_obs.Flusher.stop ?final_flush:None) flusher;
+  Option.iter Tomo_obs.Flusher.stop flusher;
   Option.iter Tomo_obs.Exporter.stop telemetry;
   let s = Tomo_net.Hub.stats hub in
   Format.fprintf ppf

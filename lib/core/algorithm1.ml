@@ -17,24 +17,16 @@ let c_candidates = Obs.Metrics.counter "alg1_candidate_rows_materialized"
 let g_unknowns = Obs.Metrics.gauge "alg1_unknowns"
 let g_nullity = Obs.Metrics.gauge "alg1_final_nullity"
 
-type config = {
-  max_subset_size : int;
-  limit_per_set : int;
-  max_pathset_size : int;
-  max_candidates_per_subset : int;
-  tol : float;
-  witness_k : int option;
-}
+type config = { max_subset_size : int; witness_k : int option }
 
-let default_config =
-  {
-    max_subset_size = 3;
-    limit_per_set = 500;
-    max_pathset_size = 8;
-    max_candidates_per_subset = 300;
-    tol = 1e-8;
-    witness_k = None;
-  }
+let default_config = { max_subset_size = 3; witness_k = None }
+
+(* The truncation limits of §4 that keep the enumeration practical, and
+   the rank tolerance. *)
+let limit_per_set = 500
+let max_pathset_size = 8
+let max_candidates = 300
+let tol = 1e-8
 
 type selection = {
   model : Model.t;
@@ -79,11 +71,11 @@ type cand_state = {
 (* [pool] is the variable's candidate-path pool, Paths(E) \ Paths(Ē) —
    already computed once by the seed phase and reused here instead of
    re-deriving it from the model. *)
-let materialize_candidates cfg resolver ~pool =
+let materialize_candidates resolver ~pool =
   let acc = ref [] and n = ref 0 in
   let (_ : int) =
-    Combin.iter_subsets_by_size pool ~max_size:cfg.max_pathset_size
-      ~limit:cfg.max_candidates_per_subset (fun paths ->
+    Combin.iter_subsets_by_size pool ~max_size:max_pathset_size
+      ~limit:max_candidates (fun paths ->
         (match Eqn.row_fast resolver ~paths with
         | Some r ->
             acc := r :: !acc;
@@ -97,15 +89,14 @@ let materialize_candidates cfg resolver ~pool =
 let select ?(config = default_config) model obs =
   Obs.Trace.with_span "algorithm1.select" @@ fun () ->
   Obs.Metrics.incr c_selections;
-  let cfg = config in
   let effective = Subsets.effective_links model obs in
   let registry = Eqn.registry () in
   (* Ê: every subset a single-path equation induces, plus the enumerated
      target subsets up to the configured size. *)
   let (_ : int) = Eqn.register_single_path_vars model ~effective registry in
   let targets =
-    Subsets.enumerate model ~effective ~max_size:cfg.max_subset_size
-      ~limit_per_set:cfg.limit_per_set
+    Subsets.enumerate model ~effective ~max_size:config.max_subset_size
+      ~limit_per_set
   in
   List.iter (fun s -> ignore (Eqn.add registry s)) targets;
   let n = Eqn.n_vars registry in
@@ -152,7 +143,7 @@ let select ?(config = default_config) model obs =
           done;
           let seed_rows = Array.of_list (List.rev !seed_rows) in
           let keep =
-            Sparse_gauss.select_independent ~tol:cfg.tol ~cols:n
+            Sparse_gauss.select_independent ~tol ~cols:n
               (Array.map (fun r -> r.Eqn.vars) seed_rows)
           in
           let kept = ref [] and n_kept = ref 0 in
@@ -177,10 +168,10 @@ let select ?(config = default_config) model obs =
             a
           in
           let basis =
-            Nullspace.basis_of_incidence ~tol:cfg.tol ~rows:!n_kept ~cols:n
+            Nullspace.basis_of_incidence ~tol ~rows:!n_kept ~cols:n
               kept_vars
           in
-          Nullspace.tracker_of_matrix ~tol:cfg.tol ?witness_k:cfg.witness_k
+          Nullspace.tracker_of_matrix ~tol ?witness_k:config.witness_k
             basis)
     in
     let try_add row =
@@ -203,7 +194,7 @@ let select ?(config = default_config) model obs =
       match st.cands with
       | Some c -> c
       | None ->
-          let c = materialize_candidates cfg resolver ~pool:seed_pools.(v) in
+          let c = materialize_candidates resolver ~pool:seed_pools.(v) in
           st.cands <- Some c;
           c
     in

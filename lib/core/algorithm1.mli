@@ -29,15 +29,6 @@ type config = {
   max_subset_size : int;
       (** largest correlation-subset size enumerated as a target
           variable (default 3) *)
-  limit_per_set : int;
-      (** max target subsets per correlation set (default 500) *)
-  max_pathset_size : int;
-      (** largest candidate path set tried per subset (default 8;
-          the paper enumerates all subset sizes, accepting a [2^{n₂}]
-          term — this is the truncation that keeps it practical) *)
-  max_candidates_per_subset : int;
-      (** candidate path sets enumerated per subset (default 300) *)
-  tol : float;  (** numerical tolerance for rank decisions *)
   witness_k : int option;
       (** witness vectors for the independence prefilter ([None] = the
           tracker's 2).  Selections are bit-identical whatever the
@@ -47,6 +38,11 @@ type config = {
           compare the default against. *)
 }
 
+(** The other truncation limits are constants: at most 500 target
+    subsets per correlation set, and per subset at most 300 candidate
+    path sets of at most 8 paths (the paper enumerates every size,
+    accepting a [2^{n₂}] term; this cut keeps it practical).  Rank
+    decisions use the tolerance [1e-8]. *)
 val default_config : config
 
 type selection = {

@@ -1,6 +1,9 @@
 module Bitset = Tomo_util.Bitset
 
-let pools model ~effective ~max_pairs =
+(* Global cap on the pairs in one pool. *)
+let max_pairs = 30_000
+
+let pools model ~effective =
   let singles = ref [] in
   for p = model.Model.n_paths - 1 downto 0 do
     if not (Bitset.disjoint model.Model.path_links.(p) effective) then

@@ -8,7 +8,7 @@
     This is the "significantly larger number of equations" the paper
     contrasts with Correlation-complete in §5.4. *)
 
-(** [pools model ~effective ~max_pairs] returns the path sets: all single
+(** [pools model ~effective] returns the path sets: all single
     paths that traverse at least one effective link, followed by
 
     - pairs of paths sharing an effective link (capped per link), and
@@ -17,7 +17,5 @@
       the Independence assumption when the links are actually
       correlated, the paper's §3.1 failure mechanism for CLINK.
 
-    Deterministic and globally capped at [max_pairs] pairs. *)
-val pools :
-  Model.t -> effective:Tomo_util.Bitset.t -> max_pairs:int ->
-  int array array
+    Deterministic and globally capped at 30 000 pairs. *)
+val pools : Model.t -> effective:Tomo_util.Bitset.t -> int array array

@@ -1,17 +1,10 @@
 module Bitset = Tomo_util.Bitset
-module Matrix = Tomo_linalg.Matrix
 module Nullspace = Tomo_linalg.Nullspace
 
-type config = { max_pairs : int }
-
-let default_config = { max_pairs = 30_000 }
-
-let compute ?(config = default_config) model obs =
+let compute model obs =
   let effective = Subsets.effective_links model obs in
   let registry = Eqn.registry () in
-  let pools =
-    Baseline_rows.pools model ~effective ~max_pairs:config.max_pairs
-  in
+  let pools = Baseline_rows.pools model ~effective in
   let rows = ref [] in
   Array.iter
     (fun paths ->

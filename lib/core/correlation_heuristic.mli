@@ -12,12 +12,7 @@
     system" (paper §5.4), which is exactly the behaviour the figure
     contrasts with Correlation-complete. *)
 
-type config = { max_pairs : int }
-
-val default_config : config
-
-(** [compute ?config model obs] estimates every link's congestion
-    probability.  Returns both the per-link summary and the underlying
-    engine (for subset-probability queries in tests). *)
-val compute :
-  ?config:config -> Model.t -> Observations.t -> Pc_result.t * Prob_engine.t
+(** [compute model obs] estimates every link's congestion probability.
+    Returns both the per-link summary and the underlying engine (for
+    subset-probability queries in tests). *)
+val compute : Model.t -> Observations.t -> Pc_result.t * Prob_engine.t

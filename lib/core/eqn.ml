@@ -122,11 +122,7 @@ let resolver model ~effective reg =
     if Array.length links > Sys.int_size - 2 then too_wide := true
     else Array.iteri (fun i e -> pos_of_link.(e) <- i) links
   done;
-  let fallback =
-    if !too_wide then
-      Some (fun ~paths -> build_row model ~effective reg ~paths ~lookup:find)
-    else None
-  in
+  let fallback = if !too_wide then Some (row model ~effective reg) else None in
   let by_mask = Array.init n_corr (fun _ -> Hashtbl.create 16) in
   if not !too_wide then
     for v = 0 to reg.count - 1 do

@@ -49,7 +49,9 @@ val row :
 (** A frozen-registry fast path for {!row}: pre-filters each path's
     effective links, resolves induced subsets through a hash table keyed
     by their sorted link arrays (no string keys), and reuses scratch
-    buffers across calls.  Build it once the registry stops growing. *)
+    buffers across calls.  Build it once the registry stops growing.
+    When a correlation set is wider than a word, every call falls back
+    to {!row} itself. *)
 type resolver
 
 val resolver :

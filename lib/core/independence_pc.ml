@@ -1,14 +1,8 @@
 module Bitset = Tomo_util.Bitset
 module Cgls = Tomo_linalg.Cgls
-module Matrix = Tomo_linalg.Matrix
-module Sparse = Tomo_linalg.Sparse
 module Nullspace = Tomo_linalg.Nullspace
 
-type config = { max_pairs : int }
-
-let default_config = { max_pairs = 30_000 }
-
-let compute ?(config = default_config) model obs =
+let compute model obs =
   let effective = Subsets.effective_links model obs in
   let n_links = model.Model.n_links in
   (* Variables: effective links only; others have good probability 1. *)
@@ -25,7 +19,7 @@ let compute ?(config = default_config) model obs =
   if n_vars = 0 then
     { Pc_result.marginals; identifiable; effective; n_vars = 0; n_rows = 0 }
   else begin
-    let pools = Baseline_rows.pools model ~effective ~max_pairs:config.max_pairs in
+    let pools = Baseline_rows.pools model ~effective in
     let rows = ref [] and rhs = ref [] in
     Array.iter
       (fun paths ->
@@ -42,10 +36,7 @@ let compute ?(config = default_config) model obs =
       pools;
     let rows = Array.of_list (List.rev !rows) in
     let b = Array.of_list (List.rev !rhs) in
-    (* Baseline rows form a 0/1 incidence system; route it through the
-       sparse layer (bit-identical to the index-list CGLS). *)
-    let a = Sparse.of_incidence ~rows:(Array.length rows) ~cols:n_vars rows in
-    let z = Cgls.solve_sparse ~a ~b () in
+    let z = Cgls.solve ~cols:n_vars rows b in
     (* Identifiability via the incidence null space of the system; the
        tracker's witness prefilter makes the redundant rows O(nnz). *)
     let nullspace =

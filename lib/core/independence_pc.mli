@@ -12,10 +12,5 @@
     correlated links are simply wrong, and the recovered marginals drift
     — the paper's "No Independence" scenario. *)
 
-type config = { max_pairs : int }
-
-val default_config : config
-
-(** [compute ?config model obs] estimates every link's congestion
-    probability. *)
-val compute : ?config:config -> Model.t -> Observations.t -> Pc_result.t
+(** [compute model obs] estimates every link's congestion probability. *)
+val compute : Model.t -> Observations.t -> Pc_result.t

@@ -1,6 +1,5 @@
 module Bitset = Tomo_util.Bitset
 module Cgls = Tomo_linalg.Cgls
-module Sparse = Tomo_linalg.Sparse
 module Sparse_chol = Tomo_linalg.Sparse_chol
 module Obs = Tomo_obs
 
@@ -23,12 +22,10 @@ let solve_b (selection : Algorithm1.selection) obs b =
     | None ->
         (* A redundant, possibly inconsistent pool has no factor: its
            minimum-norm least-squares solution comes from CGLS. *)
-        let n = Eqn.n_vars selection.Algorithm1.registry in
-        let rows =
-          Array.map (fun r -> r.Eqn.vars) selection.Algorithm1.rows
-        in
-        let a = Sparse.of_incidence ~rows:(Array.length rows) ~cols:n rows in
-        Cgls.solve_sparse ~a ~b ()
+        Cgls.solve
+          ~cols:(Eqn.n_vars selection.Algorithm1.registry)
+          (Array.map (fun r -> r.Eqn.vars) selection.Algorithm1.rows)
+          b
   in
   { selection; values; obs }
 

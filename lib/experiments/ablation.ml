@@ -19,7 +19,8 @@ let subset_size_sweep ~scale ~seed ~sizes =
       (Workload.spec ~scale ~seed Workload.Brite Scenario.No_independence)
   in
   (* Sizes share the prepared workload read-only; each cell's timing is
-     its own wall clock, so parallel rows stay meaningful per row. *)
+     its own monotonic interval, so parallel rows stay meaningful per
+     row. *)
   Pool.map_list
     (fun size ->
       Obs.Trace.with_span "ablation.subset_size"
@@ -28,12 +29,12 @@ let subset_size_sweep ~scale ~seed ~sizes =
       let config =
         { Tomo.Algorithm1.default_config with max_subset_size = size }
       in
-      let t0 = Unix.gettimeofday () in
+      let t0 = Obs.Clock.now () in
       let r, engine =
         Tomo.Correlation_complete.compute ~config w.Workload.model
           w.Workload.obs
       in
-      let seconds = Unix.gettimeofday () -. t0 in
+      let seconds = Obs.Clock.now () -. t0 in
       let n_identifiable =
         Tomo.Algorithm1.n_identifiable engine.Tomo.Prob_engine.selection
       in

@@ -22,25 +22,35 @@ let scratch_key : scratch Domain.DLS.key =
 
 let ensure a n = if Array.length a >= n then a else Array.make n 0.0
 
-let solve_sparse ~a ~b ?max_iter ?(tol = 1e-12) () =
-  let m = Sparse.rows a and n_vars = Sparse.cols a in
-  if Array.length b <> m then
-    invalid_arg "Cgls.solve_sparse: size mismatch";
-  (* Freeze the system into flat CSR once per solve: the CG iteration
-     sweeps A hundreds of times, and the packed arrays replace two
-     pointer chases per row per sweep with contiguous streaming. *)
-  let csr = Sparse.to_csr a in
-  let rp = csr.Sparse.row_ptr
-  and ci = csr.Sparse.col_idx
-  and vs = csr.Sparse.values in
+(* Flat CSR of the incidence rows: row [i]'s columns, ascending, are
+   [col_idx.(row_ptr.(i)) .. col_idx.(row_ptr.(i + 1) - 1)].  The CG
+   iteration sweeps A hundreds of times, and the packed arrays replace
+   a pointer chase per row per sweep with contiguous streaming.  Every
+   coefficient is 1.0, so no value array is stored: [1.0 *. x = x]
+   exactly, and the sums below skip the multiplication. *)
+let pack ~cols rows =
+  let m = Array.length rows in
+  let row_ptr = Array.make (m + 1) 0 in
+  for i = 0 to m - 1 do
+    row_ptr.(i + 1) <- row_ptr.(i) + Array.length rows.(i)
+  done;
+  let col_idx = Array.make (max 1 row_ptr.(m)) 0 in
+  Array.iteri
+    (fun i r ->
+      let r = Sparse.incidence_row ~cols r in
+      Array.blit r 0 col_idx row_ptr.(i) (Array.length r))
+    rows;
+  (row_ptr, col_idx)
+
+let solve ~cols:n_vars rows b =
+  let m = Array.length rows in
+  if Array.length b <> m then invalid_arg "Cgls.solve: size mismatch";
+  let rp, ci = pack ~cols:n_vars rows in
   let apply_a v out =
     for i = 0 to m - 1 do
       let acc = ref 0.0 in
       for k = Array.unsafe_get rp i to Array.unsafe_get rp (i + 1) - 1 do
-        acc :=
-          !acc
-          +. (Array.unsafe_get vs k
-              *. Array.unsafe_get v (Array.unsafe_get ci k))
+        acc := !acc +. Array.unsafe_get v (Array.unsafe_get ci k)
       done;
       Array.unsafe_set out i !acc
     done
@@ -52,14 +62,11 @@ let solve_sparse ~a ~b ?max_iter ?(tol = 1e-12) () =
       if wi <> 0.0 then
         for k = Array.unsafe_get rp i to Array.unsafe_get rp (i + 1) - 1 do
           let j = Array.unsafe_get ci k in
-          Array.unsafe_set out j
-            (Array.unsafe_get out j +. (wi *. Array.unsafe_get vs k))
+          Array.unsafe_set out j (Array.unsafe_get out j +. wi)
         done
     done
   in
-  let max_iter =
-    match max_iter with Some n -> n | None -> (4 * n_vars) + 100
-  in
+  let max_iter = (4 * n_vars) + 100 in
   let x = Array.make n_vars 0.0 in
   if m = 0 || n_vars = 0 then x
   else Obs.Trace.with_span "cgls.solve" @@ fun () ->
@@ -81,7 +88,7 @@ let solve_sparse ~a ~b ?max_iter ?(tol = 1e-12) () =
     apply_at r s;
     Array.blit s 0 p 0 n_vars;
     let gamma = ref (dot s s n_vars) in
-    let target = tol *. sqrt !gamma in
+    let target = 1e-12 *. sqrt !gamma in
     let iters = ref 0 in
     (try
        for _ = 1 to max_iter do

@@ -15,17 +15,13 @@
     harness — do not churn the allocator, and concurrent solves from
     tomo_par workers each use their own scratch. *)
 
-(** [solve_sparse ~a ~b ?max_iter ?tol ()] solves [min ‖a·x − b‖₂] for
-    a sparse system [a] ({!Sparse.t}; the tomography pools build it with
-    {!Sparse.of_incidence}, all coefficients [1.0]).  Iterates until the
-    normal-equation residual norm falls below [tol] (relative to its
-    initial value, default [1e-12]) or [max_iter] iterations (default
-    [4 · cols a + 100]).
-    @raise Invalid_argument on size mismatch. *)
-val solve_sparse :
-  a:Sparse.t ->
-  b:float array ->
-  ?max_iter:int ->
-  ?tol:float ->
-  unit ->
-  float array
+(** [solve ~cols rows b] solves [min ‖A·x − b‖₂] for the 0/1 incidence
+    matrix [A] whose row [i] has coefficient [1.0] at each index of
+    [rows.(i)], over [cols] variables.  Indices may be unsorted but must
+    be distinct and in range; each row is summed in ascending column
+    order.  Iterates until the normal-equation residual norm falls below
+    [1e-12] times its initial value, or for at most [4 · cols + 100]
+    iterations.
+    @raise Invalid_argument on an out-of-range or duplicate index, or
+    when [b] has not one entry per row. *)
+val solve : cols:int -> int array array -> float array -> float array

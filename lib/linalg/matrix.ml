@@ -129,20 +129,8 @@ let vec_mul v m =
       done;
       !acc)
 
-let elementwise name f a b =
-  if a.r <> b.r || a.c <> b.c then
-    invalid_arg (name ^ ": dimension mismatch");
-  { a with data = Array.mapi (fun i x -> f x b.data.(i)) a.data }
-
-let add a b = elementwise "Matrix.add" ( +. ) a b
-let sub a b = elementwise "Matrix.sub" ( -. ) a b
-let scale c m = { m with data = Array.map (fun x -> c *. x) m.data }
-
 let max_abs m =
   Array.fold_left (fun acc x -> max acc (abs_float x)) 0.0 m.data
-
-let frobenius m =
-  sqrt (Array.fold_left (fun acc x -> acc +. (x *. x)) 0.0 m.data)
 
 let equal_approx ~tol a b =
   a.r = b.r && a.c = b.c
@@ -162,16 +150,3 @@ let drop_col m j =
   if j < 0 || j >= m.c then invalid_arg "Matrix.drop_col: out of range";
   init m.r (m.c - 1) (fun i k ->
       if k < j then m.data.((i * m.c) + k) else m.data.((i * m.c) + k + 1))
-
-let pp ppf m =
-  Format.fprintf ppf "@[<v>";
-  for i = 0 to m.r - 1 do
-    Format.fprintf ppf "[";
-    for j = 0 to m.c - 1 do
-      Format.fprintf ppf "%8.4f%s" m.data.((i * m.c) + j)
-        (if j = m.c - 1 then "" else " ")
-    done;
-    Format.fprintf ppf "]";
-    if i < m.r - 1 then Format.fprintf ppf "@,"
-  done;
-  Format.fprintf ppf "@]"

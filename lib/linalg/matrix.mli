@@ -93,17 +93,8 @@ val mul_vec : t -> float array -> float array
 (** [vec_mul v m] is [vᵀ · m] as a fresh array. *)
 val vec_mul : float array -> t -> float array
 
-(** [add a b] / [sub a b] / [scale c a]: elementwise operations. *)
-val add : t -> t -> t
-
-val sub : t -> t -> t
-val scale : float -> t -> t
-
 (** [max_abs m] is the largest absolute entry (0 for empty matrices). *)
 val max_abs : t -> float
-
-(** [frobenius m] is the Frobenius norm. *)
-val frobenius : t -> float
 
 (** [equal_approx ~tol a b] is true iff dimensions match and entries agree
     within [tol]. *)
@@ -114,6 +105,3 @@ val swap_cols : t -> int -> int -> unit
 
 (** [drop_col m j] is a fresh matrix without column [j]. *)
 val drop_col : t -> int -> t
-
-(** [pp] prints the matrix with aligned columns (debugging aid). *)
-val pp : Format.formatter -> t -> unit

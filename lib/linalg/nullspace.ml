@@ -264,13 +264,10 @@ type tracker = {
   wit_dot : float array; (* scratch: r · u_c for the row under test *)
 }
 
-let default_witness_tol_factor = 1e-4
-
-let make_tracker ~tol ~witness_k ~witness_tol ~nvars ~p ~colbuf ~weights =
+let make_tracker ~tol ~witness_k ~nvars ~p ~colbuf ~weights =
   let k = match witness_k with Some k -> min (max 0 k) 16 | None -> default_k in
-  let wtol =
-    match witness_tol with Some w -> w | None -> tol *. default_witness_tol_factor
-  in
+  (* well below the witness noise a truly independent row produces *)
+  let wtol = tol *. 1e-4 in
   let col_off = Array.init (max 1 p) (fun k -> k * nvars) in
   let wit_g = Array.init k (fun c -> draw_witness_g ~dim:nvars ~columns:p c) in
   let wit_u =
@@ -301,16 +298,16 @@ let make_tracker ~tol ~witness_k ~witness_tol ~nvars ~p ~colbuf ~weights =
     wit_dot = Array.make (max 1 k) 0.0;
   }
 
-let tracker ?(tol = default_tol) ?witness_k ?witness_tol nvars =
+let tracker ?(tol = default_tol) ?witness_k nvars =
   if nvars < 0 then invalid_arg "Nullspace.tracker: negative dimension";
   let colbuf = Array.make (max 1 (nvars * nvars)) 0.0 in
   for k = 0 to nvars - 1 do
     colbuf.((k * nvars) + k) <- 1.0
   done;
   let weights = Array.make nvars (if 1.0 > tol then 1 else 0) in
-  make_tracker ~tol ~witness_k ~witness_tol ~nvars ~p:nvars ~colbuf ~weights
+  make_tracker ~tol ~witness_k ~nvars ~p:nvars ~colbuf ~weights
 
-let tracker_of_matrix ?(tol = default_tol) ?witness_k ?witness_tol m =
+let tracker_of_matrix ?(tol = default_tol) ?witness_k m =
   let nvars = Matrix.rows m and p = Matrix.cols m in
   let colbuf = Array.make (max 1 (p * nvars)) 0.0 in
   for k = 0 to p - 1 do
@@ -326,7 +323,7 @@ let tracker_of_matrix ?(tol = default_tol) ?witness_k ?witness_tol m =
     done;
     weights.(i) <- !w
   done;
-  make_tracker ~tol ~witness_k ~witness_tol ~nvars ~p ~colbuf ~weights
+  make_tracker ~tol ~witness_k ~nvars ~p ~colbuf ~weights
 
 let witness_count t = Array.length t.wit_u
 

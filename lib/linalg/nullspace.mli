@@ -82,7 +82,7 @@ type tracker
     vectors [g_c]: because [r · u_c = (r · N) · g_c], a dependent row
     has every witness dot at rounding-noise scale, and each dot is a
     plain sum of [nnz(r)] floats.  When all [k] dots are within the
-    witness tolerance ([tol · 1e-4] by default, well below the noise a
+    witness tolerance ([tol · 1e-4], well below the noise a
     truly independent row produces), the row is rejected in
     [O(k · nnz(r))] without touching the basis; when any witness fires,
     the exact projection runs unchanged.  A dependent row therefore can
@@ -98,19 +98,17 @@ type tracker
     and witness index only, so decisions never depend on how many
     trackers the process created before. *)
 
-(** [tracker ?tol ?witness_k ?witness_tol n] starts from the identity
-    basis: the null space of the empty system over [n] variables.
-    [witness_k] sets the number of witnesses (default 2, clamped to
-    0..16; [0] is the exact-test reference the parity properties use);
-    [witness_tol] overrides the witness-dot rejection threshold
-    ([tol · 1e-4]). *)
-val tracker : ?tol:float -> ?witness_k:int -> ?witness_tol:float -> int -> tracker
+(** [tracker ?tol ?witness_k n] starts from the identity basis: the
+    null space of the empty system over [n] variables.  [witness_k]
+    sets the number of witnesses (default 2, clamped to 0..16; [0] is
+    the exact-test reference the parity properties use).  The
+    witness-dot rejection threshold is [tol · 1e-4]. *)
+val tracker : ?tol:float -> ?witness_k:int -> int -> tracker
 
-(** [tracker_of_matrix ?tol ?witness_k ?witness_tol m] adopts the
-    columns of [m] ([nvars × p]) as the starting basis and initializes
-    the witnesses to [m · g_c]. *)
-val tracker_of_matrix :
-  ?tol:float -> ?witness_k:int -> ?witness_tol:float -> Matrix.t -> tracker
+(** [tracker_of_matrix ?tol ?witness_k m] adopts the columns of [m]
+    ([nvars × p]) as the starting basis and initializes the witnesses
+    to [m · g_c]. *)
+val tracker_of_matrix : ?tol:float -> ?witness_k:int -> Matrix.t -> tracker
 
 (** Number of witness vectors this tracker maintains. *)
 val witness_count : tracker -> int

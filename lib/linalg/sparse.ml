@@ -69,32 +69,46 @@ let to_matrix a =
   done;
   m
 
+let strictly_ascending r =
+  let ok = ref true in
+  for k = 1 to Array.length r - 1 do
+    if r.(k - 1) >= r.(k) then ok := false
+  done;
+  !ok
+
+let incidence_row ~cols r =
+  Array.iter
+    (fun j ->
+      if j < 0 || j >= cols then
+        invalid_arg "Sparse.incidence_row: index out of range")
+    r;
+  if strictly_ascending r then r
+  else begin
+    let s = Array.copy r in
+    Array.sort compare s;
+    if not (strictly_ascending s) then
+      invalid_arg "Sparse.incidence_row: duplicate index";
+    s
+  end
+
 let of_incidence ~rows:r ~cols:c idxs =
   if Array.length idxs <> r then
     invalid_arg "Sparse.of_incidence: row count mismatch";
   let a = create r c in
   Array.iteri
     (fun i idx ->
-      Array.iter
-        (fun j ->
-          if j < 0 || j >= c then
-            invalid_arg "Sparse.of_incidence: index out of range")
-        idx;
-      let n = Array.length idx in
-      if n > 0 then begin
-        let cs = Array.copy idx in
-        let sorted = ref true in
-        for k = 1 to n - 1 do
-          if cs.(k - 1) >= cs.(k) then sorted := false
-        done;
-        if not !sorted then Array.sort compare cs;
-        for k = 1 to n - 1 do
-          if cs.(k - 1) = cs.(k) then
-            invalid_arg "Sparse.of_incidence: duplicate index"
-        done;
+      let cs = incidence_row ~cols:c idx in
+      let n = Array.length cs in
+      (* Elimination mutates the rows in place, so never keep the
+         caller's array. *)
+      if n > 0 then
         a.rows.(i) <-
-          { nnz = n; cols = cs; vals = Array.make n 1.0; cursor = 0 }
-      end)
+          {
+            nnz = n;
+            cols = (if cs == idx then Array.copy cs else cs);
+            vals = Array.make n 1.0;
+            cursor = 0;
+          })
     idxs;
   a
 
@@ -184,52 +198,6 @@ let max_abs a =
       done)
     a.rows;
   !best
-
-let iter_row a i f =
-  if i < 0 || i >= a.r then invalid_arg "Sparse.iter_row: out of range";
-  let row = a.rows.(i) in
-  for k = 0 to row.nnz - 1 do
-    f row.cols.(k) row.vals.(k)
-  done
-
-let row_view a i =
-  if i < 0 || i >= a.r then invalid_arg "Sparse.row_view: out of range";
-  let row = a.rows.(i) in
-  (row.cols, row.vals, row.nnz)
-
-(* ------------------------------------------------------------------ *)
-(* Frozen flat CSR snapshot                                            *)
-(* ------------------------------------------------------------------ *)
-
-(* The mutable per-row representation above is what elimination needs
-   (O(1) row swaps, fill-in per row); iteration-heavy read-only kernels
-   (CGLS runs hundreds of passes over an unchanging system) want the
-   classic flat CSR instead: all columns and values packed into two
-   contiguous unboxed arrays, rows delimited by [row_ptr].  One pointer
-   chase per *solve* instead of two per *row per iteration*, and the
-   inner loops stream cache-line-adjacent memory. *)
-type csr = {
-  csr_rows : int;
-  csr_cols : int;
-  row_ptr : int array; (* length csr_rows + 1 *)
-  col_idx : int array; (* length nnz, row-major, per-row ascending *)
-  values : float array; (* parallel to col_idx *)
-}
-
-let to_csr a =
-  let row_ptr = Array.make (a.r + 1) 0 in
-  for i = 0 to a.r - 1 do
-    row_ptr.(i + 1) <- row_ptr.(i) + a.rows.(i).nnz
-  done;
-  let n = row_ptr.(a.r) in
-  let col_idx = Array.make (max 1 n) 0 in
-  let values = Array.make (max 1 n) 0.0 in
-  for i = 0 to a.r - 1 do
-    let row = a.rows.(i) in
-    Array.blit row.cols 0 col_idx row_ptr.(i) row.nnz;
-    Array.blit row.vals 0 values row_ptr.(i) row.nnz
-  done;
-  { csr_rows = a.r; csr_cols = a.c; row_ptr; col_idx; values }
 
 let swap_rows a i j =
   if i < 0 || i >= a.r || j < 0 || j >= a.r then
@@ -344,10 +312,3 @@ let drop_col_entries a j ~from_row =
       row.cursor <- 0
     end
   done
-
-let pp ppf a =
-  Format.fprintf ppf "@[<v>%dx%d, %d nnz" a.r a.c (nnz a);
-  for i = 0 to a.r - 1 do
-    iter_row a i (fun j v -> Format.fprintf ppf "@,(%d, %d) = %g" i j v)
-  done;
-  Format.fprintf ppf "@]"

@@ -23,10 +23,18 @@ val of_matrix : Matrix.t -> t
 (** [to_matrix a] is the dense round-trip. *)
 val to_matrix : t -> Matrix.t
 
+(** [incidence_row ~cols r] is the incidence row [r] with its indices
+    in ascending order: [r] itself when it is already strictly
+    ascending, otherwise a sorted copy ([r] is never modified).
+    @raise Invalid_argument on an index outside [\[0, cols)] or a
+    repeated index. *)
+val incidence_row : cols:int -> int array -> int array
+
 (** [of_incidence ~rows ~cols idxs] builds the 0/1 incidence matrix whose
-    row [i] has coefficient [1.0] at each index of [idxs.(i)].  Indices
-    may be unsorted but must be distinct and in range.
-    @raise Invalid_argument on an out-of-range index. *)
+    row [i] has coefficient [1.0] at each index of [idxs.(i)], each row
+    checked and ordered by {!incidence_row}.
+    @raise Invalid_argument as {!incidence_row} does, or when [idxs]
+    does not have [rows] rows. *)
 val of_incidence : rows:int -> cols:int -> int array array -> t
 
 val rows : t -> int
@@ -51,10 +59,6 @@ val density : t -> float
 (** [max_abs a] is the largest absolute stored entry (0 when empty). *)
 val max_abs : t -> float
 
-(** [iter_row a i f] applies [f col value] over the stored entries of row
-    [i] in increasing column order. *)
-val iter_row : t -> int -> (int -> float -> unit) -> unit
-
 (** [probe_mono a i j] is [get a i j] for elimination-kernel loops whose
     probed column only ever advances: each row resumes the scan from a
     cursor, making the probe amortized O(1).  Contract: per row,
@@ -62,35 +66,6 @@ val iter_row : t -> int -> (int -> float -> unit) -> unit
     of the row resets its cursor and re-establishes the invariant
     lazily).  No bounds checks. *)
 val probe_mono : t -> int -> int -> float
-
-(** [row_view a i] is [(cols, vals, nnz)]: the row's live arrays, of
-    which the first [nnz] entries are the stored row.  Shared with the
-    matrix, not copied — callers must not mutate.  For inner-loop
-    kernels ({!Cgls}) whose indices are validated once outside the
-    loop. *)
-val row_view : t -> int -> int array * float array * int
-
-(** {1 Frozen flat CSR snapshot}
-
-    Read-only kernels that sweep an unchanging system many times (CGLS
-    runs hundreds of A·v / Aᵀ·w passes per solve) want the classic flat
-    CSR layout: every stored column and value packed into two contiguous
-    unboxed arrays, rows delimited by [row_ptr].  The snapshot is
-    decoupled from the mutable matrix — later mutations of [t] do not
-    show through. *)
-type csr = private {
-  csr_rows : int;
-  csr_cols : int;
-  row_ptr : int array;  (** length [csr_rows + 1]; row [i] occupies
-                            [row_ptr.(i) .. row_ptr.(i+1) - 1] *)
-  col_idx : int array;  (** row-major column indices, per-row ascending *)
-  values : float array;  (** parallel to [col_idx] *)
-}
-
-(** [to_csr a] snapshots [a] into flat CSR form.  Per-row entry order is
-    preserved, so kernels that switch from {!row_view} loops to the flat
-    arrays perform the identical floating-point operation sequence. *)
-val to_csr : t -> csr
 
 (** [swap_rows a i j] exchanges two rows in place, O(1). *)
 val swap_rows : t -> int -> int -> unit
@@ -118,6 +93,3 @@ val sub_scaled_row : t -> dst:int -> src:int -> coeff:float -> unit
     row [i ≥ from_row] — the sparse analogue of the dense kernel zeroing
     a numerically dead pivot column. *)
 val drop_col_entries : t -> int -> from_row:int -> unit
-
-(** [pp] prints stored entries as [(i, j) = v] lines (debugging aid). *)
-val pp : Format.formatter -> t -> unit

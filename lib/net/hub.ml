@@ -42,7 +42,6 @@ type peer = {
 type t = {
   model : Tomo.Model.t;
   window : int;
-  select_config : Tomo.Algorithm1.config option;
   pool : Tomo_par.Pool.t option;
   queue_capacity : int;
   policy : policy;
@@ -77,7 +76,7 @@ type stats = {
   reports_written : int;
 }
 
-let create ?select_config ?pool ?(queue_capacity = 64) ?(policy = Block)
+let create ?pool ?(queue_capacity = 64) ?(policy = Block)
     ?(idle_timeout = 0.) ?(snapshot_dir : string option)
     ?(report_dir : string option) ?(snapshot_every = 1) ?max_ticks ~model
     ~window () =
@@ -88,7 +87,6 @@ let create ?select_config ?pool ?(queue_capacity = 64) ?(policy = Block)
   {
     model;
     window;
-    select_config;
     pool;
     queue_capacity;
     policy;
@@ -173,9 +171,7 @@ let register t p ~announced =
         if List.exists (fun q -> q != p && q.name = name) t.peers then
           raise (Peer_error (Printf.sprintf "duplicate peer name %S" name));
         let fresh () =
-          ( Stream.Engine.create ?select_config:t.select_config
-              ~model:t.model ~window:t.window (),
-            0 )
+          (Stream.Engine.create ~model:t.model ~window:t.window (), 0)
         in
         let engine, skip =
           match t.snapshot_dir with
@@ -184,8 +180,7 @@ let register t p ~announced =
               if Sys.file_exists path then (
                 try
                   let snap = Stream.Snapshot.load path in
-                  ( Stream.Engine.of_snapshot ?select_config:t.select_config
-                      ~model:t.model snap,
+                  ( Stream.Engine.of_snapshot ~model:t.model snap,
                     snap.Stream.Snapshot.ticks )
                 with Failure msg | Invalid_argument msg ->
                   raise
@@ -416,15 +411,6 @@ let ingest_batch t (p, batch) =
     batch;
   List.length batch
 
-let write_file_atomic path contents =
-  let dir = Filename.dirname path in
-  let tmp = Filename.temp_file ~temp_dir:dir "tomo_report" ".tmp" in
-  let oc = open_out tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc contents);
-  Sys.rename tmp path
-
 (* Final snapshot always; a report only when the peer's stream ended
    cleanly and the hub was not cut short by [max_ticks]. *)
 let finalize t ~allow_report p =
@@ -440,7 +426,7 @@ let finalize t ~allow_report p =
         match (t.report_dir, p.last_estimate) with
         | Some dir, Some est
           when allow_report && p.eof && p.dropped = None ->
-            write_file_atomic
+            Obs.Sink.write_atomic
               (Filename.concat dir (p.name ^ ".report"))
               (Stream.Engine.report_to_string ~window:t.window est);
             locked t (fun () -> t.s_reports <- t.s_reports + 1)

@@ -60,7 +60,6 @@ type t
       mid-stream kill ({!run} finalizes snapshots but writes no
       reports). *)
 val create :
-  ?select_config:Tomo.Algorithm1.config ->
   ?pool:Tomo_par.Pool.t ->
   ?queue_capacity:int ->
   ?policy:policy ->

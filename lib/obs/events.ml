@@ -21,36 +21,16 @@ let enabled () = !enabled_flag
 (* Rendering (pure, exposed for the escaping property test)            *)
 (* ------------------------------------------------------------------ *)
 
-(* UTF-8 passes through untouched (JSON strings are unicode); only the
-   structural characters and control bytes need escaping. *)
-let escape buf s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s
-
 let line ~ts event attrs =
   let buf = Buffer.create 128 in
-  Buffer.add_string buf "{\"ts\":";
-  Buffer.add_string buf (Printf.sprintf "%.6f" ts);
-  Buffer.add_string buf ",\"event\":\"";
-  escape buf event;
-  Buffer.add_char buf '"';
+  Printf.bprintf buf "{\"ts\":%.6f,\"event\":" ts;
+  Json.add_string buf event;
   List.iter
     (fun (k, v) ->
-      Buffer.add_string buf ",\"";
-      escape buf k;
-      Buffer.add_string buf "\":\"";
-      escape buf v;
-      Buffer.add_char buf '"')
+      Buffer.add_char buf ',';
+      Json.add_string buf k;
+      Buffer.add_char buf ':';
+      Json.add_string buf v)
     attrs;
   Buffer.add_char buf '}';
   Buffer.contents buf

@@ -112,24 +112,19 @@ type t = {
   listen : listen;
   health : (unit -> string) option;
   status : (unit -> string) option;
-  started_at : float;
+  started : float;  (** monotonic, for [uptime_s] *)
   mutable stopped : bool;
   mutable thread : Thread.t option;
 }
 
-let started_at t = t.started_at
-
 let default_health t () =
   let b = Buffer.create 64 in
   Printf.bprintf b "{\"status\":\"ok\",\"uptime_s\":%.3f"
-    (Unix.gettimeofday () -. t.started_at);
+    (Clock.now () -. t.started);
+  Buffer.add_string b ",\"last_error\":";
   (match Sink.last_error () with
-  | None -> Buffer.add_string b ",\"last_error\":null"
-  | Some e ->
-      Buffer.add_string b ",\"last_error\":\"";
-      Buffer.add_string b
-        (String.concat "\\\"" (String.split_on_char '"' e));
-      Buffer.add_char b '"');
+  | None -> Buffer.add_string b "null"
+  | Some e -> Json.add_string b e);
   Buffer.add_char b '}';
   Buffer.contents b
 
@@ -286,7 +281,7 @@ let start ?health ?status listen =
       listen;
       health;
       status;
-      started_at = Unix.gettimeofday ();
+      started = Clock.now ();
       stopped = false;
       thread = None;
     }

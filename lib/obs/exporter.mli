@@ -52,7 +52,5 @@ val start :
     the serving thread.  Idempotent. *)
 val stop : t -> unit
 
-val started_at : t -> float
-
 (** Pure renderer behind [/metrics], exposed for golden tests. *)
 val prometheus_of_snapshot : Metrics.snapshot -> string

@@ -37,9 +37,9 @@ let start ~period_s () =
   t.thread <- Some (Thread.create (fun () -> loop t 0.0) ());
   t
 
-let stop ?(final_flush = true) t =
+let stop t =
   if not t.stopped then begin
     t.stopped <- true;
     (match t.thread with Some th -> Thread.join th | None -> ());
-    if final_flush then Sink.flush ()
+    Sink.flush ()
   end

@@ -11,7 +11,6 @@ type t
     @raise Invalid_argument if [period_s <= 0] or not finite. *)
 val start : period_s:float -> unit -> t
 
-(** Stop the thread (joins; takes at most ~50 ms) and, unless
-    [~final_flush:false], flush once more so nothing recorded since the
-    last period is lost.  Idempotent. *)
-val stop : ?final_flush:bool -> t -> unit
+(** Stop the thread (joins; takes at most ~50 ms) and flush once more so
+    nothing recorded since the last period is lost.  Idempotent. *)
+val stop : t -> unit

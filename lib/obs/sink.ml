@@ -10,25 +10,6 @@ let metrics_out () = !metrics_path
 (* JSON                                                                *)
 (* ------------------------------------------------------------------ *)
 
-let json_escape buf s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s
-
-let json_string buf s =
-  Buffer.add_char buf '"';
-  json_escape buf s;
-  Buffer.add_char buf '"'
-
 (* JSON has no infinities; clamp degenerate histogram bounds to null. *)
 let json_float buf v =
   if Float.is_finite v then Buffer.add_string buf (Printf.sprintf "%.17g" v)
@@ -39,7 +20,7 @@ let json_fields buf fields =
   List.iteri
     (fun i (k, emit) ->
       if i > 0 then Buffer.add_char buf ',';
-      json_string buf k;
+      Json.add_string buf k;
       Buffer.add_char buf ':';
       emit buf)
     fields;
@@ -81,15 +62,15 @@ let spans_jsonl buf spans =
     in
     json_fields buf
       [
-        ("path", fun b -> json_string b path);
-        ("name", fun b -> json_string b s.Trace.name);
+        ("path", fun b -> Json.add_string b path);
+        ("name", fun b -> Json.add_string b s.Trace.name);
         ("start_s", fun b -> json_float b s.Trace.start_s);
         ("duration_s", fun b -> json_float b s.Trace.duration_s);
         ( "attrs",
           fun b ->
             json_fields b
               (List.map
-                 (fun (k, v) -> (k, fun b -> json_string b v))
+                 (fun (k, v) -> (k, fun b -> Json.add_string b v))
                  s.Trace.attrs) );
       ];
     Buffer.add_char buf '\n';
@@ -212,26 +193,33 @@ let nonfatal what f =
     record_error (Printf.sprintf "cannot write %s: %s" what msg);
     Printf.eprintf "tomo_obs: cannot write %s: %s\n%!" what msg
 
-(* Atomic write for snapshot-shaped outputs: a scrape or kill between
-   open and close must never observe a torn file, so write a sibling
-   temp file and rename it over the target. *)
+(* A scrape or kill between open and close must never observe a torn
+   file, so write a hidden sibling temp file and rename it over the
+   target.  Whatever fails — the write, the close or the rename — the
+   temp file is removed before the exception propagates.  The close
+   must be [close_out], inside the [try]: content shorter than the
+   channel buffer reaches the disk only there, so that is where a full
+   disk shows, and [Out_channel.with_open_bin] would swallow the error
+   (it closes with [close_out_noerr]) and rename a truncated file over
+   the last good one. *)
 let write_atomic path content =
-  match path with
-  | "-" ->
-      output_string stdout content;
-      Stdlib.flush stdout
-  | path ->
-      let dir = Filename.dirname path in
-      let tmp = Filename.temp_file ~temp_dir:dir ".tomo_metrics" ".tmp" in
-      let oc = open_out tmp in
-      (try
-         output_string oc content;
-         close_out oc
-       with e ->
-         close_out_noerr oc;
-         (try Sys.remove tmp with Sys_error _ -> ());
-         raise e);
-      Sys.rename tmp path
+  let tmp =
+    Filename.temp_file ~temp_dir:(Filename.dirname path)
+      ("." ^ Filename.basename path)
+      ".tmp"
+  in
+  try
+    let oc = open_out_bin tmp in
+    (try
+       output_string oc content;
+       close_out oc
+     with e ->
+       close_out_noerr oc;
+       raise e);
+    Sys.rename tmp path
+  with e ->
+    (try Sys.remove tmp with Sys_error _ -> ());
+    raise e
 
 (* The body runs under [flush_lock]: a periodic flusher thread and an
    exiting main thread may both call [flush], and each completed span /
@@ -274,8 +262,13 @@ let flush () =
   match !metrics_path with
   | None -> ()
   | Some path ->
+      let json = snapshot_json (Metrics.snapshot ()) ^ "\n" in
       nonfatal ("metrics file " ^ path) (fun () ->
-          write_atomic path (snapshot_json (Metrics.snapshot ()) ^ "\n"))
+          if path = "-" then begin
+            output_string stdout json;
+            Stdlib.flush stdout
+          end
+          else write_atomic path json)
 
 let mode_of_env () =
   match Sys.getenv_opt "TOMO_TRACE" with

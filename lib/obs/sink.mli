@@ -58,6 +58,15 @@ val snapshot_json : Metrics.snapshot -> string
     after [init]; a periodic {!Flusher} calls it on a cadence. *)
 val flush : unit -> unit
 
+(** [write_atomic path content] replaces the file at [path] with
+    [content] by writing a hidden temp file next to it and renaming it
+    over [path], so a reader or a kill never observes a torn file.  On
+    any failure, a close that cannot write out the buffered content (a
+    full disk) included, the temp file is removed, [path] is left as it
+    was and the exception re-raised (typically [Sys_error]).  Every snapshot-shaped output uses it: the
+    metrics file, engine snapshots and peer reports. *)
+val write_atomic : string -> string -> unit
+
 (** The most recent sink write failure ([None] if none) — surfaced in
     the exporter's [/healthz] as [last_error]. *)
 val last_error : unit -> string option

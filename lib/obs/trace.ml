@@ -6,11 +6,14 @@ type span = {
   children : span list;
 }
 
-(* A span still running: attrs and children accumulate in reverse. *)
+(* A span still running: attrs and children accumulate in reverse.
+   [o_start] is the wall-clock start the span reports; its duration is
+   measured on the monotonic clock from [o_mono]. *)
 type open_span = {
   o_name : string;
   mutable o_attrs : (string * string) list;
   o_start : float;
+  o_mono : float;
   mutable o_children : span list;
 }
 
@@ -64,14 +67,12 @@ let reset () =
   dropped := 0;
   Mutex.unlock fin_lock
 
-let now () = Unix.gettimeofday ()
-
 let close o =
   {
     name = o.o_name;
     attrs = List.rev o.o_attrs;
     start_s = o.o_start;
-    duration_s = now () -. o.o_start;
+    duration_s = Clock.now () -. o.o_mono;
     children = List.rev o.o_children;
   }
 
@@ -83,7 +84,8 @@ let with_span ?attrs name f =
       {
         o_name = name;
         o_attrs = (match attrs with None -> [] | Some l -> List.rev l);
-        o_start = now ();
+        o_start = Unix.gettimeofday ();
+        o_mono = Clock.now ();
         o_children = [];
       }
     in

@@ -27,7 +27,7 @@ type span = {
   name : string;
   attrs : (string * string) list;  (** in the order they were attached *)
   start_s : float;  (** seconds since the Unix epoch *)
-  duration_s : float;
+  duration_s : float;  (** from the monotonic {!Clock}, never negative *)
   children : span list;  (** in execution order *)
 }
 

@@ -38,7 +38,6 @@ type selection_state = {
 
 type t = {
   model : Tomo.Model.t;
-  select_config : Tomo.Algorithm1.config option;
   window : Window.t;
   mutable sel : selection_state option;
   (* Per-engine lifetime stats behind [status] — the global Metrics
@@ -57,11 +56,10 @@ type estimate = {
   engine : Tomo.Prob_engine.t;
 }
 
-let create ?select_config ~model ~window () =
+let create ~model ~window () =
   if window <= 0 then invalid_arg "Engine.create: no window capacity";
   {
     model;
-    select_config;
     window = Window.create ~capacity:window ~n_paths:model.Tomo.Model.n_paths;
     sel = None;
     n_estimates = 0;
@@ -76,7 +74,7 @@ let ticks t = Window.ticks t.window
 
 let snapshot t = Snapshot.capture t.window
 
-let of_snapshot ?select_config ~model snap =
+let of_snapshot ~model snap =
   if snap.Snapshot.n_paths <> model.Tomo.Model.n_paths then
     invalid_arg
       (Printf.sprintf
@@ -84,7 +82,6 @@ let of_snapshot ?select_config ~model snap =
          snap.Snapshot.n_paths model.Tomo.Model.n_paths);
   {
     model;
-    select_config;
     window = Snapshot.window_of snap;
     sel = None;
     n_estimates = 0;
@@ -110,8 +107,7 @@ let build_selection t ~always =
     ];
   let t0 = Obs.Clock.start () in
   let selection =
-    Tomo.Algorithm1.select ?config:t.select_config t.model
-      (Window.observations t.window)
+    Tomo.Algorithm1.select t.model (Window.observations t.window)
   in
   let n_paths = t.model.Tomo.Model.n_paths in
   let rows = selection.Tomo.Algorithm1.rows in
@@ -318,20 +314,6 @@ let status t =
     st_last_vars = (if t.last_estimate_tick < 0 then None else Some t.last_vars);
   }
 
-let json_escape buf s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s
-
 let add_opt_int buf = function
   | None -> Buffer.add_string buf "null"
   | Some v -> Buffer.add_string buf (string_of_int v)
@@ -365,10 +347,7 @@ let status_json ?uptime_s ?snapshot_age_s ?last_error st =
   Buffer.add_string b ",\"last_error\":";
   (match last_error with
   | None -> Buffer.add_string b "null"
-  | Some e ->
-      Buffer.add_char b '"';
-      json_escape b e;
-      Buffer.add_char b '"');
+  | Some e -> Obs.Json.add_string b e);
   Buffer.add_char b '}';
   Buffer.contents b
 

@@ -46,15 +46,10 @@ type estimate = {
       (** the solved system, for subset/pattern queries *)
 }
 
-(** [create ?select_config ~model ~window ()] is an empty engine whose
-    sliding window holds [window] intervals.
+(** [create ~model ~window ()] is an empty engine whose sliding window
+    holds [window] intervals.
     @raise Invalid_argument if [window <= 0]. *)
-val create :
-  ?select_config:Tomo.Algorithm1.config ->
-  model:Tomo.Model.t ->
-  window:int ->
-  unit ->
-  t
+val create : model:Tomo.Model.t -> window:int -> unit -> t
 
 val window : t -> Window.t
 
@@ -76,15 +71,11 @@ val current : ?pool:Tomo_par.Pool.t -> t -> estimate option
 (** [snapshot t] captures resumable state; see {!Snapshot}. *)
 val snapshot : t -> Snapshot.t
 
-(** [of_snapshot ?select_config ~model snap] resumes: the next estimate
-    is bit-identical to an engine that never stopped.
+(** [of_snapshot ~model snap] resumes: the next estimate is
+    bit-identical to an engine that never stopped.
     @raise Invalid_argument if the snapshot's path count does not match
     the model. *)
-val of_snapshot :
-  ?select_config:Tomo.Algorithm1.config ->
-  model:Tomo.Model.t ->
-  Snapshot.t ->
-  t
+val of_snapshot : model:Tomo.Model.t -> Snapshot.t -> t
 
 (** [run ?pool ?snapshot_out ?snapshot_every ?max_ticks t source ~on_tick]
     is the service loop: drain [source] through {!ingest}, calling

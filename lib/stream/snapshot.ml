@@ -155,8 +155,6 @@ let of_string ?(filename = "<string>") s =
   | first :: _ -> corrupt ~filename "unknown snapshot format: %S" first
   | [] -> corrupt ~filename "empty snapshot"
 
-(* Write-to-temp then rename, so a crash mid-save (the scenario snapshots
-   exist for) can never leave a half-written file at the target path. *)
 (* Wall-clock of the last successful [save] in this process, feeding the
    exporter's snapshot-age health field.  A single boxed-ref store, so a
    concurrent reader on the exporter thread sees either the old or the
@@ -164,18 +162,10 @@ let of_string ?(filename = "<string>") s =
 let last_saved : float option ref = ref None
 let last_saved_at () = !last_saved
 
+(* Write-to-temp then rename, so a crash mid-save (the scenario snapshots
+   exist for) can never leave a half-written file at the target path. *)
 let save path t =
-  let dir = Filename.dirname path in
-  let tmp = Filename.temp_file ~temp_dir:dir "tomo_snapshot" ".tmp" in
-  let oc = open_out tmp in
-  (try
-     output_string oc (to_string t);
-     close_out oc
-   with e ->
-     close_out_noerr oc;
-     (try Sys.remove tmp with Sys_error _ -> ());
-     raise e);
-  Sys.rename tmp path;
+  Obs.Sink.write_atomic path (to_string t);
   Obs.Metrics.incr c_saved;
   last_saved := Some (Unix.gettimeofday ());
   Obs.Events.emit "snapshot_written"

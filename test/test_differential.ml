@@ -160,8 +160,7 @@ let ref_basis ?tol (rows : float array array) n =
     free_cols;
   out
 
-(* Mirror of [Cgls.solve_sparse] on an incidence system (multiplying by
-   a stored coefficient of exactly 1.0 is the identity): fresh boxed
+(* Mirror of [Cgls.solve] on an incidence system: fresh boxed
    work vectors, incidence closures, same iteration and early exits. *)
 let ref_cgls ~n_vars ~rows ~b ~tol =
   let m = Array.length rows in
@@ -343,8 +342,7 @@ let prop_cgls_sparse_matches_reference =
       let b =
         Array.init r (fun _ -> Rng.uniform rng ~lo:(-2.0) ~hi:2.0)
       in
-      let a = Sparse.of_incidence ~rows:r ~cols:c rows in
-      let x = Cgls.solve_sparse ~a ~b () in
+      let x = Cgls.solve ~cols:c rows b in
       let ref_x = ref_cgls ~n_vars:c ~rows ~b ~tol:1e-12 in
       vectors_agree x ref_x)
 
@@ -372,8 +370,7 @@ let test_large_fixture () =
   Alcotest.(check bool) "basis bits" true
     (matrices_agree basis (ref_basis (Matrix.to_rows m) c));
   let b = Array.init r (fun i -> float_of_int (i mod 7) /. 3.0) in
-  let a = Sparse.of_incidence ~rows:r ~cols:c idxs in
-  let x = Cgls.solve_sparse ~a ~b () in
+  let x = Cgls.solve ~cols:c idxs b in
   Alcotest.(check bool) "cgls bits" true
     (vectors_agree x (ref_cgls ~n_vars:c ~rows:idxs ~b ~tol:1e-12))
 

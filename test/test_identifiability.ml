@@ -311,6 +311,54 @@ let test_wide_set_fallbacks () =
   check_bool "odd pair unregistered" true
     (Tomo.Eqn.row m ~effective:eff reg ~paths:[| 1; 2 |] = None)
 
+(* The node-budget fallback, which the random models above are too small
+   to reach.  Ten links in one correlation set, covered by the chain
+   paths [i; i+1] plus a private path on every third link: thirteen
+   signatures of sizes 1 and 2, whose closure up to size 4 holds 123
+   subsets.  A budget of 6 caps it while the signatures are still being
+   visited, before any subset of size 3 or 4 is reached. *)
+let test_budget_capped_closure () =
+  let n = 10 and max_size = 4 and budget = 6 in
+  let m =
+    Model.make ~n_links:n
+      ~paths:
+        (Array.append
+           (Array.init (n - 1) (fun i -> [| i; i + 1 |]))
+           [| [| 0 |]; [| 3 |]; [| 6 |]; [| 9 |] |])
+      ~corr_sets:[| Array.init n Fun.id |]
+  in
+  let eff = Identifiability.covered_links m in
+  let full = Identifiability.analyze ~max_size m ~effective:eff in
+  let capped = Identifiability.analyze ~max_size ~budget m ~effective:eff in
+  let s0 = full.Identifiability.corr.(0)
+  and s = capped.Identifiability.corr.(0) in
+  (match s0.Identifiability.inducible_by_size with
+  | Some counts ->
+      check_bool "uncapped closure exceeds the budget" true
+        (Array.fold_left ( + ) 0 counts > budget)
+  | None -> Alcotest.fail "default budget capped the closure");
+  check_bool "uncapped bound is reported" true
+    (s0.Identifiability.max_identifiable_size <> None);
+  check_bool "capped: no subset counts" true
+    (s.Identifiability.inducible_by_size = None);
+  check_bool "capped: no identifiable-size bound" true
+    (s.Identifiability.max_identifiable_size = None);
+  check_int "capped: nothing claimed prunable" 0
+    s.Identifiability.pruned_sizes;
+  let exact =
+    Identifiability.inducible_size_witness m ~effective:eff ~corr:0 ~max_size
+  in
+  let cut =
+    Identifiability.inducible_size_witness ~budget m ~effective:eff ~corr:0
+      ~max_size
+  in
+  Array.iteri
+    (fun i w ->
+      if w then
+        check_bool (Printf.sprintf "size %d kept under the cap" (i + 1)) true
+          cut.(i))
+    exact
+
 (* Deterministic spot checks on hand-built topologies. *)
 
 let test_chain_not_identifiable () =
@@ -379,6 +427,8 @@ let () =
           qc prop_pruned_estimates_identical;
           Alcotest.test_case "70-link set: word-size fallbacks" `Quick
             test_wide_set_fallbacks;
+          Alcotest.test_case "budget-capped closure falls back soundly"
+            `Quick test_budget_capped_closure;
         ] );
       ( "topologies",
         [

@@ -453,10 +453,7 @@ module Cgls = Tomo_linalg.Cgls
 
 (* The pools solve incidence systems: every row a set of variables with
    coefficient 1. *)
-let cgls_incidence ~n_vars rows b =
-  Cgls.solve_sparse
-    ~a:(Sparse.of_incidence ~rows:(Array.length rows) ~cols:n_vars rows)
-    ~b ()
+let cgls_incidence ~n_vars rows b = Cgls.solve ~cols:n_vars rows b
 
 let test_cgls_exact () =
   (* x0 + x1 = 3; x0 = 1 — consistent square system over incidence
@@ -482,11 +479,27 @@ let test_cgls_overdetermined_mean () =
 
 let test_cgls_validation () =
   Alcotest.check_raises "bad index"
-    (Invalid_argument "Sparse.of_incidence: index out of range") (fun () ->
+    (Invalid_argument "Sparse.incidence_row: index out of range") (fun () ->
       ignore (cgls_incidence ~n_vars:1 [| [| 1 |] |] [| 1.0 |]));
+  Alcotest.check_raises "negative index"
+    (Invalid_argument "Sparse.incidence_row: index out of range") (fun () ->
+      ignore (cgls_incidence ~n_vars:2 [| [| 1; -1 |] |] [| 1.0 |]));
+  Alcotest.check_raises "duplicate index"
+    (Invalid_argument "Sparse.incidence_row: duplicate index") (fun () ->
+      ignore (cgls_incidence ~n_vars:3 [| [| 2; 0; 2 |] |] [| 1.0 |]));
   Alcotest.check_raises "size mismatch"
-    (Invalid_argument "Cgls.solve_sparse: size mismatch") (fun () ->
-      ignore (cgls_incidence ~n_vars:1 [| [| 0 |] |] [||]))
+    (Invalid_argument "Cgls.solve: size mismatch") (fun () ->
+      ignore (cgls_incidence ~n_vars:1 [| [| 0 |] |] [||]));
+  (* Unsorted rows are summed in ascending column order, so they solve
+     bit-identically to their sorted form. *)
+  let rows = [| [| 0; 1; 2 |]; [| 1; 2 |]; [| 0 |] |]
+  and shuffled = [| [| 2; 0; 1 |]; [| 2; 1 |]; [| 0 |] |]
+  and b = [| 0.3; 0.7; 1.1 |] in
+  let bits x = Array.map Int64.bits_of_float x in
+  check_bool "unsorted == sorted (bitwise)" true
+    (bits (cgls_incidence ~n_vars:3 rows b)
+    = bits (cgls_incidence ~n_vars:3 shuffled b));
+  check_bool "caller's row left unsorted" true (shuffled.(0) = [| 2; 0; 1 |])
 
 let prop_cgls_matches_qr_least_squares =
   QCheck.Test.make ~name:"CGLS matches QR least squares on incidence rows"
@@ -592,11 +605,17 @@ let test_sparse_of_incidence () =
   check_bool "incidence layout" true (matrices_exact expect (Sparse.to_matrix a));
   check_int "row 0 nnz" 3 (Sparse.row_nnz a 0);
   check_int "row 1 nnz" 0 (Sparse.row_nnz a 1);
+  let sorted = [| 0; 2; 3 |] and unsorted = [| 3; 0; 2 |] in
+  check_bool "ascending row returned as is" true
+    (Sparse.incidence_row ~cols:5 sorted == sorted);
+  check_bool "unsorted row sorted into a copy" true
+    (Sparse.incidence_row ~cols:5 unsorted = sorted
+    && unsorted = [| 3; 0; 2 |]);
   Alcotest.check_raises "duplicate index"
-    (Invalid_argument "Sparse.of_incidence: duplicate index") (fun () ->
+    (Invalid_argument "Sparse.incidence_row: duplicate index") (fun () ->
       ignore (Sparse.of_incidence ~rows:1 ~cols:4 [| [| 1; 1 |] |]));
   Alcotest.check_raises "out of range"
-    (Invalid_argument "Sparse.of_incidence: index out of range") (fun () ->
+    (Invalid_argument "Sparse.incidence_row: index out of range") (fun () ->
       ignore (Sparse.of_incidence ~rows:1 ~cols:4 [| [| 4 |] |]))
 
 let test_sparse_row_ops () =

@@ -207,27 +207,119 @@ let test_snapshot_shape () =
 (* Sink: JSON shapes                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* A syntax check that needs no JSON parser: balanced braces/brackets
-   outside string literals, and no trailing garbage. *)
-let json_balanced s =
-  let depth = ref 0 and in_str = ref false and esc = ref false in
-  let ok = ref true in
-  String.iter
-    (fun ch ->
-      if !esc then esc := false
-      else if !in_str then begin
-        if ch = '\\' then esc := true else if ch = '"' then in_str := false
-      end
-      else
-        match ch with
-        | '"' -> in_str := true
-        | '{' | '[' -> incr depth
-        | '}' | ']' ->
-            decr depth;
-            if !depth < 0 then ok := false
-        | _ -> ())
-    s;
-  !ok && !depth = 0 && not !in_str
+(* A strict syntax check against the JSON grammar: it rejects raw
+   control bytes inside strings, escapes JSON does not define, bare
+   words and trailing garbage. *)
+let json_valid s =
+  let n = String.length s and pos = ref 0 in
+  let peek () = if !pos < n then Some s.[!pos] else None in
+  let expect c = if peek () = Some c then incr pos else raise Exit in
+  let ws () =
+    while !pos < n && String.contains " \t\n\r" s.[!pos] do
+      incr pos
+    done
+  in
+  let word w =
+    let l = String.length w in
+    if !pos + l <= n && String.sub s !pos l = w then pos := !pos + l
+    else raise Exit
+  in
+  let digits () =
+    let start = !pos in
+    while !pos < n && s.[!pos] >= '0' && s.[!pos] <= '9' do
+      incr pos
+    done;
+    if !pos = start then raise Exit
+  in
+  let rec string_body () =
+    match peek () with
+    | Some '"' -> incr pos
+    | Some '\\' ->
+        incr pos;
+        (match peek () with
+        | Some ('"' | '\\' | '/' | 'b' | 'f' | 'n' | 'r' | 't') -> incr pos
+        | Some 'u' ->
+            incr pos;
+            for _ = 1 to 4 do
+              match peek () with
+              | Some ('0' .. '9' | 'a' .. 'f' | 'A' .. 'F') -> incr pos
+              | _ -> raise Exit
+            done
+        | _ -> raise Exit);
+        string_body ()
+    | Some c when Char.code c >= 0x20 ->
+        incr pos;
+        string_body ()
+    | _ -> raise Exit
+  in
+  let rec value () =
+    ws ();
+    (match peek () with
+    | Some '{' ->
+        incr pos;
+        ws ();
+        if peek () = Some '}' then incr pos else members ()
+    | Some '[' ->
+        incr pos;
+        ws ();
+        if peek () = Some ']' then incr pos else elements ()
+    | Some '"' ->
+        incr pos;
+        string_body ()
+    | Some 't' -> word "true"
+    | Some 'f' -> word "false"
+    | Some 'n' -> word "null"
+    | _ ->
+        if peek () = Some '-' then incr pos;
+        if peek () = Some '0' then incr pos else digits ();
+        if peek () = Some '.' then begin
+          incr pos;
+          digits ()
+        end;
+        if peek () = Some 'e' || peek () = Some 'E' then begin
+          incr pos;
+          if peek () = Some '+' || peek () = Some '-' then incr pos;
+          digits ()
+        end);
+    ws ()
+  and members () =
+    ws ();
+    expect '"';
+    string_body ();
+    ws ();
+    expect ':';
+    value ();
+    if peek () = Some ',' then begin
+      incr pos;
+      members ()
+    end
+    else expect '}'
+  and elements () =
+    value ();
+    if peek () = Some ',' then begin
+      incr pos;
+      elements ()
+    end
+    else expect ']'
+  in
+  match value () with () -> !pos = n | exception Exit -> false
+
+let test_json_valid_oracle () =
+  List.iter
+    (fun s -> check_bool ("valid: " ^ s) true (json_valid s))
+    [ "{}"; "[]"; "null"; "-0.5e+3"; "{\"a\":[1,true,\"x\\n\\u0001\"]}" ];
+  List.iter
+    (fun s -> check_bool ("invalid: " ^ String.escaped s) false (json_valid s))
+    [
+      "";
+      "{";
+      "{\"a\":1,}";
+      "\"a\\qb\"";
+      "\"line\nbreak\"";
+      "\"\001\"";
+      "{} x";
+      "01";
+    ]
 
 let contains ~needle hay =
   let n = String.length needle and h = String.length hay in
@@ -246,7 +338,7 @@ let test_spans_jsonl_shape () =
   in
   check_int "one line per span" 2 (List.length lines);
   List.iter
-    (fun l -> check_bool "each line is balanced JSON" true (json_balanced l))
+    (fun l -> check_bool "each line is valid JSON" true (json_valid l))
     lines;
   let root_line = List.nth lines 0 and leaf_line = List.nth lines 1 in
   check_bool "root precedes its child (pre-order)" true
@@ -268,7 +360,7 @@ let test_snapshot_json_shape () =
   Metrics.incr ~by:3 c;
   Metrics.observe h 2.0;
   let json = Sink.snapshot_json (Metrics.snapshot ()) in
-  check_bool "balanced JSON object" true (json_balanced json);
+  check_bool "valid JSON object" true (json_valid json);
   check_bool "counter exported with its value" true
     (contains ~needle:"\"test_obs.json_c\":3" json);
   List.iter
@@ -423,7 +515,7 @@ let event_escaping_prop =
     QCheck.(triple string string string)
     (fun (event, k, v) ->
       let l = Events.line ~ts:1.0 event [ (k, v) ] in
-      json_balanced l
+      json_valid l
       && String.for_all (fun c -> Char.code c >= 0x20) l)
 
 let test_event_file_round_trip () =
@@ -445,7 +537,7 @@ let test_event_file_round_trip () =
   close_in ic;
   check_int "one line per event, none after close" 2 (List.length lines);
   List.iter
-    (fun l -> check_bool "balanced JSON line" true (json_balanced l))
+    (fun l -> check_bool "valid JSON line" true (json_valid l))
     lines;
   check_bool "events appear in emission order" true
     (contains ~needle:"\"event\":\"alpha\"" (List.nth lines 0)
@@ -493,7 +585,7 @@ let test_flush_idempotent_atomic () =
   check_int "span emitted exactly once across two flushes" 1
     (List.length trace_lines);
   let mjson = read_file mpath in
-  check_bool "metrics file is balanced JSON" true (json_balanced mjson);
+  check_bool "metrics file is valid JSON" true (json_valid mjson);
   check_bool "counter present" true
     (contains ~needle:"\"test_obs.flush_c\":7" mjson);
   (* atomic write must not leave temp litter behind *)
@@ -503,6 +595,37 @@ let test_flush_idempotent_atomic () =
   in
   check_int "no temp files left by the atomic rename" 0
     (List.length leftovers)
+
+(* A failed write leaves the target and its directory as they were: here
+   the rename onto an existing directory fails after the temp file was
+   written, and the temp file must not stay behind. *)
+let test_write_atomic_failure_cleans_up () =
+  let dir = Filename.temp_file "tomo_atomic" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o755;
+  let target = Filename.concat dir "target" in
+  Unix.mkdir target 0o755;
+  Fun.protect ~finally:(fun () ->
+      Array.iter
+        (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
+        (Sys.readdir dir);
+      (try Unix.rmdir target with Unix.Unix_error _ -> ());
+      try Unix.rmdir dir with Unix.Unix_error _ -> ())
+  @@ fun () ->
+  (match Sink.write_atomic target "payload" with
+  | () -> Alcotest.fail "writing over a directory succeeded"
+  | exception Sys_error _ -> ());
+  check_bool "directory untouched" true (Sys.is_directory target);
+  Alcotest.(check (list string))
+    "no temp file left" [ "target" ]
+    (Array.to_list (Sys.readdir dir));
+  let file = Filename.concat dir "file" in
+  Sink.write_atomic file "one";
+  Sink.write_atomic file "two";
+  check_string "rewrite replaces the content" "two" (read_file file);
+  Alcotest.(check (list string))
+    "only the targets remain" [ "file"; "target" ]
+    (List.sort compare (Array.to_list (Sys.readdir dir)))
 
 (* ------------------------------------------------------------------ *)
 (* Flusher: periodic background flushing                               *)
@@ -530,7 +653,7 @@ let test_flusher_periodic () =
   check_bool "flushed at least once on the cadence" true
     (Metrics.counter_value flushes > before);
   check_bool "metrics file written while running" true
-    (json_balanced (read_file mpath))
+    (json_valid (read_file mpath))
 
 (* ------------------------------------------------------------------ *)
 (* Exporter: Prometheus rendering and the HTTP round trip              *)
@@ -645,6 +768,29 @@ let test_exporter_round_trip () =
   check_bool "socket file removed on stop" true (not (Sys.file_exists sock));
   Exporter.stop exp (* idempotent *)
 
+(* Without a [~health] callback — as [serve --ingest] runs it — /healthz
+   serves the exporter's default body, which must stay valid JSON
+   whatever the last sink error holds (a path with a backslash, a
+   newline, a control byte). *)
+let test_default_health_escapes_error () =
+  let sock = Filename.temp_file "tomo_exp" ".sock" in
+  Sys.remove sock;
+  let exp = Exporter.start (Exporter.Unix_sock sock) in
+  Fun.protect ~finally:(fun () -> Exporter.stop exp) @@ fun () ->
+  let err = "cannot write \"C:\\m.json\":\nline two \x01" in
+  Sink.record_error err;
+  let resp = http_get sock "/healthz" in
+  let body =
+    match String.index_opt resp '{' with
+    | Some i -> String.sub resp i (String.length resp - i)
+    | None -> Alcotest.fail "no JSON body"
+  in
+  check_bool "200" true (contains ~needle:"200 OK" resp);
+  check_bool "body is valid JSON" true (json_valid body);
+  check_bool "error escaped once, in full" true
+    (contains ~needle:("\"last_error\":" ^ Tomo_obs.Json.quote err ^ "}") body);
+  check_bool "uptime reported" true (contains ~needle:"\"uptime_s\":" body)
+
 (* ------------------------------------------------------------------ *)
 (* Engine status view                                                  *)
 (* ------------------------------------------------------------------ *)
@@ -719,7 +865,7 @@ let test_stream_metrics_exported () =
     ignore (Tomo_stream.Engine.ingest engine col)
   done;
   let json = Sink.snapshot_json (Metrics.snapshot ()) in
-  check_bool "balanced JSON" true (json_balanced json);
+  check_bool "valid JSON" true (json_valid json);
   (* counters count what happened: 3 ingests, 2 full-window estimates *)
   check_bool "stream_ticks counted" true
     (contains ~needle:"\"stream_ticks\":3" json);
@@ -789,6 +935,10 @@ let () =
             test_stream_metrics_exported;
           Alcotest.test_case "flush is idempotent and atomic" `Quick
             test_flush_idempotent_atomic;
+          Alcotest.test_case "failed atomic write leaves no temp file" `Quick
+            test_write_atomic_failure_cleans_up;
+          Alcotest.test_case "strict JSON check accepts and rejects" `Quick
+            test_json_valid_oracle;
         ] );
       ( "trace retention",
         [
@@ -815,6 +965,8 @@ let () =
             test_listen_of_string;
           Alcotest.test_case "HTTP round trip over a unix socket" `Quick
             test_exporter_round_trip;
+          Alcotest.test_case "default /healthz is valid JSON" `Quick
+            test_default_health_escapes_error;
           Alcotest.test_case "periodic flusher" `Quick test_flusher_periodic;
         ] );
       ( "engine status",

@@ -209,7 +209,7 @@ let test_sparse_kernel_bit_identical () =
     let a = Sparse.of_incidence ~rows:nrows ~cols:nvars idxs in
     let { Sparse_gauss.reduced; pivot_cols; rank } = Sparse_gauss.rref a in
     let b = Array.init nrows (fun _ -> Rng.uniform rng ~lo:(-1.) ~hi:1.) in
-    let x = Cgls.solve_sparse ~a ~b () in
+    let x = Cgls.solve ~cols:nvars idxs b in
     let basis = Nullspace.basis_of_incidence ~rows:nrows ~cols:nvars idxs in
     (Sparse.to_matrix reduced, pivot_cols, rank, x, basis)
   in
