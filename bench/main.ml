@@ -70,7 +70,7 @@ let reproduction_pass () =
     (W.scale_to_string scale) seed;
   Format.fprintf ppf
     "==================================================================@.";
-  let t0 = Unix.gettimeofday () in
+  let t0 = Tomo_obs.Clock.now () in
   Render.fig3 ppf (Fig3.run ~scale ~seed);
   Render.fig4_mae ppf
     ~title:
@@ -86,7 +86,7 @@ let reproduction_pass () =
   Render.fig4_subsets ppf (Fig4.run_subsets ~scale ~seed);
   Render.table2 ppf;
   Format.fprintf ppf "@.(reproduction pass took %.1f s)@.@."
-    (Unix.gettimeofday () -. t0)
+    (Tomo_obs.Clock.now () -. t0)
 
 (* ------------------------------------------------------------------ *)
 (* Part 2: Bechamel micro-benchmarks                                   *)
@@ -217,9 +217,9 @@ let sim_parallel_pass () =
     Pool.set_default_jobs jobs;
     let best = ref infinity in
     for _ = 1 to 2 do
-      let t0 = Unix.gettimeofday () in
+      let t0 = Tomo_obs.Clock.now () in
       ignore (simulate ~overlay ~t ~seed:29);
-      best := Float.min !best (Unix.gettimeofday () -. t0)
+      best := Float.min !best (Tomo_obs.Clock.now () -. t0)
     done;
     !best
   in
@@ -255,11 +255,11 @@ let obs_overhead_pass () =
   let time_ns n f =
     let best = ref infinity in
     for _ = 1 to 3 do
-      let t0 = Unix.gettimeofday () in
+      let t0 = Tomo_obs.Clock.now () in
       for i = 1 to n do
         f i
       done;
-      best := Float.min !best (Unix.gettimeofday () -. t0)
+      best := Float.min !best (Tomo_obs.Clock.now () -. t0)
     done;
     !best *. 1e9 /. float_of_int n
   in
@@ -331,7 +331,7 @@ let net_pass () =
     let best = ref infinity in
     for _ = 1 to 5 do
       let dec = Tomo_net.Frame.create () in
-      let t0 = Unix.gettimeofday () in
+      let t0 = Tomo_obs.Clock.now () in
       let off = ref 0 in
       while !off < String.length wire do
         let len = min 65536 (String.length wire - !off) in
@@ -344,7 +344,7 @@ let net_pass () =
         off := !off + len
       done;
       assert (Tomo_net.Frame.frames_decoded dec = n_frames);
-      best := Float.min !best (Unix.gettimeofday () -. t0)
+      best := Float.min !best (Tomo_obs.Clock.now () -. t0)
     done;
     !best *. 1e9 /. float_of_int n_frames
   in
@@ -360,7 +360,7 @@ let net_pass () =
       let server, client =
         Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0
       in
-      let t0 = Unix.gettimeofday () in
+      let t0 = Tomo_obs.Clock.now () in
       Tomo_net.Hub.attach hub server;
       let runner = Thread.create Tomo_net.Hub.run hub in
       let writer =
@@ -382,7 +382,7 @@ let net_pass () =
       do
         Thread.yield ()
       done;
-      let dt = Unix.gettimeofday () -. t0 in
+      let dt = Tomo_obs.Clock.now () -. t0 in
       Tomo_net.Hub.request_stop hub;
       Thread.join runner;
       Thread.join writer;

@@ -36,6 +36,7 @@ type selection = {
   nullspace : Matrix.t;
   identifiable : bool array;
   factor : Sparse_chol.t option;
+  readout : Readout.t;
 }
 
 let identifiable_flags registry nullspace =
@@ -44,47 +45,23 @@ let identifiable_flags registry nullspace =
 
 (* The selected rows are independent by construction, so their A·Aᵀ is
    positive definite: factor it once here and every solve until the next
-   selection is two triangular solves. *)
+   selection is two triangular solves.  The readout plan is decided here
+   too, so reading a marginal is per-solve arithmetic only. *)
 let finish model effective registry rows nullspace =
+  let identifiable = identifiable_flags registry nullspace in
   {
     model;
     effective;
     registry;
     rows;
     nullspace;
-    identifiable = identifiable_flags registry nullspace;
+    identifiable;
     factor =
       Some
         (Sparse_chol.factor ~cols:(Eqn.n_vars registry)
            (Array.map (fun r -> r.Eqn.vars) rows));
+    readout = Readout.build model ~effective registry ~identifiable;
   }
-
-(* Per-variable candidate state: rows enumerated lazily from subsets of
-   the pool Paths(E) \ Paths(Ē), with a cursor over rows already tested.
-   A row found dependent can never become independent again (the row
-   space only grows), so the cursor never moves backwards. *)
-type cand_state = {
-  mutable cands : Eqn.row array option;  (* None = not yet materialized *)
-  mutable cursor : int;
-}
-
-(* [pool] is the variable's candidate-path pool, Paths(E) \ Paths(Ē) —
-   already computed once by the seed phase and reused here instead of
-   re-deriving it from the model. *)
-let materialize_candidates resolver ~pool =
-  let acc = ref [] and n = ref 0 in
-  let (_ : int) =
-    Combin.iter_subsets_by_size pool ~max_size:max_pathset_size
-      ~limit:max_candidates (fun paths ->
-        (match Eqn.row_fast resolver ~paths with
-        | Some r ->
-            acc := r :: !acc;
-            incr n
-        | None -> ());
-        `Continue)
-  in
-  Obs.Metrics.incr ~by:!n c_candidates;
-  Array.of_list (List.rev !acc)
 
 let select ?(config = default_config) model obs =
   Obs.Trace.with_span "algorithm1.select" @@ fun () ->
@@ -174,29 +151,53 @@ let select ?(config = default_config) model obs =
           Nullspace.tracker_of_matrix ~tol ?witness_k:config.witness_k
             basis)
     in
-    let try_add row =
-      if Nullspace.add_incidence tracker row.Eqn.vars then begin
-        rows := row :: !rows;
-        Obs.Metrics.incr c_equations;
-        true
-      end
-      else begin
-        Obs.Metrics.incr c_rows_rejected;
-        false
-      end
+    (* Lines 8-22: grow the system guided by the null space.  Each
+       variable's candidates — the subsets of its pool in increasing size
+       that resolve to a row — are streamed from a cursor that resumes
+       where the variable's last visit stopped: a row found dependent
+       stays dependent (the row space only grows), so no candidate is
+       tested twice.  Candidates are tested from reused buffers; only an
+       accepted row is allocated. *)
+    let cursors = Array.make n None in
+    let path_bufs =
+      Array.init (max_pathset_size + 1) (fun k -> Array.make k 0)
     in
-    (* Lines 8-22: grow the system guided by the null space. *)
-    let states =
-      Array.init n (fun _ -> { cands = None; cursor = 0 })
-    in
-    let candidates_of v =
-      let st = states.(v) in
-      match st.cands with
+    let cursor_of v =
+      match cursors.(v) with
       | Some c -> c
       | None ->
-          let c = materialize_candidates resolver ~pool:seed_pools.(v) in
-          st.cands <- Some c;
+          let c =
+            Combin.cursor ~n:(Array.length seed_pools.(v))
+              ~max_size:max_pathset_size ~limit:max_candidates
+          in
+          cursors.(v) <- Some c;
           c
+    in
+    (* Test [v]'s candidates until one is accepted or none is left. *)
+    let rec grow_from v cur =
+      let k = Combin.next cur in
+      k > 0
+      &&
+      let pool = seed_pools.(v) and paths = path_bufs.(k) in
+      for i = 0 to k - 1 do
+        paths.(i) <- pool.(Combin.index cur i)
+      done;
+      match Eqn.row_vars resolver ~paths with
+      | [||] -> grow_from v cur
+      | vars ->
+          Obs.Metrics.incr c_candidates;
+          if Nullspace.add_incidence tracker vars then begin
+            let row =
+              { Eqn.paths = Array.copy paths; vars = Array.copy vars }
+            in
+            rows := row :: !rows;
+            Obs.Metrics.incr c_equations;
+            true
+          end
+          else begin
+            Obs.Metrics.incr c_rows_rejected;
+            grow_from v cur
+          end
     in
     let continue_ = ref true in
     Obs.Trace.with_span "algorithm1.grow" (fun () ->
@@ -214,15 +215,7 @@ let select ?(config = default_config) model obs =
       while (not !progress) && !i < n do
         let v, w = order.(!i) in
         incr i;
-        if w > 0 then begin
-          let cands = candidates_of v in
-          let st = states.(v) in
-          while (not !progress) && st.cursor < Array.length cands do
-            let row = cands.(st.cursor) in
-            st.cursor <- st.cursor + 1;
-            if try_add row then progress := true
-          done
-        end
+        if w > 0 then progress := grow_from v (cursor_of v)
       done;
       if not !progress then continue_ := false
     done);

@@ -22,8 +22,11 @@
 
     Because the row space only ever grows, a candidate row once found
     dependent stays dependent; each candidate is therefore visited at
-    most once across all outer iterations (a per-subset cursor), which
-    keeps the scan linear in the candidate budget. *)
+    most once across all outer iterations.  A per-subset cursor
+    ({!Tomo_util.Combin.cursor}) streams the candidates, resuming where
+    the subset's last visit stopped, which keeps the scan linear in the
+    candidate budget; candidates are tested from reused buffers and only
+    accepted rows are allocated. *)
 
 type config = {
   max_subset_size : int;
@@ -63,12 +66,17 @@ type selection = {
           redundant, possibly inconsistent row pool
           (Correlation-heuristic), which {!Prob_engine} solves by least
           squares instead. *)
+  readout : Readout.t;
+      (** how each link's marginal is read off a solution
+          ({!Readout.build} over this registry and [identifiable]),
+          decided once per selection *)
 }
 
 (** [select ?config model obs] runs the algorithm.  [obs] is only used to
     decide which paths are always good (potentially-congested analysis);
     the selection itself is purely structural.  The selected rows are
-    factorized ({!Tomo_linalg.Sparse_chol}) before returning. *)
+    factorized ({!Tomo_linalg.Sparse_chol}) and the readout plan is built
+    ({!Readout.build}) before returning. *)
 val select : ?config:config -> Model.t -> Observations.t -> selection
 
 (** [identifiable_flags registry nullspace] marks each registered

@@ -23,6 +23,7 @@ let compute model obs =
     Array.iter (fun row -> ignore (Nullspace.add_incidence tr row.Eqn.vars)) rows;
     Nullspace.to_matrix tr
   in
+  let identifiable = Algorithm1.identifiable_flags registry nullspace in
   let selection =
     {
       Algorithm1.model;
@@ -30,10 +31,11 @@ let compute model obs =
       registry;
       rows;
       nullspace;
-      identifiable = Algorithm1.identifiable_flags registry nullspace;
+      identifiable;
       (* Redundant rows with inconsistent right-hand sides: A·Aᵀ is
          singular, so the pool is solved by least squares. *)
       factor = None;
+      readout = Readout.build model ~effective registry ~identifiable;
     }
   in
   let engine = Prob_engine.solve selection obs in

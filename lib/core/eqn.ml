@@ -105,6 +105,8 @@ type resolver = {
   rz_corr_stamp : int array;  (* per correlation set: generation *)
   rz_corr_mask : int array;  (* accumulated subset mask per set *)
   rz_corr_order : int array;  (* correlation sets in first-seen order *)
+  rz_vars : int array array;
+      (* per row length: the buffer [row_vars] returns, made on first use *)
   mutable rz_gen : int;
 }
 
@@ -163,12 +165,13 @@ let resolver model ~effective reg =
     rz_corr_stamp = Array.make n_corr 0;
     rz_corr_mask = Array.make n_corr 0;
     rz_corr_order = Array.make n_corr 0;
+    rz_vars = Array.make (n_corr + 1) [||];
     rz_gen = 0;
   }
 
-let row_fast rz ~paths =
+let row_vars rz ~paths =
   match rz.rz_fallback with
-  | Some f -> f ~paths
+  | Some f -> ( match f ~paths with Some r -> r.vars | None -> [||])
   | None ->
       let gen = rz.rz_gen + 1 in
       rz.rz_gen <- gen;
@@ -197,9 +200,16 @@ let row_fast rz ~paths =
           done)
         paths;
       let n_groups = !n_groups in
-      if n_groups = 0 then None
+      if n_groups = 0 then [||]
       else begin
-        let vars = Array.make n_groups 0 in
+        let vars =
+          match rz.rz_vars.(n_groups) with
+          | [||] ->
+              let b = Array.make n_groups 0 in
+              rz.rz_vars.(n_groups) <- b;
+              b
+          | b -> b
+        in
         let ok = ref true in
         let g = ref 0 in
         while !ok && !g < n_groups do
@@ -209,7 +219,7 @@ let row_fast rz ~paths =
           | None -> ok := false);
           incr g
         done;
-        if not !ok then None
+        if not !ok then [||]
         else begin
           (* Insertion sort: a row touches a handful of subsets. *)
           for i = 1 to n_groups - 1 do
@@ -221,9 +231,14 @@ let row_fast rz ~paths =
             done;
             vars.(!j + 1) <- x
           done;
-          Some { paths; vars }
+          vars
         end
       end
+
+let row_fast rz ~paths =
+  match row_vars rz ~paths with
+  | [||] -> None
+  | vars -> Some { paths; vars = Array.copy vars }
 
 let row_grow model ~effective reg ~paths =
   build_row model ~effective reg ~paths ~lookup:(fun reg s ->

@@ -62,6 +62,12 @@ val resolver :
     the per-call cost.  Must not be used after the registry grows. *)
 val row_fast : resolver -> paths:int array -> row option
 
+(** [row_vars rz ~paths] is the [vars] of [row_fast rz ~paths] without
+    allocating: a buffer owned by the resolver and valid until the next
+    call, or [[||]] where [row_fast] returns [None] (a row always has a
+    variable).  A caller that keeps the row copies it. *)
+val row_vars : resolver -> paths:int array -> int array
+
 (** [row_grow] is [row] but registers missing induced subsets instead of
     failing; only returns [None] when the path set touches no effective
     link. *)

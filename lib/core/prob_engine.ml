@@ -66,122 +66,38 @@ let good_prob t s =
 let model t = t.selection.Algorithm1.model
 let effective t = t.selection.Algorithm1.effective
 
-(* Smallest registered subset containing link [e] (its own singleton if
-   registered). Returns the variable index. *)
-let smallest_var_containing t e =
-  let m = model t in
-  let c = m.Model.corr_of_link.(e) in
-  let singleton = Subsets.make m ~corr:c [| e |] in
-  match var_of t singleton with
-  | Some v -> Some v
-  | None ->
-      let best = ref None in
-      for v = 0 to Eqn.n_vars t.selection.Algorithm1.registry - 1 do
-        let s = Eqn.subset_of_var t.selection.Algorithm1.registry v in
-        if
-          s.Subsets.corr = c
-          && Array.exists (fun x -> x = e) s.Subsets.links
-        then
-          match !best with
-          | Some (_, size) when size <= Array.length s.Subsets.links -> ()
-          | _ -> best := Some (v, Array.length s.Subsets.links)
-      done;
-      Option.map fst !best
-
-(* Observable dependence between two links of a chain subset: pick
-   witness paths p ∋ a and q ∋ b sharing as few links as possible, and
-   measure the excess joint congestion of Y_p and Y_q over independence,
-   normalized by its maximum. 0 = the witnesses congest independently,
-   1 = they always congest together. *)
-let link_dependence t a b =
-  let m = model t in
-  let eff = effective t in
-  let best = ref None in
-  (* One scratch bit set reused across the whole (p, q) witness sweep:
-     [copy_into] overwrites it wholesale each round, so the inner loop
-     allocates nothing. *)
-  let scratch = Bitset.create m.Model.n_links in
-  Bitset.iter
-    (fun p ->
-      Bitset.iter
-        (fun q ->
-          (* The witnesses must separate the two links: a path containing
-             both cannot tell their congestion apart. *)
-          if
-            p <> q
-            && (not (Bitset.get m.Model.path_links.(p) b))
-            && not (Bitset.get m.Model.path_links.(q) a)
-          then begin
-            (* Only shared *effective* links can fake a dependence
-               between the witnesses; exonerated shared links never
-               congest. *)
-            let shared_eff =
-              Bitset.copy_into ~into:scratch m.Model.path_links.(p);
-              Bitset.inter_into ~into:scratch m.Model.path_links.(q);
-              Bitset.inter_into ~into:scratch eff;
-              (* the links under test sit on both sides by construction,
-                 so discount them *)
-              Bitset.clear scratch a;
-              Bitset.clear scratch b;
-              Bitset.count scratch
-            in
-            match !best with
-            | Some (_, _, s) when s <= shared_eff -> ()
-            | _ -> best := Some (p, q, shared_eff)
-          end)
-        m.Model.link_paths.(b))
-    m.Model.link_paths.(a);
-  match !best with
-  | None -> None
-  | Some (p, q, shared_eff) when shared_eff = 0 ->
-      let tt = float_of_int (Observations.t_intervals t.obs) in
-      let gp = float_of_int (Observations.all_good_count t.obs [| p |]) /. tt
-      and gq = float_of_int (Observations.all_good_count t.obs [| q |]) /. tt
-      and gpq =
-        float_of_int (Observations.all_good_count t.obs [| p; q |]) /. tt
-      in
-      let cp = 1.0 -. gp and cq = 1.0 -. gq in
-      let joint = 1.0 -. gp -. gq +. gpq in
-      let indep = cp *. cq in
-      let cap = min cp cq -. indep in
-      (* A small cap amplifies sampling noise into spurious dependence;
-         demand both a solid cap and a strong signal before leaving the
-         independent-split reading. *)
-      if cap <= 0.05 then Some 0.0
-      else
-        let rho = max 0.0 (min 1.0 ((joint -. indep) /. cap)) in
-        Some (if rho < 0.5 then 0.0 else rho)
-  | Some _ -> None (* no clean witnesses: stay with the split *)
+(* Observed dependence between the two links a clean witness pair [w] =
+   [|p; q|] separates (p ∋ a, q ∋ b, sharing no other effective link;
+   {!Readout.chain}): the excess joint congestion of Y_p and Y_q over
+   independence, normalized by its maximum.  0 = the witnesses congest
+   independently, 1 = they always congest together. *)
+let witness_dependence t w =
+  let tt = float_of_int (Observations.t_intervals t.obs) in
+  let gp = float_of_int (Observations.good_count t.obs ~path:w.(0)) /. tt
+  and gq = float_of_int (Observations.good_count t.obs ~path:w.(1)) /. tt
+  and gpq = float_of_int (Observations.all_good_count t.obs w) /. tt in
+  let cp = 1.0 -. gp and cq = 1.0 -. gq in
+  let joint = 1.0 -. gp -. gq +. gpq in
+  let indep = cp *. cq in
+  let cap = min cp cq -. indep in
+  (* A small cap amplifies sampling noise into spurious dependence;
+     demand both a solid cap and a strong signal before leaving the
+     independent-split reading. *)
+  if cap <= 0.05 then 0.0
+  else
+    let rho = max 0.0 (min 1.0 ((joint -. indep) /. cap)) in
+    if rho < 0.5 then 0.0 else rho
 
 (* Quotient estimates for an inexpressible singleton: whenever two
    variables B and B∪{e} are both identifiable, G_{B∪e}/G_B equals G_e
    exactly when e shares no congestion cause with B — e.g. a destination
-   cluster where two paths branch after a common upstream link.  Collect
-   every such quotient and take the median. *)
-let quotient_good_prob t e =
-  let m = model t in
-  let reg = t.selection.Algorithm1.registry in
-  let c = m.Model.corr_of_link.(e) in
+   cluster where two paths branch after a common upstream link.  Take
+   the median of every such quotient ([pairs], {!Readout.chain}). *)
+let quotient_good_prob t pairs =
   let quotients = ref [] in
-  for v = 0 to Eqn.n_vars reg - 1 do
-    if identifiable t v then begin
-      let s = Eqn.subset_of_var reg v in
-      if
-        s.Subsets.corr = c
-        && Array.length s.Subsets.links >= 2
-        && Array.exists (fun x -> x = e) s.Subsets.links
-      then begin
-        let b_links =
-          Array.of_list
-            (List.filter (fun x -> x <> e)
-               (Array.to_list s.Subsets.links))
-        in
-        match var_of t (Subsets.make m ~corr:c b_links) with
-        | Some vb when identifiable t vb ->
-            quotients := exp (t.values.(v) -. t.values.(vb)) :: !quotients
-        | Some _ | None -> ()
-      end
-    end
+  for i = 0 to (Array.length pairs / 2) - 1 do
+    let v = pairs.(2 * i) and vb = pairs.((2 * i) + 1) in
+    quotients := exp (t.values.(v) -. t.values.(vb)) :: !quotients
   done;
   match List.sort compare !quotients with
   | [] -> None
@@ -190,60 +106,49 @@ let quotient_good_prob t e =
 type fallback = [ `Whole | `Split | `Adaptive ]
 
 let link_marginal_with strategy t e =
-  let m = model t in
-  if e < 0 || e >= m.Model.n_links then
+  let plan = t.selection.Algorithm1.readout in
+  if e < 0 || e >= Array.length plan then
     invalid_arg "Prob_engine.link_marginal: link out of range";
-  if not (Bitset.get (effective t) e) then 0.0
-  else
-    match smallest_var_containing t e with
-    | Some v -> (
-        let s = Eqn.subset_of_var t.selection.Algorithm1.registry v in
-        let size = Array.length s.Subsets.links in
-        if size = 1 then clamp01 (1.0 -. exp t.values.(v))
-        else
-          match strategy with
-          | `Whole -> clamp01 (1.0 -. exp t.values.(v))
-          | `Split ->
-              clamp01 (1.0 -. exp (t.values.(v) /. float_of_int size))
-          | `Adaptive -> (
-              (* Unidentifiable chain link. Observed witness-path
-                 dependence decides the reading: correlated chains take
-                 the whole-subset marginal; otherwise a quotient estimate
-                 if the branching structure offers one, else an even
-                 log-space split. *)
-              let rho =
-                Array.fold_left
-                  (fun acc x ->
-                    if x = e then acc
-                    else
-                      match link_dependence t e x with
-                      | Some d -> max acc d
-                      | None -> acc)
-                  0.0 s.Subsets.links
-              in
-              if rho >= 0.5 then
+  match plan.(e) with
+  | Readout.Certified_good | Readout.Uncovered -> 0.0
+  | Readout.Singleton v -> clamp01 (1.0 -. exp t.values.(v))
+  | Readout.Chain { var = v; size; witnesses; quotients } -> (
+      match strategy with
+      | `Whole -> clamp01 (1.0 -. exp t.values.(v))
+      | `Split -> clamp01 (1.0 -. exp (t.values.(v) /. float_of_int size))
+      | `Adaptive -> (
+          (* Unidentifiable chain link. Observed witness-path dependence
+             decides the reading: correlated chains take the
+             whole-subset marginal; otherwise a quotient estimate if the
+             branching structure offers one, else an even log-space
+             split. *)
+          let rho =
+            Array.fold_left
+              (fun acc w -> max acc (witness_dependence t w))
+              0.0 witnesses
+          in
+          if rho >= 0.5 then
+            let k = float_of_int size in
+            let z = t.values.(v) *. (rho +. ((1.0 -. rho) /. k)) in
+            clamp01 (1.0 -. exp z)
+          else
+            match quotient_good_prob t quotients with
+            | Some g -> clamp01 (1.0 -. g)
+            | None ->
                 let k = float_of_int size in
-                let z = t.values.(v) *. (rho +. ((1.0 -. rho) /. k)) in
-                clamp01 (1.0 -. exp z)
-              else
-                match quotient_good_prob t e with
-                | Some g -> clamp01 (1.0 -. g)
-                | None ->
-                    let k = float_of_int size in
-                    clamp01 (1.0 -. exp (t.values.(v) /. k))))
-    | None -> 0.0
+                clamp01 (1.0 -. exp (t.values.(v) /. k))))
 
 let link_marginal ?(chain_split = true) t e =
   link_marginal_with (if chain_split then `Adaptive else `Whole) t e
 
 let link_identifiable t e =
-  let m = model t in
-  if not (Bitset.get (effective t) e) then true
-  else
-    let c = m.Model.corr_of_link.(e) in
-    match var_of t (Subsets.make m ~corr:c [| e |]) with
-    | Some v -> identifiable t v
-    | None -> false
+  let plan = t.selection.Algorithm1.readout in
+  if e < 0 || e >= Array.length plan then
+    invalid_arg "Prob_engine.link_identifiable: link out of range";
+  match plan.(e) with
+  | Readout.Certified_good -> true
+  | Readout.Singleton v -> identifiable t v
+  | Readout.Uncovered | Readout.Chain _ -> false
 
 (* Σ_{A ⊆ set} (−1)^{|A|} G(A ∪ base): the inclusion–exclusion core used
    for both congestion probabilities and pattern probabilities. [get]

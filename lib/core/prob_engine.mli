@@ -67,7 +67,12 @@ type fallback = [ `Whole | `Split | `Adaptive ]
       split evenly across its links ([1 − G_S^{1/|S|}] — unbiased for
       independent-alike chains); without it, the raw subset marginal
       [1 − G_S] (the cruder rule the Correlation-heuristic baseline
-      uses).  Either way the link is flagged unidentifiable. *)
+      uses).  Either way the link is flagged unidentifiable.
+
+    What each link is read from is decided once per selection
+    ({!Readout}); a call is arithmetic on the solution and, for the
+    adaptive fallback, the window's path counts.
+    @raise Invalid_argument if [e] is not a link of the model. *)
 val link_marginal : ?chain_split:bool -> t -> int -> float
 
 (** [link_marginal_with strategy t e] selects the chain-link fallback
@@ -77,7 +82,8 @@ val link_marginal_with : fallback -> t -> int -> float
 
 (** [link_identifiable t e] is [true] iff [link_marginal] returned a
     uniquely determined value (always-good links count as
-    identifiable). *)
+    identifiable).
+    @raise Invalid_argument if [e] is not a link of the model. *)
 val link_identifiable : t -> int -> bool
 
 (** [congestion_prob t ~corr links] is [P(all links congested)] for a set

@@ -16,31 +16,30 @@ let choose n k =
     in
     go 1 1
 
+(* Standard lexicographic successor on index vectors: advance [idx], a
+   size-[k] combination of [0 .. n-1], in place from position [j] down;
+   [false] if it was the last one. *)
+let rec successor idx ~n k j =
+  if j < 0 then false
+  else if idx.(j) < n - k + j then begin
+    idx.(j) <- idx.(j) + 1;
+    for l = j + 1 to k - 1 do
+      idx.(l) <- idx.(l - 1) + 1
+    done;
+    true
+  end
+  else successor idx ~n k (j - 1)
+
 let iter_combinations xs k f =
   let n = Array.length xs in
-  if k >= 0 && k <= n then
-    if k = 0 then f [||]
-    else begin
-      let idx = Array.init k (fun i -> i) in
-      let emit () = f (Array.map (fun i -> xs.(i)) idx) in
-      (* Standard lexicographic successor on index vectors. *)
-      let rec advance () =
-        emit ();
-        let rec bump j =
-          if j < 0 then false
-          else if idx.(j) < n - k + j then begin
-            idx.(j) <- idx.(j) + 1;
-            for l = j + 1 to k - 1 do
-              idx.(l) <- idx.(l - 1) + 1
-            done;
-            true
-          end
-          else bump (j - 1)
-        in
-        if bump (k - 1) then advance ()
-      in
-      advance ()
-    end
+  if k >= 0 && k <= n then begin
+    let idx = Array.init k (fun i -> i) in
+    let emit () = f (Array.map (fun i -> xs.(i)) idx) in
+    emit ();
+    while successor idx ~n k (k - 1) do
+      emit ()
+    done
+  end
 
 let combinations xs k =
   let acc = ref [] in
@@ -62,25 +61,40 @@ let iter_sized xs ~size ~limit f =
   Tomo_obs.Metrics.incr ~by:!visited c_subsets_visited;
   !visited
 
-let iter_subsets_by_size xs ~max_size ~limit f =
-  let visited = ref 0 in
-  (try
-     let size_cap = min max_size (Array.length xs) in
-     for k = 1 to size_cap do
-       iter_combinations xs k (fun c ->
-           if !visited >= limit then raise Stop;
-           incr visited;
-           match f c with `Stop -> raise Stop | `Continue -> ())
-     done
-   with Stop -> ());
-  Tomo_obs.Metrics.incr ~by:!visited c_subsets_visited;
-  !visited
+type cursor = {
+  n : int;
+  max_size : int;
+  limit : int;
+  idx : int array;
+  mutable size : int;
+  mutable visited : int;
+}
 
-let subsets_up_to xs ~max_size ~limit =
-  let acc = ref [] in
-  let (_ : int) =
-    iter_subsets_by_size xs ~max_size ~limit (fun c ->
-        acc := c :: !acc;
-        `Continue)
-  in
-  List.rev !acc
+let cursor ~n ~max_size ~limit =
+  let max_size = max 0 (min max_size n) in
+  { n; max_size; limit; idx = Array.make max_size 0; size = 0; visited = 0 }
+
+(* The first subset of the next size, once the current size is done. *)
+let grow c =
+  let k = c.size in
+  k < c.max_size
+  && begin
+       for i = 0 to k do
+         c.idx.(i) <- i
+       done;
+       c.size <- k + 1;
+       true
+     end
+
+let next c =
+  if
+    c.visited >= c.limit
+    || not (successor c.idx ~n:c.n c.size (c.size - 1) || grow c)
+  then 0
+  else begin
+    c.visited <- c.visited + 1;
+    Tomo_obs.Metrics.incr c_subsets_visited;
+    c.size
+  end
+
+let index c i = c.idx.(i)

@@ -26,8 +26,7 @@ val combinations : 'a array -> int -> 'a array list
     combinations of [xs] in lexicographic index order, stopping before
     the visit that would exceed [limit] or when [f] returns [`Stop].
     Returns the number of combinations visited (each visit also counts
-    into the [combin_subsets_visited] metric, like
-    {!iter_subsets_by_size}). *)
+    into the [combin_subsets_visited] metric, like {!next}). *)
 val iter_sized :
   'a array ->
   size:int ->
@@ -35,18 +34,27 @@ val iter_sized :
   ('a array -> [ `Stop | `Continue ]) ->
   int
 
-(** [iter_subsets_by_size xs ~max_size ~limit f] applies [f] to non-empty
-    subsets of [xs] in increasing size (size 1 first), stopping after
-    [limit] subsets or size [max_size], whichever comes first.  [f]
-    returns [`Stop] to abort the enumeration early, [`Continue] to keep
-    going.  Returns the number of subsets visited. *)
-val iter_subsets_by_size :
-  'a array ->
-  max_size:int ->
-  limit:int ->
-  ('a array -> [ `Stop | `Continue ]) ->
-  int
+(** {1 Resumable subset cursor}
 
-(** [subsets_up_to xs ~max_size ~limit] materializes the enumeration of
-    [iter_subsets_by_size] as a list. *)
-val subsets_up_to : 'a array -> max_size:int -> limit:int -> 'a array list
+    Algorithm 1 tries each target variable's candidate path sets in
+    increasing size and comes back to a variable many times, each time
+    resuming after the last candidate it tested.  A cursor holds that
+    position: the non-empty subsets of the indices [0 .. n-1] in
+    increasing size (size 1 first), lexicographic index order within a
+    size, up to [max_size] elements and at most [limit] visits.  It
+    allocates nothing after {!cursor}. *)
+
+type cursor
+
+(** [cursor ~n ~max_size ~limit] is positioned before the first subset. *)
+val cursor : n:int -> max_size:int -> limit:int -> cursor
+
+(** [next c] moves to the next subset and returns its size, or [0] once
+    the enumeration is exhausted or [limit] subsets have been visited
+    (and on every call after that).  Each visit counts into the
+    [combin_subsets_visited] metric. *)
+val next : cursor -> int
+
+(** [index c i] is the [i]-th smallest index of the current subset,
+    [0 <= i <] its size. *)
+val index : cursor -> int -> int

@@ -1,0 +1,289 @@
+(* Reference oracles for the readout plan ({!Tomo.Readout}) and the
+   streamed grow phase of {!Tomo.Algorithm1}.
+
+   [marginal_with] / [identifiable] read a link's marginal per query:
+   every query finds the smallest registered variable containing the
+   link, sweeps every witness pair keeping the first of fewest shared
+   effective links, and scans the registry for quotient pairs.
+   [select] is Algorithm 1 with a grow phase that materializes each
+   variable's whole candidate list (every resolved path set among the
+   first 300 subsets of its pool, up to 8 paths) on the first visit,
+   built with the reference row builder [Eqn.row].  The library must
+   agree with both bit for bit. *)
+
+module Bitset = Tomo_util.Bitset
+module Combin = Tomo_util.Combin
+module Matrix = Tomo_linalg.Matrix
+module Nullspace = Tomo_linalg.Nullspace
+module Sparse_gauss = Tomo_linalg.Sparse_gauss
+open Tomo
+
+(* ------------------------------------------------------------------ *)
+(* Per-query readout                                                   *)
+(* ------------------------------------------------------------------ *)
+
+let clamp01 x = max 0.0 (min 1.0 x)
+let sel (t : Prob_engine.t) = t.Prob_engine.selection
+let model t = (sel t).Algorithm1.model
+let effective t = (sel t).Algorithm1.effective
+let var_identifiable t v = (sel t).Algorithm1.identifiable.(v)
+let var_of t s = Eqn.find (sel t).Algorithm1.registry s
+
+let smallest_var_containing t e =
+  let m = model t in
+  let c = m.Model.corr_of_link.(e) in
+  match var_of t (Subsets.make m ~corr:c [| e |]) with
+  | Some v -> Some v
+  | None ->
+      let best = ref None in
+      for v = 0 to Eqn.n_vars (sel t).Algorithm1.registry - 1 do
+        let s = Eqn.subset_of_var (sel t).Algorithm1.registry v in
+        if
+          s.Subsets.corr = c
+          && Array.exists (fun x -> x = e) s.Subsets.links
+        then
+          match !best with
+          | Some (_, size) when size <= Array.length s.Subsets.links -> ()
+          | _ -> best := Some (v, Array.length s.Subsets.links)
+      done;
+      Option.map fst !best
+
+let link_dependence t a b =
+  let m = model t in
+  let eff = effective t in
+  let best = ref None in
+  Bitset.iter
+    (fun p ->
+      Bitset.iter
+        (fun q ->
+          if
+            p <> q
+            && (not (Bitset.get m.Model.path_links.(p) b))
+            && not (Bitset.get m.Model.path_links.(q) a)
+          then begin
+            let shared =
+              Bitset.inter
+                (Bitset.inter m.Model.path_links.(p) m.Model.path_links.(q))
+                eff
+            in
+            Bitset.clear shared a;
+            Bitset.clear shared b;
+            let shared_eff = Bitset.count shared in
+            match !best with
+            | Some (_, _, s) when s <= shared_eff -> ()
+            | _ -> best := Some (p, q, shared_eff)
+          end)
+        m.Model.link_paths.(b))
+    m.Model.link_paths.(a);
+  match !best with
+  | None -> None
+  | Some (p, q, shared_eff) when shared_eff = 0 ->
+      let obs = t.Prob_engine.obs in
+      let tt = float_of_int (Observations.t_intervals obs) in
+      let gp = float_of_int (Observations.all_good_count obs [| p |]) /. tt
+      and gq = float_of_int (Observations.all_good_count obs [| q |]) /. tt
+      and gpq =
+        float_of_int (Observations.all_good_count obs [| p; q |]) /. tt
+      in
+      let cp = 1.0 -. gp and cq = 1.0 -. gq in
+      let joint = 1.0 -. gp -. gq +. gpq in
+      let indep = cp *. cq in
+      let cap = min cp cq -. indep in
+      if cap <= 0.05 then Some 0.0
+      else
+        let rho = max 0.0 (min 1.0 ((joint -. indep) /. cap)) in
+        Some (if rho < 0.5 then 0.0 else rho)
+  | Some _ -> None
+
+let quotient_good_prob t e =
+  let m = model t in
+  let reg = (sel t).Algorithm1.registry in
+  let c = m.Model.corr_of_link.(e) in
+  let quotients = ref [] in
+  for v = 0 to Eqn.n_vars reg - 1 do
+    if var_identifiable t v then begin
+      let s = Eqn.subset_of_var reg v in
+      if
+        s.Subsets.corr = c
+        && Array.length s.Subsets.links >= 2
+        && Array.exists (fun x -> x = e) s.Subsets.links
+      then begin
+        let b_links =
+          Array.of_list
+            (List.filter (fun x -> x <> e) (Array.to_list s.Subsets.links))
+        in
+        match var_of t (Subsets.make m ~corr:c b_links) with
+        | Some vb when var_identifiable t vb ->
+            quotients :=
+              exp (t.Prob_engine.values.(v) -. t.Prob_engine.values.(vb))
+              :: !quotients
+        | Some _ | None -> ()
+      end
+    end
+  done;
+  match List.sort compare !quotients with
+  | [] -> None
+  | qs -> Some (clamp01 (List.nth qs (List.length qs / 2)))
+
+let marginal_with strategy t e =
+  let values = t.Prob_engine.values in
+  if not (Bitset.get (effective t) e) then 0.0
+  else
+    match smallest_var_containing t e with
+    | None -> 0.0
+    | Some v -> (
+        let s = Eqn.subset_of_var (sel t).Algorithm1.registry v in
+        let size = Array.length s.Subsets.links in
+        if size = 1 then clamp01 (1.0 -. exp values.(v))
+        else
+          match strategy with
+          | `Whole -> clamp01 (1.0 -. exp values.(v))
+          | `Split -> clamp01 (1.0 -. exp (values.(v) /. float_of_int size))
+          | `Adaptive -> (
+              let rho =
+                Array.fold_left
+                  (fun acc x ->
+                    if x = e then acc
+                    else
+                      match link_dependence t e x with
+                      | Some d -> max acc d
+                      | None -> acc)
+                  0.0 s.Subsets.links
+              in
+              if rho >= 0.5 then
+                let k = float_of_int size in
+                let z = values.(v) *. (rho +. ((1.0 -. rho) /. k)) in
+                clamp01 (1.0 -. exp z)
+              else
+                match quotient_good_prob t e with
+                | Some g -> clamp01 (1.0 -. g)
+                | None ->
+                    clamp01 (1.0 -. exp (values.(v) /. float_of_int size))))
+
+let identifiable t e =
+  let m = model t in
+  if not (Bitset.get (effective t) e) then true
+  else
+    match var_of t (Subsets.make m ~corr:m.Model.corr_of_link.(e) [| e |]) with
+    | Some v -> var_identifiable t v
+    | None -> false
+
+(* ------------------------------------------------------------------ *)
+(* Materializing grow                                                  *)
+(* ------------------------------------------------------------------ *)
+
+type selection = {
+  rows : Eqn.row array;
+  nullspace : Matrix.t;
+  identifiable_vars : bool array;
+}
+
+let limit_per_set = 500
+let max_pathset_size = 8
+let max_candidates = 300
+let tol = 1e-8
+
+(* Every resolved row among the first [max_candidates] subsets of [pool]
+   in increasing size, lexicographic within a size. *)
+let materialize_candidates model ~effective registry ~pool =
+  let acc = ref [] and visited = ref 0 in
+  (try
+     for k = 1 to min max_pathset_size (Array.length pool) do
+       Combin.iter_combinations pool k (fun paths ->
+           if !visited >= max_candidates then raise Exit;
+           incr visited;
+           match Eqn.row model ~effective registry ~paths with
+           | Some r -> acc := r :: !acc
+           | None -> ())
+     done
+   with Exit -> ());
+  Array.of_list (List.rev !acc)
+
+let select ?(config = Algorithm1.default_config) model obs =
+  let effective = Subsets.effective_links model obs in
+  let registry = Eqn.registry () in
+  let (_ : int) = Eqn.register_single_path_vars model ~effective registry in
+  let targets =
+    Subsets.enumerate model ~effective
+      ~max_size:config.Algorithm1.max_subset_size ~limit_per_set
+  in
+  List.iter (fun s -> ignore (Eqn.add registry s)) targets;
+  let n = Eqn.n_vars registry in
+  let finish rows nullspace =
+    {
+      rows;
+      nullspace;
+      identifiable_vars = Algorithm1.identifiable_flags registry nullspace;
+    }
+  in
+  if n = 0 then finish [||] (Matrix.make 0 0 0.0)
+  else begin
+    let seed_pools = Array.make n [||] in
+    let seed_rows = ref [] in
+    for v = 0 to n - 1 do
+      let s = Eqn.subset_of_var registry v in
+      let pool = Subsets.candidate_paths model ~effective s in
+      if not (Bitset.is_empty pool) then begin
+        let paths = Array.of_list (Bitset.to_list pool) in
+        seed_pools.(v) <- paths;
+        match Eqn.row model ~effective registry ~paths with
+        | Some row -> seed_rows := row :: !seed_rows
+        | None -> ()
+      end
+    done;
+    let seed_rows = Array.of_list (List.rev !seed_rows) in
+    let keep =
+      Sparse_gauss.select_independent ~tol ~cols:n
+        (Array.map (fun r -> r.Eqn.vars) seed_rows)
+    in
+    let kept =
+      List.filteri (fun i _ -> keep.(i)) (Array.to_list seed_rows)
+    in
+    let basis =
+      Nullspace.basis_of_incidence ~tol ~rows:(List.length kept) ~cols:n
+        (Array.of_list (List.map (fun r -> r.Eqn.vars) kept))
+    in
+    let tracker =
+      Nullspace.tracker_of_matrix ~tol ?witness_k:config.Algorithm1.witness_k
+        basis
+    in
+    let rows = ref (List.rev kept) in
+    let cands = Array.make n None and cursor = Array.make n 0 in
+    let candidates_of v =
+      match cands.(v) with
+      | Some c -> c
+      | None ->
+          let c =
+            materialize_candidates model ~effective registry
+              ~pool:seed_pools.(v)
+          in
+          cands.(v) <- Some c;
+          c
+    in
+    let continue_ = ref true in
+    while !continue_ && Nullspace.dim tracker > 0 do
+      let order =
+        Array.init n (fun v -> (v, Nullspace.row_weight tracker v))
+      in
+      Array.sort (fun (_, a) (_, b) -> compare b a) order;
+      let progress = ref false in
+      let i = ref 0 in
+      while (not !progress) && !i < n do
+        let v, w = order.(!i) in
+        incr i;
+        if w > 0 then begin
+          let c = candidates_of v in
+          while (not !progress) && cursor.(v) < Array.length c do
+            let row = c.(cursor.(v)) in
+            cursor.(v) <- cursor.(v) + 1;
+            if Nullspace.add_incidence tracker row.Eqn.vars then begin
+              rows := row :: !rows;
+              progress := true
+            end
+          done
+        end
+      done;
+      if not !progress then continue_ := false
+    done;
+    finish (Array.of_list (List.rev !rows)) (Nullspace.to_matrix tracker)
+  end

@@ -879,6 +879,223 @@ let prop_identifiable_good_probs_in_range =
       done;
       !ok)
 
+(* ------------------------------------------------------------------ *)
+(* Readout plan and streamed grow against their references             *)
+(* ------------------------------------------------------------------ *)
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+let strategies = [ `Whole; `Split; `Adaptive ]
+
+(* Every link, every strategy: the plan-based readout of [eng] equals the
+   per-query reference bit for bit, and so does [link_identifiable]. *)
+let readout_matches_reference eng =
+  let n_links = eng.Prob_engine.selection.Algorithm1.model.Model.n_links in
+  List.init n_links Fun.id
+  |> List.for_all (fun e ->
+         Prob_engine.link_identifiable eng e = Reference.identifiable eng e
+         && List.for_all
+              (fun s ->
+                same_bits
+                  (Prob_engine.link_marginal_with s eng e)
+                  (Reference.marginal_with s eng e))
+              strategies)
+
+(* Random models rich in chain links: a few correlation sets, paths of
+   up to 5 links, and congestion partly drawn from per-set shared
+   causes, so witness paths co-congest and every branch of the adaptive
+   fallback is reached (see [test_readout_branches_exercised]). *)
+let random_chain_case seed =
+  let rng = Rng.create (seed + 170_000) in
+  let n_links = 4 + Rng.int rng 10 in
+  let n_sets = 1 + Rng.int rng 3 in
+  let corr_of = Array.init n_links (fun _ -> Rng.int rng n_sets) in
+  let corr_sets =
+    List.init n_sets (fun c ->
+        Array.of_list
+          (List.filter (fun e -> corr_of.(e) = c) (List.init n_links Fun.id)))
+    |> List.filter (fun s -> Array.length s > 0)
+    |> Array.of_list
+  in
+  let n_paths = 3 + Rng.int rng 10 in
+  let paths =
+    Array.init n_paths (fun _ ->
+        Rng.sample rng (Array.init n_links Fun.id)
+          (1 + Rng.int rng (min 5 n_links)))
+  in
+  let model = Model.make ~n_links ~paths ~corr_sets in
+  let t = 40 + Rng.int rng 80 in
+  let link_p = Array.init n_links (fun _ -> Rng.float rng 0.4) in
+  let cause_p =
+    Array.init (Array.length corr_sets) (fun _ -> Rng.float rng 0.4)
+  in
+  let path_good = Array.init n_paths (fun _ -> Bitset.create t) in
+  for i = 0 to t - 1 do
+    let congested = Array.map (fun p -> Rng.bool rng ~p) link_p in
+    Array.iteri
+      (fun c links ->
+        if Rng.bool rng ~p:cause_p.(c) then
+          Array.iter
+            (fun e -> if Rng.bool rng ~p:0.8 then congested.(e) <- true)
+            links)
+      corr_sets;
+    Array.iteri
+      (fun p links ->
+        if not (Array.exists (fun e -> congested.(e)) links) then
+          Bitset.set path_good.(p) i)
+      paths
+  done;
+  (model, Observations.make ~t_intervals:t ~path_good, rng)
+
+let prop_readout_complete =
+  QCheck.Test.make
+    ~name:"Correlation-complete readout ≡ per-query reference (bitwise)"
+    ~count:150 (QCheck.int_range 0 10_000) (fun seed ->
+      let model, obs, _ = random_chain_case seed in
+      let eng = Prob_engine.solve (Algorithm1.select model obs) obs in
+      readout_matches_reference eng)
+
+(* The Confidence path: bootstrap replicates re-solve one selection (and
+   so one plan) on resampled windows. *)
+let prop_readout_resampled =
+  QCheck.Test.make
+    ~name:"readout on resampled windows ≡ reference (bitwise)" ~count:60
+    (QCheck.int_range 0 10_000) (fun seed ->
+      let model, obs, rng = random_chain_case seed in
+      let sel = Algorithm1.select model obs in
+      List.for_all
+        (fun _ ->
+          readout_matches_reference
+            (Prob_engine.solve sel (Observations.resample obs rng)))
+        [ 1; 2; 3 ])
+
+let prop_readout_heuristic =
+  QCheck.Test.make
+    ~name:"Correlation-heuristic readout ≡ reference (bitwise)" ~count:60
+    (QCheck.int_range 0 10_000) (fun seed ->
+      let model, obs, _ = random_chain_case seed in
+      readout_matches_reference (snd (Correlation_heuristic.compute model obs)))
+
+let selections_equal (a : Algorithm1.selection) (b : Reference.selection) =
+  let rows_equal =
+    Array.length a.Algorithm1.rows = Array.length b.Reference.rows
+    && Array.for_all2
+         (fun (x : Eqn.row) (y : Eqn.row) ->
+           x.Eqn.paths = y.Eqn.paths && x.Eqn.vars = y.Eqn.vars)
+         a.Algorithm1.rows b.Reference.rows
+  in
+  let na = a.Algorithm1.nullspace and nb = b.Reference.nullspace in
+  rows_equal
+  && a.Algorithm1.identifiable = b.Reference.identifiable_vars
+  && Matrix.rows na = Matrix.rows nb
+  && Matrix.cols na = Matrix.cols nb
+  && List.for_all
+       (fun i ->
+         List.for_all
+           (fun j -> same_bits (Matrix.get na i j) (Matrix.get nb i j))
+           (List.init (Matrix.cols na) Fun.id))
+       (List.init (Matrix.rows na) Fun.id)
+
+let prop_grow_matches_reference =
+  QCheck.Test.make
+    ~name:"Algorithm 1 streamed grow ≡ materializing reference" ~count:150
+    (QCheck.int_range 0 10_000) (fun seed ->
+      let model, obs, rng = random_chain_case seed in
+      let config =
+        { Algorithm1.default_config with
+          Algorithm1.max_subset_size = 1 + Rng.int rng 3 }
+      in
+      selections_equal
+        (Algorithm1.select ~config model obs)
+        (Reference.select ~config model obs))
+
+(* The properties above are only as strong as the branches they reach:
+   over the generator's first seeds, links must be read through every
+   kind of plan entry and every adaptive reading. *)
+let test_readout_branches_exercised () =
+  let singleton = ref 0 and chain = ref 0 in
+  let witnessed = ref 0 and correlated = ref 0 and quotient = ref 0 in
+  for seed = 0 to 149 do
+    let model, obs, _ = random_chain_case seed in
+    let eng = Prob_engine.solve (Algorithm1.select model obs) obs in
+    Array.iteri
+      (fun e entry ->
+        match entry with
+        | Tomo.Readout.Certified_good | Tomo.Readout.Uncovered -> ()
+        | Tomo.Readout.Singleton _ -> incr singleton
+        | Tomo.Readout.Chain c ->
+            incr chain;
+            if c.Tomo.Readout.witnesses <> [||] then incr witnessed;
+            if c.Tomo.Readout.quotients <> [||] then incr quotient;
+            let subset =
+              Eqn.subset_of_var eng.Prob_engine.selection.Algorithm1.registry
+                c.Tomo.Readout.var
+            in
+            if
+              Array.exists
+                (fun x ->
+                  x <> e
+                  &&
+                  match Reference.link_dependence eng e x with
+                  | Some d -> d >= 0.5
+                  | None -> false)
+                subset.Subsets.links
+            then incr correlated)
+      eng.Prob_engine.selection.Algorithm1.readout
+  done;
+  List.iter
+    (fun (what, n) ->
+      check_bool (Printf.sprintf "%s links seen (%d)" what n) true (n > 0))
+    [
+      ("singleton", !singleton);
+      ("chain", !chain);
+      ("witnessed chain", !witnessed);
+      ("correlated chain", !correlated);
+      ("quotient chain", !quotient);
+    ]
+
+(* The small Brite and Sparse workloads: pools past the 300-candidate
+   cap, and hundreds of chain links on Sparse. *)
+let test_readout_and_grow_on_workloads () =
+  List.iter
+    (fun topology ->
+      let w =
+        W.prepare
+          (W.spec ~scale:W.Small ~seed:3 topology Tomo_netsim.Scenario.Random)
+      in
+      let model = w.W.model and obs = w.W.obs in
+      let name = W.topology_to_string topology in
+      let sel = Algorithm1.select model obs in
+      check_bool (name ^ ": selection ≡ reference") true
+        (selections_equal sel (Reference.select model obs));
+      check_bool (name ^ ": readout ≡ reference") true
+        (readout_matches_reference (Prob_engine.solve sel obs)))
+    [ W.Brite; W.Sparse ]
+
+let test_readout_range_checks () =
+  let m, eng = solve_case1 ~t:200 () in
+  let n = m.Model.n_links in
+  List.iter
+    (fun e ->
+      Alcotest.check_raises
+        (Printf.sprintf "link_marginal %d" e)
+        (Invalid_argument "Prob_engine.link_marginal: link out of range")
+        (fun () -> ignore (Prob_engine.link_marginal eng e));
+      Alcotest.check_raises
+        (Printf.sprintf "link_marginal_with %d" e)
+        (Invalid_argument "Prob_engine.link_marginal: link out of range")
+        (fun () -> ignore (Prob_engine.link_marginal_with `Split eng e));
+      Alcotest.check_raises
+        (Printf.sprintf "link_identifiable %d" e)
+        (Invalid_argument "Prob_engine.link_identifiable: link out of range")
+        (fun () -> ignore (Prob_engine.link_identifiable eng e)))
+    [ -1; n ];
+  (* both ends of the valid range still answer *)
+  List.iter
+    (fun e ->
+      ignore (Prob_engine.link_marginal eng e);
+      ignore (Prob_engine.link_identifiable eng e))
+    [ 0; n - 1 ]
+
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "algorithms"
@@ -968,6 +1185,19 @@ let () =
           qc prop_bayesian_ind_consistent;
           qc prop_bayesian_corr_consistent;
           qc prop_identifiable_good_probs_in_range;
+        ] );
+      ( "readout",
+        [
+          qc prop_readout_complete;
+          qc prop_readout_resampled;
+          qc prop_readout_heuristic;
+          qc prop_grow_matches_reference;
+          Alcotest.test_case "every readout branch exercised" `Quick
+            test_readout_branches_exercised;
+          Alcotest.test_case "small workloads ≡ references" `Slow
+            test_readout_and_grow_on_workloads;
+          Alcotest.test_case "link range checks" `Quick
+            test_readout_range_checks;
         ] );
       ( "confidence",
         [

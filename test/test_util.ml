@@ -488,26 +488,54 @@ let test_combinations_edge () =
   check_int "k>n yields nothing" 0
     (List.length (Combin.combinations [| 1; 2 |] 3))
 
+(* Drain [cur] over [xs]: every subset it visits, in order. *)
+let drain ?(stop_after = max_int) xs cur =
+  let acc = ref [] and n = ref 0 in
+  let k = ref (if stop_after > 0 then Combin.next cur else 0) in
+  while !k > 0 do
+    acc := Array.init !k (fun i -> xs.(Combin.index cur i)) :: !acc;
+    incr n;
+    k := if !n < stop_after then Combin.next cur else 0
+  done;
+  List.rev_map Array.to_list !acc
+
 let test_subsets_by_size () =
-  let subsets = Combin.subsets_up_to [| 1; 2; 3 |] ~max_size:2 ~limit:100 in
+  let xs = [| 1; 2; 3 |] in
+  let subsets = drain xs (Combin.cursor ~n:3 ~max_size:2 ~limit:100) in
   check_int "3 singletons + 3 pairs" 6 (List.length subsets);
-  (* Increasing size: all singletons come before any pair. *)
-  let sizes = List.map Array.length subsets in
-  Alcotest.(check (list int)) "size order" [ 1; 1; 1; 2; 2; 2 ] sizes
+  (* Increasing size: all singletons come before any pair;
+     lexicographic within a size. *)
+  Alcotest.(check (list (list int)))
+    "size, then lexicographic order"
+    [ [ 1 ]; [ 2 ]; [ 3 ]; [ 1; 2 ]; [ 1; 3 ]; [ 2; 3 ] ]
+    subsets;
+  check_int "max_size above n stops at n" 7
+    (List.length (drain xs (Combin.cursor ~n:3 ~max_size:8 ~limit:100)));
+  check_int "empty pool" 0
+    (List.length (drain [||] (Combin.cursor ~n:0 ~max_size:8 ~limit:100)))
 
 let test_subsets_limit () =
-  let subsets = Combin.subsets_up_to [| 1; 2; 3; 4 |] ~max_size:4 ~limit:5 in
-  check_int "limit respected" 5 (List.length subsets)
+  let xs = [| 1; 2; 3; 4 |] in
+  let cur = Combin.cursor ~n:4 ~max_size:4 ~limit:5 in
+  check_int "limit respected" 5 (List.length (drain xs cur));
+  check_int "exhausted stays exhausted" 0 (Combin.next cur);
+  check_int "limit 0 visits nothing" 0
+    (List.length (drain xs (Combin.cursor ~n:4 ~max_size:4 ~limit:0)))
 
+(* A cursor left after any visit resumes with the next subset: stopping
+   and resuming visits the same sequence as one uninterrupted drain. *)
 let test_subsets_stop () =
-  let seen = ref 0 in
-  let n =
-    Combin.iter_subsets_by_size [| 1; 2; 3 |] ~max_size:3 ~limit:100
-      (fun _ ->
-        incr seen;
-        if !seen = 2 then `Stop else `Continue)
-  in
-  check_int "stopped after 2" 2 n
+  let xs = [| 1; 2; 3; 4 |] in
+  let whole = drain xs (Combin.cursor ~n:4 ~max_size:3 ~limit:12) in
+  let cur = Combin.cursor ~n:4 ~max_size:3 ~limit:12 in
+  let first = drain ~stop_after:2 xs cur in
+  check_int "stopped after 2" 2 (List.length first);
+  let second = drain ~stop_after:5 xs cur in
+  let rest = drain xs cur in
+  Alcotest.(check (list (list int)))
+    "resumed sequence" whole
+    (first @ second @ rest);
+  check_int "limit counts every visit" 12 (List.length whole)
 
 let test_iter_sized () =
   let collect ~size ~limit =
@@ -544,6 +572,24 @@ let prop_combination_count =
     (fun (n, k) ->
       let xs = Array.init n (fun i -> i) in
       List.length (Combin.combinations xs k) = Combin.choose n k)
+
+(* The cursor visits exactly the sized combinations, size 1 first, cut
+   after [limit] visits, wherever the caller pauses. *)
+let prop_cursor_order =
+  QCheck.Test.make ~name:"subset cursor = combinations by size, capped"
+    ~count:200
+    QCheck.(quad (int_range 0 9) (int_range 0 10) (int_range 0 600) small_nat)
+    (fun (n, max_size, limit, pause) ->
+      let xs = Array.init n (fun i -> i) in
+      let expected =
+        List.concat_map
+          (fun k -> List.map Array.to_list (Combin.combinations xs k))
+          (List.init (min max_size n) (fun k -> k + 1))
+        |> List.filteri (fun i _ -> i < limit)
+      in
+      let cur = Combin.cursor ~n ~max_size ~limit in
+      let first = drain ~stop_after:(pause + 1) xs cur in
+      first @ drain xs cur = expected)
 
 let () =
   let qc = QCheck_alcotest.to_alcotest in
@@ -608,5 +654,6 @@ let () =
           Alcotest.test_case "early stop" `Quick test_subsets_stop;
           qc prop_combination_count;
           qc prop_choose_exact_or_saturated;
+          qc prop_cursor_order;
         ] );
     ]
