@@ -45,8 +45,9 @@ let identifiable_flags registry nullspace =
 
 (* The selected rows are independent by construction, so their A·Aᵀ is
    positive definite: factor it once here and every solve until the next
-   selection is two triangular solves.  The readout plan is decided here
-   too, so reading a marginal is per-solve arithmetic only. *)
+   selection is two triangular solves.  The readout plan, with the
+   per-link identifiable flags, is decided here too, so reading a
+   marginal is per-solve arithmetic only. *)
 let finish model effective registry rows nullspace =
   let identifiable = identifiable_flags registry nullspace in
   {

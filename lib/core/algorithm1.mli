@@ -67,16 +67,17 @@ type selection = {
           (Correlation-heuristic), which {!Prob_engine} solves by least
           squares instead. *)
   readout : Readout.t;
-      (** how each link's marginal is read off a solution
-          ({!Readout.build} over this registry and [identifiable]),
-          decided once per selection *)
+      (** how each link's marginal is read off a solution, and whether it
+          is uniquely determined ({!Readout.build} over this registry and
+          [identifiable]), decided once per selection *)
 }
 
 (** [select ?config model obs] runs the algorithm.  [obs] is only used to
     decide which paths are always good (potentially-congested analysis);
     the selection itself is purely structural.  The selected rows are
-    factorized ({!Tomo_linalg.Sparse_chol}) and the readout plan is built
-    ({!Readout.build}) before returning. *)
+    factorized ({!Tomo_linalg.Sparse_chol}) and the readout plan, with
+    its per-link identifiable flags, is built ({!Readout.build}) before
+    returning. *)
 val select : ?config:config -> Model.t -> Observations.t -> selection
 
 (** [identifiable_flags registry nullspace] marks each registered

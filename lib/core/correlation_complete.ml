@@ -3,12 +3,9 @@ let compute ?config model obs =
   let engine = Prob_engine.solve selection obs in
   let n_links = model.Model.n_links in
   let marginals = Array.init n_links (Prob_engine.link_marginal engine) in
-  let identifiable =
-    Array.init n_links (Prob_engine.link_identifiable engine)
-  in
   ( {
       Pc_result.marginals;
-      identifiable;
+      identifiable = selection.Algorithm1.readout.Readout.link_identifiable;
       effective = selection.Algorithm1.effective;
       n_vars = Eqn.n_vars selection.Algorithm1.registry;
       n_rows = Array.length selection.Algorithm1.rows;

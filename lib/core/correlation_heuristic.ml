@@ -47,12 +47,9 @@ let compute model obs =
   let marginals =
     Array.init n_links (Prob_engine.link_marginal ~chain_split:false engine)
   in
-  let identifiable =
-    Array.init n_links (Prob_engine.link_identifiable engine)
-  in
   ( {
       Pc_result.marginals;
-      identifiable;
+      identifiable = selection.Algorithm1.readout.Readout.link_identifiable;
       effective;
       n_vars;
       n_rows = Array.length rows;

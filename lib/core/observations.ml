@@ -4,10 +4,16 @@ type t = {
   t_intervals : int;
   path_good : Bitset.t array;
   counts : int array;  (* per path: number of good intervals *)
+  log_prob : float array;
+      (* count -> its smoothed log-frequency: the T + 1 values a
+         right-hand side can take, so building one takes no [log] *)
   scratch : Bitset.t option Atomic.t;
       (* leased by all_good_count; a concurrent holder makes the next
          caller allocate a private one instead of blocking *)
 }
+
+let log_frequency ~t_intervals count =
+  log ((float_of_int count +. 0.5) /. (float_of_int t_intervals +. 1.0))
 
 let make ~t_intervals ~path_good =
   if t_intervals <= 0 then invalid_arg "Observations.make: no intervals";
@@ -22,6 +28,7 @@ let make ~t_intervals ~path_good =
     t_intervals;
     path_good;
     counts = Array.map Bitset.count path_good;
+    log_prob = Array.init (t_intervals + 1) (log_frequency ~t_intervals);
     scratch = Atomic.make (Some (Bitset.create t_intervals));
   }
 
@@ -45,18 +52,30 @@ let good_in_interval t ~path ~interval =
   check_path t path;
   Bitset.get t.path_good.(path) interval
 
+(* Set a cell to [now], which it does not hold yet, and move its path's
+   good count with it. *)
+let change t ~interval p now =
+  Bitset.assign t.path_good.(p) interval now;
+  t.counts.(p) <- t.counts.(p) + if now then 1 else -1
+
 let set_interval_statuses t ~interval ~good =
   check_interval t interval;
   if Bitset.length good <> n_paths t then
     invalid_arg "Observations.set_interval_statuses: wrong capacity";
   for p = 0 to n_paths t - 1 do
-    let was = Bitset.get t.path_good.(p) interval in
     let now = Bitset.get good p in
-    if was <> now then begin
-      Bitset.assign t.path_good.(p) interval now;
-      t.counts.(p) <- t.counts.(p) + (if now then 1 else -1)
-    end
+    if Bitset.get t.path_good.(p) interval <> now then
+      change t ~interval p now
   done
+
+let flip_interval_statuses t ~interval ~changed =
+  check_interval t interval;
+  if Bitset.length changed <> n_paths t then
+    invalid_arg "Observations.flip_interval_statuses: wrong capacity";
+  Bitset.iter
+    (fun p ->
+      change t ~interval p (not (Bitset.get t.path_good.(p) interval)))
+    changed
 
 let good_count t ~path =
   check_path t path;
@@ -93,11 +112,17 @@ let all_good_count t paths =
             paths;
           Bitset.count acc)
 
-let smoothed_log_prob ~t_intervals ~count =
-  log ((float_of_int count +. 0.5) /. (float_of_int t_intervals +. 1.0))
+let smoothed_log_probs t counts =
+  let b = Array.create_float (Array.length counts) in
+  for i = 0 to Array.length counts - 1 do
+    let count = counts.(i) in
+    if count < 0 || count > t.t_intervals then
+      invalid_arg "Observations.smoothed_log_probs: count out of range";
+    b.(i) <- t.log_prob.(count)
+  done;
+  b
 
-let log_all_good_prob t paths =
-  smoothed_log_prob ~t_intervals:t.t_intervals ~count:(all_good_count t paths)
+let log_all_good_prob t paths = t.log_prob.(all_good_count t paths)
 
 let good_frac t ~path =
   check_path t path;

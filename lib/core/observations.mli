@@ -14,7 +14,8 @@
 
     Observations are mutable at interval granularity:
     {!set_interval_statuses} replaces one interval's column of path
-    statuses and incrementally maintains per-path good counts, which is
+    statuses ({!flip_interval_statuses} toggles just the paths that
+    changed) and incrementally maintains per-path good counts, which is
     what lets the streaming engine ({!Tomo_stream}) run a sliding window
     without recounting.  Counts-dependent reads ([good_frac],
     [always_good], singleton [all_good_count]) are O(1).
@@ -51,6 +52,17 @@ val good_in_interval : t -> path:int -> interval:int -> bool
 val set_interval_statuses :
   t -> interval:int -> good:Tomo_util.Bitset.t -> unit
 
+(** [flip_interval_statuses t ~interval ~changed] toggles interval
+    [interval]'s status of every path in [changed] and moves those
+    paths' good counts with it: {!set_interval_statuses} for a caller
+    that already knows which paths differ from the stored column (the
+    sliding window, which XORs the evicted column with the fresh one),
+    at a cost proportional to the changed paths.
+    @raise Invalid_argument if [changed] is not sized to [n_paths t] or
+    the interval is out of range. *)
+val flip_interval_statuses :
+  t -> interval:int -> changed:Tomo_util.Bitset.t -> unit
+
 (** [good_count t ~path] is the number of intervals in which the path was
     good, O(1) from the maintained counts. *)
 val good_count : t -> path:int -> int
@@ -59,11 +71,14 @@ val good_count : t -> path:int -> int
     path in [paths] was good.  [all_good_count t [||]] = [t_intervals]. *)
 val all_good_count : t -> int array -> int
 
-(** [smoothed_log_prob ~t_intervals ~count] is the add-half smoothed
-    log-frequency [log ((count + 1/2) / (T + 1))] — exposed so callers
-    holding incrementally maintained counts (the streaming engine) build
-    bit-identical right-hand sides to {!log_all_good_prob}. *)
-val smoothed_log_prob : t_intervals:int -> count:int -> float
+(** [smoothed_log_probs t counts] maps each all-good count to its
+    add-half smoothed log-frequency [log ((count + 1/2) / (T + 1))],
+    read from a table of the [T + 1] values built once per observations
+    value, so it takes no [log] — exposed so callers holding
+    incrementally maintained counts (the streaming engine) build
+    bit-identical right-hand sides to {!log_all_good_prob}.
+    @raise Invalid_argument unless every count is in [0, T]. *)
+val smoothed_log_probs : t -> int array -> float array
 
 (** [log_all_good_prob t paths] is [log ((count + 1/2) / (T + 1))] where
     [count = all_good_count t paths]. *)

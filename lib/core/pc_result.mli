@@ -2,6 +2,10 @@
     compared in the paper's Figure 4: Independence [11],
     Correlation-heuristic [9], and Correlation-complete (§5). *)
 
+(** A result is read-only: Correlation-complete and
+    Correlation-heuristic results share [identifiable] and [effective]
+    with the selection they were read from, and so with every other
+    estimate of that selection. *)
 type t = {
   marginals : float array;
       (** per link: estimated congestion probability [P(X_e = 1)];

@@ -41,15 +41,17 @@ let solve_with_counts (selection : Algorithm1.selection) obs ~counts =
   let n_rows = Array.length selection.Algorithm1.rows in
   if Array.length counts <> n_rows then
     invalid_arg "Prob_engine.solve_with_counts: one count per row expected";
-  let t = Observations.t_intervals obs in
-  let b =
-    Array.map
-      (fun count -> Observations.smoothed_log_prob ~t_intervals:t ~count)
-      counts
-  in
-  solve_b selection obs b
+  solve_b selection obs (Observations.smoothed_log_probs obs counts)
 
-let clamp01 x = max 0.0 (min 1.0 x)
+(* The float min/max below spell out Stdlib's polymorphic [min a b = if
+   a <= b then a else b] and [max a b = if a >= b then a else b] with the
+   operands in the same order, so every result — ±0, nan, ±inf — is
+   bitwise what the polymorphic versions return; typed at [float], the
+   comparisons compile to machine compares instead of boxing both
+   operands and calling [caml_compare]. *)
+let fmin (a : float) b = if a <= b then a else b
+let fmax (a : float) b = if a >= b then a else b
+let clamp01 x = fmax 0.0 (fmin 1.0 x)
 
 let var_of t s = Eqn.find t.selection.Algorithm1.registry s
 
@@ -79,13 +81,13 @@ let witness_dependence t w =
   let cp = 1.0 -. gp and cq = 1.0 -. gq in
   let joint = 1.0 -. gp -. gq +. gpq in
   let indep = cp *. cq in
-  let cap = min cp cq -. indep in
+  let cap = fmin cp cq -. indep in
   (* A small cap amplifies sampling noise into spurious dependence;
      demand both a solid cap and a strong signal before leaving the
      independent-split reading. *)
   if cap <= 0.05 then 0.0
   else
-    let rho = max 0.0 (min 1.0 ((joint -. indep) /. cap)) in
+    let rho = clamp01 ((joint -. indep) /. cap) in
     if rho < 0.5 then 0.0 else rho
 
 (* Quotient estimates for an inexpressible singleton: whenever two
@@ -99,14 +101,14 @@ let quotient_good_prob t pairs =
     let v = pairs.(2 * i) and vb = pairs.((2 * i) + 1) in
     quotients := exp (t.values.(v) -. t.values.(vb)) :: !quotients
   done;
-  match List.sort compare !quotients with
+  match List.sort Float.compare !quotients with
   | [] -> None
   | qs -> Some (clamp01 (List.nth qs (List.length qs / 2)))
 
 type fallback = [ `Whole | `Split | `Adaptive ]
 
 let link_marginal_with strategy t e =
-  let plan = t.selection.Algorithm1.readout in
+  let plan = t.selection.Algorithm1.readout.Readout.entries in
   if e < 0 || e >= Array.length plan then
     invalid_arg "Prob_engine.link_marginal: link out of range";
   match plan.(e) with
@@ -124,7 +126,7 @@ let link_marginal_with strategy t e =
              split. *)
           let rho =
             Array.fold_left
-              (fun acc w -> max acc (witness_dependence t w))
+              (fun acc w -> fmax acc (witness_dependence t w))
               0.0 witnesses
           in
           if rho >= 0.5 then
@@ -143,12 +145,10 @@ let link_marginal ?(chain_split = true) t e =
 
 let link_identifiable t e =
   let plan = t.selection.Algorithm1.readout in
-  if e < 0 || e >= Array.length plan then
+  let flags = plan.Readout.link_identifiable in
+  if e < 0 || e >= Array.length flags then
     invalid_arg "Prob_engine.link_identifiable: link out of range";
-  match plan.(e) with
-  | Readout.Certified_good -> true
-  | Readout.Singleton v -> identifiable t v
-  | Readout.Uncovered | Readout.Chain _ -> false
+  flags.(e)
 
 (* Σ_{A ⊆ set} (−1)^{|A|} G(A ∪ base): the inclusion–exclusion core used
    for both congestion probabilities and pattern probabilities. [get]

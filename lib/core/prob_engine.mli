@@ -31,8 +31,10 @@ val solve : Algorithm1.selection -> Observations.t -> t
     right-hand side built from externally maintained all-good counts:
     [counts.(i)] must be [Observations.all_good_count obs rows.(i).paths]
     for the [i]-th selected row.  The streaming engine maintains these
-    incrementally per tick instead of recounting window intersections;
-    given correct counts the result is bit-identical to [solve].
+    incrementally per tick instead of recounting window intersections,
+    and each count's log-frequency is a read from [obs]'s table
+    ({!Observations.smoothed_log_probs}); given correct counts the
+    result is bit-identical to [solve].
     @raise Invalid_argument unless there is exactly one count per row. *)
 val solve_with_counts :
   Algorithm1.selection -> Observations.t -> counts:int array -> t
@@ -82,7 +84,8 @@ val link_marginal_with : fallback -> t -> int -> float
 
 (** [link_identifiable t e] is [true] iff [link_marginal] returned a
     uniquely determined value (always-good links count as
-    identifiable).
+    identifiable): the flag its selection's readout plan holds
+    ({!Readout.t}), decided once per selection.
     @raise Invalid_argument if [e] is not a link of the model. *)
 val link_identifiable : t -> int -> bool
 

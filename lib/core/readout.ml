@@ -8,7 +8,7 @@ type chain = {
 }
 
 type link = Certified_good | Uncovered | Singleton of int | Chain of chain
-type t = link array
+type t = { entries : link array; link_identifiable : bool array }
 
 (* The first witness pair (p ∋ a, q ∋ b) in sweep order that separates
    the two links (p ∌ b, q ∌ a, so p ≠ q: a path containing both cannot
@@ -93,26 +93,38 @@ let build model ~effective registry ~identifiable =
         links
   done;
   let scratch = Bitset.create n_links in
-  Array.init n_links (fun e ->
-      if not (Bitset.get effective e) then Certified_good
-      else if best.(e) < 0 then Uncovered
-      else if best_size.(e) = 1 then Singleton best.(e)
-      else
-        let var = best.(e) in
-        let witnesses =
-          Array.fold_left
-            (fun acc x ->
-              if x = e then acc
-              else
-                match clean_witness model ~effective ~scratch e x with
-                | Some w -> w :: acc
-                | None -> acc)
-            [] (links_of var)
-        in
-        Chain
-          {
-            var;
-            size = best_size.(e);
-            witnesses = Array.of_list (List.rev witnesses);
-            quotients = Array.of_list (List.rev quotients.(e));
-          })
+  let entries =
+    Array.init n_links (fun e ->
+        if not (Bitset.get effective e) then Certified_good
+        else if best.(e) < 0 then Uncovered
+        else if best_size.(e) = 1 then Singleton best.(e)
+        else
+          let var = best.(e) in
+          let witnesses =
+            Array.fold_left
+              (fun acc x ->
+                if x = e then acc
+                else
+                  match clean_witness model ~effective ~scratch e x with
+                  | Some w -> w :: acc
+                  | None -> acc)
+              [] (links_of var)
+          in
+          Chain
+            {
+              var;
+              size = best_size.(e);
+              witnesses = Array.of_list (List.rev witnesses);
+              quotients = Array.of_list (List.rev quotients.(e));
+            })
+  in
+  {
+    entries;
+    link_identifiable =
+      Array.map
+        (function
+          | Certified_good -> true
+          | Singleton v -> identifiable.(v)
+          | Uncovered | Chain _ -> false)
+        entries;
+  }

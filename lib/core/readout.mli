@@ -6,9 +6,9 @@
     consult depend only on the selection — the model, the effective
     links, the registry and the per-variable identifiability flags —
     not on the right-hand side.  {!build} decides all of it once per
-    selection; {!Prob_engine.link_marginal_with} and
-    {!Prob_engine.link_identifiable} then only do per-solve arithmetic
-    on the solution and the window's counts.  The plan is also the
+    selection; {!Prob_engine.link_marginal_with} then only does
+    per-solve arithmetic on the solution and the window's counts, and
+    {!Prob_engine.link_identifiable} reads a flag.  The plan is also the
     "why this number" record of a link's marginal: the variable it comes
     from and the paths and variables that can move it. *)
 
@@ -42,8 +42,13 @@ type link =
           is *)
   | Chain of chain  (** read through {!chain}, never identifiable *)
 
-(** One entry per link of the model. *)
-type t = link array
+type t = {
+  entries : link array;  (** one entry per link of the model *)
+  link_identifiable : bool array;
+      (** per link: whether the marginal read through its entry is
+          uniquely determined — a certified-good link is, a singleton is
+          iff its variable is, uncovered and chain links are not *)
+}
 
 (** [build model ~effective registry ~identifiable] is the plan for a
     selection over [registry] whose variable [v] is identifiable iff

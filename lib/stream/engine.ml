@@ -9,7 +9,6 @@ let g_occupancy = Obs.Metrics.gauge "stream_window_occupancy"
 let g_capacity = Obs.Metrics.gauge "stream_window_capacity"
 let h_tick = Obs.Metrics.histogram "stream_tick_s"
 let h_solve = Obs.Metrics.histogram "stream_solve_s"
-let h_corrset = Obs.Metrics.histogram "stream_corrset_solve_s"
 
 (* Per-tick stage latencies for the serve loop's profile: ingest is the
    window push + incremental count update, reselect the (occasional)
@@ -36,6 +35,9 @@ type selection_state = {
   always_good : Bitset.t;
 }
 
+(* The tick and system size of the latest estimate, for [status]. *)
+type last_estimate = { at_tick : int; rows : int; vars : int }
+
 type t = {
   model : Tomo.Model.t;
   window : Window.t;
@@ -45,9 +47,7 @@ type t = {
      the status view keeps its own. *)
   mutable n_estimates : int;
   mutable n_reselects : int;
-  mutable last_estimate_tick : int;  (* -1 = none yet *)
-  mutable last_rows : int;
-  mutable last_vars : int;
+  mutable last : last_estimate option;  (* None before the first *)
 }
 
 type estimate = {
@@ -56,18 +56,20 @@ type estimate = {
   engine : Tomo.Prob_engine.t;
 }
 
-let create ~model ~window () =
-  if window <= 0 then invalid_arg "Engine.create: no window capacity";
+let of_window model window =
   {
     model;
-    window = Window.create ~capacity:window ~n_paths:model.Tomo.Model.n_paths;
+    window;
     sel = None;
     n_estimates = 0;
     n_reselects = 0;
-    last_estimate_tick = -1;
-    last_rows = 0;
-    last_vars = 0;
+    last = None;
   }
+
+let create ~model ~window () =
+  if window <= 0 then invalid_arg "Engine.create: no window capacity";
+  of_window model
+    (Window.create ~capacity:window ~n_paths:model.Tomo.Model.n_paths)
 
 let window t = t.window
 let ticks t = Window.ticks t.window
@@ -80,16 +82,7 @@ let of_snapshot ~model snap =
       (Printf.sprintf
          "Engine.of_snapshot: snapshot has %d paths, model has %d"
          snap.Snapshot.n_paths model.Tomo.Model.n_paths);
-  {
-    model;
-    window = Snapshot.window_of snap;
-    sel = None;
-    n_estimates = 0;
-    n_reselects = 0;
-    last_estimate_tick = -1;
-    last_rows = 0;
-    last_vars = 0;
-  }
+  of_window model (Snapshot.window_of snap)
 
 let paths_mask n_paths paths =
   let b = Bitset.create n_paths in
@@ -144,53 +137,34 @@ let solve ?pool t =
     Tomo.Prob_engine.solve_with_counts s.selection obs ~counts:s.counts
   in
   Obs.Clock.observe_since h_solve t0;
-  (* Marginal extraction fans out per correlation set: each set's links
-     are independent reads of the solved engine, and the correlation
-     sets partition the links, so the scatter below writes every link
-     exactly once and the schedule cannot change any value. *)
-  let n_links = t.model.Tomo.Model.n_links in
-  let marginals = Array.make n_links 0.0 in
-  let identifiable = Array.make n_links true in
-  let per_set =
-    Pool.parallel_map ?pool
-      (fun c ->
-        let t1 = Obs.Clock.start () in
-        let links = Tomo.Model.corr_set_links t.model c in
-        let cells =
-          Array.map
-            (fun e ->
-              ( Tomo.Prob_engine.link_marginal engine e,
-                Tomo.Prob_engine.link_identifiable engine e ))
-            links
-        in
-        Obs.Clock.observe_since h_corrset t1;
-        (links, cells))
-      (Array.init (Tomo.Model.n_corr_sets t.model) Fun.id)
-  in
-  Array.iter
-    (fun (links, cells) ->
-      Array.iteri
-        (fun i e ->
-          let m, ident = cells.(i) in
-          marginals.(e) <- m;
-          identifiable.(e) <- ident)
-        links)
-    per_set;
+  (* Marginal extraction fans out per correlation set: each link is an
+     independent read of the solved engine, and the correlation sets
+     partition the links, so no two tasks write the same slot and the
+     schedule cannot change any value. *)
+  let marginals = Array.make t.model.Tomo.Model.n_links 0.0 in
+  Pool.parallel_iter ?pool
+    (fun links ->
+      for i = 0 to Array.length links - 1 do
+        let e = links.(i) in
+        marginals.(e) <- Tomo.Prob_engine.link_marginal engine e
+      done)
+    t.model.Tomo.Model.corr_sets;
   Obs.Metrics.incr c_estimates;
   Obs.Clock.observe_since h_stage_solve t0;
-  let n_vars = Tomo.Eqn.n_vars s.selection.Tomo.Algorithm1.registry in
-  let n_rows = Array.length s.selection.Tomo.Algorithm1.rows in
+  let sel = s.selection in
+  let readout = sel.Tomo.Algorithm1.readout in
+  let n_vars = Tomo.Eqn.n_vars sel.Tomo.Algorithm1.registry in
+  let n_rows = Array.length sel.Tomo.Algorithm1.rows in
+  let tick = Window.ticks t.window in
   t.n_estimates <- t.n_estimates + 1;
-  t.last_estimate_tick <- Window.ticks t.window;
-  t.last_rows <- n_rows;
-  t.last_vars <- n_vars;
+  t.last <- Some { at_tick = tick; rows = n_rows; vars = n_vars };
   {
-    tick = Window.ticks t.window;
+    tick;
     result =
       {
         Tomo.Pc_result.marginals;
-        identifiable;
-        effective = s.selection.Tomo.Algorithm1.effective;
+        identifiable = readout.Tomo.Readout.link_identifiable;
+        effective = sel.Tomo.Algorithm1.effective;
         n_vars;
         n_rows;
       };
@@ -308,10 +282,9 @@ let status t =
     st_full = Window.is_full t.window;
     st_estimates = t.n_estimates;
     st_reselects = t.n_reselects;
-    st_last_estimate_tick =
-      (if t.last_estimate_tick < 0 then None else Some t.last_estimate_tick);
-    st_last_rows = (if t.last_estimate_tick < 0 then None else Some t.last_rows);
-    st_last_vars = (if t.last_estimate_tick < 0 then None else Some t.last_vars);
+    st_last_estimate_tick = Option.map (fun l -> l.at_tick) t.last;
+    st_last_rows = Option.map (fun l -> l.rows) t.last;
+    st_last_vars = Option.map (fun l -> l.vars) t.last;
   }
 
 let add_opt_int buf = function

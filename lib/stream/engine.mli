@@ -11,9 +11,14 @@
       observation input Algorithm 1 reads);
     - the per-row all-good {e counts} feeding the right-hand sides are
       updated incrementally from the evicted/fresh column pair each
-      push ({!Tomo.Prob_engine.solve_with_counts});
+      push, and each count's log-frequency is read from the window
+      observations' table of the [window + 1] values it can take
+      ({!Tomo.Prob_engine.solve_with_counts});
     - marginal extraction fans out per correlation set over
-      {!Tomo_par.Pool}.
+      {!Tomo_par.Pool}, each task writing its links' slots of the
+      result directly; the per-link identifiable flags are the
+      selection's readout array, decided once per selection and shared
+      by its estimates.
 
     Because every cached quantity is a deterministic function of the
     window contents, a full-window estimate is bit-identical to running
@@ -25,9 +30,8 @@
     configured): counters [stream_ticks], [stream_estimates],
     [stream_reselects]; gauges [stream_window_occupancy],
     [stream_window_capacity]; histograms [stream_tick_s] (whole-tick
-    latency), [stream_solve_s] (the factorized solve),
-    [stream_corrset_solve_s] (per-correlation-set marginal extraction),
-    all on the monotonic {!Tomo_obs.Clock}, and the per-tick stage
+    latency) and [stream_solve_s] (the factorized solve), both on the
+    monotonic {!Tomo_obs.Clock}, and the per-tick stage
     profile [stream_stage_ingest_s] / [stream_stage_reselect_s] /
     [stream_stage_solve_s] / [stream_stage_snapshot_s] (window push +
     count bookkeeping, Algorithm 1 re-run, estimate, atomic snapshot

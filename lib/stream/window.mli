@@ -7,7 +7,10 @@
     returns the evicted column, so a consumer (the engine's per-path-set
     congestion counters) can update incrementally instead of recounting
     the window.  Per-path good counts are maintained inside the
-    observations themselves ({!Tomo.Observations.set_interval_statuses}).
+    observations themselves ({!Tomo.Observations.flip_interval_statuses}),
+    and the always-good path set inside the window; a push touches only
+    the paths whose status differs between the evicted and the fresh
+    column.
 
     Slot order is ring order, not time order — every estimator read from
     the window ([all_good_count], [always_good], equation right-hand
@@ -42,8 +45,13 @@ val is_full : t -> bool
 val observations : t -> Tomo.Observations.t
 
 (** [push t good] ingests one interval batch (bit [p] set iff path [p]
-    good), taking ownership of [good].  Returns the evicted column when
-    the window was already full, [None] during warm-up.
+    good), taking ownership of [good]: the window stores it as the
+    slot's column and, when the slot is next overwritten, reads it back
+    to find the paths whose status changed (a word-level XOR with the
+    fresh column).  Mutating [good] after the push therefore corrupts
+    the window's counts and always-good set.  Returns the evicted column
+    when the window was already full, [None] during warm-up.  A push
+    costs O(words + changed paths).
     @raise Invalid_argument if [good] is not sized to [n_paths t]. *)
 val push : t -> Tomo_util.Bitset.t -> Tomo_util.Bitset.t option
 
@@ -55,10 +63,11 @@ val column : t -> slot:int -> Tomo_util.Bitset.t
     order. *)
 val iter_columns : (Tomo_util.Bitset.t -> unit) -> t -> unit
 
-(** [always_good_paths t] is the set of paths good in every filled slot
-    (O(paths) from the maintained counts) — the only observation-derived
-    input {!Tomo.Algorithm1.select} depends on, so the engine re-selects
-    only when this set changes. *)
+(** [always_good_paths t] is a fresh copy of the set of paths good in
+    every filled slot, which {!push} and {!restore} maintain — O(words),
+    no rescan.  It is the only observation-derived input
+    {!Tomo.Algorithm1.select} depends on, so the engine re-selects only
+    when this set changes. *)
 val always_good_paths : t -> Tomo_util.Bitset.t
 
 (** [restore ~capacity ~n_paths ~ticks ~columns] rebuilds a window from

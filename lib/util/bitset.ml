@@ -129,6 +129,13 @@ let diff_into ~into src =
       (Array.unsafe_get into.words i land lnot (Array.unsafe_get src.words i))
   done
 
+let xor_into ~into src =
+  check_same into src;
+  for i = 0 to Array.length into.words - 1 do
+    Array.unsafe_set into.words i
+      (Array.unsafe_get into.words i lxor Array.unsafe_get src.words i)
+  done
+
 let inter a b =
   let r = copy a in
   inter_into ~into:r b;

@@ -69,6 +69,11 @@ val union_into : into:t -> t -> unit
     @raise Invalid_argument if capacities differ. *)
 val diff_into : into:t -> t -> unit
 
+(** [xor_into ~into src] replaces [into] with [into ⊕ src]: the bits
+    where the two sets differ.
+    @raise Invalid_argument if capacities differ. *)
+val xor_into : into:t -> t -> unit
+
 (** [inter a b] is a fresh bit set [a ∧ b]. *)
 val inter : t -> t -> t
 

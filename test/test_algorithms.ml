@@ -257,6 +257,33 @@ let test_engine_always_good_marginal_zero () =
   check_bool "certified good counts as identifiable" true
     (Prob_engine.link_identifiable eng e3)
 
+(* Given each row's all-good count, the table-read right-hand side
+   solves to the same bits as [solve]'s per-row count and [log]. *)
+let test_engine_solve_with_counts () =
+  let m, eng = solve_case1 ~t:500 () in
+  let sel = eng.Prob_engine.selection and obs = eng.Prob_engine.obs in
+  let counts =
+    Array.map
+      (fun r -> Observations.all_good_count obs r.Eqn.paths)
+      sel.Algorithm1.rows
+  in
+  let by_counts = Prob_engine.solve_with_counts sel obs ~counts in
+  for e = 0 to m.Model.n_links - 1 do
+    check_bool
+      (Printf.sprintf "link %d bitwise" e)
+      true
+      (Int64.equal
+         (Int64.bits_of_float (Prob_engine.link_marginal eng e))
+         (Int64.bits_of_float (Prob_engine.link_marginal by_counts e)))
+  done;
+  Alcotest.check_raises "one count short"
+    (Invalid_argument
+       "Prob_engine.solve_with_counts: one count per row expected")
+    (fun () ->
+      ignore
+        (Prob_engine.solve_with_counts sel obs
+           ~counts:(Array.sub counts 0 (Array.length counts - 1))))
+
 let test_engine_pattern_logprob () =
   let m, eng = solve_case1 () in
   ignore m;
@@ -1040,7 +1067,7 @@ let test_readout_branches_exercised () =
                   | None -> false)
                 subset.Subsets.links
             then incr correlated)
-      eng.Prob_engine.selection.Algorithm1.readout
+      eng.Prob_engine.selection.Algorithm1.readout.Tomo.Readout.entries
   done;
   List.iter
     (fun (what, n) ->
@@ -1125,6 +1152,8 @@ let () =
             test_engine_case2_unidentifiable;
           Alcotest.test_case "always-good links report 0" `Quick
             test_engine_always_good_marginal_zero;
+          Alcotest.test_case "solve from counts == solve" `Quick
+            test_engine_solve_with_counts;
           Alcotest.test_case "pattern log-probabilities" `Slow
             test_engine_pattern_logprob;
           qc prop_engine_probabilities_in_range;

@@ -105,7 +105,87 @@ let test_obs_log_prob_smoothing () =
   (* All three paths never jointly good; smoothing keeps log finite. *)
   let lp = Observations.log_all_good_prob obs [| p1; p2; p3 |] in
   check_bool "finite log of zero count" true (Float.is_finite lp);
-  checkf "zero count value" (log (0.5 /. 5.0)) lp
+  checkf "zero count value" (log (0.5 /. 5.0)) lp;
+  (* Every count reads its table entry, bit for bit the smoothed
+     log-frequency; counts past either end are refused. *)
+  let t = Observations.t_intervals obs in
+  Array.iteri
+    (fun count lp ->
+      check_bool
+        (Printf.sprintf "count %d" count)
+        true
+        (Int64.equal
+           (Int64.bits_of_float
+              (log ((float_of_int count +. 0.5) /. (float_of_int t +. 1.0))))
+           (Int64.bits_of_float lp)))
+    (Observations.smoothed_log_probs obs (Array.init (t + 1) Fun.id));
+  List.iter
+    (fun count ->
+      Alcotest.check_raises
+        (Printf.sprintf "count %d" count)
+        (Invalid_argument "Observations.smoothed_log_probs: count out of range")
+        (fun () -> ignore (Observations.smoothed_log_probs obs [| 0; count |])))
+    [ -1; t + 1 ]
+
+let same_cells a b =
+  let ok = ref true in
+  for p = 0 to Observations.n_paths a - 1 do
+    if Observations.good_count a ~path:p <> Observations.good_count b ~path:p
+    then ok := false;
+    for i = 0 to Observations.t_intervals a - 1 do
+      if
+        Observations.good_in_interval a ~path:p ~interval:i
+        <> Observations.good_in_interval b ~path:p ~interval:i
+      then ok := false
+    done
+  done;
+  !ok
+
+(* Flipping the paths where the stored column and a fresh one differ is
+   setting the fresh column: every interval, every fresh column over the
+   three paths. *)
+let test_obs_flip_interval_statuses () =
+  let n = Observations.n_paths (busy_obs ()) in
+  for interval = 0 to Observations.t_intervals (busy_obs ()) - 1 do
+    for bits = 0 to (1 lsl n) - 1 do
+      let fresh = Bitset.create n in
+      for p = 0 to n - 1 do
+        if bits land (1 lsl p) <> 0 then Bitset.set fresh p
+      done;
+      let flipped = busy_obs () and set = busy_obs () in
+      let changed = Observations.good_paths_at flipped ~interval in
+      Bitset.xor_into ~into:changed fresh;
+      Observations.flip_interval_statuses flipped ~interval ~changed;
+      Observations.set_interval_statuses set ~interval ~good:fresh;
+      check_bool
+        (Printf.sprintf "interval %d, column %d" interval bits)
+        true (same_cells flipped set)
+    done
+  done
+
+let test_obs_flip_rejects () =
+  let obs = busy_obs () in
+  let n = Observations.n_paths obs and t = Observations.t_intervals obs in
+  List.iter
+    (fun interval ->
+      Alcotest.check_raises
+        (Printf.sprintf "interval %d" interval)
+        (Invalid_argument "Observations: interval out of range")
+        (fun () ->
+          Observations.flip_interval_statuses obs ~interval
+            ~changed:(Bitset.create n)))
+    [ -1; t ];
+  List.iter
+    (fun capacity ->
+      Alcotest.check_raises
+        (Printf.sprintf "capacity %d" capacity)
+        (Invalid_argument "Observations.flip_interval_statuses: wrong capacity")
+        (fun () ->
+          Observations.flip_interval_statuses obs ~interval:0
+            ~changed:(Bitset.create capacity)))
+    [ n - 1; n + 1 ];
+  check_bool "a refused flip leaves the cells alone" true
+    (same_cells obs (busy_obs ()))
 
 let test_obs_always_good () =
   (* Only e1 ever congested: p3 = (e4,e3) is always good. *)
@@ -564,6 +644,9 @@ let () =
           Alcotest.test_case "joint good counts" `Quick test_obs_counts;
           Alcotest.test_case "log-prob smoothing" `Quick
             test_obs_log_prob_smoothing;
+          Alcotest.test_case "flip = set the fresh column" `Quick
+            test_obs_flip_interval_statuses;
+          Alcotest.test_case "flip range checks" `Quick test_obs_flip_rejects;
           Alcotest.test_case "always-good paths" `Quick test_obs_always_good;
           Alcotest.test_case "interval views" `Quick test_obs_interval_views;
         ] );

@@ -108,6 +108,71 @@ let test_window_ring () =
       (Bitset.equal (Window.always_good_paths w) expect)
   done
 
+(* qcheck: the window's incrementally maintained state — always-good set
+   and per-path good counts — against a recount of the filled slots at
+   every tick, through warm-up, eviction and a restore at a random
+   tick.  Path counts run past one and two packed words so the XOR of
+   evicted and fresh columns crosses word boundaries. *)
+let prop_window_counts seed =
+  let rng = Rng.create seed in
+  let capacity = 1 + Rng.int rng 8 in
+  let n_paths = 1 + Rng.int rng 140 in
+  let p_good = 0.6 +. Rng.float rng 0.39 in
+  let total = 1 + Rng.int rng 30 in
+  let cols =
+    Array.init total (fun _ ->
+        let b = Bitset.create n_paths in
+        for p = 0 to n_paths - 1 do
+          if Rng.bool rng ~p:p_good then Bitset.set b p
+        done;
+        b)
+  in
+  let cut = Rng.int rng (total + 1) in
+  let w = ref (Window.create ~capacity ~n_paths) in
+  let ok = ref true in
+  let check_state i =
+    let first = max 0 (i + 1 - capacity) in
+    let expect = Bitset.create n_paths in
+    Bitset.set_all expect;
+    for j = first to i do
+      Bitset.inter_into ~into:expect cols.(j)
+    done;
+    if not (Bitset.equal (Window.always_good_paths !w) expect) then
+      ok := false;
+    let obs = Window.observations !w in
+    for p = 0 to n_paths - 1 do
+      let n = ref 0 in
+      for j = first to i do
+        if Bitset.get cols.(j) p then incr n
+      done;
+      if Tomo.Observations.good_count obs ~path:p <> !n then ok := false
+    done
+  in
+  for i = 0 to total - 1 do
+    if i = cut then begin
+      let columns =
+        Array.init (Window.occupancy !w) (fun slot ->
+            Bitset.copy (Window.column !w ~slot))
+      in
+      w :=
+        Window.restore ~capacity ~n_paths ~ticks:(Window.ticks !w) ~columns;
+      if i > 0 then check_state (i - 1)
+    end;
+    (match Window.push !w (Bitset.copy cols.(i)) with
+    | Some evicted ->
+        if i < capacity || not (Bitset.equal evicted cols.(i - capacity))
+        then ok := false
+    | None -> if i >= capacity then ok := false);
+    check_state i
+  done;
+  !ok
+
+let window_counts_qcheck =
+  QCheck.Test.make ~count:200
+    ~name:"always-good set and good counts == recount of filled slots"
+    QCheck.(int_range 0 100_000)
+    prop_window_counts
+
 (* ------------------------------------------------------------------ *)
 (* qcheck: save → restore → continue is bit-identical                  *)
 (* ------------------------------------------------------------------ *)
@@ -154,6 +219,77 @@ let snapshot_resume_qcheck =
     ~name:"snapshot round-trip continues bit-identically"
     QCheck.(int_range 0 100_000)
     prop_snapshot_resume
+
+(* ------------------------------------------------------------------ *)
+(* qcheck: streaming == batch at every tick                            *)
+(* ------------------------------------------------------------------ *)
+
+(* What [batch-report] computes at [tick]: Correlation-complete over the
+   window of intervals that ends there. *)
+let batch_estimate model cols ~window ~tick =
+  let obs =
+    Tomo.Observations.create ~t_intervals:window
+      ~n_paths:model.Tomo.Model.n_paths
+  in
+  for i = 0 to window - 1 do
+    Tomo.Observations.set_interval_statuses obs ~interval:i
+      ~good:cols.(tick - window + i)
+  done;
+  let result, engine = Tomo.Correlation_complete.compute model obs in
+  { Engine.tick; result; engine }
+
+let same_estimate ~window (a : Engine.estimate) (b : Engine.estimate) =
+  let ra = a.Engine.result and rb = b.Engine.result in
+  let bits = Int64.bits_of_float in
+  a.Engine.tick = b.Engine.tick
+  && Array.length ra.Tomo.Pc_result.marginals
+     = Array.length rb.Tomo.Pc_result.marginals
+  && Array.for_all2
+       (fun x y -> Int64.equal (bits x) (bits y))
+       ra.Tomo.Pc_result.marginals rb.Tomo.Pc_result.marginals
+  && ra.Tomo.Pc_result.identifiable = rb.Tomo.Pc_result.identifiable
+  && ra.Tomo.Pc_result.n_rows = rb.Tomo.Pc_result.n_rows
+  && ra.Tomo.Pc_result.n_vars = rb.Tomo.Pc_result.n_vars
+  && Engine.report_to_string ~window a = Engine.report_to_string ~window b
+
+(* Every full-window tick of a random stream — re-selections and
+   incremental count updates alike, windows down to one interval —
+   against a batch run over the same intervals; at a random tick the
+   engine is replaced by its own snapshot round-trip and the comparison
+   goes on from there. *)
+let prop_streaming_equals_batch seed =
+  let rng = Rng.create seed in
+  let model = random_model rng in
+  let window = 1 + Rng.int rng 6 in
+  let total = 25 + Rng.int rng 11 in
+  let cols =
+    Array.init total (fun _ -> random_column rng model.Tomo.Model.n_paths)
+  in
+  let cut = Rng.int rng (total + 1) in
+  let engine = ref (Engine.create ~model ~window ()) in
+  let ok = ref true in
+  let check tick = function
+    | None -> if tick >= window then ok := false
+    | Some e ->
+        let batch () = batch_estimate model cols ~window ~tick in
+        if tick < window || not (same_estimate ~window e (batch ())) then
+          ok := false
+  in
+  for i = 0 to total - 1 do
+    if i = cut then begin
+      engine :=
+        Engine.of_snapshot ~model
+          (Snapshot.of_string (Snapshot.to_string (Engine.snapshot !engine)));
+      check i (Engine.current !engine)
+    end;
+    check (i + 1) (Engine.ingest !engine (Bitset.copy cols.(i)))
+  done;
+  !ok
+
+let streaming_equals_batch_qcheck =
+  QCheck.Test.make ~count:60 ~name:"streaming == batch at every tick"
+    QCheck.(int_range 0 100_000)
+    prop_streaming_equals_batch
 
 (* ------------------------------------------------------------------ *)
 (* Snapshot corruption rejection                                       *)
@@ -367,7 +503,10 @@ let () =
   Alcotest.run "stream"
     [
       ( "window",
-        [ Alcotest.test_case "ring mechanics" `Quick test_window_ring ] );
+        [
+          Alcotest.test_case "ring mechanics" `Quick test_window_ring;
+          QCheck_alcotest.to_alcotest window_counts_qcheck;
+        ] );
       ( "snapshot",
         [
           QCheck_alcotest.to_alcotest snapshot_resume_qcheck;
@@ -389,4 +528,5 @@ let () =
           Alcotest.test_case "streaming == batch on a Netsim trace" `Slow
             test_streaming_equals_batch;
         ] );
+      ("parity", [ QCheck_alcotest.to_alcotest streaming_equals_batch_qcheck ]);
     ]

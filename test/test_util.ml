@@ -100,6 +100,7 @@ let prop_bitset_word_ops_invariant =
       && after (fun t -> Bitset.union_into ~into:t b)
       && after (fun t -> Bitset.inter_into ~into:t b)
       && after (fun t -> Bitset.diff_into ~into:t b)
+      && after (fun t -> Bitset.xor_into ~into:t b)
       && after (fun t -> Bitset.copy_into ~into:t b)
       && after Bitset.set_all
       && after Bitset.clear_all
@@ -121,6 +122,9 @@ let prop_bitset_inplace_equals_fresh =
       via (fun t -> Bitset.union_into ~into:t b) (Bitset.union a b)
       && via (fun t -> Bitset.inter_into ~into:t b) (Bitset.inter a b)
       && via (fun t -> Bitset.diff_into ~into:t b) (Bitset.diff a b)
+      && via
+           (fun t -> Bitset.xor_into ~into:t b)
+           (Bitset.union (Bitset.diff a b) (Bitset.diff b a))
       && via (fun t -> Bitset.copy_into ~into:t b) b
       && Bitset.count_inter a b = Bitset.count (Bitset.inter a b))
 
