@@ -14,9 +14,9 @@
    2. Bechamel micro-benchmarks — one [Test.make] per table/figure
       workload (the per-interval inference kernels behind Fig. 3, the
       probability-computation solves behind Fig. 4) plus the substrate
-      kernels (topology generation, simulation, estimator, and the
-      Algorithm-2 incremental null-space update vs a from-scratch
-      recomputation — the ablation for the paper's design choice). *)
+      kernels (topology generation, simulation, estimator, the sparse
+      elimination and null-space basis, and the Algorithm-2 in-place
+      null-space update). *)
 
 open Bechamel
 open Toolkit
@@ -28,8 +28,6 @@ module Scenario = Tomo_netsim.Scenario
 module Run = Tomo_netsim.Run
 module Pool = Tomo_par.Pool
 module Bitset = Tomo_util.Bitset
-module Matrix = Tomo_linalg.Matrix
-module Gauss = Tomo_linalg.Gauss
 module Sparse = Tomo_linalg.Sparse
 module Sparse_gauss = Tomo_linalg.Sparse_gauss
 module Nullspace = Tomo_linalg.Nullspace
@@ -109,7 +107,8 @@ let interval_inputs w =
    correlation-subset variables, 520 equations, each touching a short
    block of consecutive variables (the shape Algorithm 1's selections
    produce once subsets are numbered in discovery order).  Density ≈ 2%.
-   The dense copy feeds the dense-kernel rows. *)
+   test_linalg's sparse suite checks the sparse elimination against the
+   dense reference on the same fixture. *)
 let paper_incidence =
   lazy
     (let nvars = 400 and nrows = 520 in
@@ -123,43 +122,7 @@ let paper_incidence =
            done;
            Array.of_list !cols)
      in
-     let sp = Sparse.of_incidence ~rows:nrows ~cols:nvars idxs in
-     (sp, Sparse.to_matrix sp, idxs))
-
-(* The guarantee that lets incidence rows eliminate on the sparse
-   kernel, checked on the bench workload every run (CI greps for the OK
-   line): [Sparse_gauss.rref] must be bit-identical to the dense
-   [Gauss.rref] — same rank, same pivot columns, every entry of the
-   reduced matrix equal. *)
-let check_sparse_parity () =
-  let sparse, dense, _ = Lazy.force paper_incidence in
-  let d = Gauss.rref dense in
-  let s = Sparse_gauss.rref sparse in
-  let entries_equal =
-    let dr = d.Gauss.reduced and sr = s.Sparse_gauss.reduced in
-    Matrix.rows dr = Sparse.rows sr
-    && Matrix.cols dr = Sparse.cols sr
-    &&
-    let ok = ref true in
-    for i = 0 to Matrix.rows dr - 1 do
-      for j = 0 to Matrix.cols dr - 1 do
-        if Matrix.get dr i j <> Sparse.get sr i j then ok := false
-      done
-    done;
-    !ok
-  in
-  if
-    d.Gauss.rank = s.Sparse_gauss.rank
-    && d.Gauss.pivot_cols = s.Sparse_gauss.pivot_cols
-    && entries_equal
-  then Format.fprintf ppf "sparse rref parity: OK@."
-  else
-    failwith
-      (Printf.sprintf
-         "sparse rref parity: FAILED (dense rank %d, sparse rank %d, \
-          entries %s)"
-         d.Gauss.rank s.Sparse_gauss.rank
-         (if entries_equal then "equal" else "diverged"))
+     (Sparse.of_incidence ~rows:nrows ~cols:nvars idxs, idxs))
 
 (* ------------------------------------------------------------------ *)
 (* Parallel interval simulation: bit-equality guarantee + wall-clock   *)
@@ -462,31 +425,18 @@ let bench_tests () =
               | None -> ())));
     ]
   in
-  (* Substrate kernels + the Algorithm 2 ablation. *)
+  (* Substrate kernels + the Algorithm 2 update: a 60×80 incidence
+     system at 30% density, its null-space basis, and one fresh row. *)
   let rng = Rng.create 5 in
-  let amatrix =
-    Matrix.init 60 80 (fun _ _ -> if Rng.bool rng ~p:0.3 then 1.0 else 0.0)
+  let random_row () =
+    List.filter (fun _ -> Rng.bool rng ~p:0.3) (List.init 80 Fun.id)
+    |> Array.of_list
   in
-  let nsp = Nullspace.basis amatrix in
-  let new_row =
-    Array.init 80 (fun _ -> if Rng.bool rng ~p:0.3 then 1.0 else 0.0)
+  let nsp =
+    Nullspace.basis_of_incidence ~rows:60 ~cols:80
+      (Array.init 60 (fun _ -> random_row ()))
   in
-  (* Fixed mixed batch for the Algorithm 2 row, built outside the timed
-     region: rows of [amatrix] (already in the row space, exercising the
-     reject path) interleaved with fresh random rows (the accept path).
-     The old single-row version timed one sub-µs rejection and fit
-     poorly (r² ≈ 0.09); folding a constant 16-row batch gives the OLS
-     a stable, representative unit of work. *)
-  let alg2_batch =
-    Array.init 16 (fun i ->
-        if i mod 2 = 0 then
-          Array.init 80 (fun j -> Matrix.get amatrix (i * 3) j)
-        else Array.init 80 (fun _ -> if Rng.bool rng ~p:0.3 then 1.0 else 0.0))
-  in
-  let stacked =
-    Matrix.init 61 80 (fun i j ->
-        if i < 60 then Matrix.get amatrix i j else new_row.(j))
-  in
+  let new_row = random_row () in
   let scenario =
     Scenario.make w.W.overlay ~kind:Scenario.Random ~rng:(Rng.create 3)
       ~frac:0.1
@@ -542,22 +492,15 @@ let bench_tests () =
        in
        Test.make ~name:"kernel/sparse-chol-factor"
          (Staged.stage (fun () -> Tomo_linalg.Sparse_chol.factor ~cols rows)));
-      Test.make ~name:"kernel/nullspace-update-alg2"
-        (Staged.stage (fun () ->
-             Array.fold_left (fun m r -> Nullspace.update m r) nsp alg2_batch));
       Test.make ~name:"kernel/nullspace-tracker-add"
         (Staged.stage (fun () ->
-             (* clone + in-place add: the stateful analogue of [update] *)
+             (* clone + in-place add of one incidence row *)
              let tr = Nullspace.tracker_of_matrix nsp in
-             Nullspace.add_row tr new_row));
-      Test.make ~name:"kernel/nullspace-recompute"
-        (Staged.stage (fun () -> Nullspace.basis stacked));
+             Nullspace.add_incidence tr new_row));
     ]
   in
-  (* Flat-substrate micro-rows: the word-level bit-set combine and the
-     O(1) row-view handoff that the elimination/CG kernels are built
-     on.  Fixtures sized so the work is memory-streaming, not
-     call-overhead. *)
+  (* Flat-substrate micro-row: the word-level bit-set combine.  Fixture
+     sized so the work is memory-streaming, not call-overhead. *)
   let bs_a = Bitset.create 4096 and bs_b = Bitset.create 4096 in
   let bs_scratch = Bitset.create 4096 in
   let bs_rng = Rng.create 0xB5 in
@@ -565,9 +508,6 @@ let bench_tests () =
     if Rng.bool bs_rng ~p:0.4 then Bitset.set bs_a i;
     if Rng.bool bs_rng ~p:0.4 then Bitset.set bs_b i
   done;
-  let rv_matrix =
-    Matrix.init 64 256 (fun i j -> float_of_int (((i * 7) + j) mod 13))
-  in
   let flat_tests =
     [
       Test.make ~name:"kernel/bitset-union-words"
@@ -575,23 +515,11 @@ let bench_tests () =
              Bitset.copy_into ~into:bs_scratch bs_a;
              Bitset.union_into ~into:bs_scratch bs_b;
              Bitset.count bs_scratch));
-      Test.make ~name:"kernel/matrix-row-view"
-        (Staged.stage (fun () ->
-             (* Sum every row through its (buffer, offset) view: the
-                zero-copy access pattern of the flat rref/CG loops. *)
-             let acc = ref 0.0 in
-             for i = 0 to Matrix.rows rv_matrix - 1 do
-               let buf, off = Matrix.row_view rv_matrix i in
-               for k = 0 to Matrix.cols rv_matrix - 1 do
-                 acc := !acc +. Array.unsafe_get buf (off + k)
-               done
-             done;
-             !acc));
     ]
   in
-  (* Sparse-vs-dense elimination on the paper-scale incidence fixture:
-     the dense pair is what the same system costs as a dense matrix. *)
-  let paper_sparse, paper_dense, paper_rows = Lazy.force paper_incidence in
+  (* Sparse elimination and null-space basis on the paper-scale
+     incidence fixture. *)
+  let paper_sparse, paper_rows = Lazy.force paper_incidence in
   (* The dependent-row tax, isolated: rejecting a row already in the
      span, with the witness prefilter's O(k·nnz) short-circuit vs the
      exact O(nnz·p) projection.  A row of the incidence system is in its
@@ -615,12 +543,8 @@ let bench_tests () =
         (Staged.stage (fun () -> Nullspace.add_incidence tr_exact dep_row));
       Test.make ~name:"kernel/sparse-rref"
         (Staged.stage (fun () -> Sparse_gauss.rref paper_sparse));
-      Test.make ~name:"kernel/dense-rref-paper"
-        (Staged.stage (fun () -> Gauss.rref paper_dense));
       Test.make ~name:"kernel/sparse-nullspace"
         (Staged.stage paper_nullspace);
-      Test.make ~name:"kernel/nullspace-recompute-dense-paper"
-        (Staged.stage (fun () -> Nullspace.basis paper_dense));
     ]
   in
   Test.make_grouped ~name:"tomo" ~fmt:"%s %s"
@@ -764,7 +688,6 @@ let () =
      with exactly the instrumentation cost the sinks asked for. *)
   let metrics_were_enabled = Tomo_obs.Metrics.enabled () in
   Tomo_obs.Metrics.set_enabled true;
-  check_sparse_parity ();
   check_sim_parity ();
   (* Classify the bench workload's links once so the
      [ident_ambiguous_links] counter lands in the JSON snapshot. *)

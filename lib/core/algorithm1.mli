@@ -17,7 +17,7 @@
       subsets in decreasing Hamming weight of their [N]-row and, within a
       subset [E], candidate path sets [P ⊆ Paths(E) \ Paths(Ē)] in
       increasing size (lines 8–22); each accepted row updates [N]
-      incrementally via Algorithm 2 ({!Tomo_linalg.Nullspace.update});
+      in place via Algorithm 2 ({!Tomo_linalg.Nullspace.add_incidence});
     + stop when [N] runs out of columns or no candidate makes progress.
 
     Because the row space only ever grows, a candidate row once found

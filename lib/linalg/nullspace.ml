@@ -3,9 +3,10 @@ let default_tol = 1e-8
 module Obs = Tomo_obs
 module Rng = Tomo_util.Rng
 
-(* Algorithm 2 observability: how often the null space advances by the
-   paper's incremental update vs. a from-scratch recomputation, and how
-   many candidate rows the update rejects as dependent. *)
+(* Algorithm 2 observability: how often a basis is computed from
+   scratch (the batched seed), how often the paper's incremental update
+   advances it, and how many candidate rows the update rejects as
+   dependent. *)
 let c_recomputes = Obs.Metrics.counter "nullspace_recomputes"
 let c_incremental = Obs.Metrics.counter "nullspace_incremental_updates"
 let c_rejections = Obs.Metrics.counter "nullspace_dependent_rejections"
@@ -18,62 +19,15 @@ let c_wit_rejections = Obs.Metrics.counter "alg1_witness_rejections"
 let c_wit_passes = Obs.Metrics.counter "alg1_witness_passes"
 let h_wit_nnz = Obs.Metrics.histogram "witness_dot_nnz"
 
-(* Basis extraction from a reduced row-echelon form, abstracted over how
-   the reduced matrix is read — the dense path reads a [Matrix.t], the
-   sparse path reads the [Sparse.t] directly (no dense materialization
-   of the reduced system). *)
-let extract_basis ~n ~rank ~pivot_cols ~get =
-  let is_pivot = Array.make n false in
-  let pivot_row = Array.make n (-1) in
-  List.iteri
-    (fun row col ->
-      is_pivot.(col) <- true;
-      pivot_row.(col) <- row)
-    pivot_cols;
-  let free_cols =
-    List.filter (fun j -> not is_pivot.(j)) (List.init n (fun j -> j))
-  in
-  let p = n - rank in
-  let out = Matrix.make n p 0.0 in
-  List.iteri
-    (fun k fc ->
-      (* Basis vector k: free variable [fc] = 1, pivot variables read off
-         the reduced system. *)
-      Matrix.set out fc k 1.0;
-      Array.iteri
-        (fun col piv ->
-          if piv >= 0 then Matrix.set out col k (-.get piv fc))
-        pivot_row)
-    free_cols;
-  out
-
-let basis ?tol m =
-  Obs.Metrics.incr c_recomputes;
-  let { Gauss.reduced; pivot_cols; rank } = Gauss.rref ?tol m in
-  extract_basis ~n:(Matrix.cols m) ~rank ~pivot_cols ~get:(fun piv fc ->
-      Matrix.get reduced piv fc)
-
-let nullity ?tol m = Matrix.cols (basis ?tol m)
-
 let in_row_space ?(tol = default_tol) n i =
   let p = Matrix.cols n in
   let rec go j = j >= p || (abs_float (Matrix.get n i j) <= tol && go (j + 1)) in
   go 0
 
-let row_dot_cols n r =
-  (* r · N for a row vector r of length rows(N). *)
-  Matrix.vec_mul r n
-
-let reduces_rank ?(tol = default_tol) n r =
-  if Matrix.cols n = 0 then false
-  else
-    let v = row_dot_cols n r in
-    Array.exists (fun x -> abs_float x > tol) v
-
-(* Pivot selection shared by every update variant: the index of the
-   largest |v.(k)| over v.(0..p-1), or None when that maximum is within
-   [tol] of zero (the row is dependent; the counters are bumped here so
-   the callers stay branch-free). *)
+(* Pivot selection for the tracker: the index of the largest |v.(k)|
+   over v.(0..p-1), or None when that maximum is within [tol] of zero
+   (the row is dependent; the counters are bumped here so the caller
+   stays branch-free). *)
 let pick_pivot ~tol v p =
   let j = ref 0 in
   for k = 1 to p - 1 do
@@ -88,123 +42,47 @@ let pick_pivot ~tol v p =
     Some !j
   end
 
-(* The column-elimination kernel behind [update] and [update_incidence]:
-   project every non-pivot column of [n] against the pivot column [j]
-   and write the result straight into a fresh [nvars × (p-1)] matrix.
-   Reads the pivot column in place — no [Matrix.col] scratch vector —
-   and skips the inner loop entirely when a coefficient is zero (an
-   incidence row misses most columns).  When the pivot column itself is
-   sparse — the common case for incidence bases — only its nonzero rows
-   are projected; the rest copy across unchanged, which is exactly what
-   the dense arithmetic computes for them ([x −. coeff · 0 = x]). *)
-let eliminate_matrix n v j =
-  let nvars = Matrix.rows n and p = Matrix.cols n in
-  let pivot = v.(j) in
-  let nnz = ref 0 in
-  for i = 0 to nvars - 1 do
-    if Matrix.unsafe_get n i j <> 0.0 then incr nnz
-  done;
-  let sparse = 2 * !nnz < nvars in
-  let idx =
-    if not sparse then [||]
-    else begin
-      let a = Array.make (max 1 !nnz) 0 in
-      let k = ref 0 in
-      for i = 0 to nvars - 1 do
-        if Matrix.unsafe_get n i j <> 0.0 then begin
-          a.(!k) <- i;
-          incr k
-        end
-      done;
-      a
-    end
-  in
-  let out = Matrix.make nvars (p - 1) 0.0 in
-  let dst = ref 0 in
-  for k = 0 to p - 1 do
-    if k <> j then begin
-      let coeff = v.(k) /. pivot in
-      if coeff = 0.0 then
-        for i = 0 to nvars - 1 do
-          Matrix.unsafe_set out i !dst (Matrix.unsafe_get n i k)
-        done
-      else if sparse then begin
-        for i = 0 to nvars - 1 do
-          Matrix.unsafe_set out i !dst (Matrix.unsafe_get n i k)
-        done;
-        for m = 0 to !nnz - 1 do
-          let i = Array.unsafe_get idx m in
-          Matrix.unsafe_set out i !dst
-            (Matrix.unsafe_get n i k -. (coeff *. Matrix.unsafe_get n i j))
-        done
-      end
-      else
-        for i = 0 to nvars - 1 do
-          Matrix.unsafe_set out i !dst
-            (Matrix.unsafe_get n i k -. (coeff *. Matrix.unsafe_get n i j))
-        done;
-      incr dst
-    end
-  done;
-  out
-
-let update_incidence ?(tol = default_tol) n idxs =
-  let nvars = Matrix.rows n and p = Matrix.cols n in
-  Array.iter
-    (fun i ->
-      if i < 0 || i >= nvars then
-        invalid_arg "Nullspace.update_incidence: index out of range")
-    idxs;
-  if p = 0 then None
-  else begin
-    (* v = r · N where r is the incidence row: sum the rows of N named by
-       idxs. *)
-    let v = Array.make p 0.0 in
-    Array.iter
-      (fun i ->
-        for k = 0 to p - 1 do
-          v.(k) <- v.(k) +. Matrix.unsafe_get n i k
-        done)
-      idxs;
-    match pick_pivot ~tol v p with
-    | None -> None
-    | Some j -> Some (eliminate_matrix n v j)
-  end
-
 let basis_of_incidence ?tol ~rows ~cols idxs =
   Obs.Metrics.incr c_recomputes;
   if cols = 0 then Matrix.make 0 0 0.0
   else if rows = 0 then Matrix.identity cols
-  else
+  else begin
     let sp = Sparse.of_incidence ~rows ~cols idxs in
     let { Sparse_gauss.reduced; pivot_cols; rank } =
       Sparse_gauss.rref ?tol sp
     in
-    extract_basis ~n:cols ~rank ~pivot_cols ~get:(fun piv fc ->
-        Sparse.get reduced piv fc)
-
-let update ?(tol = default_tol) n r =
-  let nvars = Matrix.rows n and p = Matrix.cols n in
-  if Array.length r <> nvars then invalid_arg "Nullspace.update: bad row";
-  if p = 0 then n
-  else begin
-    let v = row_dot_cols n r in
-    match pick_pivot ~tol v p with
-    | None -> n
-    | Some j -> eliminate_matrix n v j
+    (* Basis vector [k] sets the [k]-th free column [fc] to 1 and each
+       pivot variable to minus its reduced entry in column [fc], read in
+       place from the sparse form. *)
+    let pivot_row = Array.make cols (-1) in
+    List.iteri (fun row col -> pivot_row.(col) <- row) pivot_cols;
+    let free_cols =
+      List.filter (fun j -> pivot_row.(j) < 0) (List.init cols Fun.id)
+    in
+    let out = Matrix.make cols (cols - rank) 0.0 in
+    List.iteri
+      (fun k fc ->
+        Matrix.set out fc k 1.0;
+        Array.iteri
+          (fun col piv ->
+            if piv >= 0 then Matrix.set out col k (-.Sparse.get reduced piv fc))
+          pivot_row)
+      free_cols;
+    out
   end
 
 (* ------------------------------------------------------------------ *)
 (* In-place tracker                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* Algorithm 1 feeds thousands of candidate rows through the update; the
-   functional API above allocates an [nvars × (p-1)] matrix per accepted
-   row (and a scratch pivot column per call).  The tracker instead keeps
-   the basis as [p] column vectors and eliminates in place: an accepted
-   row costs one pass over the touched columns and zero allocation, and
-   a per-variable non-zero count (the Hamming weight Algorithm 1 sorts
-   by) is maintained incrementally during the same pass. *)
+(* Algorithm 1 feeds thousands of candidate rows through the update; a
+   functional update allocates an [nvars × (p-1)] matrix per accepted
+   row (the reference in test/oracles does exactly that).  The
+   tracker instead keeps the basis as [p] column vectors and eliminates
+   in place: an accepted row costs one pass over the touched columns and
+   zero allocation, and a per-variable non-zero count (the Hamming
+   weight Algorithm 1 sorts by) is maintained incrementally during the
+   same pass. *)
 (* ---- Witness prefilter ----
 
    A candidate row [r] is dependent iff [r · N = 0].  Testing that
@@ -430,7 +308,7 @@ let eliminate_in_place t j =
     end
   done;
   (* Drop the consumed pivot column, preserving the order of the rest
-     (the functional API keeps order too, so both paths yield the same
+     (the functional reference keeps order too, so both yield the same
      basis).  Only offsets move — no floats are copied; the freed slice
      parks at the tail for potential reuse. *)
   for k = j to p - 2 do
@@ -440,9 +318,9 @@ let eliminate_in_place t j =
   t.p <- p - 1
 
 (* The O(k · nnz) fast path: every witness dot within [wtol] ⇒ reject
-   without touching the basis.  [dot r u_c] is supplied by the caller
-   (an incidence row sums [nnz] entries of [u_c]; a dense row is a full
-   dot product).  Fills [t.wit_dot] for {!eliminate_in_place}. *)
+   without touching the basis.  [dot u_c] is the row's dot with a
+   witness (an incidence row sums [nnz] entries of [u_c]).  Fills
+   [t.wit_dot] for {!eliminate_in_place}. *)
 let witness_rejects t ~nnz dot =
   let k = Array.length t.wit_u in
   if k = 0 then false
@@ -492,37 +370,6 @@ let add_incidence t idxs =
             v.(k) +. Array.unsafe_get buf (Array.unsafe_get off k + i)
         done)
       idxs;
-    match pick_pivot ~tol:t.tol v p with
-    | None -> false
-    | Some j ->
-        eliminate_in_place t j;
-        true
-  end
-
-let dense_dot ~n r u =
-  let acc = ref 0.0 in
-  for i = 0 to n - 1 do
-    acc := !acc +. (Array.unsafe_get r i *. Array.unsafe_get u i)
-  done;
-  !acc
-
-let add_row t r =
-  if Array.length r <> t.nvars then invalid_arg "Nullspace.add_row: bad row";
-  let p = t.p in
-  if p = 0 then false
-  else if witness_rejects t ~nnz:t.nvars (dense_dot ~n:t.nvars r) then false
-  else begin
-    let v = t.v in
-    let buf = t.colbuf in
-    for k = 0 to p - 1 do
-      let ck = t.col_off.(k) in
-      let acc = ref 0.0 in
-      for i = 0 to t.nvars - 1 do
-        acc :=
-          !acc +. (Array.unsafe_get r i *. Array.unsafe_get buf (ck + i))
-      done;
-      v.(k) <- !acc
-    done;
     match pick_pivot ~tol:t.tol v p with
     | None -> false
     | Some j ->

@@ -5,18 +5,10 @@
     increased the rank — equivalently, whether it shrank the null space.
     Recomputing a null-space basis from scratch on every iteration would
     be cubically expensive; Algorithm 2 instead projects the current basis
-    against the new row in [O(n·p)].  Both the from-scratch construction
-    and the incremental update live here. *)
-
-(** [basis ?tol m] is an [n × p] matrix whose columns span the null
-    space of the dense [r × n] matrix [m] ([p] = nullity), read off the
-    reduced form {!Gauss.rref} computes.  When the null space is trivial
-    the result has [0] columns.  Incidence systems held as index arrays
-    take {!basis_of_incidence} instead. *)
-val basis : ?tol:float -> Matrix.t -> Matrix.t
-
-(** [nullity ?tol m] is [cols (basis m)]. *)
-val nullity : ?tol:float -> Matrix.t -> int
+    against the new row in [O(n·p)].  Every row the tomography systems
+    produce is a 0/1 incidence row, held as the array of its column
+    indices.  The from-scratch construction ({!basis_of_incidence}) and
+    the incremental update (the {!tracker}) both live here. *)
 
 (** [in_row_space ?tol n i] decides whether the [i]-th coordinate is
     identifiable given a null-space basis [n]: true iff row [i] of [n] is
@@ -24,53 +16,35 @@ val nullity : ?tol:float -> Matrix.t -> int
     the original system. *)
 val in_row_space : ?tol:float -> Matrix.t -> int -> bool
 
-(** [reduces_rank ?tol n r] is true iff adding row [r] to the system whose
-    null space is spanned by [n] would increase the system's rank, i.e.
-    [‖r · N‖ > 0] (line 13 of Algorithm 1). *)
-val reduces_rank : ?tol:float -> Matrix.t -> float array -> bool
-
-(** [update ?tol n r] is the paper's Algorithm 2 (NullSpaceUpdate): given
-    [n] ([n_vars × p]) spanning the null space of [R], returns a matrix
-    spanning the null space of [R] with row [r] appended.
-
-    If [r · N = 0] (the row is linearly dependent on the system), the
-    basis is returned unchanged.  Otherwise one basis column is consumed:
-    we pivot on the column [j] maximizing [|r · N_j|] (the paper uses the
-    first column; pivoting is numerically safer and spans the same space)
-    and project the remaining columns:
-    [N' = (I − N_j · (r·N_j)⁻¹ · r) · N_{others}]. *)
-val update : ?tol:float -> Matrix.t -> float array -> Matrix.t
-
-(** [update_incidence ?tol n idxs] is {!update} specialized to an
-    incidence row (coefficient 1 at each index of [idxs], 0 elsewhere) —
-    the only row shape the tomography systems produce.  Returns [None]
-    when the row is linearly dependent on the current system (the
-    null space is unchanged), [Some n'] when it shrank it by one column.
-    The dependence test costs [O(|idxs| · p)] instead of [O(n · p)]. *)
-val update_incidence :
-  ?tol:float -> Matrix.t -> int array -> Matrix.t option
-
-(** [basis_of_incidence ?tol ~rows ~cols idxs] is the null-space basis
-    of the 0/1 incidence system with [rows] rows over [cols] variables
-    ([idxs.(i)] lists row [i]'s columns), eliminated in one
-    {!Sparse_gauss.rref} pass instead of row-by-row updates — the
-    batched seed-phase path of Algorithm 1.  [rows = 0] yields the
-    identity basis. *)
+(** [basis_of_incidence ?tol ~rows ~cols idxs] is a [cols × p] matrix
+    whose columns span the null space of the 0/1 incidence system with
+    [rows] rows over [cols] variables ([idxs.(i)] lists row [i]'s
+    columns; [p] is the nullity), read off one {!Sparse_gauss.rref}
+    pass — the batched seed-phase path of Algorithm 1.  Basis vector
+    [k] sets the [k]-th free column to 1 and each pivot variable to
+    minus its reduced entry in that column.  [rows = 0] yields the
+    identity basis; a trivial null space yields [0] columns. *)
 val basis_of_incidence :
   ?tol:float -> rows:int -> cols:int -> int array array -> Matrix.t
 
 (** {1 In-place tracker}
 
-    The functional updates above allocate an [nvars × (p-1)] matrix per
-    accepted row.  Algorithm 1 accepts hundreds of rows per selection,
-    so its hot loop uses this stateful variant instead: the basis lives
-    as [p] column vectors, an accepted row eliminates in place (zero
-    allocation), and the per-variable non-zero count the selection loop
-    sorts by (its Hamming weight) is maintained incrementally during the
-    same elimination pass.  Both representations perform the identical
-    sequence of floating-point operations, so a tracker fed row by row
-    yields bitwise the same basis as folding {!update} /
-    {!update_incidence}. *)
+    Algorithm 2 as the paper states it returns a fresh [nvars × (p-1)]
+    matrix per accepted row: given [N] spanning the null space of [R]
+    and a row [r] with [r · N ≠ 0], it pivots on a column [j] of [N]
+    and projects the others,
+    [N' = (I − N_j · (r·N_j)⁻¹ · r) · N_{others}]; a row with
+    [r · N = 0] is dependent and leaves [N] unchanged.  The tracker
+    pivots on the column maximizing [|r · N_j|] (the paper uses the
+    first; pivoting is numerically safer and spans the same space).
+    Algorithm 1 accepts hundreds of rows per selection, so the basis
+    lives as [p] column vectors, an accepted row eliminates in place
+    (zero allocation), and the per-variable non-zero count the selection
+    loop sorts by (its Hamming weight) is maintained incrementally
+    during the same elimination pass.  The functional form stays in
+    [test/oracles] as the bitwise reference: a tracker fed row by row
+    performs its floating-point operations in the same order and yields
+    the same basis bit for bit. *)
 
 type tracker
 
@@ -127,13 +101,12 @@ val dim : tracker -> int
     maintained incrementally, O(1) to read. *)
 val row_weight : tracker -> int -> int
 
-(** [add_incidence t idxs] applies Algorithm 2 in place for an incidence
-    row.  [true] if the row was independent (nullity shrank by one),
-    [false] if it was rejected as dependent. *)
+(** [add_incidence t idxs] applies Algorithm 2 in place for the
+    incidence row with coefficient 1 at each index of [idxs].  [true] if
+    the row was independent (nullity shrank by one), [false] if it was
+    rejected as dependent.  The dependence test costs [O(|idxs| · p)].
+    @raise Invalid_argument on an index outside [\[0, nvars)]. *)
 val add_incidence : tracker -> int array -> bool
-
-(** [add_row t r] is {!add_incidence} for an arbitrary dense row. *)
-val add_row : tracker -> float array -> bool
 
 (** Snapshot the current basis as an [nvars × p] matrix. *)
 val to_matrix : tracker -> Matrix.t

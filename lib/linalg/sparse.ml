@@ -33,42 +33,6 @@ let create r c =
 let rows a = a.r
 let cols a = a.c
 
-let of_matrix m =
-  let r = Matrix.rows m and c = Matrix.cols m in
-  let a = create r c in
-  (* Single pass per row through shared scratch. *)
-  let sc = Array.make (max 1 c) 0 and sv = Array.make (max 1 c) 0.0 in
-  for i = 0 to r - 1 do
-    let n = ref 0 in
-    for j = 0 to c - 1 do
-      let v = Matrix.unsafe_get m i j in
-      if v <> 0.0 then begin
-        Array.unsafe_set sc !n j;
-        Array.unsafe_set sv !n v;
-        incr n
-      end
-    done;
-    if !n > 0 then
-      a.rows.(i) <-
-        {
-          nnz = !n;
-          cols = Array.sub sc 0 !n;
-          vals = Array.sub sv 0 !n;
-          cursor = 0;
-        }
-  done;
-  a
-
-let to_matrix a =
-  let m = Matrix.make a.r a.c 0.0 in
-  for i = 0 to a.r - 1 do
-    let row = a.rows.(i) in
-    for k = 0 to row.nnz - 1 do
-      Matrix.unsafe_set m i row.cols.(k) row.vals.(k)
-    done
-  done;
-  m
-
 let strictly_ascending r =
   let ok = ref true in
   for k = 1 to Array.length r - 1 do
@@ -269,7 +233,7 @@ let sub_scaled_row a ~dst ~src ~coeff =
       incr di
     end
     else if sc < dc then begin
-      (* The dense kernel computes [0.0 −. coeff ·. y] here. *)
+      (* The dense reference computes [0.0 −. coeff ·. y] here. *)
       push sc (0.0 -. (coeff *. Array.unsafe_get s.vals !si));
       incr si
     end

@@ -9,19 +9,14 @@
 
     Invariants: within a row, columns are strictly increasing over the
     live prefix and stored values are never exactly [0.0] (an entry that
-    cancels to zero is dropped, matching what the dense kernels compute
-    for it).  All operations preserve these invariants. *)
+    cancels to zero is dropped, matching what the dense reference
+    elimination in [test/oracles] computes for it).  All operations
+    preserve these invariants. *)
 
 type t
 
 (** [create rows cols] is an all-zero matrix (every row empty). *)
 val create : int -> int -> t
-
-(** [of_matrix m] stores the entries of [m] that are not exactly [0.0]. *)
-val of_matrix : Matrix.t -> t
-
-(** [to_matrix a] is the dense round-trip. *)
-val to_matrix : t -> Matrix.t
 
 (** [incidence_row ~cols r] is the incidence row [r] with its indices
     in ascending order: [r] itself when it is already strictly
@@ -77,19 +72,19 @@ val scale_row : t -> int -> float -> unit
 (** [div_row a i s] divides row [i] by [s] in place — the pivot
     normalisation step.  Kept distinct from [scale_row (1/s)] because
     [x /. s] and [x *. (1 /. s)] differ in the last ulp, and the sparse
-    kernel must reproduce the dense kernel's division bit for bit. *)
+    kernel must reproduce the dense reference's division bit for bit. *)
 val div_row : t -> int -> float -> unit
 
 (** [sub_scaled_row a ~dst ~src ~coeff] performs the elimination step
     [row_dst ← row_dst − coeff · row_src] in place, merging the two
     structures.  The arithmetic on stored entries is exactly the dense
-    kernel's [x −. (coeff ·. y)], so results are bit-identical to the
-    dense path (entries the dense code leaves untouched are zeros on both
+    reference's [x −. (coeff ·. y)], so results are bit-identical to it
+    (entries the dense code leaves untouched are zeros on both
     sides).  The merge runs through a per-matrix scratch buffer recycled
     by pointer swap, so steady-state elimination allocates nothing. *)
 val sub_scaled_row : t -> dst:int -> src:int -> coeff:float -> unit
 
 (** [drop_col_entries a j ~from_row] removes the column-[j] entry of every
-    row [i ≥ from_row] — the sparse analogue of the dense kernel zeroing
-    a numerically dead pivot column. *)
+    row [i ≥ from_row] — the sparse analogue of the dense reference
+    zeroing a numerically dead pivot column. *)
 val drop_col_entries : t -> int -> from_row:int -> unit

@@ -28,7 +28,7 @@ let rref ?(tol = default_tol) m =
   while !r < nr && !j < nc do
     (* Partial pivoting: largest entry of column !j among rows >= !r,
        first occurrence winning ties — the same scan order as the dense
-       kernel, over stored entries only.  The probes ride each row's
+       reference, over stored entries only.  The probes ride each row's
        monotone cursor: !j only ever advances. *)
     let best = ref !r in
     let best_abs = ref (abs_float (Sparse.probe_mono a !r !j)) in
@@ -41,7 +41,7 @@ let rref ?(tol = default_tol) m =
     done;
     if !best_abs <= threshold then begin
       (* Numerically zero column below row !r: drop its entries (the
-         dense kernel writes 0.0 over them) and move on. *)
+         dense reference writes 0.0 over them) and move on. *)
       Sparse.drop_col_entries a !j ~from_row:!r;
       incr j
     end

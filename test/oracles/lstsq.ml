@@ -12,7 +12,7 @@ let solve ?tol a b =
   let qr = Qr.decompose ?tol a in
   let y = Qr.apply_qt qr b in
   let x = Qr.solve_r qr y in
-  let r = Matrix.mul_vec a x in
+  let r = Dense.mul_vec a x in
   let residual = ref 0.0 in
   Array.iteri (fun i ri ->
       let d = ri -. b.(i) in

@@ -17,7 +17,7 @@ let col_norm2 a ~from j =
   !acc
 
 let decompose ?(tol = default_tol) a0 =
-  let a = Matrix.copy a0 in
+  let a = Dense.copy a0 in
   let m = Matrix.rows a and n = Matrix.cols a in
   let kmax = min m n in
   let betas = Array.make kmax 0.0 in
@@ -44,7 +44,7 @@ let decompose ?(tol = default_tol) a0 =
        done;
        if sqrt !best_norm <= tol *. initial_max then raise Exit;
        if !best <> k then begin
-         Matrix.swap_cols a k !best;
+         Dense.swap_cols a k !best;
          let tmp = perm.(k) in
          perm.(k) <- perm.(!best);
          perm.(!best) <- tmp
@@ -138,7 +138,7 @@ let q t =
   let out = Matrix.identity m in
   (* Q = H_0 · H_1 · ... applied to each basis vector. *)
   for c = 0 to m - 1 do
-    let y = Matrix.col out c in
+    let y = Dense.col out c in
     for k = t.rank - 1 downto 0 do
       apply_reflection t k y
     done;

@@ -12,7 +12,7 @@ let decompose ?(eps = 1e-12) ?(max_sweeps = 60) a =
   let m = Matrix.rows a and n = Matrix.cols a in
   if m < n then invalid_arg "Svd.decompose: need rows >= cols";
   Obs.Trace.with_span "svd.decompose" @@ fun () ->
-  let w = Matrix.copy a in
+  let w = Dense.copy a in
   let v = Matrix.identity n in
   let col_dot j k =
     let acc = ref 0.0 in
@@ -84,7 +84,7 @@ let reconstruct t =
     Matrix.init (Matrix.rows t.u) n (fun i j ->
         Matrix.get t.u i j *. t.sigma.(j))
   in
-  Matrix.mul scaled (Matrix.transpose t.v)
+  Dense.mul scaled (Dense.transpose t.v)
 
 let rank ?(tol = 1e-8) t =
   let top = Array.fold_left max 0.0 t.sigma in

@@ -405,6 +405,22 @@ let test_sparsity_all_good () =
   let inferred = infer_sparsity m [] in
   check_bool "nothing inferred" true (Bitset.is_empty inferred)
 
+(* A tree measured from one vantage point: links 0 and 1 hang off the
+   root, leaves 2 and 3 off link 0 and leaf 4 off link 1, one path per
+   leaf and one correlation set per link.  With both leaves under link 0
+   congested, link 0 alone explains both paths — the subtree-root answer
+   of Duffield's tree algorithm (reference [8]). *)
+let test_sparsity_on_tree () =
+  let m =
+    Model.make ~n_links:5
+      ~paths:[| [| 0; 2 |]; [| 0; 3 |]; [| 1; 4 |] |]
+      ~corr_sets:(Array.init 5 (fun k -> [| k |]))
+  in
+  let congested_paths = Bitset.of_list 3 [ 0; 1 ] in
+  let good_paths = Bitset.of_list 3 [ 2 ] in
+  check_ints "link 0 explains both congested paths" [ 0 ]
+    (Bitset.to_list (Sparsity.infer m ~congested_paths ~good_paths))
+
 (* ------------------------------------------------------------------ *)
 (* Bayesian inference                                                  *)
 (* ------------------------------------------------------------------ *)
@@ -608,102 +624,6 @@ let prop_engine_probabilities_in_range =
           let p = Prob_engine.link_marginal eng e in
           p >= 0.0 && p <= 1.0)
         [ e1; e2; e3; e4 ])
-
-(* ------------------------------------------------------------------ *)
-(* SCFS (Duffield's tree algorithm, reference [8])                     *)
-(* ------------------------------------------------------------------ *)
-
-module Scfs = Tomo.Scfs
-
-(* A 3-level binary-ish tree:
-        root
-       /    \
-      0      1
-     / \      \
-    2   3      4
-   leaves: 2, 3, 4 => paths p0=(0,2), p1=(0,3), p2=(1,4). *)
-let tree () =
-  Scfs.make ~parent:[| None; None; Some 0; Some 0; Some 1 |]
-
-let test_scfs_structure () =
-  let t = tree () in
-  check_int "links" 5 (Scfs.n_links t);
-  Alcotest.(check (array int)) "leaves" [| 2; 3; 4 |] (Scfs.leaves t);
-  Alcotest.(check (array int)) "path of leaf 3" [| 0; 3 |]
-    (Scfs.path_links t ~leaf:3)
-
-let test_scfs_blames_subtree_root () =
-  (* Both leaves under link 0 congested: SCFS blames 0 alone. *)
-  let t = tree () in
-  let inferred = Scfs.infer t ~congested_paths:(Bitset.of_list 3 [ 0; 1 ]) in
-  check_ints "blames the common parent" [ 0 ] (Bitset.to_list inferred)
-
-let test_scfs_blames_leaf () =
-  (* Only one leaf under link 0 congested: the leaf link is blamed. *)
-  let t = tree () in
-  let inferred = Scfs.infer t ~congested_paths:(Bitset.of_list 3 [ 0 ]) in
-  check_ints "blames the leaf" [ 2 ] (Bitset.to_list inferred)
-
-let test_scfs_all_good () =
-  let t = tree () in
-  let inferred = Scfs.infer t ~congested_paths:(Bitset.create 3) in
-  check_bool "nothing blamed" true (Bitset.is_empty inferred)
-
-let test_scfs_validation () =
-  Alcotest.check_raises "cycle rejected"
-    (Invalid_argument "Scfs.make: cycle in parent relation") (fun () ->
-      ignore (Scfs.make ~parent:[| Some 1; Some 0 |]));
-  Alcotest.check_raises "range checked"
-    (Invalid_argument "Scfs.make: parent out of range") (fun () ->
-      ignore (Scfs.make ~parent:[| Some 9 |]))
-
-let test_scfs_to_model () =
-  let t = tree () in
-  let m = Scfs.to_model t in
-  check_int "5 links" 5 m.Model.n_links;
-  check_int "3 paths" 3 m.Model.n_paths;
-  (* Sparsity on the tree model agrees with SCFS on the subtree-root
-     case: link 0 explains both congested paths with one pick. *)
-  let congested_paths = Bitset.of_list 3 [ 0; 1 ] in
-  let good_paths = Bitset.of_list 3 [ 2 ] in
-  let sparsity = Sparsity.infer m ~congested_paths ~good_paths in
-  check_ints "sparsity = scfs here" [ 0 ] (Bitset.to_list sparsity)
-
-let prop_scfs_consistent_and_minimal =
-  QCheck.Test.make
-    ~name:"SCFS explains every congested leaf and only maximal subtrees"
-    ~count:80
-    QCheck.(pair (int_range 0 5_000) (int_range 2 12))
-    (fun (seed, n) ->
-      let rng = Rng.create seed in
-      (* Random forest: each link's parent is a lower-numbered link or
-         the root. *)
-      let parent =
-        Array.init n (fun k ->
-            if k = 0 || Rng.bool rng ~p:0.3 then None
-            else Some (Rng.int rng k))
-      in
-      let t = Scfs.make ~parent in
-      let n_leaves = Array.length (Scfs.leaves t) in
-      let congested =
-        Tomo_util.Bitset.of_list n_leaves
-          (List.filter
-             (fun _ -> Rng.bool rng ~p:0.4)
-             (List.init n_leaves (fun i -> i)))
-      in
-      let inferred = Scfs.infer t ~congested_paths:congested in
-      (* every congested leaf's path hits an inferred link, and no good
-         leaf's path does *)
-      let ok = ref true in
-      Array.iteri
-        (fun i leaf ->
-          let path = Scfs.path_links t ~leaf in
-          let covered =
-            Array.exists (Tomo_util.Bitset.get inferred) path
-          in
-          if covered <> Tomo_util.Bitset.get congested i then ok := false)
-        (Scfs.leaves t);
-      !ok)
 
 (* ------------------------------------------------------------------ *)
 (* Cross-cutting properties on random small models                      *)
@@ -1180,6 +1100,8 @@ let () =
           Alcotest.test_case "good paths exonerate links" `Quick
             test_sparsity_good_paths_exonerate;
           Alcotest.test_case "no congestion" `Quick test_sparsity_all_good;
+          Alcotest.test_case "on a tree (subtree root)" `Quick
+            test_sparsity_on_tree;
         ] );
       ( "bayesian",
         [
@@ -1191,19 +1113,6 @@ let () =
             test_bayesian_correlation_uses_joint;
           Alcotest.test_case "solution likelihood ranking" `Slow
             test_solution_logprob_ranks_truth;
-        ] );
-      ( "scfs",
-        [
-          Alcotest.test_case "tree structure" `Quick test_scfs_structure;
-          Alcotest.test_case "blames subtree root" `Quick
-            test_scfs_blames_subtree_root;
-          Alcotest.test_case "blames single leaf" `Quick
-            test_scfs_blames_leaf;
-          Alcotest.test_case "all good" `Quick test_scfs_all_good;
-          Alcotest.test_case "validation" `Quick test_scfs_validation;
-          Alcotest.test_case "tree-to-mesh bridge" `Quick
-            test_scfs_to_model;
-          qc prop_scfs_consistent_and_minimal;
         ] );
       ( "properties",
         [

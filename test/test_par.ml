@@ -1,11 +1,12 @@
 (* Tests for the domain pool: combinator laws (order, exceptions,
    nesting), determinism of the parallel experiment harness (bit-equal
    to the sequential run), and equivalence of the in-place null-space
-   tracker with the functional Algorithm-2 update it replaced. *)
+   tracker with the functional Algorithm-2 update in [test/oracles]. *)
 
 module Pool = Tomo_par.Pool
 module Matrix = Tomo_linalg.Matrix
 module Nullspace = Tomo_linalg.Nullspace
+module Alg2 = Tomo_oracles.Alg2
 module Rng = Tomo_util.Rng
 module Bitset = Tomo_util.Bitset
 module Brite = Tomo_topology.Brite
@@ -211,7 +212,11 @@ let test_sparse_kernel_bit_identical () =
     let b = Array.init nrows (fun _ -> Rng.uniform rng ~lo:(-1.) ~hi:1.) in
     let x = Cgls.solve ~cols:nvars idxs b in
     let basis = Nullspace.basis_of_incidence ~rows:nrows ~cols:nvars idxs in
-    (Sparse.to_matrix reduced, pivot_cols, rank, x, basis)
+    ( Matrix.init nrows nvars (Sparse.get reduced),
+      pivot_cols,
+      rank,
+      x,
+      basis )
   in
   let seeds = Array.init n_tasks (fun i -> i) in
   let seq = Array.map run_task seeds in
@@ -310,23 +315,29 @@ let run_bit_identical_qcheck =
 (* Tracker == functional null-space update                             *)
 (* ------------------------------------------------------------------ *)
 
-let random_01_row rng n p = Array.init n (fun _ -> if Rng.bool rng ~p then 1.0 else 0.0)
+let random_incidence_row rng n p =
+  List.filter (fun _ -> Rng.bool rng ~p) (List.init n Fun.id)
+  |> Array.of_list
 
-(* Feed the same random 0/1 rows to (a) the functional [update] chain
-   and (b) the in-place tracker; they must agree exactly — same accept/
-   reject verdicts, same basis matrix bit for bit, same weights. *)
+(* Feed the same random 0/1 rows, as incidence rows, to (a) the
+   functional [update_incidence] chain and (b) the in-place tracker;
+   they must agree exactly — same accept/reject verdicts, every basis
+   entry equal (a zero's sign is free), same weights. *)
 let prop_tracker_equals_update (seed, n, rows) =
   let rng = Rng.create seed in
   let tracker = Nullspace.tracker n in
   let basis = ref (Matrix.identity n) in
   let ok = ref true in
   for _ = 1 to rows do
-    let row = random_01_row rng n 0.35 in
-    let before = Matrix.cols !basis in
-    let updated = Nullspace.update !basis row in
-    let accepted_fn = Matrix.cols updated < before in
-    basis := updated;
-    let accepted_tr = Nullspace.add_row tracker row in
+    let idxs = random_incidence_row rng n 0.35 in
+    let accepted_fn =
+      match Alg2.update_incidence !basis idxs with
+      | Some n' ->
+          basis := n';
+          true
+      | None -> false
+    in
+    let accepted_tr = Nullspace.add_incidence tracker idxs in
     if accepted_fn <> accepted_tr then ok := false
   done;
   let m = Nullspace.to_matrix tracker in
@@ -359,7 +370,7 @@ let test_tracker_incidence_equals_update_incidence () =
       |> Array.to_list |> List.sort_uniq compare |> Array.of_list
     in
     let accepted_fn =
-      match Nullspace.update_incidence !basis idxs with
+      match Alg2.update_incidence !basis idxs with
       | Some n' ->
           basis := n';
           true
