@@ -61,22 +61,96 @@ let finish model effective registry rows nullspace =
       Some
         (Sparse_chol.factor ~cols:(Eqn.n_vars registry)
            (Array.map (fun r -> r.Eqn.vars) rows));
-    readout = Readout.build model ~effective registry ~identifiable;
+    readout =
+      Obs.Trace.with_span "algorithm1.readout" (fun () ->
+          Readout.build model ~effective registry ~identifiable);
   }
+
+(* SortByHammingWeight, as a monomorphic copy of Stdlib's [Array.sort]
+   (a ternary heap sort).  Each key packs a weight above [shift] bits
+   and a variable below, and keys are compared by weight only,
+   decreasing: every comparison is the one [Array.sort] makes on
+   (variable, weight) pairs under [fun (_, a) (_, b) -> compare b a],
+   on the same elements, so the permutation is the same, ties included.
+   [maxson] returns -1 where Stdlib raises [Bottom]. *)
+let maxson a shift l i =
+  let i31 = i + i + i + 1 in
+  if i31 + 2 < l then begin
+    let x =
+      if Array.unsafe_get a i31 lsr shift > Array.unsafe_get a (i31 + 1) lsr shift
+      then i31 + 1
+      else i31
+    in
+    if Array.unsafe_get a x lsr shift > Array.unsafe_get a (i31 + 2) lsr shift
+    then i31 + 2
+    else x
+  end
+  else if
+    i31 + 1 < l
+    && Array.unsafe_get a i31 lsr shift > Array.unsafe_get a (i31 + 1) lsr shift
+  then i31 + 1
+  else if i31 < l then i31
+  else -1
+
+let rec trickledown a shift l i e =
+  let j = maxson a shift l i in
+  if j >= 0 && Array.unsafe_get a j lsr shift < e lsr shift then begin
+    Array.unsafe_set a i (Array.unsafe_get a j);
+    trickledown a shift l j e
+  end
+  else Array.unsafe_set a i e
+
+let rec bubble a shift l i =
+  let j = maxson a shift l i in
+  if j < 0 then i
+  else begin
+    Array.unsafe_set a i (Array.unsafe_get a j);
+    bubble a shift l j
+  end
+
+let rec trickleup a shift i e =
+  let father = (i - 1) / 3 in
+  if Array.unsafe_get a father lsr shift > e lsr shift then begin
+    Array.unsafe_set a i (Array.unsafe_get a father);
+    if father > 0 then trickleup a shift father e else Array.unsafe_set a 0 e
+  end
+  else Array.unsafe_set a i e
+
+let sort_grow_order ~shift a =
+  let l = Array.length a in
+  for i = ((l + 1) / 3) - 1 downto 0 do
+    trickledown a shift l i a.(i)
+  done;
+  for i = l - 1 downto 2 do
+    let e = a.(i) in
+    a.(i) <- a.(0);
+    trickleup a shift (bubble a shift i 0) e
+  done;
+  if l > 1 then begin
+    let e = a.(1) in
+    a.(1) <- a.(0);
+    a.(0) <- e
+  end
 
 let select ?(config = default_config) model obs =
   Obs.Trace.with_span "algorithm1.select" @@ fun () ->
   Obs.Metrics.incr c_selections;
-  let effective = Subsets.effective_links model obs in
-  let registry = Eqn.registry () in
-  (* Ê: every subset a single-path equation induces, plus the enumerated
-     target subsets up to the configured size. *)
-  let (_ : int) = Eqn.register_single_path_vars model ~effective registry in
-  let targets =
-    Subsets.enumerate model ~effective ~max_size:config.max_subset_size
-      ~limit_per_set
+  let effective, registry, targets =
+    Obs.Trace.with_span "algorithm1.registry" (fun () ->
+        let effective = Subsets.effective_links model obs in
+        let registry = Eqn.registry () in
+        (* Ê: every subset a single-path equation induces, plus the
+           enumerated target subsets up to the configured size. *)
+        let (_ : int) =
+          Eqn.register_single_path_vars model ~effective registry
+        in
+        let targets =
+          Subsets.enumerate model ~effective ~max_size:config.max_subset_size
+            ~limit_per_set
+        in
+        List.iter (fun s -> ignore (Eqn.add registry s)) targets;
+        (effective, registry, targets))
   in
-  List.iter (fun s -> ignore (Eqn.add registry s)) targets;
   let n = Eqn.n_vars registry in
   if n = 0 then finish model effective registry [||] (Matrix.make 0 0 0.0)
   else begin
@@ -94,10 +168,11 @@ let select ?(config = default_config) model obs =
        collected first, the greedy in-order independent subset is found
        by one forward elimination ({!Sparse_gauss.select_independent} —
        the same accept/reject decisions an incremental rank test makes),
-       and the survivors are eliminated in a single sparse rref whose
-       null space becomes the tracker's starting basis.  The per-row
-       O(nvars · p) updates at maximal [p] — the most expensive phase of
-       the old loop — collapse into one batched elimination. *)
+       and the survivors are eliminated once
+       ({!Nullspace.basis_of_incidence}); that null space becomes the
+       tracker's starting basis.  The per-row O(nvars · p) updates at
+       maximal [p] — the most expensive phase of the old loop — collapse
+       into one batched elimination. *)
     let seed_pools = Array.make n [||] in
     let rows = ref [] in
     (* Registry frozen from here on ([Eqn.row] only looks up), so the
@@ -121,8 +196,9 @@ let select ?(config = default_config) model obs =
           done;
           let seed_rows = Array.of_list (List.rev !seed_rows) in
           let keep =
-            Sparse_gauss.select_independent ~tol ~cols:n
-              (Array.map (fun r -> r.Eqn.vars) seed_rows)
+            Obs.Trace.with_span "algorithm1.independent" (fun () ->
+                Sparse_gauss.select_independent ~tol ~cols:n
+                  (Array.map (fun r -> r.Eqn.vars) seed_rows))
           in
           let kept = ref [] and n_kept = ref 0 in
           Array.iteri
@@ -146,8 +222,9 @@ let select ?(config = default_config) model obs =
             a
           in
           let basis =
-            Nullspace.basis_of_incidence ~tol ~rows:!n_kept ~cols:n
-              kept_vars
+            Obs.Trace.with_span "algorithm1.basis" (fun () ->
+                Nullspace.basis_of_incidence ~tol ~rows:!n_kept ~cols:n
+                  kept_vars)
           in
           Nullspace.tracker_of_matrix ~tol ?witness_k:config.witness_k
             basis)
@@ -200,23 +277,36 @@ let select ?(config = default_config) model obs =
             grow_from v cur
           end
     in
+    (* SortByHammingWeight keys: the weight above [shift] bits, the
+       variable below. *)
+    let shift =
+      let s = ref 0 in
+      while 1 lsl !s < n do
+        incr s
+      done;
+      !s
+    in
+    let var_mask = (1 lsl shift) - 1 in
+    let order = Array.make n 0 in
     let continue_ = ref true in
     Obs.Trace.with_span "algorithm1.grow" (fun () ->
     while !continue_ && Nullspace.dim tracker > 0 do
-      (* SortByHammingWeight: try subsets whose N-row has the most
-         non-zero entries first.  The weights are maintained by the
-         tracker during elimination — reading them is O(n), not the
-         O(n·p) recount this loop used to pay per iteration. *)
-      let order =
-        Array.init n (fun v -> (v, Nullspace.row_weight tracker v))
-      in
-      Array.sort (fun (_, a) (_, b) -> compare b a) order;
+      (* Try subsets whose N-row has the most non-zero entries first.
+         The weights are maintained by the tracker during elimination,
+         so reading them is O(n). *)
+      for v = 0 to n - 1 do
+        order.(v) <- (Nullspace.row_weight tracker v lsl shift) lor v
+      done;
+      sort_grow_order ~shift order;
       let progress = ref false in
       let i = ref 0 in
       while (not !progress) && !i < n do
-        let v, w = order.(!i) in
+        let key = order.(!i) in
         incr i;
-        if w > 0 then progress := grow_from v (cursor_of v)
+        if key lsr shift > 0 then begin
+          let v = key land var_mask in
+          progress := grow_from v (cursor_of v)
+        end
       done;
       if not !progress then continue_ := false
     done);

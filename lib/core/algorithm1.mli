@@ -11,7 +11,7 @@
     + seed [P̂] with one path set per subset [E]:
       [Paths(E) \ Paths(Ē)] (lines 1–5) — the greedy independent subset
       of the seed rows is found by one forward elimination and its null
-      space by one batched sparse rref, not row-by-row updates;
+      space by one batched elimination, not row-by-row updates;
     + maintain a null-space basis [N] of the selected system and
       repeatedly add a path set whose row reduces the null space, trying
       subsets in decreasing Hamming weight of their [N]-row and, within a
@@ -79,6 +79,15 @@ type selection = {
     its per-link identifiable flags, is built ({!Readout.build}) before
     returning. *)
 val select : ?config:config -> Model.t -> Observations.t -> selection
+
+(** [sort_grow_order ~shift keys] sorts, in place, keys that pack a
+    weight above [shift] bits and a variable below, by decreasing
+    weight: the order the grow phase tries variables in
+    (SortByHammingWeight).  It is Stdlib's [Array.sort] heap sort made
+    monomorphic, so it leaves the permutation [Array.sort] leaves on
+    the (variable, weight) pairs compared by weight alone, ties
+    included. *)
+val sort_grow_order : shift:int -> int array -> unit
 
 (** [identifiable_flags registry nullspace] marks each registered
     variable whose row of the null-space basis [nullspace] is zero. *)

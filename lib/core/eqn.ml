@@ -1,24 +1,27 @@
 module Bitset = Tomo_util.Bitset
 
+(* Subsets are canonical (sorted links), so the table keys on the subset
+   itself. *)
+module Tbl = Hashtbl.Make (Subsets)
+
 type registry = {
-  by_key : (string, int) Hashtbl.t;
+  by_subset : int Tbl.t;
   mutable subsets : Subsets.t option array;  (* dynamic array *)
   mutable count : int;
 }
 
 let registry () =
-  { by_key = Hashtbl.create 256; subsets = Array.make 64 None; count = 0 }
+  { by_subset = Tbl.create 256; subsets = Array.make 64 None; count = 0 }
 
 let n_vars reg = reg.count
-let find reg s = Hashtbl.find_opt reg.by_key (Subsets.key s)
+let find reg s = Tbl.find_opt reg.by_subset s
 
 let add reg s =
-  let k = Subsets.key s in
-  match Hashtbl.find_opt reg.by_key k with
+  match Tbl.find_opt reg.by_subset s with
   | Some v -> v
   | None ->
       let v = reg.count in
-      Hashtbl.add reg.by_key k v;
+      Tbl.add reg.by_subset s v;
       if v >= Array.length reg.subsets then begin
         let grown = Array.make (2 * Array.length reg.subsets) None in
         Array.blit reg.subsets 0 grown 0 (Array.length reg.subsets);
@@ -78,30 +81,26 @@ let build_row model ~effective reg ~paths ~lookup =
 let row model ~effective reg ~paths =
   build_row model ~effective reg ~paths ~lookup:find
 
-(* A resolver is a frozen-registry fast path for [row].  [row] pays, per
-   candidate path set, a [Bitset] union over all links, a hash table
-   keyed by {!Subsets.key} *strings* (built with [Printf.sprintf] per
-   lookup), and one {!Subsets.make} validation per induced subset.
+(* A resolver is a frozen-registry fast path for [row].  [row] pays,
+   per candidate path set, a [Bitset] union over all links, a grouping
+   hash table, and one {!Subsets.make} validation per induced subset.
    Algorithm 1 materializes tens of thousands of candidate rows per
-   selection against a registry that no longer grows, so those per-row
-   allocations dominate the whole selection once the linear algebra is
-   out of the way.  The resolver hoists them: effective links are
-   pre-filtered per path, subsets resolve through a hash table keyed by
-   their sorted link arrays (structural hashing, no strings), and the
-   union/grouping scratch is reused across calls with a generation
-   stamp.  The produced rows are identical to [row]'s — same
-   [Some]/[None] decisions, same sorted [vars] — because both compute
-   the same set of induced subsets [Links(P) ∩ C]. *)
+   selection against a registry that no longer grows, so the resolver
+   hoists that work: each path's effective links are folded once into
+   (correlation set, link mask) pairs, a candidate ORs its paths' pairs
+   into per-set masks, and each mask resolves through a per-set hash
+   table of registered subsets.  The produced rows are identical to
+   [row]'s — same [Some]/[None] decisions, same sorted [vars] — because
+   both compute the same set of induced subsets [Links(P) ∩ C]. *)
 type resolver = {
   rz_fallback : (paths:int array -> row option) option;
       (* engaged when some correlation set is too large for the mask
          encoding; [row_fast] then just delegates to [build_row] *)
   rz_by_mask : (int, int) Hashtbl.t array;
       (* per correlation set: within-set link mask -> variable *)
-  rz_path_eff : int array array;  (* per path: its effective links *)
-  rz_corr_of_link : int array;
-  rz_pos_of_link : int array;  (* bit position within its correlation set *)
-  rz_link_stamp : int array;  (* per link: generation of last visit *)
+  rz_path_groups : int array array;
+      (* per path: its (correlation set, link mask) pairs, flattened,
+         sets in the order of their first effective link *)
   rz_corr_stamp : int array;  (* per correlation set: generation *)
   rz_corr_mask : int array;  (* accumulated subset mask per set *)
   rz_corr_order : int array;  (* correlation sets in first-seen order *)
@@ -114,9 +113,10 @@ let resolver model ~effective reg =
   let n_links = model.Model.n_links in
   let n_corr = Model.n_corr_sets model in
   (* A subset within correlation set [c] is keyed by the bitmask of its
-     links' positions in [corr_sets.(c)] — order-independent, so it can
-     be accumulated during the union scan with no sorting or per-group
-     allocation.  Needs every correlation set to fit one word. *)
+     links' positions in [corr_sets.(c)] — order-independent, so a
+     candidate's subsets are ORed together from its paths' masks with
+     no sorting or per-group allocation.  Needs every correlation set
+     to fit one word. *)
   let too_wide = ref false in
   let pos_of_link = Array.make n_links 0 in
   for c = 0 to n_corr - 1 do
@@ -138,30 +138,41 @@ let resolver model ~effective reg =
           Hashtbl.replace by_mask.(s.Subsets.corr) mask v
       | None -> ()
     done;
-  let path_eff =
-    Array.init model.Model.n_paths (fun p ->
-        let row = model.Model.path_links.(p) in
-        (* Size the array exactly with one word-level popcount pass, then
-           fill it in ascending order — no intermediate list. *)
-        let n = Bitset.count_inter row effective in
-        let a = Array.make n 0 in
-        let i = ref 0 in
-        Bitset.iter
-          (fun e ->
-            if Bitset.unsafe_get effective e then begin
-              Array.unsafe_set a !i e;
-              incr i
-            end)
-          row;
-        a)
+  let corr_of = model.Model.corr_of_link in
+  let path_groups =
+    if !too_wide then [||]
+    else begin
+      let slot = Array.make n_corr (-1) in
+      let groups = Array.make (2 * n_corr) 0 in
+      Array.map
+        (fun row ->
+          let n = ref 0 in
+          Bitset.iter
+            (fun e ->
+              if Bitset.unsafe_get effective e then begin
+                let c = corr_of.(e) in
+                if slot.(c) < 0 then begin
+                  slot.(c) <- !n;
+                  groups.(!n) <- c;
+                  groups.(!n + 1) <- 0;
+                  n := !n + 2
+                end;
+                let k = slot.(c) + 1 in
+                groups.(k) <- groups.(k) lor (1 lsl pos_of_link.(e))
+              end)
+            row;
+          let g = Array.sub groups 0 !n in
+          for k = 0 to (!n / 2) - 1 do
+            slot.(g.(2 * k)) <- -1
+          done;
+          g)
+        model.Model.path_links
+    end
   in
   {
     rz_fallback = fallback;
     rz_by_mask = by_mask;
-    rz_path_eff = path_eff;
-    rz_corr_of_link = model.Model.corr_of_link;
-    rz_pos_of_link = pos_of_link;
-    rz_link_stamp = Array.make n_links 0;
+    rz_path_groups = path_groups;
     rz_corr_stamp = Array.make n_corr 0;
     rz_corr_mask = Array.make n_corr 0;
     rz_corr_order = Array.make n_corr 0;
@@ -175,30 +186,24 @@ let row_vars rz ~paths =
   | None ->
       let gen = rz.rz_gen + 1 in
       rz.rz_gen <- gen;
-      (* One scan: dedup the paths' effective links by stamp and fold
-         each straight into its correlation set's subset mask. *)
-      let stamp = rz.rz_link_stamp in
-      let corr_of = rz.rz_corr_of_link and pos_of = rz.rz_pos_of_link in
+      (* OR each path's per-set masks into the candidate's, in
+         first-seen order of the sets. *)
+      let stamp = rz.rz_corr_stamp and mask = rz.rz_corr_mask in
       let n_groups = ref 0 in
-      Array.iter
-        (fun p ->
-          let ls = rz.rz_path_eff.(p) in
-          for i = 0 to Array.length ls - 1 do
-            let e = Array.unsafe_get ls i in
-            if Array.unsafe_get stamp e <> gen then begin
-              Array.unsafe_set stamp e gen;
-              let c = Array.unsafe_get corr_of e in
-              if rz.rz_corr_stamp.(c) <> gen then begin
-                rz.rz_corr_stamp.(c) <- gen;
-                rz.rz_corr_mask.(c) <- 0;
-                rz.rz_corr_order.(!n_groups) <- c;
-                incr n_groups
-              end;
-              rz.rz_corr_mask.(c) <-
-                rz.rz_corr_mask.(c) lor (1 lsl Array.unsafe_get pos_of e)
-            end
-          done)
-        paths;
+      for i = 0 to Array.length paths - 1 do
+        let g = rz.rz_path_groups.(paths.(i)) in
+        for k = 0 to (Array.length g / 2) - 1 do
+          let c = Array.unsafe_get g (2 * k)
+          and m = Array.unsafe_get g ((2 * k) + 1) in
+          if Array.unsafe_get stamp c <> gen then begin
+            Array.unsafe_set stamp c gen;
+            Array.unsafe_set mask c m;
+            rz.rz_corr_order.(!n_groups) <- c;
+            incr n_groups
+          end
+          else Array.unsafe_set mask c (Array.unsafe_get mask c lor m)
+        done
+      done;
       let n_groups = !n_groups in
       if n_groups = 0 then [||]
       else begin
@@ -214,7 +219,7 @@ let row_vars rz ~paths =
         let g = ref 0 in
         while !ok && !g < n_groups do
           let c = rz.rz_corr_order.(!g) in
-          (match Hashtbl.find_opt rz.rz_by_mask.(c) rz.rz_corr_mask.(c) with
+          (match Hashtbl.find_opt rz.rz_by_mask.(c) mask.(c) with
           | Some v -> vars.(!g) <- v
           | None -> ok := false);
           incr g

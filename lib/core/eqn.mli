@@ -46,12 +46,13 @@ val row :
   Model.t -> effective:Tomo_util.Bitset.t -> registry -> paths:int array ->
   row option
 
-(** A frozen-registry fast path for {!row}: pre-filters each path's
-    effective links, resolves induced subsets through a hash table keyed
-    by their sorted link arrays (no string keys), and reuses scratch
-    buffers across calls.  Build it once the registry stops growing.
-    When a correlation set is wider than a word, every call falls back
-    to {!row} itself. *)
+(** A frozen-registry fast path for {!row}: folds each path's
+    effective links once into (correlation set, link mask) pairs,
+    resolves a candidate's induced subsets by ORing its paths' masks
+    and looking each up in a per-set table of registered masks, and
+    reuses scratch buffers across calls.  Build it once the registry
+    stops growing.  When a correlation set is wider than a word, every
+    call falls back to {!row} itself. *)
 type resolver
 
 val resolver :

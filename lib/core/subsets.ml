@@ -39,11 +39,18 @@ let compare a b =
   | 0 -> Stdlib.compare a.links b.links
   | c -> c
 
-let equal a b = compare a b = 0
+let equal a b =
+  a.corr = b.corr
+  && Array.length a.links = Array.length b.links
+  &&
+  let same = ref true in
+  for i = 0 to Array.length a.links - 1 do
+    if Array.unsafe_get a.links i <> Array.unsafe_get b.links i then
+      same := false
+  done;
+  !same
 
-let key s =
-  Printf.sprintf "%d:%s" s.corr
-    (String.concat "," (Array.to_list (Array.map string_of_int s.links)))
+let hash (s : t) = Hashtbl.hash s
 
 let pp ppf s =
   Format.fprintf ppf "{C%d:%a}" s.corr

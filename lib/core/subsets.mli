@@ -19,8 +19,10 @@ val make : Model.t -> corr:int -> int array -> t
 val compare : t -> t -> int
 val equal : t -> t -> bool
 
-(** [key s] is a canonical string key (for hash tables). *)
-val key : t -> string
+(** [hash s] is a structural hash of [corr] and [links], consistent
+    with {!equal}: subsets are canonical, so a hash table can key on
+    them directly. *)
+val hash : t -> int
 
 val pp : Format.formatter -> t -> unit
 

@@ -11,6 +11,12 @@ let c_recomputes = Obs.Metrics.counter "nullspace_recomputes"
 let c_incremental = Obs.Metrics.counter "nullspace_incremental_updates"
 let c_rejections = Obs.Metrics.counter "nullspace_dependent_rejections"
 
+(* Seed-elimination observability: how often it runs and how sparse the
+   incidence systems it receives are. *)
+let c_rrefs = Obs.Metrics.counter "sparse_rref_calls"
+let h_nnz = Obs.Metrics.histogram "sparse_rref_input_nnz"
+let h_density = Obs.Metrics.histogram "sparse_rref_input_density"
+
 (* Witness-prefilter observability: how many candidate rows the random
    projections rejected without touching the basis, how many fell
    through to the exact test, and how much work each witness dot cost
@@ -42,32 +48,171 @@ let pick_pivot ~tol v p =
     Some !j
   end
 
-let basis_of_incidence ?tol ~rows ~cols idxs =
+(* The seed elimination: Gauss–Jordan over a 0/1 incidence system,
+   making the floating-point operations of the sorted-merge sparse
+   kernel in test/oracles on every entry, in the same order.  The rows
+   are dense-addressed in one flat [rows × cols] block; an exact zero
+   is stored as [+0.0], which is what an absent sparse entry reads as,
+   so the basis read off below is bit-identical to the reference's,
+   zero signs included.  Row swaps only permute [row_at] / [pos_of].
+   Per-column occupancy lists (the physical rows that may hold a
+   nonzero in the column; stale entries are skipped by value) keep the
+   pivot search and the updates of each pivot proportional to the rows
+   holding its column, so the work follows the fill, as the sparse
+   kernel's does. *)
+let basis_of_incidence ?(tol = Sparse_gauss.default_tol) ~rows ~cols idxs =
   Obs.Metrics.incr c_recomputes;
   if cols = 0 then Matrix.make 0 0 0.0
   else if rows = 0 then Matrix.identity cols
   else begin
-    let sp = Sparse.of_incidence ~rows ~cols idxs in
-    let { Sparse_gauss.reduced; pivot_cols; rank } =
-      Sparse_gauss.rref ?tol sp
+    if Array.length idxs <> rows then
+      invalid_arg "Nullspace.basis_of_incidence: row count mismatch";
+    let idxs = Array.map (Sparse.incidence_row ~cols) idxs in
+    let nr = rows and nc = cols in
+    let a = Array.make (nr * nc) 0.0 in
+    let occ = Array.make nc [||] and occ_n = Array.make nc 0 in
+    let occupy c p =
+      let n = occ_n.(c) in
+      if n = Array.length occ.(c) then begin
+        let grown = Array.make (max 4 (2 * n)) 0 in
+        Array.blit occ.(c) 0 grown 0 n;
+        occ.(c) <- grown
+      end;
+      Array.unsafe_set occ.(c) n p;
+      occ_n.(c) <- n + 1
     in
-    (* Basis vector [k] sets the [k]-th free column [fc] to 1 and each
-       pivot variable to minus its reduced entry in column [fc], read in
-       place from the sparse form. *)
-    let pivot_row = Array.make cols (-1) in
-    List.iteri (fun row col -> pivot_row.(col) <- row) pivot_cols;
-    let free_cols =
-      List.filter (fun j -> pivot_row.(j) < 0) (List.init cols Fun.id)
-    in
-    let out = Matrix.make cols (cols - rank) 0.0 in
-    List.iteri
-      (fun k fc ->
-        Matrix.set out fc k 1.0;
-        Array.iteri
-          (fun col piv ->
-            if piv >= 0 then Matrix.set out col k (-.Sparse.get reduced piv fc))
-          pivot_row)
-      free_cols;
+    (* [last.(p)]: no column right of it holds a nonzero in row [p]. *)
+    let last = Array.make nr (-1) in
+    let nnz = ref 0 in
+    for p = 0 to nr - 1 do
+      let r = idxs.(p) in
+      let k = Array.length r in
+      nnz := !nnz + k;
+      for m = 0 to k - 1 do
+        let c = r.(m) in
+        a.((p * nc) + c) <- 1.0;
+        occupy c p
+      done;
+      if k > 0 then last.(p) <- r.(k - 1)
+    done;
+    Obs.Metrics.incr c_rrefs;
+    if Obs.Metrics.enabled () then begin
+      Obs.Metrics.observe h_nnz (float_of_int !nnz);
+      Obs.Metrics.observe h_density
+        (float_of_int !nnz /. float_of_int (nr * nc))
+    end;
+    (* Every input entry is 1.0, so the pivot threshold [tol] scaled
+       by the largest absolute entry (at least 1) is [tol] itself. *)
+    let threshold = tol in
+    let row_at = Array.init nr Fun.id and pos_of = Array.init nr Fun.id in
+    (* The pivot row's nonzeros, gathered once per pivot. *)
+    let g_col = Array.make nc 0 and g_val = Array.make nc 0.0 in
+    let pivot_row = Array.make nc (-1) in
+    let r = ref 0 and j = ref 0 in
+    while !r < nr && !j < nc do
+      let jc = !j and rr = !r in
+      let list = occ.(jc) and n_occ = occ_n.(jc) in
+      (* Partial pivoting: the largest |entry| of column [jc] among
+         logical rows >= [rr], the earliest row winning a tie — what a
+         scan in row order with a strict [>] picks. *)
+      let best = ref rr in
+      let best_abs = ref (abs_float a.((row_at.(rr) * nc) + jc)) in
+      for m = 0 to n_occ - 1 do
+        let p = Array.unsafe_get list m in
+        let q = Array.unsafe_get pos_of p in
+        if q > rr then begin
+          let v = abs_float (Array.unsafe_get a ((p * nc) + jc)) in
+          if v > !best_abs || (v = !best_abs && q < !best) then begin
+            best := q;
+            best_abs := v
+          end
+        end
+      done;
+      if !best_abs <= threshold then begin
+        (* Numerically zero column below row [rr]: zero it and move
+           on. *)
+        for m = 0 to n_occ - 1 do
+          let p = Array.unsafe_get list m in
+          if Array.unsafe_get pos_of p >= rr then
+            Array.unsafe_set a ((p * nc) + jc) 0.0
+        done;
+        incr j
+      end
+      else begin
+        let pr = row_at.(!best) in
+        row_at.(!best) <- row_at.(rr);
+        pos_of.(row_at.(rr)) <- !best;
+        row_at.(rr) <- pr;
+        pos_of.(pr) <- rr;
+        (* Normalise.  Columns left of [jc] are zero in this row: each
+           was a pivot column, eliminated, or zeroed while the row sat
+           at or below its position. *)
+        let base = pr * nc in
+        let pivot = a.(base + jc) in
+        let ng = ref 0 in
+        for c = jc to last.(pr) do
+          let x = Array.unsafe_get a (base + c) in
+          if x <> 0.0 then begin
+            let y = x /. pivot in
+            if y <> 0.0 then begin
+              Array.unsafe_set a (base + c) y;
+              g_col.(!ng) <- c;
+              g_val.(!ng) <- y;
+              incr ng
+            end
+            else Array.unsafe_set a (base + c) 0.0
+          end
+        done;
+        let ng = !ng in
+        let reach = if ng = 0 then -1 else g_col.(ng - 1) in
+        (* Eliminate column [jc] from every other row holding it.
+           Fill-in lands in columns right of [jc], so [list] does not
+           grow during the sweep. *)
+        for m = 0 to n_occ - 1 do
+          let p = Array.unsafe_get list m in
+          if p <> pr then begin
+            let bp = p * nc in
+            let factor = Array.unsafe_get a (bp + jc) in
+            if factor <> 0.0 then begin
+              if reach > last.(p) then last.(p) <- reach;
+              for k = 0 to ng - 1 do
+                let c = Array.unsafe_get g_col k in
+                let old = Array.unsafe_get a (bp + c) in
+                let nw = old -. (factor *. Array.unsafe_get g_val k) in
+                if nw = 0.0 then Array.unsafe_set a (bp + c) 0.0
+                else begin
+                  Array.unsafe_set a (bp + c) nw;
+                  if old = 0.0 then occupy c p
+                end
+              done
+            end
+          end
+        done;
+        pivot_row.(jc) <- rr;
+        incr r;
+        incr j
+      end
+    done;
+    (* Basis vector [k] sets the [k]-th free column [free.(k)] to 1 and
+       each pivot variable to minus its reduced entry in that column;
+       filled one pivot row at a time. *)
+    let free = Array.make (nc - !r) 0 in
+    let k = ref 0 in
+    for c = 0 to nc - 1 do
+      if pivot_row.(c) < 0 then begin
+        free.(!k) <- c;
+        incr k
+      end
+    done;
+    let out = Matrix.make cols (cols - !r) 0.0 in
+    Array.iteri (fun k fc -> Matrix.set out fc k 1.0) free;
+    for col = 0 to nc - 1 do
+      let piv = pivot_row.(col) in
+      if piv >= 0 then begin
+        let base = row_at.(piv) * nc in
+        Array.iteri (fun k fc -> Matrix.set out col k (-.a.(base + fc))) free
+      end
+    done;
     out
   end
 
@@ -318,20 +463,25 @@ let eliminate_in_place t j =
   t.p <- p - 1
 
 (* The O(k · nnz) fast path: every witness dot within [wtol] ⇒ reject
-   without touching the basis.  [dot u_c] is the row's dot with a
-   witness (an incidence row sums [nnz] entries of [u_c]).  Fills
-   [t.wit_dot] for {!eliminate_in_place}. *)
-let witness_rejects t ~nnz dot =
+   without touching the basis.  An incidence row's dot with a witness
+   [u_c] is the sum of its [idxs] entries of [u_c], taken in [idxs]
+   order.  Fills [t.wit_dot] for {!eliminate_in_place}. *)
+let witness_rejects t idxs =
   let k = Array.length t.wit_u in
   if k = 0 then false
   else begin
+    let nnz = Array.length idxs in
     if Obs.Metrics.enabled () then
       Obs.Metrics.observe h_wit_nnz (float_of_int nnz);
     let all_small = ref true in
     for c = 0 to k - 1 do
-      let d = dot t.wit_u.(c) in
-      t.wit_dot.(c) <- d;
-      if abs_float d > t.wtol then all_small := false
+      let u = Array.unsafe_get t.wit_u c in
+      let d = ref 0.0 in
+      for m = 0 to nnz - 1 do
+        d := !d +. Array.unsafe_get u (Array.unsafe_get idxs m)
+      done;
+      Array.unsafe_set t.wit_dot c !d;
+      if abs_float !d > t.wtol then all_small := false
     done;
     if !all_small then begin
       Obs.Metrics.incr c_wit_rejections;
@@ -344,32 +494,25 @@ let witness_rejects t ~nnz dot =
     end
   end
 
-let incidence_dot idxs u =
-  let acc = ref 0.0 in
-  Array.iter (fun i -> acc := !acc +. Array.unsafe_get u i) idxs;
-  !acc
-
 let add_incidence t idxs =
-  Array.iter
-    (fun i ->
-      if i < 0 || i >= t.nvars then
-        invalid_arg "Nullspace.add_incidence: index out of range")
-    idxs;
+  for m = 0 to Array.length idxs - 1 do
+    let i = idxs.(m) in
+    if i < 0 || i >= t.nvars then
+      invalid_arg "Nullspace.add_incidence: index out of range"
+  done;
   let p = t.p in
   if p = 0 then false
-  else if witness_rejects t ~nnz:(Array.length idxs) (incidence_dot idxs) then
-    false
+  else if witness_rejects t idxs then false
   else begin
     let v = t.v in
     Array.fill v 0 p 0.0;
     let buf = t.colbuf and off = t.col_off in
-    Array.iter
-      (fun i ->
-        for k = 0 to p - 1 do
-          v.(k) <-
-            v.(k) +. Array.unsafe_get buf (Array.unsafe_get off k + i)
-        done)
-      idxs;
+    for m = 0 to Array.length idxs - 1 do
+      let i = Array.unsafe_get idxs m in
+      for k = 0 to p - 1 do
+        v.(k) <- v.(k) +. Array.unsafe_get buf (Array.unsafe_get off k + i)
+      done
+    done;
     match pick_pivot ~tol:t.tol v p with
     | None -> false
     | Some j ->

@@ -19,11 +19,20 @@ val in_row_space : ?tol:float -> Matrix.t -> int -> bool
 (** [basis_of_incidence ?tol ~rows ~cols idxs] is a [cols × p] matrix
     whose columns span the null space of the 0/1 incidence system with
     [rows] rows over [cols] variables ([idxs.(i)] lists row [i]'s
-    columns; [p] is the nullity), read off one {!Sparse_gauss.rref}
-    pass — the batched seed-phase path of Algorithm 1.  Basis vector
+    columns, checked by {!Sparse.incidence_row}; [p] is the nullity),
+    read off one Gauss–Jordan elimination — the batched seed-phase path
+    of Algorithm 1.  Pivoting takes the largest absolute entry of the
+    column (the earliest row on a tie); a pivot at or below [tol]
+    (default {!Sparse_gauss.default_tol}) counts as zero.  Basis vector
     [k] sets the [k]-th free column to 1 and each pivot variable to
     minus its reduced entry in that column.  [rows = 0] yields the
-    identity basis; a trivial null space yields [0] columns. *)
+    identity basis; a trivial null space yields [0] columns.  The
+    result is bit-identical, zero signs included, to the sorted-merge
+    sparse reference in [test/oracles], whose floating-point
+    operations it performs in the same order; the work of each pivot
+    is proportional to the rows holding its column.
+    @raise Invalid_argument when [idxs] does not have [rows] rows, or
+    as {!Sparse.incidence_row} does. *)
 val basis_of_incidence :
   ?tol:float -> rows:int -> cols:int -> int array array -> Matrix.t
 

@@ -2,13 +2,13 @@
     array]): the one dense reference the sparse kernels are checked
     against.
 
-    {!Sparse_gauss.rref} and {!Nullspace.basis_of_incidence} promise
+    {!Sparse_rref.rref} and {!Nullspace.basis_of_incidence} promise
     the floating-point operations of this naive sweep on every stored
     entry: partial pivoting on the largest absolute entry of the column
     (the earliest row wins a tie), a pivot threshold of [tol] times the
     largest absolute input entry (at least [1]), and
     normalise-then-eliminate row order.  The tests compare them entry
-    for entry; the sparse kernel cannot reproduce a dense [-0.0], so
+    for entry; the sparse kernels cannot reproduce a dense [-0.0], so
     zero signs are the one allowed difference. *)
 
 (** Result of [rref]. *)

@@ -8,14 +8,17 @@
    [select] is Algorithm 1 with a grow phase that materializes each
    variable's whole candidate list (every resolved path set among the
    first 300 subsets of its pool, up to 8 paths) on the first visit,
-   built with the reference row builder [Eqn.row].  The library must
-   agree with both bit for bit. *)
+   built with the reference row builder [Eqn.row]; its seed basis comes
+   from the sorted-merge elimination in test/oracles, and it orders the
+   grow phase with Stdlib's [Array.sort].  The library must agree with
+   both bit for bit. *)
 
 module Bitset = Tomo_util.Bitset
 module Combin = Tomo_util.Combin
 module Matrix = Tomo_linalg.Matrix
 module Nullspace = Tomo_linalg.Nullspace
 module Sparse_gauss = Tomo_linalg.Sparse_gauss
+module Sparse_rref = Tomo_oracles.Sparse_rref
 open Tomo
 
 (* ------------------------------------------------------------------ *)
@@ -199,7 +202,10 @@ let materialize_candidates model ~effective registry ~pool =
    with Exit -> ());
   Array.of_list (List.rev !acc)
 
-let select ?(config = Algorithm1.default_config) model obs =
+(* Lines 1-5 of Algorithm 1: the registry, every variable's candidate
+   pool, and the seed rows the greedy in-order independence test
+   keeps. *)
+let seed ~config model obs =
   let effective = Subsets.effective_links model obs in
   let registry = Eqn.registry () in
   let (_ : int) = Eqn.register_single_path_vars model ~effective registry in
@@ -208,6 +214,34 @@ let select ?(config = Algorithm1.default_config) model obs =
       ~max_size:config.Algorithm1.max_subset_size ~limit_per_set
   in
   List.iter (fun s -> ignore (Eqn.add registry s)) targets;
+  let n = Eqn.n_vars registry in
+  let seed_pools = Array.make n [||] in
+  let seed_rows = ref [] in
+  for v = 0 to n - 1 do
+    let s = Eqn.subset_of_var registry v in
+    let pool = Subsets.candidate_paths model ~effective s in
+    if not (Bitset.is_empty pool) then begin
+      let paths = Array.of_list (Bitset.to_list pool) in
+      seed_pools.(v) <- paths;
+      match Eqn.row model ~effective registry ~paths with
+      | Some row -> seed_rows := row :: !seed_rows
+      | None -> ()
+    end
+  done;
+  let seed_rows = Array.of_list (List.rev !seed_rows) in
+  let keep =
+    Sparse_gauss.select_independent ~tol ~cols:n
+      (Array.map (fun r -> r.Eqn.vars) seed_rows)
+  in
+  let kept = List.filteri (fun i _ -> keep.(i)) (Array.to_list seed_rows) in
+  (effective, registry, seed_pools, kept)
+
+let seed_system ?(config = Algorithm1.default_config) model obs =
+  let _, registry, _, kept = seed ~config model obs in
+  (Eqn.n_vars registry, Array.of_list (List.map (fun r -> r.Eqn.vars) kept))
+
+let select ?(config = Algorithm1.default_config) model obs =
+  let effective, registry, seed_pools, kept = seed ~config model obs in
   let n = Eqn.n_vars registry in
   let finish rows nullspace =
     {
@@ -218,29 +252,8 @@ let select ?(config = Algorithm1.default_config) model obs =
   in
   if n = 0 then finish [||] (Matrix.make 0 0 0.0)
   else begin
-    let seed_pools = Array.make n [||] in
-    let seed_rows = ref [] in
-    for v = 0 to n - 1 do
-      let s = Eqn.subset_of_var registry v in
-      let pool = Subsets.candidate_paths model ~effective s in
-      if not (Bitset.is_empty pool) then begin
-        let paths = Array.of_list (Bitset.to_list pool) in
-        seed_pools.(v) <- paths;
-        match Eqn.row model ~effective registry ~paths with
-        | Some row -> seed_rows := row :: !seed_rows
-        | None -> ()
-      end
-    done;
-    let seed_rows = Array.of_list (List.rev !seed_rows) in
-    let keep =
-      Sparse_gauss.select_independent ~tol ~cols:n
-        (Array.map (fun r -> r.Eqn.vars) seed_rows)
-    in
-    let kept =
-      List.filteri (fun i _ -> keep.(i)) (Array.to_list seed_rows)
-    in
     let basis =
-      Nullspace.basis_of_incidence ~tol ~rows:(List.length kept) ~cols:n
+      Sparse_rref.basis ~tol ~rows:(List.length kept) ~cols:n
         (Array.of_list (List.map (fun r -> r.Eqn.vars) kept))
     in
     let tracker =

@@ -1018,6 +1018,91 @@ let test_readout_and_grow_on_workloads () =
         (readout_matches_reference (Prob_engine.solve sel obs)))
     [ W.Brite; W.Sparse ]
 
+(* ------------------------------------------------------------------ *)
+(* Selection kernels against their references                          *)
+(* ------------------------------------------------------------------ *)
+
+module Nullspace = Tomo_linalg.Nullspace
+module Sparse_rref = Tomo_oracles.Sparse_rref
+
+let matrices_same_bits a b =
+  Matrix.rows a = Matrix.rows b
+  && Matrix.cols a = Matrix.cols b
+  && List.for_all
+       (fun i ->
+         List.for_all
+           (fun j -> same_bits (Matrix.get a i j) (Matrix.get b i j))
+           (List.init (Matrix.cols a) Fun.id))
+       (List.init (Matrix.rows a) Fun.id)
+
+(* The seed elimination on the systems Algorithm 1 seeds from: every
+   basis entry equal to the sorted-merge reference's, zero signs
+   included. *)
+let prop_seed_systems_match_sorted_merge =
+  QCheck.Test.make
+    ~name:"seed elimination ≡ sorted-merge reference on seed systems (bits)"
+    ~count:150 (QCheck.int_range 0 10_000) (fun seed ->
+      let model, obs, rng = random_chain_case seed in
+      let config =
+        { Algorithm1.default_config with
+          Algorithm1.max_subset_size = 1 + Rng.int rng 3 }
+      in
+      let n, rows = Reference.seed_system ~config model obs in
+      let r = Array.length rows in
+      matrices_same_bits
+        (Nullspace.basis_of_incidence ~tol:1e-8 ~rows:r ~cols:n rows)
+        (Sparse_rref.basis ~tol:1e-8 ~rows:r ~cols:n rows))
+
+(* The grow phase's packed-key heap sort must leave the permutation
+   Stdlib's [Array.sort] leaves on (variable, weight) pairs, ties
+   included; weights drawn from 0..5 make ties the common case. *)
+let prop_grow_order_matches_array_sort =
+  QCheck.Test.make ~name:"grow-order sort ≡ Array.sort permutation"
+    ~count:300
+    QCheck.(pair (int_range 0 2000) (int_range 0 100_000))
+    (fun (n, seed) ->
+      let n = if seed mod 3 = 0 then n mod 20 else n in
+      let rng = Rng.create (seed + 180_000) in
+      let w = Array.init n (fun _ -> Rng.int rng 6) in
+      let pairs = Array.init n (fun v -> (v, w.(v))) in
+      Array.sort (fun (_, a) (_, b) -> compare b a) pairs;
+      let shift = ref 0 in
+      while 1 lsl !shift < n do
+        incr shift
+      done;
+      let shift = !shift in
+      let keys = Array.init n (fun v -> (w.(v) lsl shift) lor v) in
+      Algorithm1.sort_grow_order ~shift keys;
+      Array.map fst pairs = Array.map (fun k -> k land ((1 lsl shift) - 1)) keys)
+
+(* A correlation set wider than a word: [Eqn.resolver] falls back to
+   [Eqn.row], and Algorithm 1 must still select exactly what the
+   reference selects.  70 links covered by the 2-link chain paths
+   [i; i+1], each congested in some interval, so every link is
+   potentially congested. *)
+let test_wide_set_selection () =
+  let n = 70 and t = 12 in
+  let model =
+    Model.make ~n_links:n
+      ~paths:(Array.init (n - 1) (fun i -> [| i; i + 1 |]))
+      ~corr_sets:[| Array.init n Fun.id |]
+  in
+  let rng = Rng.create 70 in
+  let path_good =
+    Array.init (n - 1) (fun p ->
+        let b = Bitset.create t in
+        for i = 0 to t - 1 do
+          if i <> p mod t && Rng.bool rng ~p:0.7 then Bitset.set b i
+        done;
+        b)
+  in
+  let obs = Observations.make ~t_intervals:t ~path_good in
+  let sel = Algorithm1.select model obs in
+  check_bool "wider than a word" true (n > Sys.int_size);
+  check_bool "rows selected" true (Array.length sel.Algorithm1.rows > 0);
+  check_bool "selection ≡ reference" true
+    (selections_equal sel (Reference.select model obs))
+
 let test_readout_range_checks () =
   let m, eng = solve_case1 ~t:200 () in
   let n = m.Model.n_links in
@@ -1136,6 +1221,13 @@ let () =
             test_readout_and_grow_on_workloads;
           Alcotest.test_case "link range checks" `Quick
             test_readout_range_checks;
+        ] );
+      ( "selection",
+        [
+          qc prop_seed_systems_match_sorted_merge;
+          qc prop_grow_order_matches_array_sort;
+          Alcotest.test_case "70-link set: Algorithm 1 ≡ reference" `Quick
+            test_wide_set_selection;
         ] );
       ( "confidence",
         [

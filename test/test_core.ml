@@ -14,6 +14,11 @@ let check_bool = Alcotest.(check bool)
 let check_ints = Alcotest.(check (list int))
 let checkf = Alcotest.(check (float 1e-9))
 
+(* Subsets are canonical, so sorting with [Subsets.compare] makes two
+   collections comparable entry by entry. *)
+let subset = Alcotest.testable Subsets.pp Subsets.equal
+let sorted_subsets l = List.sort Subsets.compare l
+
 let e1, e2, e3, e4 = (Toy.e1, Toy.e2, Toy.e3, Toy.e4)
 let p1, p2, p3 = (Toy.p1, Toy.p2, Toy.p3)
 
@@ -290,11 +295,12 @@ let test_enumerate_case1 () =
   let subsets =
     Subsets.enumerate m ~effective:eff ~max_size:3 ~limit_per_set:100
   in
-  let keys = List.map Subsets.key subsets |> List.sort compare in
-  Alcotest.(check (list string))
+  let s corr links = Subsets.make m ~corr links in
+  Alcotest.(check (list subset))
     "case-1 subsets"
-    (List.sort compare [ "0:0"; "1:1"; "1:2"; "1:1,2"; "2:3" ])
-    keys
+    (sorted_subsets
+       [ s 0 [| 0 |]; s 1 [| 1 |]; s 1 [| 2 |]; s 1 [| 1; 2 |]; s 2 [| 3 |] ])
+    (sorted_subsets subsets)
 
 (* Both truncation paths of [enumerate] must count once into
    [subsets_enumeration_capped] — the visit-budget path used to stop
@@ -483,19 +489,20 @@ let test_induced_subsets_fig2b () =
   let induced paths =
     Eqn.induced_subsets m ~effective:eff
       ~links:(Model.links_of_paths m paths)
-    |> List.map Subsets.key |> List.sort compare
+    |> sorted_subsets
   in
-  Alcotest.(check (list string))
+  let s corr links = Subsets.make m ~corr links in
+  Alcotest.(check (list subset))
     "{p1,p2} induces {e1},{e2,e3}"
-    [ "0:0"; "1:1,2" ]
+    (sorted_subsets [ s 0 [| 0 |]; s 1 [| 1; 2 |] ])
     (induced [| p1; p2 |]);
-  Alcotest.(check (list string))
+  Alcotest.(check (list subset))
     "{p2,p3} induces {e1},{e3},{e4}"
-    [ "0:0"; "1:2"; "2:3" ]
+    (sorted_subsets [ s 0 [| 0 |]; s 1 [| 2 |]; s 2 [| 3 |] ])
     (induced [| p2; p3 |]);
-  Alcotest.(check (list string))
+  Alcotest.(check (list subset))
     "{p1,p2,p3} induces {e1},{e2,e3},{e4}"
-    [ "0:0"; "1:1,2"; "2:3" ]
+    (sorted_subsets [ s 0 [| 0 |]; s 1 [| 1; 2 |]; s 2 [| 3 |] ])
     (induced [| p1; p2; p3 |])
 
 let test_row_frozen_vs_grow () =

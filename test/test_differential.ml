@@ -10,11 +10,13 @@
    missed entry) shows up as a bitwise mismatch long before it is large
    enough to trip an approximate tolerance.  The dense elimination and
    null-space basis references live in [test/oracles] ([Gauss]), shared
-   with test_linalg. *)
+   with test_linalg, as does the sorted-merge sparse elimination
+   ([Sparse_rref]) the seed elimination reproduces. *)
 
 module Matrix = Tomo_linalg.Matrix
 module Gauss = Tomo_oracles.Gauss
-module Sparse = Tomo_linalg.Sparse
+module Dense = Tomo_oracles.Dense
+module Sparse_rref = Tomo_oracles.Sparse_rref
 module Sparse_gauss = Tomo_linalg.Sparse_gauss
 module Nullspace = Tomo_linalg.Nullspace
 module Cgls = Tomo_linalg.Cgls
@@ -42,10 +44,11 @@ let matrices_agree ?(loose_zeros = false) m (ref_rows : float array array) =
   done;
   !ok
 
-(* The sparse reduced form, read entry by entry through [Sparse.get]. *)
+(* The sparse reduced form, read entry by entry through
+   [Sparse_rref.get]. *)
 let sparse_agree ?loose_zeros a ref_rows =
   matrices_agree ?loose_zeros
-    (Matrix.init (Sparse.rows a) (Sparse.cols a) (Sparse.get a))
+    (Matrix.init (Sparse_rref.rows a) (Sparse_rref.cols a) (Sparse_rref.get a))
     ref_rows
 
 let vectors_agree x y =
@@ -194,8 +197,8 @@ let prop_rref_sparse_matches_reference =
     ~count:120 dims_gen (fun ((_, r, c) as k) ->
       let rng = seeded_rng k in
       let idxs = random_incidence rng ~rows:r ~cols:c in
-      let { Sparse_gauss.reduced; pivot_cols; rank } =
-        Sparse_gauss.rref (Sparse.of_incidence ~rows:r ~cols:c idxs)
+      let { Sparse_rref.reduced; pivot_cols; rank } =
+        Sparse_rref.rref (Sparse_rref.of_incidence ~rows:r ~cols:c idxs)
       in
       let o = Gauss.rref ~cols:c (Gauss.of_incidence ~cols:c idxs) in
       rank = o.Gauss.rank && pivot_cols = o.Gauss.pivot_cols
@@ -213,6 +216,37 @@ let prop_incidence_nullspace_matches_reference =
       let basis = Nullspace.basis_of_incidence ~rows:r ~cols:c idxs in
       matrices_agree ~loose_zeros:true basis
         (Gauss.basis ~cols:c (Gauss.of_incidence ~cols:c idxs)))
+
+(* The seed elimination performs the sorted-merge kernel's operations
+   in the same order, with exact zeros stored as [+0.0]: its basis must
+   equal the reference's bit for bit, zero signs included.  The systems
+   mix densities from empty rows to dense ones, repeat rows to force
+   rank deficiency, and draw the pivot tolerance from values that zero
+   out small columns as well as the default. *)
+let prop_seed_matches_sorted_merge =
+  QCheck.Test.make
+    ~name:"basis_of_incidence == sorted-merge reference (bitwise)"
+    ~count:300
+    QCheck.(triple (int_range 0 100_000) (int_range 0 24) (int_range 1 24))
+    (fun ((_, r, c) as k) ->
+      let rng = seeded_rng k in
+      let density = Rng.float rng 0.7 in
+      let idxs =
+        Array.init r (fun _ ->
+            let acc = ref [] in
+            for j = c - 1 downto 0 do
+              if Rng.bool rng ~p:density then acc := j :: !acc
+            done;
+            Array.of_list !acc)
+      in
+      (* Repeated rows: rank deficiency beyond what the density gives. *)
+      for i = 1 to r - 1 do
+        if Rng.bool rng ~p:0.2 then idxs.(i) <- idxs.(Rng.int rng i)
+      done;
+      let tol = [| 1e-10; 1e-8; 0.2; 0.4 |].(Rng.int rng 4) in
+      let basis = Nullspace.basis_of_incidence ~tol ~rows:r ~cols:c idxs in
+      matrices_agree basis
+        (Dense.to_rows (Sparse_rref.basis ~tol ~rows:r ~cols:c idxs)))
 
 let prop_cgls_sparse_matches_reference =
   QCheck.Test.make ~name:"flat-CSR CGLS == boxed reference (bitwise)"
@@ -241,8 +275,8 @@ let test_large_fixture () =
   let r = 60 and c = 45 in
   let idxs = random_incidence rng ~rows:r ~cols:c in
   let dense = Gauss.of_incidence ~cols:c idxs in
-  let { Sparse_gauss.reduced; pivot_cols; rank } =
-    Sparse_gauss.rref (Sparse.of_incidence ~rows:r ~cols:c idxs)
+  let { Sparse_rref.reduced; pivot_cols; rank } =
+    Sparse_rref.rref (Sparse_rref.of_incidence ~rows:r ~cols:c idxs)
   in
   let o = Gauss.rref ~cols:c dense in
   Alcotest.(check int) "rank" o.Gauss.rank rank;
@@ -263,6 +297,7 @@ let () =
     [
       ("rref", [ qc prop_rref_sparse_matches_reference ]);
       ("nullspace", [ qc prop_incidence_nullspace_matches_reference ]);
+      ("seed", [ qc prop_seed_matches_sorted_merge ]);
       ("cgls", [ qc prop_cgls_sparse_matches_reference ]);
       ("selection", [ qc prop_select_matches_reference ]);
       ( "fixtures",

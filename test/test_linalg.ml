@@ -540,7 +540,7 @@ let prop_cgls_matches_qr_least_squares =
 (* Sparse storage + sparse elimination                                 *)
 (* ------------------------------------------------------------------ *)
 
-module Sparse_gauss = Tomo_linalg.Sparse_gauss
+module Sparse_rref = Tomo_oracles.Sparse_rref
 
 (* Exact per-entry equality (the bit-identity contract; OCaml [=] on
    floats, so -0.0 = 0.0 — the one divergence the kernels allow). *)
@@ -556,30 +556,48 @@ let matrices_exact a b =
   done;
   !ok
 
-(* A sparse matrix read back entry by entry through [Sparse.get]. *)
-let to_dense a = Matrix.init (Sparse.rows a) (Sparse.cols a) (Sparse.get a)
+(* Bitwise per-entry equality: zero signs count. *)
+let matrices_bits a b =
+  Matrix.rows a = Matrix.rows b
+  && Matrix.cols a = Matrix.cols b
+  &&
+  let ok = ref true in
+  for i = 0 to Matrix.rows a - 1 do
+    for j = 0 to Matrix.cols a - 1 do
+      if
+        Int64.bits_of_float (Matrix.get a i j)
+        <> Int64.bits_of_float (Matrix.get b i j)
+      then ok := false
+    done
+  done;
+  !ok
+
+(* A sparse matrix read back entry by entry through [Sparse_rref.get]. *)
+let to_dense a =
+  Matrix.init (Sparse_rref.rows a) (Sparse_rref.cols a) (Sparse_rref.get a)
 
 (* Sparse and boxed dense copies of the matrix whose row [i] holds
    [scales.(i)] at each column of [idxs.(i)]: incidence rows scaled in
    place, the way a sparse matrix gets entries other than 1. *)
 let scaled_incidence ~cols idxs scales =
-  let a = Sparse.of_incidence ~rows:(Array.length idxs) ~cols idxs in
-  Array.iteri (Sparse.scale_row a) scales;
+  let a = Sparse_rref.of_incidence ~rows:(Array.length idxs) ~cols idxs in
+  Array.iteri (Sparse_rref.scale_row a) scales;
   let d = Array.map (fun _ -> Array.make cols 0.0) idxs in
   Array.iteri
     (fun i row -> Array.iter (fun j -> d.(i).(j) <- scales.(i)) row)
     idxs;
   (a, d)
 
-(* [Sparse_gauss.rref] against the dense reference: the same rank and
-   pivot columns, and every entry within [tol] (default 0: equal, with
-   -0.0 = 0.0, the one divergence the kernels allow). *)
+(* The sorted-merge elimination against the dense reference: the same
+   rank and pivot columns, and every entry within [tol] (default 0:
+   equal, with -0.0 = 0.0, the one divergence the two allow). *)
 let rref_matches ?(tol = 0.0) a d =
-  let s = Sparse_gauss.rref a and o = Gauss.rref ~cols:(Sparse.cols a) d in
-  s.Sparse_gauss.rank = o.Gauss.rank
-  && s.Sparse_gauss.pivot_cols = o.Gauss.pivot_cols
+  let s = Sparse_rref.rref a
+  and o = Gauss.rref ~cols:(Sparse_rref.cols a) d in
+  s.Sparse_rref.rank = o.Gauss.rank
+  && s.Sparse_rref.pivot_cols = o.Gauss.pivot_cols
   && Dense.equal_approx ~tol
-       (to_dense s.Sparse_gauss.reduced)
+       (to_dense s.Sparse_rref.reduced)
        (Dense.of_rows o.Gauss.reduced)
 
 let test_sparse_roundtrip () =
@@ -592,25 +610,25 @@ let test_sparse_roundtrip () =
   let expected_nnz =
     Array.fold_left (fun acc row -> acc + Array.length row) 0 idxs
   in
-  check_int "nnz" expected_nnz (Sparse.nnz a);
+  check_int "nnz" expected_nnz (Sparse_rref.nnz a);
   checkf "density"
     (float_of_int expected_nnz /. 63.0)
-    (Sparse.density a);
+    (Sparse_rref.density a);
   check_bool "copy is deep" true
-    (let b = Sparse.copy a in
-     Sparse.swap_rows b 0 1;
+    (let b = Sparse_rref.copy a in
+     Sparse_rref.swap_rows b 0 1;
      matrices_exact m (to_dense a))
 
 let test_sparse_of_incidence () =
   (* Unsorted indices are accepted and stored in column order. *)
-  let a = Sparse.of_incidence ~rows:2 ~cols:5 [| [| 3; 0; 2 |]; [||] |] in
+  let a = Sparse_rref.of_incidence ~rows:2 ~cols:5 [| [| 3; 0; 2 |]; [||] |] in
   let expect =
     Dense.of_rows
       [| [| 1.; 0.; 1.; 1.; 0. |]; [| 0.; 0.; 0.; 0.; 0. |] |]
   in
   check_bool "incidence layout" true (matrices_exact expect (to_dense a));
-  check_int "row 0 nnz" 3 (Sparse.row_nnz a 0);
-  check_int "row 1 nnz" 0 (Sparse.row_nnz a 1);
+  check_int "row 0 nnz" 3 (Sparse_rref.row_nnz a 0);
+  check_int "row 1 nnz" 0 (Sparse_rref.row_nnz a 1);
   let sorted = [| 0; 2; 3 |] and unsorted = [| 3; 0; 2 |] in
   check_bool "ascending row returned as is" true
     (Sparse.incidence_row ~cols:5 sorted == sorted);
@@ -619,10 +637,10 @@ let test_sparse_of_incidence () =
     && unsorted = [| 3; 0; 2 |]);
   Alcotest.check_raises "duplicate index"
     (Invalid_argument "Sparse.incidence_row: duplicate index") (fun () ->
-      ignore (Sparse.of_incidence ~rows:1 ~cols:4 [| [| 1; 1 |] |]));
+      ignore (Sparse_rref.of_incidence ~rows:1 ~cols:4 [| [| 1; 1 |] |]));
   Alcotest.check_raises "out of range"
     (Invalid_argument "Sparse.incidence_row: index out of range") (fun () ->
-      ignore (Sparse.of_incidence ~rows:1 ~cols:4 [| [| 4 |] |]))
+      ignore (Sparse_rref.of_incidence ~rows:1 ~cols:4 [| [| 4 |] |]))
 
 let test_sparse_row_ops () =
   let a, _ =
@@ -630,24 +648,24 @@ let test_sparse_row_ops () =
       [| [| 0; 2 |]; [| 1; 2 |]; [| 0; 1 |] |]
       [| 2.; 3.; 1. |]
   in
-  Sparse.swap_rows a 0 2;
+  Sparse_rref.swap_rows a 0 2;
   check_bool "swap" true
     (matrices_exact
        (Dense.of_rows
           [| [| 1.; 1.; 0. |]; [| 0.; 3.; 3. |]; [| 2.; 0.; 2. |] |])
        (to_dense a));
-  Sparse.scale_row a 1 2.0;
-  checkf "scale" 6.0 (Sparse.get a 1 1);
-  Sparse.div_row a 1 3.0;
-  checkf "div" 2.0 (Sparse.get a 1 1);
+  Sparse_rref.scale_row a 1 2.0;
+  checkf "scale" 6.0 (Sparse_rref.get a 1 1);
+  Sparse_rref.div_row a 1 3.0;
+  checkf "div" 2.0 (Sparse_rref.get a 1 1);
   (* dst ← dst − 2·src eliminates the (2,0) entry and fills (2,1). *)
-  Sparse.sub_scaled_row a ~dst:2 ~src:0 ~coeff:2.0;
-  checkf "eliminated" 0.0 (Sparse.get a 2 0);
-  checkf "fill-in" (-2.0) (Sparse.get a 2 1);
-  check_int "cancelled entry dropped" 2 (Sparse.row_nnz a 2);
-  Sparse.drop_col_entries a 1 ~from_row:1;
-  checkf "dropped" 0.0 (Sparse.get a 2 1);
-  checkf "kept above from_row" 1.0 (Sparse.get a 0 1)
+  Sparse_rref.sub_scaled_row a ~dst:2 ~src:0 ~coeff:2.0;
+  checkf "eliminated" 0.0 (Sparse_rref.get a 2 0);
+  checkf "fill-in" (-2.0) (Sparse_rref.get a 2 1);
+  check_int "cancelled entry dropped" 2 (Sparse_rref.row_nnz a 2);
+  Sparse_rref.drop_col_entries a 1 ~from_row:1;
+  checkf "dropped" 0.0 (Sparse_rref.get a 2 1);
+  checkf "kept above from_row" 1.0 (Sparse_rref.get a 0 1)
 
 let prop_sparse_rref_bit_identical_incidence =
   QCheck.Test.make
@@ -658,7 +676,7 @@ let prop_sparse_rref_bit_identical_incidence =
       let rng = Rng.create (seed + 17_000) in
       let idxs = random_incidence_rows rng ~rows:r ~cols:c 0.2 in
       rref_matches
-        (Sparse.of_incidence ~rows:r ~cols:c idxs)
+        (Sparse_rref.of_incidence ~rows:r ~cols:c idxs)
         (Gauss.of_incidence ~cols:c idxs))
 
 let prop_sparse_rref_matches_dense_random =
@@ -699,63 +717,78 @@ let prop_sparse_nullspace_same_kernel =
          in
          Gauss.rank ~cols:(2 * p) both = p))
 
-(* The paper-scale incidence fixture the bench times the sparse kernels
-   on: 520 equations over 400 variables, each a short block of
-   consecutive variables (the shape Algorithm 1's selections produce
-   once subsets are numbered in discovery order), about 2% dense.  The
-   sparse kernel must reproduce the dense reference on it: same rank,
-   same pivot columns, every entry equal. *)
-let test_sparse_rref_paper_fixture () =
+(* The paper-scale incidence fixture the bench times the seed
+   elimination on: 520 equations over 400 variables, each a short block
+   of consecutive variables (the shape Algorithm 1's selections produce
+   once subsets are numbered in discovery order), about 2% dense. *)
+let paper_fixture () =
   let nvars = 400 and nrows = 520 in
   let rng = Rng.create 11 in
-  let idxs =
+  ( nrows,
+    nvars,
     Array.init nrows (fun i ->
         let base = i * 7 mod (nvars - 8) in
         let cols = ref [] in
         for k = 7 downto 0 do
           if k = 0 || Rng.bool rng ~p:0.75 then cols := (base + k) :: !cols
         done;
-        Array.of_list !cols)
+        Array.of_list !cols) )
+
+(* The sorted-merge elimination must reproduce the dense reference on
+   the fixture: same rank, same pivot columns, every entry equal. *)
+let test_sparse_rref_paper_fixture () =
+  let nrows, nvars, idxs = paper_fixture () in
+  let s =
+    Sparse_rref.rref (Sparse_rref.of_incidence ~rows:nrows ~cols:nvars idxs)
   in
-  let s = Sparse_gauss.rref (Sparse.of_incidence ~rows:nrows ~cols:nvars idxs) in
   let o = Gauss.rref ~cols:nvars (Gauss.of_incidence ~cols:nvars idxs) in
   check_int "reference rank" 378 o.Gauss.rank;
-  check_int "rank" o.Gauss.rank s.Sparse_gauss.rank;
+  check_int "rank" o.Gauss.rank s.Sparse_rref.rank;
   check_bool "pivot columns" true
-    (o.Gauss.pivot_cols = s.Sparse_gauss.pivot_cols);
+    (o.Gauss.pivot_cols = s.Sparse_rref.pivot_cols);
   check_bool "every entry" true
     (matrices_exact (Dense.of_rows o.Gauss.reduced)
-       (to_dense s.Sparse_gauss.reduced))
+       (to_dense s.Sparse_rref.reduced))
 
-(* Edge cases pinning the sparse kernel to the dense reference. *)
+(* ... and the seed elimination must reproduce the sorted-merge one on
+   every basis entry, bit for bit, zero signs included. *)
+let test_seed_paper_fixture () =
+  let nrows, nvars, idxs = paper_fixture () in
+  let b = Nullspace.basis_of_incidence ~rows:nrows ~cols:nvars idxs
+  and o = Sparse_rref.basis ~rows:nrows ~cols:nvars idxs in
+  check_int "nullity" 22 (Matrix.cols b);
+  check_bool "every basis entry (bits)" true (matrices_bits b o)
+
+(* Edge cases pinning the sorted-merge elimination to the dense
+   reference. *)
 
 let test_gauss_edge_1x1 () =
   let a, d = scaled_incidence ~cols:1 [| [| 0 |] |] [| 5.0 |] in
-  let one = Sparse_gauss.rref a in
-  check_int "1x1 rank" 1 one.Sparse_gauss.rank;
-  checkf "normalized pivot" 1.0 (Sparse.get one.Sparse_gauss.reduced 0 0);
-  check_bool "pivot col" true (one.Sparse_gauss.pivot_cols = [ 0 ]);
+  let one = Sparse_rref.rref a in
+  check_int "1x1 rank" 1 one.Sparse_rref.rank;
+  checkf "normalized pivot" 1.0 (Sparse_rref.get one.Sparse_rref.reduced 0 0);
+  check_bool "pivot col" true (one.Sparse_rref.pivot_cols = [ 0 ]);
   check_bool "1x1 = reference" true (rref_matches a d);
-  let z = Sparse.of_incidence ~rows:1 ~cols:1 [| [||] |] in
-  let zero = Sparse_gauss.rref z in
-  check_int "1x1 zero rank" 0 zero.Sparse_gauss.rank;
-  check_bool "no pivots" true (zero.Sparse_gauss.pivot_cols = []);
+  let z = Sparse_rref.of_incidence ~rows:1 ~cols:1 [| [||] |] in
+  let zero = Sparse_rref.rref z in
+  check_int "1x1 zero rank" 0 zero.Sparse_rref.rank;
+  check_bool "no pivots" true (zero.Sparse_rref.pivot_cols = []);
   check_bool "1x1 zero = reference" true (rref_matches z [| [| 0.0 |] |])
 
 let test_gauss_all_zero () =
   let rows = [| [||]; [||]; [||] |] in
-  let s = Sparse_gauss.rref (Sparse.of_incidence ~rows:3 ~cols:4 rows) in
+  let s = Sparse_rref.rref (Sparse_rref.of_incidence ~rows:3 ~cols:4 rows) in
   check_int "zero rank (dense)" 0
     (Gauss.rank ~cols:4 (Gauss.of_incidence ~cols:4 rows));
-  check_int "zero rank (sparse)" 0 s.Sparse_gauss.rank;
+  check_int "zero rank (sparse)" 0 s.Sparse_rref.rank;
   check_bool "reduced stays zero" true
-    (matrices_exact (Matrix.make 3 4 0.0) (to_dense s.Sparse_gauss.reduced));
+    (matrices_exact (Matrix.make 3 4 0.0) (to_dense s.Sparse_rref.reduced));
   check_int "full nullity" 4 (Matrix.cols (basis_of rows ~cols:4))
 
 let test_gauss_tolerance_scaling () =
   (* The rank tolerance is relative to the largest entry, so scaling a
      matrix by 1e8 must not change rank or pivot choice — on either
-     kernel. *)
+     elimination. *)
   let rng = Rng.create 61 in
   let idxs = random_incidence_rows rng ~rows:9 ~cols:12 0.3 in
   let a, d = scaled_incidence ~cols:12 idxs (Array.make 9 1.0) in
@@ -764,12 +797,12 @@ let test_gauss_tolerance_scaling () =
   check_int "dense rank invariant" o.Gauss.rank obig.Gauss.rank;
   check_bool "dense pivots invariant" true
     (o.Gauss.pivot_cols = obig.Gauss.pivot_cols);
-  let s = Sparse_gauss.rref a and sbig = Sparse_gauss.rref big in
-  check_int "sparse rank invariant" s.Sparse_gauss.rank
-    sbig.Sparse_gauss.rank;
+  let s = Sparse_rref.rref a and sbig = Sparse_rref.rref big in
+  check_int "sparse rank invariant" s.Sparse_rref.rank
+    sbig.Sparse_rref.rank;
   check_bool "sparse pivots invariant" true
-    (s.Sparse_gauss.pivot_cols = sbig.Sparse_gauss.pivot_cols);
-  check_int "dense = sparse" o.Gauss.rank s.Sparse_gauss.rank;
+    (s.Sparse_rref.pivot_cols = sbig.Sparse_rref.pivot_cols);
+  check_int "dense = sparse" o.Gauss.rank s.Sparse_rref.rank;
   check_bool "scaled = reference" true (rref_matches big dbig)
 
 (* ------------------------------------------------------------------ *)
@@ -1153,6 +1186,9 @@ let () =
           qc prop_sparse_nullspace_same_kernel;
           Alcotest.test_case "paper-scale fixture ≡ dense reference" `Quick
             test_sparse_rref_paper_fixture;
+          Alcotest.test_case
+            "paper-scale fixture: seed elimination ≡ sorted-merge (bits)"
+            `Quick test_seed_paper_fixture;
         ] );
       ( "cholesky",
         [
