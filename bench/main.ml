@@ -440,8 +440,13 @@ let bench_tests () =
   in
   let factor_probs = Scenario.draw_probs scenario (Rng.create 4) in
   let fmodel = Tomo_netsim.Factor_model.make w.W.overlay factor_probs in
-  let some_paths =
-    Array.init (min 4 model.Tomo.Model.n_paths) (fun i -> i)
+  (* Fixed batches for the rows whose single call is too short, or too
+     input-dependent, to time alone: every call below repeats the same
+     work, so a row's time does not depend on where the timer lands. *)
+  let path_sets =
+    let n = model.Tomo.Model.n_paths in
+    Array.init 32 (fun i ->
+        Array.init (min 4 n) (fun j -> ((i * 7) + j) mod n))
   in
   let kernel_tests =
     [
@@ -465,12 +470,19 @@ let bench_tests () =
                    n_paths = 150;
                  }
                ~seed:7 ()));
+      (* 16 intervals from one seed per call *)
       Test.make ~name:"kernel/simulate-interval"
         (Staged.stage (fun () ->
-             Tomo_netsim.Factor_model.draw_interval fmodel rng));
+             let r = Rng.create 3 in
+             for _ = 1 to 16 do
+               ignore (Tomo_netsim.Factor_model.draw_interval fmodel r)
+             done));
+      (* 32 four-path sets per call *)
       Test.make ~name:"kernel/estimator-all-good-count"
         (Staged.stage (fun () ->
-             Tomo.Observations.all_good_count obs some_paths));
+             Array.iter
+               (fun ps -> ignore (Tomo.Observations.all_good_count obs ps))
+               path_sets));
       Test.make ~name:"kernel/algorithm1-select"
         (Staged.stage (fun () -> Tomo.Algorithm1.select model obs));
       (let effective = Tomo.Subsets.effective_links model obs in
@@ -496,8 +508,9 @@ let bench_tests () =
              Nullspace.add_incidence tr new_row));
     ]
   in
-  (* Flat-substrate micro-row: the word-level bit-set combine.  Fixture
-     sized so the work is memory-streaming, not call-overhead. *)
+  (* Flat-substrate micro-row: the word-level bit-set combine, 16 times
+     per call.  Fixture sized so the work is memory-streaming, not
+     call-overhead. *)
   let bs_a = Bitset.create 4096 and bs_b = Bitset.create 4096 in
   let bs_scratch = Bitset.create 4096 in
   let bs_rng = Rng.create 0xB5 in
@@ -509,9 +522,11 @@ let bench_tests () =
     [
       Test.make ~name:"kernel/bitset-union-words"
         (Staged.stage (fun () ->
-             Bitset.copy_into ~into:bs_scratch bs_a;
-             Bitset.union_into ~into:bs_scratch bs_b;
-             Bitset.count bs_scratch));
+             for _ = 1 to 16 do
+               Bitset.copy_into ~into:bs_scratch bs_a;
+               Bitset.union_into ~into:bs_scratch bs_b;
+               ignore (Bitset.count bs_scratch)
+             done));
     ]
   in
   (* Seed elimination (null-space basis) on the paper-scale incidence

@@ -14,6 +14,7 @@ let c_selections = Obs.Metrics.counter "alg1_selections"
 let c_equations = Obs.Metrics.counter "equations_formed"
 let c_rows_rejected = Obs.Metrics.counter "equations_rejected_dependent"
 let c_candidates = Obs.Metrics.counter "alg1_candidate_rows_materialized"
+let c_skips = Obs.Metrics.counter "alg1_interchangeable_skips"
 let g_unknowns = Obs.Metrics.gauge "alg1_unknowns"
 let g_nullity = Obs.Metrics.gauge "alg1_final_nullity"
 
@@ -135,21 +136,35 @@ let sort_grow_order ~shift a =
 let select ?(config = default_config) model obs =
   Obs.Trace.with_span "algorithm1.select" @@ fun () ->
   Obs.Metrics.incr c_selections;
-  let effective, registry, targets =
+  let effective = Subsets.effective_links model obs in
+  let table =
+    Obs.Trace.with_span "algorithm1.signatures" (fun () ->
+        Signatures.build model ~effective)
+  in
+  let registry = Eqn.registry () in
+  let index =
     Obs.Trace.with_span "algorithm1.registry" (fun () ->
-        let effective = Subsets.effective_links model obs in
-        let registry = Eqn.registry () in
         (* Ê: every subset a single-path equation induces, plus the
-           enumerated target subsets up to the configured size. *)
-        let (_ : int) =
-          Eqn.register_single_path_vars model ~effective registry
-        in
-        let targets =
-          Subsets.enumerate model ~effective ~max_size:config.max_subset_size
-            ~limit_per_set
-        in
-        List.iter (fun s -> ignore (Eqn.add registry s)) targets;
-        (effective, registry, targets))
+           enumerated target subsets up to the configured size.  Where
+           every correlation set fits a word, both are read from the
+           signature table; otherwise the generic bit-set path runs. *)
+        let max_size = config.max_subset_size in
+        if table.Signatures.fits then begin
+          let index = Eqn.index table registry in
+          Eqn.register_single_path_masks index;
+          Subsets.enumerate_masks table ~max_size ~limit_per_set
+            (fun corr mask -> ignore (Eqn.add_mask index ~corr mask));
+          index
+        end
+        else begin
+          let (_ : int) =
+            Eqn.register_single_path_vars model ~effective registry
+          in
+          List.iter
+            (fun s -> ignore (Eqn.add registry s))
+            (Subsets.enumerate model ~effective ~max_size ~limit_per_set);
+          Eqn.index table registry
+        end)
   in
   let n = Eqn.n_vars registry in
   if n = 0 then finish model effective registry [||] (Matrix.make 0 0 0.0)
@@ -157,9 +172,7 @@ let select ?(config = default_config) model obs =
     Obs.Metrics.set_gauge g_unknowns (float_of_int n);
     if Obs.Trace.enabled () then
       Obs.Trace.add_attr "unknowns" (string_of_int n);
-    Log.debug (fun m ->
-        m "starting selection over %d unknowns (%d target subsets enumerated)"
-          n (List.length targets));
+    Log.debug (fun m -> m "starting selection over %d unknowns" n);
     (* Lines 1-5: seed with Paths(E) \ Paths(Ē) for every subset E.  The
        pool is kept for the grow phase, which enumerates its subsets —
        previously it was recomputed from the model per variable.
@@ -174,18 +187,25 @@ let select ?(config = default_config) model obs =
        maximal [p] — the most expensive phase of the old loop — collapse
        into one batched elimination. *)
     let seed_pools = Array.make n [||] in
+    let pool_of v =
+      let s = Eqn.subset_of_var registry v in
+      if table.Signatures.fits then
+        Signatures.pool table ~corr:s.Subsets.corr (Eqn.mask_of_var index v)
+      else
+        let pool = Subsets.candidate_paths model ~effective s in
+        if Bitset.is_empty pool then [||]
+        else Array.of_list (Bitset.to_list pool)
+    in
     let rows = ref [] in
     (* Registry frozen from here on ([Eqn.row] only looks up), so the
        fast resolver is valid for the seed rows and every candidate. *)
-    let resolver = Eqn.resolver model ~effective registry in
+    let resolver = Eqn.resolver index in
     let tracker =
       Obs.Trace.with_span "algorithm1.seed" (fun () ->
           let seed_rows = ref [] and n_seed = ref 0 in
           for v = 0 to n - 1 do
-            let s = Eqn.subset_of_var registry v in
-            let pool = Subsets.candidate_paths model ~effective s in
-            if not (Bitset.is_empty pool) then begin
-              let paths = Array.of_list (Bitset.to_list pool) in
+            let paths = pool_of v in
+            if Array.length paths > 0 then begin
               seed_pools.(v) <- paths;
               match Eqn.row_fast resolver ~paths with
               | Some row ->
@@ -235,7 +255,16 @@ let select ?(config = default_config) model obs =
        where the variable's last visit stopped: a row found dependent
        stays dependent (the row space only grows), so no candidate is
        tested twice.  Candidates are tested from reused buffers; only an
-       accepted row is allocated. *)
+       accepted row is allocated.
+
+       A candidate holding a path that is not the first of its
+       interchangeable class in the pool ([rep]: same pairs, so the same
+       contribution to every row) is skipped unresolved.  Mapping each
+       path to its class's first member gives a candidate with the same
+       row that is smaller, or lexicographically earlier, so this cursor
+       already tested it: its row is unresolvable, dependent, or
+       accepted, and either way this one is no use now (DESIGN,
+       "Signature table").  The skip still counts as a visit. *)
     let cursors = Array.make n None in
     let path_bufs =
       Array.init (max_pathset_size + 1) (fun k -> Array.make k 0)
@@ -251,31 +280,46 @@ let select ?(config = default_config) model obs =
           cursors.(v) <- Some c;
           c
     in
+    let rep = table.Signatures.rep in
+    (* Fill [paths] with the candidate; [false] at its first path that
+       is not its class's representative. *)
+    let rec fill pool cur paths k i =
+      i >= k
+      ||
+      let p = pool.(Combin.index cur i) in
+      rep.(p) = p
+      && begin
+           paths.(i) <- p;
+           fill pool cur paths k (i + 1)
+         end
+    in
     (* Test [v]'s candidates until one is accepted or none is left. *)
     let rec grow_from v cur =
       let k = Combin.next cur in
       k > 0
       &&
-      let pool = seed_pools.(v) and paths = path_bufs.(k) in
-      for i = 0 to k - 1 do
-        paths.(i) <- pool.(Combin.index cur i)
-      done;
-      match Eqn.row_vars resolver ~paths with
-      | [||] -> grow_from v cur
-      | vars ->
-          Obs.Metrics.incr c_candidates;
-          if Nullspace.add_incidence tracker vars then begin
-            let row =
-              { Eqn.paths = Array.copy paths; vars = Array.copy vars }
-            in
-            rows := row :: !rows;
-            Obs.Metrics.incr c_equations;
-            true
-          end
-          else begin
-            Obs.Metrics.incr c_rows_rejected;
-            grow_from v cur
-          end
+      let paths = path_bufs.(k) in
+      if not (fill seed_pools.(v) cur paths k 0) then begin
+        Obs.Metrics.incr c_skips;
+        grow_from v cur
+      end
+      else
+        match Eqn.row_vars resolver ~paths with
+        | [||] -> grow_from v cur
+        | vars ->
+            Obs.Metrics.incr c_candidates;
+            if Nullspace.add_incidence tracker vars then begin
+              let row =
+                { Eqn.paths = Array.copy paths; vars = Array.copy vars }
+              in
+              rows := row :: !rows;
+              Obs.Metrics.incr c_equations;
+              true
+            end
+            else begin
+              Obs.Metrics.incr c_rows_rejected;
+              grow_from v cur
+            end
     in
     (* SortByHammingWeight keys: the weight above [shift] bits, the
        variable below. *)

@@ -26,7 +26,16 @@
     ({!Tomo_util.Combin.cursor}) streams the candidates, resuming where
     the subset's last visit stopped, which keeps the scan linear in the
     candidate budget; candidates are tested from reused buffers and only
-    accepted rows are allocated. *)
+    accepted rows are allocated.
+
+    The path-set questions — which subsets are inducible, each seed
+    pool, each candidate's row — are answered from one {!Signatures}
+    table built per selection (span [algorithm1.signatures]).  A
+    candidate holding a path whose pool has an interchangeable path
+    (same signatures) earlier is skipped unresolved: the cursor already
+    tested the same row ([alg1_interchangeable_skips]).  Where some
+    correlation set is wider than a word, the generic bit-set functions
+    run instead and nothing is skipped. *)
 
 type config = {
   max_subset_size : int;

@@ -81,26 +81,116 @@ let build_row model ~effective reg ~paths ~lookup =
 let row model ~effective reg ~paths =
   build_row model ~effective reg ~paths ~lookup:find
 
+(* An index keys a registry's variables by (correlation set, mask) in
+   {!Signatures}' format, by open addressing over flat arrays: a slot
+   holds a variable or [-1], and the key is read back from the
+   variable's own entries, so a lookup hashes and compares ints only.
+   Over a table where some set is wider than a word it holds nothing. *)
+type index = {
+  ix_table : Signatures.t;
+  ix_reg : registry;
+  mutable ix_slots : int array;  (* power-of-two size, at most half full *)
+  mutable ix_corr : int array;  (* per variable *)
+  mutable ix_mask : int array;  (* per variable *)
+  mutable ix_n : int;  (* variables indexed: 0 .. ix_n - 1 *)
+}
+
+let slot_of slots c m =
+  let h = (m lxor (c * 0x9E3779B97F4A7C1)) * 0xBF58476D1CE4E5B in
+  (h lxor (h lsr 29)) land (Array.length slots - 1)
+
+let rec probe ix c m i =
+  let v = Array.unsafe_get ix.ix_slots i in
+  if v < 0 || (ix.ix_corr.(v) = c && ix.ix_mask.(v) = m) then v
+  else probe ix c m ((i + 1) land (Array.length ix.ix_slots - 1))
+
+let find_mask ix ~corr m = probe ix corr m (slot_of ix.ix_slots corr m)
+
+let insert ix v =
+  let c = ix.ix_corr.(v) and m = ix.ix_mask.(v) in
+  let i = ref (slot_of ix.ix_slots c m) in
+  while ix.ix_slots.(!i) >= 0 do
+    i := (!i + 1) land (Array.length ix.ix_slots - 1)
+  done;
+  ix.ix_slots.(!i) <- v
+
+(* Record variable [v]'s key, growing the flat arrays by doubling. *)
+let record ix v ~corr m =
+  if v <> ix.ix_n then
+    invalid_arg "Eqn.add_mask: registry grew outside its index";
+  ix.ix_n <- v + 1;
+  if v >= Array.length ix.ix_corr then begin
+    let grow a = Array.append a (Array.make (max 64 (Array.length a)) 0) in
+    ix.ix_corr <- grow ix.ix_corr;
+    ix.ix_mask <- grow ix.ix_mask
+  end;
+  ix.ix_corr.(v) <- corr;
+  ix.ix_mask.(v) <- m;
+  if 2 * (v + 1) > Array.length ix.ix_slots then begin
+    ix.ix_slots <- Array.make (2 * Array.length ix.ix_slots) (-1);
+    for u = 0 to v - 1 do
+      insert ix u
+    done
+  end;
+  insert ix v
+
+(* Sized for twice the distinct signatures, which is the number of
+   single-path variables: most selections never grow it. *)
+let index table reg =
+  let n = max 64 (2 * Array.length table.Signatures.sigs) in
+  let slots = ref 256 in
+  while !slots < 2 * n do
+    slots := 2 * !slots
+  done;
+  let ix =
+    { ix_table = table; ix_reg = reg; ix_slots = Array.make !slots (-1);
+      ix_corr = Array.make n 0; ix_mask = Array.make n 0; ix_n = 0 }
+  in
+  if table.Signatures.fits then
+    for v = 0 to reg.count - 1 do
+      let s = Option.get reg.subsets.(v) in
+      let m =
+        Array.fold_left
+          (fun m e -> m lor (1 lsl table.Signatures.link_pos.(e)))
+          0 s.Subsets.links
+      in
+      record ix v ~corr:s.Subsets.corr m
+    done;
+  ix
+
+let add_mask ix ~corr m =
+  match find_mask ix ~corr m with
+  | -1 ->
+      let v = add ix.ix_reg (Subsets.of_mask ix.ix_table ~corr m) in
+      record ix v ~corr m;
+      v
+  | v -> v
+
+let mask_of_var ix v = ix.ix_mask.(v)
+
+let register_single_path_masks ix =
+  let t = ix.ix_table in
+  if not t.Signatures.fits then
+    invalid_arg "Eqn.register_single_path_masks: a set wider than a word";
+  Array.iteri
+    (fun k corr -> ignore (add_mask ix ~corr t.Signatures.pair_mask.(k)))
+    t.Signatures.pair_set
+
 (* A resolver is a frozen-registry fast path for [row].  [row] pays,
    per candidate path set, a [Bitset] union over all links, a grouping
    hash table, and one {!Subsets.make} validation per induced subset.
-   Algorithm 1 materializes tens of thousands of candidate rows per
-   selection against a registry that no longer grows, so the resolver
-   hoists that work: each path's effective links are folded once into
-   (correlation set, link mask) pairs, a candidate ORs its paths' pairs
-   into per-set masks, and each mask resolves through a per-set hash
-   table of registered subsets.  The produced rows are identical to
-   [row]'s — same [Some]/[None] decisions, same sorted [vars] — because
-   both compute the same set of induced subsets [Links(P) ∩ C]. *)
+   Algorithm 1 materializes thousands of candidate rows per selection
+   against a registry that no longer grows, so the resolver reads each
+   path's (correlation set, mask) pairs from the signature table, ORs a
+   candidate's pairs into per-set masks, and resolves each mask through
+   the index.  The produced rows are identical to [row]'s — same
+   [Some]/[None] decisions, same sorted [vars] — because both compute
+   the same set of induced subsets [Links(P) ∩ C]. *)
 type resolver = {
   rz_fallback : (paths:int array -> row option) option;
-      (* engaged when some correlation set is too large for the mask
-         encoding; [row_fast] then just delegates to [build_row] *)
-  rz_by_mask : (int, int) Hashtbl.t array;
-      (* per correlation set: within-set link mask -> variable *)
-  rz_path_groups : int array array;
-      (* per path: its (correlation set, link mask) pairs, flattened,
-         sets in the order of their first effective link *)
+      (* engaged when some correlation set is wider than a word;
+         [row_fast] then just delegates to [build_row] *)
+  rz_index : index;
   rz_corr_stamp : int array;  (* per correlation set: generation *)
   rz_corr_mask : int array;  (* accumulated subset mask per set *)
   rz_corr_order : int array;  (* correlation sets in first-seen order *)
@@ -109,70 +199,17 @@ type resolver = {
   mutable rz_gen : int;
 }
 
-let resolver model ~effective reg =
-  let n_links = model.Model.n_links in
-  let n_corr = Model.n_corr_sets model in
-  (* A subset within correlation set [c] is keyed by the bitmask of its
-     links' positions in [corr_sets.(c)] — order-independent, so a
-     candidate's subsets are ORed together from its paths' masks with
-     no sorting or per-group allocation.  Needs every correlation set
-     to fit one word. *)
-  let too_wide = ref false in
-  let pos_of_link = Array.make n_links 0 in
-  for c = 0 to n_corr - 1 do
-    let links = Model.corr_set_links model c in
-    if Array.length links > Sys.int_size - 2 then too_wide := true
-    else Array.iteri (fun i e -> pos_of_link.(e) <- i) links
-  done;
-  let fallback = if !too_wide then Some (row model ~effective reg) else None in
-  let by_mask = Array.init n_corr (fun _ -> Hashtbl.create 16) in
-  if not !too_wide then
-    for v = 0 to reg.count - 1 do
-      match reg.subsets.(v) with
-      | Some s ->
-          let mask =
-            Array.fold_left
-              (fun m e -> m lor (1 lsl pos_of_link.(e)))
-              0 s.Subsets.links
-          in
-          Hashtbl.replace by_mask.(s.Subsets.corr) mask v
-      | None -> ()
-    done;
-  let corr_of = model.Model.corr_of_link in
-  let path_groups =
-    if !too_wide then [||]
-    else begin
-      let slot = Array.make n_corr (-1) in
-      let groups = Array.make (2 * n_corr) 0 in
-      Array.map
-        (fun row ->
-          let n = ref 0 in
-          Bitset.iter
-            (fun e ->
-              if Bitset.unsafe_get effective e then begin
-                let c = corr_of.(e) in
-                if slot.(c) < 0 then begin
-                  slot.(c) <- !n;
-                  groups.(!n) <- c;
-                  groups.(!n + 1) <- 0;
-                  n := !n + 2
-                end;
-                let k = slot.(c) + 1 in
-                groups.(k) <- groups.(k) lor (1 lsl pos_of_link.(e))
-              end)
-            row;
-          let g = Array.sub groups 0 !n in
-          for k = 0 to (!n / 2) - 1 do
-            slot.(g.(2 * k)) <- -1
-          done;
-          g)
-        model.Model.path_links
-    end
-  in
+let resolver ix =
+  let t = ix.ix_table in
+  let n_corr = Model.n_corr_sets t.Signatures.model in
   {
-    rz_fallback = fallback;
-    rz_by_mask = by_mask;
-    rz_path_groups = path_groups;
+    rz_fallback =
+      (if t.Signatures.fits then None
+       else
+         Some
+           (row t.Signatures.model ~effective:t.Signatures.effective
+              ix.ix_reg));
+    rz_index = ix;
     rz_corr_stamp = Array.make n_corr 0;
     rz_corr_mask = Array.make n_corr 0;
     rz_corr_order = Array.make n_corr 0;
@@ -189,12 +226,16 @@ let row_vars rz ~paths =
       (* OR each path's per-set masks into the candidate's, in
          first-seen order of the sets. *)
       let stamp = rz.rz_corr_stamp and mask = rz.rz_corr_mask in
+      let t = rz.rz_index.ix_table in
+      let pair_set = t.Signatures.pair_set
+      and pair_mask = t.Signatures.pair_mask
+      and path_start = t.Signatures.path_start in
       let n_groups = ref 0 in
       for i = 0 to Array.length paths - 1 do
-        let g = rz.rz_path_groups.(paths.(i)) in
-        for k = 0 to (Array.length g / 2) - 1 do
-          let c = Array.unsafe_get g (2 * k)
-          and m = Array.unsafe_get g ((2 * k) + 1) in
+        let p = paths.(i) in
+        for k = path_start.(p) to path_start.(p + 1) - 1 do
+          let c = Array.unsafe_get pair_set k
+          and m = Array.unsafe_get pair_mask k in
           if Array.unsafe_get stamp c <> gen then begin
             Array.unsafe_set stamp c gen;
             Array.unsafe_set mask c m;
@@ -219,9 +260,9 @@ let row_vars rz ~paths =
         let g = ref 0 in
         while !ok && !g < n_groups do
           let c = rz.rz_corr_order.(!g) in
-          (match Hashtbl.find_opt rz.rz_by_mask.(c) mask.(c) with
-          | Some v -> vars.(!g) <- v
-          | None -> ok := false);
+          (match find_mask rz.rz_index ~corr:c mask.(c) with
+          | -1 -> ok := false
+          | v -> vars.(!g) <- v);
           incr g
         done;
         if not !ok then [||]

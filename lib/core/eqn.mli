@@ -46,17 +46,39 @@ val row :
   Model.t -> effective:Tomo_util.Bitset.t -> registry -> paths:int array ->
   row option
 
-(** A frozen-registry fast path for {!row}: folds each path's
-    effective links once into (correlation set, link mask) pairs,
-    resolves a candidate's induced subsets by ORing its paths' masks
-    and looking each up in a per-set table of registered masks, and
-    reuses scratch buffers across calls.  Build it once the registry
-    stops growing.  When a correlation set is wider than a word, every
-    call falls back to {!row} itself. *)
+(** A registry's variables keyed by (correlation set, mask of the
+    subset's links in {!Signatures}' format), for lookups that hash and
+    compare ints only.  Built over a table where some correlation set is
+    wider than a word, it holds nothing.  Once a registry is indexed it
+    must grow only through {!add_mask}. *)
+type index
+
+(** [index table reg] indexes [reg]'s variables; [reg]'s subsets must
+    lie in [table]'s effective set. *)
+val index : Signatures.t -> registry -> index
+
+(** [add_mask ix ~corr mask] is {!add} of the subset of set [corr]
+    with links [mask]: the subset is built and hashed only when it is
+    new.  @raise Invalid_argument if the registry grew outside [ix]. *)
+val add_mask : index -> corr:int -> int -> int
+
+(** [mask_of_var ix v] is variable [v]'s mask. *)
+val mask_of_var : index -> int -> int
+
+(** [register_single_path_masks ix] is {!register_single_path_vars}
+    read from the table's per-path pairs: the same variables in the same
+    order.  @raise Invalid_argument unless the table fits. *)
+val register_single_path_masks : index -> unit
+
+(** A frozen-registry fast path for {!row}: ORs a candidate's per-path
+    (correlation set, mask) pairs from the signature table into per-set
+    masks, resolves each mask through the index, and reuses scratch
+    buffers across calls.  Build it once the registry stops growing.
+    When a correlation set is wider than a word, every call falls back
+    to {!row} itself. *)
 type resolver
 
-val resolver :
-  Model.t -> effective:Tomo_util.Bitset.t -> registry -> resolver
+val resolver : index -> resolver
 
 (** [row_fast rz ~paths] returns exactly what {!row} would — the same
     [Some]/[None] decision and the same sorted [vars] — at a fraction of

@@ -121,25 +121,15 @@ type closure = {
           node budget was hit or the set is too wide to mask *)
 }
 
-let close model ~effective ~corr ~max_size ~budget ~need_nodes =
-  let all = Model.corr_set_links model corr in
-  let n_eff = ref 0 in
-  Array.iter (fun e -> if Bitset.get effective e then incr n_eff) all;
-  let eff = Array.make !n_eff 0 in
-  let j = ref 0 in
-  Array.iter
-    (fun e ->
-      if Bitset.get effective e then begin
-        eff.(!j) <- e;
-        incr j
-      end)
-    all;
+let close (table : Signatures.t) ~corr ~max_size ~budget ~need_nodes =
+  let model = table.Signatures.model in
+  let eff = Signatures.effective_links table corr in
   let n = Array.length eff in
   let witness = Array.make (max 1 max_size) false in
   if n = 0 then
     { cl_eff = eff; cl_n_sigs = 0; cl_min_sig = 0; cl_witness = witness;
       cl_nodes = Some [] }
-  else if n > Sys.int_size then begin
+  else if not (Signatures.set_fits table corr) then begin
     (* Too wide for an int mask: fall back to the minimum-signature
        bound, which is still exact in the pruning direction (no subset
        smaller than every signature can be a union of signatures). *)
@@ -169,30 +159,19 @@ let close model ~effective ~corr ~max_size ~budget ~need_nodes =
       cl_min_sig = min_sig; cl_witness = witness; cl_nodes = None }
   end
   else begin
-    (* Distinct path signatures on the set, as position masks. *)
-    let path_mask = Hashtbl.create 64 in
-    Array.iteri
-      (fun i e ->
-        Bitset.iter
-          (fun p ->
-            let cur =
-              match Hashtbl.find_opt path_mask p with Some m -> m | None -> 0
-            in
-            Hashtbl.replace path_mask p (cur lor (1 lsl i)))
-          model.Model.link_paths.(e))
-      eff;
-    let sig_tbl = Hashtbl.create 64 in
-    Hashtbl.iter (fun _ m -> Hashtbl.replace sig_tbl m ()) path_mask;
-    let n_sigs = Hashtbl.length sig_tbl in
+    (* The set's distinct path signatures, ascending, from the table. *)
+    let lo = table.Signatures.sig_start.(corr)
+    and hi = table.Signatures.sig_start.(corr + 1) in
+    let n_sigs = hi - lo in
     let min_sig = ref 0 in
     let small_sigs = ref [] in
-    Hashtbl.iter
-      (fun m () ->
-        let s = popcount m in
-        if !min_sig = 0 || s < !min_sig then min_sig := s;
-        if s <= max_size then small_sigs := m :: !small_sigs)
-      sig_tbl;
-    let small_sigs = List.sort compare !small_sigs in
+    for i = hi - 1 downto lo do
+      let m = table.Signatures.sigs.(i) in
+      let s = popcount m in
+      if !min_sig = 0 || s < !min_sig then min_sig := s;
+      if s <= max_size then small_sigs := m :: !small_sigs
+    done;
+    let small_sigs = !small_sigs in
     let size_cap = min max_size n in
     let unproven () =
       let u = ref false in
@@ -242,10 +221,8 @@ let close model ~effective ~corr ~max_size ~budget ~need_nodes =
       cl_witness = witness; cl_nodes = nodes }
   end
 
-let inducible_size_witness ?(budget = default_budget) model ~effective ~corr
-    ~max_size =
-  (close model ~effective ~corr ~max_size ~budget ~need_nodes:false)
-    .cl_witness
+let inducible_size_witness ?(budget = default_budget) table ~corr ~max_size =
+  (close table ~corr ~max_size ~budget ~need_nodes:false).cl_witness
 
 let coverage_key model cl_eff mask =
   let cov = Bitset.create model.Model.n_paths in
@@ -258,8 +235,8 @@ let coverage_key model cl_eff mask =
   done;
   bitset_key cov
 
-let corr_stats_of model ~effective ~ambiguous ~max_size ~budget c =
-  let cl = close model ~effective ~corr:c ~max_size ~budget ~need_nodes:true in
+let corr_stats_of model table ~ambiguous ~max_size ~budget c =
+  let cl = close table ~corr:c ~max_size ~budget ~need_nodes:true in
   let n = Array.length cl.cl_eff in
   let n_amb =
     Array.fold_left
@@ -317,9 +294,10 @@ let analyze ?(max_size = default_max_size) ?(budget = default_budget) model
   if max_size < 1 then invalid_arg "Identifiability.analyze: max_size < 1";
   let classes = ambiguity_classes model ~effective in
   let ambiguous = ambiguous_of_classes model classes in
+  let table = Signatures.build model ~effective in
   let corr =
     Array.init (Model.n_corr_sets model) (fun c ->
-        corr_stats_of model ~effective ~ambiguous ~max_size ~budget c)
+        corr_stats_of model table ~ambiguous ~max_size ~budget c)
   in
   let n_effective = Bitset.count effective in
   { max_size; n_effective; classes; ambiguous; corr }

@@ -73,19 +73,15 @@ val ambiguity_classes : Model.t -> effective:Tomo_util.Bitset.t -> link_class ar
     ambiguity class. *)
 val ambiguous_links : Model.t -> effective:Tomo_util.Bitset.t -> Tomo_util.Bitset.t
 
-(** [inducible_size_witness model ~effective ~corr ~max_size] is, per
-    subset size [1..max_size], whether correlation set [corr] {e may}
-    contain an inducible subset of that size: [false] is a proof of
-    emptiness (safe to skip the whole size), [true] is not a proof of
-    existence.  Sound under any [budget]: when the union-closure
-    exceeds the node budget, every undecided size reports [true]. *)
+(** [inducible_size_witness table ~corr ~max_size] is, per subset size
+    [1..max_size], whether correlation set [corr] {e may} contain an
+    inducible subset of that size, from the set's signatures in [table]:
+    [false] is a proof of emptiness (safe to skip the whole size), [true]
+    is not a proof of existence.  Sound under any [budget]: when the
+    union-closure exceeds the node budget, every undecided size reports
+    [true]. *)
 val inducible_size_witness :
-  ?budget:int ->
-  Model.t ->
-  effective:Tomo_util.Bitset.t ->
-  corr:int ->
-  max_size:int ->
-  bool array
+  ?budget:int -> Signatures.t -> corr:int -> max_size:int -> bool array
 
 (** [analyze model ~effective] runs the full analysis: ambiguity
     classes plus per-correlation-set closure statistics. *)

@@ -134,11 +134,25 @@ let inducible model ~effective s =
     (fun e -> not (Bitset.disjoint pool model.Model.link_paths.(e)))
     s.links
 
+let of_mask (table : Signatures.t) ~corr mask =
+  let first = table.Signatures.eff_start.(corr) in
+  let links = Array.make (Bitset.popcount mask) 0 in
+  let m = ref mask and j = ref 0 in
+  while !m <> 0 do
+    let low = !m land - !m in
+    links.(!j) <-
+      table.Signatures.eff_links.(first + Bitset.popcount (low - 1));
+    incr j;
+    m := !m lxor low
+  done;
+  { corr; links }
+
 (* Enumeration state machine, per correlation set.  The semantics the
    pruner must preserve exactly: subsets are visited by size then
    lexicographic order; each visit first checks the [limit_per_set * 4]
    visit budget (stop when exhausted), then the [limit_per_set] find cap
-   (stop when reached), then runs the inducibility test.  Either early
+   (stop when reached), then runs the inducibility test [found c idx] on
+   the positions [idx] among the set's effective links.  Either early
    stop with unvisited subsets remaining truncates Ê and counts once
    into [subsets_enumeration_capped] (the budget path used to be
    silently uncounted).
@@ -150,33 +164,39 @@ let inducible model ~effective s =
    arithmetic instead of iteration), so the surviving visit sequence —
    and with it every found subset, counter and truncation decision — is
    bit-identical to the exhaustive fan-out. *)
-let enumerate model ~effective ~max_size ~limit_per_set =
+let drive table ~prune ~max_size ~limit_per_set found =
   if max_size < 1 then invalid_arg "Subsets.enumerate: max_size < 1";
   if limit_per_set < 1 then invalid_arg "Subsets.enumerate: bad limit";
-  let prune = !ident_prune in
-  let acc = ref [] in
-  for c = 0 to Model.n_corr_sets model - 1 do
-    let eff = effective_corr_set model ~effective c in
-    let n = Array.length eff in
+  for c = 0 to Model.n_corr_sets table.Signatures.model - 1 do
+    let n = Signatures.n_effective table c in
     if n > 0 then begin
       let witness =
         if prune then
-          Some
-            (Identifiability.inducible_size_witness model ~effective ~corr:c
-               ~max_size)
+          Some (Identifiability.inducible_size_witness table ~corr:c ~max_size)
         else None
       in
       let budget = limit_per_set * 4 in
       let size_cap = min max_size n in
       let visited = ref 0 in
-      let found = ref 0 in
+      let n_found = ref 0 in
       let truncated = ref false in
       let stop = ref false in
+      let visit idx =
+        if !n_found >= limit_per_set then begin
+          truncated := true;
+          stop := true;
+          `Stop
+        end
+        else begin
+          if found c idx then incr n_found;
+          `Continue
+        end
+      in
       let k = ref 1 in
       while (not !stop) && !k <= size_cap do
         let total = Combin.choose n !k in
         let remaining = budget - !visited in
-        if remaining <= 0 || !found >= limit_per_set then begin
+        if remaining <= 0 || !n_found >= limit_per_set then begin
           (* The next visit (size [k] is non-empty) would have stopped
              the exhaustive enumeration here. *)
           truncated := true;
@@ -201,20 +221,7 @@ let enumerate model ~effective ~max_size ~limit_per_set =
           end
           else begin
             let visited_k =
-              Combin.iter_sized eff ~size:!k ~limit:remaining (fun links ->
-                  if !found >= limit_per_set then begin
-                    truncated := true;
-                    stop := true;
-                    `Stop
-                  end
-                  else begin
-                    let s = make model ~corr:c links in
-                    if inducible model ~effective s then begin
-                      acc := s :: !acc;
-                      incr found
-                    end;
-                    `Continue
-                  end)
+              Combin.iter_sized_indices ~n ~size:!k ~limit:remaining visit
             in
             visited := !visited + visited_k;
             if (not !stop) && visited_k < total && visited_k >= remaining
@@ -227,7 +234,40 @@ let enumerate model ~effective ~max_size ~limit_per_set =
         incr k
       done;
       if !truncated then Obs.Metrics.incr c_capped;
-      Obs.Metrics.incr ~by:!found c_enumerated
+      Obs.Metrics.incr ~by:!n_found c_enumerated
     end
-  done;
+  done
+
+(* The generic path: each visit builds the subset and tests it on the
+   model's bit sets, as {!inducible} does. *)
+let enumerate model ~effective ~max_size ~limit_per_set =
+  let table = Signatures.build model ~effective in
+  let acc = ref [] in
+  drive table ~prune:!ident_prune ~max_size ~limit_per_set (fun c idx ->
+      let first = table.Signatures.eff_start.(c) in
+      let links =
+        Array.map (fun i -> table.Signatures.eff_links.(first + i)) idx
+      in
+      let s = make model ~corr:c links in
+      inducible model ~effective s
+      && begin
+           acc := s :: !acc;
+           true
+         end);
   List.rev !acc
+
+(* The signature path: each visit ORs the positions into a mask and
+   tests it against the set's signatures, allocating nothing. *)
+let enumerate_masks table ~max_size ~limit_per_set f =
+  if not table.Signatures.fits then
+    invalid_arg "Subsets.enumerate_masks: a set wider than a word";
+  drive table ~prune:!ident_prune ~max_size ~limit_per_set (fun c idx ->
+      let m = ref 0 in
+      for i = 0 to Array.length idx - 1 do
+        m := !m lor (1 lsl Array.unsafe_get idx i)
+      done;
+      Signatures.inducible table ~corr:c !m
+      && begin
+           f c !m;
+           true
+         end)

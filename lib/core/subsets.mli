@@ -76,6 +76,21 @@ val enumerate :
   limit_per_set:int ->
   t list
 
+(** [of_mask table ~corr mask] is the subset of set [corr] whose links
+    are the set bits of [mask] in {!Signatures}' format. *)
+val of_mask : Signatures.t -> corr:int -> int -> t
+
+(** [enumerate_masks table ~max_size ~limit_per_set f] is {!enumerate}
+    on the signature table: it visits the same subsets in the same
+    order under the same budget, find cap and pruner, counts the same
+    metrics, and calls [f corr mask] for each subset {!enumerate} lists,
+    in its order.  Each visit tests the subset's mask with
+    {!Signatures.inducible} and allocates nothing.
+    @raise Invalid_argument unless [table.fits]. *)
+val enumerate_masks :
+  Signatures.t -> max_size:int -> limit_per_set:int -> (int -> int -> unit) ->
+  unit
+
 (** [set_ident_prune b] switches the identifiability pruner on or off
     process-wide.  It is on from start-up and results are bit-identical
     either way; the off position is the exhaustive reference that the

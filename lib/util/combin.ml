@@ -46,20 +46,29 @@ let combinations xs k =
   iter_combinations xs k (fun c -> acc := c :: !acc);
   List.rev !acc
 
-exception Stop
-
 let c_subsets_visited = Tomo_obs.Metrics.counter "combin_subsets_visited"
 
-let iter_sized xs ~size ~limit f =
+let iter_sized_indices ~n ~size ~limit f =
   let visited = ref 0 in
-  (try
-     iter_combinations xs size (fun c ->
-         if !visited >= limit then raise Stop;
-         incr visited;
-         match f c with `Stop -> raise Stop | `Continue -> ())
-   with Stop -> ());
+  if size >= 0 && size <= n then begin
+    let idx = Array.init size Fun.id in
+    let go = ref true in
+    while !go do
+      if !visited >= limit then go := false
+      else begin
+        incr visited;
+        match f idx with
+        | `Stop -> go := false
+        | `Continue -> go := successor idx ~n size (size - 1)
+      end
+    done
+  end;
   Tomo_obs.Metrics.incr ~by:!visited c_subsets_visited;
   !visited
+
+let iter_sized xs ~size ~limit f =
+  iter_sized_indices ~n:(Array.length xs) ~size ~limit (fun idx ->
+      f (Array.map (fun i -> xs.(i)) idx))
 
 type cursor = {
   n : int;

@@ -34,6 +34,16 @@ val iter_sized :
   ('a array -> [ `Stop | `Continue ]) ->
   int
 
+(** [iter_sized_indices ~n ~size ~limit f] is {!iter_sized} over the
+    indices [0 .. n-1] without allocating per visit: [f] receives one
+    index array, ascending, that is overwritten after [f] returns. *)
+val iter_sized_indices :
+  n:int ->
+  size:int ->
+  limit:int ->
+  (int array -> [ `Stop | `Continue ]) ->
+  int
+
 (** {1 Resumable subset cursor}
 
     Algorithm 1 tries each target variable's candidate path sets in

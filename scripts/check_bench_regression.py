@@ -18,6 +18,7 @@ PREFIX = "tomo kernel/"
 
 
 SPEEDUP_FLOOR = 0.8  # -j4 sim speedup may not drop below 80% of baseline
+SPEEDUP_DOMAINS = 4  # speedup_j4 runs the simulator on this many domains
 
 
 def load(path):
@@ -39,7 +40,9 @@ def check_sim_speedup(base_doc, new_doc):
     The -j4/-j1 ratio is a property of the core count, not of the code:
     a 2-core runner cannot reproduce a 4-domain speedup measured on 8
     cores.  Skip the comparison unless both files record a host
-    cpu_cores and they match (older baselines predate the host block).
+    cpu_cores and they match (older baselines predate the host block),
+    and skip it when the 4 domains exceed those cores: the ratio then
+    measures oversubscription, not parallel speedup.
     """
     base_sim = base_doc.get("sim_run_paper")
     new_sim = new_doc.get("sim_run_paper")
@@ -55,6 +58,13 @@ def check_sim_speedup(base_doc, new_doc):
         print(
             "sim speedup gate: skipped (cpu_cores differ: baseline %d, new %d)"
             % (base_cores, new_cores)
+        )
+        return True
+    if base_cores < SPEEDUP_DOMAINS:
+        print(
+            "sim speedup gate: skipped (%d domains exceed the host's %d cores:"
+            " speedup_j4 measures oversubscription)"
+            % (SPEEDUP_DOMAINS, base_cores)
         )
         return True
     old, new = base_sim.get("speedup_j4"), new_sim.get("speedup_j4")

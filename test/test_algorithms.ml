@@ -1080,7 +1080,7 @@ let prop_grow_order_matches_array_sort =
    reference selects.  70 links covered by the 2-link chain paths
    [i; i+1], each congested in some interval, so every link is
    potentially congested. *)
-let test_wide_set_selection () =
+let wide_case () =
   let n = 70 and t = 12 in
   let model =
     Model.make ~n_links:n
@@ -1096,12 +1096,351 @@ let test_wide_set_selection () =
         done;
         b)
   in
-  let obs = Observations.make ~t_intervals:t ~path_good in
+  (model, Observations.make ~t_intervals:t ~path_good)
+
+let test_wide_set_selection () =
+  let model, obs = wide_case () in
   let sel = Algorithm1.select model obs in
-  check_bool "wider than a word" true (n > Sys.int_size);
+  check_bool "wider than a word" true (model.Model.n_links > Sys.int_size);
   check_bool "rows selected" true (Array.length sel.Algorithm1.rows > 0);
   check_bool "selection ≡ reference" true
     (selections_equal sel (Reference.select model obs))
+
+(* ------------------------------------------------------------------ *)
+(* The signature table against the generic bit-set functions           *)
+(* ------------------------------------------------------------------ *)
+
+module Signatures = Tomo.Signatures
+
+(* Random models shaped for the signature table: interchangeable paths
+   (exact duplicates, and copies that also run the certified-good link
+   0), chain-heavy sets whose signatures all have two links (every third
+   seed), and random congestion.  Link 0 is never congested and the path
+   [0] runs it alone, so it is always good and certifies link 0. *)
+let random_signature_case seed =
+  let rng = Rng.create (seed + 230_000) in
+  let n_links = 5 + Rng.int rng 10 in
+  let n_sets = 1 + Rng.int rng 3 in
+  let corr_of = Array.init n_links (fun _ -> Rng.int rng n_sets) in
+  let corr_sets =
+    List.init n_sets (fun c ->
+        Array.of_list
+          (List.filter (fun e -> corr_of.(e) = c) (List.init n_links Fun.id)))
+    |> List.filter (fun s -> Array.length s > 0)
+    |> Array.of_list
+  in
+  let stretch () =
+    let ls = Rng.choose rng corr_sets in
+    if Array.length ls < 2 then []
+    else
+      let i = Rng.int rng (Array.length ls - 1) in
+      [ ls.(i); ls.(i + 1) ]
+  in
+  let chain = seed mod 3 = 0 in
+  let base =
+    List.init
+      (3 + Rng.int rng 8)
+      (fun _ ->
+        let links =
+          if chain then
+            stretch () @ if Rng.bool rng ~p:0.3 then stretch () else []
+          else
+            Array.to_list
+              (Rng.sample rng (Array.init n_links Fun.id)
+                 (1 + Rng.int rng (min 5 n_links)))
+        in
+        match List.sort_uniq compare links with
+        | [] -> [ 1 + Rng.int rng (n_links - 1) ]
+        | l -> l)
+  in
+  let copies =
+    List.concat_map
+      (fun links ->
+        (if Rng.bool rng ~p:0.3 then [ links ] else [])
+        @
+        if Rng.bool rng ~p:0.3 && not (List.mem 0 links) then [ 0 :: links ]
+        else [])
+      base
+  in
+  let paths =
+    Array.of_list (List.map Array.of_list (([ 0 ] :: base) @ copies))
+  in
+  Rng.shuffle rng paths;
+  let model = Model.make ~n_links ~paths ~corr_sets in
+  let t = 30 + Rng.int rng 60 in
+  let link_p =
+    Array.init n_links (fun e -> if e = 0 then 0.0 else Rng.float rng 0.4)
+  in
+  let path_good = Array.map (fun _ -> Bitset.create t) paths in
+  for i = 0 to t - 1 do
+    let congested = Array.map (fun p -> Rng.bool rng ~p) link_p in
+    Array.iter
+      (fun links ->
+        if Rng.bool rng ~p:0.2 then
+          Array.iter
+            (fun e ->
+              if e <> 0 && Rng.bool rng ~p:0.8 then congested.(e) <- true)
+            links)
+      corr_sets;
+    Array.iteri
+      (fun p links ->
+        if not (Array.exists (fun e -> congested.(e)) links) then
+          Bitset.set path_good.(p) i)
+      paths
+  done;
+  (model, Observations.make ~t_intervals:t ~path_good, rng)
+
+(* [f ()] with the metrics on, and the named counters it moved. *)
+let counted names f =
+  Tomo_obs.Metrics.set_enabled true;
+  Tomo_obs.Metrics.reset ();
+  Fun.protect
+    ~finally:(fun () ->
+      Tomo_obs.Metrics.set_enabled false;
+      Tomo_obs.Metrics.reset ())
+    (fun () ->
+      let r = f () in
+      ( r,
+        List.map
+          (fun n -> Tomo_obs.Metrics.(counter_value (counter n)))
+          names ))
+
+let enumeration_counters =
+  [
+    "subsets_enumerated";
+    "subsets_enumeration_capped";
+    "ident_pruned_sets";
+    "combin_subsets_visited";
+  ]
+
+let mask_enumeration table ~max_size ~limit_per_set =
+  let acc = ref [] in
+  Subsets.enumerate_masks table ~max_size ~limit_per_set (fun corr m ->
+      acc := Subsets.of_mask table ~corr m :: !acc);
+  List.rev !acc
+
+let prop_signature_enumeration =
+  QCheck.Test.make
+    ~name:"signature enumeration ≡ Subsets.enumerate (list and counters)"
+    ~count:300 (QCheck.int_range 0 10_000) (fun seed ->
+      let model, obs, rng = random_signature_case seed in
+      let effective = Subsets.effective_links model obs in
+      let table = Signatures.build model ~effective in
+      let max_size = 1 + Rng.int rng 4 and limit_per_set = 1 + Rng.int rng 6 in
+      let generic, c_generic =
+        counted enumeration_counters (fun () ->
+            Subsets.enumerate model ~effective ~max_size ~limit_per_set)
+      and masks, c_masks =
+        counted enumeration_counters (fun () ->
+            mask_enumeration table ~max_size ~limit_per_set)
+      in
+      table.Signatures.fits
+      && List.equal Subsets.equal generic masks
+      && c_generic = c_masks)
+
+(* Ê registered both ways, in the same order; then every seed pool and
+   resolved row against the generic functions over the same registry. *)
+let prop_signature_registry_pools_rows =
+  QCheck.Test.make
+    ~name:"signature registry, pools and resolver ≡ generic functions"
+    ~count:300 (QCheck.int_range 0 10_000) (fun seed ->
+      let model, obs, rng = random_signature_case seed in
+      let effective = Subsets.effective_links model obs in
+      let table = Signatures.build model ~effective in
+      let max_size = 1 + Rng.int rng 3 and limit_per_set = 500 in
+      let generic = Eqn.registry () in
+      ignore (Eqn.register_single_path_vars model ~effective generic);
+      List.iter
+        (fun s -> ignore (Eqn.add generic s))
+        (Subsets.enumerate model ~effective ~max_size ~limit_per_set);
+      let reg = Eqn.registry () in
+      let ix = Eqn.index table reg in
+      Eqn.register_single_path_masks ix;
+      Subsets.enumerate_masks table ~max_size ~limit_per_set (fun corr m ->
+          ignore (Eqn.add_mask ix ~corr m));
+      let n = Eqn.n_vars reg in
+      let vars = List.init n Fun.id in
+      let rz = Eqn.resolver ix in
+      (* and a resolver over the generic registry, indexed after the fact *)
+      let rz_generic = Eqn.resolver (Eqn.index table generic) in
+      let resolves paths =
+        Eqn.row_fast rz ~paths = Eqn.row model ~effective reg ~paths
+        && Eqn.row_fast rz_generic ~paths
+           = Eqn.row model ~effective generic ~paths
+      in
+      let n_paths = model.Model.n_paths in
+      n = Eqn.n_vars generic
+      && List.for_all
+           (fun v ->
+             Subsets.equal (Eqn.subset_of_var reg v)
+               (Eqn.subset_of_var generic v))
+           vars
+      && List.for_all
+           (fun v ->
+             let s = Eqn.subset_of_var reg v in
+             let pool =
+               Signatures.pool table ~corr:s.Subsets.corr (Eqn.mask_of_var ix v)
+             in
+             pool
+             = Array.of_list
+                 (Bitset.to_list (Subsets.candidate_paths model ~effective s))
+             && (pool = [||] || resolves pool))
+           vars
+      && List.for_all
+           (fun _ ->
+             resolves
+               (Rng.sample rng (Array.init n_paths Fun.id)
+                  (1 + Rng.int rng (min 4 n_paths))))
+           (List.init 20 Fun.id))
+
+let prop_signature_select =
+  QCheck.Test.make
+    ~name:"Algorithm 1 on the signature table ≡ reference (bitwise)"
+    ~count:300 (QCheck.int_range 0 10_000) (fun seed ->
+      let model, obs, rng = random_signature_case seed in
+      let config =
+        { Algorithm1.default_config with
+          Algorithm1.max_subset_size = 1 + Rng.int rng 3 }
+      in
+      selections_equal
+        (Algorithm1.select ~config model obs)
+        (Reference.select ~config model obs))
+
+(* The properties above only bite where their cases reach: over the
+   generator's first seeds, paths must be interchangeable, the grow must
+   skip, and the find cap, the visit budget and the pruner must all
+   fire. *)
+let test_signature_cases_exercised () =
+  let classes = ref 0 and skips = ref 0 and capped = ref 0 and pruned = ref 0 in
+  for seed = 0 to 199 do
+    let model, obs, _ = random_signature_case seed in
+    let effective = Subsets.effective_links model obs in
+    let table = Signatures.build model ~effective in
+    Array.iteri (fun p r -> if r <> p then incr classes) table.Signatures.rep;
+    let _, c =
+      counted [ "alg1_interchangeable_skips" ] (fun () ->
+          Algorithm1.select model obs)
+    in
+    skips := !skips + List.hd c;
+    let _, c =
+      counted enumeration_counters (fun () ->
+          mask_enumeration table ~max_size:3 ~limit_per_set:2)
+    in
+    capped := !capped + List.nth c 1;
+    pruned := !pruned + List.nth c 2
+  done;
+  List.iter
+    (fun (what, n) ->
+      check_bool (Printf.sprintf "%s (%d)" what n) true (n > 0))
+    [
+      ("interchangeable paths", !classes);
+      ("grow skips", !skips);
+      ("truncated enumerations", !capped);
+      ("pruned visits", !pruned);
+    ]
+
+(* A set wider than a word: no masks, so Algorithm 1 runs the generic
+   path, skips nothing, and still selects what the reference selects. *)
+let test_wide_set_generic_path () =
+  let model, obs = wide_case () in
+  let effective = Subsets.effective_links model obs in
+  check_bool "table does not fit" false
+    (Signatures.build model ~effective).Signatures.fits;
+  let sel, c =
+    counted [ "alg1_interchangeable_skips" ] (fun () ->
+        Algorithm1.select model obs)
+  in
+  check_int "no skips" 0 (List.hd c);
+  check_bool "selection ≡ reference" true
+    (selections_equal sel (Reference.select model obs))
+
+(* ------------------------------------------------------------------ *)
+(* Degenerate models                                                   *)
+(* ------------------------------------------------------------------ *)
+
+module Engine = Tomo_stream.Engine
+
+(* Every full window of [cols]: Algorithm 1 must select what the
+   reference selects, and the streaming engine must report what a batch
+   run over the same intervals reports, marginals bit for bit. *)
+let check_degenerate name model ~window cols =
+  let engine = Engine.create ~model ~window () in
+  Array.iteri
+    (fun i col ->
+      let tick = i + 1 in
+      let streamed = Engine.ingest engine (Bitset.copy col) in
+      if tick >= window then begin
+        let obs =
+          Observations.create ~t_intervals:window ~n_paths:model.Model.n_paths
+        in
+        for j = 0 to window - 1 do
+          Observations.set_interval_statuses obs ~interval:j
+            ~good:cols.(tick - window + j)
+        done;
+        let tag = Printf.sprintf "%s, tick %d" name tick in
+        check_bool (tag ^ ": selection ≡ reference") true
+          (selections_equal (Algorithm1.select model obs)
+             (Reference.select model obs));
+        let batch, eng = Correlation_complete.compute model obs in
+        match streamed with
+        | None -> Alcotest.failf "%s: no streamed estimate" tag
+        | Some e ->
+            let s = e.Engine.result in
+            check_bool (tag ^ ": marginals bitwise") true
+              (Array.for_all2 same_bits s.Pc_result.marginals
+                 batch.Pc_result.marginals);
+            check_bool (tag ^ ": identifiable") true
+              (s.Pc_result.identifiable = batch.Pc_result.identifiable);
+            Alcotest.(check string)
+              (tag ^ ": report")
+              (Engine.report_to_string ~window
+                 { Engine.tick; result = batch; engine = eng })
+              (Engine.report_to_string ~window e)
+      end)
+    cols
+
+(* Six links in two sets, four paths; [extra] more links on no path. *)
+let degenerate_model ?(extra = 0) ?corr_sets () =
+  let n_links = 6 + extra in
+  let corr_sets =
+    match corr_sets with
+    | Some c -> c
+    | None ->
+        [|
+          Array.init (3 + extra) (fun e -> if e < 3 then e else e + 3);
+          [| 3; 4; 5 |];
+        |]
+  in
+  Model.make ~n_links
+    ~paths:[| [| 0; 1; 3 |]; [| 1; 2 |]; [| 2; 4; 5 |]; [| 0; 5 |] |]
+    ~corr_sets
+
+let random_columns seed model n =
+  let rng = Rng.create seed in
+  Array.init n (fun _ ->
+      let b = Bitset.create model.Model.n_paths in
+      for p = 0 to model.Model.n_paths - 1 do
+        if Rng.bool rng ~p:0.5 then Bitset.set b p
+      done;
+      b)
+
+let test_degenerate_models () =
+  let model = degenerate_model () in
+  let all_good = Bitset.create 4 in
+  Bitset.set_all all_good;
+  check_degenerate "every path always good" model ~window:3
+    (Array.make 8 all_good);
+  check_degenerate "every path always bad" model ~window:3
+    (Array.make 8 (Bitset.create 4));
+  let singles =
+    degenerate_model ~corr_sets:(Array.init 6 (fun e -> [| e |])) ()
+  in
+  check_degenerate "single-link correlation sets" singles ~window:4
+    (random_columns 1 singles 12);
+  let uncovered = degenerate_model ~extra:3 () in
+  check_degenerate "links on no path" uncovered ~window:4
+    (random_columns 2 uncovered 12);
+  check_degenerate "window 1" model ~window:1 (random_columns 3 model 10)
 
 let test_readout_range_checks () =
   let m, eng = solve_case1 ~t:200 () in
@@ -1228,6 +1567,21 @@ let () =
           qc prop_grow_order_matches_array_sort;
           Alcotest.test_case "70-link set: Algorithm 1 ≡ reference" `Quick
             test_wide_set_selection;
+        ] );
+      ( "signatures",
+        [
+          qc prop_signature_enumeration;
+          qc prop_signature_registry_pools_rows;
+          qc prop_signature_select;
+          Alcotest.test_case "skips, caps and prunes exercised" `Quick
+            test_signature_cases_exercised;
+          Alcotest.test_case "70-link set takes the generic path" `Quick
+            test_wide_set_generic_path;
+        ] );
+      ( "degenerate",
+        [
+          Alcotest.test_case "select ≡ reference, stream ≡ batch" `Quick
+            test_degenerate_models;
         ] );
       ( "confidence",
         [

@@ -17,6 +17,7 @@ module Model = Tomo.Model
 module Observations = Tomo.Observations
 module Subsets = Tomo.Subsets
 module Identifiability = Tomo.Identifiability
+module Signatures = Tomo.Signatures
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -77,8 +78,9 @@ let prop_witness_matches_oracle =
       let ok = ref true in
       for c = 0 to Model.n_corr_sets m - 1 do
         let witness =
-          Identifiability.inducible_size_witness m ~effective:eff ~corr:c
-            ~max_size
+          Identifiability.inducible_size_witness
+            (Signatures.build m ~effective:eff)
+            ~corr:c ~max_size
         in
         let counts = brute_counts m ~effective:eff ~corr:c ~max_size in
         let n = Array.length (Subsets.effective_corr_set m ~effective:eff c) in
@@ -272,8 +274,9 @@ let test_wide_set_fallbacks () =
   in
   let eff = Identifiability.covered_links m in
   let w =
-    Identifiability.inducible_size_witness m ~effective:eff ~corr:0
-      ~max_size:3
+    Identifiability.inducible_size_witness
+      (Signatures.build m ~effective:eff)
+      ~corr:0 ~max_size:3
   in
   check_bool "size 1 proven empty" false w.(0);
   check_bool "size 2 not ruled out" true w.(1);
@@ -300,7 +303,9 @@ let test_wide_set_fallbacks () =
     if i mod 2 = 0 then
       ignore (Tomo.Eqn.row_grow m ~effective:eff reg ~paths:[| i; i + 1 |])
   done;
-  let rz = Tomo.Eqn.resolver m ~effective:eff reg in
+  let rz =
+    Tomo.Eqn.resolver (Tomo.Eqn.index (Signatures.build m ~effective:eff) reg)
+  in
   let same paths =
     Tomo.Eqn.row_fast rz ~paths = Tomo.Eqn.row m ~effective:eff reg ~paths
   in
@@ -352,11 +357,14 @@ let test_budget_capped_closure () =
   check_int "capped: nothing claimed prunable" 0
     s.Identifiability.pruned_sizes;
   let exact =
-    Identifiability.inducible_size_witness m ~effective:eff ~corr:0 ~max_size
+    Identifiability.inducible_size_witness
+      (Signatures.build m ~effective:eff)
+      ~corr:0 ~max_size
   in
   let cut =
-    Identifiability.inducible_size_witness ~budget m ~effective:eff ~corr:0
-      ~max_size
+    Identifiability.inducible_size_witness ~budget
+      (Signatures.build m ~effective:eff)
+      ~corr:0 ~max_size
   in
   Array.iteri
     (fun i w ->
@@ -380,7 +388,11 @@ let test_chain_not_identifiable () =
   check_bool "link 0 ambiguous" true (Identifiability.link_ambiguous t 0);
   check_bool "link 1 ambiguous" true (Identifiability.link_ambiguous t 1);
   (* Only the pair {0,1} is inducible: one signature of size 2. *)
-  let w = Identifiability.inducible_size_witness m ~effective:eff ~corr:0 ~max_size:3 in
+  let w =
+    Identifiability.inducible_size_witness
+      (Signatures.build m ~effective:eff)
+      ~corr:0 ~max_size:3
+  in
   check_bool "no singleton inducible" false w.(0);
   check_bool "the pair is inducible" true w.(1)
 
