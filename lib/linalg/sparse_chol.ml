@@ -3,12 +3,30 @@ module Obs = Tomo_obs
 
 let c_factorizations = Obs.Metrics.counter "sparse_chol_factorizations"
 let c_dropped = Obs.Metrics.counter "sparse_chol_dropped_rows"
+let c_modified = Obs.Metrics.counter "sparse_chol_modified_pivots"
 let h_l_nnz = Obs.Metrics.histogram "sparse_chol_l_nnz"
 let h_pivot_ratio = Obs.Metrics.histogram "sparse_chol_pivot_ratio"
+let h_dense_cols = Obs.Metrics.histogram "sparse_chol_dense_cols"
 
 (* Relative pivot tolerance: a Schur pivot at or below this share of
    the row's own diagonal entry marks a numerically dependent row. *)
 let pivot_tol = 1e-10
+
+(* The same test on the Woodbury core: an LU pivot at or below this
+   share of the largest entry of its column of [C] marks [C], and with
+   it [G], as singular. *)
+let core_tol = 1e-10
+
+(* A column in [count] of the [m] rows is dense, and split out of the
+   factor, when count ≥ 2·√m.  Its clique in A·Aᵀ puts about count²/2
+   entries into L, and splitting it out adds about 2m entries to the
+   correction (the column and, usually, one modified pivot): the
+   break-even scales with √m, not with m.  Removing the k densest
+   columns of the serve workloads' selections (m = 230-285) stopped
+   paying at counts of 34-37, about 2·√m; at paper scale the rule also
+   splits Brite's five densest columns (92-116 of 1295 rows), which
+   cuts the factor's time there by about 40%, where m/8 keeps them. *)
+let is_dense ~m count = count * count >= 4 * m
 
 type t = {
   m : int;
@@ -27,6 +45,17 @@ type t = {
   diag : float array;  (* L_kk; 0.0 marks a dropped row *)
   n_dropped : int;
   pivot_ratio : float;
+  (* The correction G = L·Lᵀ + U·S·Uᵀ, empty (q = 0) when L factors G
+     itself.  U's first [dense_cols] columns are dense columns of A
+     (S = +1), the others √δ·e_k for a modified pivot (S = −1).  The
+     solve reads U only through V = L⁻¹·U, which is sparse: column c of
+     V holds v_val at positions v_pos over v_ptr.(c) .. v_ptr.(c+1) - 1. *)
+  dense_cols : int;
+  v_ptr : int array;
+  v_pos : int array;
+  v_val : float array;
+  core : float array;  (* LU of C = S + Vᵀ·V, row-major q × q *)
+  core_piv : int array;  (* the row swapped with row k at LU step k *)
 }
 
 (* Counting-sort transpose of a CSR pattern: for each of [n] columns, the
@@ -109,35 +138,30 @@ let min_degree m w ~word ~mask adj =
   done;
   (perm, pattern)
 
-let factor ~cols rows =
-  Obs.Trace.with_span "sparse_chol.factor" @@ fun () ->
-  let m = Array.length rows in
-  let a_ptr = Array.make (m + 1) 0 in
-  Array.iteri (fun i r -> a_ptr.(i + 1) <- a_ptr.(i) + Array.length r) rows;
-  let a_idx = Array.make a_ptr.(m) 0 in
-  Array.iteri
-    (fun i r ->
-      Array.iteri
-        (fun q j ->
-          if j < 0 || j >= cols then
-            invalid_arg "Sparse_chol.factor: variable index out of range";
-          a_idx.(a_ptr.(i) + q) <- j)
-        r)
-    rows;
-  (* Rows sharing a variable are adjacent in G. *)
-  let c_ptr, c_row = transpose ~n:cols a_ptr a_idx in
+(* Cholesky factor of [M = A_s·A_sᵀ], where [A_s] (CSR [s_ptr]/[s_idx],
+   transposed [sc_ptr]/[sc_row]) is the system without its dense
+   columns, or the whole system when none is left out.  A pivot at or
+   below [pivot_tol] times its row's diagonal entry [|row_s|] is
+   dropped, or with [~modify] raised by [δ = |row_s|] (1 for a row with
+   no entry left), Andersen's modification, which factors
+   [M + δ·e_r·e_rᵀ] instead.  Returns the factor over the full rows
+   [a_ptr]/[a_idx], without a correction, and the modified pivots as
+   (position, δ) by ascending position. *)
+let cholesky ~modify ~cols a_ptr a_idx s_ptr s_idx sc_ptr sc_row =
+  let m = Array.length a_ptr - 1 in
   let bits = Bitset.word_bits in
   let w = (m + bits - 1) / bits in
   (* Word index and bit of each node, tabulated: [bits] is not a
      compile-time constant, so [/] and [mod] by it would divide. *)
   let word = Array.init m (fun u -> u / bits)
   and mask = Array.init m (fun u -> 1 lsl (u mod bits)) in
+  (* Rows sharing a variable are adjacent in M. *)
   let adj = Array.make (m * w) 0 in
   for i = 0 to m - 1 do
-    for p = a_ptr.(i) to a_ptr.(i + 1) - 1 do
-      let j = a_idx.(p) in
-      for q = c_ptr.(j) to c_ptr.(j + 1) - 1 do
-        let u = c_row.(q) in
+    for p = s_ptr.(i) to s_ptr.(i + 1) - 1 do
+      let j = s_idx.(p) in
+      for q = sc_ptr.(j) to sc_ptr.(j + 1) - 1 do
+        let u = sc_row.(q) in
         if u <> i then begin
           let c = (i * w) + word.(u) in
           adj.(c) <- adj.(c) lor mask.(u)
@@ -171,20 +195,22 @@ let factor ~cols rows =
     pattern;
   let l_ptr, l_row = transpose ~n:m r_ptr r_col in
   let l_val = Array.make l_ptr.(m) 0.0 in
-  (* Left-looking numeric factorization: column k is G's column k
+  (* Left-looking numeric factorization: column k is M's column k
      (rows >= k) minus the earlier columns with an entry in row k.
      [next.(j)] walks column j's entries as k reaches their rows.  Every
      index below comes from the structures built above. *)
   let diag = Array.make m 0.0 in
   let next = Array.sub l_ptr 0 m in
   let x = Array.make m 0.0 in
-  let n_dropped = ref 0 in
+  let n_dropped = ref 0 and modified = ref [] in
+  let lo = ref infinity and hi = ref 0.0 in
   for k = 0 to m - 1 do
     let r = perm.(k) in
-    for p = a_ptr.(r) to a_ptr.(r + 1) - 1 do
-      let j = Array.unsafe_get a_idx p in
-      for q = Array.unsafe_get c_ptr j to Array.unsafe_get c_ptr (j + 1) - 1 do
-        let i = Array.unsafe_get inv (Array.unsafe_get c_row q) in
+    for p = s_ptr.(r) to s_ptr.(r + 1) - 1 do
+      let j = Array.unsafe_get s_idx p in
+      for q = Array.unsafe_get sc_ptr j to Array.unsafe_get sc_ptr (j + 1) - 1
+      do
+        let i = Array.unsafe_get inv (Array.unsafe_get sc_row q) in
         if i >= k then Array.unsafe_set x i (Array.unsafe_get x i +. 1.0)
       done
     done;
@@ -202,10 +228,23 @@ let factor ~cols rows =
     done;
     let d = x.(k) in
     x.(k) <- 0.0;
-    let g_kk = float_of_int (a_ptr.(r + 1) - a_ptr.(r)) in
+    let g_kk = float_of_int (s_ptr.(r + 1) - s_ptr.(r)) in
+    let small = not (d > pivot_tol *. g_kk) in
+    let d =
+      if small && modify then begin
+        let delta = Float.max 1.0 g_kk in
+        modified := (k, delta) :: !modified;
+        d +. delta
+      end
+      else d
+    in
     if d > pivot_tol *. g_kk then begin
       let lkk = sqrt d in
       diag.(k) <- lkk;
+      if not small then begin
+        lo := Float.min !lo lkk;
+        hi := Float.max !hi lkk
+      end;
       for p = l_ptr.(k) to l_ptr.(k + 1) - 1 do
         let i = Array.unsafe_get l_row p in
         Array.unsafe_set l_val p (Array.unsafe_get x i /. lkk);
@@ -221,44 +260,31 @@ let factor ~cols rows =
       done
     end
   done;
-  let lo = ref infinity and hi = ref 0.0 in
-  Array.iter
-    (fun d ->
-      if d > 0.0 then begin
-        lo := Float.min !lo d;
-        hi := Float.max !hi d
-      end)
-    diag;
-  let pivot_ratio = if !hi > 0.0 then !hi /. !lo else 1.0 in
-  Obs.Metrics.incr c_factorizations;
-  Obs.Metrics.incr ~by:!n_dropped c_dropped;
-  if Obs.Metrics.enabled () then begin
-    Obs.Metrics.observe h_l_nnz (float_of_int (l_ptr.(m) + m));
-    Obs.Metrics.observe h_pivot_ratio pivot_ratio
-  end;
-  if Obs.Trace.enabled () then begin
-    Obs.Trace.add_attr "rows" (string_of_int m);
-    Obs.Trace.add_attr "l_nnz" (string_of_int (l_ptr.(m) + m))
-  end;
-  {
-    m;
-    n = cols;
-    a_ptr;
-    a_idx;
-    perm;
-    l_ptr;
-    l_row;
-    l_val;
-    diag;
-    n_dropped = !n_dropped;
-    pivot_ratio;
-  }
+  ( {
+      m;
+      n = cols;
+      a_ptr;
+      a_idx;
+      perm;
+      l_ptr;
+      l_row;
+      l_val;
+      diag;
+      n_dropped = !n_dropped;
+      pivot_ratio = (if !hi > 0.0 then !hi /. !lo else 1.0);
+      dense_cols = 0;
+      v_ptr = [| 0 |];
+      v_pos = [||];
+      v_val = [||];
+      core = [||];
+      core_piv = [||];
+    },
+    List.rev !modified )
 
-let solve t b =
-  if Array.length b <> t.m then invalid_arg "Sparse_chol.solve: size mismatch";
-  let { m; l_ptr; l_row; l_val; diag; perm; a_ptr; a_idx; _ } = t in
-  let z = Array.init m (fun k -> b.(perm.(k))) in
-  (* L·z = P·b, column by column. *)
+(* L·z' = z over elimination positions, in place; a dropped row's entry
+   comes out 0. *)
+let forward t z =
+  let { m; l_ptr; l_row; l_val; diag; _ } = t in
   for k = 0 to m - 1 do
     let d = diag.(k) in
     if d = 0.0 then z.(k) <- 0.0
@@ -271,8 +297,11 @@ let solve t b =
           (Array.unsafe_get z i -. (Array.unsafe_get l_val p *. zk))
       done
     end
-  done;
-  (* Lᵀ·y = z, in place. *)
+  done
+
+(* Lᵀ·z' = z, in place. *)
+let backward t z =
+  let { m; l_ptr; l_row; l_val; diag; _ } = t in
   for k = m - 1 downto 0 do
     let d = diag.(k) in
     if d <> 0.0 then begin
@@ -285,7 +314,244 @@ let solve t b =
       done;
       z.(k) <- !acc /. d
     end
+  done
+
+(* LU with partial pivoting of the row-major [q × q] matrix [c], in
+   place: [Some piv], or [None] when a pivot is at or below [core_tol]
+   times the largest entry of its column of the original [c]. *)
+let lu_factor q c =
+  let colmax = Array.make q 0.0 in
+  Array.iteri
+    (fun i v -> colmax.(i mod q) <- Float.max colmax.(i mod q) (abs_float v))
+    c;
+  let piv = Array.make q 0 in
+  let rec step k =
+    if k = q then Some piv
+    else begin
+      let p = ref k in
+      for i = k + 1 to q - 1 do
+        if abs_float c.((i * q) + k) > abs_float c.((!p * q) + k) then p := i
+      done;
+      let p = !p in
+      piv.(k) <- p;
+      if abs_float c.((p * q) + k) <= core_tol *. colmax.(k) then None
+      else begin
+        if p <> k then
+          for j = 0 to q - 1 do
+            let v = c.((k * q) + j) in
+            c.((k * q) + j) <- c.((p * q) + j);
+            c.((p * q) + j) <- v
+          done;
+        let ckk = c.((k * q) + k) in
+        for i = k + 1 to q - 1 do
+          let l = c.((i * q) + k) /. ckk in
+          c.((i * q) + k) <- l;
+          for j = k + 1 to q - 1 do
+            c.((i * q) + j) <- c.((i * q) + j) -. (l *. c.((k * q) + j))
+          done
+        done;
+        step (k + 1)
+      end
+    end
+  in
+  step 0
+
+(* s <- C⁻¹·s from [lu_factor]'s output. *)
+let lu_solve q lu piv s =
+  for k = 0 to q - 1 do
+    let p = piv.(k) in
+    let v = s.(k) in
+    s.(k) <- s.(p);
+    s.(p) <- v
   done;
+  for i = 1 to q - 1 do
+    let acc = ref s.(i) in
+    for j = 0 to i - 1 do
+      acc := !acc -. (lu.((i * q) + j) *. s.(j))
+    done;
+    s.(i) <- !acc
+  done;
+  for i = q - 1 downto 0 do
+    let acc = ref s.(i) in
+    for j = i + 1 to q - 1 do
+      acc := !acc -. (lu.((i * q) + j) *. s.(j))
+    done;
+    s.(i) <- !acc /. lu.((i * q) + i)
+  done
+
+(* The split: factor [M = A_s·A_sᵀ] of the rows without their [dense]
+   columns, with Andersen's modification on the rows that leaves
+   dependent, and add the columns back as [G = M' + U·S·Uᵀ].  With
+   [M' = L·Lᵀ] and [V = L⁻¹·U], Sherman-Morrison-Woodbury gives
+   [G⁻¹ = L⁻ᵀ·(I − V·C⁻¹·Vᵀ)·L⁻¹] with the [q × q] core [C = S + Vᵀ·V].
+   [None] when [G] is singular. *)
+let split ~cols a_ptr a_idx c_ptr c_row dense =
+  let m = Array.length a_ptr - 1 in
+  let s_ptr = Array.make (m + 1) 0 in
+  for i = 0 to m - 1 do
+    s_ptr.(i + 1) <- s_ptr.(i);
+    for p = a_ptr.(i) to a_ptr.(i + 1) - 1 do
+      if not dense.(a_idx.(p)) then s_ptr.(i + 1) <- s_ptr.(i + 1) + 1
+    done
+  done;
+  let s_idx = Array.make s_ptr.(m) 0 and f = ref 0 in
+  Array.iter
+    (fun j ->
+      if not dense.(j) then begin
+        s_idx.(!f) <- j;
+        incr f
+      end)
+    a_idx;
+  let sc_ptr, sc_row = transpose ~n:cols s_ptr s_idx in
+  let t, modified =
+    cholesky ~modify:true ~cols a_ptr a_idx s_ptr s_idx sc_ptr sc_row
+  in
+  let hubs = List.filter (fun j -> dense.(j)) (List.init cols Fun.id) in
+  let d = List.length hubs in
+  (* Leaving out d columns lowers the row rank by at most d: more
+     modified pivots than that mean the full rows are dependent. *)
+  if List.length modified > d then None
+  else begin
+    let inv = Array.make m 0 in
+    Array.iteri (fun k r -> inv.(r) <- k) t.perm;
+    (* U's columns over positions, as (nonzero positions, value). *)
+    let u =
+      List.map
+        (fun j ->
+          ( Array.init (c_ptr.(j + 1) - c_ptr.(j)) (fun p ->
+                inv.(c_row.(c_ptr.(j) + p))),
+            1.0 ))
+        hubs
+      @ List.map (fun (k, delta) -> ([| k |], sqrt delta)) modified
+    in
+    (* V = L⁻¹·U, one forward solve per column, keeping the nonzeros. *)
+    let col = Array.make m 0.0 in
+    let v =
+      List.map
+        (fun (pos, x) ->
+          Array.iter (fun k -> col.(k) <- x) pos;
+          forward t col;
+          let nz =
+            Array.of_list
+              (List.filter (fun k -> col.(k) <> 0.0) (List.init m Fun.id))
+          in
+          let vals = Array.map (fun k -> col.(k)) nz in
+          Array.fill col 0 m 0.0;
+          (nz, vals))
+        u
+    in
+    let q = d + List.length modified in
+    let v_ptr = Array.make (q + 1) 0 in
+    List.iteri
+      (fun c (nz, _) -> v_ptr.(c + 1) <- v_ptr.(c) + Array.length nz)
+      v;
+    let v_pos = Array.concat (List.map fst v)
+    and v_val = Array.concat (List.map snd v) in
+    (* C = S + Vᵀ·V, each column against a dense copy of V's column. *)
+    let core = Array.make (q * q) 0.0 in
+    for c' = 0 to q - 1 do
+      for p = v_ptr.(c') to v_ptr.(c' + 1) - 1 do
+        col.(v_pos.(p)) <- v_val.(p)
+      done;
+      for c = 0 to q - 1 do
+        let acc = ref 0.0 in
+        for p = v_ptr.(c) to v_ptr.(c + 1) - 1 do
+          acc := !acc +. (v_val.(p) *. col.(v_pos.(p)))
+        done;
+        let s = if c <> c' then 0.0 else if c < d then 1.0 else -1.0 in
+        core.((c * q) + c') <- s +. !acc
+      done;
+      Array.fill col 0 m 0.0
+    done;
+    Option.map
+      (fun core_piv ->
+        { t with dense_cols = d; v_ptr; v_pos; v_val; core; core_piv })
+      (lu_factor q core)
+  end
+
+let factor ~cols rows =
+  Obs.Trace.with_span "sparse_chol.factor" @@ fun () ->
+  let m = Array.length rows in
+  let a_ptr = Array.make (m + 1) 0 in
+  Array.iteri (fun i r -> a_ptr.(i + 1) <- a_ptr.(i) + Array.length r) rows;
+  let a_idx = Array.make a_ptr.(m) 0 in
+  Array.iteri
+    (fun i r ->
+      Array.iteri
+        (fun q j ->
+          if j < 0 || j >= cols then
+            invalid_arg "Sparse_chol.factor: variable index out of range";
+          a_idx.(a_ptr.(i) + q) <- j)
+        r)
+    rows;
+  let c_ptr, c_row = transpose ~n:cols a_ptr a_idx in
+  let dense =
+    Array.init cols (fun j -> is_dense ~m (c_ptr.(j + 1) - c_ptr.(j)))
+  in
+  (* A singular G, or no dense column, leaves the correction empty:
+     L factors G itself and drops its dependent rows. *)
+  let split =
+    if Array.exists Fun.id dense then
+      split ~cols a_ptr a_idx c_ptr c_row dense
+    else None
+  in
+  let t =
+    match split with
+    | Some t -> t
+    | None ->
+        fst
+          (cholesky ~modify:false ~cols a_ptr a_idx a_ptr a_idx c_ptr c_row)
+  in
+  let l_nnz = Array.length t.l_row + m and q = Array.length t.v_ptr - 1 in
+  Obs.Metrics.incr c_factorizations;
+  Obs.Metrics.incr ~by:t.n_dropped c_dropped;
+  Obs.Metrics.incr ~by:(q - t.dense_cols) c_modified;
+  if Obs.Metrics.enabled () then begin
+    Obs.Metrics.observe h_l_nnz (float_of_int l_nnz);
+    Obs.Metrics.observe h_pivot_ratio t.pivot_ratio;
+    Obs.Metrics.observe h_dense_cols (float_of_int t.dense_cols)
+  end;
+  if Obs.Trace.enabled () then begin
+    Obs.Trace.add_attr "rows" (string_of_int m);
+    Obs.Trace.add_attr "l_nnz" (string_of_int l_nnz);
+    Obs.Trace.add_attr "dense_cols" (string_of_int t.dense_cols);
+    Obs.Trace.add_attr "v_nnz" (string_of_int (Array.length t.v_val))
+  end;
+  t
+
+let solve t b =
+  if Array.length b <> t.m then invalid_arg "Sparse_chol.solve: size mismatch";
+  let { m; perm; a_ptr; a_idx; v_ptr; v_pos; v_val; _ } = t in
+  let z = Array.create_float m in
+  for k = 0 to m - 1 do
+    z.(k) <- b.(perm.(k))
+  done;
+  forward t z;
+  let q = Array.length v_ptr - 1 in
+  if q > 0 then begin
+    (* z <- z − V·C⁻¹·Vᵀ·z *)
+    let s =
+      Array.init q (fun c ->
+          let acc = ref 0.0 in
+          for p = v_ptr.(c) to v_ptr.(c + 1) - 1 do
+            acc :=
+              !acc
+              +. (Array.unsafe_get v_val p
+                 *. Array.unsafe_get z (Array.unsafe_get v_pos p))
+          done;
+          !acc)
+    in
+    lu_solve q t.core t.core_piv s;
+    for c = 0 to q - 1 do
+      let sc = s.(c) in
+      for p = v_ptr.(c) to v_ptr.(c + 1) - 1 do
+        let i = Array.unsafe_get v_pos p in
+        Array.unsafe_set z i
+          (Array.unsafe_get z i -. (Array.unsafe_get v_val p *. sc))
+      done
+    done
+  end;
+  backward t z;
   (* x = Aᵀ·y. *)
   let x = Array.make t.n 0.0 in
   for k = 0 to m - 1 do
@@ -301,5 +567,6 @@ let solve t b =
   x
 
 let dropped t = t.n_dropped
+let dense_cols t = t.dense_cols
 let l_nnz t = Array.length t.l_row + t.m
 let pivot_ratio t = t.pivot_ratio

@@ -51,22 +51,23 @@ let of_string s =
   | header :: rest when header = "tomo-overlay v1" -> (
       let n_ases = ref 0
       and source_as = ref 0
-      and factor_owner = ref [||]
+      and declared_factors = ref ("", 0)
+      and factors = ref []
       and links = ref []
-      and paths = ref [] in
+      and paths = ref []
+      and declared_paths = ref None in
       List.iter
         (fun line ->
           match words line with
           | [ "ases"; n; "source"; s ] ->
               n_ases := int_of line n;
               source_as := int_of line s
-          | [ "factors"; n ] ->
-              factor_owner := Array.make (int_of line n) (-1)
+          | [ "factors"; n ] -> declared_factors := (line, int_of line n)
           | [ "factor"; id; owner ] ->
               let id = int_of line id in
-              if id < 0 || id >= Array.length !factor_owner then
+              if id < 0 || id >= snd !declared_factors then
                 fail line "factor id out of range";
-              !factor_owner.(id) <- int_of line owner
+              factors := (id, int_of line owner) :: !factors
           | "link" :: id :: owner :: kind :: factors ->
               let kind =
                 match kind with
@@ -90,9 +91,31 @@ let of_string s =
                   links = Array.of_list (List.map (int_of line) link_ids);
                 }
                 :: !paths
-          | [ "links"; _ ] | [ "paths"; _ ] -> ()
+          | [ "paths"; n ] ->
+              let n = int_of line n in
+              (* A model needs a path to observe: reject the overlay here,
+                 not later in [Model.make]. *)
+              if n < 1 then fail line "an overlay needs at least one path";
+              declared_paths := Some (line, n)
+          | [ "links"; _ ] -> ()
           | _ -> fail line "unrecognized line")
         rest;
+      (* The owner table is allocated only once the factor lines match
+         the declared count, so a corrupt count cannot ask for an
+         array of any size. *)
+      let factor_owner =
+        let line, n = !declared_factors in
+        if n <> List.length !factors then
+          fail line "declares %d factors, found %d" n (List.length !factors);
+        let owner = Array.make n (-1) in
+        List.iter (fun (id, o) -> owner.(id) <- o) (List.rev !factors);
+        owner
+      in
+      (match !declared_paths with
+      | Some (line, n) when n <> List.length !paths ->
+          fail line "declares %d paths, found %d" n (List.length !paths)
+      | Some _ -> ()
+      | None -> failwith "overlay declares no paths");
       let sort_by_id arr id_of =
         let a = Array.of_list arr in
         Array.sort (fun x y -> compare (id_of x) (id_of y)) a;
@@ -104,8 +127,8 @@ let of_string s =
           source_as = !source_as;
           links = sort_by_id !links (fun (l : Overlay.link) -> l.Overlay.id);
           paths = sort_by_id !paths (fun (p : Overlay.path) -> p.Overlay.id);
-          n_factors = Array.length !factor_owner;
-          factor_owner = !factor_owner;
+          n_factors = Array.length factor_owner;
+          factor_owner;
         }
       in
       Overlay.validate overlay;

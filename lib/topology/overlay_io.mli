@@ -22,7 +22,9 @@ val write : Format.formatter -> Overlay.t -> unit
 (** [to_string overlay] serializes to a string. *)
 val to_string : Overlay.t -> string
 
-(** [of_string s] parses and validates.
+(** [of_string s] parses and validates.  The [factors] and [paths]
+    lines must declare as many factors and paths as the lines that
+    follow, and at least one path.
     @raise Failure with a line-anchored message on malformed input. *)
 val of_string : string -> Overlay.t
 

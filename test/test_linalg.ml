@@ -1065,6 +1065,31 @@ let independent_system rng ~n ~m =
   let kept = List.filteri (fun i _ -> keep.(i)) (Array.to_list rows) in
   Array.of_list kept
 
+(* What every factor must give: the minimum-norm solution (A·x = b,
+   x ⟂ null(A)), equal to CGLS's, and a factor and solution that are
+   bitwise the same when the same rows are factored again. *)
+let chol_properties_hold ~n rows b =
+  let r = Array.length rows in
+  let f = Sparse_chol.factor ~cols:n rows in
+  let x = Sparse_chol.solve f b in
+  let nb = Nullspace.basis_of_incidence ~rows:r ~cols:n rows in
+  let ntx = ref 0.0 in
+  for c = 0 to Matrix.cols nb - 1 do
+    let s = ref 0.0 in
+    for i = 0 to n - 1 do
+      s := !s +. (Matrix.get nb i c *. x.(i))
+    done;
+    ntx := Float.max !ntx (abs_float !s)
+  done;
+  let cg = cgls_incidence ~n_vars:n rows b in
+  let f' = Sparse_chol.factor ~cols:n rows in
+  Sparse_chol.dropped f = 0
+  && residual_inf ~rows ~b x <= 1e-9
+  && !ntx <= 1e-9
+  && Array.for_all2 (fun u v -> abs_float (u -. v) <= 1e-7) x cg
+  && f = f'
+  && bits_equal x (Sparse_chol.solve f' b)
+
 let prop_chol_min_norm =
   QCheck.Test.make
     ~name:"Sparse_chol: A·x = b, x ⟂ null(A), x ≈ CGLS, factor deterministic"
@@ -1073,27 +1098,134 @@ let prop_chol_min_norm =
     (fun (n, m, seed) ->
       let rng = Rng.create (seed + 41_000) in
       let rows = independent_system rng ~n ~m in
-      let r = Array.length rows in
-      let b = Array.init r (fun _ -> Rng.uniform rng ~lo:(-4.) ~hi:0.) in
-      let f = Sparse_chol.factor ~cols:n rows in
+      let b =
+        Array.init (Array.length rows) (fun _ ->
+            Rng.uniform rng ~lo:(-4.) ~hi:0.)
+      in
+      chol_properties_hold ~n rows b)
+
+(* Incidence systems with [h] planted hubs, the last [h] variables, each
+   in about half the rows, so every hub is above the dense-column rule
+   (a column in at least 2·√m of the m rows).  Besides rows of one to
+   three other variables plus hubs, a few rows repeat an earlier row's
+   other variables with different hubs, and a few hold hubs only: both
+   leave rows dependent once the hubs are split out, so the factor
+   modifies their pivots.  Cut down to the greedy independent rows, as
+   Algorithm 1 hands them over. *)
+let hub_system rng ~n ~m ~h =
+  let hubs () =
+    List.filter
+      (fun _ -> Rng.bool rng ~p:0.5)
+      (List.init h (fun k -> n - h + k))
+  in
+  let rest () =
+    List.sort_uniq compare
+      (List.init (1 + Rng.int rng 3) (fun _ -> Rng.int rng (n - h)))
+  in
+  let base = Array.init m (fun _ -> (rest (), hubs ())) in
+  let twins =
+    List.init (1 + (m / 8)) (fun _ ->
+        let r, hs = base.(Rng.int rng m) in
+        let flip = n - h + Rng.int rng h in
+        ( r,
+          if List.mem flip hs then List.filter (( <> ) flip) hs
+          else List.sort compare (flip :: hs) ))
+  in
+  let hub_only =
+    List.init 2 (fun _ -> ([], [ n - h + Rng.int rng h ]))
+  in
+  let rows =
+    Array.of_list
+      (List.filter_map
+         (fun (r, hs) ->
+           match r @ hs with [] -> None | l -> Some (Array.of_list l))
+         (Array.to_list base @ twins @ hub_only))
+  in
+  let keep = Sgauss.select_independent ~tol:1e-8 ~cols:n rows in
+  Array.of_list (List.filteri (fun i _ -> keep.(i)) (Array.to_list rows))
+
+let prop_chol_hubs =
+  QCheck.Test.make
+    ~name:"Sparse_chol, hubs split out: A·x = b, x ⟂ null(A), x ≈ CGLS"
+    ~count:150
+    QCheck.(
+      quad (int_range 1 3) (int_range 4 30) (int_range 16 70)
+        (int_range 0 10_000))
+    (fun (h, n, m, seed) ->
+      let rng = Rng.create (seed + 43_000) in
+      let rows = hub_system rng ~n:(n + h) ~m ~h in
+      let b =
+        Array.init (Array.length rows) (fun _ ->
+            Rng.uniform rng ~lo:(-4.) ~hi:0.)
+      in
+      chol_properties_hold ~n:(n + h) rows b)
+
+(* The hub systems really take the split, and some of them modify
+   pivots: a property that never reached the Woodbury core would prove
+   nothing about it. *)
+let test_chol_hub_census () =
+  let modified = Tomo_obs.Metrics.counter "sparse_chol_modified_pivots" in
+  let was = Tomo_obs.Metrics.enabled () in
+  Tomo_obs.Metrics.set_enabled true;
+  let before = Tomo_obs.Metrics.counter_value modified in
+  let split = ref 0 in
+  for seed = 0 to 39 do
+    let rng = Rng.create (seed + 44_000) in
+    let rows = hub_system rng ~n:24 ~m:48 ~h:(1 + (seed mod 3)) in
+    let f = Sparse_chol.factor ~cols:24 rows in
+    if Sparse_chol.dense_cols f > 0 then incr split;
+    check_int "nothing dropped" 0 (Sparse_chol.dropped f)
+  done;
+  let mods = Tomo_obs.Metrics.counter_value modified - before in
+  Tomo_obs.Metrics.set_enabled was;
+  check_bool "most systems split" true (!split >= 30);
+  check_bool "modified pivots occur" true (mods > 0)
+
+(* A duplicated row that holds a hub makes A·Aᵀ singular, and so the
+   Woodbury core: the factor falls back to the whole rows, which drops
+   and counts the copy, exactly as without the split.  In the first
+   system each row has a variable of its own, so without the hubs no
+   row is dependent and only the core can see the copy; in the second,
+   the copy leaves more dependent rows than there are hubs. *)
+let test_chol_hub_duplicate_dropped () =
+  let own =
+    Array.init 30 (fun i ->
+        Array.of_list
+          ([ i; 30 + (i mod 7) ]
+          @ (if i mod 2 = 0 then [ 58 ] else [])
+          @ if i mod 3 <> 0 then [ 59 ] else []))
+  in
+  let rng = Rng.create 45_001 in
+  let random = hub_system rng ~n:20 ~m:40 ~h:2 in
+  List.iter
+    (fun (cols, rows) ->
+      let independent = Sparse_chol.factor ~cols rows in
+      check_int "the independent rows split out both hubs" 2
+        (Sparse_chol.dense_cols independent);
+      let dup =
+        match
+          List.find_opt (fun r -> Array.mem (cols - 2) r) (Array.to_list rows)
+        with
+        | Some r -> r
+        | None -> Alcotest.fail "no row holds the hub"
+      in
+      let rows = Array.append rows [| Array.copy dup |] in
+      let f = Sparse_chol.factor ~cols rows in
+      check_int "copy dropped" 1 (Sparse_chol.dropped f);
+      check_int "no split on a singular system" 0 (Sparse_chol.dense_cols f);
+      let x0 =
+        Array.init cols (fun j -> -0.1 *. float_of_int (1 + (j mod 7)))
+      in
+      let b =
+        Array.map
+          (fun r -> Array.fold_left (fun acc j -> acc +. x0.(j)) 0.0 r)
+          rows
+      in
       let x = Sparse_chol.solve f b in
-      let nb = Nullspace.basis_of_incidence ~rows:r ~cols:n rows in
-      let ntx = ref 0.0 in
-      for c = 0 to Matrix.cols nb - 1 do
-        let s = ref 0.0 in
-        for i = 0 to n - 1 do
-          s := !s +. (Matrix.get nb i c *. x.(i))
-        done;
-        ntx := Float.max !ntx (abs_float !s)
-      done;
-      let cg = cgls_incidence ~n_vars:n rows b in
-      let f' = Sparse_chol.factor ~cols:n rows in
-      Sparse_chol.dropped f = 0
-      && residual_inf ~rows ~b x <= 1e-9
-      && !ntx <= 1e-9
-      && Array.for_all2 (fun u v -> abs_float (u -. v) <= 1e-7) x cg
-      && f = f'
-      && bits_equal x (Sparse_chol.solve f' b))
+      check_bool "finite" true (all_finite x);
+      check_bool "consistent system solved" true
+        (residual_inf ~rows ~b x <= 1e-9))
+    [ (60, own); (20, random) ]
 
 let () =
   let qc = QCheck_alcotest.to_alcotest in
@@ -1200,6 +1332,10 @@ let () =
             test_chol_dependent_rows;
           Alcotest.test_case "validation" `Quick test_chol_validation;
           qc prop_chol_min_norm;
+          qc prop_chol_hubs;
+          Alcotest.test_case "hub census" `Quick test_chol_hub_census;
+          Alcotest.test_case "duplicated hub row dropped" `Quick
+            test_chol_hub_duplicate_dropped;
         ] );
       ( "witness",
         [

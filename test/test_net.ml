@@ -437,6 +437,207 @@ let test_listener_accepts () =
       Listener.stop listener;
       check_bool "socket file unlinked" false (Sys.file_exists path))
 
+(* ------------------------------------------------------------------ *)
+(* Input robustness: every rejection of a mutated input is a Failure   *)
+(* ------------------------------------------------------------------ *)
+
+(* One mutation of a valid input: a byte set to any value, a truncation,
+   or a 20-digit number or [max_int] written over the input from some
+   offset on, or inserted there. *)
+let mutate (kind, pos, byte, wide) s =
+  let n = String.length s in
+  let at = if n = 0 then 0 else pos mod (n + 1) in
+  let number = if wide then "99999999999999999999" else string_of_int max_int in
+  match kind with
+  | 0 when n > 0 ->
+      String.mapi (fun i c -> if i = pos mod n then Char.chr byte else c) s
+  | 1 -> String.sub s 0 at
+  | 2 ->
+      let rest = String.sub s at (n - at) in
+      let k = min (String.length number) (String.length rest) in
+      String.sub s 0 at ^ String.sub number 0 k
+      ^ String.sub rest k (String.length rest - k)
+  | _ -> String.sub s 0 at ^ number ^ String.sub s at (n - at)
+
+let mutations_arb =
+  QCheck.(
+    list_of_size (Gen.int_range 1 3)
+      (quad (int_range 0 3) (int_range 0 1_000_000) (int_range 0 255) bool))
+
+(* [accepts_or_fails parse base] is a property over mutated copies of
+   [base]: [parse] may accept one, or raise [Failure], and nothing
+   else. *)
+let accepts_or_fails ~name ~count base parse =
+  QCheck.Test.make ~name ~count mutations_arb (fun ms ->
+      match parse (List.fold_left (fun s m -> mutate m s) base ms) with
+      | () -> true
+      | exception Failure _ -> true)
+
+let prop_overlay_mutations =
+  let overlay =
+    Tomo_topology.Brite.generate
+      ~params:
+        { Tomo_topology.Brite.default with n_ases = 12; n_paths = 20 }
+      ~seed:3 ()
+  in
+  accepts_or_fails ~name:"overlay: mutations fail with Failure" ~count:400
+    (Tomo_topology.Overlay_io.to_string overlay) (fun s ->
+      (* an overlay that parses must also build a model *)
+      let o = Tomo_topology.Overlay_io.of_string s in
+      ignore (Tomo_experiments.Workload.model_of_overlay o))
+
+let prop_observations_mutations =
+  let rng = Rng.create 61 in
+  let obs =
+    Tomo.Observations.make ~t_intervals:12
+      ~path_good:(Array.init 9 (fun _ -> random_column rng 12))
+  in
+  accepts_or_fails ~name:"observations: mutations fail with Failure"
+    ~count:400 (Tomo.Observations_io.to_string obs) (fun s ->
+      ignore (Tomo.Observations_io.of_string s))
+
+let robust_model = random_model (Rng.create 67)
+
+let robust_columns =
+  let rng = Rng.create 71 in
+  Array.init 7 (fun _ -> random_column rng robust_model.Tomo.Model.n_paths)
+
+let prop_snapshot_mutations =
+  let engine = Engine.create ~model:robust_model ~window:4 () in
+  Array.iter
+    (fun c -> ignore (Engine.ingest engine (Bitset.copy c)))
+    robust_columns;
+  accepts_or_fails ~name:"snapshot: mutations fail with Failure" ~count:400
+    (Tomo_stream.Snapshot.to_string (Engine.snapshot engine)) (fun s ->
+      let snap = Tomo_stream.Snapshot.of_string s in
+      ignore (Engine.of_snapshot ~model:robust_model snap))
+
+let trace_records =
+  let n_paths = robust_model.Tomo.Model.n_paths in
+  [ "tomo-trace v1"; Printf.sprintf "paths %d" n_paths ]
+  @ List.mapi
+      (fun i c -> Printf.sprintf "tick %d %s" i (bits_of c n_paths))
+      (Array.to_list robust_columns)
+
+let prop_record_mutations =
+  accepts_or_fails ~name:"record: mutations fail with Failure" ~count:400
+    (String.concat "\n" trace_records) (fun s ->
+      let r = Tomo_stream.Record.create () in
+      List.iter
+        (fun line -> ignore (Tomo_stream.Record.feed r line))
+        (String.split_on_char '\n' s))
+
+let prop_frame_mutations =
+  accepts_or_fails ~name:"frame: mutations fail with Failure" ~count:400
+    (wire_of trace_records) (fun s ->
+      let dec = Frame.create ~max_payload:4096 () in
+      let r = Tomo_stream.Record.create () in
+      Frame.feed_string dec s;
+      List.iter
+        (fun p -> ignore (Tomo_stream.Record.feed r p))
+        (drain_frames dec))
+
+(* A mutated [peer <name>] hello ahead of a valid trace: the hub either
+   registers the peer, under a sanitized name, and writes its report, or
+   drops it; it never stops serving.  Each case runs a hub of its own,
+   which takes about 0.2 s to stop, hence the small count. *)
+let prop_hello_mutations =
+  QCheck.Test.make ~name:"peer hello: mutations register or drop the peer"
+    ~count:10 mutations_arb (fun ms ->
+      let hello = List.fold_left (fun s m -> mutate m s) "peer alpha" ms in
+      let n_paths = robust_model.Tomo.Model.n_paths in
+      let wire =
+        (if hello = "" then "" else wire_of [ hello ])
+        ^ trace_frames ~n_paths robust_columns
+      in
+      with_tmpdir (fun dir ->
+          let hub =
+            Hub.create ~model:robust_model ~window:4 ~report_dir:dir ()
+          in
+          let runner = Thread.create Hub.run hub in
+          let th, _ = spawn_peer hub wire in
+          wait_for
+            (fun () ->
+              let s = Hub.stats hub in
+              s.Hub.reports_written + s.Hub.peers_dropped = 1)
+            "a report or a drop";
+          Hub.request_stop hub;
+          Thread.join runner;
+          Thread.join th;
+          let reports =
+            List.filter
+              (fun f -> Filename.check_suffix f ".report")
+              (Array.to_list (Sys.readdir dir))
+          in
+          List.for_all
+            (fun f ->
+              String.for_all
+                (function
+                  | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '.' | '-' ->
+                      true
+                  | _ -> false)
+                f)
+            reports
+          && List.length reports = (Hub.stats hub).Hub.reports_written))
+
+(* Counts of 20 digits, of [max_int] and of 10^11, each in a file that
+   holds far fewer items: every parser must reject them with a Failure,
+   without sizing anything by a count it has not checked against its
+   input.  The mutation properties only reach these by chance. *)
+let test_huge_counts () =
+  let rejects what parse text =
+    match parse text with
+    | () -> Alcotest.failf "%s accepted" what
+    | exception Failure _ -> ()
+  in
+  let overlay ~factors ~paths =
+    Printf.sprintf
+      "tomo-overlay v1\nases 1 source 0\nfactors %s\nfactor 0 0\nlinks 1\n\
+       link 0 0 intra 0\npaths %s\npath 0 0\n"
+      factors paths
+  in
+  let parse_overlay s = ignore (Tomo_topology.Overlay_io.of_string s) in
+  let parse_observations s = ignore (Tomo.Observations_io.of_string s) in
+  let parse_trace s =
+    let r = Tomo_stream.Record.create () in
+    List.iter
+      (fun line -> ignore (Tomo_stream.Record.feed r line))
+      (String.split_on_char '\n' s)
+  in
+  List.iter
+    (fun n ->
+      rejects ("overlay factors " ^ n) parse_overlay
+        (overlay ~factors:n ~paths:"1");
+      rejects ("overlay paths " ^ n) parse_overlay
+        (overlay ~factors:"1" ~paths:n);
+      rejects ("observations paths " ^ n) parse_observations
+        (Printf.sprintf
+           "tomo-observations v1\npaths %s intervals 3\nrow 0 101\n" n);
+      rejects ("observations intervals " ^ n) parse_observations
+        (Printf.sprintf
+           "tomo-observations v1\npaths 1 intervals %s\nrow 0 101\n" n);
+      rejects ("trace paths " ^ n) parse_trace
+        (Printf.sprintf "tomo-trace v1\npaths %s\ntick 0 101" n))
+    [ "99999999999999999999"; string_of_int max_int; "100000000000" ]
+
+(* The degenerate overlay: one that declares no paths parses into no
+   model, so it is rejected at its [paths] line. *)
+let test_overlay_without_paths () =
+  let text =
+    "tomo-overlay v1\nases 1 source 0\nfactors 1\nfactor 0 0\nlinks 1\n\
+     link 0 0 intra 0\npaths 0\n"
+  in
+  (match Tomo_topology.Overlay_io.of_string text with
+  | _ -> Alcotest.fail "an overlay without paths parsed"
+  | exception Failure msg ->
+      check_bool "anchored at the paths line" true
+        (String.starts_with ~prefix:"paths 0: " msg));
+  match Tomo_topology.Overlay_io.of_string (text ^ "path 0 0\n") with
+  | _ -> Alcotest.fail "a path beyond the declared count parsed"
+  | exception Failure msg ->
+      check_bool "count mismatch anchored at the paths line" true
+        (String.starts_with ~prefix:"paths 0: " msg)
+
 let () =
   Tomo_par.Pool.set_default_jobs 1;
   Alcotest.run "net"
@@ -464,4 +665,17 @@ let () =
         ] );
       ( "listener",
         [ Alcotest.test_case "accepts over a Unix socket" `Quick test_listener_accepts ] );
+      ( "robust",
+        [
+          QCheck_alcotest.to_alcotest prop_overlay_mutations;
+          QCheck_alcotest.to_alcotest prop_observations_mutations;
+          QCheck_alcotest.to_alcotest prop_snapshot_mutations;
+          QCheck_alcotest.to_alcotest prop_record_mutations;
+          QCheck_alcotest.to_alcotest prop_frame_mutations;
+          QCheck_alcotest.to_alcotest prop_hello_mutations;
+          Alcotest.test_case "overlay without paths rejected" `Quick
+            test_overlay_without_paths;
+          Alcotest.test_case "huge declared counts rejected" `Quick
+            test_huge_counts;
+        ] );
     ]

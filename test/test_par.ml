@@ -222,9 +222,10 @@ let test_sparse_kernel_bit_identical () =
     seq
 
 (* One factor, two domains: the factor is immutable and each solve
-   allocates its own work vector, so domains solving against a shared
+   allocates its own work vectors, so domains solving against a shared
    selection at the same time must read exactly what a lone solve
-   reads. *)
+   reads — for a plain factor and for one whose hub column is split out
+   and solved through its Woodbury core. *)
 let test_shared_factor_two_domains () =
   let module Sparse_chol = Tomo_linalg.Sparse_chol in
   let module Sparse_gauss = Tomo_linalg.Sparse_gauss in
@@ -238,23 +239,35 @@ let test_shared_factor_two_domains () =
         done;
         match !r with [] -> [| Rng.int rng nvars |] | l -> Array.of_list l)
   in
-  let keep = Sparse_gauss.select_independent ~cols:nvars rows in
-  let rows =
+  let independent ~cols rows =
+    let keep = Sparse_gauss.select_independent ~cols rows in
     Array.of_list (List.filteri (fun i _ -> keep.(i)) (Array.to_list rows))
   in
-  let f = Sparse_chol.factor ~cols:nvars rows in
-  let rhs =
-    Array.init 200 (fun _ ->
-        Array.init (Array.length rows) (fun _ ->
-            Rng.uniform rng ~lo:(-3.) ~hi:0.))
+  let rows = independent ~cols:nvars rows in
+  (* the same rows, half of them through one more variable: a hub *)
+  let hub_rows =
+    independent ~cols:(nvars + 1)
+      (Array.mapi
+         (fun i r -> if i mod 2 = 0 then Array.append r [| nvars |] else r)
+         rows)
   in
-  let expected = Array.map (Sparse_chol.solve f) rhs in
-  let solve_all () = Array.map (Sparse_chol.solve f) rhs in
-  let d1 = Domain.spawn solve_all and d2 = Domain.spawn solve_all in
-  let r1 = Domain.join d1 and r2 = Domain.join d2 in
-  let bits = Array.map (Array.map Int64.bits_of_float) in
-  check_bool "domain 1 == lone solve" true (bits r1 = bits expected);
-  check_bool "domain 2 == lone solve" true (bits r2 = bits expected)
+  List.iter
+    (fun (cols, rows, split) ->
+      let f = Sparse_chol.factor ~cols rows in
+      check_bool "hub split out" split (Sparse_chol.dense_cols f > 0);
+      let rhs =
+        Array.init 200 (fun _ ->
+            Array.init (Array.length rows) (fun _ ->
+                Rng.uniform rng ~lo:(-3.) ~hi:0.))
+      in
+      let expected = Array.map (Sparse_chol.solve f) rhs in
+      let solve_all () = Array.map (Sparse_chol.solve f) rhs in
+      let d1 = Domain.spawn solve_all and d2 = Domain.spawn solve_all in
+      let r1 = Domain.join d1 and r2 = Domain.join d2 in
+      let bits = Array.map (Array.map Int64.bits_of_float) in
+      check_bool "domain 1 == lone solve" true (bits r1 = bits expected);
+      check_bool "domain 2 == lone solve" true (bits r2 = bits expected))
+    [ (nvars, rows, false); (nvars + 1, hub_rows, true) ]
 
 (* The simulator itself under the pool: every interval derives its own
    RNG streams from its index, so the interval fan-out inside [Run.run]
