@@ -423,15 +423,17 @@ let bench_tests () =
     ]
   in
   (* Substrate kernels + the Algorithm 2 update: a 60×80 incidence
-     system at 30% density, its null-space basis, and one fresh row. *)
+     system at 30% density, its null-space basis as plain columns, and
+     one fresh row. *)
   let rng = Rng.create 5 in
   let random_row () =
     List.filter (fun _ -> Rng.bool rng ~p:0.3) (List.init 80 Fun.id)
     |> Array.of_list
   in
   let nsp =
-    Nullspace.basis_of_incidence ~rows:60 ~cols:80
-      (Array.init 60 (fun _ -> random_row ()))
+    Nullspace.columns
+      (Nullspace.of_incidence ~rows:60 ~cols:80
+         (Array.init 60 (fun _ -> random_row ())))
   in
   let new_row = random_row () in
   let scenario =
@@ -504,7 +506,7 @@ let bench_tests () =
       Test.make ~name:"kernel/nullspace-tracker-add"
         (Staged.stage (fun () ->
              (* clone + in-place add of one incidence row *)
-             let tr = Nullspace.tracker_of_matrix nsp in
+             let tr = Nullspace.of_columns ~nvars:80 nsp in
              Nullspace.add_incidence tr new_row));
     ]
   in
@@ -529,8 +531,8 @@ let bench_tests () =
              done));
     ]
   in
-  (* Seed elimination (null-space basis) on the paper-scale incidence
-     fixture. *)
+  (* Seed elimination (the tracker's starting basis, with its weights
+     and witnesses) on the paper-scale incidence fixture. *)
   let nrows, nvars, paper_rows = Lazy.force paper_incidence in
   (* The dependent-row tax, isolated: rejecting a row already in the
      span, with the witness prefilter's O(k·nnz) short-circuit vs the
@@ -540,13 +542,12 @@ let bench_tests () =
      One witness rejection takes tens of ns, where a single-call timing
      is bimodal, so that row times a fixed batch: every fixture row,
      once per call. *)
-  let paper_nullspace () =
-    Nullspace.basis_of_incidence ~rows:nrows ~cols:nvars paper_rows
+  let paper_nullspace ?witness_k () =
+    Nullspace.of_incidence ?witness_k ~rows:nrows ~cols:nvars paper_rows
   in
-  let paper_basis = paper_nullspace () in
   let dep_row = paper_rows.(0) in
-  let tr_wit = Nullspace.tracker_of_matrix ~witness_k:2 paper_basis in
-  let tr_exact = Nullspace.tracker_of_matrix ~witness_k:0 paper_basis in
+  let tr_wit = paper_nullspace ~witness_k:2 () in
+  let tr_exact = paper_nullspace ~witness_k:0 () in
   Array.iter
     (fun r -> assert (not (Nullspace.add_incidence tr_wit r)))
     paper_rows;
@@ -561,7 +562,7 @@ let bench_tests () =
       Test.make ~name:"kernel/exact-reject-dependent"
         (Staged.stage (fun () -> Nullspace.add_incidence tr_exact dep_row));
       Test.make ~name:"kernel/sparse-nullspace"
-        (Staged.stage paper_nullspace);
+        (Staged.stage (fun () -> paper_nullspace ()));
     ]
   in
   Test.make_grouped ~name:"tomo" ~fmt:"%s %s"

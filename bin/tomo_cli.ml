@@ -328,12 +328,25 @@ let replay_opt_arg =
            header). Mutually exclusive with --ingest.")
 
 let window_arg =
+  let max = Stream.Window.max_capacity in
+  let parse s =
+    match int_of_string_opt s with
+    | Some w when w >= 1 && w <= max -> Ok w
+    | _ ->
+        Error
+          (`Msg
+            (Printf.sprintf "expected an interval count in [1, %d], got %S"
+               max s))
+  in
   Arg.(
-    value & opt int 100
+    value
+    & opt (conv (parse, Format.pp_print_int)) 100
     & info [ "window" ] ~docv:"W"
         ~doc:
-          "Sliding-window capacity in measurement intervals (ignored \
-           when restoring from a snapshot, which fixes it).")
+          (Printf.sprintf
+             "Sliding-window capacity in measurement intervals, 1 to %d \
+              (ignored when restoring from a snapshot, which fixes it)."
+             max))
 
 let intervals_arg =
   Arg.(

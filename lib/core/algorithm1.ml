@@ -1,6 +1,5 @@
 module Bitset = Tomo_util.Bitset
 module Combin = Tomo_util.Combin
-module Matrix = Tomo_linalg.Matrix
 module Nullspace = Tomo_linalg.Nullspace
 module Sparse_chol = Tomo_linalg.Sparse_chol
 module Sparse_gauss = Tomo_linalg.Sparse_gauss
@@ -34,29 +33,25 @@ type selection = {
   effective : Bitset.t;
   registry : Eqn.registry;
   rows : Eqn.row array;
-  nullspace : Matrix.t;
+  nullity : int;
   identifiable : bool array;
   factor : Sparse_chol.t option;
   readout : Readout.t;
 }
 
-let identifiable_flags registry nullspace =
-  Array.init (Eqn.n_vars registry) (fun v ->
-      Nullspace.in_row_space ~tol:1e-6 nullspace v)
-
 (* The selected rows are independent by construction, so their A·Aᵀ is
    positive definite: factor it once here and every solve until the next
-   selection is two triangular solves.  The readout plan, with the
-   per-link identifiable flags, is decided here too, so reading a
-   marginal is per-solve arithmetic only. *)
-let finish model effective registry rows nullspace =
-  let identifiable = identifiable_flags registry nullspace in
+   selection is two triangular solves.  The identifiable flags are read
+   off the final null space, and the readout plan is decided from them
+   here too, so reading a marginal is per-solve arithmetic only. *)
+let finish model effective registry rows tracker =
+  let identifiable = Nullspace.determined tracker in
   {
     model;
     effective;
     registry;
     rows;
-    nullspace;
+    nullity = Nullspace.dim tracker;
     identifiable;
     factor =
       Some
@@ -162,12 +157,12 @@ let select ?(config = default_config) model obs =
           in
           List.iter
             (fun s -> ignore (Eqn.add registry s))
-            (Subsets.enumerate model ~effective ~max_size ~limit_per_set);
+            (Subsets.enumerate table ~max_size ~limit_per_set);
           Eqn.index table registry
         end)
   in
   let n = Eqn.n_vars registry in
-  if n = 0 then finish model effective registry [||] (Matrix.make 0 0 0.0)
+  if n = 0 then finish model effective registry [||] (Nullspace.tracker 0)
   else begin
     Obs.Metrics.set_gauge g_unknowns (float_of_int n);
     if Obs.Trace.enabled () then
@@ -181,11 +176,10 @@ let select ?(config = default_config) model obs =
        collected first, the greedy in-order independent subset is found
        by one forward elimination ({!Sparse_gauss.select_independent} —
        the same accept/reject decisions an incremental rank test makes),
-       and the survivors are eliminated once
-       ({!Nullspace.basis_of_incidence}); that null space becomes the
-       tracker's starting basis.  The per-row O(nvars · p) updates at
-       maximal [p] — the most expensive phase of the old loop — collapse
-       into one batched elimination. *)
+       and the survivors are eliminated once into the tracker's starting
+       basis ({!Nullspace.of_incidence}).  The per-row O(nvars · p)
+       updates at maximal [p] — the most expensive phase of the old loop
+       — collapse into one batched elimination. *)
     let seed_pools = Array.make n [||] in
     let pool_of v =
       let s = Eqn.subset_of_var registry v in
@@ -241,13 +235,9 @@ let select ?(config = default_config) model obs =
               !kept;
             a
           in
-          let basis =
-            Obs.Trace.with_span "algorithm1.basis" (fun () ->
-                Nullspace.basis_of_incidence ~tol ~rows:!n_kept ~cols:n
-                  kept_vars)
-          in
-          Nullspace.tracker_of_matrix ~tol ?witness_k:config.witness_k
-            basis)
+          Obs.Trace.with_span "algorithm1.basis" (fun () ->
+              Nullspace.of_incidence ~tol ?witness_k:config.witness_k
+                ~rows:!n_kept ~cols:n kept_vars))
     in
     (* Lines 8-22: grow the system guided by the null space.  Each
        variable's candidates — the subsets of its pool in increasing size
@@ -354,16 +344,15 @@ let select ?(config = default_config) model obs =
       done;
       if not !progress then continue_ := false
     done);
-    let nullspace = Nullspace.to_matrix tracker in
-    Obs.Metrics.set_gauge g_nullity (float_of_int (Matrix.cols nullspace));
+    Obs.Metrics.set_gauge g_nullity (float_of_int (Nullspace.dim tracker));
     let rows = Array.of_list (List.rev !rows) in
     Log.debug (fun m ->
         m
           "selection done: %d effective links, %d unknowns, %d equations, \
            nullity %d"
           (Bitset.count effective) n (Array.length rows)
-          (Matrix.cols nullspace));
-    finish model effective registry rows nullspace
+          (Nullspace.dim tracker));
+    finish model effective registry rows tracker
   end
 
 let n_identifiable sel =

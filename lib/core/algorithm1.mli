@@ -62,12 +62,13 @@ type selection = {
   effective : Tomo_util.Bitset.t;  (** potentially congested links *)
   registry : Eqn.registry;
   rows : Eqn.row array;  (** the selected, linearly independent system *)
-  nullspace : Tomo_linalg.Matrix.t;
-      (** basis of the null space of the selected system; a variable is
-          identifiable iff its row here is zero *)
+  nullity : int;
+      (** dimension of the selected system's null space: unknowns minus
+          rows for Algorithm 1's independent selection *)
   identifiable : bool array;
-      (** per variable: its null-space row is zero
-          ({!identifiable_flags}), decided once per selection *)
+      (** per variable: its row of the final null-space basis is zero
+          ({!Tomo_linalg.Nullspace.determined}), decided once per
+          selection *)
   factor : Tomo_linalg.Sparse_chol.t option;
       (** [Some] iff the rows are linearly independent, as Algorithm 1
           guarantees: their factorized [A·Aᵀ], so every solve against
@@ -97,10 +98,6 @@ val select : ?config:config -> Model.t -> Observations.t -> selection
     the (variable, weight) pairs compared by weight alone, ties
     included. *)
 val sort_grow_order : shift:int -> int array -> unit
-
-(** [identifiable_flags registry nullspace] marks each registered
-    variable whose row of the null-space basis [nullspace] is zero. *)
-val identifiable_flags : Eqn.registry -> Tomo_linalg.Matrix.t -> bool array
 
 (** [n_identifiable sel] counts identifiable variables. *)
 val n_identifiable : selection -> int

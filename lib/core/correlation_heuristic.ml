@@ -18,19 +18,16 @@ let compute model obs =
      unchanged, so feeding every row through the in-place tracker is
      exact — and its witness prefilter rejects the redundant bulk of the
      baseline pool in O(nnz) per row instead of O(nnz · p). *)
-  let nullspace =
-    let tr = Nullspace.tracker n_vars in
-    Array.iter (fun row -> ignore (Nullspace.add_incidence tr row.Eqn.vars)) rows;
-    Nullspace.to_matrix tr
-  in
-  let identifiable = Algorithm1.identifiable_flags registry nullspace in
+  let tr = Nullspace.tracker n_vars in
+  Array.iter (fun row -> ignore (Nullspace.add_incidence tr row.Eqn.vars)) rows;
+  let identifiable = Nullspace.determined tr in
   let selection =
     {
       Algorithm1.model;
       effective;
       registry;
       rows;
-      nullspace;
+      nullity = Nullspace.dim tr;
       identifiable;
       (* Redundant rows with inconsistent right-hand sides: A·Aᵀ is
          singular, so the pool is solved by least squares. *)

@@ -121,7 +121,7 @@ type closure = {
           node budget was hit or the set is too wide to mask *)
 }
 
-let close (table : Signatures.t) ~corr ~max_size ~budget ~need_nodes =
+let close (table : Signatures.t) ~corr ~max_size ~budget =
   let model = table.Signatures.model in
   let eff = Signatures.effective_links table corr in
   let n = Array.length eff in
@@ -131,8 +131,9 @@ let close (table : Signatures.t) ~corr ~max_size ~budget ~need_nodes =
       cl_nodes = Some [] }
   else if not (Signatures.set_fits table corr) then begin
     (* Too wide for an int mask: fall back to the minimum-signature
-       bound, which is still exact in the pruning direction (no subset
-       smaller than every signature can be a union of signatures). *)
+       bound, which is still sound where it reports emptiness (no
+       subset smaller than every signature can be a union of
+       signatures). *)
     let min_sig = ref max_int and any = ref false in
     let count_on_set p =
       let c = ref 0 in
@@ -173,13 +174,6 @@ let close (table : Signatures.t) ~corr ~max_size ~budget ~need_nodes =
     done;
     let small_sigs = !small_sigs in
     let size_cap = min max_size n in
-    let unproven () =
-      let u = ref false in
-      for k = 1 to size_cap do
-        if not witness.(k - 1) then u := true
-      done;
-      !u
-    in
     let seen = Hashtbl.create 256 in
     let q = Queue.create () in
     let capped = ref false in
@@ -193,11 +187,7 @@ let close (table : Signatures.t) ~corr ~max_size ~budget ~need_nodes =
         end
     in
     List.iter visit small_sigs;
-    while
-      (not (Queue.is_empty q))
-      && (not !capped)
-      && (need_nodes || unproven ())
-    do
+    while (not (Queue.is_empty q)) && not !capped do
       let u = Queue.pop q in
       List.iter
         (fun s ->
@@ -213,16 +203,11 @@ let close (table : Signatures.t) ~corr ~max_size ~budget ~need_nodes =
       done;
     let nodes =
       if !capped then None
-      else if need_nodes || Queue.is_empty q then
-        Some (Hashtbl.fold (fun m () acc -> m :: acc) seen [])
-      else None (* early exit: the closure is incomplete by design *)
+      else Some (Hashtbl.fold (fun m () acc -> m :: acc) seen [])
     in
     { cl_eff = eff; cl_n_sigs = n_sigs; cl_min_sig = !min_sig;
       cl_witness = witness; cl_nodes = nodes }
   end
-
-let inducible_size_witness ?(budget = default_budget) table ~corr ~max_size =
-  (close table ~corr ~max_size ~budget ~need_nodes:false).cl_witness
 
 let coverage_key model cl_eff mask =
   let cov = Bitset.create model.Model.n_paths in
@@ -236,7 +221,7 @@ let coverage_key model cl_eff mask =
   bitset_key cov
 
 let corr_stats_of model table ~ambiguous ~max_size ~budget c =
-  let cl = close table ~corr:c ~max_size ~budget ~need_nodes:true in
+  let cl = close table ~corr:c ~max_size ~budget in
   let n = Array.length cl.cl_eff in
   let n_amb =
     Array.fold_left

@@ -13,10 +13,9 @@
       (the paper's Condition 1, generalized from the first offending
       pair to full ambiguity classes with representatives);
     - per-correlation-set bounds on the candidate subsets: which subset
-      sizes admit {e any} inducible subset (the pruning bound
-      {!Subsets.enumerate} consults before fanning out combinations),
-      exact inducible-subset counts, and the maximal size [k] below
-      which all candidate subsets are pairwise distinguishable.
+      sizes admit {e any} inducible subset, exact inducible-subset
+      counts, and the maximal size [k] below which all candidate
+      subsets are pairwise distinguishable.
 
     The per-set analysis rests on one structural fact: a subset [E] of a
     correlation set is inducible iff it is a union of path
@@ -44,7 +43,8 @@ type corr_stats = {
           the closure was truncated *)
   pruned_sizes : int;
       (** sizes in [1..min max_size n_effective] with provably no
-          inducible subset — the slots {!Subsets.enumerate} skips *)
+          inducible subset: slots a size-by-size enumeration could skip
+          (the "prunable size slots" of {!pp}) *)
 }
 
 type t = {
@@ -72,16 +72,6 @@ val ambiguity_classes : Model.t -> effective:Tomo_util.Bitset.t -> link_class ar
 (** [ambiguous_links model ~effective] is the set of links in some
     ambiguity class. *)
 val ambiguous_links : Model.t -> effective:Tomo_util.Bitset.t -> Tomo_util.Bitset.t
-
-(** [inducible_size_witness table ~corr ~max_size] is, per subset size
-    [1..max_size], whether correlation set [corr] {e may} contain an
-    inducible subset of that size, from the set's signatures in [table]:
-    [false] is a proof of emptiness (safe to skip the whole size), [true]
-    is not a proof of existence.  Sound under any [budget]: when the
-    union-closure exceeds the node budget, every undecided size reports
-    [true]. *)
-val inducible_size_witness :
-  ?budget:int -> Signatures.t -> corr:int -> max_size:int -> bool array
 
 (** [analyze model ~effective] runs the full analysis: ambiguity
     classes plus per-correlation-set closure statistics. *)

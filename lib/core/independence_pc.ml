@@ -39,16 +39,14 @@ let compute model obs =
     let z = Cgls.solve ~cols:n_vars rows b in
     (* Identifiability via the incidence null space of the system; the
        tracker's witness prefilter makes the redundant rows O(nnz). *)
-    let nullspace =
-      let tr = Nullspace.tracker n_vars in
-      Array.iter (fun row -> ignore (Nullspace.add_incidence tr row)) rows;
-      Nullspace.to_matrix tr
-    in
+    let tr = Nullspace.tracker n_vars in
+    Array.iter (fun row -> ignore (Nullspace.add_incidence tr row)) rows;
+    let determined = Nullspace.determined tr in
     for e = 0 to n_links - 1 do
       let v = var_of_link.(e) in
       if v >= 0 then begin
         marginals.(e) <- max 0.0 (min 1.0 (1.0 -. exp z.(v)));
-        identifiable.(e) <- Nullspace.in_row_space ~tol:1e-6 nullspace v
+        identifiable.(e) <- determined.(v)
       end
     done;
     {

@@ -3,19 +3,11 @@ module Combin = Tomo_util.Combin
 module Obs = Tomo_obs
 
 (* §4 complexity control observability: how many correlation subsets the
-   enumeration produced, how often a correlation set's enumeration was
-   truncated (by the per-set find cap or by the visit budget — either
-   way Ê lost completeness), and how many combination visits the
-   identifiability pruner saved. *)
+   enumeration produced, and how often a correlation set's enumeration
+   was truncated (by the per-set find cap or by the visit budget —
+   either way Ê lost completeness). *)
 let c_enumerated = Obs.Metrics.counter "subsets_enumerated"
 let c_capped = Obs.Metrics.counter "subsets_enumeration_capped"
-let c_pruned = Obs.Metrics.counter "ident_pruned_sets"
-
-(* The identifiability pruner is a pure skip of provably empty work, so
-   it is always on; switching it off only serves the parity properties
-   that compare it with the exhaustive fan-out. *)
-let ident_prune = ref true
-let set_ident_prune b = ident_prune := b
 
 type t = { corr : int; links : int array }
 
@@ -73,24 +65,9 @@ let effective_links model obs =
   done;
   eff
 
-(* Both filters sit on the enumeration hot path (once per visited
-   subset via [candidate_paths]); they fill a counted array directly
-   instead of round-tripping through lists. *)
-let effective_corr_set model ~effective c =
-  let all = Model.corr_set_links model c in
-  let n = ref 0 in
-  Array.iter (fun e -> if Bitset.get effective e then incr n) all;
-  let out = Array.make !n 0 in
-  let j = ref 0 in
-  Array.iter
-    (fun e ->
-      if Bitset.get effective e then begin
-        out.(!j) <- e;
-        incr j
-      end)
-    all;
-  out
-
+(* On the generic enumeration's hot path (once per visited subset via
+   [candidate_paths]): fills a counted array directly instead of
+   round-tripping through lists. *)
 let complement model ~effective s =
   (* [s.links] and the correlation set are both sorted ascending, so
      membership is a linear merge. *)
@@ -147,34 +124,20 @@ let of_mask (table : Signatures.t) ~corr mask =
   done;
   { corr; links }
 
-(* Enumeration state machine, per correlation set.  The semantics the
-   pruner must preserve exactly: subsets are visited by size then
-   lexicographic order; each visit first checks the [limit_per_set * 4]
-   visit budget (stop when exhausted), then the [limit_per_set] find cap
-   (stop when reached), then runs the inducibility test [found c idx] on
-   the positions [idx] among the set's effective links.  Either early
-   stop with unvisited subsets remaining truncates Ê and counts once
-   into [subsets_enumeration_capped] (the budget path used to be
-   silently uncounted).
-
-   The pruner's [Identifiability.inducible_size_witness] proves some
-   sizes contain no inducible subset at all; those sizes are skipped
-   without generating their combinations, but their would-be
-   visits are still charged against the budget ([Combin.choose]
-   arithmetic instead of iteration), so the surviving visit sequence —
-   and with it every found subset, counter and truncation decision — is
-   bit-identical to the exhaustive fan-out. *)
-let drive table ~prune ~max_size ~limit_per_set found =
+(* Enumeration state machine, per correlation set: subsets are visited
+   by size then lexicographic order; each visit first checks the
+   [limit_per_set * 4] visit budget (stop when exhausted), then the
+   [limit_per_set] find cap (stop when reached), then runs the
+   inducibility test [found c idx] on the positions [idx] among the
+   set's effective links.  Either early stop with unvisited subsets
+   remaining truncates Ê and counts once into
+   [subsets_enumeration_capped]. *)
+let drive table ~max_size ~limit_per_set found =
   if max_size < 1 then invalid_arg "Subsets.enumerate: max_size < 1";
   if limit_per_set < 1 then invalid_arg "Subsets.enumerate: bad limit";
   for c = 0 to Model.n_corr_sets table.Signatures.model - 1 do
     let n = Signatures.n_effective table c in
     if n > 0 then begin
-      let witness =
-        if prune then
-          Some (Identifiability.inducible_size_witness table ~corr:c ~max_size)
-        else None
-      in
       let budget = limit_per_set * 4 in
       let size_cap = min max_size n in
       let visited = ref 0 in
@@ -197,38 +160,20 @@ let drive table ~prune ~max_size ~limit_per_set found =
         let total = Combin.choose n !k in
         let remaining = budget - !visited in
         if remaining <= 0 || !n_found >= limit_per_set then begin
-          (* The next visit (size [k] is non-empty) would have stopped
-             the exhaustive enumeration here. *)
+          (* The next visit (size [k] is non-empty) stops the
+             enumeration here. *)
           truncated := true;
           stop := true
         end
         else begin
-          let skip =
-            match witness with Some w -> not w.(!k - 1) | None -> false
+          let visited_k =
+            Combin.iter_sized_indices ~n ~size:!k ~limit:remaining visit
           in
-          if skip then begin
-            (* Provably nothing inducible in this size: charge the
-               budget arithmetically instead of fanning out. *)
-            Obs.Metrics.incr ~by:(min total remaining) c_pruned;
-            if total >= remaining then begin
-              visited := budget;
-              if total > remaining then begin
-                truncated := true;
-                stop := true
-              end
-            end
-            else visited := !visited + total
-          end
-          else begin
-            let visited_k =
-              Combin.iter_sized_indices ~n ~size:!k ~limit:remaining visit
-            in
-            visited := !visited + visited_k;
-            if (not !stop) && visited_k < total && visited_k >= remaining
-            then begin
-              truncated := true;
-              stop := true
-            end
+          visited := !visited + visited_k;
+          if (not !stop) && visited_k < total && visited_k >= remaining
+          then begin
+            truncated := true;
+            stop := true
           end
         end;
         incr k
@@ -240,10 +185,11 @@ let drive table ~prune ~max_size ~limit_per_set found =
 
 (* The generic path: each visit builds the subset and tests it on the
    model's bit sets, as {!inducible} does. *)
-let enumerate model ~effective ~max_size ~limit_per_set =
-  let table = Signatures.build model ~effective in
+let enumerate (table : Signatures.t) ~max_size ~limit_per_set =
+  let model = table.Signatures.model
+  and effective = table.Signatures.effective in
   let acc = ref [] in
-  drive table ~prune:!ident_prune ~max_size ~limit_per_set (fun c idx ->
+  drive table ~max_size ~limit_per_set (fun c idx ->
       let first = table.Signatures.eff_start.(c) in
       let links =
         Array.map (fun i -> table.Signatures.eff_links.(first + i)) idx
@@ -261,7 +207,7 @@ let enumerate model ~effective ~max_size ~limit_per_set =
 let enumerate_masks table ~max_size ~limit_per_set f =
   if not table.Signatures.fits then
     invalid_arg "Subsets.enumerate_masks: a set wider than a word";
-  drive table ~prune:!ident_prune ~max_size ~limit_per_set (fun c idx ->
+  drive table ~max_size ~limit_per_set (fun c idx ->
       let m = ref 0 in
       for i = 0 to Array.length idx - 1 do
         m := !m lor (1 lsl Array.unsafe_get idx i)

@@ -34,11 +34,6 @@ val pp : Format.formatter -> t -> unit
     appear in an equation at all. *)
 val effective_links : Model.t -> Observations.t -> Tomo_util.Bitset.t
 
-(** [effective_corr_set model ~effective c] is correlation set [c]
-    restricted to effective links (sorted). *)
-val effective_corr_set :
-  Model.t -> effective:Tomo_util.Bitset.t -> int -> int array
-
 (** [complement model ~effective s] is the paper's [Ē]: the other
     effective links of the same correlation set. *)
 val complement : Model.t -> effective:Tomo_util.Bitset.t -> t -> int array
@@ -55,26 +50,17 @@ val candidate_paths :
     [s] on its correlation set. *)
 val inducible : Model.t -> effective:Tomo_util.Bitset.t -> t -> bool
 
-(** [enumerate model ~effective ~max_size ~limit_per_set] lists, per
-    correlation set, the inducible potentially congested subsets of size
-    [<= max_size] (at most [limit_per_set] per correlation set),
-    singletons first.  Per correlation set at most [limit_per_set * 4]
-    subsets are visited; stopping early — by the find cap or the visit
-    budget — truncates Ê and counts once into the
-    [subsets_enumeration_capped] metric.
-
-    Subset sizes that {!Identifiability.inducible_size_witness} proves
-    empty are skipped without fanning out their combinations; the
-    skipped visits are still charged against the visit budget, so the
-    enumerated list and every truncation decision are bit-identical to
-    the exhaustive fan-out.  Skipped visits count into the [ident_pruned_sets]
-    metric. *)
-val enumerate :
-  Model.t ->
-  effective:Tomo_util.Bitset.t ->
-  max_size:int ->
-  limit_per_set:int ->
-  t list
+(** [enumerate table ~max_size ~limit_per_set] lists, per correlation
+    set of [table]'s model, the inducible potentially congested subsets
+    (over [table]'s effective links) of size [<= max_size] (at most
+    [limit_per_set] per correlation set), singletons first.  Subsets
+    are visited by size, then in lexicographic order; per correlation
+    set at most [limit_per_set * 4] are visited, and stopping early —
+    by the find cap or the visit budget — truncates Ê and counts once
+    into the [subsets_enumeration_capped] metric.  Each visit builds
+    the subset and tests it with {!inducible}: the generic path, which
+    works for a correlation set of any width. *)
+val enumerate : Signatures.t -> max_size:int -> limit_per_set:int -> t list
 
 (** [of_mask table ~corr mask] is the subset of set [corr] whose links
     are the set bits of [mask] in {!Signatures}' format. *)
@@ -82,7 +68,7 @@ val of_mask : Signatures.t -> corr:int -> int -> t
 
 (** [enumerate_masks table ~max_size ~limit_per_set f] is {!enumerate}
     on the signature table: it visits the same subsets in the same
-    order under the same budget, find cap and pruner, counts the same
+    order under the same budget and find cap, counts the same
     metrics, and calls [f corr mask] for each subset {!enumerate} lists,
     in its order.  Each visit tests the subset's mask with
     {!Signatures.inducible} and allocates nothing.
@@ -90,9 +76,3 @@ val of_mask : Signatures.t -> corr:int -> int -> t
 val enumerate_masks :
   Signatures.t -> max_size:int -> limit_per_set:int -> (int -> int -> unit) ->
   unit
-
-(** [set_ident_prune b] switches the identifiability pruner on or off
-    process-wide.  It is on from start-up and results are bit-identical
-    either way; the off position is the exhaustive reference that the
-    pruning parity properties compare against. *)
-val set_ident_prune : bool -> unit

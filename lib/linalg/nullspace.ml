@@ -25,11 +25,6 @@ let c_wit_rejections = Obs.Metrics.counter "alg1_witness_rejections"
 let c_wit_passes = Obs.Metrics.counter "alg1_witness_passes"
 let h_wit_nnz = Obs.Metrics.histogram "witness_dot_nnz"
 
-let in_row_space ?(tol = default_tol) n i =
-  let p = Matrix.cols n in
-  let rec go j = j >= p || (abs_float (Matrix.get n i j) <= tol && go (j + 1)) in
-  go 0
-
 (* Pivot selection for the tracker: the index of the largest |v.(k)|
    over v.(0..p-1), or None when that maximum is within [tol] of zero
    (the row is dependent; the counters are bumped here so the caller
@@ -48,25 +43,169 @@ let pick_pivot ~tol v p =
     Some !j
   end
 
+(* ------------------------------------------------------------------ *)
+(* In-place tracker                                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* Algorithm 1 feeds thousands of candidate rows through the update; a
+   functional update allocates an [nvars × (p-1)] matrix per accepted
+   row (the reference in test/oracles does exactly that).  The
+   tracker instead keeps the basis as [p] column vectors and eliminates
+   in place: an accepted row costs one pass over the touched columns and
+   zero allocation, and a per-variable non-zero count (the Hamming
+   weight Algorithm 1 sorts by) is maintained incrementally during the
+   same pass. *)
+(* ---- Witness prefilter ----
+
+   A candidate row [r] is dependent iff [r · N = 0].  Testing that
+   exactly costs O(nnz(r) · p); with ~98% of candidates dependent, that
+   projection is where Algorithm 1 and the correlation pipelines spend
+   their time.  The tracker therefore keeps [k] witness vectors
+   [u_c = N · g_c] for random coefficient vectors [g_c]: since
+   [r · u_c = (r · N) · g_c], a dependent row has every witness dot at
+   rounding-noise scale, and the dot is a plain sum of [nnz(r)] floats.
+   If all [k] dots are within the witness tolerance the row is rejected
+   in O(k · nnz(r)); if any fires, the exact test runs — so a dependent
+   row can never be falsely *accepted*, and an independent row is
+   falsely rejected only if all [k] random projections of a vector with
+   an above-tolerance entry cancel below [wtol ≪ tol] simultaneously.
+   Eliminations apply the same projection to each witness as to every
+   basis column ([u' = u − (r·u / pivot) · n_j]), so the invariant
+   [u_c = N · g_c] is maintained in place at O(nnz(pivot column)) per
+   accepted row.  Trackers keep [default_k] witnesses unless the caller
+   passes [?witness_k] ([0] runs the exact test alone — the reference
+   the parity properties compare against). *)
+
+let default_k = 2
+
+(* Witness coefficients are drawn from seeded streams keyed only by the
+   tracker dimension and witness index, so a tracker's behaviour never
+   depends on how many trackers the process created before it (streaming
+   and batch runs build different numbers of trackers and must still
+   make bit-identical decisions). *)
+let witness_base_seed = 0x5749544e (* "WITN" *)
+
+let draw_witness_g ~dim ~columns c =
+  let rng = Rng.split_int (Rng.split_int (Rng.create witness_base_seed) dim) c in
+  let g = Array.make (max 1 columns) 0.0 in
+  for k = 0 to columns - 1 do
+    let m = Rng.uniform rng ~lo:0.5 ~hi:1.5 in
+    g.(k) <- (if Rng.bool rng ~p:0.5 then m else -.m)
+  done;
+  g
+
+(* Column storage is one flat unboxed block: logical column [k] is the
+   [nvars]-float slice of [colbuf] starting at [col_off.(k)].  Dropping
+   a column is an O(p) shuffle of offsets (the freed slice parks at the
+   tail for reuse), and the elimination loops stream contiguous floats
+   instead of chasing one boxed array per column. *)
+type tracker = {
+  nvars : int;
+  tol : float;
+  wtol : float; (* witness-dot rejection threshold, ≪ tol *)
+  mutable p : int;
+  colbuf : float array; (* flat column block, nvars · initial-p floats *)
+  col_off : int array; (* col_off.(0..p-1): base offset of column k *)
+  v : float array; (* scratch for r · N, length nvars *)
+  weights : int array; (* weights.(i) = #{k | |col k at row i| > tol} *)
+  idx : int array; (* scratch: nonzero rows of the pivot column *)
+  wit_u : float array array; (* wit_u.(c) = N · wit_g.(c), length nvars *)
+  wit_g : float array array; (* coefficients, first [p] entries live *)
+  wit_dot : float array; (* scratch: r · u_c for the row under test *)
+}
+
+(* An empty tracker over [nvars] variables with room for [p] columns:
+   its constructor writes column [k] at offset [k · nvars] of [colbuf]
+   and then {!absorb}s it. *)
+let alloc ~tol ~witness_k ~nvars ~p =
+  let k = match witness_k with Some k -> min (max 0 k) 16 | None -> default_k in
+  {
+    nvars;
+    tol;
+    (* well below the witness noise a truly independent row produces *)
+    wtol = tol *. 1e-4;
+    p;
+    colbuf = Array.make (max 1 (p * nvars)) 0.0;
+    col_off = Array.init (max 1 p) (fun k -> k * nvars);
+    v = Array.make (max 1 (max p nvars)) 0.0;
+    weights = Array.make nvars 0;
+    idx = Array.make (max 1 nvars) 0;
+    wit_u = Array.init k (fun _ -> Array.make (max 1 nvars) 0.0);
+    wit_g = Array.init k (fun c -> draw_witness_g ~dim:nvars ~columns:p c);
+    wit_dot = Array.make (max 1 k) 0.0;
+  }
+
+(* Column [k], once written, joins the weights and the witnesses:
+   [u_c.(i)] starts at [+0.0] and gains [g_c.(k) · n_k.(i)] for
+   ascending [k], the sum {!witness_defect} recomputes.  An exact-zero
+   entry is skipped: adding [g · ±0.0] leaves a sum that started at
+   [+0.0] unchanged, since such a sum is never [-0.0]. *)
+let absorb t k =
+  let base = t.col_off.(k) and tol = t.tol in
+  for i = 0 to t.nvars - 1 do
+    let x = Array.unsafe_get t.colbuf (base + i) in
+    if abs_float x > tol then t.weights.(i) <- t.weights.(i) + 1;
+    if x <> 0.0 then
+      for c = 0 to Array.length t.wit_u - 1 do
+        let u = Array.unsafe_get t.wit_u c in
+        Array.unsafe_set u i
+          (Array.unsafe_get u i +. (Array.unsafe_get t.wit_g.(c) k *. x))
+      done
+  done
+
+let tracker ?(tol = default_tol) ?witness_k nvars =
+  if nvars < 0 then invalid_arg "Nullspace.tracker: negative dimension";
+  let t = alloc ~tol ~witness_k ~nvars ~p:nvars in
+  for k = 0 to nvars - 1 do
+    t.colbuf.((k * nvars) + k) <- 1.0;
+    absorb t k
+  done;
+  t
+
+let of_columns ?(tol = default_tol) ?witness_k ~nvars cols =
+  if nvars < 0 then invalid_arg "Nullspace.of_columns: negative dimension";
+  let t = alloc ~tol ~witness_k ~nvars ~p:(Array.length cols) in
+  Array.iteri
+    (fun k col ->
+      if Array.length col <> nvars then
+        invalid_arg "Nullspace.of_columns: column length mismatch";
+      Array.blit col 0 t.colbuf (k * nvars) nvars;
+      absorb t k)
+    cols;
+  t
+
+let columns t =
+  Array.init t.p (fun k -> Array.sub t.colbuf t.col_off.(k) t.nvars)
+
+let determined ?(tol = 1e-6) t =
+  let flags = Array.make t.nvars true in
+  for k = 0 to t.p - 1 do
+    let base = t.col_off.(k) in
+    for i = 0 to t.nvars - 1 do
+      if not (abs_float (Array.unsafe_get t.colbuf (base + i)) <= tol) then
+        flags.(i) <- false
+    done
+  done;
+  flags
+
 (* The seed elimination: Gauss–Jordan over a 0/1 incidence system,
    making the floating-point operations of the sorted-merge sparse
    kernel in test/oracles on every entry, in the same order.  The rows
    are dense-addressed in one flat [rows × cols] block; an exact zero
    is stored as [+0.0], which is what an absent sparse entry reads as,
-   so the basis read off below is bit-identical to the reference's,
-   zero signs included.  Row swaps only permute [row_at] / [pos_of].
-   Per-column occupancy lists (the physical rows that may hold a
-   nonzero in the column; stale entries are skipped by value) keep the
-   pivot search and the updates of each pivot proportional to the rows
-   holding its column, so the work follows the fill, as the sparse
-   kernel's does. *)
-let basis_of_incidence ?(tol = Sparse_gauss.default_tol) ~rows ~cols idxs =
+   so the basis written into the tracker below is bit-identical to the
+   reference's, zero signs included.  Row swaps only permute [row_at] /
+   [pos_of].  Per-column occupancy lists (the physical rows that may
+   hold a nonzero in the column; stale entries are skipped by value)
+   keep the pivot search and the updates of each pivot proportional to
+   the rows holding its column, so the work follows the fill, as the
+   sparse kernel's does. *)
+let of_incidence ?(tol = default_tol) ?witness_k ~rows ~cols idxs =
   Obs.Metrics.incr c_recomputes;
-  if cols = 0 then Matrix.make 0 0 0.0
-  else if rows = 0 then Matrix.identity cols
+  if cols = 0 || rows = 0 then tracker ~tol ?witness_k cols
   else begin
     if Array.length idxs <> rows then
-      invalid_arg "Nullspace.basis_of_incidence: row count mismatch";
+      invalid_arg "Nullspace.of_incidence: row count mismatch";
     let idxs = Array.map (Sparse.incidence_row ~cols) idxs in
     let nr = rows and nc = cols in
     let a = Array.make (nr * nc) 0.0 in
@@ -194,159 +333,37 @@ let basis_of_incidence ?(tol = Sparse_gauss.default_tol) ~rows ~cols idxs =
       end
     done;
     (* Basis vector [k] sets the [k]-th free column [free.(k)] to 1 and
-       each pivot variable to minus its reduced entry in that column;
-       filled one pivot row at a time. *)
-    let free = Array.make (nc - !r) 0 in
-    let k = ref 0 in
+       each pivot variable to minus its reduced entry in that column
+       ([-0.0] where that entry is zero); every other entry stays
+       [+0.0].  Each column is written straight into the tracker's
+       block and absorbed. *)
+    let rank = !r in
+    let free = Array.make (nc - rank) 0 in
+    let pivots = Array.make rank 0 and piv_base = Array.make rank 0 in
+    let nf = ref 0 and np = ref 0 in
     for c = 0 to nc - 1 do
       if pivot_row.(c) < 0 then begin
-        free.(!k) <- c;
-        incr k
+        free.(!nf) <- c;
+        incr nf
+      end
+      else begin
+        pivots.(!np) <- c;
+        piv_base.(!np) <- row_at.(pivot_row.(c)) * nc;
+        incr np
       end
     done;
-    let out = Matrix.make cols (cols - !r) 0.0 in
-    Array.iteri (fun k fc -> Matrix.set out fc k 1.0) free;
-    for col = 0 to nc - 1 do
-      let piv = pivot_row.(col) in
-      if piv >= 0 then begin
-        let base = row_at.(piv) * nc in
-        Array.iteri (fun k fc -> Matrix.set out col k (-.a.(base + fc))) free
-      end
-    done;
-    out
-  end
-
-(* ------------------------------------------------------------------ *)
-(* In-place tracker                                                     *)
-(* ------------------------------------------------------------------ *)
-
-(* Algorithm 1 feeds thousands of candidate rows through the update; a
-   functional update allocates an [nvars × (p-1)] matrix per accepted
-   row (the reference in test/oracles does exactly that).  The
-   tracker instead keeps the basis as [p] column vectors and eliminates
-   in place: an accepted row costs one pass over the touched columns and
-   zero allocation, and a per-variable non-zero count (the Hamming
-   weight Algorithm 1 sorts by) is maintained incrementally during the
-   same pass. *)
-(* ---- Witness prefilter ----
-
-   A candidate row [r] is dependent iff [r · N = 0].  Testing that
-   exactly costs O(nnz(r) · p); with ~98% of candidates dependent, that
-   projection is where Algorithm 1 and the correlation pipelines spend
-   their time.  The tracker therefore keeps [k] witness vectors
-   [u_c = N · g_c] for random coefficient vectors [g_c]: since
-   [r · u_c = (r · N) · g_c], a dependent row has every witness dot at
-   rounding-noise scale, and the dot is a plain sum of [nnz(r)] floats.
-   If all [k] dots are within the witness tolerance the row is rejected
-   in O(k · nnz(r)); if any fires, the exact test runs — so a dependent
-   row can never be falsely *accepted*, and an independent row is
-   falsely rejected only if all [k] random projections of a vector with
-   an above-tolerance entry cancel below [wtol ≪ tol] simultaneously.
-   Eliminations apply the same projection to each witness as to every
-   basis column ([u' = u − (r·u / pivot) · n_j]), so the invariant
-   [u_c = N · g_c] is maintained in place at O(nnz(pivot column)) per
-   accepted row.  Trackers keep [default_k] witnesses unless the caller
-   passes [?witness_k] ([0] runs the exact test alone — the reference
-   the parity properties compare against). *)
-
-let default_k = 2
-
-(* Witness coefficients are drawn from seeded streams keyed only by the
-   tracker dimension and witness index, so a tracker's behaviour never
-   depends on how many trackers the process created before it (streaming
-   and batch runs build different numbers of trackers and must still
-   make bit-identical decisions). *)
-let witness_base_seed = 0x5749544e (* "WITN" *)
-
-let draw_witness_g ~dim ~columns c =
-  let rng = Rng.split_int (Rng.split_int (Rng.create witness_base_seed) dim) c in
-  let g = Array.make (max 1 columns) 0.0 in
-  for k = 0 to columns - 1 do
-    let m = Rng.uniform rng ~lo:0.5 ~hi:1.5 in
-    g.(k) <- (if Rng.bool rng ~p:0.5 then m else -.m)
-  done;
-  g
-
-(* Column storage is one flat unboxed block: logical column [k] is the
-   [nvars]-float slice of [colbuf] starting at [col_off.(k)].  Dropping
-   a column is an O(p) shuffle of offsets (the freed slice parks at the
-   tail for reuse), and the elimination loops stream contiguous floats
-   instead of chasing one boxed array per column. *)
-type tracker = {
-  nvars : int;
-  tol : float;
-  wtol : float; (* witness-dot rejection threshold, ≪ tol *)
-  mutable p : int;
-  colbuf : float array; (* flat column block, nvars · initial-p floats *)
-  col_off : int array; (* col_off.(0..p-1): base offset of column k *)
-  v : float array; (* scratch for r · N, length nvars *)
-  weights : int array; (* weights.(i) = #{k | |col k at row i| > tol} *)
-  idx : int array; (* scratch: nonzero rows of the pivot column *)
-  wit_u : float array array; (* wit_u.(c) = N · wit_g.(c), length nvars *)
-  wit_g : float array array; (* coefficients, first [p] entries live *)
-  wit_dot : float array; (* scratch: r · u_c for the row under test *)
-}
-
-let make_tracker ~tol ~witness_k ~nvars ~p ~colbuf ~weights =
-  let k = match witness_k with Some k -> min (max 0 k) 16 | None -> default_k in
-  (* well below the witness noise a truly independent row produces *)
-  let wtol = tol *. 1e-4 in
-  let col_off = Array.init (max 1 p) (fun k -> k * nvars) in
-  let wit_g = Array.init k (fun c -> draw_witness_g ~dim:nvars ~columns:p c) in
-  let wit_u =
-    Array.init k (fun c ->
-        let g = wit_g.(c) in
-        let u = Array.make (max 1 nvars) 0.0 in
-        for i = 0 to nvars - 1 do
-          let acc = ref 0.0 in
-          for kk = 0 to p - 1 do
-            acc := !acc +. (g.(kk) *. colbuf.((kk * nvars) + i))
-          done;
-          u.(i) <- !acc
+    let t = alloc ~tol ~witness_k ~nvars:nc ~p:(nc - rank) in
+    Array.iteri
+      (fun k fc ->
+        let base = k * nc in
+        t.colbuf.(base + fc) <- 1.0;
+        for m = 0 to rank - 1 do
+          t.colbuf.(base + pivots.(m)) <- -.a.(piv_base.(m) + fc)
         done;
-        u)
-  in
-  {
-    nvars;
-    tol;
-    wtol;
-    p;
-    colbuf;
-    col_off;
-    v = Array.make (max 1 (max p nvars)) 0.0;
-    weights;
-    idx = Array.make (max 1 nvars) 0;
-    wit_u;
-    wit_g;
-    wit_dot = Array.make (max 1 k) 0.0;
-  }
-
-let tracker ?(tol = default_tol) ?witness_k nvars =
-  if nvars < 0 then invalid_arg "Nullspace.tracker: negative dimension";
-  let colbuf = Array.make (max 1 (nvars * nvars)) 0.0 in
-  for k = 0 to nvars - 1 do
-    colbuf.((k * nvars) + k) <- 1.0
-  done;
-  let weights = Array.make nvars (if 1.0 > tol then 1 else 0) in
-  make_tracker ~tol ~witness_k ~nvars ~p:nvars ~colbuf ~weights
-
-let tracker_of_matrix ?(tol = default_tol) ?witness_k m =
-  let nvars = Matrix.rows m and p = Matrix.cols m in
-  let colbuf = Array.make (max 1 (p * nvars)) 0.0 in
-  for k = 0 to p - 1 do
-    for i = 0 to nvars - 1 do
-      colbuf.((k * nvars) + i) <- Matrix.get m i k
-    done
-  done;
-  let weights = Array.make nvars 0 in
-  for i = 0 to nvars - 1 do
-    let w = ref 0 in
-    for k = 0 to p - 1 do
-      if abs_float colbuf.((k * nvars) + i) > tol then incr w
-    done;
-    weights.(i) <- !w
-  done;
-  make_tracker ~tol ~witness_k ~nvars ~p ~colbuf ~weights
+        absorb t k)
+      free;
+    t
+  end
 
 let witness_count t = Array.length t.wit_u
 
@@ -519,6 +536,3 @@ let add_incidence t idxs =
         eliminate_in_place t j;
         true
   end
-
-let to_matrix t =
-  Matrix.init t.nvars t.p (fun i k -> t.colbuf.(t.col_off.(k) + i))

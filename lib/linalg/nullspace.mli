@@ -1,4 +1,5 @@
-(** Null-space bases and the paper's incremental update (Algorithm 2).
+(** The null space of Algorithm 1's system and the paper's incremental
+    update (Algorithm 2).
 
     Algorithm 1 of the paper grows an equation system one row at a time
     and must know, after each addition, whether the candidate row
@@ -7,34 +8,10 @@
     be cubically expensive; Algorithm 2 instead projects the current basis
     against the new row in [O(n·p)].  Every row the tomography systems
     produce is a 0/1 incidence row, held as the array of its column
-    indices.  The from-scratch construction ({!basis_of_incidence}) and
-    the incremental update (the {!tracker}) both live here. *)
-
-(** [in_row_space ?tol n i] decides whether the [i]-th coordinate is
-    identifiable given a null-space basis [n]: true iff row [i] of [n] is
-    (numerically) zero, i.e. the unit vector [eᵢ] lies in the row space of
-    the original system. *)
-val in_row_space : ?tol:float -> Matrix.t -> int -> bool
-
-(** [basis_of_incidence ?tol ~rows ~cols idxs] is a [cols × p] matrix
-    whose columns span the null space of the 0/1 incidence system with
-    [rows] rows over [cols] variables ([idxs.(i)] lists row [i]'s
-    columns, checked by {!Sparse.incidence_row}; [p] is the nullity),
-    read off one Gauss–Jordan elimination — the batched seed-phase path
-    of Algorithm 1.  Pivoting takes the largest absolute entry of the
-    column (the earliest row on a tie); a pivot at or below [tol]
-    (default {!Sparse_gauss.default_tol}) counts as zero.  Basis vector
-    [k] sets the [k]-th free column to 1 and each pivot variable to
-    minus its reduced entry in that column.  [rows = 0] yields the
-    identity basis; a trivial null space yields [0] columns.  The
-    result is bit-identical, zero signs included, to the sorted-merge
-    sparse reference in [test/oracles], whose floating-point
-    operations it performs in the same order; the work of each pivot
-    is proportional to the rows holding its column.
-    @raise Invalid_argument when [idxs] does not have [rows] rows, or
-    as {!Sparse.incidence_row} does. *)
-val basis_of_incidence :
-  ?tol:float -> rows:int -> cols:int -> int array array -> Matrix.t
+    indices.  The basis lives in one place, the {!tracker}: the batched
+    seed elimination ({!of_incidence}) writes it there, each accepted
+    row updates it in place ({!add_incidence}), and the identifiable
+    variables are read off it ({!determined}). *)
 
 (** {1 In-place tracker}
 
@@ -82,16 +59,58 @@ type tracker
     trackers the process created before. *)
 
 (** [tracker ?tol ?witness_k n] starts from the identity basis: the
-    null space of the empty system over [n] variables.  [witness_k]
-    sets the number of witnesses (default 2, clamped to 0..16; [0] is
-    the exact-test reference the parity properties use).  The
-    witness-dot rejection threshold is [tol · 1e-4]. *)
+    null space of the empty system over [n] variables.  [tol] (default
+    [1e-8]) is the rank tolerance of the pivot test and of
+    {!row_weight}.  [witness_k] sets the number of witnesses (default
+    2, clamped to 0..16; [0] is the exact-test reference the parity
+    properties use).  The witness-dot rejection threshold is
+    [tol · 1e-4]. *)
 val tracker : ?tol:float -> ?witness_k:int -> int -> tracker
 
-(** [tracker_of_matrix ?tol ?witness_k m] adopts the columns of [m]
-    ([nvars × p]) as the starting basis and initializes the witnesses
-    to [m · g_c]. *)
-val tracker_of_matrix : ?tol:float -> ?witness_k:int -> Matrix.t -> tracker
+(** [of_incidence ?tol ?witness_k ~rows ~cols idxs] is a tracker whose
+    basis spans the null space of the 0/1 incidence system with [rows]
+    rows over [cols] variables ([idxs.(i)] lists row [i]'s columns,
+    checked by {!Sparse.incidence_row}), read off one Gauss–Jordan
+    elimination — the batched seed phase of Algorithm 1.  Pivoting
+    takes the largest absolute entry of the column (the earliest row on
+    a tie); a pivot at or below [tol] counts as zero, and [tol] is also
+    the tracker's rank tolerance.  Basis vector [k] sets the [k]-th
+    free column to 1 and each pivot variable to minus its reduced entry
+    in that column.  [rows = 0] yields the identity basis ({!tracker});
+    a trivial null space yields [0] columns.  The basis is
+    bit-identical, zero signs included, to the sorted-merge sparse
+    reference in [test/oracles], whose floating-point operations the
+    elimination performs in the same order; the work of each pivot is
+    proportional to the rows holding its column.  The columns are
+    written straight into the tracker's block, and the weights and
+    witnesses are those {!of_columns} computes from the same columns.
+    @raise Invalid_argument when [idxs] does not have [rows] rows, or
+    as {!Sparse.incidence_row} does. *)
+val of_incidence :
+  ?tol:float -> ?witness_k:int -> rows:int -> cols:int -> int array array ->
+  tracker
+
+(** [of_columns ?tol ?witness_k ~nvars cols] adopts [cols] (one array of
+    [nvars] floats per basis column) as the starting basis and
+    initializes each witness [u_c] to [N · g_c], summed over ascending
+    columns from [+0.0].
+    @raise Invalid_argument on a column whose length is not [nvars]. *)
+val of_columns :
+  ?tol:float -> ?witness_k:int -> nvars:int -> float array array -> tracker
+
+(** [columns t] copies the current basis out, one fresh array of
+    [nvars] floats per column, in column order. *)
+val columns : tracker -> float array array
+
+(** [determined ?tol t] marks the variables the selected system
+    determines: flag [i] is true iff entry [i] of every basis column is
+    at most [tol] (default [1e-6]) in absolute value, i.e. the unit
+    vector [eᵢ] lies (numerically) in the row space.  One pass over the
+    basis.  This is not [row_weight t i = 0]: the weight counts entries
+    above the tracker's own tolerance ([1e-8] by default), so an entry
+    between the two tolerances sets a weight but leaves the flag
+    true. *)
+val determined : ?tol:float -> tracker -> bool array
 
 (** Number of witness vectors this tracker maintains. *)
 val witness_count : tracker -> int
@@ -116,6 +135,3 @@ val row_weight : tracker -> int -> int
     rejected as dependent.  The dependence test costs [O(|idxs| · p)].
     @raise Invalid_argument on an index outside [\[0, nvars)]. *)
 val add_incidence : tracker -> int array -> bool
-
-(** Snapshot the current basis as an [nvars × p] matrix. *)
-val to_matrix : tracker -> Matrix.t

@@ -3,7 +3,7 @@
     Every equation the tomography pipeline builds is a 0/1 incidence
     row over correlation-subset variables, held as the array of its
     column indices.  The kernels that take such rows ({!Cgls} and the
-    seed elimination in {!Nullspace.basis_of_incidence}) check and
+    seed elimination in {!Nullspace.of_incidence}) check and
     order them here, so they fail with one set of messages. *)
 
 (** [incidence_row ~cols r] is the incidence row [r] with its indices

@@ -1,5 +1,3 @@
-let default_tol = 1e-10
-
 (* Greedy in-order independence over 0/1 incidence rows: [keep.(i)] is
    true iff row [i] is linearly independent of rows [0..i-1] — the set
    an incremental rank test (Algorithm 2 fed row by row) would accept,

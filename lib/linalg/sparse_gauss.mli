@@ -1,11 +1,7 @@
 (** Greedy in-order independence over 0/1 incidence rows, the first
     step of Algorithm 1's batched seed phase.  The null space of the
     rows it keeps is then read off one elimination
-    ({!Nullspace.basis_of_incidence}). *)
-
-(** Default pivot tolerance ([1e-10]) of
-    {!Nullspace.basis_of_incidence}. *)
-val default_tol : float
+    ({!Nullspace.of_incidence}). *)
 
 (** [select_independent ?tol ~cols rows] marks the greedy in-order
     linearly independent subset of the 0/1 incidence rows [rows]

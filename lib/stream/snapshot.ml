@@ -43,7 +43,7 @@ let fnv1a64 s =
   !h
 
 let payload t =
-  let buf = Buffer.create (t.capacity * (t.n_paths + 16)) in
+  let buf = Buffer.create (64 + (Array.length t.columns * (t.n_paths + 16))) in
   Buffer.add_string buf "tomo-snapshot v1\n";
   Buffer.add_string buf
     (Printf.sprintf "paths %d capacity %d ticks %d\n" t.n_paths t.capacity
@@ -121,6 +121,9 @@ let of_string ?(filename = "<string>") s =
       in
       if n_paths <= 0 || capacity <= 0 || ticks < 0 then
         corrupt ~filename "non-positive dimensions in header";
+      if capacity > Window.max_capacity then
+        corrupt ~filename "capacity %d above the largest window (%d)" capacity
+          Window.max_capacity;
       let filled = min ticks capacity in
       let columns = Array.make filled (Bitset.create 1) in
       let seen = Array.make filled false in

@@ -39,7 +39,8 @@ val window_of : t -> Window.t
 val to_string : t -> string
 
 (** @raise Failure on any corruption: missing/malformed/mismatching
-    checksum, bad header, ragged/duplicate/missing columns. *)
+    checksum, bad header (a capacity above {!Window.max_capacity}
+    included), ragged/duplicate/missing columns. *)
 val of_string : ?filename:string -> string -> t
 
 (** Atomic (write + rename) save.  Emits a [snapshot_written] event and

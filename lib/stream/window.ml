@@ -28,8 +28,12 @@ let rescan_always t =
       (Tomo.Observations.good_count t.obs ~path:p = full)
   done
 
+let max_capacity = 1 lsl 16
+
 let create ~capacity ~n_paths =
   if capacity <= 0 then invalid_arg "Window.create: no capacity";
+  if capacity > max_capacity then
+    invalid_arg "Window.create: capacity above Window.max_capacity";
   if n_paths <= 0 then invalid_arg "Window.create: no paths";
   let t =
     {

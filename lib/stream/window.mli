@@ -20,9 +20,18 @@
 
 type t
 
+(** The largest capacity a window may have: [2^16] intervals, 65 times
+    the paper's [T = 1000].  A window allocates all of its slots when it
+    is created (a column of [n_paths] bits per slot, and the same bits
+    again in its row view), so a capacity is an allocation size.
+    {!Snapshot.of_string} rejects a larger declared capacity before
+    anything is allocated, and {!create} refuses one too, so every
+    window the engine accepts round-trips through a snapshot. *)
+val max_capacity : int
+
 (** [create ~capacity ~n_paths] is an empty window (all paths congested
     in every slot until pushed).  @raise Invalid_argument on non-positive
-    sizes. *)
+    sizes or a capacity above {!max_capacity}. *)
 val create : capacity:int -> n_paths:int -> t
 
 val capacity : t -> int
@@ -73,7 +82,7 @@ val always_good_paths : t -> Tomo_util.Bitset.t
 (** [restore ~capacity ~n_paths ~ticks ~columns] rebuilds a window from
     snapshot state: [columns] holds the [min ticks capacity] filled
     slots in slot order.  @raise Invalid_argument on inconsistent
-    shapes. *)
+    shapes, as {!create} does. *)
 val restore :
   capacity:int ->
   n_paths:int ->

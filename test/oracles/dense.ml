@@ -32,6 +32,15 @@ let col m j =
   if j < 0 || j >= cols m then invalid_arg "Dense.col: out of range";
   Array.init (rows m) (fun i -> get m i j)
 
+let columns m = Array.init (cols m) (col m)
+
+let of_columns ~rows:r cs =
+  Array.iter
+    (fun c ->
+      if Array.length c <> r then invalid_arg "Dense.of_columns: ragged")
+    cs;
+  Matrix.init r (Array.length cs) (fun i j -> cs.(j).(i))
+
 let transpose m = Matrix.init (cols m) (rows m) (fun i j -> get m j i)
 
 let mul a b =

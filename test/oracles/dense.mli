@@ -1,7 +1,7 @@
 (** Dense matrix helpers for the oracles and the tests, built on
-    {!Matrix.get} / {!Matrix.set}.  The library's [Matrix] only holds
-    null-space bases; products, transposes and row conversions are
-    needed only to check results, so they live here. *)
+    {!Matrix.get} / {!Matrix.set}: products, transposes, and
+    conversions to and from rows and columns, which only checking
+    results needs. *)
 
 (** [of_rows rows] builds a matrix from row vectors.
     @raise Invalid_argument if rows have unequal lengths or there are no
@@ -17,6 +17,15 @@ val copy : Matrix.t -> Matrix.t
 
 (** [col m j] is a fresh copy of column [j]. *)
 val col : Matrix.t -> int -> float array
+
+(** [columns m] is the matrix as an array of fresh column arrays: the
+    layout {!Tomo_linalg.Nullspace.of_columns} takes. *)
+val columns : Matrix.t -> float array array
+
+(** [of_columns ~rows cs] is the [rows × Array.length cs] matrix whose
+    column [j] is [cs.(j)] (the layout {!Tomo_linalg.Nullspace.columns}
+    returns).  @raise Invalid_argument on a column of another length. *)
+val of_columns : rows:int -> float array array -> Matrix.t
 
 (** [transpose m] is a fresh transpose. *)
 val transpose : Matrix.t -> Matrix.t

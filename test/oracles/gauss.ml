@@ -1,6 +1,8 @@
 type rref = { reduced : float array array; pivot_cols : int list; rank : int }
 
-let rref ?(tol = Sparse_gauss.default_tol) ~cols:nc rows =
+let default_tol = 1e-10
+
+let rref ?(tol = default_tol) ~cols:nc rows =
   let a = Array.map Array.copy rows in
   let nr = Array.length a in
   let scale =

@@ -2,7 +2,7 @@
     array]): the one dense reference the sparse kernels are checked
     against.
 
-    {!Sparse_rref.rref} and {!Nullspace.basis_of_incidence} promise
+    {!Sparse_rref.rref} and {!Nullspace.of_incidence} promise
     the floating-point operations of this naive sweep on every stored
     entry: partial pivoting on the largest absolute entry of the column
     (the earliest row wins a tie), a pivot threshold of [tol] times the
@@ -18,16 +18,18 @@ type rref = {
   rank : int;
 }
 
+(** The default pivot tolerance, [1e-10]. *)
+val default_tol : float
+
 (** [rref ?tol ~cols rows] reduces a copy of the [cols]-column matrix
-    whose rows are [rows].  [tol] defaults to
-    {!Sparse_gauss.default_tol}. *)
+    whose rows are [rows].  [tol] defaults to {!default_tol}. *)
 val rref : ?tol:float -> cols:int -> float array array -> rref
 
 (** [rank ?tol ~cols rows] is [(rref ?tol ~cols rows).rank]. *)
 val rank : ?tol:float -> cols:int -> float array array -> int
 
 (** [basis ?tol ~cols rows] is the [cols × nullity] null-space basis
-    read off {!rref} the way {!Nullspace.basis_of_incidence} reads it:
+    read off {!rref} the way {!Nullspace.of_incidence} reads it:
     one column per free variable, that variable set to [1] and each
     pivot variable to minus its reduced entry. *)
 val basis : ?tol:float -> cols:int -> float array array -> float array array

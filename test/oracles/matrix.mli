@@ -1,10 +1,7 @@
-(** Dense row-major matrices over [float].
-
-    The container for null-space bases: {!Nullspace.basis_of_incidence}
-    and the tracker's snapshot hand out an [n_vars × nullity] matrix,
-    and {!Nullspace.in_row_space} reads identifiability off it.  The
-    equation systems themselves are 0/1 incidence rows held as index
-    arrays ({!Sparse}). *)
+(** Dense row-major matrices over [float]: the container the dense
+    oracles ({!Gauss}, {!Sparse_rref}, {!Alg2}, {!Svd}, {!Qr}) and the
+    tests share.  The library keeps no dense matrix: its null-space
+    basis lives in {!Tomo_linalg.Nullspace}'s tracker. *)
 
 type t
 

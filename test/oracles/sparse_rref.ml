@@ -211,7 +211,7 @@ let drop_col_entries a j ~from_row =
 
 type rref = { reduced : t; pivot_cols : int list; rank : int }
 
-let rref ?(tol = Sparse_gauss.default_tol) m =
+let rref ?(tol = Gauss.default_tol) m =
   let a = copy m in
   let nr = a.r and nc = a.c in
   let threshold = tol *. max 1.0 (max_abs a) in

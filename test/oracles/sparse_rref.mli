@@ -1,6 +1,5 @@
 (** Gauss–Jordan elimination over sorted-merge sparse rows: the bitwise
-    reference for the seed elimination in
-    {!Nullspace.basis_of_incidence}.
+    reference for the seed elimination in {!Nullspace.of_incidence}.
 
     Each row is stored as parallel [(col, value)] arrays sorted by
     column over a live prefix.  Within a row, columns are strictly
@@ -14,7 +13,7 @@
     zero.  Rows are normalised, then eliminated.  The floating-point
     operations on stored entries are those of the dense sweep in
     {!Gauss}, so the two agree on every entry up to the sign of a zero.
-    {!Nullspace.basis_of_incidence} promises this kernel's operations
+    {!Nullspace.of_incidence} promises this kernel's operations
     exactly, with zeros read as [+0.0], so its basis equals {!basis}
     bit for bit, zero signs included. *)
 
@@ -76,7 +75,7 @@ type rref = {
 }
 
 (** [rref ?tol a] reduces a copy of [a].  [tol] defaults to
-    {!Sparse_gauss.default_tol}. *)
+    {!Gauss.default_tol}. *)
 val rref : ?tol:float -> t -> rref
 
 (** [basis ?tol ~rows ~cols idxs] is the [cols × nullity] null-space

@@ -9,13 +9,15 @@
    variable's whole candidate list (every resolved path set among the
    first 300 subsets of its pool, up to 8 paths) on the first visit,
    built with the reference row builder [Eqn.row]; its seed basis comes
-   from the sorted-merge elimination in test/oracles, and it orders the
-   grow phase with Stdlib's [Array.sort].  The library must agree with
-   both bit for bit. *)
+   from the sorted-merge elimination in test/oracles (and every seed
+   checks that the library's seed elimination writes that basis bit for
+   bit), it orders the grow phase with Stdlib's [Array.sort], and it
+   reads the identifiable variables off the final basis itself.  The
+   library must agree with both bit for bit. *)
 
 module Bitset = Tomo_util.Bitset
 module Combin = Tomo_util.Combin
-module Matrix = Tomo_linalg.Matrix
+module Dense = Tomo_oracles.Dense
 module Nullspace = Tomo_linalg.Nullspace
 module Sparse_gauss = Tomo_linalg.Sparse_gauss
 module Sparse_rref = Tomo_oracles.Sparse_rref
@@ -177,7 +179,7 @@ let identifiable t e =
 
 type selection = {
   rows : Eqn.row array;
-  nullspace : Matrix.t;
+  nullity : int;
   identifiable_vars : bool array;
 }
 
@@ -210,7 +212,8 @@ let seed ~config model obs =
   let registry = Eqn.registry () in
   let (_ : int) = Eqn.register_single_path_vars model ~effective registry in
   let targets =
-    Subsets.enumerate model ~effective
+    Subsets.enumerate
+      (Signatures.build model ~effective)
       ~max_size:config.Algorithm1.max_subset_size ~limit_per_set
   in
   List.iter (fun s -> ignore (Eqn.add registry s)) targets;
@@ -243,21 +246,38 @@ let seed_system ?(config = Algorithm1.default_config) model obs =
 let select ?(config = Algorithm1.default_config) model obs =
   let effective, registry, seed_pools, kept = seed ~config model obs in
   let n = Eqn.n_vars registry in
-  let finish rows nullspace =
+  (* A variable is identifiable iff its row of the final basis is within
+     1e-6 of zero in every column. *)
+  let finish rows columns =
     {
       rows;
-      nullspace;
-      identifiable_vars = Algorithm1.identifiable_flags registry nullspace;
+      nullity = Array.length columns;
+      identifiable_vars =
+        Array.init n (fun v ->
+            Array.for_all (fun col -> abs_float col.(v) <= 1e-6) columns);
     }
   in
-  if n = 0 then finish [||] (Matrix.make 0 0 0.0)
+  if n = 0 then finish [||] [||]
   else begin
+    let kept_vars = Array.of_list (List.map (fun r -> r.Eqn.vars) kept) in
+    let n_kept = Array.length kept_vars in
     let basis =
-      Sparse_rref.basis ~tol ~rows:(List.length kept) ~cols:n
-        (Array.of_list (List.map (fun r -> r.Eqn.vars) kept))
+      Dense.columns (Sparse_rref.basis ~tol ~rows:n_kept ~cols:n kept_vars)
     in
+    let same_bits a b =
+      Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+    in
+    let seeded =
+      Nullspace.columns
+        (Nullspace.of_incidence ~tol ~rows:n_kept ~cols:n kept_vars)
+    in
+    if
+      not
+        (Array.length seeded = Array.length basis
+        && Array.for_all2 (Array.for_all2 same_bits) seeded basis)
+    then failwith "Reference.select: seed elimination differs from the oracle";
     let tracker =
-      Nullspace.tracker_of_matrix ~tol ?witness_k:config.Algorithm1.witness_k
+      Nullspace.of_columns ~tol ?witness_k:config.Algorithm1.witness_k ~nvars:n
         basis
     in
     let rows = ref (List.rev kept) in
@@ -298,5 +318,5 @@ let select ?(config = Algorithm1.default_config) model obs =
       done;
       if not !progress then continue_ := false
     done;
-    finish (Array.of_list (List.rev !rows)) (Nullspace.to_matrix tracker)
+    finish (Array.of_list (List.rev !rows)) (Nullspace.columns tracker)
   end

@@ -5,7 +5,6 @@
 
 module Bitset = Tomo_util.Bitset
 module Rng = Tomo_util.Rng
-module Matrix = Tomo_linalg.Matrix
 module Model = Tomo.Model
 module Observations = Tomo.Observations
 module Subsets = Tomo.Subsets
@@ -76,8 +75,7 @@ let test_alg1_case1_full_rank () =
   let obs = toy_obs toy_truth in
   let sel = Algorithm1.select m obs in
   check_int "5 unknowns (paper's Ê)" 5 (Eqn.n_vars sel.Algorithm1.registry);
-  check_int "full rank: empty null space" 0
-    (Matrix.cols sel.Algorithm1.nullspace);
+  check_int "full rank: empty null space" 0 sel.Algorithm1.nullity;
   check_int "minimum equations = unknowns" 5
     (Array.length sel.Algorithm1.rows);
   check_int "all identifiable" 5 (Algorithm1.n_identifiable sel)
@@ -90,7 +88,7 @@ let test_alg1_case2_nonidentifiable () =
   let obs = toy_obs toy_truth in
   let sel = Algorithm1.select m obs in
   check_int "6 unknowns" 6 (Eqn.n_vars sel.Algorithm1.registry);
-  check_int "nullity 1" 1 (Matrix.cols sel.Algorithm1.nullspace);
+  check_int "nullity 1" 1 sel.Algorithm1.nullity;
   check_int "nothing identifiable" 0 (Algorithm1.n_identifiable sel)
 
 let test_alg1_rows_are_independent () =
@@ -100,8 +98,7 @@ let test_alg1_rows_are_independent () =
   let obs = toy_obs toy_truth in
   let sel = Algorithm1.select m obs in
   check_int "rows = rank"
-    (Eqn.n_vars sel.Algorithm1.registry
-    - Matrix.cols sel.Algorithm1.nullspace)
+    (Eqn.n_vars sel.Algorithm1.registry - sel.Algorithm1.nullity)
     (Array.length sel.Algorithm1.rows)
 
 let test_alg1_reports_equations_formed () =
@@ -710,7 +707,7 @@ let prop_selection_rows_well_formed =
 (* The witness prefilter is a pure short-circuit: across random
    topologies, a selection with it on must be bit-identical to one with
    it forced off — same rows (paths and variables), same registry size,
-   same null-space basis entry for entry. *)
+   same identifiable flags and nullity. *)
 let prop_selection_witness_parity =
   QCheck.Test.make
     ~name:"Algorithm 1: witness-on selection ≡ witness-off (bit-identical)"
@@ -732,20 +729,9 @@ let prop_selection_witness_parity =
                a.Eqn.paths = b.Eqn.paths && a.Eqn.vars = b.Eqn.vars)
              base.Algorithm1.rows off.Algorithm1.rows
       in
-      let ns_equal =
-        let a = base.Algorithm1.nullspace and b = off.Algorithm1.nullspace in
-        Matrix.rows a = Matrix.rows b
-        && Matrix.cols a = Matrix.cols b
-        &&
-        let ok = ref true in
-        for i = 0 to Matrix.rows a - 1 do
-          for j = 0 to Matrix.cols a - 1 do
-            if Matrix.get a i j <> Matrix.get b i j then ok := false
-          done
-        done;
-        !ok
-      in
-      rows_equal && ns_equal
+      rows_equal
+      && base.Algorithm1.identifiable = off.Algorithm1.identifiable
+      && base.Algorithm1.nullity = off.Algorithm1.nullity
       && Eqn.n_vars base.Algorithm1.registry
          = Eqn.n_vars off.Algorithm1.registry)
 
@@ -757,8 +743,7 @@ let prop_selection_rank_consistent =
       let model = random_model rng in
       let obs = random_obs rng model ~t:60 in
       let sel = Algorithm1.select model obs in
-      Array.length sel.Algorithm1.rows
-      + Matrix.cols sel.Algorithm1.nullspace
+      Array.length sel.Algorithm1.rows + sel.Algorithm1.nullity
       = Eqn.n_vars sel.Algorithm1.registry)
 
 let consistent_inference infer =
@@ -936,17 +921,9 @@ let selections_equal (a : Algorithm1.selection) (b : Reference.selection) =
            x.Eqn.paths = y.Eqn.paths && x.Eqn.vars = y.Eqn.vars)
          a.Algorithm1.rows b.Reference.rows
   in
-  let na = a.Algorithm1.nullspace and nb = b.Reference.nullspace in
   rows_equal
   && a.Algorithm1.identifiable = b.Reference.identifiable_vars
-  && Matrix.rows na = Matrix.rows nb
-  && Matrix.cols na = Matrix.cols nb
-  && List.for_all
-       (fun i ->
-         List.for_all
-           (fun j -> same_bits (Matrix.get na i j) (Matrix.get nb i j))
-           (List.init (Matrix.cols na) Fun.id))
-       (List.init (Matrix.rows na) Fun.id)
+  && a.Algorithm1.nullity = b.Reference.nullity
 
 let prop_grow_matches_reference =
   QCheck.Test.make
@@ -1031,19 +1008,16 @@ let test_readout_and_grow_on_workloads () =
 module Nullspace = Tomo_linalg.Nullspace
 module Sparse_rref = Tomo_oracles.Sparse_rref
 
-let matrices_same_bits a b =
-  Matrix.rows a = Matrix.rows b
-  && Matrix.cols a = Matrix.cols b
-  && List.for_all
-       (fun i ->
-         List.for_all
-           (fun j -> same_bits (Matrix.get a i j) (Matrix.get b i j))
-           (List.init (Matrix.cols a) Fun.id))
-       (List.init (Matrix.rows a) Fun.id)
+let columns_same_bits a b =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun x y ->
+         Array.length x = Array.length y && Array.for_all2 same_bits x y)
+       a b
 
 (* The seed elimination on the systems Algorithm 1 seeds from: every
    basis entry equal to the sorted-merge reference's, zero signs
-   included. *)
+   included, and witnesses equal to a from-scratch [N · g_c]. *)
 let prop_seed_systems_match_sorted_merge =
   QCheck.Test.make
     ~name:"seed elimination ≡ sorted-merge reference on seed systems (bits)"
@@ -1055,9 +1029,11 @@ let prop_seed_systems_match_sorted_merge =
       in
       let n, rows = Reference.seed_system ~config model obs in
       let r = Array.length rows in
-      matrices_same_bits
-        (Nullspace.basis_of_incidence ~tol:1e-8 ~rows:r ~cols:n rows)
-        (Sparse_rref.basis ~tol:1e-8 ~rows:r ~cols:n rows))
+      let tr = Nullspace.of_incidence ~tol:1e-8 ~rows:r ~cols:n rows in
+      columns_same_bits (Nullspace.columns tr)
+        (Tomo_oracles.Dense.columns
+           (Sparse_rref.basis ~tol:1e-8 ~rows:r ~cols:n rows))
+      && Nullspace.witness_defect tr = 0.0)
 
 (* The grow phase's packed-key heap sort must leave the permutation
    Stdlib's [Array.sort] leaves on (variable, weight) pairs, ties
@@ -1215,7 +1191,6 @@ let enumeration_counters =
   [
     "subsets_enumerated";
     "subsets_enumeration_capped";
-    "ident_pruned_sets";
     "combin_subsets_visited";
   ]
 
@@ -1235,7 +1210,7 @@ let prop_signature_enumeration =
       let max_size = 1 + Rng.int rng 4 and limit_per_set = 1 + Rng.int rng 6 in
       let generic, c_generic =
         counted enumeration_counters (fun () ->
-            Subsets.enumerate model ~effective ~max_size ~limit_per_set)
+            Subsets.enumerate table ~max_size ~limit_per_set)
       and masks, c_masks =
         counted enumeration_counters (fun () ->
             mask_enumeration table ~max_size ~limit_per_set)
@@ -1258,7 +1233,7 @@ let prop_signature_registry_pools_rows =
       ignore (Eqn.register_single_path_vars model ~effective generic);
       List.iter
         (fun s -> ignore (Eqn.add generic s))
-        (Subsets.enumerate model ~effective ~max_size ~limit_per_set);
+        (Subsets.enumerate table ~max_size ~limit_per_set);
       let reg = Eqn.registry () in
       let ix = Eqn.index table reg in
       Eqn.register_single_path_masks ix;
@@ -1314,8 +1289,9 @@ let prop_signature_select =
 
 (* The properties above only bite where their cases reach: over the
    generator's first seeds, paths must be interchangeable, the grow must
-   skip, and the find cap, the visit budget and the pruner must all
-   fire. *)
+   skip, the find cap or the visit budget must truncate an enumeration,
+   and some set must have sizes the identifiability analysis proves
+   empty (its prunable size slots, read off the same signatures). *)
 let test_signature_cases_exercised () =
   let classes = ref 0 and skips = ref 0 and capped = ref 0 and pruned = ref 0 in
   for seed = 0 to 199 do
@@ -1333,7 +1309,10 @@ let test_signature_cases_exercised () =
           mask_enumeration table ~max_size:3 ~limit_per_set:2)
     in
     capped := !capped + List.nth c 1;
-    pruned := !pruned + List.nth c 2
+    Array.iter
+      (fun (s : Tomo.Identifiability.corr_stats) ->
+        pruned := !pruned + s.Tomo.Identifiability.pruned_sizes)
+      (Tomo.Identifiability.analyze model ~effective).Tomo.Identifiability.corr
   done;
   List.iter
     (fun (what, n) ->
@@ -1342,7 +1321,7 @@ let test_signature_cases_exercised () =
       ("interchangeable paths", !classes);
       ("grow skips", !skips);
       ("truncated enumerations", !capped);
-      ("pruned visits", !pruned);
+      ("prunable size slots", !pruned);
     ]
 
 (* A set wider than a word: no masks, so Algorithm 1 runs the generic
@@ -1359,6 +1338,76 @@ let test_wide_set_generic_path () =
   check_int "no skips" 0 (List.hd c);
   check_bool "selection ≡ reference" true
     (selections_equal sel (Reference.select model obs))
+
+(* ------------------------------------------------------------------ *)
+(* Noise-free exactness against the simulator's closed form            *)
+(* ------------------------------------------------------------------ *)
+
+(* Correlation-complete's own selection, re-solved through its factor
+   with the closed-form right-hand side: per row, the log of the true
+   probability that every link on the row's paths is good.  Without
+   sampling noise, every answerable link (read from a registered,
+   identifiable singleton) must come out at its true marginal: this
+   checks Algorithm 1, the factor solve and the readout end to end
+   against the simulator.  Stationary workloads, where the closed form
+   is one distribution; seed 1. *)
+let exactness_cell ~scale topology scenario =
+  let w = W.prepare (W.spec ~scale ~seed:1 topology scenario) in
+  let model = w.W.model and run = w.W.run in
+  let _, eng = Correlation_complete.compute model w.W.obs in
+  let sel = eng.Prob_engine.selection in
+  let b =
+    Array.map
+      (fun (r : Eqn.row) ->
+        let links = Model.links_of_paths model r.Eqn.paths in
+        log
+          (Tomo_netsim.Run.true_good_prob run
+             (Array.of_list (Bitset.to_list links))))
+      sel.Algorithm1.rows
+  in
+  let factor =
+    match sel.Algorithm1.factor with
+    | Some f -> f
+    | None -> Alcotest.fail "Correlation-complete selection without a factor"
+  in
+  let exact =
+    { eng with Prob_engine.values = Tomo_linalg.Sparse_chol.solve factor b }
+  in
+  let answerable = ref 0 and worst = ref 0.0 in
+  Array.iteri
+    (fun e entry ->
+      match entry with
+      | Tomo.Readout.Singleton v when sel.Algorithm1.identifiable.(v) ->
+          incr answerable;
+          worst :=
+            Float.max !worst
+              (abs_float
+                 (Prob_engine.link_marginal exact e
+                 -. Tomo_netsim.Run.true_link_marginal run e))
+      | _ -> ())
+    sel.Algorithm1.readout.Tomo.Readout.entries;
+  (!answerable, !worst)
+
+let test_noise_free_exactness () =
+  List.iter
+    (fun scale ->
+      List.iter
+        (fun topology ->
+          List.iter
+            (fun scenario ->
+              let tag =
+                Printf.sprintf "%s %s %s" (W.scale_to_string scale)
+                  (W.topology_to_string topology)
+                  (Tomo_netsim.Scenario.kind_to_string scenario)
+              in
+              let answerable, worst = exactness_cell ~scale topology scenario in
+              check_bool (tag ^ ": answerable links") true (answerable > 0);
+              if worst > 1e-9 then
+                Alcotest.failf "%s: an answerable marginal is off by %.3g" tag
+                  worst)
+            Tomo_netsim.Scenario.[ Random; Concentrated; No_independence ])
+        [ W.Brite; W.Sparse ])
+    [ W.Small; W.Medium ]
 
 (* ------------------------------------------------------------------ *)
 (* Degenerate models                                                   *)
@@ -1583,6 +1632,11 @@ let () =
             test_signature_cases_exercised;
           Alcotest.test_case "70-link set takes the generic path" `Quick
             test_wide_set_generic_path;
+        ] );
+      ( "exactness",
+        [
+          Alcotest.test_case "noise-free answerable marginals (12 cells)" `Slow
+            test_noise_free_exactness;
         ] );
       ( "degenerate",
         [

@@ -214,6 +214,10 @@ let test_obs_interval_views () =
 (* Subsets                                                             *)
 (* ------------------------------------------------------------------ *)
 
+(* The generic enumeration over a fresh signature table. *)
+let enumerate m ~effective =
+  Subsets.enumerate (Tomo.Signatures.build m ~effective)
+
 let test_effective_links () =
   (* §5.2 example: "suppose path p3 is always good, whereas the other two
      paths are not; this means that links e3 and e4 are always good,
@@ -226,7 +230,7 @@ let test_effective_links () =
   let eff = Subsets.effective_links m obs in
   check_ints "potentially congested links" [ e1; e2 ] (Bitset.to_list eff);
   let subsets =
-    Subsets.enumerate m ~effective:eff ~max_size:3 ~limit_per_set:100
+    enumerate m ~effective:eff ~max_size:3 ~limit_per_set:100
   in
   check_ints "potentially congested subsets"
     [ e1; e2 ]
@@ -293,7 +297,7 @@ let test_enumerate_case1 () =
   let m = Toy.case1 () in
   let eff = all_effective m in
   let subsets =
-    Subsets.enumerate m ~effective:eff ~max_size:3 ~limit_per_set:100
+    enumerate m ~effective:eff ~max_size:3 ~limit_per_set:100
   in
   let s corr links = Subsets.make m ~corr links in
   Alcotest.(check (list subset))
@@ -327,7 +331,7 @@ let test_enumerate_found_cap () =
   let eff = all_effective m in
   with_metrics (fun () ->
       let subsets =
-        Subsets.enumerate m ~effective:eff ~max_size:3 ~limit_per_set:2
+        enumerate m ~effective:eff ~max_size:3 ~limit_per_set:2
       in
       check_int "find cap respected" 2 (List.length subsets);
       check_int "truncation counted once" 1
@@ -338,37 +342,36 @@ let test_enumerate_budget_cap () =
   (* A 6-link chain covered by one path: nothing of size <= 3 is
      inducible, and the visit budget (limit_per_set * 4 = 4) runs out
      during size 1 with subsets left — the truncation the old code
-     forgot to count.  With pruning the skipped visits are charged
-     arithmetically, so the counter and result are identical; only
-     [ident_pruned_sets] records the saved work. *)
+     forgot to count.  Both enumerations, the generic one and the one on
+     the signature masks, visit those 4 subsets and count it once. *)
   let m =
     Model.make ~n_links:6
       ~paths:[| [| 0; 1; 2; 3; 4; 5 |] |]
       ~corr_sets:[| [| 0; 1; 2; 3; 4; 5 |] |]
   in
-  let eff = all_effective m in
-  Fun.protect
-    ~finally:(fun () -> Subsets.set_ident_prune true)
-    (fun () ->
-      List.iter
-        (fun prune ->
-          Subsets.set_ident_prune prune;
-          with_metrics (fun () ->
-              let subsets =
-                Subsets.enumerate m ~effective:eff ~max_size:3
-                  ~limit_per_set:1
-              in
-              let tag = if prune then "pruned" else "exhaustive" in
-              check_int (tag ^ ": nothing found") 0 (List.length subsets);
-              check_int
-                (tag ^ ": budget truncation counted once")
-                1
-                (counter "subsets_enumeration_capped");
-              check_int
-                (tag ^ ": pruned visits recorded")
-                (if prune then 4 else 0)
-                (counter "ident_pruned_sets")))
-        [ false; true ])
+  let table = Tomo.Signatures.build m ~effective:(all_effective m) in
+  List.iter
+    (fun (tag, enumerate) ->
+      with_metrics (fun () ->
+          check_int (tag ^ ": nothing found") 0 (enumerate ());
+          check_int
+            (tag ^ ": budget truncation counted once")
+            1
+            (counter "subsets_enumeration_capped");
+          check_int (tag ^ ": budget spent") 4
+            (counter "combin_subsets_visited")))
+    [
+      ( "generic",
+        fun () ->
+          List.length (Subsets.enumerate table ~max_size:3 ~limit_per_set:1)
+      );
+      ( "masks",
+        fun () ->
+          let n = ref 0 in
+          Subsets.enumerate_masks table ~max_size:3 ~limit_per_set:1
+            (fun _ _ -> incr n);
+          !n );
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Direct array filters vs the list-based originals                    *)
@@ -409,25 +412,6 @@ let random_effective rng m =
     if Tomo_util.Rng.bool rng ~p:0.7 then Bitset.set eff e
   done;
   eff
-
-let prop_effective_corr_set_matches_list =
-  QCheck.Test.make ~name:"effective_corr_set equals list filter" ~count:100
-    QCheck.small_int (fun seed ->
-      let rng = Tomo_util.Rng.create (7919 * (seed + 1)) in
-      let m = random_model rng in
-      let eff = random_effective rng m in
-      let ok = ref true in
-      for c = 0 to Model.n_corr_sets m - 1 do
-        let reference =
-          Array.to_list (Model.corr_set_links m c)
-          |> List.filter (Bitset.get eff)
-        in
-        if
-          Array.to_list (Subsets.effective_corr_set m ~effective:eff c)
-          <> reference
-        then ok := false
-      done;
-      !ok)
 
 let prop_complement_matches_list =
   QCheck.Test.make ~name:"complement equals list filter" ~count:100
@@ -674,7 +658,6 @@ let () =
             test_enumerate_found_cap;
           Alcotest.test_case "budget truncation counted (both modes)"
             `Quick test_enumerate_budget_cap;
-          qc prop_effective_corr_set_matches_list;
           qc prop_complement_matches_list;
         ] );
       ( "eqn",

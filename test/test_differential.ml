@@ -13,7 +13,7 @@
    with test_linalg, as does the sorted-merge sparse elimination
    ([Sparse_rref]) the seed elimination reproduces. *)
 
-module Matrix = Tomo_linalg.Matrix
+module Matrix = Tomo_oracles.Matrix
 module Gauss = Tomo_oracles.Gauss
 module Dense = Tomo_oracles.Dense
 module Sparse_rref = Tomo_oracles.Sparse_rref
@@ -204,49 +204,95 @@ let prop_rref_sparse_matches_reference =
       rank = o.Gauss.rank && pivot_cols = o.Gauss.pivot_cols
       && sparse_agree ~loose_zeros:true reduced o.Gauss.reduced)
 
-(* Algorithm 1 seeds its basis through the sparse kernel; the basis it
-   extracts must equal the boxed dense oracle's bit for bit, except that
+(* The seed tracker's basis as an [nvars × p] matrix. *)
+let basis_matrix ~cols tr = Dense.of_columns ~rows:cols (Nullspace.columns tr)
+
+(* Algorithm 1 seeds its tracker through the sparse kernel; the basis it
+   writes must equal the boxed dense oracle's bit for bit, except that
    the sparse kernel cannot reproduce a dense [-0.0]. *)
 let prop_incidence_nullspace_matches_reference =
   QCheck.Test.make
-    ~name:"basis_of_incidence == boxed reference (zero signs free)"
+    ~name:"of_incidence == boxed reference (zero signs free)"
     ~count:120 dims_gen (fun ((_, r, c) as k) ->
       let rng = seeded_rng k in
       let idxs = random_incidence rng ~rows:r ~cols:c in
-      let basis = Nullspace.basis_of_incidence ~rows:r ~cols:c idxs in
+      let tol = Gauss.default_tol in
+      let basis =
+        basis_matrix ~cols:c (Nullspace.of_incidence ~tol ~rows:r ~cols:c idxs)
+      in
       matrices_agree ~loose_zeros:true basis
         (Gauss.basis ~cols:c (Gauss.of_incidence ~cols:c idxs)))
 
 (* The seed elimination performs the sorted-merge kernel's operations
-   in the same order, with exact zeros stored as [+0.0]: its basis must
-   equal the reference's bit for bit, zero signs included.  The systems
+   in the same order, with exact zeros stored as [+0.0]: the basis it
+   writes into the tracker must equal the reference's bit for bit, zero
+   signs included.  The tracker around it must be the one [of_columns]
+   builds from the reference basis: weights equal to a recount at the
+   tracker's tolerance, witnesses equal to [N · g_c] summed from
+   scratch (a defect of exactly 0), and, fed the same candidate rows,
+   the same verdicts and bitwise-equal columns after them.  The systems
    mix densities from empty rows to dense ones, repeat rows to force
-   rank deficiency, and draw the pivot tolerance from values that zero
-   out small columns as well as the default. *)
+   rank deficiency, append every unit row on some seeds (a trivial null
+   space), include [rows = 0] (the identity basis), and draw the pivot
+   tolerance from values that zero out small columns as well as the
+   default. *)
 let prop_seed_matches_sorted_merge =
   QCheck.Test.make
-    ~name:"basis_of_incidence == sorted-merge reference (bitwise)"
+    ~name:"of_incidence == sorted-merge reference (bitwise)"
     ~count:300
     QCheck.(triple (int_range 0 100_000) (int_range 0 24) (int_range 1 24))
-    (fun ((_, r, c) as k) ->
+    (fun ((seed, r, c) as k) ->
       let rng = seeded_rng k in
       let density = Rng.float rng 0.7 in
-      let idxs =
-        Array.init r (fun _ ->
-            let acc = ref [] in
-            for j = c - 1 downto 0 do
-              if Rng.bool rng ~p:density then acc := j :: !acc
-            done;
-            Array.of_list !acc)
+      let row () =
+        let acc = ref [] in
+        for j = c - 1 downto 0 do
+          if Rng.bool rng ~p:density then acc := j :: !acc
+        done;
+        Array.of_list !acc
       in
+      let idxs = Array.init r (fun _ -> row ()) in
       (* Repeated rows: rank deficiency beyond what the density gives. *)
       for i = 1 to r - 1 do
         if Rng.bool rng ~p:0.2 then idxs.(i) <- idxs.(Rng.int rng i)
       done;
+      let idxs =
+        if seed mod 7 = 0 then
+          Array.append idxs (Array.init c (fun j -> [| j |]))
+        else idxs
+      in
+      let r = Array.length idxs in
       let tol = [| 1e-10; 1e-8; 0.2; 0.4 |].(Rng.int rng 4) in
-      let basis = Nullspace.basis_of_incidence ~tol ~rows:r ~cols:c idxs in
-      matrices_agree basis
-        (Dense.to_rows (Sparse_rref.basis ~tol ~rows:r ~cols:c idxs)))
+      let tr = Nullspace.of_incidence ~tol ~rows:r ~cols:c idxs in
+      let oracle = Sparse_rref.basis ~tol ~rows:r ~cols:c idxs in
+      let adopted = Nullspace.of_columns ~tol ~nvars:c (Dense.columns oracle) in
+      let same_columns a b =
+        matrices_agree (basis_matrix ~cols:c a)
+          (Dense.to_rows (basis_matrix ~cols:c b))
+      in
+      let weights_recounted =
+        let cols = Nullspace.columns tr in
+        List.for_all
+          (fun i ->
+            Nullspace.row_weight tr i
+            = Array.fold_left
+                (fun w col -> if abs_float col.(i) > tol then w + 1 else w)
+                0 cols)
+          (List.init c Fun.id)
+      in
+      let candidates = Array.init 12 (fun _ -> row ()) in
+      matrices_agree (basis_matrix ~cols:c tr) (Dense.to_rows oracle)
+      && weights_recounted
+      && Nullspace.witness_defect tr = 0.0
+      && Array.for_all
+           (fun cand ->
+             Nullspace.add_incidence tr cand
+             = Nullspace.add_incidence adopted cand)
+           candidates
+      && same_columns tr adopted
+      && List.for_all
+           (fun i -> Nullspace.row_weight tr i = Nullspace.row_weight adopted i)
+           (List.init c Fun.id))
 
 let prop_cgls_sparse_matches_reference =
   QCheck.Test.make ~name:"flat-CSR CGLS == boxed reference (bitwise)"
@@ -283,7 +329,10 @@ let test_large_fixture () =
   Alcotest.(check (list int)) "pivots" o.Gauss.pivot_cols pivot_cols;
   Alcotest.(check bool) "reduced bits" true
     (sparse_agree ~loose_zeros:true reduced o.Gauss.reduced);
-  let basis = Nullspace.basis_of_incidence ~rows:r ~cols:c idxs in
+  let basis =
+    basis_matrix ~cols:c
+      (Nullspace.of_incidence ~tol:Gauss.default_tol ~rows:r ~cols:c idxs)
+  in
   Alcotest.(check bool) "basis bits" true
     (matrices_agree ~loose_zeros:true basis (Gauss.basis ~cols:c dense));
   let b = Array.init r (fun i -> float_of_int (i mod 7) /. 3.0) in

@@ -6,15 +6,13 @@
    union-closure of path signatures.  Both have obvious O(2^n) oracles
    on small random topologies: group links by their literal path sets,
    and test [Subsets.inducible] on every combination.  The properties
-   here pin the closure to those oracles, and pin the enumeration
-   pruner to the exhaustive fan-out it claims to be bit-identical
-   to. *)
+   here pin the closure to those oracles; the fixed cases below reach
+   its fallbacks (a set wider than a word, a capped node budget). *)
 
 module Bitset = Tomo_util.Bitset
 module Combin = Tomo_util.Combin
 module Rng = Tomo_util.Rng
 module Model = Tomo.Model
-module Observations = Tomo.Observations
 module Subsets = Tomo.Subsets
 module Identifiability = Tomo.Identifiability
 module Signatures = Tomo.Signatures
@@ -53,10 +51,16 @@ let random_effective rng m =
   done;
   eff
 
+(* Correlation set [c]'s effective links, ascending. *)
+let effective_corr_set m ~effective c =
+  Array.of_list
+    (List.filter (Bitset.get effective)
+       (Array.to_list (Model.corr_set_links m c)))
+
 (* O(C(n,k)) oracle: does correlation set [c] admit any inducible subset
    of each size, and how many? *)
 let brute_counts m ~effective ~corr ~max_size =
-  let links = Subsets.effective_corr_set m ~effective corr in
+  let links = effective_corr_set m ~effective corr in
   Array.init max_size (fun i ->
       let k = i + 1 in
       List.length
@@ -66,8 +70,8 @@ let brute_counts m ~effective ~corr ~max_size =
            (Combin.combinations links k)))
 
 (* On models this small the union-closure never hits its node budget, so
-   the witness is exact: [true] iff an inducible subset of that size
-   exists. *)
+   the size witness behind [pruned_sizes] is exact: a size counts as
+   prunable iff no subset of that size is inducible. *)
 let prop_witness_matches_oracle =
   QCheck.Test.make ~name:"size witness equals brute-force existence"
     ~count:100 QCheck.small_int (fun seed ->
@@ -75,20 +79,18 @@ let prop_witness_matches_oracle =
       let m = random_model rng in
       let eff = random_effective rng m in
       let max_size = 3 in
-      let ok = ref true in
-      for c = 0 to Model.n_corr_sets m - 1 do
-        let witness =
-          Identifiability.inducible_size_witness
-            (Signatures.build m ~effective:eff)
-            ~corr:c ~max_size
-        in
-        let counts = brute_counts m ~effective:eff ~corr:c ~max_size in
-        let n = Array.length (Subsets.effective_corr_set m ~effective:eff c) in
-        for k = 1 to min max_size n do
-          if witness.(k - 1) <> (counts.(k - 1) > 0) then ok := false
-        done
-      done;
-      !ok)
+      let t = Identifiability.analyze ~max_size m ~effective:eff in
+      Array.for_all
+        (fun (s : Identifiability.corr_stats) ->
+          let c = s.Identifiability.corr in
+          let counts = brute_counts m ~effective:eff ~corr:c ~max_size in
+          let n = Array.length (effective_corr_set m ~effective:eff c) in
+          let empty = ref 0 in
+          for k = 1 to min max_size n do
+            if counts.(k - 1) = 0 then incr empty
+          done;
+          s.Identifiability.pruned_sizes = !empty)
+        t.Identifiability.corr)
 
 let prop_analyze_counts_match_oracle =
   QCheck.Test.make ~name:"closure subset counts equal brute force"
@@ -161,8 +163,7 @@ let prop_max_identifiable_size_sound =
           | None | Some 0 -> true
           | Some k_max ->
               let links =
-                Subsets.effective_corr_set m ~effective:eff
-                  s.Identifiability.corr
+                effective_corr_set m ~effective:eff s.Identifiability.corr
               in
               let inducible =
                 List.concat_map
@@ -183,87 +184,13 @@ let prop_max_identifiable_size_sound =
               = List.length coverages)
         t.Identifiability.corr)
 
-(* The pruner's contract: the enumerated subset list and the truncation
-   counter are bit-identical with pruning on and off, including under
-   tight find caps and visit budgets. *)
-let enumerate_counted ~prune m ~effective ~max_size ~limit_per_set =
-  Subsets.set_ident_prune prune;
-  Fun.protect
-    ~finally:(fun () -> Subsets.set_ident_prune true)
-    (fun () ->
-      Tomo_obs.Metrics.set_enabled true;
-      Tomo_obs.Metrics.reset ();
-      let subsets = Subsets.enumerate m ~effective ~max_size ~limit_per_set in
-      let counter name =
-        Tomo_obs.Metrics.counter_value (Tomo_obs.Metrics.counter name)
-      in
-      let capped = counter "subsets_enumeration_capped" in
-      let pruned = counter "ident_pruned_sets" in
-      Tomo_obs.Metrics.set_enabled false;
-      Tomo_obs.Metrics.reset ();
-      (subsets, capped, pruned))
-
-let same_subsets a b = List.compare Subsets.compare a b = 0
-
-let enumerate_with ~prune m ~effective ~max_size ~limit_per_set =
-  let subsets, capped, _ =
-    enumerate_counted ~prune m ~effective ~max_size ~limit_per_set
-  in
-  (subsets, capped)
-
-let prop_pruned_enumeration_identical =
-  QCheck.Test.make ~name:"pruned enumeration bit-identical to exhaustive"
-    ~count:100
-    QCheck.(pair small_int (int_range 1 6))
-    (fun (seed, limit_per_set) ->
-      let rng = Rng.create (9973 * (seed + 1)) in
-      let m = random_model rng in
-      let eff = random_effective rng m in
-      let on, capped_on =
-        enumerate_with ~prune:true m ~effective:eff ~max_size:3 ~limit_per_set
-      and off, capped_off =
-        enumerate_with ~prune:false m ~effective:eff ~max_size:3
-          ~limit_per_set
-      in
-      same_subsets on off && capped_on = capped_off)
-
-(* End-to-end: the full Correlation-complete pipeline over random
-   observations must produce bit-identical estimates either way. *)
-let prop_pruned_estimates_identical =
-  QCheck.Test.make ~name:"pruned pipeline estimates bit-identical"
-    ~count:25 QCheck.small_int (fun seed ->
-      let rng = Rng.create (524287 * (seed + 1)) in
-      let m = random_model rng in
-      let t_intervals = 12 in
-      let obs = Observations.create ~t_intervals ~n_paths:m.Model.n_paths in
-      for i = 0 to t_intervals - 1 do
-        let good = Bitset.create m.Model.n_paths in
-        for p = 0 to m.Model.n_paths - 1 do
-          if Rng.bool rng ~p:0.7 then Bitset.set good p
-        done;
-        Observations.set_interval_statuses obs ~interval:i ~good
-      done;
-      let compute prune =
-        Subsets.set_ident_prune prune;
-        Fun.protect
-          ~finally:(fun () -> Subsets.set_ident_prune true)
-          (fun () -> fst (Tomo.Correlation_complete.compute m obs))
-      in
-      let on = compute true and off = compute false in
-      let open Tomo.Pc_result in
-      Array.for_all2
-        (fun a b -> Int64.bits_of_float a = Int64.bits_of_float b)
-        on.marginals off.marginals
-      && on.identifiable = off.identifiable
-      && on.n_rows = off.n_rows
-      && on.n_vars = off.n_vars)
-
 (* The word-size fallbacks.  A correlation set wider than [Sys.int_size]
-   links cannot be masked, so [Identifiability.close] falls back to the
-   minimum-signature bound and [Eqn.resolver] delegates to [Eqn.row].
-   Here 70 links are covered by the 2-link chain paths [i; i+1]: every
-   signature has 2 links, so no singleton is inducible and the pruner
-   skips size 1. *)
+   links cannot be masked, so the analysis falls back to the
+   minimum-signature bound (no exact counts) and [Eqn.resolver]
+   delegates to [Eqn.row].  Here 70 links are covered by the 2-link
+   chain paths [i; i+1]: every signature has 2 links, so no singleton is
+   inducible, size 1 is the one prunable slot, and the generic
+   enumeration lists no singleton. *)
 let test_wide_set_fallbacks () =
   let n = 70 in
   check_bool "wider than a word" true (n > Sys.int_size);
@@ -273,27 +200,23 @@ let test_wide_set_fallbacks () =
       ~corr_sets:[| Array.init n Fun.id |]
   in
   let eff = Identifiability.covered_links m in
-  let w =
-    Identifiability.inducible_size_witness
-      (Signatures.build m ~effective:eff)
-      ~corr:0 ~max_size:3
-  in
-  check_bool "size 1 proven empty" false w.(0);
-  check_bool "size 2 not ruled out" true w.(1);
+  let t = Identifiability.analyze ~max_size:3 m ~effective:eff in
+  let s = t.Identifiability.corr.(0) in
+  check_int "smallest signature" 2 s.Identifiability.min_signature;
+  check_int "size 1 proven empty, sizes 2 and 3 not ruled out" 1
+    s.Identifiability.pruned_sizes;
+  check_bool "no exact counts" true
+    (s.Identifiability.inducible_by_size = None);
+  check_bool "no identifiable-size bound" true
+    (s.Identifiability.max_identifiable_size = None);
+  let table = Signatures.build m ~effective:eff in
   List.iter
     (fun limit_per_set ->
-      let tag = Printf.sprintf "limit %d" limit_per_set in
-      let subsets, capped, pruned =
-        enumerate_counted ~prune:true m ~effective:eff ~max_size:3
-          ~limit_per_set
-      in
-      let subsets', capped', _ =
-        enumerate_counted ~prune:false m ~effective:eff ~max_size:3
-          ~limit_per_set
-      in
-      check_bool (tag ^ ": same subsets") true (same_subsets subsets subsets');
-      check_int (tag ^ ": same truncation count") capped' capped;
-      check_bool (tag ^ ": size 1 pruned") true (pruned > 0))
+      let subsets = Subsets.enumerate table ~max_size:3 ~limit_per_set in
+      check_bool
+        (Printf.sprintf "limit %d: no singleton listed" limit_per_set)
+        true
+        (List.for_all (fun s -> Array.length s.Subsets.links >= 2) subsets))
     [ 1; 5; 500 ];
   (* Register every single-path subset and, for even [i], the 3-link
      subset of the pair [i], [i+1], so pair rows resolve both ways. *)
@@ -355,23 +278,7 @@ let test_budget_capped_closure () =
   check_bool "capped: no identifiable-size bound" true
     (s.Identifiability.max_identifiable_size = None);
   check_int "capped: nothing claimed prunable" 0
-    s.Identifiability.pruned_sizes;
-  let exact =
-    Identifiability.inducible_size_witness
-      (Signatures.build m ~effective:eff)
-      ~corr:0 ~max_size
-  in
-  let cut =
-    Identifiability.inducible_size_witness ~budget
-      (Signatures.build m ~effective:eff)
-      ~corr:0 ~max_size
-  in
-  Array.iteri
-    (fun i w ->
-      if w then
-        check_bool (Printf.sprintf "size %d kept under the cap" (i + 1)) true
-          cut.(i))
-    exact
+    s.Identifiability.pruned_sizes
 
 (* Deterministic spot checks on hand-built topologies. *)
 
@@ -388,13 +295,11 @@ let test_chain_not_identifiable () =
   check_bool "link 0 ambiguous" true (Identifiability.link_ambiguous t 0);
   check_bool "link 1 ambiguous" true (Identifiability.link_ambiguous t 1);
   (* Only the pair {0,1} is inducible: one signature of size 2. *)
-  let w =
-    Identifiability.inducible_size_witness
-      (Signatures.build m ~effective:eff)
-      ~corr:0 ~max_size:3
-  in
-  check_bool "no singleton inducible" false w.(0);
-  check_bool "the pair is inducible" true w.(1)
+  let s = t.Identifiability.corr.(0) in
+  Alcotest.(check (option (array int)))
+    "only the pair inducible" (Some [| 0; 1; 0 |])
+    s.Identifiability.inducible_by_size;
+  check_int "size 1 prunable" 1 s.Identifiability.pruned_sizes
 
 let test_star_identifiable () =
   (* Three links, each with a private path: Condition 1 holds, every
@@ -441,8 +346,6 @@ let () =
         ] );
       ( "pruning",
         [
-          qc prop_pruned_enumeration_identical;
-          qc prop_pruned_estimates_identical;
           Alcotest.test_case "70-link set: word-size fallbacks" `Quick
             test_wide_set_fallbacks;
           Alcotest.test_case "budget-capped closure falls back soundly"

@@ -1,9 +1,9 @@
-(* Tests for the linear-algebra substrate: the null-space basis
-   container, the sparse kernels, the paper's Algorithm 2 (incremental
-   null-space update) and the dense reference oracles in test/oracles
-   they are checked against. *)
+(* Tests for the linear-algebra substrate: the null-space tracker, the
+   sparse kernels, the paper's Algorithm 2 (incremental null-space
+   update) and the dense reference oracles in test/oracles they are
+   checked against, with the oracles' matrix container. *)
 
-module Matrix = Tomo_linalg.Matrix
+module Matrix = Tomo_oracles.Matrix
 module Dense = Tomo_oracles.Dense
 module Gauss = Tomo_oracles.Gauss
 module Qr = Tomo_oracles.Qr
@@ -271,8 +271,12 @@ let incidence_residual rows n =
     rows;
   !worst
 
-let basis_of rows ~cols =
-  Nullspace.basis_of_incidence ~rows:(Array.length rows) ~cols rows
+let tracker_of rows ~cols =
+  Nullspace.of_incidence ~rows:(Array.length rows) ~cols rows
+
+(* The tracker's basis as an [nvars × p] oracle matrix. *)
+let matrix_of ~nvars tr = Dense.of_columns ~rows:nvars (Nullspace.columns tr)
+let basis_of rows ~cols = matrix_of ~nvars:cols (tracker_of rows ~cols)
 
 (* A random 0/1 incidence system: each row names the columns a biased
    coin picks. *)
@@ -292,19 +296,56 @@ let test_nullspace_trivial () =
   let n = basis_of [| [| 0 |]; [| 1 |]; [| 2 |] |] ~cols:3 in
   check_int "identity nullity" 0 (Matrix.cols n)
 
-let test_in_row_space () =
+let test_determined () =
   (* System x0 + x1 = b1, x0 = b2 identifies both x0 and x1; the system
-     x0 + x1 alone identifies neither. *)
-  let nfull = basis_of [| [| 0; 1 |]; [| 0 |] |] ~cols:2 in
-  check_bool "x0 identifiable" true (Nullspace.in_row_space nfull 0);
-  check_bool "x1 identifiable" true (Nullspace.in_row_space nfull 1);
-  let np = basis_of [| [| 0; 1 |] |] ~cols:2 in
-  check_bool "x0 not identifiable" false (Nullspace.in_row_space np 0);
-  check_bool "x1 not identifiable" false (Nullspace.in_row_space np 1)
+     x0 + x1 alone identifies neither, and x2 of x0 + x1 = b1,
+     x2 = b2 is identified on its own. *)
+  let full =
+    Nullspace.determined (tracker_of [| [| 0; 1 |]; [| 0 |] |] ~cols:2)
+  in
+  check_bool "x0 identifiable" true full.(0);
+  check_bool "x1 identifiable" true full.(1);
+  let part = Nullspace.determined (tracker_of [| [| 0; 1 |] |] ~cols:2) in
+  check_bool "x0 not identifiable" false part.(0);
+  check_bool "x1 not identifiable" false part.(1);
+  Alcotest.(check (array bool))
+    "x2 alone" [| false; false; true |]
+    (Nullspace.determined (tracker_of [| [| 0; 1 |]; [| 2 |] |] ~cols:3));
+  (* An entry between the tracker's tolerance (1e-8) and the flags'
+     (1e-6): the weight counts it, the flag ignores it. *)
+  let planted =
+    Nullspace.of_columns ~nvars:3
+      [| [| 1.0; 5e-7; 0.0 |]; [| -1.0; 0.0; 1e-9 |] |]
+  in
+  Alcotest.(check (array bool))
+    "planted at 5e-7" [| false; true; true |]
+    (Nullspace.determined planted);
+  check_int "weight counts it" 1 (Nullspace.row_weight planted 1);
+  check_int "below both tolerances" 0 (Nullspace.row_weight planted 2);
+  Alcotest.(check (array bool))
+    "at a tolerance of 1e-8" [| false; false; true |]
+    (Nullspace.determined ~tol:1e-8 planted)
+
+(* The flags against a reading of the oracle basis at 1e-6: a variable
+   is determined iff its row of the sorted-merge basis is within 1e-6 of
+   zero in every column. *)
+let prop_determined_matches_oracle =
+  QCheck.Test.make ~name:"determined ≡ oracle basis rows at 1e-6" ~count:150
+    QCheck.(triple (int_range 0 12) (int_range 1 12) (int_range 0 10_000))
+    (fun (r, c, seed) ->
+      let rng = Rng.create (seed + 41_000) in
+      let rows = random_incidence_rows rng ~rows:r ~cols:c 0.3 in
+      let o = Tomo_oracles.Sparse_rref.basis ~tol:1e-8 ~rows:r ~cols:c rows in
+      Nullspace.determined
+        (Nullspace.of_incidence ~tol:1e-8 ~rows:r ~cols:c rows)
+      = Array.init c (fun i ->
+            List.for_all
+              (fun k -> abs_float (Matrix.get o i k) <= 1e-6)
+              (List.init (Matrix.cols o) Fun.id)))
 
 (* Line 13 of Algorithm 1: a row reduces the rank iff [r · N ≠ 0]. *)
 let test_reduces_rank () =
-  let tr = Nullspace.tracker_of_matrix (basis_of [| [| 0; 1 |] |] ~cols:3) in
+  let tr = tracker_of [| [| 0; 1 |] |] ~cols:3 in
   check_bool "dependent row does not reduce" false
     (Nullspace.add_incidence tr [| 0; 1 |]);
   check_int "nullity unchanged" 2 (Nullspace.dim tr);
@@ -313,10 +354,10 @@ let test_reduces_rank () =
 
 let test_update_matches_recompute () =
   let rows = [| [| 0; 1 |]; [| 2; 3 |] |] in
-  let tr = Nullspace.tracker_of_matrix (basis_of rows ~cols:4) in
+  let tr = tracker_of rows ~cols:4 in
   check_int "initial nullity" 2 (Nullspace.dim tr);
   check_bool "row accepted" true (Nullspace.add_incidence tr [| 0; 2 |]);
-  let n' = Nullspace.to_matrix tr in
+  let n' = matrix_of ~nvars:4 tr in
   check_int "nullity drops by one" 1 (Matrix.cols n');
   (* The updated basis must be annihilated by all three rows. *)
   let rows3 = Array.append rows [| [| 0; 2 |] |] in
@@ -329,13 +370,13 @@ let test_update_matches_recompute () =
 let test_update_dependent_row_noop () =
   let rows = [| [| 0; 1 |]; [| 2; 3 |] |] in
   let n = basis_of rows ~cols:5 in
-  let tr = Nullspace.tracker_of_matrix n in
+  let tr = tracker_of rows ~cols:5 in
   (* the sum of the two rows *)
   check_bool "dependent row rejected" false
     (Nullspace.add_incidence tr [| 0; 1; 2; 3 |]);
   check_int "dependent row keeps nullity" (Matrix.cols n) (Nullspace.dim tr);
   check_bool "basis untouched" true
-    (Dense.equal_approx ~tol:0.0 n (Nullspace.to_matrix tr))
+    (Dense.equal_approx ~tol:0.0 n (matrix_of ~nvars:5 tr))
 
 let prop_update_equals_recompute =
   QCheck.Test.make
@@ -345,11 +386,9 @@ let prop_update_equals_recompute =
     (fun (r, c, seed) ->
       let rng = Rng.create seed in
       let rows = random_incidence_rows rng ~rows:(r + 1) ~cols:c 0.4 in
-      let tr =
-        Nullspace.tracker_of_matrix (basis_of (Array.sub rows 0 r) ~cols:c)
-      in
+      let tr = tracker_of (Array.sub rows 0 r) ~cols:c in
       ignore (Nullspace.add_incidence tr rows.(r));
-      let n' = Nullspace.to_matrix tr in
+      let n' = matrix_of ~nvars:c tr in
       Matrix.cols n' = Matrix.cols (basis_of rows ~cols:c)
       && incidence_residual rows n' < 1e-7)
 
@@ -754,10 +793,12 @@ let test_sparse_rref_paper_fixture () =
    every basis entry, bit for bit, zero signs included. *)
 let test_seed_paper_fixture () =
   let nrows, nvars, idxs = paper_fixture () in
-  let b = Nullspace.basis_of_incidence ~rows:nrows ~cols:nvars idxs
-  and o = Sparse_rref.basis ~rows:nrows ~cols:nvars idxs in
+  let tr = Nullspace.of_incidence ~rows:nrows ~cols:nvars idxs in
+  let b = matrix_of ~nvars tr
+  and o = Sparse_rref.basis ~tol:1e-8 ~rows:nrows ~cols:nvars idxs in
   check_int "nullity" 22 (Matrix.cols b);
-  check_bool "every basis entry (bits)" true (matrices_bits b o)
+  check_bool "every basis entry (bits)" true (matrices_bits b o);
+  check_bool "witnesses exact" true (Nullspace.witness_defect tr = 0.0)
 
 (* Edge cases pinning the sorted-merge elimination to the dense
    reference. *)
@@ -820,12 +861,12 @@ let random_idxs rng n =
 
 (* Bitwise tracker equality: same basis entries and same maintained
    column weights. *)
-let trackers_agree a b =
-  let ma = Nullspace.to_matrix a and mb = Nullspace.to_matrix b in
+let trackers_agree ~nvars a b =
+  let ma = matrix_of ~nvars a and mb = matrix_of ~nvars b in
   matrices_exact ma mb
   &&
   let ok = ref true in
-  for v = 0 to Matrix.rows ma - 1 do
+  for v = 0 to nvars - 1 do
     if Nullspace.row_weight a v <> Nullspace.row_weight b v then ok := false
   done;
   !ok
@@ -850,7 +891,7 @@ let prop_witness_parity_incidence =
            <> Nullspace.add_incidence exact idxs
         then ok := false
       done;
-      !ok && trackers_agree wit exact)
+      !ok && trackers_agree ~nvars:n wit exact)
 
 let prop_select_independent_matches_tracker =
   QCheck.Test.make
@@ -882,8 +923,8 @@ let test_witness_adversarial_near_tol () =
      and [−x], except that column [ns + q] of the second holds
      [−x + tol·s_q]: the pair's incidence row dots to [tol·s_q] there
      and to exactly 0 in every other column. *)
-  let basis = Matrix.make nvars p 0.0 in
-  Array.iteri (fun i s -> Matrix.set basis i i (tol *. s)) scales;
+  let basis = Array.init p (fun _ -> Array.make nvars 0.0) in
+  Array.iteri (fun i s -> basis.(i).(i) <- tol *. s) scales;
   Array.iteri
     (fun q s ->
       let v = ns + (2 * q) in
@@ -892,13 +933,12 @@ let test_witness_adversarial_near_tol () =
           Rng.uniform rng ~lo:0.5 ~hi:1.5
           *. if Rng.bool rng ~p:0.5 then 1.0 else -1.0
         in
-        Matrix.set basis v k x;
-        Matrix.set basis (v + 1) k
-          (if k = ns + q then -.x +. (tol *. s) else -.x)
+        basis.(k).(v) <- x;
+        basis.(k).(v + 1) <- (if k = ns + q then -.x +. (tol *. s) else -.x)
       done)
     scales;
-  let wit = Nullspace.tracker_of_matrix ~tol ~witness_k:3 basis in
-  let exact = Nullspace.tracker_of_matrix ~tol ~witness_k:0 basis in
+  let wit = Nullspace.of_columns ~tol ~witness_k:3 ~nvars basis in
+  let exact = Nullspace.of_columns ~tol ~witness_k:0 ~nvars basis in
   let rows =
     Array.append
       (Array.init ns (fun i -> [| i |]))
@@ -914,7 +954,7 @@ let test_witness_adversarial_near_tol () =
         b)
     rows;
   check_bool "bases bitwise equal after adversarial stream" true
-    (trackers_agree wit exact)
+    (trackers_agree ~nvars wit exact)
 
 (* Degenerate pool: every row after the first is the same incidence row.
    The witness must reject the whole tail in O(nnz) without ever
@@ -933,7 +973,7 @@ let test_witness_all_dependent_pool () =
     check_bool "duplicate rejected (exact)" false
       (Nullspace.add_incidence exact row)
   done;
-  check_bool "bases bitwise equal" true (trackers_agree wit exact);
+  check_bool "bases bitwise equal" true (trackers_agree ~nvars:n wit exact);
   check_bool "witness invariant tight after rejects" true
     (Nullspace.witness_defect wit < 1e-9)
 
@@ -950,7 +990,7 @@ let test_witness_defect_after_interleaving () =
       (Nullspace.add_incidence exact idxs)
       (Nullspace.add_incidence wit idxs)
   done;
-  check_bool "bases bitwise equal" true (trackers_agree wit exact);
+  check_bool "bases bitwise equal" true (trackers_agree ~nvars:n wit exact);
   check_bool "witness defect below 1e-6" true
     (Nullspace.witness_defect wit < 1e-6)
 
@@ -965,8 +1005,12 @@ let test_witness_default_knob () =
     (Nullspace.witness_count (Nullspace.tracker ~witness_k:3 5));
   check_int "clamped to 16" 16
     (Nullspace.witness_count (Nullspace.tracker ~witness_k:99 5));
-  check_int "tracker_of_matrix default" 2
-    (Nullspace.witness_count (Nullspace.tracker_of_matrix (Matrix.identity 4)))
+  check_int "of_incidence default" 2
+    (Nullspace.witness_count
+       (Nullspace.of_incidence ~rows:1 ~cols:4 [| [| 0; 1 |] |]));
+  check_int "of_columns default" 2
+    (Nullspace.witness_count
+       (Nullspace.of_columns ~nvars:2 [| [| 1.0; 0.0 |] |]))
 
 (* ------------------------------------------------------------------ *)
 (* Sparse Cholesky minimum-norm solve                                  *)
@@ -1069,10 +1113,9 @@ let independent_system rng ~n ~m =
    x ⟂ null(A)), equal to CGLS's, and a factor and solution that are
    bitwise the same when the same rows are factored again. *)
 let chol_properties_hold ~n rows b =
-  let r = Array.length rows in
   let f = Sparse_chol.factor ~cols:n rows in
   let x = Sparse_chol.solve f b in
-  let nb = Nullspace.basis_of_incidence ~rows:r ~cols:n rows in
+  let nb = basis_of rows ~cols:n in
   let ntx = ref 0.0 in
   for c = 0 to Matrix.cols nb - 1 do
     let s = ref 0.0 in
@@ -1269,7 +1312,7 @@ let () =
           Alcotest.test_case "basic basis" `Quick test_nullspace_basic;
           Alcotest.test_case "trivial null space" `Quick
             test_nullspace_trivial;
-          Alcotest.test_case "identifiability test" `Quick test_in_row_space;
+          Alcotest.test_case "identifiability test" `Quick test_determined;
           Alcotest.test_case "rank-reduction test" `Quick test_reduces_rank;
           Alcotest.test_case "Algorithm 2 update" `Quick
             test_update_matches_recompute;
@@ -1278,6 +1321,7 @@ let () =
           qc prop_update_equals_recompute;
           qc prop_rank_nullity;
           qc prop_basis_annihilated;
+          qc prop_determined_matches_oracle;
         ] );
       ( "svd",
         [

@@ -583,7 +583,11 @@ let prop_hello_mutations =
 (* Counts of 20 digits, of [max_int] and of 10^11, each in a file that
    holds far fewer items: every parser must reject them with a Failure,
    without sizing anything by a count it has not checked against its
-   input.  The mutation properties only reach these by chance. *)
+   input.  A snapshot's window capacity is such a count although no
+   column line stands for it, so it is checked against
+   [Window.max_capacity]: a resealed snapshot (valid checksum) declaring
+   10^11 or [max_int] is rejected, and one at the bound restores.  The
+   mutation properties only reach these by chance. *)
 let test_huge_counts () =
   let rejects what parse text =
     match parse text with
@@ -618,7 +622,43 @@ let test_huge_counts () =
            "tomo-observations v1\npaths 1 intervals %s\nrow 0 101\n" n);
       rejects ("trace paths " ^ n) parse_trace
         (Printf.sprintf "tomo-trace v1\npaths %s\ntick 0 101" n))
-    [ "99999999999999999999"; string_of_int max_int; "100000000000" ]
+    [ "99999999999999999999"; string_of_int max_int; "100000000000" ];
+  let module Snapshot = Tomo_stream.Snapshot in
+  let n_paths = robust_model.Tomo.Model.n_paths in
+  let resealed capacity =
+    Snapshot.to_string
+      {
+        Snapshot.n_paths;
+        capacity;
+        ticks = 1;
+        columns = [| robust_columns.(0) |];
+      }
+  in
+  List.iter
+    (fun capacity ->
+      let text = resealed capacity in
+      check_bool "resealed with the capacity" true
+        (String.starts_with ~prefix:"tomo-snapshot v1\n" text);
+      match Snapshot.of_string ~filename:"resealed.snap" text with
+      | snap ->
+          ignore (Engine.of_snapshot ~model:robust_model snap);
+          Alcotest.failf "snapshot capacity %d accepted" capacity
+      | exception Failure msg ->
+          check_bool "anchored at the file" true
+            (String.starts_with ~prefix:"resealed.snap: corrupted snapshot: "
+               msg))
+    [ 100_000_000_000; max_int; Tomo_stream.Window.max_capacity + 1 ];
+  let bound = Tomo_stream.Window.max_capacity in
+  let restored =
+    Engine.of_snapshot ~model:robust_model
+      (Snapshot.of_string (resealed bound))
+  in
+  check_int "a window at the bound restores" bound
+    (Tomo_stream.Window.capacity (Engine.window restored));
+  Alcotest.check_raises "Window.create refuses past the bound"
+    (Invalid_argument "Window.create: capacity above Window.max_capacity")
+    (fun () ->
+      ignore (Tomo_stream.Window.create ~capacity:(bound + 1) ~n_paths))
 
 (* The degenerate overlay: one that declares no paths parses into no
    model, so it is rejected at its [paths] line. *)
