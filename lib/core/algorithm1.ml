@@ -17,9 +17,9 @@ let c_skips = Obs.Metrics.counter "alg1_interchangeable_skips"
 let g_unknowns = Obs.Metrics.gauge "alg1_unknowns"
 let g_nullity = Obs.Metrics.gauge "alg1_final_nullity"
 
-type config = { max_subset_size : int; witness_k : int option }
+type config = { max_subset_size : int }
 
-let default_config = { max_subset_size = 3; witness_k = None }
+let default_config = { max_subset_size = 3 }
 
 (* The truncation limits of §4 that keep the enumeration practical, and
    the rank tolerance. *)
@@ -136,30 +136,17 @@ let select ?(config = default_config) model obs =
     Obs.Trace.with_span "algorithm1.signatures" (fun () ->
         Signatures.build model ~effective)
   in
-  let registry = Eqn.registry () in
-  let index =
+  let registry =
     Obs.Trace.with_span "algorithm1.registry" (fun () ->
         (* Ê: every subset a single-path equation induces, plus the
-           enumerated target subsets up to the configured size.  Where
-           every correlation set fits a word, both are read from the
-           signature table; otherwise the generic bit-set path runs. *)
-        let max_size = config.max_subset_size in
-        if table.Signatures.fits then begin
-          let index = Eqn.index table registry in
-          Eqn.register_single_path_masks index;
-          Subsets.enumerate_masks table ~max_size ~limit_per_set
-            (fun corr mask -> ignore (Eqn.add_mask index ~corr mask));
-          index
-        end
-        else begin
-          let (_ : int) =
-            Eqn.register_single_path_vars model ~effective registry
-          in
-          List.iter
-            (fun s -> ignore (Eqn.add registry s))
-            (Subsets.enumerate table ~max_size ~limit_per_set);
-          Eqn.index table registry
-        end)
+           enumerated target subsets up to the configured size, both
+           read from the signature table. *)
+        let registry = Eqn.registry table in
+        Eqn.register_single_path_masks registry;
+        Subsets.enumerate table ~max_size:config.max_subset_size
+          ~limit_per_set (fun corr mask ->
+            ignore (Eqn.add_mask registry ~corr mask 0));
+        registry)
   in
   let n = Eqn.n_vars registry in
   if n = 0 then finish model effective registry [||] (Nullspace.tracker 0)
@@ -181,24 +168,14 @@ let select ?(config = default_config) model obs =
        updates at maximal [p] — the most expensive phase of the old loop
        — collapse into one batched elimination. *)
     let seed_pools = Array.make n [||] in
-    let pool_of v =
-      let s = Eqn.subset_of_var registry v in
-      if table.Signatures.fits then
-        Signatures.pool table ~corr:s.Subsets.corr (Eqn.mask_of_var index v)
-      else
-        let pool = Subsets.candidate_paths model ~effective s in
-        if Bitset.is_empty pool then [||]
-        else Array.of_list (Bitset.to_list pool)
-    in
     let rows = ref [] in
-    (* Registry frozen from here on ([Eqn.row] only looks up), so the
-       fast resolver is valid for the seed rows and every candidate. *)
-    let resolver = Eqn.resolver index in
+    (* The registry is frozen from here on: rows only look up. *)
+    let resolver = Eqn.resolver registry in
     let tracker =
       Obs.Trace.with_span "algorithm1.seed" (fun () ->
           let seed_rows = ref [] and n_seed = ref 0 in
           for v = 0 to n - 1 do
-            let paths = pool_of v in
+            let paths = Eqn.pool registry v in
             if Array.length paths > 0 then begin
               seed_pools.(v) <- paths;
               match Eqn.row_fast resolver ~paths with
@@ -236,8 +213,7 @@ let select ?(config = default_config) model obs =
             a
           in
           Obs.Trace.with_span "algorithm1.basis" (fun () ->
-              Nullspace.of_incidence ~tol ?witness_k:config.witness_k
-                ~rows:!n_kept ~cols:n kept_vars))
+              Nullspace.of_incidence ~tol ~rows:!n_kept ~cols:n kept_vars))
     in
     (* Lines 8-22: grow the system guided by the null space.  Each
        variable's candidates — the subsets of its pool in increasing size

@@ -33,21 +33,12 @@
     table built per selection (span [algorithm1.signatures]).  A
     candidate holding a path whose pool has an interchangeable path
     (same signatures) earlier is skipped unresolved: the cursor already
-    tested the same row ([alg1_interchangeable_skips]).  Where some
-    correlation set is wider than a word, the generic bit-set functions
-    run instead and nothing is skipped. *)
+    tested the same row ([alg1_interchangeable_skips]). *)
 
 type config = {
   max_subset_size : int;
       (** largest correlation-subset size enumerated as a target
           variable (default 3) *)
-  witness_k : int option;
-      (** witness vectors for the independence prefilter ([None] = the
-          tracker's 2).  Selections are bit-identical whatever the
-          value — the prefilter only short-circuits dependent rows — so
-          this is a test reference switch: [Some 0] runs the exact
-          dependence test alone, which the witness parity properties
-          compare the default against. *)
 }
 
 (** The other truncation limits are constants: at most 500 target

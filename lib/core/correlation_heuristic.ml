@@ -1,14 +1,14 @@
-module Bitset = Tomo_util.Bitset
 module Nullspace = Tomo_linalg.Nullspace
 
 let compute model obs =
   let effective = Subsets.effective_links model obs in
-  let registry = Eqn.registry () in
+  let registry = Eqn.registry (Signatures.build model ~effective) in
+  let resolver = Eqn.resolver registry in
   let pools = Baseline_rows.pools model ~effective in
   let rows = ref [] in
   Array.iter
     (fun paths ->
-      match Eqn.row_grow model ~effective registry ~paths with
+      match Eqn.row_grow resolver ~paths with
       | Some row -> rows := row :: !rows
       | None -> ())
     pools;

@@ -11,78 +11,65 @@
     and drops out).  A row is representable only if every induced subset
     is a registered variable; when variable enumeration is truncated for
     tractability (§4's complexity control), rows inducing unregistered
-    subsets are skipped ([row] returns [None]). *)
+    subsets are skipped ({!row_fast} returns [None]). *)
 
+(** Variables over one {!Signatures} table: a map from (correlation
+    set, mask in the table's format) to variable, open addressing over
+    flat arrays that hashes and compares ints only, plus each
+    variable's subset.  Variables are numbered in registration order. *)
 type registry
 
-val registry : unit -> registry
+val registry : Signatures.t -> registry
 val n_vars : registry -> int
 
 (** [find reg s] / [add reg s]: lookup / get-or-create the variable index
-    of a subset. *)
+    of a subset, through its mask.  A subset holding a link outside the
+    table's effective set is never registered: [find] returns [None]
+    for it.
+    @raise Invalid_argument from [add] on such a subset. *)
 val find : registry -> Subsets.t -> int option
 
 val add : registry -> Subsets.t -> int
+
+(** [find_mask reg ~corr mask i] is the variable of the subset of set
+    [corr] with the mask at [i] of [mask], or [-1]. *)
+val find_mask : registry -> corr:int -> int array -> int -> int
+
+(** [add_mask reg ~corr mask i] is {!add} of that subset: the subset is
+    built only when it is new. *)
+val add_mask : registry -> corr:int -> int array -> int -> int
 
 (** [subset_of_var reg v] inverts the registry.
     @raise Invalid_argument on an unknown index. *)
 val subset_of_var : registry -> int -> Subsets.t
 
+(** [mask_of_var reg v] is variable [v]'s mask (a fresh array). *)
+val mask_of_var : registry -> int -> int array
+
+(** [pool reg v] is {!Signatures.pool} of variable [v]'s subset: the
+    seed pool [Paths(E) \ Paths(Ē)]. *)
+val pool : registry -> int -> int array
+
+(** [register_single_path_masks reg] registers the induced subsets of
+    every single path, read from the table's per-path pairs: path by
+    path, sets in the order of their first effective link on the
+    path. *)
+val register_single_path_masks : registry -> unit
+
 (** A representable equation: the path set and the variables of its
     incidence row (sorted, distinct). *)
 type row = { paths : int array; vars : int array }
 
-(** [induced_subsets model ~effective ~links] groups the effective links
-    of a link set by correlation set, yielding the subsets
-    [Links(P) ∩ C] of Eq. 1. *)
-val induced_subsets :
-  Model.t -> effective:Tomo_util.Bitset.t -> links:Tomo_util.Bitset.t ->
-  Subsets.t list
-
-(** [row model ~effective reg ~paths] builds the equation for a path set,
-    or [None] if some induced subset is not registered or the path set
-    touches no effective link. *)
-val row :
-  Model.t -> effective:Tomo_util.Bitset.t -> registry -> paths:int array ->
-  row option
-
-(** A registry's variables keyed by (correlation set, mask of the
-    subset's links in {!Signatures}' format), for lookups that hash and
-    compare ints only.  Built over a table where some correlation set is
-    wider than a word, it holds nothing.  Once a registry is indexed it
-    must grow only through {!add_mask}. *)
-type index
-
-(** [index table reg] indexes [reg]'s variables; [reg]'s subsets must
-    lie in [table]'s effective set. *)
-val index : Signatures.t -> registry -> index
-
-(** [add_mask ix ~corr mask] is {!add} of the subset of set [corr]
-    with links [mask]: the subset is built and hashed only when it is
-    new.  @raise Invalid_argument if the registry grew outside [ix]. *)
-val add_mask : index -> corr:int -> int -> int
-
-(** [mask_of_var ix v] is variable [v]'s mask. *)
-val mask_of_var : index -> int -> int
-
-(** [register_single_path_masks ix] is {!register_single_path_vars}
-    read from the table's per-path pairs: the same variables in the same
-    order.  @raise Invalid_argument unless the table fits. *)
-val register_single_path_masks : index -> unit
-
-(** A frozen-registry fast path for {!row}: ORs a candidate's per-path
-    (correlation set, mask) pairs from the signature table into per-set
-    masks, resolves each mask through the index, and reuses scratch
-    buffers across calls.  Build it once the registry stops growing.
-    When a correlation set is wider than a word, every call falls back
-    to {!row} itself. *)
+(** Scratch for building rows from the table: a candidate ORs its
+    paths' (set, word) pairs into per-set masks, and each mask is
+    resolved through the registry.  One resolver serves one thread. *)
 type resolver
 
-val resolver : index -> resolver
+val resolver : registry -> resolver
 
-(** [row_fast rz ~paths] returns exactly what {!row} would — the same
-    [Some]/[None] decision and the same sorted [vars] — at a fraction of
-    the per-call cost.  Must not be used after the registry grows. *)
+(** [row_fast rz ~paths] builds the equation for a path set, or [None]
+    if some induced subset is not registered or the path set touches no
+    effective link. *)
 val row_fast : resolver -> paths:int array -> row option
 
 (** [row_vars rz ~paths] is the [vars] of [row_fast rz ~paths] without
@@ -91,15 +78,8 @@ val row_fast : resolver -> paths:int array -> row option
     variable).  A caller that keeps the row copies it. *)
 val row_vars : resolver -> paths:int array -> int array
 
-(** [row_grow] is [row] but registers missing induced subsets instead of
-    failing; only returns [None] when the path set touches no effective
-    link. *)
-val row_grow :
-  Model.t -> effective:Tomo_util.Bitset.t -> registry -> paths:int array ->
-  row option
-
-(** [register_single_path_vars model ~effective reg] registers the
-    induced subsets of every single path — the variables any single-path
-    equation needs; returns how many variables were added. *)
-val register_single_path_vars :
-  Model.t -> effective:Tomo_util.Bitset.t -> registry -> int
+(** [row_grow rz ~paths] is [row_fast] but registers missing induced
+    subsets instead of failing, sets ordered by their smallest effective
+    link in [Links(P)]; only returns [None] when the path set touches no
+    effective link. *)
+val row_grow : resolver -> paths:int array -> row option

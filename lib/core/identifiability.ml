@@ -95,10 +95,6 @@ let ambiguous_of_classes model classes =
 let ambiguous_links model ~effective =
   ambiguous_of_classes model (ambiguity_classes model ~effective)
 
-let popcount x =
-  let rec go acc x = if x = 0 then acc else go (acc + 1) (x land (x - 1)) in
-  go 0 x
-
 (* Per-correlation-set signature closure.
 
    For a subset [E] of the effective links of one correlation set, the
@@ -108,7 +104,10 @@ let popcount x =
    iff [E] is a union of path signatures.  So the inducible subsets of
    size ≤ [max_size] are exactly the union-closure of the distinct
    signatures of size ≤ [max_size] — computable without ever fanning
-   out the [C(n,k)] combinations. *)
+   out the [C(n,k)] combinations.  The closure's nodes are masks in the
+   table's format, registered in [reg]: a node is new iff its (set,
+   mask) is, and the variables a set's closure registers, in order, are
+   its breadth-first queue. *)
 type closure = {
   cl_eff : int array;
   cl_n_sigs : int;
@@ -116,112 +115,82 @@ type closure = {
   cl_witness : bool array;
       (** per size 1..max_size: true unless provably no inducible subset
           of that size exists *)
-  cl_nodes : int list option;
-      (** every inducible subset as a link-position mask; [None] when the
-          node budget was hit or the set is too wide to mask *)
+  cl_nodes : int array list option;
+      (** every inducible subset's mask; [None] when the node budget
+          was hit *)
 }
 
-let close (table : Signatures.t) ~corr ~max_size ~budget =
-  let model = table.Signatures.model in
+let close (table : Signatures.t) reg ~corr ~max_size ~budget =
+  let w = table.Signatures.words and sigs = table.Signatures.sigs in
   let eff = Signatures.effective_links table corr in
-  let n = Array.length eff in
   let witness = Array.make (max 1 max_size) false in
-  if n = 0 then
-    { cl_eff = eff; cl_n_sigs = 0; cl_min_sig = 0; cl_witness = witness;
-      cl_nodes = Some [] }
-  else if not (Signatures.set_fits table corr) then begin
-    (* Too wide for an int mask: fall back to the minimum-signature
-       bound, which is still sound where it reports emptiness (no
-       subset smaller than every signature can be a union of
-       signatures). *)
-    let min_sig = ref max_int and any = ref false in
-    let count_on_set p =
-      let c = ref 0 in
-      Array.iter
-        (fun e -> if Bitset.get model.Model.link_paths.(e) p then incr c)
-        eff;
-      !c
-    in
-    let seen_sizes = Hashtbl.create 8 in
-    Bitset.iter
-      (fun p ->
-        let s = count_on_set p in
-        if s > 0 then begin
-          any := true;
-          if s < !min_sig then min_sig := s;
-          Hashtbl.replace seen_sizes s ()
-        end)
-      (Model.paths_of_links model eff);
-    let min_sig = if !any then !min_sig else 0 in
-    for k = 1 to min max_size n do
-      witness.(k - 1) <- min_sig > 0 && k >= min_sig
+  (* The set's distinct signatures, ascending, from the table. *)
+  let lo = table.Signatures.sig_start.(corr)
+  and hi = table.Signatures.sig_start.(corr + 1) in
+  let min_sig = ref 0 in
+  let small_sigs = ref [] in
+  for k = hi - 1 downto lo do
+    let s = Signatures.popcount sigs (k * w) w in
+    if !min_sig = 0 || s < !min_sig then min_sig := s;
+    if s <= max_size then small_sigs := k * w :: !small_sigs
+  done;
+  let small_sigs = !small_sigs in
+  let first = Eqn.n_vars reg in
+  let capped = ref false in
+  let visit m i =
+    if Eqn.find_mask reg ~corr m i < 0 then
+      if Eqn.n_vars reg - first >= budget then capped := true
+      else begin
+        ignore (Eqn.add_mask reg ~corr m i);
+        witness.(Signatures.popcount m i w - 1) <- true
+      end
+  in
+  List.iter (visit sigs) small_sigs;
+  let q = ref first and v = Array.make w 0 in
+  while !q < Eqn.n_vars reg && not !capped do
+    let u = Eqn.mask_of_var reg !q in
+    incr q;
+    List.iter
+      (fun s ->
+        for j = 0 to w - 1 do
+          v.(j) <- u.(j) lor sigs.(s + j)
+        done;
+        if
+          (not (Signatures.equal v 0 u 0 w))
+          && Signatures.popcount v 0 w <= max_size
+        then visit v 0)
+      small_sigs
+  done;
+  if !capped then
+    (* Unknown territory: anything not yet proven inducible may still
+       be — never claim emptiness off a truncated closure. *)
+    for k = 1 to min max_size (Array.length eff) do
+      witness.(k - 1) <- true
     done;
-    { cl_eff = eff; cl_n_sigs = Hashtbl.length seen_sizes;
-      cl_min_sig = min_sig; cl_witness = witness; cl_nodes = None }
-  end
-  else begin
-    (* The set's distinct path signatures, ascending, from the table. *)
-    let lo = table.Signatures.sig_start.(corr)
-    and hi = table.Signatures.sig_start.(corr + 1) in
-    let n_sigs = hi - lo in
-    let min_sig = ref 0 in
-    let small_sigs = ref [] in
-    for i = hi - 1 downto lo do
-      let m = table.Signatures.sigs.(i) in
-      let s = popcount m in
-      if !min_sig = 0 || s < !min_sig then min_sig := s;
-      if s <= max_size then small_sigs := m :: !small_sigs
-    done;
-    let small_sigs = !small_sigs in
-    let size_cap = min max_size n in
-    let seen = Hashtbl.create 256 in
-    let q = Queue.create () in
-    let capped = ref false in
-    let visit m =
-      if not (Hashtbl.mem seen m) then
-        if Hashtbl.length seen >= budget then capped := true
-        else begin
-          Hashtbl.add seen m ();
-          witness.(popcount m - 1) <- true;
-          Queue.add m q
-        end
-    in
-    List.iter visit small_sigs;
-    while (not (Queue.is_empty q)) && not !capped do
-      let u = Queue.pop q in
-      List.iter
-        (fun s ->
-          let v = u lor s in
-          if v <> u && popcount v <= max_size then visit v)
-        small_sigs
-    done;
-    if !capped then
-      (* Unknown territory: anything not yet proven inducible may still
-         be — never claim emptiness off a truncated closure. *)
-      for k = 1 to size_cap do
-        witness.(k - 1) <- true
-      done;
-    let nodes =
-      if !capped then None
-      else Some (Hashtbl.fold (fun m () acc -> m :: acc) seen [])
-    in
-    { cl_eff = eff; cl_n_sigs = n_sigs; cl_min_sig = !min_sig;
-      cl_witness = witness; cl_nodes = nodes }
-  end
+  let nodes =
+    if !capped then None
+    else Some (List.init (Eqn.n_vars reg - first) (fun i ->
+        Eqn.mask_of_var reg (first + i)))
+  in
+  { cl_eff = eff; cl_n_sigs = hi - lo; cl_min_sig = !min_sig;
+    cl_witness = witness; cl_nodes = nodes }
 
 let coverage_key model cl_eff mask =
   let cov = Bitset.create model.Model.n_paths in
-  let m = ref mask in
-  while !m <> 0 do
-    let low = !m land - !m in
-    let i = popcount (low - 1) in
-    Bitset.union_into ~into:cov model.Model.link_paths.(cl_eff.(i));
-    m := !m land (!m - 1)
-  done;
+  Array.iteri
+    (fun j word ->
+      let m = ref word in
+      while !m <> 0 do
+        let low = !m land - !m in
+        let i = (j * Sys.int_size) + Bitset.popcount (low - 1) in
+        Bitset.union_into ~into:cov model.Model.link_paths.(cl_eff.(i));
+        m := !m lxor low
+      done)
+    mask;
   bitset_key cov
 
-let corr_stats_of model table ~ambiguous ~max_size ~budget c =
-  let cl = close table ~corr:c ~max_size ~budget in
+let corr_stats_of model table reg ~ambiguous ~max_size ~budget c =
+  let cl = close table reg ~corr:c ~max_size ~budget in
   let n = Array.length cl.cl_eff in
   let n_amb =
     Array.fold_left
@@ -237,16 +206,15 @@ let corr_stats_of model table ~ambiguous ~max_size ~budget c =
     match cl.cl_nodes with
     | None -> (None, None)
     | Some nodes ->
+        let size m = Signatures.popcount m 0 (Array.length m) in
         let counts = Array.make (max 1 max_size) 0 in
-        List.iter (fun m -> counts.(popcount m - 1) <- counts.(popcount m - 1) + 1) nodes;
+        List.iter (fun m -> counts.(size m - 1) <- counts.(size m - 1) + 1) nodes;
         (* Distinguishability of the candidate subsets: two subsets with
            the same path coverage produce the same observable footprint.
            Scanning in increasing size, the first coverage collision
            bounds the maximal identifiable size from above. *)
         let sorted =
-          List.sort
-            (fun a b -> compare (popcount a) (popcount b))
-            nodes
+          List.sort (fun a b -> compare (size a) (size b)) nodes
         in
         let cov_tbl = Hashtbl.create 256 in
         let collision = ref None in
@@ -254,7 +222,7 @@ let corr_stats_of model table ~ambiguous ~max_size ~budget c =
           (fun m ->
             if !collision = None then begin
               let key = coverage_key model cl.cl_eff m in
-              if Hashtbl.mem cov_tbl key then collision := Some (popcount m)
+              if Hashtbl.mem cov_tbl key then collision := Some (size m)
               else Hashtbl.add cov_tbl key m
             end)
           sorted;
@@ -280,9 +248,10 @@ let analyze ?(max_size = default_max_size) ?(budget = default_budget) model
   let classes = ambiguity_classes model ~effective in
   let ambiguous = ambiguous_of_classes model classes in
   let table = Signatures.build model ~effective in
+  let reg = Eqn.registry table in
   let corr =
     Array.init (Model.n_corr_sets model) (fun c ->
-        corr_stats_of model table ~ambiguous ~max_size ~budget c)
+        corr_stats_of model table reg ~ambiguous ~max_size ~budget c)
   in
   let n_effective = Bitset.count effective in
   { max_size; n_effective; classes; ambiguous; corr }

@@ -69,21 +69,3 @@ let links_of_paths t paths =
 
 let corr_set_links t c = t.corr_sets.(c)
 let n_corr_sets t = Array.length t.corr_sets
-
-let identifiability t =
-  let tbl = Hashtbl.create t.n_links in
-  let result = ref None in
-  (try
-     for e = 0 to t.n_links - 1 do
-       let key =
-         String.concat ","
-           (List.map string_of_int (Bitset.to_list t.link_paths.(e)))
-       in
-       match Hashtbl.find_opt tbl key with
-       | Some e' ->
-           result := Some (e', e);
-           raise Exit
-       | None -> Hashtbl.add tbl key e
-     done
-   with Exit -> ());
-  !result

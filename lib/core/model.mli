@@ -40,8 +40,3 @@ val links_of_paths : t -> int array -> Tomo_util.Bitset.t
 val corr_set_links : t -> int -> int array
 
 val n_corr_sets : t -> int
-
-(** [identifiability t] checks the paper's Condition 1: no two links are
-    traversed by exactly the same set of paths.  Returns the offending
-    pair if the condition fails. *)
-val identifiability : t -> (int * int) option

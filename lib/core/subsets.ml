@@ -42,8 +42,6 @@ let equal a b =
   done;
   !same
 
-let hash (s : t) = Hashtbl.hash s
-
 let pp ppf s =
   Format.fprintf ppf "{C%d:%a}" s.corr
     (Format.pp_print_list
@@ -65,76 +63,38 @@ let effective_links model obs =
   done;
   eff
 
-(* On the generic enumeration's hot path (once per visited subset via
-   [candidate_paths]): fills a counted array directly instead of
-   round-tripping through lists. *)
-let complement model ~effective s =
-  (* [s.links] and the correlation set are both sorted ascending, so
-     membership is a linear merge. *)
-  let all = Model.corr_set_links model s.corr in
-  let links = s.links in
-  let nl = Array.length links in
-  let keep e i = Bitset.get effective e && (!i >= nl || links.(!i) <> e) in
-  let n = ref 0 in
-  let i = ref 0 in
-  Array.iter
-    (fun e ->
-      while !i < nl && links.(!i) < e do
-        incr i
-      done;
-      if keep e i then incr n)
-    all;
-  let out = Array.make !n 0 in
-  let j = ref 0 in
-  i := 0;
-  Array.iter
-    (fun e ->
-      while !i < nl && links.(!i) < e do
-        incr i
-      done;
-      if keep e i then begin
-        out.(!j) <- e;
-        incr j
-      end)
-    all;
-  out
-
-let candidate_paths model ~effective s =
-  let pool = Model.paths_of_links model s.links in
-  let comp = complement model ~effective s in
-  Bitset.diff_into ~into:pool (Model.paths_of_links model comp);
-  pool
-
-let inducible model ~effective s =
-  let pool = candidate_paths model ~effective s in
-  Array.for_all
-    (fun e -> not (Bitset.disjoint pool model.Model.link_paths.(e)))
-    s.links
-
-let of_mask (table : Signatures.t) ~corr mask =
+let of_mask (table : Signatures.t) ~corr mask i =
   let first = table.Signatures.eff_start.(corr) in
-  let links = Array.make (Bitset.popcount mask) 0 in
-  let m = ref mask and j = ref 0 in
-  while !m <> 0 do
-    let low = !m land - !m in
-    links.(!j) <-
-      table.Signatures.eff_links.(first + Bitset.popcount (low - 1));
-    incr j;
-    m := !m lxor low
+  let w = table.Signatures.words in
+  let links = Array.make (Signatures.popcount mask i w) 0 and n = ref 0 in
+  for j = 0 to w - 1 do
+    let m = ref mask.(i + j) in
+    while !m <> 0 do
+      let low = !m land - !m in
+      links.(!n) <-
+        table.Signatures.eff_links.(first + (j * Sys.int_size)
+                                    + Bitset.popcount (low - 1));
+      incr n;
+      m := !m lxor low
+    done
   done;
   { corr; links }
 
 (* Enumeration state machine, per correlation set: subsets are visited
    by size then lexicographic order; each visit first checks the
    [limit_per_set * 4] visit budget (stop when exhausted), then the
-   [limit_per_set] find cap (stop when reached), then runs the
-   inducibility test [found c idx] on the positions [idx] among the
-   set's effective links.  Either early stop with unvisited subsets
-   remaining truncates Ê and counts once into
+   [limit_per_set] find cap (stop when reached), then ORs the positions
+   into [mask] through the table's word and bit of each position, and
+   tests it against the set's signatures.  Either early stop with
+   unvisited subsets remaining truncates Ê and counts once into
    [subsets_enumeration_capped]. *)
-let drive table ~max_size ~limit_per_set found =
+let enumerate (table : Signatures.t) ~max_size ~limit_per_set f =
   if max_size < 1 then invalid_arg "Subsets.enumerate: max_size < 1";
   if limit_per_set < 1 then invalid_arg "Subsets.enumerate: bad limit";
+  let w = table.Signatures.words in
+  let pos_word = table.Signatures.pos_word
+  and pos_bit = table.Signatures.pos_bit in
+  let mask = Array.make w 0 in
   for c = 0 to Model.n_corr_sets table.Signatures.model - 1 do
     let n = Signatures.n_effective table c in
     if n > 0 then begin
@@ -151,7 +111,19 @@ let drive table ~max_size ~limit_per_set found =
           `Stop
         end
         else begin
-          if found c idx then incr n_found;
+          for j = 0 to w - 1 do
+            Array.unsafe_set mask j 0
+          done;
+          for k = 0 to Array.length idx - 1 do
+            let i = Array.unsafe_get idx k in
+            let j = Array.unsafe_get pos_word i in
+            Array.unsafe_set mask j
+              (Array.unsafe_get mask j lor Array.unsafe_get pos_bit i)
+          done;
+          if Signatures.inducible table ~corr:c mask 0 then begin
+            incr n_found;
+            f c mask
+          end;
           `Continue
         end
       in
@@ -182,38 +154,3 @@ let drive table ~max_size ~limit_per_set found =
       Obs.Metrics.incr ~by:!n_found c_enumerated
     end
   done
-
-(* The generic path: each visit builds the subset and tests it on the
-   model's bit sets, as {!inducible} does. *)
-let enumerate (table : Signatures.t) ~max_size ~limit_per_set =
-  let model = table.Signatures.model
-  and effective = table.Signatures.effective in
-  let acc = ref [] in
-  drive table ~max_size ~limit_per_set (fun c idx ->
-      let first = table.Signatures.eff_start.(c) in
-      let links =
-        Array.map (fun i -> table.Signatures.eff_links.(first + i)) idx
-      in
-      let s = make model ~corr:c links in
-      inducible model ~effective s
-      && begin
-           acc := s :: !acc;
-           true
-         end);
-  List.rev !acc
-
-(* The signature path: each visit ORs the positions into a mask and
-   tests it against the set's signatures, allocating nothing. *)
-let enumerate_masks table ~max_size ~limit_per_set f =
-  if not table.Signatures.fits then
-    invalid_arg "Subsets.enumerate_masks: a set wider than a word";
-  drive table ~max_size ~limit_per_set (fun c idx ->
-      let m = ref 0 in
-      for i = 0 to Array.length idx - 1 do
-        m := !m lor (1 lsl Array.unsafe_get idx i)
-      done;
-      Signatures.inducible table ~corr:c !m
-      && begin
-           f c !m;
-           true
-         end)

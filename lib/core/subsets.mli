@@ -19,11 +19,6 @@ val make : Model.t -> corr:int -> int array -> t
 val compare : t -> t -> int
 val equal : t -> t -> bool
 
-(** [hash s] is a structural hash of [corr] and [links], consistent
-    with {!equal}: subsets are canonical, so a hash table can key on
-    them directly. *)
-val hash : t -> int
-
 val pp : Format.formatter -> t -> unit
 
 (** [effective_links model obs] marks the links on which unknowns can
@@ -34,45 +29,23 @@ val pp : Format.formatter -> t -> unit
     appear in an equation at all. *)
 val effective_links : Model.t -> Observations.t -> Tomo_util.Bitset.t
 
-(** [complement model ~effective s] is the paper's [Ē]: the other
-    effective links of the same correlation set. *)
-val complement : Model.t -> effective:Tomo_util.Bitset.t -> t -> int array
+(** [enumerate table ~max_size ~limit_per_set f] calls [f corr mask],
+    per correlation set of [table]'s model, for the inducible
+    potentially congested subsets (over [table]'s effective links) of
+    size [<= max_size] (at most [limit_per_set] per correlation set),
+    singletons first.  [mask] holds the subset's [table.words] words
+    from index 0, in {!Signatures}' format; it is overwritten after [f]
+    returns.  Subsets are visited by size, then in lexicographic order;
+    per correlation set at most [limit_per_set * 4] are visited, and
+    stopping early — by the find cap or the visit budget — truncates Ê
+    and counts once into the [subsets_enumeration_capped] metric.  A
+    visit tests the subset's mask with {!Signatures.inducible} and
+    allocates nothing. *)
+val enumerate :
+  Signatures.t -> max_size:int -> limit_per_set:int ->
+  (int -> int array -> unit) -> unit
 
-(** [candidate_paths model ~effective s] is [Paths(E) \ Paths(Ē)] — the
-    paths that traverse [s] but avoid its complement; all equations
-    "about" [s] use path sets drawn from this pool (Alg. 1, line 3). *)
-val candidate_paths :
-  Model.t -> effective:Tomo_util.Bitset.t -> t -> Tomo_util.Bitset.t
-
-(** [inducible model ~effective s] decides whether [s] can appear in an
-    equation at all: every link of [s] must be traversed by some path
-    avoiding the complement [Ē], otherwise no path set induces exactly
-    [s] on its correlation set. *)
-val inducible : Model.t -> effective:Tomo_util.Bitset.t -> t -> bool
-
-(** [enumerate table ~max_size ~limit_per_set] lists, per correlation
-    set of [table]'s model, the inducible potentially congested subsets
-    (over [table]'s effective links) of size [<= max_size] (at most
-    [limit_per_set] per correlation set), singletons first.  Subsets
-    are visited by size, then in lexicographic order; per correlation
-    set at most [limit_per_set * 4] are visited, and stopping early —
-    by the find cap or the visit budget — truncates Ê and counts once
-    into the [subsets_enumeration_capped] metric.  Each visit builds
-    the subset and tests it with {!inducible}: the generic path, which
-    works for a correlation set of any width. *)
-val enumerate : Signatures.t -> max_size:int -> limit_per_set:int -> t list
-
-(** [of_mask table ~corr mask] is the subset of set [corr] whose links
-    are the set bits of [mask] in {!Signatures}' format. *)
-val of_mask : Signatures.t -> corr:int -> int -> t
-
-(** [enumerate_masks table ~max_size ~limit_per_set f] is {!enumerate}
-    on the signature table: it visits the same subsets in the same
-    order under the same budget and find cap, counts the same
-    metrics, and calls [f corr mask] for each subset {!enumerate} lists,
-    in its order.  Each visit tests the subset's mask with
-    {!Signatures.inducible} and allocates nothing.
-    @raise Invalid_argument unless [table.fits]. *)
-val enumerate_masks :
-  Signatures.t -> max_size:int -> limit_per_set:int -> (int -> int -> unit) ->
-  unit
+(** [of_mask table ~corr mask i] is the subset of set [corr] whose links
+    are the set bits of the mask at [i] of [mask], in {!Signatures}'
+    format. *)
+val of_mask : Signatures.t -> corr:int -> int array -> int -> t

@@ -27,7 +27,7 @@ let subset_size_sweep ~scale ~seed ~sizes =
         ~attrs:[ ("max_subset_size", string_of_int size) ]
       @@ fun () ->
       let config =
-        { Tomo.Algorithm1.default_config with max_subset_size = size }
+        { Tomo.Algorithm1.max_subset_size = size }
       in
       let t0 = Obs.Clock.now () in
       let r, engine =

@@ -5,17 +5,22 @@
    every query finds the smallest registered variable containing the
    link, sweeps every witness pair keeping the first of fewest shared
    effective links, and scans the registry for quotient pairs.
-   [select] is Algorithm 1 with a grow phase that materializes each
-   variable's whole candidate list (every resolved path set among the
-   first 300 subsets of its pool, up to 8 paths) on the first visit,
-   built with the reference row builder [Eqn.row]; its seed basis comes
-   from the sorted-merge elimination in test/oracles (and every seed
-   checks that the library's seed elimination writes that basis bit for
-   bit), it orders the grow phase with Stdlib's [Array.sort], and it
-   reads the identifiable variables off the final basis itself.  The
-   library must agree with both bit for bit. *)
+   [select] is Algorithm 1 on the generic bit-set path
+   (test/oracles/bitset_path.ml): its registry, enumeration, seed pools
+   and rows come from the model's bit sets, not from the signature
+   table.  Its grow phase materializes each variable's whole candidate
+   list (every resolved path set among the first 300 subsets of its
+   pool, up to 8 paths) on the first visit and skips nothing; its seed
+   basis comes from the sorted-merge elimination in test/oracles (and
+   every seed checks that the library's seed elimination writes that
+   basis bit for bit), it orders the grow phase with Stdlib's
+   [Array.sort], and it reads the identifiable variables off the final
+   basis itself.  [heuristic] is the Correlation-heuristic pipeline with
+   its rows grown on the same path.  The library must agree with all of
+   them bit for bit. *)
 
 module Bitset = Tomo_util.Bitset
+module Bitset_path = Tomo_oracles.Bitset_path
 module Combin = Tomo_util.Combin
 module Dense = Tomo_oracles.Dense
 module Nullspace = Tomo_linalg.Nullspace
@@ -197,7 +202,7 @@ let materialize_candidates model ~effective registry ~pool =
        Combin.iter_combinations pool k (fun paths ->
            if !visited >= max_candidates then raise Exit;
            incr visited;
-           match Eqn.row model ~effective registry ~paths with
+           match Bitset_path.row model ~effective registry ~paths with
            | Some r -> acc := r :: !acc
            | None -> ())
      done
@@ -209,28 +214,29 @@ let materialize_candidates model ~effective registry ~pool =
    keeps. *)
 let seed ~config model obs =
   let effective = Subsets.effective_links model obs in
-  let registry = Eqn.registry () in
-  let (_ : int) = Eqn.register_single_path_vars model ~effective registry in
+  let registry = Bitset_path.registry () in
+  let (_ : int) =
+    Bitset_path.register_single_path_vars model ~effective registry
+  in
   let targets =
-    Subsets.enumerate
-      (Signatures.build model ~effective)
+    Bitset_path.enumerate model ~effective
       ~max_size:config.Algorithm1.max_subset_size ~limit_per_set
   in
-  List.iter (fun s -> ignore (Eqn.add registry s)) targets;
-  let n = Eqn.n_vars registry in
+  List.iter (fun s -> ignore (Bitset_path.add registry s)) targets;
+  let n = Bitset_path.n_vars registry in
   let seed_pools = Array.make n [||] in
   let seed_rows = ref [] in
-  for v = 0 to n - 1 do
-    let s = Eqn.subset_of_var registry v in
-    let pool = Subsets.candidate_paths model ~effective s in
-    if not (Bitset.is_empty pool) then begin
-      let paths = Array.of_list (Bitset.to_list pool) in
-      seed_pools.(v) <- paths;
-      match Eqn.row model ~effective registry ~paths with
-      | Some row -> seed_rows := row :: !seed_rows
-      | None -> ()
-    end
-  done;
+  Array.iteri
+    (fun v s ->
+      let pool = Bitset_path.candidate_paths model ~effective s in
+      if not (Bitset.is_empty pool) then begin
+        let paths = Array.of_list (Bitset.to_list pool) in
+        seed_pools.(v) <- paths;
+        match Bitset_path.row model ~effective registry ~paths with
+        | Some row -> seed_rows := row :: !seed_rows
+        | None -> ()
+      end)
+    (Bitset_path.subsets registry);
   let seed_rows = Array.of_list (List.rev !seed_rows) in
   let keep =
     Sparse_gauss.select_independent ~tol ~cols:n
@@ -241,11 +247,12 @@ let seed ~config model obs =
 
 let seed_system ?(config = Algorithm1.default_config) model obs =
   let _, registry, _, kept = seed ~config model obs in
-  (Eqn.n_vars registry, Array.of_list (List.map (fun r -> r.Eqn.vars) kept))
+  ( Bitset_path.n_vars registry,
+    Array.of_list (List.map (fun r -> r.Eqn.vars) kept) )
 
-let select ?(config = Algorithm1.default_config) model obs =
+let select ?(config = Algorithm1.default_config) ?witness_k model obs =
   let effective, registry, seed_pools, kept = seed ~config model obs in
-  let n = Eqn.n_vars registry in
+  let n = Bitset_path.n_vars registry in
   (* A variable is identifiable iff its row of the final basis is within
      1e-6 of zero in every column. *)
   let finish rows columns =
@@ -277,8 +284,7 @@ let select ?(config = Algorithm1.default_config) model obs =
         && Array.for_all2 (Array.for_all2 same_bits) seeded basis)
     then failwith "Reference.select: seed elimination differs from the oracle";
     let tracker =
-      Nullspace.of_columns ~tol ?witness_k:config.Algorithm1.witness_k ~nvars:n
-        basis
+      Nullspace.of_columns ~tol ?witness_k ~nvars:n basis
     in
     let rows = ref (List.rev kept) in
     let cands = Array.make n None and cursor = Array.make n 0 in
@@ -320,3 +326,53 @@ let select ?(config = Algorithm1.default_config) model obs =
     done;
     finish (Array.of_list (List.rev !rows)) (Nullspace.columns tracker)
   end
+
+(* ------------------------------------------------------------------ *)
+(* Correlation-heuristic on the bit-set path                           *)
+(* ------------------------------------------------------------------ *)
+
+(* {!Correlation_heuristic.compute} step for step, with the baseline
+   pool's rows grown on the generic path; the library registry the
+   solve needs is then filled with the same subsets in the same order.
+   The registry's subsets come back too, for the caller to compare. *)
+let heuristic model obs =
+  let effective = Subsets.effective_links model obs in
+  let oracle = Bitset_path.registry () in
+  let rows =
+    Array.of_list
+      (List.filter_map
+         (fun paths -> Bitset_path.row_grow model ~effective oracle ~paths)
+         (Array.to_list (Baseline_rows.pools model ~effective)))
+  in
+  let subsets = Bitset_path.subsets oracle in
+  let registry = Eqn.registry (Signatures.build model ~effective) in
+  Array.iter (fun s -> ignore (Eqn.add registry s)) subsets;
+  let tr = Nullspace.tracker (Array.length subsets) in
+  Array.iter (fun row -> ignore (Nullspace.add_incidence tr row.Eqn.vars)) rows;
+  let identifiable = Nullspace.determined tr in
+  let selection =
+    {
+      Algorithm1.model;
+      effective;
+      registry;
+      rows;
+      nullity = Nullspace.dim tr;
+      identifiable;
+      factor = None;
+      readout = Readout.build model ~effective registry ~identifiable;
+    }
+  in
+  let engine = Prob_engine.solve selection obs in
+  let marginals =
+    Array.init model.Model.n_links
+      (Prob_engine.link_marginal ~chain_split:false engine)
+  in
+  ( {
+      Pc_result.marginals;
+      identifiable = selection.Algorithm1.readout.Readout.link_identifiable;
+      effective;
+      n_vars = Array.length subsets;
+      n_rows = Array.length rows;
+    },
+    engine,
+    subsets )

@@ -9,6 +9,7 @@ module Model = Tomo.Model
 module Observations = Tomo.Observations
 module Subsets = Tomo.Subsets
 module Eqn = Tomo.Eqn
+module Signatures = Tomo.Signatures
 module Algorithm1 = Tomo.Algorithm1
 module Prob_engine = Tomo.Prob_engine
 module Independence_pc = Tomo.Independence_pc
@@ -704,36 +705,6 @@ let prop_selection_rows_well_formed =
           !sorted)
         sel.Algorithm1.rows)
 
-(* The witness prefilter is a pure short-circuit: across random
-   topologies, a selection with it on must be bit-identical to one with
-   it forced off — same rows (paths and variables), same registry size,
-   same identifiable flags and nullity. *)
-let prop_selection_witness_parity =
-  QCheck.Test.make
-    ~name:"Algorithm 1: witness-on selection ≡ witness-off (bit-identical)"
-    ~count:40 (QCheck.int_range 0 10_000) (fun seed ->
-      let rng = Rng.create (seed + 70_000) in
-      let model = random_model rng in
-      let obs = random_obs rng model ~t:60 in
-      let base = Algorithm1.select model obs in
-      let off =
-        Algorithm1.select
-          ~config:
-            { Algorithm1.default_config with Algorithm1.witness_k = Some 0 }
-          model obs
-      in
-      let rows_equal =
-        Array.length base.Algorithm1.rows = Array.length off.Algorithm1.rows
-        && Array.for_all2
-             (fun (a : Eqn.row) (b : Eqn.row) ->
-               a.Eqn.paths = b.Eqn.paths && a.Eqn.vars = b.Eqn.vars)
-             base.Algorithm1.rows off.Algorithm1.rows
-      in
-      rows_equal
-      && base.Algorithm1.identifiable = off.Algorithm1.identifiable
-      && base.Algorithm1.nullity = off.Algorithm1.nullity
-      && Eqn.n_vars base.Algorithm1.registry
-         = Eqn.n_vars off.Algorithm1.registry)
 
 let prop_selection_rank_consistent =
   QCheck.Test.make
@@ -925,14 +896,29 @@ let selections_equal (a : Algorithm1.selection) (b : Reference.selection) =
   && a.Algorithm1.identifiable = b.Reference.identifiable_vars
   && a.Algorithm1.nullity = b.Reference.nullity
 
+(* The witness prefilter is a pure short-circuit: across random
+   topologies, Algorithm 1 with it on must select bit for bit what the
+   reference selects with it forced off (the exact dependence test
+   alone) — same rows (paths and variables), identifiable flags and
+   nullity. *)
+let prop_selection_witness_parity =
+  QCheck.Test.make
+    ~name:"Algorithm 1: witness-on selection ≡ witness-off (bit-identical)"
+    ~count:40 (QCheck.int_range 0 10_000) (fun seed ->
+      let rng = Rng.create (seed + 70_000) in
+      let model = random_model rng in
+      let obs = random_obs rng model ~t:60 in
+      selections_equal
+        (Algorithm1.select model obs)
+        (Reference.select ~witness_k:0 model obs))
+
 let prop_grow_matches_reference =
   QCheck.Test.make
     ~name:"Algorithm 1 streamed grow ≡ materializing reference" ~count:150
     (QCheck.int_range 0 10_000) (fun seed ->
       let model, obs, rng = random_chain_case seed in
       let config =
-        { Algorithm1.default_config with
-          Algorithm1.max_subset_size = 1 + Rng.int rng 3 }
+        { Algorithm1.max_subset_size = 1 + Rng.int rng 3 }
       in
       selections_equal
         (Algorithm1.select ~config model obs)
@@ -1024,8 +1010,7 @@ let prop_seed_systems_match_sorted_merge =
     ~count:150 (QCheck.int_range 0 10_000) (fun seed ->
       let model, obs, rng = random_chain_case seed in
       let config =
-        { Algorithm1.default_config with
-          Algorithm1.max_subset_size = 1 + Rng.int rng 3 }
+        { Algorithm1.max_subset_size = 1 + Rng.int rng 3 }
       in
       let n, rows = Reference.seed_system ~config model obs in
       let r = Array.length rows in
@@ -1057,11 +1042,11 @@ let prop_grow_order_matches_array_sort =
       Algorithm1.sort_grow_order ~shift keys;
       Array.map fst pairs = Array.map (fun k -> k land ((1 lsl shift) - 1)) keys)
 
-(* A correlation set wider than a word: [Eqn.resolver] falls back to
-   [Eqn.row], and Algorithm 1 must still select exactly what the
-   reference selects.  70 links covered by the 2-link chain paths
-   [i; i+1], each congested in some interval, so every link is
-   potentially congested. *)
+(* A correlation set wider than a word: 70 links covered by the 2-link
+   chain paths [i; i+1], each congested in some interval, so every link
+   is potentially congested and a mask takes two words.  Algorithm 1
+   must select exactly what the reference, on the bit-set path,
+   selects. *)
 let wide_case () =
   let n = 70 and t = 12 in
   let model =
@@ -1082,17 +1067,19 @@ let wide_case () =
 
 let test_wide_set_selection () =
   let model, obs = wide_case () in
+  let effective = Subsets.effective_links model obs in
+  check_int "two-word masks" 2
+    (Signatures.build model ~effective).Signatures.words;
   let sel = Algorithm1.select model obs in
-  check_bool "wider than a word" true (model.Model.n_links > Sys.int_size);
   check_bool "rows selected" true (Array.length sel.Algorithm1.rows > 0);
   check_bool "selection ≡ reference" true
     (selections_equal sel (Reference.select model obs))
 
 (* ------------------------------------------------------------------ *)
-(* The signature table against the generic bit-set functions           *)
+(* The signature table against the generic bit-set path                *)
 (* ------------------------------------------------------------------ *)
 
-module Signatures = Tomo.Signatures
+module Bitset_path = Tomo_oracles.Bitset_path
 
 (* Random models shaped for the signature table: interchangeable paths
    (exact duplicates, and copies that also run the certified-good link
@@ -1187,6 +1174,62 @@ let counted names f =
           (fun n -> Tomo_obs.Metrics.(counter_value (counter n)))
           names ))
 
+(* Random models with one correlation set of 64-100 links, so that its
+   masks take two words once at least 64 of them are effective:
+   backbone paths cover the set in stretches, short paths of 1-3 links
+   sit mostly past the first word, a small second set rides along, and
+   some paths are duplicated.  Links congest often, so a short path is
+   rarely always good; the few paths keep the reference's materializing
+   grow quick. *)
+let random_wide_case seed =
+  let rng = Rng.create (seed + 260_000) in
+  let n_wide = 64 + Rng.int rng 37 and n_small = 2 + Rng.int rng 4 in
+  let n_links = n_wide + n_small in
+  let corr_sets =
+    [| Array.init n_wide Fun.id; Array.init n_small (fun i -> n_wide + i) |]
+  in
+  let small_link () = n_wide + Rng.int rng n_small in
+  let n_stretches = 4 + Rng.int rng 3 in
+  let backbone =
+    List.init n_stretches (fun i ->
+        let lo = i * n_wide / n_stretches
+        and hi = (i + 1) * n_wide / n_stretches in
+        List.init (hi - lo) (fun k -> lo + k)
+        @ if Rng.bool rng ~p:0.5 then [ small_link () ] else [])
+  in
+  let short =
+    List.init
+      (3 + Rng.int rng 4)
+      (fun _ ->
+        let start =
+          if Rng.bool rng ~p:0.7 then 55 + Rng.int rng (n_wide - 57)
+          else Rng.int rng (n_wide - 2)
+        in
+        List.init (1 + Rng.int rng 3) (fun k -> start + k)
+        @ if Rng.bool rng ~p:0.2 then [ small_link () ] else [])
+  in
+  let base = backbone @ short in
+  let copies = List.filter (fun _ -> Rng.bool rng ~p:0.2) base in
+  let paths = Array.of_list (List.map Array.of_list (base @ copies)) in
+  Rng.shuffle rng paths;
+  let model = Model.make ~n_links ~paths ~corr_sets in
+  let t = 30 + Rng.int rng 30 in
+  let link_p = Array.init n_links (fun _ -> 0.1 +. Rng.float rng 0.3) in
+  let path_good = Array.map (fun _ -> Bitset.create t) paths in
+  for i = 0 to t - 1 do
+    let congested = Array.map (fun p -> Rng.bool rng ~p) link_p in
+    Array.iteri
+      (fun p links ->
+        if not (Array.exists (fun e -> congested.(e)) links) then
+          Bitset.set path_good.(p) i)
+      paths
+  done;
+  (model, Observations.make ~t_intervals:t ~path_good, rng)
+
+(* Every fourth case is a wide one. *)
+let signature_case seed =
+  if seed mod 4 = 3 then random_wide_case seed else random_signature_case seed
+
 let enumeration_counters =
   [
     "subsets_enumerated";
@@ -1196,77 +1239,85 @@ let enumeration_counters =
 
 let mask_enumeration table ~max_size ~limit_per_set =
   let acc = ref [] in
-  Subsets.enumerate_masks table ~max_size ~limit_per_set (fun corr m ->
-      acc := Subsets.of_mask table ~corr m :: !acc);
+  Subsets.enumerate table ~max_size ~limit_per_set (fun corr m ->
+      acc := Subsets.of_mask table ~corr m 0 :: !acc);
   List.rev !acc
 
 let prop_signature_enumeration =
   QCheck.Test.make
-    ~name:"signature enumeration ≡ Subsets.enumerate (list and counters)"
+    ~name:"Subsets.enumerate ≡ bit-set oracle (list and counters)"
     ~count:300 (QCheck.int_range 0 10_000) (fun seed ->
-      let model, obs, rng = random_signature_case seed in
+      let model, obs, rng = signature_case seed in
       let effective = Subsets.effective_links model obs in
       let table = Signatures.build model ~effective in
-      let max_size = 1 + Rng.int rng 4 and limit_per_set = 1 + Rng.int rng 6 in
-      let generic, c_generic =
+      let max_size = 1 + Rng.int rng 4 in
+      let limit_per_set =
+        if Rng.bool rng ~p:0.3 then 500 else 1 + Rng.int rng 6
+      in
+      let oracle, c_oracle =
         counted enumeration_counters (fun () ->
-            Subsets.enumerate table ~max_size ~limit_per_set)
+            Bitset_path.enumerate model ~effective ~max_size ~limit_per_set)
       and masks, c_masks =
         counted enumeration_counters (fun () ->
             mask_enumeration table ~max_size ~limit_per_set)
       in
-      table.Signatures.fits
-      && List.equal Subsets.equal generic masks
-      && c_generic = c_masks)
+      List.equal Subsets.equal oracle masks && c_oracle = c_masks)
 
-(* Ê registered both ways, in the same order; then every seed pool and
-   resolved row against the generic functions over the same registry. *)
+(* Ê registered both ways, in the same order; then every lookup, seed
+   pool and resolved row against the generic path's. *)
 let prop_signature_registry_pools_rows =
   QCheck.Test.make
     ~name:"signature registry, pools and resolver ≡ generic functions"
     ~count:300 (QCheck.int_range 0 10_000) (fun seed ->
-      let model, obs, rng = random_signature_case seed in
+      let model, obs, rng = signature_case seed in
       let effective = Subsets.effective_links model obs in
       let table = Signatures.build model ~effective in
       let max_size = 1 + Rng.int rng 3 and limit_per_set = 500 in
-      let generic = Eqn.registry () in
-      ignore (Eqn.register_single_path_vars model ~effective generic);
+      let oracle = Bitset_path.registry () in
+      ignore (Bitset_path.register_single_path_vars model ~effective oracle);
       List.iter
-        (fun s -> ignore (Eqn.add generic s))
-        (Subsets.enumerate table ~max_size ~limit_per_set);
-      let reg = Eqn.registry () in
-      let ix = Eqn.index table reg in
-      Eqn.register_single_path_masks ix;
-      Subsets.enumerate_masks table ~max_size ~limit_per_set (fun corr m ->
-          ignore (Eqn.add_mask ix ~corr m));
-      let n = Eqn.n_vars reg in
-      let vars = List.init n Fun.id in
-      let rz = Eqn.resolver ix in
-      (* and a resolver over the generic registry, indexed after the fact *)
-      let rz_generic = Eqn.resolver (Eqn.index table generic) in
+        (fun s -> ignore (Bitset_path.add oracle s))
+        (Bitset_path.enumerate model ~effective ~max_size ~limit_per_set);
+      let reg = Eqn.registry table in
+      Eqn.register_single_path_masks reg;
+      Subsets.enumerate table ~max_size ~limit_per_set (fun corr m ->
+          ignore (Eqn.add_mask reg ~corr m 0));
+      let subsets = Bitset_path.subsets oracle in
+      let vars = List.init (Array.length subsets) Fun.id in
+      let rz = Eqn.resolver reg in
       let resolves paths =
-        Eqn.row_fast rz ~paths = Eqn.row model ~effective reg ~paths
-        && Eqn.row_fast rz_generic ~paths
-           = Eqn.row model ~effective generic ~paths
+        Eqn.row_fast rz ~paths = Bitset_path.row model ~effective oracle ~paths
       in
       let n_paths = model.Model.n_paths in
-      n = Eqn.n_vars generic
+      (* A link outside the effective set is in no variable. *)
+      let outside =
+        List.filter
+          (fun e -> not (Bitset.get effective e))
+          (List.init model.Model.n_links Fun.id)
+      in
+      Eqn.n_vars reg = Array.length subsets
       && List.for_all
            (fun v ->
-             Subsets.equal (Eqn.subset_of_var reg v)
-               (Eqn.subset_of_var generic v))
-           vars
-      && List.for_all
-           (fun v ->
-             let s = Eqn.subset_of_var reg v in
+             let s = subsets.(v) in
+             Subsets.equal (Eqn.subset_of_var reg v) s
+             && Eqn.find reg s = Some v
+             &&
              let pool =
-               Signatures.pool table ~corr:s.Subsets.corr (Eqn.mask_of_var ix v)
+               Signatures.pool table ~corr:s.Subsets.corr
+                 (Eqn.mask_of_var reg v) 0
              in
              pool
              = Array.of_list
-                 (Bitset.to_list (Subsets.candidate_paths model ~effective s))
+                 (Bitset.to_list
+                    (Bitset_path.candidate_paths model ~effective s))
              && (pool = [||] || resolves pool))
            vars
+      && List.for_all
+           (fun e ->
+             Eqn.find reg
+               (Subsets.make model ~corr:model.Model.corr_of_link.(e) [| e |])
+             = None)
+           outside
       && List.for_all
            (fun _ ->
              resolves
@@ -1278,24 +1329,49 @@ let prop_signature_select =
   QCheck.Test.make
     ~name:"Algorithm 1 on the signature table ≡ reference (bitwise)"
     ~count:300 (QCheck.int_range 0 10_000) (fun seed ->
-      let model, obs, rng = random_signature_case seed in
-      let config =
-        { Algorithm1.default_config with
-          Algorithm1.max_subset_size = 1 + Rng.int rng 3 }
-      in
+      let model, obs, rng = signature_case seed in
+      let config = { Algorithm1.max_subset_size = 1 + Rng.int rng 3 } in
       selections_equal
         (Algorithm1.select ~config model obs)
         (Reference.select ~config model obs))
 
+(* The heuristic grows its registry row by row from the table; the same
+   pipeline with its rows grown on the generic path must give the same
+   registry, rows, flags and marginals. *)
+let prop_heuristic_matches_oracle =
+  QCheck.Test.make
+    ~name:"Correlation-heuristic ≡ its pipeline on the bit-set path (bitwise)"
+    ~count:150 (QCheck.int_range 0 10_000) (fun seed ->
+      let model, obs, _ = signature_case seed in
+      let r, eng = Correlation_heuristic.compute model obs in
+      let r', eng', subsets = Reference.heuristic model obs in
+      let sel = eng.Prob_engine.selection
+      and sel' = eng'.Prob_engine.selection in
+      let reg = sel.Algorithm1.registry in
+      Eqn.n_vars reg = Array.length subsets
+      && List.for_all
+           (fun v -> Subsets.equal (Eqn.subset_of_var reg v) subsets.(v))
+           (List.init (Array.length subsets) Fun.id)
+      && Array.length sel.Algorithm1.rows = Array.length sel'.Algorithm1.rows
+      && Array.for_all2
+           (fun (x : Eqn.row) (y : Eqn.row) ->
+             x.Eqn.paths = y.Eqn.paths && x.Eqn.vars = y.Eqn.vars)
+           sel.Algorithm1.rows sel'.Algorithm1.rows
+      && sel.Algorithm1.identifiable = sel'.Algorithm1.identifiable
+      && Array.for_all2 same_bits r.Pc_result.marginals r'.Pc_result.marginals
+      && r.Pc_result.identifiable = r'.Pc_result.identifiable)
+
 (* The properties above only bite where their cases reach: over the
-   generator's first seeds, paths must be interchangeable, the grow must
-   skip, the find cap or the visit budget must truncate an enumeration,
-   and some set must have sizes the identifiability analysis proves
-   empty (its prunable size slots, read off the same signatures). *)
+   generator's first seeds, tables must take two words, paths must be
+   interchangeable, the grow must skip (on two-word tables too), the
+   find cap or the visit budget must truncate an enumeration, and some
+   set must have sizes the identifiability analysis proves empty (its
+   prunable size slots, read off the same signatures). *)
 let test_signature_cases_exercised () =
+  let wide = ref 0 and wide_skips = ref 0 in
   let classes = ref 0 and skips = ref 0 and capped = ref 0 and pruned = ref 0 in
   for seed = 0 to 199 do
-    let model, obs, _ = random_signature_case seed in
+    let model, obs, _ = signature_case seed in
     let effective = Subsets.effective_links model obs in
     let table = Signatures.build model ~effective in
     Array.iteri (fun p r -> if r <> p then incr classes) table.Signatures.rep;
@@ -1304,6 +1380,10 @@ let test_signature_cases_exercised () =
           Algorithm1.select model obs)
     in
     skips := !skips + List.hd c;
+    if table.Signatures.words = 2 then begin
+      incr wide;
+      wide_skips := !wide_skips + List.hd c
+    end;
     let _, c =
       counted enumeration_counters (fun () ->
           mask_enumeration table ~max_size:3 ~limit_per_set:2)
@@ -1314,30 +1394,18 @@ let test_signature_cases_exercised () =
         pruned := !pruned + s.Tomo.Identifiability.pruned_sizes)
       (Tomo.Identifiability.analyze model ~effective).Tomo.Identifiability.corr
   done;
+  check_bool (Printf.sprintf "two-word tables (%d of 200)" !wide) true
+    (!wide >= 25);
   List.iter
     (fun (what, n) ->
       check_bool (Printf.sprintf "%s (%d)" what n) true (n > 0))
     [
       ("interchangeable paths", !classes);
       ("grow skips", !skips);
+      ("grow skips on two-word tables", !wide_skips);
       ("truncated enumerations", !capped);
       ("prunable size slots", !pruned);
     ]
-
-(* A set wider than a word: no masks, so Algorithm 1 runs the generic
-   path, skips nothing, and still selects what the reference selects. *)
-let test_wide_set_generic_path () =
-  let model, obs = wide_case () in
-  let effective = Subsets.effective_links model obs in
-  check_bool "table does not fit" false
-    (Signatures.build model ~effective).Signatures.fits;
-  let sel, c =
-    counted [ "alg1_interchangeable_skips" ] (fun () ->
-        Algorithm1.select model obs)
-  in
-  check_int "no skips" 0 (List.hd c);
-  check_bool "selection ≡ reference" true
-    (selections_equal sel (Reference.select model obs))
 
 (* ------------------------------------------------------------------ *)
 (* Noise-free exactness against the simulator's closed form            *)
@@ -1628,10 +1696,9 @@ let () =
           qc prop_signature_enumeration;
           qc prop_signature_registry_pools_rows;
           qc prop_signature_select;
+          qc prop_heuristic_matches_oracle;
           Alcotest.test_case "skips, caps and prunes exercised" `Quick
             test_signature_cases_exercised;
-          Alcotest.test_case "70-link set takes the generic path" `Quick
-            test_wide_set_generic_path;
         ] );
       ( "exactness",
         [

@@ -6,8 +6,10 @@ module Bitset = Tomo_util.Bitset
 module Model = Tomo.Model
 module Observations = Tomo.Observations
 module Subsets = Tomo.Subsets
+module Signatures = Tomo.Signatures
 module Eqn = Tomo.Eqn
 module Toy = Tomo.Toy
+module Bitset_path = Tomo_oracles.Bitset_path
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -52,16 +54,18 @@ let test_model_coverage_links () =
 
 let test_model_identifiability () =
   (* Condition 1 holds in the toy topology: link path-sets all differ. *)
-  let m = Toy.case1 () in
-  check_bool "toy satisfies Condition 1" true
-    (Model.identifiability m = None);
+  let classes m =
+    Tomo.Identifiability.ambiguity_classes m
+      ~effective:(Tomo.Identifiability.covered_links m)
+  in
+  check_int "toy satisfies Condition 1" 0 (Array.length (classes (Toy.case1 ())));
   (* Two links in series on the same single path violate it. *)
   let m2 =
     Model.make ~n_links:2 ~paths:[| [| 0; 1 |] |] ~corr_sets:[| [| 0; 1 |] |]
   in
-  match Model.identifiability m2 with
-  | Some (0, 1) -> ()
-  | _ -> Alcotest.fail "expected violating pair (0,1)"
+  match classes m2 with
+  | [| c |] -> check_ints "violating pair" [ 0; 1 ] (Array.to_list c.links)
+  | _ -> Alcotest.fail "expected one class, the pair (0,1)"
 
 let test_model_validation () =
   Alcotest.check_raises "non-partition rejected"
@@ -214,9 +218,24 @@ let test_obs_interval_views () =
 (* Subsets                                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* The generic enumeration over a fresh signature table. *)
-let enumerate m ~effective =
-  Subsets.enumerate (Tomo.Signatures.build m ~effective)
+(* The enumeration over a fresh signature table, as a list. *)
+let enumerate m ~effective ~max_size ~limit_per_set =
+  let table = Signatures.build m ~effective in
+  let acc = ref [] in
+  Subsets.enumerate table ~max_size ~limit_per_set (fun corr mask ->
+      acc := Subsets.of_mask table ~corr mask 0 :: !acc);
+  List.rev !acc
+
+(* [links]' mask on [table], in its format. *)
+let mask_of (table : Signatures.t) links =
+  let mask = Array.make table.Signatures.words 0 in
+  Array.iter
+    (fun e ->
+      let i = table.Signatures.link_pos.(e) in
+      let j = table.Signatures.pos_word.(i) in
+      mask.(j) <- mask.(j) lor table.Signatures.pos_bit.(i))
+    links;
+  mask
 
 let test_effective_links () =
   (* §5.2 example: "suppose path p3 is always good, whereas the other two
@@ -250,7 +269,7 @@ let test_complement () =
   let eff = all_effective m in
   let comp links corr =
     Array.to_list
-      (Subsets.complement m ~effective:eff (Subsets.make m ~corr links))
+      (Bitset_path.complement m ~effective:eff (Subsets.make m ~corr links))
   in
   check_ints "complement of {e2}" [ e3 ] (comp [| e2 |] 1);
   check_ints "complement of {e3}" [ e2 ] (comp [| e3 |] 1);
@@ -258,12 +277,20 @@ let test_complement () =
   check_ints "complement of {e2,e3}" [] (comp [| e2; e3 |] 1)
 
 let test_candidate_paths_table () =
-  (* The Paths(E) \ Paths(Ē) table of the Algorithm 1 walkthrough. *)
+  (* The Paths(E) \ Paths(Ē) table of the Algorithm 1 walkthrough, read
+     off the signature table and the bit-set path alike. *)
   let m = Toy.case1 () in
   let eff = all_effective m in
+  let table = Signatures.build m ~effective:eff in
   let pool links corr =
-    Bitset.to_list
-      (Subsets.candidate_paths m ~effective:eff (Subsets.make m ~corr links))
+    let oracle =
+      Bitset.to_list
+        (Bitset_path.candidate_paths m ~effective:eff
+           (Subsets.make m ~corr links))
+    in
+    check_ints "table ≡ bit-set path" oracle
+      (Array.to_list (Signatures.pool table ~corr (mask_of table links) 0));
+    oracle
   in
   check_ints "{e1} -> {p1,p2}" [ p1; p2 ] (pool [| e1 |] 0);
   check_ints "{e2} -> {p1}" [ p1 ] (pool [| e2 |] 1);
@@ -272,10 +299,19 @@ let test_candidate_paths_table () =
   check_ints "{e2,e3} -> {p1,p2,p3}" [ p1; p2; p3 ] (pool [| e2; e3 |] 1)
 
 let test_inducible () =
-  let m = Toy.case2 () in
-  let eff = all_effective m in
+  (* The signature table and the bit-set path must agree. *)
+  let inducible m ~corr links =
+    let effective = all_effective m in
+    let table = Signatures.build m ~effective in
+    let oracle =
+      Bitset_path.inducible m ~effective (Subsets.make m ~corr links)
+    in
+    check_bool "table ≡ bit-set path" oracle
+      (Signatures.inducible table ~corr (mask_of table links) 0);
+    oracle
+  in
   check_bool "{e1,e4} inducible in Case 2" true
-    (Subsets.inducible m ~effective:eff (Subsets.make m ~corr:0 [| e1; e4 |]));
+    (inducible (Toy.case2 ()) ~corr:0 [| e1; e4 |]);
   (* A chain: every path through link a also crosses link b of the same
      correlation set => {a} alone can never be induced. *)
   let chain =
@@ -283,13 +319,9 @@ let test_inducible () =
       ~paths:[| [| 0; 1 |]; [| 1 |] |]
       ~corr_sets:[| [| 0; 1 |] |]
   in
-  let eff2 = all_effective chain in
   check_bool "chained singleton not inducible" false
-    (Subsets.inducible chain ~effective:eff2
-       (Subsets.make chain ~corr:0 [| 0 |]));
-  check_bool "chain pair inducible" true
-    (Subsets.inducible chain ~effective:eff2
-       (Subsets.make chain ~corr:0 [| 0; 1 |]))
+    (inducible chain ~corr:0 [| 0 |]);
+  check_bool "chain pair inducible" true (inducible chain ~corr:0 [| 0; 1 |])
 
 let test_enumerate_case1 () =
   (* With everything potentially congested, Case 1's subsets are exactly
@@ -342,14 +374,14 @@ let test_enumerate_budget_cap () =
   (* A 6-link chain covered by one path: nothing of size <= 3 is
      inducible, and the visit budget (limit_per_set * 4 = 4) runs out
      during size 1 with subsets left — the truncation the old code
-     forgot to count.  Both enumerations, the generic one and the one on
-     the signature masks, visit those 4 subsets and count it once. *)
+     forgot to count.  Both enumerations, the one on the signature masks
+     and the bit-set oracle, visit those 4 subsets and count it once. *)
   let m =
     Model.make ~n_links:6
       ~paths:[| [| 0; 1; 2; 3; 4; 5 |] |]
       ~corr_sets:[| [| 0; 1; 2; 3; 4; 5 |] |]
   in
-  let table = Tomo.Signatures.build m ~effective:(all_effective m) in
+  let effective = all_effective m in
   List.iter
     (fun (tag, enumerate) ->
       with_metrics (fun () ->
@@ -361,16 +393,14 @@ let test_enumerate_budget_cap () =
           check_int (tag ^ ": budget spent") 4
             (counter "combin_subsets_visited")))
     [
-      ( "generic",
-        fun () ->
-          List.length (Subsets.enumerate table ~max_size:3 ~limit_per_set:1)
-      );
       ( "masks",
         fun () ->
-          let n = ref 0 in
-          Subsets.enumerate_masks table ~max_size:3 ~limit_per_set:1
-            (fun _ _ -> incr n);
-          !n );
+          List.length (enumerate m ~effective ~max_size:3 ~limit_per_set:1) );
+      ( "bit-set oracle",
+        fun () ->
+          List.length
+            (Bitset_path.enumerate m ~effective ~max_size:3 ~limit_per_set:1)
+      );
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -434,7 +464,7 @@ let prop_complement_matches_list =
                        Bitset.get eff e && not (List.mem e subset))
               in
               if
-                Array.to_list (Subsets.complement m ~effective:eff s)
+                Array.to_list (Bitset_path.complement m ~effective:eff s)
                 <> reference
               then ok := false
             end)
@@ -467,13 +497,24 @@ let test_subset_canonicalization () =
 
 let test_induced_subsets_fig2b () =
   (* Fig. 2(b): the equation for {p1,p2} involves P(Xe1=0) and
-     P(Xe2=0,Xe3=0); for {p2,p3}: P(Xe1=0), P(Xe3=0), P(Xe4=0). *)
+     P(Xe2=0,Xe3=0); for {p2,p3}: P(Xe1=0), P(Xe3=0), P(Xe4=0).  A
+     growing row registers exactly those subsets, in the bit-set path's
+     order. *)
   let m = Toy.case1 () in
   let eff = all_effective m in
   let induced paths =
-    Eqn.induced_subsets m ~effective:eff
-      ~links:(Model.links_of_paths m paths)
-    |> sorted_subsets
+    let oracle =
+      Bitset_path.induced_subsets m ~effective:eff
+        ~links:(Model.links_of_paths m paths)
+    in
+    let reg = Eqn.registry (Signatures.build m ~effective:eff) in
+    (match Eqn.row_grow (Eqn.resolver reg) ~paths with
+    | Some r ->
+        Alcotest.(check (list subset))
+          "registered in the bit-set path's order" oracle
+          (List.init (Array.length r.Eqn.vars) (Eqn.subset_of_var reg))
+    | None -> Alcotest.fail "row_grow must succeed");
+    sorted_subsets oracle
   in
   let s corr links = Subsets.make m ~corr links in
   Alcotest.(check (list subset))
@@ -492,18 +533,19 @@ let test_induced_subsets_fig2b () =
 let test_row_frozen_vs_grow () =
   let m = Toy.case1 () in
   let eff = all_effective m in
-  let reg = Eqn.registry () in
+  let reg = Eqn.registry (Signatures.build m ~effective:eff) in
+  let rz = Eqn.resolver reg in
   (* Frozen lookup on an empty registry fails... *)
-  (match Eqn.row m ~effective:eff reg ~paths:[| p1 |] with
+  (match Eqn.row_fast rz ~paths:[| p1 |] with
   | None -> ()
   | Some _ -> Alcotest.fail "row should be unrepresentable");
   (* ...growing registers {e1} and {e2}. *)
-  (match Eqn.row_grow m ~effective:eff reg ~paths:[| p1 |] with
+  (match Eqn.row_grow rz ~paths:[| p1 |] with
   | Some r -> check_int "two vars" 2 (Array.length r.Eqn.vars)
   | None -> Alcotest.fail "row_grow must succeed");
   check_int "registry grew" 2 (Eqn.n_vars reg);
   (* Now the frozen lookup succeeds too. *)
-  match Eqn.row m ~effective:eff reg ~paths:[| p1 |] with
+  match Eqn.row_fast rz ~paths:[| p1 |] with
   | Some r -> check_int "same two vars" 2 (Array.length r.Eqn.vars)
   | None -> Alcotest.fail "row must now be representable"
 
@@ -511,27 +553,44 @@ let test_row_no_effective_links () =
   let m = Toy.case1 () in
   let eff = Bitset.create 4 in
   (* nothing effective *)
-  let reg = Eqn.registry () in
-  match Eqn.row_grow m ~effective:eff reg ~paths:[| p1 |] with
+  let reg = Eqn.registry (Signatures.build m ~effective:eff) in
+  match Eqn.row_grow (Eqn.resolver reg) ~paths:[| p1 |] with
   | None -> ()
   | Some _ -> Alcotest.fail "no effective links => no row"
 
 let test_register_single_path_vars () =
   let m = Toy.case1 () in
   let eff = all_effective m in
-  let reg = Eqn.registry () in
-  let added = Eqn.register_single_path_vars m ~effective:eff reg in
-  (* p1: {e1},{e2}; p2: {e1},{e3}; p3: {e3},{e4} -> 4 distinct vars. *)
-  check_int "4 single-path vars" 4 added;
-  check_int "registry size" 4 (Eqn.n_vars reg)
+  let reg = Eqn.registry (Signatures.build m ~effective:eff) in
+  Eqn.register_single_path_masks reg;
+  (* p1: {e1},{e2}; p2: {e1},{e3}; p3: {e3},{e4} -> 4 distinct vars, in
+     the bit-set path's order. *)
+  check_int "4 single-path vars" 4 (Eqn.n_vars reg);
+  let oracle = Bitset_path.registry () in
+  check_int "bit-set path: 4 vars" 4
+    (Bitset_path.register_single_path_vars m ~effective:eff oracle);
+  Alcotest.(check (list subset))
+    "same order"
+    (Array.to_list (Bitset_path.subsets oracle))
+    (List.init 4 (Eqn.subset_of_var reg))
 
 let test_registry_roundtrip () =
   let m = Toy.case1 () in
-  let reg = Eqn.registry () in
+  let eff = all_effective m in
+  Bitset.clear eff e4;
+  let reg = Eqn.registry (Signatures.build m ~effective:eff) in
   let s = Subsets.make m ~corr:1 [| e2; e3 |] in
   let v = Eqn.add reg s in
   check_int "stable id" v (Eqn.add reg s);
+  check_bool "found" true (Eqn.find reg s = Some v);
   check_bool "roundtrip" true (Subsets.equal s (Eqn.subset_of_var reg v));
+  check_bool "other subset absent" true
+    (Eqn.find reg (Subsets.make m ~corr:1 [| e2 |]) = None);
+  let uneffective = Subsets.make m ~corr:2 [| e4 |] in
+  check_bool "non-effective subset absent" true (Eqn.find reg uneffective = None);
+  Alcotest.check_raises "non-effective subset refused"
+    (Invalid_argument "Eqn.add: a link outside the effective set") (fun () ->
+      ignore (Eqn.add reg uneffective));
   Alcotest.check_raises "unknown var"
     (Invalid_argument "Eqn.subset_of_var: unknown variable") (fun () ->
       ignore (Eqn.subset_of_var reg 99))

@@ -5,9 +5,10 @@
    per-correlation-set existence/counts of inducible subsets via the
    union-closure of path signatures.  Both have obvious O(2^n) oracles
    on small random topologies: group links by their literal path sets,
-   and test [Subsets.inducible] on every combination.  The properties
-   here pin the closure to those oracles; the fixed cases below reach
-   its fallbacks (a set wider than a word, a capped node budget). *)
+   and test every combination with the bit-set oracle's [inducible].
+   The properties here pin the closure to those oracles; the fixed cases
+   below pin it on a set wider than a word and under a capped node
+   budget. *)
 
 module Bitset = Tomo_util.Bitset
 module Combin = Tomo_util.Combin
@@ -16,6 +17,7 @@ module Model = Tomo.Model
 module Subsets = Tomo.Subsets
 module Identifiability = Tomo.Identifiability
 module Signatures = Tomo.Signatures
+module Bitset_path = Tomo_oracles.Bitset_path
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -66,7 +68,7 @@ let brute_counts m ~effective ~corr ~max_size =
       List.length
         (List.filter
            (fun ls ->
-             Subsets.inducible m ~effective (Subsets.make m ~corr ls))
+             Bitset_path.inducible m ~effective (Subsets.make m ~corr ls))
            (Combin.combinations links k)))
 
 (* On models this small the union-closure never hits its node budget, so
@@ -170,7 +172,7 @@ let prop_max_identifiable_size_sound =
                   (fun k ->
                     List.filter
                       (fun ls ->
-                        Subsets.inducible m ~effective:eff
+                        Bitset_path.inducible m ~effective:eff
                           (Subsets.make m ~corr:s.Identifiability.corr ls))
                       (Combin.combinations links k))
                   (List.init k_max (fun i -> i + 1))
@@ -184,53 +186,91 @@ let prop_max_identifiable_size_sound =
               = List.length coverages)
         t.Identifiability.corr)
 
-(* The word-size fallbacks.  A correlation set wider than [Sys.int_size]
-   links cannot be masked, so the analysis falls back to the
-   minimum-signature bound (no exact counts) and [Eqn.resolver]
-   delegates to [Eqn.row].  Here 70 links are covered by the 2-link
-   chain paths [i; i+1]: every signature has 2 links, so no singleton is
-   inducible, size 1 is the one prunable slot, and the generic
-   enumeration lists no singleton. *)
-let test_wide_set_fallbacks () =
-  let n = 70 in
-  check_bool "wider than a word" true (n > Sys.int_size);
+(* Largest [k <= max_size] (and at most the set's size) such that the
+   inducible subsets of size [<= k] have pairwise-distinct path
+   coverage, by brute force. *)
+let brute_max_identifiable m ~effective ~corr ~max_size =
+  let links = effective_corr_set m ~effective corr in
+  let distinct k =
+    let coverages =
+      List.concat_map
+        (fun size ->
+          List.filter_map
+            (fun ls ->
+              if Bitset_path.inducible m ~effective (Subsets.make m ~corr ls)
+              then Some (Bitset.to_list (Model.paths_of_links m ls))
+              else None)
+            (Combin.combinations links size))
+        (List.init k (fun i -> i + 1))
+    in
+    List.length (List.sort_uniq compare coverages) = List.length coverages
+  in
+  let k = ref 0 in
+  while !k < min max_size (Array.length links) && distinct (!k + 1) do
+    incr k
+  done;
+  !k
+
+(* A correlation set wider than a word: 70 links covered by the 2-link
+   chain paths [i; i+1], so masks take two words.  Every signature has 2
+   links: no singleton is inducible, size 1 is the one prunable slot,
+   and the closure counts the 69 signatures and the 68 unions of
+   neighbours exactly, as brute force does.  The enumeration lists no
+   singleton, and the table's rows equal the bit-set path's. *)
+let test_wide_set_exact () =
+  let n = 70 and max_size = 3 in
   let m =
     Model.make ~n_links:n
       ~paths:(Array.init (n - 1) (fun i -> [| i; i + 1 |]))
       ~corr_sets:[| Array.init n Fun.id |]
   in
   let eff = Identifiability.covered_links m in
-  let t = Identifiability.analyze ~max_size:3 m ~effective:eff in
+  let table = Signatures.build m ~effective:eff in
+  check_int "two-word masks" 2 table.Signatures.words;
+  let t = Identifiability.analyze ~max_size m ~effective:eff in
   let s = t.Identifiability.corr.(0) in
   check_int "smallest signature" 2 s.Identifiability.min_signature;
-  check_int "size 1 proven empty, sizes 2 and 3 not ruled out" 1
+  check_int "distinct signatures" 69 s.Identifiability.n_signatures;
+  check_int "size 1 proven empty, sizes 2 and 3 not" 1
     s.Identifiability.pruned_sizes;
-  check_bool "no exact counts" true
-    (s.Identifiability.inducible_by_size = None);
-  check_bool "no identifiable-size bound" true
-    (s.Identifiability.max_identifiable_size = None);
-  let table = Signatures.build m ~effective:eff in
+  Alcotest.(check (option (array int)))
+    "exact counts" (Some [| 0; 69; 68 |])
+    s.Identifiability.inducible_by_size;
+  Alcotest.(check (option (array int)))
+    "counts ≡ brute force"
+    (Some (brute_counts m ~effective:eff ~corr:0 ~max_size))
+    s.Identifiability.inducible_by_size;
+  Alcotest.(check (option int))
+    "identifiable-size bound" (Some 2) s.Identifiability.max_identifiable_size;
+  Alcotest.(check (option int))
+    "identifiable-size bound ≡ brute force"
+    (Some (brute_max_identifiable m ~effective:eff ~corr:0 ~max_size))
+    s.Identifiability.max_identifiable_size;
   List.iter
     (fun limit_per_set ->
-      let subsets = Subsets.enumerate table ~max_size:3 ~limit_per_set in
+      let sizes = ref [] in
+      Subsets.enumerate table ~max_size ~limit_per_set (fun _ mask ->
+          sizes := Signatures.popcount mask 0 2 :: !sizes);
       check_bool
         (Printf.sprintf "limit %d: no singleton listed" limit_per_set)
         true
-        (List.for_all (fun s -> Array.length s.Subsets.links >= 2) subsets))
+        (List.for_all (fun k -> k >= 2) !sizes))
     [ 1; 5; 500 ];
   (* Register every single-path subset and, for even [i], the 3-link
-     subset of the pair [i], [i+1], so pair rows resolve both ways. *)
-  let reg = Tomo.Eqn.registry () in
-  ignore (Tomo.Eqn.register_single_path_vars m ~effective:eff reg);
+     subset of the pair [i], [i+1], both ways, so pair rows resolve in
+     both registries for even [i] and in neither for odd [i]. *)
+  let reg = Tomo.Eqn.registry table and oracle = Bitset_path.registry () in
+  Tomo.Eqn.register_single_path_masks reg;
+  ignore (Bitset_path.register_single_path_vars m ~effective:eff oracle);
+  let rz = Tomo.Eqn.resolver reg in
   for i = 0 to n - 3 do
-    if i mod 2 = 0 then
-      ignore (Tomo.Eqn.row_grow m ~effective:eff reg ~paths:[| i; i + 1 |])
+    if i mod 2 = 0 then begin
+      ignore (Tomo.Eqn.row_grow rz ~paths:[| i; i + 1 |]);
+      ignore (Bitset_path.row_grow m ~effective:eff oracle ~paths:[| i; i + 1 |])
+    end
   done;
-  let rz =
-    Tomo.Eqn.resolver (Tomo.Eqn.index (Signatures.build m ~effective:eff) reg)
-  in
   let same paths =
-    Tomo.Eqn.row_fast rz ~paths = Tomo.Eqn.row m ~effective:eff reg ~paths
+    Tomo.Eqn.row_fast rz ~paths = Bitset_path.row m ~effective:eff oracle ~paths
   in
   for i = 0 to n - 2 do
     check_bool (Printf.sprintf "path %d" i) true (same [| i |])
@@ -239,11 +279,11 @@ let test_wide_set_fallbacks () =
     check_bool (Printf.sprintf "pair %d" i) true (same [| i; i + 1 |])
   done;
   check_bool "single path resolves" true
-    (Tomo.Eqn.row m ~effective:eff reg ~paths:[| 0 |] <> None);
+    (Tomo.Eqn.row_fast rz ~paths:[| 0 |] <> None);
   check_bool "even pair resolves" true
-    (Tomo.Eqn.row m ~effective:eff reg ~paths:[| 0; 1 |] <> None);
+    (Tomo.Eqn.row_fast rz ~paths:[| 0; 1 |] <> None);
   check_bool "odd pair unregistered" true
-    (Tomo.Eqn.row m ~effective:eff reg ~paths:[| 1; 2 |] = None)
+    (Tomo.Eqn.row_fast rz ~paths:[| 1; 2 |] = None)
 
 (* The node-budget fallback, which the random models above are too small
    to reach.  Ten links in one correlation set, covered by the chain
@@ -344,10 +384,10 @@ let () =
           qc prop_ambiguity_classes_match_oracle;
           qc prop_max_identifiable_size_sound;
         ] );
-      ( "pruning",
+      ( "closure",
         [
-          Alcotest.test_case "70-link set: word-size fallbacks" `Quick
-            test_wide_set_fallbacks;
+          Alcotest.test_case "70-link set: exact counts" `Quick
+            test_wide_set_exact;
           Alcotest.test_case "budget-capped closure falls back soundly"
             `Quick test_budget_capped_closure;
         ] );

@@ -257,15 +257,7 @@ let same_estimate ~window (a : Engine.estimate) (b : Engine.estimate) =
    against a batch run over the same intervals; at a random tick the
    engine is replaced by its own snapshot round-trip and the comparison
    goes on from there. *)
-let prop_streaming_equals_batch seed =
-  let rng = Rng.create seed in
-  let model = random_model rng in
-  let window = 1 + Rng.int rng 6 in
-  let total = 25 + Rng.int rng 11 in
-  let cols =
-    Array.init total (fun _ -> random_column rng model.Tomo.Model.n_paths)
-  in
-  let cut = Rng.int rng (total + 1) in
+let streams_like_batch model cols ~window ~cut =
   let engine = ref (Engine.create ~model ~window ()) in
   let ok = ref true in
   let check tick = function
@@ -275,7 +267,7 @@ let prop_streaming_equals_batch seed =
         if tick < window || not (same_estimate ~window e (batch ())) then
           ok := false
   in
-  for i = 0 to total - 1 do
+  for i = 0 to Array.length cols - 1 do
     if i = cut then begin
       engine :=
         Engine.of_snapshot ~model
@@ -286,10 +278,53 @@ let prop_streaming_equals_batch seed =
   done;
   !ok
 
+let prop_streaming_equals_batch seed =
+  let rng = Rng.create seed in
+  let model = random_model rng in
+  let window = 1 + Rng.int rng 6 in
+  let total = 25 + Rng.int rng 11 in
+  let cols =
+    Array.init total (fun _ -> random_column rng model.Tomo.Model.n_paths)
+  in
+  let cut = Rng.int rng (total + 1) in
+  streams_like_batch model cols ~window ~cut
+
 let streaming_equals_batch_qcheck =
   QCheck.Test.make ~count:60 ~name:"streaming == batch at every tick"
     QCheck.(int_range 0 100_000)
     prop_streaming_equals_batch
+
+(* The same on one correlation set wider than a word: 70 links covered
+   by the chain paths [i; i+1], each good in an interval with
+   probability 0.3, so that a 4-interval window rarely certifies a link
+   and masks take two words at every tick. *)
+let test_wide_streaming_equals_batch () =
+  let n = 70 and window = 4 and total = 24 in
+  let model =
+    Tomo.Model.make ~n_links:n
+      ~paths:(Array.init (n - 1) (fun i -> [| i; i + 1 |]))
+      ~corr_sets:[| Array.init n Fun.id |]
+  in
+  let rng = Rng.create 70 in
+  let cols =
+    Array.init total (fun _ ->
+        let b = Bitset.create (n - 1) in
+        for p = 0 to n - 2 do
+          if Rng.bool rng ~p:0.3 then Bitset.set b p
+        done;
+        b)
+  in
+  for tick = window to total do
+    let e = batch_estimate model cols ~window ~tick in
+    check_bool
+      (Printf.sprintf "tick %d: more than a word of effective links" tick)
+      true
+      (Bitset.count e.Engine.result.Tomo.Pc_result.effective > Sys.int_size);
+    check_bool (Printf.sprintf "tick %d: rows selected" tick) true
+      (e.Engine.result.Tomo.Pc_result.n_rows > 0)
+  done;
+  check_bool "streaming == batch, snapshot round-trip at tick 11" true
+    (streams_like_batch model cols ~window ~cut:11)
 
 (* ------------------------------------------------------------------ *)
 (* Snapshot corruption rejection                                       *)
@@ -528,5 +563,10 @@ let () =
           Alcotest.test_case "streaming == batch on a Netsim trace" `Slow
             test_streaming_equals_batch;
         ] );
-      ("parity", [ QCheck_alcotest.to_alcotest streaming_equals_batch_qcheck ]);
+      ( "parity",
+        [
+          QCheck_alcotest.to_alcotest streaming_equals_batch_qcheck;
+          Alcotest.test_case "70-link set: streaming == batch" `Quick
+            test_wide_streaming_equals_batch;
+        ] );
     ]
