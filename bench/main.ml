@@ -196,8 +196,10 @@ let sim_parallel_pass () =
 (* Telemetry overhead: the disabled instrumentation path               *)
 (* ------------------------------------------------------------------ *)
 
-(* The serve loop calls [Metrics.observe] four times per tick (the stage
-   profile) and [Events.emit] on lifecycle edges, always through the
+(* The serve loop times each stage with a span that feeds its histogram
+   ([Trace.with_span ~histogram]: tick, ingest, solve and the solve
+   alone on every estimating tick, a reselect or a snapshot when one
+   runs) and calls [Events.emit] on lifecycle edges, always through the
    same call sites whether or not a sink is configured.  This pass pins
    the contract that the disabled path is a single predictable branch:
    the printed rows land in BENCH_perf.json and CI greps the
@@ -676,9 +678,7 @@ let write_bench_json ~rows ~sim ~snapshot =
       Printf.bprintf b "  \"metrics\": %s\n"
         (Tomo_obs.Sink.snapshot_json snapshot);
       Buffer.add_string b "}\n";
-      let oc = open_out path in
-      output_string oc (Buffer.contents b);
-      close_out oc;
+      Tomo_obs.Sink.write_atomic path (Buffer.contents b);
       Format.fprintf ppf "@.wrote %s@." path
 
 (* When TOMO_METRICS_OUT / TOMO_TRACE are set, print the counter

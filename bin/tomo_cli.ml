@@ -574,11 +574,7 @@ let write_report path report =
   match path with
   | None -> ()
   | Some "-" -> print_string report
-  | Some p ->
-      let oc = open_out p in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () -> output_string oc report)
+  | Some p -> Tomo_obs.Sink.write_atomic p report
 
 let summarize (est : Stream.Engine.estimate) ~window =
   let r = est.Stream.Engine.result in
@@ -610,7 +606,39 @@ let run_gen_trace scale seed topology scenario nonstationary intervals out =
     (Array.length w.W.run.Tomo_netsim.Run.path_good)
     out
 
-(* The exporter's callbacks run on its own thread; they read an
+let parse_addr ~flag spec =
+  match Tomo_obs.Exporter.listen_of_string spec with
+  | Ok l -> l
+  | Error e -> failwith (flag ^ ": " ^ e)
+
+(* The telemetry exporter of either serve daemon.  /status is
+   {"config":{..,<source>:..,..},<view>:<body ()>}: [source] names the
+   stream ("replay" or "ingest") and [view] the daemon's own JSON view
+   ("engine" or "hub"). *)
+let start_telemetry ~spec ~scale ~seed ~topology ~source:(kind, addr)
+    ~window ?health (view, body) =
+  let listen = parse_addr ~flag:"--listen" spec in
+  (* Scrapes must see live histograms even when no file sink is
+     configured. *)
+  Tomo_obs.Metrics.set_enabled true;
+  (* A daemon accumulates spans forever unless bounded; the periodic
+     flusher drains them, the cap is the backstop. *)
+  Tomo_obs.Trace.set_max_roots (Some 1024);
+  let status () =
+    Printf.sprintf
+      "{\"config\":{\"scale\":%s,\"seed\":%d,\"topology\":%s,\"%s\":%s,\
+       \"window\":%d},\"%s\":%s}"
+      (Tomo_obs.Json.quote (W.scale_to_string scale))
+      seed
+      (Tomo_obs.Json.quote (W.topology_to_string topology))
+      kind (Tomo_obs.Json.quote addr) window view (body ())
+  in
+  let exporter = Tomo_obs.Exporter.start ?health ~status listen in
+  Format.fprintf ppf "Telemetry on %s: /metrics /healthz /status@."
+    (Tomo_obs.Exporter.listen_to_string listen);
+  exporter
+
+(* The replay exporter's callbacks run on its own thread; they read an
    immutable status record republished by the engine thread each tick
    under [lock], never the live engine. *)
 type published_status = {
@@ -619,18 +647,8 @@ type published_status = {
   started : float;  (** monotonic, for [uptime_s] *)
 }
 
-let start_telemetry ~spec ~scale ~seed ~topology ~replay ~window engine =
-  let listen =
-    match Tomo_obs.Exporter.listen_of_string spec with
-    | Ok l -> l
-    | Error e -> failwith ("--listen: " ^ e)
-  in
-  (* Scrapes must see live histograms even when no file sink is
-     configured. *)
-  Tomo_obs.Metrics.set_enabled true;
-  (* A daemon accumulates spans forever unless bounded; the periodic
-     flusher drains them, the cap is the backstop. *)
-  Tomo_obs.Trace.set_max_roots (Some 1024);
+let start_replay_telemetry ~spec ~scale ~seed ~topology ~replay ~window
+    engine =
   let t =
     {
       lock = Mutex.create ();
@@ -654,21 +672,8 @@ let start_telemetry ~spec ~scale ~seed ~topology ~replay ~window engine =
       ?last_error:(Tomo_obs.Sink.last_error ())
       (read_status ())
   in
-  let status_body () =
-    Printf.sprintf
-      "{\"config\":{\"scale\":%s,\"seed\":%d,\"topology\":%s,\"replay\":%s,\
-       \"window\":%d},\"engine\":%s}"
-      (Tomo_obs.Json.quote (W.scale_to_string scale))
-      seed
-      (Tomo_obs.Json.quote (W.topology_to_string topology))
-      (Tomo_obs.Json.quote replay) window (engine_json ())
-  in
-  let exporter =
-    Tomo_obs.Exporter.start ~health:engine_json ~status:status_body listen
-  in
-  Format.fprintf ppf "Telemetry on %s: /metrics /healthz /status@."
-    (Tomo_obs.Exporter.listen_to_string listen);
-  ( exporter,
+  ( start_telemetry ~spec ~scale ~seed ~topology ~source:("replay", replay)
+      ~window ~health:engine_json ("engine", engine_json),
     fun engine ->
       let s = Stream.Engine.status engine in
       Mutex.lock t.lock;
@@ -692,7 +697,8 @@ let run_serve_replay scale seed topology replay window snapshot_in
   let telemetry =
     Option.map
       (fun spec ->
-        start_telemetry ~spec ~scale ~seed ~topology ~replay ~window engine)
+        start_replay_telemetry ~spec ~scale ~seed ~topology ~replay ~window
+          engine)
       listen
   in
   let publish =
@@ -760,11 +766,6 @@ let run_serve_replay scale seed topology replay window snapshot_in
 (* Network ingestion: serve --ingest / send-trace                      *)
 (* ------------------------------------------------------------------ *)
 
-let parse_addr ~flag spec =
-  match Tomo_obs.Exporter.listen_of_string spec with
-  | Ok l -> l
-  | Error e -> failwith (flag ^ ": " ^ e)
-
 let rec mkdir_p dir =
   if dir <> "" && dir <> Filename.dirname dir && not (Sys.file_exists dir)
   then begin
@@ -772,27 +773,6 @@ let rec mkdir_p dir =
     try Unix.mkdir dir 0o755
     with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
   end
-
-let start_ingest_telemetry ~spec ~scale ~seed ~topology ~ingest ~window hub =
-  let listen = parse_addr ~flag:"--listen" spec in
-  (* Scrapes must see live counters even when no file sink is
-     configured. *)
-  Tomo_obs.Metrics.set_enabled true;
-  Tomo_obs.Trace.set_max_roots (Some 1024);
-  let status_body () =
-    Printf.sprintf
-      "{\"config\":{\"scale\":%s,\"seed\":%d,\"topology\":%s,\"ingest\":%s,\
-       \"window\":%d},\"hub\":%s}"
-      (Tomo_obs.Json.quote (W.scale_to_string scale))
-      seed
-      (Tomo_obs.Json.quote (W.topology_to_string topology))
-      (Tomo_obs.Json.quote ingest) window
-      (Tomo_net.Hub.status_json hub)
-  in
-  let exporter = Tomo_obs.Exporter.start ~status:status_body listen in
-  Format.fprintf ppf "Telemetry on %s: /metrics /healthz /status@."
-    (Tomo_obs.Exporter.listen_to_string listen);
-  exporter
 
 let run_serve_ingest scale seed topology ingest window snapshot_every
     max_ticks listen flush_every ingest_queue ingest_policy idle_timeout
@@ -821,8 +801,9 @@ let run_serve_ingest scale seed topology ingest window snapshot_every
   let telemetry =
     Option.map
       (fun spec ->
-        start_ingest_telemetry ~spec ~scale ~seed ~topology ~ingest ~window
-          hub)
+        start_telemetry ~spec ~scale ~seed ~topology ~source:("ingest", ingest)
+          ~window
+          ("hub", fun () -> Tomo_net.Hub.status_json hub))
       listen
   in
   let flusher =
@@ -831,7 +812,8 @@ let run_serve_ingest scale seed topology ingest window snapshot_every
     else None
   in
   let listener =
-    Tomo_net.Listener.start addr ~on_accept:(Tomo_net.Hub.attach hub)
+    Tomo_obs.Exporter.serve ~events:"ingest" ~failure:"ingest accept failed"
+      addr ~on_accept:(Tomo_net.Hub.attach hub)
   in
   Format.fprintf ppf
     "Ingesting framed tomo-trace streams on %s (window %d, queue %d, \
@@ -840,7 +822,7 @@ let run_serve_ingest scale seed topology ingest window snapshot_every
     window ingest_queue
     (Tomo_net.Hub.policy_to_string policy);
   Tomo_net.Hub.run hub;
-  Tomo_net.Listener.stop listener;
+  Tomo_obs.Exporter.stop listener;
   Option.iter Tomo_obs.Flusher.stop flusher;
   Option.iter Tomo_obs.Exporter.stop telemetry;
   let s = Tomo_net.Hub.stats hub in

@@ -110,14 +110,7 @@ let of_string ?(filename = "<string>") s =
       fail ~filename ~lineno "unknown observations format: %S" header
   | [] -> fail ~filename ~lineno:1 "empty observations file"
 
-let save path obs =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      let ppf = Format.formatter_of_out_channel oc in
-      write ppf obs;
-      Format.pp_print_flush ppf ())
+let save path obs = Tomo_obs.Sink.write_atomic path (to_string obs)
 
 let load path =
   let ic = open_in path in

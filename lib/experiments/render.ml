@@ -89,10 +89,11 @@ let fig4_subsets ppf cells =
     cells
 
 let with_csv path f =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> f (Format.formatter_of_out_channel oc))
+  let b = Buffer.create 4096 in
+  let ppf = Format.formatter_of_buffer b in
+  f ppf;
+  Format.pp_print_flush ppf ();
+  Tomo_obs.Sink.write_atomic path (Buffer.contents b)
 
 (* Quote a CSV field only when needed (labels contain no quotes). *)
 let csv_field s =
@@ -112,8 +113,7 @@ let fig3_csv path rows =
                 (Fig3.algorithm_to_string a)
                 c.Fig3.detection c.Fig3.false_positive)
             r.Fig3.cells)
-        rows;
-      Format.pp_print_flush ppf ())
+        rows)
 
 let fig4_mae_csv path rows =
   with_csv path (fun ppf ->
@@ -127,8 +127,7 @@ let fig4_mae_csv path rows =
                 (Fig4.algorithm_to_string a)
                 v)
             r.Fig4.cells)
-        rows;
-      Format.pp_print_flush ppf ())
+        rows)
 
 let fig4_cdf_csv path curves =
   with_csv path (fun ppf ->
@@ -141,8 +140,7 @@ let fig4_cdf_csv path curves =
                 (Fig4.algorithm_to_string a)
                 x y)
             curve)
-        curves;
-      Format.pp_print_flush ppf ())
+        curves)
 
 let fig4_subsets_csv path cells =
   with_csv path (fun ppf ->
@@ -151,8 +149,7 @@ let fig4_subsets_csv path cells =
         (fun (label, c) ->
           Format.fprintf ppf "%s,%.6f,%.6f,%d@." (csv_field label)
             c.Fig4.links_mae c.Fig4.subsets_mae c.Fig4.n_subsets_scored)
-        cells;
-      Format.pp_print_flush ppf ())
+        cells)
 
 let table2 ppf =
   let rows =

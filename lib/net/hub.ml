@@ -395,8 +395,7 @@ let snapshot_path t p = Filename.concat (Option.get t.snapshot_dir) (p.name ^ ".
 let maybe_snapshot t p engine =
   match t.snapshot_dir with
   | Some _ when Stream.Engine.ticks engine mod t.snapshot_every = 0 ->
-      Stream.Snapshot.save (snapshot_path t p)
-        (Stream.Engine.snapshot engine)
+      Stream.Engine.save_snapshot engine (snapshot_path t p)
   | _ -> ()
 
 let ingest_batch t (p, batch) =
@@ -420,8 +419,7 @@ let finalize t ~allow_report p =
     | Some engine -> (
         (match t.snapshot_dir with
         | Some _ when Stream.Engine.ticks engine > 0 ->
-            Stream.Snapshot.save (snapshot_path t p)
-              (Stream.Engine.snapshot engine)
+            Stream.Engine.save_snapshot engine (snapshot_path t p)
         | _ -> ());
         match (t.report_dir, p.last_estimate) with
         | Some dir, Some est

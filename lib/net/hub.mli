@@ -24,11 +24,12 @@
     event, [reason=overflow]), protecting the rest of the fleet.
 
     Crash recovery: with [snapshot_dir], every peer's engine state is
-    saved (atomically) every [snapshot_every] ticks and at shutdown as
-    [<dir>/<peer>.snap]; a reconnecting peer of the same name is
-    restored from its snapshot and the first [ticks] re-sent ticks are
-    skipped, so a killed-and-restarted hub produces byte-identical
-    per-peer reports to one that never stopped.
+    saved ({!Tomo_stream.Engine.save_snapshot}: atomic, and timed as the
+    [stream.snapshot] stage) every [snapshot_every] ticks and at
+    shutdown as [<dir>/<peer>.snap]; a reconnecting peer of the same
+    name is restored from its snapshot and the first [ticks] re-sent
+    ticks are skipped, so a killed-and-restarted hub produces
+    byte-identical per-peer reports to one that never stopped.
 
     A peer announces itself with an optional first frame [peer <name>]
     ([A-Za-z0-9_.-] only — anything else is mapped to [_] before the
@@ -43,8 +44,8 @@ val policy_to_string : policy -> string
 
 type t
 
-(** [create ~model ~window ()] builds an idle hub (no listener — pass
-    {!attach} as the {!Listener}'s [on_accept]).
+(** [create ~model ~window ()] builds an idle hub (no socket of its own
+    — pass {!attach} as {!Tomo_obs.Exporter.serve}'s [on_accept]).
 
     @param queue_capacity per-peer bounded queue, in ticks (default 64).
     @param policy full-queue behaviour (default {!Block}).
@@ -74,7 +75,7 @@ val create :
   t
 
 (** Adopt an accepted connection: spawns the peer's reader thread.
-    Intended as [Listener.start ~on_accept:(Hub.attach hub)]. *)
+    Intended as [Exporter.serve ~on_accept:(Hub.attach hub)]. *)
 val attach : t -> Unix.file_descr -> unit
 
 (** Ask {!run} to wind down.  Only flips an [Atomic] — safe to call

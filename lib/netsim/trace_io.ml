@@ -28,11 +28,4 @@ let to_string result =
   Format.pp_print_flush ppf ();
   Buffer.contents buf
 
-let save path result =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      let ppf = Format.formatter_of_out_channel oc in
-      write ppf result;
-      Format.pp_print_flush ppf ())
+let save path result = Tomo_obs.Sink.write_atomic path (to_string result)

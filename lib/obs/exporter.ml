@@ -15,7 +15,11 @@
    exporter cannot perturb engine results.  Requests are served
    serially: scrapes are small and rare, and one slow client must not
    be able to hold a second one's connection open forever (a 5 s socket
-   timeout bounds the damage either way). *)
+   timeout bounds the damage either way).
+
+   The same accept loop ([serve]) takes the ingestion plane's peer
+   connections: one bind, accept, EINTR retry and stop sequence for
+   both sockets of a serve daemon. *)
 
 let c_scrapes = Metrics.counter "telemetry_scrapes"
 let c_scrape_errors = Metrics.counter "telemetry_scrape_errors"
@@ -107,20 +111,10 @@ let prometheus_of_snapshot (snap : Metrics.snapshot) =
 (* HTTP plumbing                                                       *)
 (* ------------------------------------------------------------------ *)
 
-type t = {
-  fd : Unix.file_descr;
-  listen : listen;
-  health : (unit -> string) option;
-  status : (unit -> string) option;
-  started : float;  (** monotonic, for [uptime_s] *)
-  mutable stopped : bool;
-  mutable thread : Thread.t option;
-}
-
-let default_health t () =
+let default_health ~started () =
   let b = Buffer.create 64 in
   Printf.bprintf b "{\"status\":\"ok\",\"uptime_s\":%.3f"
-    (Clock.now () -. t.started);
+    (Clock.now () -. started);
   Buffer.add_string b ",\"last_error\":";
   (match Sink.last_error () with
   | None -> Buffer.add_string b "null"
@@ -128,18 +122,16 @@ let default_health t () =
   Buffer.add_char b '}';
   Buffer.contents b
 
-let respond t path =
+let respond ~health ~status path =
   match path with
   | "/metrics" ->
       ( 200,
         "text/plain; version=0.0.4; charset=utf-8",
         prometheus_of_snapshot (Metrics.snapshot ()) )
   | "/healthz" ->
-      ( 200,
-        "application/json",
-        (match t.health with Some f -> f () | None -> default_health t ()) )
+      (200, "application/json", health ())
   | "/status" -> (
-      match t.status with
+      match status with
       | Some f -> (200, "application/json", f ())
       | None -> (404, "text/plain", "no status view configured\n"))
   | "/" | "" ->
@@ -196,7 +188,7 @@ let write_all fd s =
   in
   try go 0 with Unix.Unix_error _ -> ()
 
-let serve_client t client =
+let serve_client ~health ~status client =
   Unix.setsockopt_float client Unix.SO_RCVTIMEO 5.0;
   Unix.setsockopt_float client Unix.SO_SNDTIMEO 5.0;
   let head = read_head client in
@@ -217,7 +209,7 @@ let serve_client t client =
           | None -> target
         in
         Metrics.incr c_scrapes;
-        let code, ctype, body = respond t path in
+        let code, ctype, body = respond ~health ~status path in
         http_response code ctype body
     | _ :: _ :: _ ->
         Metrics.incr c_scrape_errors;
@@ -228,26 +220,8 @@ let serve_client t client =
   in
   write_all client response
 
-let rec accept_loop t =
-  match Unix.accept t.fd with
-  | client, _ ->
-      (try serve_client t client
-       with e ->
-         Metrics.incr c_scrape_errors;
-         Sink.record_error
-           ("telemetry request failed: " ^ Printexc.to_string e));
-      (try Unix.shutdown client Unix.SHUTDOWN_ALL
-       with Unix.Unix_error _ -> ());
-      (try Unix.close client with Unix.Unix_error _ -> ());
-      if not t.stopped then accept_loop t
-  | exception Unix.Unix_error (Unix.EINTR, _, _) ->
-      if not t.stopped then accept_loop t
-  | exception Unix.Unix_error _ ->
-      (* listening socket closed by [stop], or torn down at exit *)
-      ()
-
 (* ------------------------------------------------------------------ *)
-(* Lifecycle                                                           *)
+(* The accept loop, shared by telemetry and ingestion                  *)
 (* ------------------------------------------------------------------ *)
 
 let bind = function
@@ -273,34 +247,64 @@ let bind = function
       Unix.listen fd 16;
       fd
 
-let start ?health ?status listen =
+type t = {
+  fd : Unix.file_descr;
+  listen : listen;
+  events : string;  (* names the [_listening] / [_stopped] events *)
+  mutable stopped : bool;
+  mutable thread : Thread.t option;
+}
+
+let close_socket fd =
+  (try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
+  try Unix.close fd with Unix.Unix_error _ -> ()
+
+let rec accept_loop t ~failure ~on_accept =
+  match Unix.accept t.fd with
+  | client, _ ->
+      (try on_accept client
+       with e ->
+         Sink.record_error (failure ^ ": " ^ Printexc.to_string e);
+         close_socket client);
+      if not t.stopped then accept_loop t ~failure ~on_accept
+  | exception Unix.Unix_error (Unix.EINTR, _, _) ->
+      if not t.stopped then accept_loop t ~failure ~on_accept
+  | exception Unix.Unix_error _ ->
+      (* listening socket closed by [stop], or torn down at exit *)
+      ()
+
+let serve ~events ~failure listen ~on_accept =
   let fd = bind listen in
-  let t =
-    {
-      fd;
-      listen;
-      health;
-      status;
-      started = Clock.now ();
-      stopped = false;
-      thread = None;
-    }
-  in
-  Events.emit "exporter_listening" [ ("addr", listen_to_string listen) ];
-  t.thread <- Some (Thread.create accept_loop t);
+  let t = { fd; listen; events; stopped = false; thread = None } in
+  Events.emit (events ^ "_listening") [ ("addr", listen_to_string listen) ];
+  t.thread <-
+    Some (Thread.create (fun () -> accept_loop t ~failure ~on_accept) ());
   t
+
+let start ?health ?status listen =
+  let health =
+    match health with
+    | Some f -> f
+    | None -> default_health ~started:(Clock.now ())
+  in
+  serve ~events:"exporter" ~failure:"telemetry request failed" listen
+    ~on_accept:(fun client ->
+      (try serve_client ~health ~status client
+       with e ->
+         Metrics.incr c_scrape_errors;
+         raise e);
+      close_socket client)
 
 let stop t =
   if not t.stopped then begin
     t.stopped <- true;
     (* Closing the listening socket pops the accept loop out of its
        blocking accept; the thread then sees [stopped] and returns. *)
-    (try Unix.shutdown t.fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
-    (try Unix.close t.fd with Unix.Unix_error _ -> ());
+    close_socket t.fd;
     (match t.listen with
     | Unix_sock path -> (
         try Unix.unlink path with Unix.Unix_error _ -> ())
     | Tcp _ -> ());
-    (match t.thread with Some th -> Thread.join th | None -> ());
-    Events.emit "exporter_stopped" [ ("addr", listen_to_string t.listen) ]
+    Option.iter Thread.join t.thread;
+    Events.emit (t.events ^ "_stopped") [ ("addr", listen_to_string t.listen) ]
   end

@@ -16,7 +16,8 @@
     must be), so scraping a running engine cannot change its results —
     the streaming==batch bit-identity gate holds with an exporter
     attached.  Counters [telemetry_scrapes] / [telemetry_scrape_errors]
-    count requests, and so appear in their own scrape output. *)
+    count requests, and so appear in their own scrape output.  Its
+    accept loop, {!serve}, also takes a serve daemon's ingestion peers. *)
 
 type t
 
@@ -30,26 +31,36 @@ val listen_of_string : string -> (listen, string) result
 
 val listen_to_string : listen -> string
 
-(** [bind l] binds and listens on [l], returning the listening socket
-    (backlog 16).  A stale Unix socket file at the path is removed
-    first; TCP sockets get [SO_REUSEADDR].  Shared with the ingestion
-    plane ([Tomo_net.Listener]), so telemetry and ingestion accept
-    identical address syntax.  @raise Unix.Unix_error on bind
-    failures. *)
-val bind : listen -> Unix.file_descr
+(** [serve ~events ~failure l ~on_accept] binds and listens on [l] and
+    starts the accept thread, which hands each connection to
+    [on_accept]; the connection is then [on_accept]'s, and the next
+    accept waits for it to return.  An exception from [on_accept]
+    closes the connection and is recorded ({!Sink.record_error}) as
+    ["<failure>: <exception>"].  Emits [<events>_listening] here and
+    [<events>_stopped] at {!stop}.  A stale Unix socket file at the path
+    is removed first; TCP sockets get [SO_REUSEADDR].
+    @raise Unix.Unix_error on bind failures. *)
+val serve :
+  events:string ->
+  failure:string ->
+  listen ->
+  on_accept:(Unix.file_descr -> unit) ->
+  t
 
-(** Bind and start serving on a background thread.  [health] / [status]
-    return complete JSON bodies and are called on the exporter thread —
-    they must be thread-safe (read an immutable published snapshot, not
-    live engine internals).  A stale Unix socket file at the path is
-    removed first; other bind failures raise [Unix.Unix_error].
-    Stop with {!stop} — or don't: an abandoned exporter dies with the
-    process. *)
+(** Bind and start serving HTTP through {!serve} (events
+    [exporter_listening] / [exporter_stopped]; a failed request is
+    recorded as ["telemetry request failed: ..."] and counted in
+    [telemetry_scrape_errors]).  [health] / [status] return complete
+    JSON bodies and are called on the exporter thread — they must be
+    thread-safe (read an immutable published snapshot, not live engine
+    internals).  Stop with {!stop} — or don't: an abandoned exporter
+    dies with the process. *)
 val start :
   ?health:(unit -> string) -> ?status:(unit -> string) -> listen -> t
 
 (** Close the listening socket (unlinking a Unix socket path) and join
-    the serving thread.  Idempotent. *)
+    the accept thread.  Connections [on_accept] took are untouched.
+    Idempotent. *)
 val stop : t -> unit
 
 (** Pure renderer behind [/metrics], exposed for golden tests. *)

@@ -201,25 +201,36 @@ let nonfatal what f =
    channel buffer reaches the disk only there, so that is where a full
    disk shows, and [Out_channel.with_open_bin] would swallow the error
    (it closes with [close_out_noerr]) and rename a truncated file over
-   the last good one. *)
+   the last good one.  Otherwise the output is where and what [open_out]
+   would make it: the temp file gets [open_out]'s mode (0o666 under the
+   umask), a symlink is written through (the rename lands on the file it
+   names, not on the link), and a device or pipe such as /dev/stdout,
+   which a rename would replace rather than write, is written in place. *)
 let write_atomic path content =
-  let tmp =
-    Filename.temp_file ~temp_dir:(Filename.dirname path)
-      ("." ^ Filename.basename path)
-      ".tmp"
-  in
-  try
-    let oc = open_out_bin tmp in
-    (try
-       output_string oc content;
-       close_out oc
-     with e ->
-       close_out_noerr oc;
-       raise e);
-    Sys.rename tmp path
-  with e ->
-    (try Sys.remove tmp with Sys_error _ -> ());
-    raise e
+  let path = try Unix.realpath path with Unix.Unix_error _ -> path in
+  match (Unix.stat path).Unix.st_kind with
+  | Unix.S_CHR | Unix.S_BLK | Unix.S_FIFO ->
+      Out_channel.with_open_gen [ Open_wronly; Open_binary ] 0 path (fun oc ->
+          output_string oc content;
+          flush oc)
+  | _ | (exception Unix.Unix_error _) -> (
+      let tmp, oc =
+        Filename.open_temp_file ~mode:[ Open_binary ] ~perms:0o666
+          ~temp_dir:(Filename.dirname path)
+          ("." ^ Filename.basename path)
+          ".tmp"
+      in
+      try
+        (try
+           output_string oc content;
+           close_out oc
+         with e ->
+           close_out_noerr oc;
+           raise e);
+        Sys.rename tmp path
+      with e ->
+        (try Sys.remove tmp with Sys_error _ -> ());
+        raise e)
 
 (* The body runs under [flush_lock]: a periodic flusher thread and an
    exiting main thread may both call [flush], and each completed span /

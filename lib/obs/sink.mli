@@ -63,8 +63,13 @@ val flush : unit -> unit
     over [path], so a reader or a kill never observes a torn file.  On
     any failure, a close that cannot write out the buffered content (a
     full disk) included, the temp file is removed, [path] is left as it
-    was and the exception re-raised (typically [Sys_error]).  Every snapshot-shaped output uses it: the
-    metrics file, engine snapshots and peer reports. *)
+    was and the exception re-raised (typically [Sys_error]).  As with
+    [open_out], the file gets [open_out]'s mode, a symlink is written
+    through to the file it names, and a device or pipe (say
+    [/dev/stdout]) is written in place, not atomically.  Every file the program
+    writes whole goes through it: the metrics file, engine snapshots,
+    reports, traces, observation and overlay files, figure CSVs and the
+    bench's JSON. *)
 val write_atomic : string -> string -> unit
 
 (** The most recent sink write failure ([None] if none) — surfaced in

@@ -8,12 +8,11 @@ type span = {
 
 (* A span still running: attrs and children accumulate in reverse.
    [o_start] is the wall-clock start the span reports; its duration is
-   measured on the monotonic clock from [o_mono]. *)
+   measured on the monotonic clock by [with_span]. *)
 type open_span = {
   o_name : string;
   mutable o_attrs : (string * string) list;
   o_start : float;
-  o_mono : float;
   mutable o_children : span list;
 }
 
@@ -67,51 +66,66 @@ let reset () =
   dropped := 0;
   Mutex.unlock fin_lock
 
-let close o =
-  {
-    name = o.o_name;
-    attrs = List.rev o.o_attrs;
-    start_s = o.o_start;
-    duration_s = Clock.now () -. o.o_mono;
-    children = List.rev o.o_children;
-  }
+let open_span ?attrs name =
+  let stack = Domain.DLS.get stack_key in
+  let o =
+    {
+      o_name = name;
+      o_attrs = (match attrs with None -> [] | Some l -> List.rev l);
+      o_start = Unix.gettimeofday ();
+      o_children = [];
+    }
+  in
+  stack := o :: !stack;
+  o
 
-let with_span ?attrs name f =
-  if not !enabled_flag then f ()
+let close_span o duration_s =
+  let stack = Domain.DLS.get stack_key in
+  (* Pop down to [o]: anything above it was left open by an escaping
+     exception and is discarded with it. *)
+  let rec pop = function
+    | top :: rest -> if top == o then rest else pop rest
+    | [] -> []
+  in
+  stack := pop !stack;
+  let s =
+    {
+      name = o.o_name;
+      attrs = List.rev o.o_attrs;
+      start_s = o.o_start;
+      duration_s;
+      children = List.rev o.o_children;
+    }
+  in
+  match !stack with
+  | parent :: _ -> parent.o_children <- s :: parent.o_children
+  | [] ->
+      Mutex.lock fin_lock;
+      finished := s :: !finished;
+      incr n_finished;
+      (match !max_roots with
+      | Some cap when !n_finished > cap ->
+          dropped := !dropped + (!n_finished - cap);
+          finished := truncate_newest cap !finished;
+          n_finished := cap
+      | _ -> ());
+      Mutex.unlock fin_lock
+
+(* The span and its histogram share the two clock readings, so a
+   stage's histogram sum is exactly the sum of its spans' durations. *)
+let with_span ?attrs ?histogram name f =
+  let traced = !enabled_flag in
+  let timed =
+    match histogram with Some _ -> Metrics.enabled () | None -> false
+  in
+  if not (traced || timed) then f ()
   else begin
-    let stack = Domain.DLS.get stack_key in
-    let o =
-      {
-        o_name = name;
-        o_attrs = (match attrs with None -> [] | Some l -> List.rev l);
-        o_start = Unix.gettimeofday ();
-        o_mono = Clock.now ();
-        o_children = [];
-      }
-    in
-    stack := o :: !stack;
+    let o = if traced then Some (open_span ?attrs name) else None in
+    let t0 = Clock.now () in
     let finish () =
-      (* Pop down to [o]: anything above it was left open by an escaping
-         exception and is discarded with it. *)
-      let rec pop = function
-        | top :: rest -> if top == o then rest else pop rest
-        | [] -> []
-      in
-      stack := pop !stack;
-      let s = close o in
-      match !stack with
-      | parent :: _ -> parent.o_children <- s :: parent.o_children
-      | [] ->
-          Mutex.lock fin_lock;
-          finished := s :: !finished;
-          incr n_finished;
-          (match !max_roots with
-          | Some cap when !n_finished > cap ->
-              dropped := !dropped + (!n_finished - cap);
-              finished := truncate_newest cap !finished;
-              n_finished := cap
-          | _ -> ());
-          Mutex.unlock fin_lock
+      let d = Clock.now () -. t0 in
+      (match histogram with Some h when timed -> Metrics.observe h d | _ -> ());
+      Option.iter (fun o -> close_span o d) o
     in
     match f () with
     | v ->

@@ -11,10 +11,12 @@
       algorithm1.select                             3.9 ms
     v}
 
-    Tracing is off by default.  While disabled, [with_span] is a single
-    branch followed by a tail call of the thunk: no clock read, no
-    allocation.  Enable it with [set_enabled] (done by {!Sink.init} when
-    [TOMO_TRACE] or [--trace] asks for it).
+    Tracing is off by default.  While it and metrics are disabled,
+    [with_span] is a branch followed by a call of the thunk: no clock
+    read, no allocation of its own.  Enable it with [set_enabled] (done
+    by {!Sink.init} when [TOMO_TRACE] or [--trace] asks for it).  A span
+    is also how the program times a stage for its histogram
+    ([with_span ~histogram]).
 
     The open-span stack is per-{e domain} (domain-local storage): a task
     running on a tomo_par worker traces as its own root tree, never
@@ -34,12 +36,20 @@ type span = {
 val enabled : unit -> bool
 val set_enabled : bool -> unit
 
-(** [with_span ?attrs name f] runs [f ()] inside a span named [name].
-    The span is closed (and attached to its parent, or recorded as a
-    root) when [f] returns or raises.  Note that an [?attrs] literal is
-    evaluated by the caller even when tracing is disabled; hot call
-    sites should omit it and use [add_attr] instead. *)
-val with_span : ?attrs:(string * string) list -> string -> (unit -> 'a) -> 'a
+(** [with_span ?attrs ?histogram name f] runs [f ()] inside a span
+    named [name].  The span is closed (and attached to its parent, or
+    recorded as a root) when [f] returns or raises.  At that close,
+    while {!Metrics.enabled} holds, [histogram] observes the span's
+    duration, taken from the same two clock readings, whether tracing
+    is on or off.  Note that an [?attrs] literal is evaluated by the
+    caller even when tracing is disabled; hot call sites should omit it
+    and use [add_attr] instead. *)
+val with_span :
+  ?attrs:(string * string) list ->
+  ?histogram:Metrics.histogram ->
+  string ->
+  (unit -> 'a) ->
+  'a
 
 (** Attach an attribute to the innermost open span.  No-op when tracing
     is disabled or no span is open. *)

@@ -17,7 +17,10 @@ type batch = {
   n : int;
   mutable next : int;
   mutable completed : int;
-  enqueued_at : float;  (* Obs.Clock.start at submission *)
+  enqueued_at : float;
+      (* monotonic submission time while metrics are on, else 0: the
+         pool histograms time queueing from submission, not a code
+         region, so they read the clock directly *)
 }
 
 type t = {
@@ -66,7 +69,8 @@ let claim ?own t =
       go t.open_batches
 
 let run_claimed t (b, start, len) =
-  Obs.Clock.observe_since h_task_wait b.enqueued_at;
+  if b.enqueued_at > 0.0 then
+    Obs.Metrics.observe h_task_wait (Obs.Clock.now () -. b.enqueued_at);
   (* [run] stores its own result/exception; it must not raise. *)
   for i = start to start + len - 1 do
     b.run i
@@ -208,9 +212,10 @@ let parallel_map ?pool f xs =
           if !exn = None then exn := Some (e, bt);
           Mutex.unlock first_exn
     in
-    let b =
-      { run; n; next = 0; completed = 0; enqueued_at = Obs.Clock.start () }
+    let enqueued_at =
+      if Obs.Metrics.enabled () then Obs.Clock.now () else 0.0
     in
+    let b = { run; n; next = 0; completed = 0; enqueued_at } in
     Mutex.lock t.m;
     if t.closed then begin
       Mutex.unlock t.m;
@@ -237,7 +242,8 @@ let parallel_map ?pool f xs =
     drive ();
     Mutex.unlock t.m;
     Obs.Metrics.incr c_batches;
-    Obs.Clock.observe_since h_batch b.enqueued_at;
+    if b.enqueued_at > 0.0 then
+      Obs.Metrics.observe h_batch (Obs.Clock.now () -. b.enqueued_at);
     (match !exn with
     | Some (e, bt) -> Printexc.raise_with_backtrace e bt
     | None -> ());

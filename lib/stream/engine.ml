@@ -7,15 +7,13 @@ let c_estimates = Obs.Metrics.counter "stream_estimates"
 let c_reselects = Obs.Metrics.counter "stream_reselects"
 let g_occupancy = Obs.Metrics.gauge "stream_window_occupancy"
 let g_capacity = Obs.Metrics.gauge "stream_window_capacity"
+
+(* Each stage of the serve loop is one span feeding one histogram
+   ({!Obs.Trace.with_span}; engine.mli lists the pairs), so the span tree
+   and the stage profile agree to the bit, and a latency regression
+   names its stage. *)
 let h_tick = Obs.Metrics.histogram "stream_tick_s"
 let h_solve = Obs.Metrics.histogram "stream_solve_s"
-
-(* Per-tick stage latencies for the serve loop's profile: ingest is the
-   window push + incremental count update, reselect the (occasional)
-   Algorithm 1 re-run, solve the estimate, snapshot the atomic save.
-   Summing the four stage histograms' sums recovers ~all of
-   [stream_tick_s] + snapshot time, so a latency regression names its
-   stage. *)
 let h_stage_ingest = Obs.Metrics.histogram "stream_stage_ingest_s"
 let h_stage_reselect = Obs.Metrics.histogram "stream_stage_reselect_s"
 let h_stage_solve = Obs.Metrics.histogram "stream_stage_solve_s"
@@ -35,7 +33,6 @@ type selection_state = {
   always_good : Bitset.t;
 }
 
-(* The tick and system size of the latest estimate, for [status]. *)
 type last_estimate = { at_tick : int; rows : int; vars : int }
 
 type t = {
@@ -76,6 +73,10 @@ let ticks t = Window.ticks t.window
 
 let snapshot t = Snapshot.capture t.window
 
+let save_snapshot t path =
+  Obs.Trace.with_span ~histogram:h_stage_snapshot "stream.snapshot"
+  @@ fun () -> Snapshot.save path (snapshot t)
+
 let of_snapshot ~model snap =
   if snap.Snapshot.n_paths <> model.Tomo.Model.n_paths then
     invalid_arg
@@ -90,7 +91,8 @@ let paths_mask n_paths paths =
   b
 
 let build_selection t ~always =
-  Obs.Trace.with_span "stream.reselect" @@ fun () ->
+  Obs.Trace.with_span ~histogram:h_stage_reselect "stream.reselect"
+  @@ fun () ->
   Obs.Metrics.incr c_reselects;
   t.n_reselects <- t.n_reselects + 1;
   Obs.Events.emit "reselect"
@@ -98,7 +100,6 @@ let build_selection t ~always =
       ("tick", string_of_int (Window.ticks t.window));
       ("always_good", string_of_int (Bitset.count always));
     ];
-  let t0 = Obs.Clock.start () in
   let selection =
     Tomo.Algorithm1.select t.model (Window.observations t.window)
   in
@@ -115,7 +116,6 @@ let build_selection t ~always =
           if Bitset.subset mask col then counts.(i) <- counts.(i) + 1)
         row_masks)
     t.window;
-  Obs.Clock.observe_since h_stage_reselect t0;
   { selection; row_masks; counts; always_good = always }
 
 (* Refresh [sel.counts] after one ring slot was replaced. *)
@@ -129,14 +129,13 @@ let update_counts sel ~evicted ~fresh =
     sel.row_masks
 
 let solve ?pool t =
-  Obs.Trace.with_span "stream.solve" @@ fun () ->
+  Obs.Trace.with_span ~histogram:h_stage_solve "stream.solve" @@ fun () ->
   let s = Option.get t.sel in
   let obs = Window.observations t.window in
-  let t0 = Obs.Clock.start () in
   let engine =
-    Tomo.Prob_engine.solve_with_counts s.selection obs ~counts:s.counts
+    Obs.Trace.with_span ~histogram:h_solve "stream.system_solve" (fun () ->
+        Tomo.Prob_engine.solve_with_counts s.selection obs ~counts:s.counts)
   in
-  Obs.Clock.observe_since h_solve t0;
   (* Marginal extraction fans out per correlation set: each link is an
      independent read of the solved engine, and the correlation sets
      partition the links, so no two tasks write the same slot and the
@@ -150,7 +149,6 @@ let solve ?pool t =
       done)
     t.model.Tomo.Model.corr_sets;
   Obs.Metrics.incr c_estimates;
-  Obs.Clock.observe_since h_stage_solve t0;
   let sel = s.selection in
   let readout = sel.Tomo.Algorithm1.readout in
   let n_vars = Tomo.Eqn.n_vars sel.Tomo.Algorithm1.registry in
@@ -178,39 +176,32 @@ let ensure_selection t =
   | _ -> t.sel <- Some (build_selection t ~always)
 
 let ingest ?pool t good =
-  Obs.Trace.with_span "stream.tick" @@ fun () ->
-  let t0 = Obs.Clock.start () in
-  Obs.Metrics.incr c_ticks;
-  let evicted = Window.push t.window good in
-  if Obs.Metrics.enabled () then begin
-    Obs.Metrics.set_gauge g_occupancy
-      (float_of_int (Window.occupancy t.window));
-    Obs.Metrics.set_gauge g_capacity
-      (float_of_int (Window.capacity t.window))
-  end;
-  let est =
-    if not (Window.is_full t.window) then begin
-      Obs.Clock.observe_since h_stage_ingest t0;
-      None
-    end
-    else begin
-      (match (t.sel, evicted) with
-      | Some s, Some evicted
-        when Bitset.equal s.always_good (Window.always_good_paths t.window)
-        ->
-          update_counts s ~evicted ~fresh:good;
-          Obs.Clock.observe_since h_stage_ingest t0
-      | _ ->
-          (* The ingest stage ends where re-selection begins: charge the
-             push + count bookkeeping here, the Algorithm 1 re-run to
-             [stream_stage_reselect_s] inside [build_selection]. *)
-          Obs.Clock.observe_since h_stage_ingest t0;
-          ensure_selection t);
-      Some (solve ?pool t)
-    end
+  Obs.Trace.with_span ~histogram:h_tick "stream.tick" @@ fun () ->
+  (* The ingest stage ends where re-selection begins: it holds the push
+     and the count bookkeeping, [stream.reselect] the Algorithm 1
+     re-run.  It answers whether the cached counts are current. *)
+  let counted =
+    Obs.Trace.with_span ~histogram:h_stage_ingest "stream.ingest" @@ fun () ->
+    Obs.Metrics.incr c_ticks;
+    let evicted = Window.push t.window good in
+    if Obs.Metrics.enabled () then begin
+      Obs.Metrics.set_gauge g_occupancy
+        (float_of_int (Window.occupancy t.window));
+      Obs.Metrics.set_gauge g_capacity
+        (float_of_int (Window.capacity t.window))
+    end;
+    match (t.sel, evicted) with
+    | Some s, Some evicted
+      when Bitset.equal s.always_good (Window.always_good_paths t.window) ->
+        update_counts s ~evicted ~fresh:good;
+        true
+    | _ -> false
   in
-  Obs.Clock.observe_since h_tick t0;
-  est
+  if not (Window.is_full t.window) then None
+  else begin
+    if not counted then ensure_selection t;
+    Some (solve ?pool t)
+  end
 
 let current ?pool t =
   if not (Window.is_full t.window) then None
@@ -224,15 +215,10 @@ let run ?pool ?snapshot_out ?(snapshot_every = 1) ?max_ticks t source
   if snapshot_every <= 0 then
     invalid_arg "Engine.run: non-positive snapshot interval";
   let budget = match max_ticks with Some k -> k | None -> max_int in
-  let save_snapshot path =
-    let t0 = Obs.Clock.start () in
-    Snapshot.save path (snapshot t);
-    Obs.Clock.observe_since h_stage_snapshot t0
-  in
   let maybe_snapshot () =
     match snapshot_out with
     | Some path when Window.ticks t.window mod snapshot_every = 0 ->
-        save_snapshot path
+        save_snapshot t path
     | _ -> ()
   in
   let rec loop last n =
@@ -250,7 +236,7 @@ let run ?pool ?snapshot_out ?(snapshot_every = 1) ?max_ticks t source
   (* Always leave a snapshot at the stopping point, so a shutdown that
      falls between snapshot cadence ticks still resumes exactly here. *)
   (match snapshot_out with
-  | Some path -> save_snapshot path
+  | Some path -> save_snapshot t path
   | None -> ());
   last
 
@@ -265,9 +251,7 @@ type status = {
   st_full : bool;
   st_estimates : int;
   st_reselects : int;
-  st_last_estimate_tick : int option;
-  st_last_rows : int option;
-  st_last_vars : int option;
+  st_last : last_estimate option;
 }
 
 (* A status is an immutable copy of the engine's scalar state: the serve
@@ -282,14 +266,8 @@ let status t =
     st_full = Window.is_full t.window;
     st_estimates = t.n_estimates;
     st_reselects = t.n_reselects;
-    st_last_estimate_tick = Option.map (fun l -> l.at_tick) t.last;
-    st_last_rows = Option.map (fun l -> l.rows) t.last;
-    st_last_vars = Option.map (fun l -> l.vars) t.last;
+    st_last = t.last;
   }
-
-let add_opt_int buf = function
-  | None -> Buffer.add_string buf "null"
-  | Some v -> Buffer.add_string buf (string_of_int v)
 
 let status_json ?uptime_s ?snapshot_age_s ?last_error st =
   let b = Buffer.create 256 in
@@ -302,14 +280,11 @@ let status_json ?uptime_s ?snapshot_age_s ?last_error st =
   Printf.bprintf b ",\"estimates\":%d,\"reselects\":%d" st.st_estimates
     st.st_reselects;
   Buffer.add_string b ",\"last_estimate\":";
-  (match st.st_last_estimate_tick with
+  (match st.st_last with
   | None -> Buffer.add_string b "null"
-  | Some tick ->
-      Printf.bprintf b "{\"tick\":%d,\"rows\":" tick;
-      add_opt_int b st.st_last_rows;
-      Buffer.add_string b ",\"vars\":";
-      add_opt_int b st.st_last_vars;
-      Buffer.add_char b '}');
+  | Some l ->
+      Printf.bprintf b "{\"tick\":%d,\"rows\":%d,\"vars\":%d}" l.at_tick
+        l.rows l.vars);
   (match uptime_s with
   | None -> ()
   | Some u -> Printf.bprintf b ",\"uptime_s\":%.3f" u);

@@ -26,19 +26,21 @@
     same intervals, and an engine restored from a {!Snapshot} continues
     bit-identically to one that never stopped.
 
-    Observability (via {!Tomo_obs.Metrics}, off unless a sink is
-    configured): counters [stream_ticks], [stream_estimates],
-    [stream_reselects]; gauges [stream_window_occupancy],
-    [stream_window_capacity]; histograms [stream_tick_s] (whole-tick
-    latency) and [stream_solve_s] (the factorized solve), both on the
-    monotonic {!Tomo_obs.Clock}, and the per-tick stage
-    profile [stream_stage_ingest_s] / [stream_stage_reselect_s] /
-    [stream_stage_solve_s] / [stream_stage_snapshot_s] (window push +
-    count bookkeeping, Algorithm 1 re-run, estimate, atomic snapshot
-    save).  Lifecycle events (via {!Tomo_obs.Events}, off unless
-    configured): [reselect], plus [source_open]/[source_eof] from
-    {!Source} and [snapshot_written]/[snapshot_restored] from
-    {!Snapshot}. *)
+    Observability (via {!Tomo_obs.Metrics} and {!Tomo_obs.Trace}, off
+    unless a sink is configured): counters [stream_ticks],
+    [stream_estimates], [stream_reselects]; gauges
+    [stream_window_occupancy], [stream_window_capacity]; and one span
+    per stage, feeding one histogram from the span's own clock readings
+    ({!Tomo_obs.Trace.with_span}): [stream.tick] / [stream_tick_s], with
+    children [stream.ingest] / [stream_stage_ingest_s] (push and count
+    bookkeeping), [stream.reselect] / [stream_stage_reselect_s]
+    (Algorithm 1 re-run) and [stream.solve] / [stream_stage_solve_s]
+    (the estimate), whose child [stream.system_solve] / [stream_solve_s]
+    is the factorized solve alone; and [stream.snapshot] /
+    [stream_stage_snapshot_s] ({!save_snapshot}).  Lifecycle events
+    (via {!Tomo_obs.Events}, off unless configured): [reselect], plus
+    [source_open]/[source_eof] from {!Source} and
+    [snapshot_written]/[snapshot_restored] from {!Snapshot}. *)
 
 type t
 
@@ -75,6 +77,10 @@ val current : ?pool:Tomo_par.Pool.t -> t -> estimate option
 (** [snapshot t] captures resumable state; see {!Snapshot}. *)
 val snapshot : t -> Snapshot.t
 
+(** [save_snapshot t path] captures [t] and saves it atomically to
+    [path] ({!Snapshot.save}), as the timed [stream.snapshot] stage. *)
+val save_snapshot : t -> string -> unit
+
 (** [of_snapshot ~model snap] resumes: the next estimate is
     bit-identical to an engine that never stopped.
     @raise Invalid_argument if the snapshot's path count does not match
@@ -100,6 +106,9 @@ val run :
   on_tick:(t -> estimate option -> unit) ->
   estimate option
 
+(** The tick and system size of an estimate. *)
+type last_estimate = { at_tick : int; rows : int; vars : int }
+
 (** An immutable copy of the engine's scalar state, captured on the
     engine's own thread ({!status}) and safe to hand to the telemetry
     exporter's thread afterwards. *)
@@ -110,9 +119,8 @@ type status = {
   st_full : bool;
   st_estimates : int;  (** estimates this engine computed (lifetime) *)
   st_reselects : int;  (** Algorithm 1 re-runs this engine performed *)
-  st_last_estimate_tick : int option;  (** [None] before the first *)
-  st_last_rows : int option;
-  st_last_vars : int option;
+  st_last : last_estimate option;
+      (** the latest estimate; [None] before the first *)
 }
 
 val status : t -> status

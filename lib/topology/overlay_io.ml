@@ -136,14 +136,7 @@ let of_string s =
   | header :: _ -> failwith ("unknown overlay format: " ^ header)
   | [] -> failwith "empty overlay file"
 
-let save path t =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      let ppf = Format.formatter_of_out_channel oc in
-      write ppf t;
-      Format.pp_print_flush ppf ())
+let save path t = Tomo_obs.Sink.write_atomic path (to_string t)
 
 let load path =
   let ic = open_in path in

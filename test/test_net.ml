@@ -13,7 +13,8 @@ module Rng = Tomo_util.Rng
 module Engine = Tomo_stream.Engine
 module Frame = Tomo_net.Frame
 module Hub = Tomo_net.Hub
-module Listener = Tomo_net.Listener
+module Exporter = Tomo_obs.Exporter
+module Metrics = Tomo_obs.Metrics
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -325,6 +326,38 @@ let test_hub_kill_restore () =
         (expected_report ~model ~window cols)
         (read_file (Filename.concat dir "gamma.report")))
 
+(* Every snapshot the hub saves is timed as the [stream.snapshot] stage:
+   one [stream_stage_snapshot_s] observation per [stream_snapshots_saved]. *)
+let test_hub_snapshots_timed () =
+  let rng = Rng.create 41 in
+  let model = random_model rng in
+  let n_paths = model.Tomo.Model.n_paths in
+  let window = 3 and total = 10 in
+  let cols = Array.init total (fun _ -> random_column rng n_paths) in
+  Metrics.set_enabled true;
+  Metrics.reset ();
+  Fun.protect
+    ~finally:(fun () ->
+      Metrics.set_enabled false;
+      Metrics.reset ())
+  @@ fun () ->
+  with_tmpdir (fun dir ->
+      let hub =
+        Hub.create ~model ~window ~snapshot_dir:dir ~report_dir:dir
+          ~snapshot_every:2 ()
+      in
+      let runner = Thread.create Hub.run hub in
+      let th, _ = spawn_peer hub (trace_frames ~peer:"delta" ~n_paths cols) in
+      wait_for (fun () -> (Hub.stats hub).Hub.reports_written = 1) "report";
+      Hub.request_stop hub;
+      Thread.join runner;
+      Thread.join th;
+      let saved = Metrics.counter_value (Metrics.counter "stream_snapshots_saved") in
+      check_int "every 2nd of 10 ticks, and once at the end" 6 saved;
+      check_int "one timed snapshot stage per save" saved
+        (Metrics.histogram_stats (Metrics.histogram "stream_stage_snapshot_s"))
+          .Metrics.count)
+
 (* A peer sending a well-framed but garbage record is dropped; a peer
    racing it on another socket is untouched. *)
 let test_hub_garbage_peer_isolated () =
@@ -404,8 +437,30 @@ let test_hub_overflow_drop_policy () =
   check_int "dropped" 1 (Hub.stats hub).Hub.peers_dropped
 
 (* ------------------------------------------------------------------ *)
-(* Listener: accepts on a real Unix socket                             *)
+(* The accept loop ingestion shares with telemetry                     *)
 (* ------------------------------------------------------------------ *)
+
+let serve_ingest path ~on_accept =
+  Exporter.serve ~events:"ingest" ~failure:"ingest accept failed"
+    (Exporter.Unix_sock path) ~on_accept
+
+let connect path =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX path);
+  fd
+
+(* Everything the other end sends until it closes. *)
+let read_to_eof fd =
+  let b = Buffer.create 256 and chunk = Bytes.create 1024 in
+  let rec go () =
+    let n = Unix.read fd chunk 0 (Bytes.length chunk) in
+    if n > 0 then begin
+      Buffer.add_subbytes b chunk 0 n;
+      go ()
+    end
+  in
+  Fun.protect ~finally:(fun () -> Unix.close fd) go;
+  Buffer.contents b
 
 let test_listener_accepts () =
   with_tmpdir (fun dir ->
@@ -413,20 +468,14 @@ let test_listener_accepts () =
       let accepted = ref 0 in
       let m = Mutex.create () in
       let listener =
-        Listener.start (Tomo_obs.Exporter.Unix_sock path)
-          ~on_accept:(fun fd ->
+        serve_ingest path ~on_accept:(fun fd ->
             Mutex.lock m;
             incr accepted;
             Mutex.unlock m;
             Unix.close fd)
       in
-      let connect () =
-        let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-        Unix.connect fd (Unix.ADDR_UNIX path);
-        Unix.close fd
-      in
-      connect ();
-      connect ();
+      Unix.close (connect path);
+      Unix.close (connect path);
       wait_for
         (fun () ->
           Mutex.lock m;
@@ -434,8 +483,51 @@ let test_listener_accepts () =
           Mutex.unlock m;
           n = 2)
         "two accepts";
-      Listener.stop listener;
+      Exporter.stop listener;
       check_bool "socket file unlinked" false (Sys.file_exists path))
+
+(* The telemetry server and an ingest listener side by side, each one
+   [Exporter.serve] loop: both emit their event pairs, a connection the
+   ingest callback refuses is closed and the refusal recorded, and
+   [stop] unlinks both sockets. *)
+let test_accept_loops_side_by_side () =
+  with_tmpdir (fun dir ->
+      let log = Filename.concat dir "events.jsonl" in
+      Tomo_obs.Events.configure (Some log);
+      Fun.protect ~finally:(fun () -> Tomo_obs.Events.configure None)
+      @@ fun () ->
+      let tel = Filename.concat dir "telemetry.sock"
+      and ing = Filename.concat dir "ingest.sock" in
+      let exporter = Exporter.start (Exporter.Unix_sock tel) in
+      let listener =
+        serve_ingest ing ~on_accept:(fun _ -> failwith "refused peer")
+      in
+      let fd = connect tel in
+      write_all fd "GET /healthz HTTP/1.0\r\n\r\n";
+      check_bool "telemetry answers" true
+        (contains ~needle:"200 OK" (read_to_eof fd));
+      Alcotest.(check string)
+        "refused connection closed" "" (read_to_eof (connect ing));
+      check_bool "refusal recorded" true
+        (match Tomo_obs.Sink.last_error () with
+        | Some e -> contains ~needle:"ingest accept failed: " e
+                    && contains ~needle:"refused peer" e
+        | None -> false);
+      Exporter.stop listener;
+      Exporter.stop exporter;
+      check_bool "ingest socket unlinked" false (Sys.file_exists ing);
+      check_bool "telemetry socket unlinked" false (Sys.file_exists tel);
+      let events = read_file log in
+      List.iter
+        (fun ev ->
+          check_bool ev true
+            (contains ~needle:(Printf.sprintf "\"event\":\"%s\"" ev) events))
+        [
+          "exporter_listening";
+          "ingest_listening";
+          "ingest_stopped";
+          "exporter_stopped";
+        ])
 
 (* ------------------------------------------------------------------ *)
 (* Input robustness: every rejection of a mutated input is a Failure   *)
@@ -696,6 +788,8 @@ let () =
             test_hub_matches_direct;
           Alcotest.test_case "kill + snapshot restore is bit-identical"
             `Quick test_hub_kill_restore;
+          Alcotest.test_case "every saved snapshot is timed" `Quick
+            test_hub_snapshots_timed;
           Alcotest.test_case "garbage peers dropped, good peer isolated"
             `Quick test_hub_garbage_peer_isolated;
           Alcotest.test_case "half-open peer reaped by idle timeout" `Quick
@@ -704,7 +798,12 @@ let () =
             test_hub_overflow_drop_policy;
         ] );
       ( "listener",
-        [ Alcotest.test_case "accepts over a Unix socket" `Quick test_listener_accepts ] );
+        [
+          Alcotest.test_case "accepts over a Unix socket" `Quick
+            test_listener_accepts;
+          Alcotest.test_case "telemetry and ingest loops side by side" `Quick
+            test_accept_loops_side_by_side;
+        ] );
       ( "robust",
         [
           QCheck_alcotest.to_alcotest prop_overlay_mutations;

@@ -172,24 +172,39 @@ let test_metrics_disabled_noop () =
   check_int "histogram unchanged while disabled" 0
     (Metrics.histogram_stats h).Metrics.count
 
-(* Stage durations come from the monotonic clock, which is read only
-   while metrics are enabled: a start taken with metrics off is 0 and
-   never recorded, and a recorded duration is never negative. *)
+(* A stage is timed by its span: with tracing off the span still feeds
+   its histogram while metrics are on — on return and on raise, never a
+   negative duration — with both off it records nothing, and with both
+   on the histogram observes exactly the spans' durations. *)
 let test_clock_durations () =
   let h = Metrics.histogram "test_obs.clock_h" in
   Metrics.set_enabled false;
-  check_bool "no clock read while disabled" true
-    (Tomo_obs.Clock.start () = 0.0);
-  with_metrics @@ fun () ->
-  Tomo_obs.Clock.observe_since h 0.0;
-  check_int "a start taken while disabled is dropped" 0
+  check_int "thunk result passes through" 3
+    (Trace.with_span ~histogram:h "stage" (fun () -> 3));
+  check_int "nothing recorded while disabled" 0
     (Metrics.histogram_stats h).Metrics.count;
-  let t0 = Tomo_obs.Clock.start () in
-  check_bool "enabled start reads the clock" true (t0 > 0.0);
-  Tomo_obs.Clock.observe_since h t0;
+  with_metrics @@ fun () ->
+  Trace.with_span ~histogram:h "stage" ignore;
+  (match Trace.with_span ~histogram:h "stage" (fun () -> failwith "boom") with
+  | () -> Alcotest.fail "exception swallowed"
+  | exception Failure _ -> ());
   let s = Metrics.histogram_stats h in
-  check_int "one duration" 1 s.Metrics.count;
-  check_bool "never negative" true (s.Metrics.min_v >= 0.0)
+  check_int "observed on return and on raise" 2 s.Metrics.count;
+  check_bool "never negative" true (s.Metrics.min_v >= 0.0);
+  check_int "no span recorded with tracing off" 0 (List.length (Trace.roots ()));
+  Metrics.reset ();
+  with_tracing @@ fun () ->
+  Trace.with_span "outer" (fun () ->
+      Trace.with_span ~histogram:h "inner" ignore;
+      Trace.with_span ~histogram:h "inner" ignore);
+  let s = Metrics.histogram_stats h in
+  match Trace.roots () with
+  | [ { Trace.children = [ a; b ]; _ } ] ->
+      check_int "one observation per span" 2 s.Metrics.count;
+      check_bool "sum is the spans' durations, bit for bit" true
+        (Int64.bits_of_float s.Metrics.sum
+        = Int64.bits_of_float (0.0 +. a.Trace.duration_s +. b.Trace.duration_s))
+  | _ -> Alcotest.fail "expected one root with two children"
 
 let test_snapshot_shape () =
   with_metrics @@ fun () ->
@@ -627,6 +642,43 @@ let test_write_atomic_failure_cleans_up () =
     "only the targets remain" [ "file"; "target" ]
     (List.sort compare (Array.to_list (Sys.readdir dir)))
 
+(* Routing a file through [write_atomic] leaves it where and what
+   [open_out] makes it: the same mode, written through a symlink (the
+   link stays a link), and a pipe written in place, not replaced. *)
+let test_write_atomic_like_open_out () =
+  let dir = Filename.temp_file "tomo_atomic" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o755;
+  let path f = Filename.concat dir f in
+  Fun.protect ~finally:(fun () ->
+      Array.iter (fun f -> Sys.remove (path f)) (Sys.readdir dir);
+      Unix.rmdir dir)
+  @@ fun () ->
+  close_out (open_out (path "plain"));
+  Sink.write_atomic (path "atomic") "x";
+  let perm f = (Unix.stat (path f)).Unix.st_perm in
+  check_int "open_out's mode" (perm "plain") (perm "atomic");
+  Unix.symlink "atomic" (path "link");
+  Sink.write_atomic (path "link") "through";
+  check_bool "the link stays a link" true
+    ((Unix.lstat (path "link")).Unix.st_kind = Unix.S_LNK);
+  check_string "its target holds the content" "through" (read_file (path "atomic"));
+  Unix.mkfifo (path "fifo") 0o600;
+  let got = ref "" in
+  let reader =
+    Thread.create
+      (fun () ->
+        got := In_channel.with_open_bin (path "fifo") In_channel.input_all)
+      ()
+  in
+  Sink.write_atomic (path "fifo") "piped";
+  (* checked before the join: a replaced pipe would leave the reader
+     waiting for a writer forever *)
+  check_bool "the pipe stays a pipe" true
+    ((Unix.lstat (path "fifo")).Unix.st_kind = Unix.S_FIFO);
+  Thread.join reader;
+  check_string "the pipe's reader got the content" "piped" !got
+
 (* ------------------------------------------------------------------ *)
 (* Flusher: periodic background flushing                               *)
 (* ------------------------------------------------------------------ *)
@@ -804,9 +856,7 @@ let test_status_json_golden () =
       st_full = true;
       st_estimates = 21;
       st_reselects = 1;
-      st_last_estimate_tick = Some 60;
-      st_last_rows = Some 565;
-      st_last_vars = Some 595;
+      st_last = Some { Engine.at_tick = 60; rows = 565; vars = 595 };
     }
   in
   check_string "full engine"
@@ -822,9 +872,7 @@ let test_status_json_golden () =
       st_occupancy = 12;
       st_full = false;
       st_estimates = 0;
-      st_last_estimate_tick = None;
-      st_last_rows = None;
-      st_last_vars = None;
+      st_last = None;
     }
   in
   check_string "warming up, with a sink error"
@@ -839,21 +887,25 @@ let test_engine_status () =
   let engine = Engine.create ~model ~window:2 () in
   let st0 = Engine.status engine in
   check_bool "fresh engine is warming up" true (not st0.Engine.st_full);
-  check_bool "no estimate yet" true (st0.Engine.st_last_estimate_tick = None);
+  check_bool "no estimate yet" true (st0.Engine.st_last = None);
+  let last = ref None in
   for _ = 1 to 3 do
     let col = Tomo_util.Bitset.create model.Tomo.Model.n_paths in
     Tomo_util.Bitset.set_all col;
-    ignore (Engine.ingest engine col)
+    last := Engine.ingest engine col
   done;
   let st = Engine.status engine in
   check_int "ticks counted" 3 st.Engine.st_ticks;
   check_int "occupancy is the window fill" 2 st.Engine.st_occupancy;
   check_bool "full once warmed" true st.Engine.st_full;
   check_int "estimates counted" 2 st.Engine.st_estimates;
-  check_bool "last estimate stamped with its tick" true
-    (st.Engine.st_last_estimate_tick = Some 3);
-  check_bool "rows/vars recorded" true
-    (st.Engine.st_last_rows <> None && st.Engine.st_last_vars <> None)
+  match (st.Engine.st_last, !last) with
+  | Some l, Some est ->
+      let r = est.Engine.result in
+      check_int "last estimate stamped with its tick" 3 l.Engine.at_tick;
+      check_int "rows recorded" r.Tomo.Pc_result.n_rows l.Engine.rows;
+      check_int "vars recorded" r.Tomo.Pc_result.n_vars l.Engine.vars
+  | _ -> Alcotest.fail "no last estimate after two estimates"
 
 let test_stream_metrics_exported () =
   with_metrics @@ fun () ->
@@ -937,6 +989,8 @@ let () =
             test_flush_idempotent_atomic;
           Alcotest.test_case "failed atomic write leaves no temp file" `Quick
             test_write_atomic_failure_cleans_up;
+          Alcotest.test_case "atomic write keeps open_out's target" `Quick
+            test_write_atomic_like_open_out;
           Alcotest.test_case "strict JSON check accepts and rejects" `Quick
             test_json_valid_oracle;
         ] );

@@ -533,6 +533,92 @@ let test_streaming_equals_batch () =
     (Engine.report_to_string ~window batch_est)
     (Engine.report_to_string ~window est)
 
+(* ------------------------------------------------------------------ *)
+(* One timer: each stage's span feeds its histogram                    *)
+(* ------------------------------------------------------------------ *)
+
+module Trace = Tomo_obs.Trace
+module Metrics = Tomo_obs.Metrics
+
+(* Durations of the spans named [name], in the order they closed (spans
+   of one name never nest, so a depth-first walk over the roots visits
+   them in that order). *)
+let span_durations roots name =
+  let acc = ref [] in
+  let rec visit (s : Trace.span) =
+    if s.Trace.name = name then acc := s.Trace.duration_s :: !acc;
+    List.iter visit s.Trace.children
+  in
+  List.iter visit roots;
+  List.rev !acc
+
+(* A replay with tracing and metrics on, snapshots every 7 ticks: every
+   stage histogram holds exactly its spans' durations — the same count
+   and, summed in the same order, the same sum to the bit. *)
+let test_one_timer () =
+  let window = 20 and total = 60 in
+  let w =
+    W.prepare
+      (W.spec ~scale:W.Small ~seed:3 ~t_override:total W.Brite
+         Tomo_netsim.Scenario.Random)
+  in
+  Trace.set_enabled true;
+  Trace.reset ();
+  Metrics.set_enabled true;
+  Metrics.reset ();
+  let roots =
+    Fun.protect
+      ~finally:(fun () ->
+        Trace.set_enabled false;
+        Metrics.set_enabled false)
+      (fun () ->
+        with_temp_file (Tomo_netsim.Trace_io.to_string w.W.run) (fun path ->
+            let snap = Filename.temp_file "tomo_stream_test" ".snap" in
+            Fun.protect
+              ~finally:(fun () -> Sys.remove snap)
+              (fun () ->
+                let src = Source.of_trace_file path in
+                let engine = Engine.create ~model:w.W.model ~window () in
+                ignore
+                  (Engine.run ~snapshot_out:snap ~snapshot_every:7 engine src
+                     ~on_tick:(fun _ _ -> ()));
+                Source.close src));
+        Trace.take_roots ())
+  in
+  List.iter
+    (fun (span, hist) ->
+      let ds = span_durations roots span in
+      let st = Metrics.histogram_stats (Metrics.histogram hist) in
+      check_bool (span ^ " ran") true (ds <> []);
+      check_int (hist ^ " counts its spans") (List.length ds) st.Metrics.count;
+      let sum = List.fold_left ( +. ) 0.0 ds in
+      if Int64.bits_of_float sum <> Int64.bits_of_float st.Metrics.sum then
+        Alcotest.failf "%s sum %.17g <> %s durations %.17g" hist
+          st.Metrics.sum span sum)
+    [
+      ("stream.tick", "stream_tick_s");
+      ("stream.ingest", "stream_stage_ingest_s");
+      ("stream.reselect", "stream_stage_reselect_s");
+      ("stream.solve", "stream_stage_solve_s");
+      ("stream.system_solve", "stream_solve_s");
+      ("stream.snapshot", "stream_stage_snapshot_s");
+    ];
+  (* The shape the fan-in bench reads estimating ticks from. *)
+  let estimating =
+    List.filter
+      (fun (r : Trace.span) ->
+        r.Trace.name = "stream.tick"
+        && List.exists
+             (fun (c : Trace.span) -> c.Trace.name = "stream.solve")
+             r.Trace.children)
+      roots
+  in
+  check_int "stream.solve a direct child of every estimating tick"
+    (total - window + 1) (List.length estimating);
+  check_int "a snapshot every 7 ticks and one at the end" ((total / 7) + 1)
+    (List.length (span_durations roots "stream.snapshot"));
+  Metrics.reset ()
+
 let () =
   Tomo_par.Pool.set_default_jobs 1;
   Alcotest.run "stream"
@@ -562,6 +648,11 @@ let () =
         [
           Alcotest.test_case "streaming == batch on a Netsim trace" `Slow
             test_streaming_equals_batch;
+        ] );
+      ( "timer",
+        [
+          Alcotest.test_case "each stage's histogram equals its spans" `Quick
+            test_one_timer;
         ] );
       ( "parity",
         [
