@@ -116,9 +116,7 @@ let solution_logprob model ~engine solution =
   !total
 
 let infer_correlation model ~engine ~congested_paths ~good_paths =
-  let marginals =
-    Array.init model.Model.n_links (Prob_engine.link_marginal engine)
-  in
+  let marginals = Prob_engine.link_marginals engine in
   let solution =
     infer_independence ~include_likely:false model ~marginals
       ~congested_paths ~good_paths

@@ -51,7 +51,9 @@ let solve_with_counts (selection : Algorithm1.selection) obs ~counts =
    operands and calling [caml_compare]. *)
 let fmin (a : float) b = if a <= b then a else b
 let fmax (a : float) b = if a >= b then a else b
-let clamp01 x = fmax 0.0 (fmin 1.0 x)
+
+(* Inlined: as a call, its argument and its result would each be boxed. *)
+let[@inline] clamp01 x = fmax 0.0 (fmin 1.0 x)
 
 let var_of t s = Eqn.find t.selection.Algorithm1.registry s
 
@@ -94,23 +96,32 @@ let witness_dependence t w =
    variables B and B∪{e} are both identifiable, G_{B∪e}/G_B equals G_e
    exactly when e shares no congestion cause with B — e.g. a destination
    cluster where two paths branch after a common upstream link.  Take
-   the median of every such quotient ([pairs], {!Readout.chain}). *)
-let quotient_good_prob t pairs =
-  let quotients = ref [] in
-  for i = 0 to (Array.length pairs / 2) - 1 do
-    let v = pairs.(2 * i) and vb = pairs.((2 * i) + 1) in
-    quotients := exp (t.values.(v) -. t.values.(vb)) :: !quotients
+   the median of every such quotient ([pairs], at least one pair;
+   {!Readout.chain}). *)
+let[@inline] quotient_good_prob t pairs =
+  let n = Array.length pairs / 2 in
+  (* The quotients sorted under [Float.compare] by insertion, taken in
+     descending pair order and each placed after its equals: the order a
+     stable sort of them in that order gives, so position [n / 2] is
+     bitwise the element a sorted list would hold there. *)
+  let qs = Array.create_float n in
+  for c = 0 to n - 1 do
+    let i = n - 1 - c in
+    let q = exp (t.values.(pairs.(2 * i)) -. t.values.(pairs.((2 * i) + 1))) in
+    let j = ref c in
+    while !j > 0 && Float.compare qs.(!j - 1) q > 0 do
+      qs.(!j) <- qs.(!j - 1);
+      decr j
+    done;
+    qs.(!j) <- q
   done;
-  match List.sort Float.compare !quotients with
-  | [] -> None
-  | qs -> Some (clamp01 (List.nth qs (List.length qs / 2)))
+  clamp01 qs.(n / 2)
 
 type fallback = [ `Whole | `Split | `Adaptive ]
 
-let link_marginal_with strategy t e =
-  let plan = t.selection.Algorithm1.readout.Readout.entries in
-  if e < 0 || e >= Array.length plan then
-    invalid_arg "Prob_engine.link_marginal: link out of range";
+(* Link [e]'s marginal, read through its entry of [plan].  Inlined into
+   both readers below, so that a pass over the links boxes no float. *)
+let[@inline] marginal strategy t plan e =
   match plan.(e) with
   | Readout.Certified_good | Readout.Uncovered -> 0.0
   | Readout.Singleton v -> clamp01 (1.0 -. exp t.values.(v))
@@ -118,30 +129,40 @@ let link_marginal_with strategy t e =
       match strategy with
       | `Whole -> clamp01 (1.0 -. exp t.values.(v))
       | `Split -> clamp01 (1.0 -. exp (t.values.(v) /. float_of_int size))
-      | `Adaptive -> (
+      | `Adaptive ->
           (* Unidentifiable chain link. Observed witness-path dependence
              decides the reading: correlated chains take the
              whole-subset marginal; otherwise a quotient estimate if the
              branching structure offers one, else an even log-space
              split. *)
-          let rho =
-            Array.fold_left
-              (fun acc w -> fmax acc (witness_dependence t w))
-              0.0 witnesses
-          in
+          let rho = ref 0.0 in
+          for i = 0 to Array.length witnesses - 1 do
+            rho := fmax !rho (witness_dependence t witnesses.(i))
+          done;
+          let rho = !rho in
+          let k = float_of_int size in
           if rho >= 0.5 then
-            let k = float_of_int size in
-            let z = t.values.(v) *. (rho +. ((1.0 -. rho) /. k)) in
-            clamp01 (1.0 -. exp z)
-          else
-            match quotient_good_prob t quotients with
-            | Some g -> clamp01 (1.0 -. g)
-            | None ->
-                let k = float_of_int size in
-                clamp01 (1.0 -. exp (t.values.(v) /. k))))
+            clamp01 (1.0 -. exp (t.values.(v) *. (rho +. ((1.0 -. rho) /. k))))
+          else if Array.length quotients > 0 then
+            clamp01 (1.0 -. quotient_good_prob t quotients)
+          else clamp01 (1.0 -. exp (t.values.(v) /. k)))
+
+let link_marginal_with strategy t e =
+  let plan = t.selection.Algorithm1.readout.Readout.entries in
+  if e < 0 || e >= Array.length plan then
+    invalid_arg "Prob_engine.link_marginal: link out of range";
+  marginal strategy t plan e
 
 let link_marginal ?(chain_split = true) t e =
   link_marginal_with (if chain_split then `Adaptive else `Whole) t e
+
+let link_marginals t =
+  let plan = t.selection.Algorithm1.readout.Readout.entries in
+  let marginals = Array.create_float (Array.length plan) in
+  for e = 0 to Array.length plan - 1 do
+    marginals.(e) <- marginal `Adaptive t plan e
+  done;
+  marginals
 
 let link_identifiable t e =
   let plan = t.selection.Algorithm1.readout in

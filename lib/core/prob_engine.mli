@@ -82,6 +82,11 @@ val link_marginal : ?chain_split:bool -> t -> int -> float
     [link_marginal] is [`Adaptive] / [`Whole] via [chain_split]. *)
 val link_marginal_with : fallback -> t -> int -> float
 
+(** [link_marginals t] is every link's [link_marginal t e], indexed by
+    link, bit for bit: one pass over the readout plan in link order that
+    allocates only the result. *)
+val link_marginals : t -> float array
+
 (** [link_identifiable t e] is [true] iff [link_marginal] returned a
     uniquely determined value (always-good links count as
     identifiable): the flag its selection's readout plan holds

@@ -31,10 +31,12 @@ let is_dense ~m count = count * count >= 4 * m
 type t = {
   m : int;
   n : int;
-  (* A in CSR: row i's variables are a_idx.(a_ptr.(i) .. a_ptr.(i+1) - 1). *)
-  a_ptr : int array;
-  a_idx : int array;
   perm : int array;  (* perm.(k) = the row eliminated k-th *)
+  (* Aᵀ over elimination positions: the rows holding variable j are
+     eliminated at positions at_pos.(at_ptr.(j) .. at_ptr.(j+1) - 1),
+     ascending. *)
+  at_ptr : int array;
+  at_pos : int array;
   (* Strictly lower part of L by column, over elimination positions;
      row indices ascend within a column.  Flat rather than one array
      per column: on the serve workloads per-column arrays raised the
@@ -77,6 +79,22 @@ let transpose ~n ptr idx =
     done
   done;
   (t_ptr, t_idx)
+
+(* Aᵀ over elimination positions: [transpose] of A's rows taken in
+   elimination order, so each column lists its rows' positions
+   ascending. *)
+let positions_by_column ~cols a_ptr a_idx perm =
+  let m = Array.length perm in
+  let p_ptr = Array.make (m + 1) 0 in
+  Array.iteri
+    (fun k r -> p_ptr.(k + 1) <- p_ptr.(k) + a_ptr.(r + 1) - a_ptr.(r))
+    perm;
+  let p_idx = Array.make p_ptr.(m) 0 in
+  Array.iteri
+    (fun k r ->
+      Array.blit a_idx a_ptr.(r) p_idx p_ptr.(k) (a_ptr.(r + 1) - a_ptr.(r)))
+    perm;
+  transpose ~n:cols p_ptr p_idx
 
 (* Exact minimum degree over the row-overlap graph of G.  [adj] holds one
    [w]-word adjacency bit row per node, flat.  Eliminating [v] joins its
@@ -260,12 +278,13 @@ let cholesky ~modify ~cols a_ptr a_idx s_ptr s_idx sc_ptr sc_row =
       done
     end
   done;
+  let at_ptr, at_pos = positions_by_column ~cols a_ptr a_idx perm in
   ( {
       m;
       n = cols;
-      a_ptr;
-      a_idx;
       perm;
+      at_ptr;
+      at_pos;
       l_ptr;
       l_row;
       l_val;
@@ -521,7 +540,7 @@ let factor ~cols rows =
 
 let solve t b =
   if Array.length b <> t.m then invalid_arg "Sparse_chol.solve: size mismatch";
-  let { m; perm; a_ptr; a_idx; v_ptr; v_pos; v_val; _ } = t in
+  let { m; perm; v_ptr; v_pos; v_val; at_ptr; at_pos; _ } = t in
   let z = Array.create_float m in
   for k = 0 to m - 1 do
     z.(k) <- b.(perm.(k))
@@ -530,17 +549,17 @@ let solve t b =
   let q = Array.length v_ptr - 1 in
   if q > 0 then begin
     (* z <- z − V·C⁻¹·Vᵀ·z *)
-    let s =
-      Array.init q (fun c ->
-          let acc = ref 0.0 in
-          for p = v_ptr.(c) to v_ptr.(c + 1) - 1 do
-            acc :=
-              !acc
-              +. (Array.unsafe_get v_val p
-                 *. Array.unsafe_get z (Array.unsafe_get v_pos p))
-          done;
-          !acc)
-    in
+    let s = Array.create_float q in
+    for c = 0 to q - 1 do
+      let acc = ref 0.0 in
+      for p = v_ptr.(c) to v_ptr.(c + 1) - 1 do
+        acc :=
+          !acc
+          +. (Array.unsafe_get v_val p
+             *. Array.unsafe_get z (Array.unsafe_get v_pos p))
+      done;
+      s.(c) <- !acc
+    done;
     lu_solve q t.core t.core_piv s;
     for c = 0 to q - 1 do
       let sc = s.(c) in
@@ -552,17 +571,17 @@ let solve t b =
     done
   end;
   backward t z;
-  (* x = Aᵀ·y. *)
-  let x = Array.make t.n 0.0 in
-  for k = 0 to m - 1 do
-    let yk = z.(k) in
-    if yk <> 0.0 then begin
-      let r = perm.(k) in
-      for p = a_ptr.(r) to a_ptr.(r + 1) - 1 do
-        let j = Array.unsafe_get a_idx p in
-        Array.unsafe_set x j (Array.unsafe_get x j +. yk)
-      done
-    end
+  (* x = Aᵀ·y, gathered per variable: x_j adds the nonzero y of its rows
+     in ascending elimination position, starting from +0.0 — the order
+     a scatter over the positions would add them in. *)
+  let x = Array.create_float t.n in
+  for j = 0 to t.n - 1 do
+    let acc = ref 0.0 in
+    for p = at_ptr.(j) to at_ptr.(j + 1) - 1 do
+      let yk = Array.unsafe_get z (Array.unsafe_get at_pos p) in
+      if yk <> 0.0 then acc := !acc +. yk
+    done;
+    x.(j) <- !acc
   done;
   x
 

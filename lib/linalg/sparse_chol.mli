@@ -7,8 +7,9 @@
     each listed variable) the minimum-norm solution of [A·x = b] is
     [x = Aᵀ·G⁻¹·b] with [G = A·Aᵀ] symmetric positive definite.  [factor]
     pays for [G]'s factorization once; every [solve] afterwards is two
-    sparse triangular solves and one [Aᵀ] product, exact up to rounding
-    rather than up to an iteration tolerance.
+    sparse triangular solves and one [Aᵀ] product (a gather over a
+    transpose of [A] in elimination order, kept with the factor), exact
+    up to rounding rather than up to an iteration tolerance.
 
     [G]'s entry [(i, k)] is the number of variables rows [i] and [k]
     share, so [G] is as sparse as the row-overlap graph.  Rows are

@@ -402,7 +402,7 @@ let ingest_batch t (p, batch) =
   let engine = Option.get p.engine in
   List.iter
     (fun good ->
-      (match Stream.Engine.ingest ?pool:t.pool engine good with
+      (match Stream.Engine.ingest engine good with
       | Some est -> p.last_estimate <- Some est
       | None -> ());
       p.ticks <- p.ticks + 1;

@@ -256,7 +256,5 @@ let parallel_map ?pool f xs =
       results
   end
 
-let parallel_iter ?pool f xs = ignore (parallel_map ?pool f xs : unit array)
-
 let map_list ?pool f xs =
   Array.to_list (parallel_map ?pool f (Array.of_list xs))

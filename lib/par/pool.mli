@@ -68,9 +68,5 @@ val set_default_jobs : int -> unit
     given).  Order-preserving; exceptions propagate. *)
 val parallel_map : ?pool:t -> ('a -> 'b) -> 'a array -> 'b array
 
-(** [parallel_iter ?pool f xs] runs [f] on every element, in parallel,
-    returning when all are done. *)
-val parallel_iter : ?pool:t -> ('a -> unit) -> 'a array -> unit
-
 (** [map_list ?pool f xs] is [List.map f xs] through {!parallel_map}. *)
 val map_list : ?pool:t -> ('a -> 'b) -> 'a list -> 'b list

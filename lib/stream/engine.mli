@@ -11,14 +11,16 @@
       observation input Algorithm 1 reads);
     - the per-row all-good {e counts} feeding the right-hand sides are
       updated incrementally from the evicted/fresh column pair each
-      push, and each count's log-frequency is read from the window
-      observations' table of the [window + 1] values it can take
-      ({!Tomo.Prob_engine.solve_with_counts});
-    - marginal extraction fans out per correlation set over
-      {!Tomo_par.Pool}, each task writing its links' slots of the
-      result directly; the per-link identifiable flags are the
-      selection's readout array, decided once per selection and shared
-      by its estimates.
+      push, testing only the words of the two columns that a row's
+      path mask occupies, and each count's log-frequency is read from
+      the window observations' table of the [window + 1] values it can
+      take ({!Tomo.Prob_engine.solve_with_counts});
+    - marginal extraction is one sequential pass over the links, each
+      a read of the solved engine through the selection's readout plan
+      ({!Tomo.Readout}); the per-link identifiable flags are the plan's
+      array, decided once per selection and shared by its estimates.
+      An estimate runs on the caller's domain alone: a server that
+      feeds several engines (the hub) fans out across them instead.
 
     Because every cached quantity is a deterministic function of the
     window contents, a full-window estimate is bit-identical to running
@@ -63,16 +65,19 @@ val window : t -> Window.t
     snapshot/restore). *)
 val ticks : t -> int
 
-(** [ingest ?pool t good] feeds one interval batch (bit [p] set iff path
-    [p] measured good; ownership transfers to the window).  Returns the
+(** [ingest t good] feeds one interval batch (bit [p] set iff path [p]
+    measured good; ownership transfers to the window).  Returns the
     refreshed estimate, or [None] while the window is still warming
-    up. *)
+    up.  [?pool] is ignored: an estimate no longer fans out over a
+    pool.  It stays only because the end-to-end benchmark
+    ([bench/e2e/e2e.ml]) still passes it, and goes once that caller
+    drops it. *)
 val ingest : ?pool:Tomo_par.Pool.t -> t -> Tomo_util.Bitset.t -> estimate option
 
-(** [current ?pool t] re-estimates from the window as it stands (e.g.
-    right after a restore, without waiting for the next batch); [None]
-    while warming up. *)
-val current : ?pool:Tomo_par.Pool.t -> t -> estimate option
+(** [current t] re-estimates from the window as it stands (e.g. right
+    after a restore, without waiting for the next batch); [None] while
+    warming up. *)
+val current : t -> estimate option
 
 (** [snapshot t] captures resumable state; see {!Snapshot}. *)
 val snapshot : t -> Snapshot.t
@@ -87,7 +92,7 @@ val save_snapshot : t -> string -> unit
     the model. *)
 val of_snapshot : model:Tomo.Model.t -> Snapshot.t -> t
 
-(** [run ?pool ?snapshot_out ?snapshot_every ?max_ticks t source ~on_tick]
+(** [run ?snapshot_out ?snapshot_every ?max_ticks t source ~on_tick]
     is the service loop: drain [source] through {!ingest}, calling
     [on_tick] after every batch.  With [snapshot_out], a snapshot is
     written (atomically) every [snapshot_every] ticks (default 1) and
@@ -97,7 +102,6 @@ val of_snapshot : model:Tomo.Model.t -> Snapshot.t -> t
     produced, if any.
     @raise Invalid_argument if [snapshot_every <= 0]. *)
 val run :
-  ?pool:Tomo_par.Pool.t ->
   ?snapshot_out:string ->
   ?snapshot_every:int ->
   ?max_ticks:int ->

@@ -92,14 +92,18 @@ let count t =
 
 let is_empty t = Array.for_all (fun w -> w = 0) t.words
 
+(* The word predicates below are loops over a local index rather than a
+   local recursive function, which would capture both sets in a closure
+   allocated on every call. *)
 let equal a b =
   a.len = b.len
   && Array.length a.words = Array.length b.words
   &&
-  let rec go i =
-    i >= Array.length a.words || (a.words.(i) = b.words.(i) && go (i + 1))
-  in
-  go 0
+  let i = ref 0 and n = Array.length a.words in
+  while !i < n && Array.unsafe_get a.words !i = Array.unsafe_get b.words !i do
+    incr i
+  done;
+  !i = n
 
 let check_same a b =
   if a.len <> b.len then invalid_arg "Bitset: capacity mismatch"
@@ -163,19 +167,60 @@ let count_inter a b =
 
 let disjoint a b =
   check_same a b;
-  let rec go i =
-    i >= Array.length a.words
-    || (a.words.(i) land b.words.(i) = 0 && go (i + 1))
-  in
-  go 0
+  let i = ref 0 and n = Array.length a.words in
+  while
+    !i < n && Array.unsafe_get a.words !i land Array.unsafe_get b.words !i = 0
+  do
+    incr i
+  done;
+  !i = n
 
 let subset a b =
   check_same a b;
-  let rec go i =
-    i >= Array.length a.words
-    || (a.words.(i) land lnot b.words.(i) = 0 && go (i + 1))
-  in
-  go 0
+  let i = ref 0 and n = Array.length a.words in
+  while
+    !i < n
+    && Array.unsafe_get a.words !i land lnot (Array.unsafe_get b.words !i) = 0
+  do
+    incr i
+  done;
+  !i = n
+
+let words t = t.words
+
+(* Two passes over the index sets: the first counts each set's runs of
+   indices that share a word, the second fills them. *)
+let occupied_words ~len sets =
+  let m = Array.length sets in
+  let ptr = Array.make (m + 1) 0 in
+  for i = 0 to m - 1 do
+    let idx = sets.(i) and last = ref (-1) in
+    ptr.(i + 1) <- ptr.(i);
+    for k = 0 to Array.length idx - 1 do
+      let j = idx.(k) in
+      if j < 0 || j >= len then
+        invalid_arg "Bitset.occupied_words: index out of range";
+      let w = j / bits_per_word in
+      if w <> !last then begin
+        ptr.(i + 1) <- ptr.(i + 1) + 1;
+        last := w
+      end
+    done
+  done;
+  let word = Array.make ptr.(m) 0 and bits = Array.make ptr.(m) 0 in
+  for i = 0 to m - 1 do
+    let idx = sets.(i) and q = ref (ptr.(i) - 1) in
+    for k = 0 to Array.length idx - 1 do
+      let j = idx.(k) in
+      let w = j / bits_per_word in
+      if !q < ptr.(i) || word.(!q) <> w then begin
+        incr q;
+        word.(!q) <- w
+      end;
+      bits.(!q) <- bits.(!q) lor (1 lsl (j mod bits_per_word))
+    done
+  done;
+  (ptr, word, bits)
 
 (* Word-level iterators: the raw packed words, for hot loops (the netsim
    transpose, bulk statistics) that want one visit per word rather than

@@ -110,6 +110,26 @@ val fold_words : ('a -> int -> int -> 'a) -> 'a -> t -> 'a
 (** [word_bits] is the number of bits per packed word ([Sys.int_size]). *)
 val word_bits : int
 
+(** [words t] is [t]'s packed words themselves, not a copy (same
+    conventions as {!iter_words}), for a kernel that tests many masks
+    against [t] on the words each mask occupies ({!occupied_words}): one
+    call per set, then plain array reads.  Read it; never write it, which
+    would change [t] and could break the tail invariant. *)
+val words : t -> int array
+
+(** [occupied_words ~len sets] is, flat over the index sets [sets], the
+    nonzero packed words each would have as a set of capacity [len]:
+    [(ptr, word, bits)] where set [i] contributes [bits.(p)] at word
+    index [word.(p)] for [p] from [ptr.(i)] to [ptr.(i + 1) - 1].  Each
+    run of a set's indices that fall in one word gives one entry, so a
+    set whose indices ascend lists each word it occupies once, in
+    ascending word index; in any order, the union of a set's entries is
+    the set.  Built once per family of masks, for a kernel that tests
+    them against other sets' {!words}.
+    @raise Invalid_argument if an index is outside [0, len). *)
+val occupied_words :
+  len:int -> int array array -> int array * int array * int array
+
 (** [popcount w] is the number of set bits of the packed word [w], for
     kernels that keep their own word arrays. *)
 val popcount : int -> int

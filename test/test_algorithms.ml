@@ -796,18 +796,22 @@ let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 let strategies = [ `Whole; `Split; `Adaptive ]
 
 (* Every link, every strategy: the plan-based readout of [eng] equals the
-   per-query reference bit for bit, and so does [link_identifiable]. *)
+   per-query reference bit for bit, and so do [link_identifiable] and the
+   one-pass [link_marginals] (the adaptive strategy's). *)
 let readout_matches_reference eng =
   let n_links = eng.Prob_engine.selection.Algorithm1.model.Model.n_links in
-  List.init n_links Fun.id
-  |> List.for_all (fun e ->
-         Prob_engine.link_identifiable eng e = Reference.identifiable eng e
-         && List.for_all
-              (fun s ->
-                same_bits
-                  (Prob_engine.link_marginal_with s eng e)
-                  (Reference.marginal_with s eng e))
-              strategies)
+  let pass = Prob_engine.link_marginals eng in
+  Array.length pass = n_links
+  && List.init n_links Fun.id
+     |> List.for_all (fun e ->
+            Prob_engine.link_identifiable eng e = Reference.identifiable eng e
+            && same_bits pass.(e) (Reference.marginal_with `Adaptive eng e)
+            && List.for_all
+                 (fun s ->
+                   same_bits
+                     (Prob_engine.link_marginal_with s eng e)
+                     (Reference.marginal_with s eng e))
+                 strategies)
 
 (* Random models rich in chain links: a few correlation sets, paths of
    up to 5 links, and congestion partly drawn from per-set shared
@@ -930,6 +934,9 @@ let prop_grow_matches_reference =
 let test_readout_branches_exercised () =
   let singleton = ref 0 and chain = ref 0 in
   let witnessed = ref 0 and correlated = ref 0 and quotient = ref 0 in
+  (* uncorrelated chains read through the median of an even (≥ 2) and an
+     odd (≥ 3) number of quotients, which pins the median's position *)
+  let even_median = ref 0 and odd_median = ref 0 in
   for seed = 0 to 149 do
     let model, obs, _ = random_chain_case seed in
     let eng = Prob_engine.solve (Algorithm1.select model obs) obs in
@@ -955,7 +962,11 @@ let test_readout_branches_exercised () =
                   | Some d -> d >= 0.5
                   | None -> false)
                 subset.Subsets.links
-            then incr correlated)
+            then incr correlated
+            else
+              let pairs = Array.length c.Tomo.Readout.quotients / 2 in
+              if pairs >= 2 && pairs mod 2 = 0 then incr even_median;
+              if pairs >= 3 && pairs mod 2 = 1 then incr odd_median)
       eng.Prob_engine.selection.Algorithm1.readout.Tomo.Readout.entries
   done;
   List.iter
@@ -967,6 +978,8 @@ let test_readout_branches_exercised () =
       ("witnessed chain", !witnessed);
       ("correlated chain", !correlated);
       ("quotient chain", !quotient);
+      ("even-median chain", !even_median);
+      ("odd-median chain", !odd_median);
     ]
 
 (* The small Brite and Sparse workloads: pools past the 300-candidate

@@ -189,7 +189,9 @@ let ref_select ?(tol = 1e-8) ~cols rows =
 
 let seeded_rng (seed, r, c) = Rng.create (seed + (1009 * r) + (100003 * c))
 
-let dims_gen = QCheck.(triple (int_range 0 1000) (int_range 0 10) (int_range 1 10))
+let dims_gen =
+  QCheck.(
+    triple (int_range 0 1000) (int_range 0 10) (Qgen.int_range 1 10))
 
 let prop_rref_sparse_matches_reference =
   QCheck.Test.make
@@ -240,7 +242,7 @@ let prop_seed_matches_sorted_merge =
   QCheck.Test.make
     ~name:"of_incidence == sorted-merge reference (bitwise)"
     ~count:300
-    QCheck.(triple (int_range 0 100_000) (int_range 0 24) (int_range 1 24))
+    QCheck.(triple (int_range 0 100_000) (int_range 0 24) (Qgen.int_range 1 24))
     (fun ((seed, r, c) as k) ->
       let rng = seeded_rng k in
       let density = Rng.float rng 0.7 in

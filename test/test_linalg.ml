@@ -119,7 +119,7 @@ let test_matrix_of_rows_rejections () =
 
 let prop_transpose_involution =
   QCheck.Test.make ~name:"transpose is an involution" ~count:50
-    QCheck.(pair (int_range 1 12) (int_range 1 12))
+    QCheck.(pair (Qgen.int_range 1 12) (Qgen.int_range 1 12))
     (fun (r, c) ->
       let rng = Rng.create (r + (100 * c)) in
       let m = random_matrix rng r c in
@@ -127,7 +127,7 @@ let prop_transpose_involution =
 
 let prop_mul_identity =
   QCheck.Test.make ~name:"A·I = A and I·A = A" ~count:50
-    QCheck.(pair (int_range 1 10) (int_range 1 10))
+    QCheck.(pair (Qgen.int_range 1 10) (Qgen.int_range 1 10))
     (fun (r, c) ->
       let rng = Rng.create (r + (57 * c)) in
       let m = random_matrix rng r c in
@@ -183,7 +183,8 @@ let test_gauss_inverse () =
 let prop_rank_product_bound =
   QCheck.Test.make ~name:"rank(AB) <= min(rank A, rank B) via low-rank build"
     ~count:50
-    QCheck.(triple (int_range 2 10) (int_range 2 10) (int_range 1 4))
+    QCheck.(
+      triple (Qgen.int_range 2 10) (Qgen.int_range 2 10) (Qgen.int_range 1 4))
     (fun (r, c, k) ->
       let rng = Rng.create ((r * 1000) + (c * 10) + k) in
       let m = random_low_rank rng r c (min k (min r c)) in
@@ -242,7 +243,7 @@ let test_lstsq_rank_deficient () =
 let prop_lstsq_residual_orthogonal =
   QCheck.Test.make
     ~name:"least-squares residual orthogonal to column space" ~count:60
-    QCheck.(pair (int_range 2 12) (int_range 1 8))
+    QCheck.(pair (Qgen.int_range 2 12) (Qgen.int_range 1 8))
     (fun (m, n) ->
       let n = min n m in
       let rng = Rng.create ((m * 131) + n) in
@@ -331,7 +332,7 @@ let test_determined () =
    zero in every column. *)
 let prop_determined_matches_oracle =
   QCheck.Test.make ~name:"determined ≡ oracle basis rows at 1e-6" ~count:150
-    QCheck.(triple (int_range 0 12) (int_range 1 12) (int_range 0 10_000))
+    QCheck.(triple (int_range 0 12) (Qgen.int_range 1 12) (int_range 0 10_000))
     (fun (r, c, seed) ->
       let rng = Rng.create (seed + 41_000) in
       let rows = random_incidence_rows rng ~rows:r ~cols:c 0.3 in
@@ -382,7 +383,7 @@ let prop_update_equals_recompute =
   QCheck.Test.make
     ~name:"Algorithm 2 update ≡ from-scratch basis (nullity & annihilation)"
     ~count:80
-    QCheck.(triple (int_range 1 6) (int_range 2 8) (int_range 0 1000))
+    QCheck.(triple (Qgen.int_range 1 6) (Qgen.int_range 2 8) (int_range 0 1000))
     (fun (r, c, seed) ->
       let rng = Rng.create seed in
       let rows = random_incidence_rows rng ~rows:(r + 1) ~cols:c 0.4 in
@@ -394,7 +395,8 @@ let prop_update_equals_recompute =
 
 let prop_rank_nullity =
   QCheck.Test.make ~name:"rank + nullity = columns" ~count:80
-    QCheck.(triple (int_range 1 10) (int_range 1 10) (int_range 0 1000))
+    QCheck.(
+      triple (Qgen.int_range 1 10) (Qgen.int_range 1 10) (int_range 0 1000))
     (fun (r, c, seed) ->
       let rng = Rng.create (seed + 424242) in
       let rows = random_incidence_rows rng ~rows:r ~cols:c 0.35 in
@@ -404,7 +406,8 @@ let prop_rank_nullity =
 
 let prop_basis_annihilated =
   QCheck.Test.make ~name:"R · basis(R) = 0" ~count:80
-    QCheck.(triple (int_range 1 8) (int_range 1 10) (int_range 0 1000))
+    QCheck.(
+      triple (Qgen.int_range 1 8) (Qgen.int_range 1 10) (int_range 0 1000))
     (fun (r, c, seed) ->
       let rng = Rng.create (seed + 777) in
       let rows = random_incidence_rows rng ~rows:r ~cols:c 0.5 in
@@ -464,7 +467,8 @@ let test_svd_known_values () =
 
 let prop_svd_agrees_with_gauss_rank =
   QCheck.Test.make ~name:"SVD rank = Gaussian-elimination rank" ~count:60
-    QCheck.(triple (int_range 1 8) (int_range 1 8) (int_range 0 5_000))
+    QCheck.(
+      triple (Qgen.int_range 1 8) (Qgen.int_range 1 8) (int_range 0 5_000))
     (fun (m, n, seed) ->
       let m = max m n in
       (* ensure rows >= cols *)
@@ -476,7 +480,7 @@ let prop_svd_agrees_with_gauss_rank =
 
 let prop_svd_nullspace_annihilated =
   QCheck.Test.make ~name:"A · svd-nullspace = 0" ~count:60
-    QCheck.(pair (int_range 2 8) (int_range 0 5_000))
+    QCheck.(pair (Qgen.int_range 2 8) (int_range 0 5_000))
     (fun (n, seed) ->
       let rng = Rng.create (seed + 11_000) in
       let a = random_low_rank rng (n + 2) n (max 1 (n / 2)) in
@@ -543,7 +547,8 @@ let test_cgls_validation () =
 let prop_cgls_matches_qr_least_squares =
   QCheck.Test.make ~name:"CGLS matches QR least squares on incidence rows"
     ~count:60
-    QCheck.(triple (int_range 1 10) (int_range 1 8) (int_range 0 5_000))
+    QCheck.(
+      triple (Qgen.int_range 1 10) (Qgen.int_range 1 8) (int_range 0 5_000))
     (fun (m, n, seed) ->
       let rng = Rng.create (seed + 13_000) in
       let rows =
@@ -710,7 +715,8 @@ let prop_sparse_rref_bit_identical_incidence =
   QCheck.Test.make
     ~name:"sparse rref ≡ dense rref on 0/1 incidence matrices (exact)"
     ~count:120
-    QCheck.(triple (int_range 1 18) (int_range 1 24) (int_range 0 10_000))
+    QCheck.(
+      triple (Qgen.int_range 1 18) (Qgen.int_range 1 24) (int_range 0 10_000))
     (fun (r, c, seed) ->
       let rng = Rng.create (seed + 17_000) in
       let idxs = random_incidence_rows rng ~rows:r ~cols:c 0.2 in
@@ -722,7 +728,8 @@ let prop_sparse_rref_matches_dense_random =
   QCheck.Test.make
     ~name:"sparse rref matches dense on dense-random controls (1e-9)"
     ~count:120
-    QCheck.(triple (int_range 1 12) (int_range 1 12) (int_range 0 10_000))
+    QCheck.(
+      triple (Qgen.int_range 1 12) (Qgen.int_range 1 12) (int_range 0 10_000))
     (fun (r, c, seed) ->
       let rng = Rng.create (seed + 19_000) in
       (* Half-dense rows with arbitrary per-row coefficients, unlike
@@ -736,7 +743,8 @@ let prop_sparse_nullspace_same_kernel =
   QCheck.Test.make
     ~name:"sparse Nullspace.basis spans the same kernel as dense"
     ~count:80
-    QCheck.(triple (int_range 1 10) (int_range 2 14) (int_range 0 10_000))
+    QCheck.(
+      triple (Qgen.int_range 1 10) (Qgen.int_range 2 14) (int_range 0 10_000))
     (fun (r, c, seed) ->
       let rng = Rng.create (seed + 23_000) in
       let rows = random_incidence_rows rng ~rows:r ~cols:c 0.25 in
@@ -875,7 +883,8 @@ let prop_witness_parity_incidence =
   QCheck.Test.make
     ~name:"witness tracker ≡ exact tracker on random incidence streams"
     ~count:150
-    QCheck.(triple (int_range 1 14) (int_range 1 50) (int_range 0 10_000))
+    QCheck.(
+      triple (Qgen.int_range 1 14) (Qgen.int_range 1 50) (int_range 0 10_000))
     (fun (n, m, seed) ->
       let rng = Rng.create (seed + 31_000) in
       let wit = Nullspace.tracker ~witness_k:4 n in
@@ -897,7 +906,8 @@ let prop_select_independent_matches_tracker =
   QCheck.Test.make
     ~name:"select_independent ≡ incremental tracker accept/reject"
     ~count:150
-    QCheck.(triple (int_range 1 12) (int_range 1 40) (int_range 0 10_000))
+    QCheck.(
+      triple (Qgen.int_range 1 12) (Qgen.int_range 1 40) (int_range 0 10_000))
     (fun (n, m, seed) ->
       let rng = Rng.create (seed + 37_000) in
       let rows = Array.init m (fun _ -> random_idxs rng n) in
@@ -1137,7 +1147,8 @@ let prop_chol_min_norm =
   QCheck.Test.make
     ~name:"Sparse_chol: A·x = b, x ⟂ null(A), x ≈ CGLS, factor deterministic"
     ~count:150
-    QCheck.(triple (int_range 1 16) (int_range 1 40) (int_range 0 10_000))
+    QCheck.(
+      triple (Qgen.int_range 1 16) (Qgen.int_range 1 40) (int_range 0 10_000))
     (fun (n, m, seed) ->
       let rng = Rng.create (seed + 41_000) in
       let rows = independent_system rng ~n ~m in
@@ -1192,7 +1203,7 @@ let prop_chol_hubs =
     ~name:"Sparse_chol, hubs split out: A·x = b, x ⟂ null(A), x ≈ CGLS"
     ~count:150
     QCheck.(
-      quad (int_range 1 3) (int_range 4 30) (int_range 16 70)
+      quad (Qgen.int_range 1 3) (Qgen.int_range 4 30) (Qgen.int_range 16 70)
         (int_range 0 10_000))
     (fun (h, n, m, seed) ->
       let rng = Rng.create (seed + 43_000) in

@@ -294,6 +294,99 @@ let streaming_equals_batch_qcheck =
     QCheck.(int_range 0 100_000)
     prop_streaming_equals_batch
 
+(* The same on random models over 64-200 paths, where a selected row's
+   path mask spans up to four words, so the engine's per-word count
+   updates cross word boundaries; the small models above fit every mask
+   in one word.  About a third of the paths are good but for a rare
+   congested interval, and every other path is congested at least once
+   in any [window] consecutive intervals (at its own phase), so the
+   always-good set holds across most ticks: those ticks update the
+   counts, and the rare interval forces a re-selection
+   ({!test_wide_rows_span_words} checks both). *)
+let random_wide_model rng =
+  let n_links = 16 + Rng.int rng 17 in
+  let n_paths = 64 + Rng.int rng 137 in
+  let paths =
+    Array.init n_paths (fun _ ->
+        shuffled_prefix rng n_links (1 + Rng.int rng 4))
+  in
+  let sets = ref [] and i = ref 0 in
+  while !i < n_links do
+    let k = min (n_links - !i) (1 + Rng.int rng 3) in
+    sets := Array.init k (fun j -> !i + j) :: !sets;
+    i := !i + k
+  done;
+  Tomo.Model.make ~n_links ~paths
+    ~corr_sets:(Array.of_list (List.rev !sets))
+
+let wide_case seed =
+  let rng = Rng.create (seed + 64_000) in
+  let model = random_wide_model rng in
+  let n_paths = model.Tomo.Model.n_paths in
+  let window = 2 + Rng.int rng 5 in
+  let total = 20 + Rng.int rng 11 in
+  let steady = Array.init n_paths (fun _ -> Rng.bool rng ~p:0.35) in
+  let cols =
+    Array.init total (fun t ->
+        let b = Bitset.create n_paths in
+        for p = 0 to n_paths - 1 do
+          let good =
+            if steady.(p) then not (Rng.bool rng ~p:0.01)
+            else (t + p) mod window <> 0 && Rng.bool rng ~p:0.7
+          in
+          if good then Bitset.set b p
+        done;
+        b)
+  in
+  (model, cols, window, Rng.int rng (total + 1))
+
+let wide_streaming_equals_batch_qcheck =
+  QCheck.Test.make ~count:25
+    ~name:"streaming == batch at every tick, masks over 2-4 words"
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let model, cols, window, cut = wide_case seed in
+      streams_like_batch model cols ~window ~cut)
+
+(* The wide cases estimate on ticks that keep the selection, and select
+   rows whose paths lie in two or more words, some of them in two
+   consecutive words. *)
+let test_wide_rows_span_words () =
+  let kept = ref 0 and multi = ref 0 and adjacent = ref 0 in
+  for seed = 0 to 19 do
+    let model, cols, window, _ = wide_case seed in
+    let engine = Engine.create ~model ~window () in
+    Array.iter
+      (fun col ->
+        let before = (Engine.status engine).Engine.st_reselects in
+        match Engine.ingest engine (Bitset.copy col) with
+        | None -> ()
+        | Some e ->
+            if (Engine.status engine).Engine.st_reselects = before then
+              incr kept;
+            Array.iter
+              (fun (r : Tomo.Eqn.row) ->
+                let words =
+                  List.sort_uniq compare
+                    (Array.to_list
+                       (Array.map
+                          (fun p -> p / Bitset.word_bits)
+                          r.Tomo.Eqn.paths))
+                in
+                if List.length words >= 2 then incr multi;
+                if List.exists (fun w -> List.mem (w + 1) words) words then
+                  incr adjacent)
+              e.Engine.engine.Tomo.Prob_engine.selection.Tomo.Algorithm1.rows)
+      cols
+  done;
+  check_bool (Printf.sprintf "ticks keeping the selection (%d)" !kept) true
+    (!kept > 0);
+  check_bool (Printf.sprintf "rows over two or more words (%d)" !multi) true
+    (!multi > 0);
+  check_bool
+    (Printf.sprintf "rows over two consecutive words (%d)" !adjacent)
+    true (!adjacent > 0)
+
 (* The same on one correlation set wider than a word: 70 links covered
    by the chain paths [i; i+1], each good in an interval with
    probability 0.3, so that a 4-interval window rarely certifies a link
@@ -659,5 +752,8 @@ let () =
           QCheck_alcotest.to_alcotest streaming_equals_batch_qcheck;
           Alcotest.test_case "70-link set: streaming == batch" `Quick
             test_wide_streaming_equals_batch;
+          QCheck_alcotest.to_alcotest wide_streaming_equals_batch_qcheck;
+          Alcotest.test_case "wide models: rows span words" `Quick
+            test_wide_rows_span_words;
         ] );
     ]

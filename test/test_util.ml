@@ -178,6 +178,97 @@ let prop_bitset_unsafe_agrees =
            (fun i -> Bitset.unsafe_get a i = Bitset.get a i)
            (List.init len (fun i -> i)))
 
+(* ---- Word predicates ----
+
+   [subset], [equal] and [disjoint] against a bit-by-bit reading, at
+   every length from 0 to 200, so that the tail word is covered at every
+   fill.  [b] is drawn unrelated to [a], as a superset of it, or as a
+   copy of it, so that each predicate answers both ways. *)
+
+let predicate_case =
+  QCheck.make
+    ~print:QCheck.Print.(quad int (list int) (list int) int)
+    QCheck.Gen.(
+      int_range 0 200 >>= fun len ->
+      let idx =
+        if len = 0 then return []
+        else list_size (int_bound 40) (int_bound (len - 1))
+      in
+      quad (return len) idx idx (int_bound 2))
+
+let prop_bitset_predicates =
+  QCheck.Test.make ~name:"subset, equal, disjoint ≡ bit-by-bit reading"
+    ~count:1000 predicate_case (fun (len, la, lb, relation) ->
+      let a = Bitset.of_list len la in
+      let b =
+        match relation with
+        | 0 -> Bitset.of_list len lb
+        | 1 -> Bitset.union a (Bitset.of_list len lb)
+        | _ -> Bitset.copy a
+      in
+      let pairs = List.init len (fun i -> (Bitset.get a i, Bitset.get b i)) in
+      let all f = List.for_all (fun (x, y) -> f x y) pairs in
+      Bitset.subset a b = all (fun x y -> (not x) || y)
+      && Bitset.subset b a = all (fun x y -> (not y) || x)
+      && Bitset.equal a b = all ( = )
+      && Bitset.disjoint a b = all (fun x y -> not (x && y))
+      && (not (Bitset.equal a (Bitset.of_list (len + 1) la)))
+      && Bitset.fold_words (fun ok w x -> ok && (Bitset.words a).(w) = x) true
+           a)
+
+(* [occupied_words] against the words each set has as a bit set: every
+   entry nonzero, a set's entries OR-ed together are its words, an
+   ascending set lists each word once in ascending order, and an index
+   outside the capacity is refused. *)
+let occupied_case =
+  QCheck.make
+    ~print:QCheck.Print.(pair int (list (pair bool (list int))))
+    QCheck.Gen.(
+      int_range 0 200 >>= fun len ->
+      let idx =
+        if len = 0 then return []
+        else list_size (int_bound 30) (int_bound (len - 1))
+      in
+      pair (return len) (list_size (int_bound 8) (pair bool idx)))
+
+let prop_bitset_occupied_words =
+  QCheck.Test.make ~name:"occupied words ≡ each set's nonzero words"
+    ~count:500 occupied_case (fun (len, cases) ->
+      let sets =
+        Array.of_list
+          (List.map
+             (fun (sorted, l) ->
+               Array.of_list (if sorted then List.sort compare l else l))
+             cases)
+      in
+      let ptr, word, bits = Bitset.occupied_words ~len sets in
+      let n_words = Array.length (Bitset.words (Bitset.create len)) in
+      let set_ok i idx =
+        let acc = Array.make n_words 0 in
+        for p = ptr.(i) to ptr.(i + 1) - 1 do
+          acc.(word.(p)) <- acc.(word.(p)) lor bits.(p)
+        done;
+        let ascending = ref true in
+        for p = ptr.(i) + 1 to ptr.(i + 1) - 1 do
+          if word.(p) <= word.(p - 1) then ascending := false
+        done;
+        let sorted = List.sort compare (Array.to_list idx) = Array.to_list idx in
+        acc = Bitset.words (Bitset.of_list len (Array.to_list idx))
+        && ((not sorted) || !ascending)
+      in
+      let refused j =
+        match Bitset.occupied_words ~len [| [| j |] |] with
+        | _ -> false
+        | exception Invalid_argument _ -> true
+      in
+      Array.length ptr = Array.length sets + 1
+      && ptr.(0) = 0
+      && ptr.(Array.length sets) = Array.length word
+      && Array.length bits = Array.length word
+      && Array.for_all (fun x -> x <> 0) bits
+      && List.for_all Fun.id (List.mapi set_ok (Array.to_list sets))
+      && refused len && refused (-1))
+
 let bitset_list_gen =
   QCheck.Gen.(list_size (int_bound 40) (int_bound 199))
 
@@ -614,6 +705,8 @@ let () =
           qc prop_bitset_word_iterators;
           qc prop_bitset_iter_matches_to_list;
           qc prop_bitset_unsafe_agrees;
+          qc prop_bitset_predicates;
+          qc prop_bitset_occupied_words;
         ] );
       ( "rng",
         [
