@@ -551,11 +551,6 @@ let best_effort_arg =
            dropped this peer) — for harnesses that race a sender \
            against a bounded daemon.")
 
-(* Sniff the stream format so `serve --replay` accepts both the
-   line-per-interval trace format and archived batch observations (an
-   unknown or missing header names both accepted formats). *)
-let open_replay_source = Stream.Source.of_replay_file
-
 let check_source_paths source model =
   let sp = Stream.Source.n_paths source
   and mp = model.Tomo.Model.n_paths in
@@ -709,7 +704,7 @@ let run_serve_replay scale seed topology replay window snapshot_in
       Some (Tomo_obs.Flusher.start ~period_s:flush_every ())
     else None
   in
-  let source = open_replay_source replay in
+  let source = Stream.Source.of_replay_file replay in
   check_source_paths source model;
   let already = Stream.Engine.ticks engine in
   if already > 0 then begin
@@ -926,7 +921,7 @@ let run_send_trace to_addr trace peer chunk best_effort =
 
 let run_batch_report scale seed topology replay window report_out =
   let model = model_for scale seed topology in
-  let source = open_replay_source replay in
+  let source = Stream.Source.of_replay_file replay in
   check_source_paths source model;
   let cols = List.rev (Stream.Source.fold source (fun acc c -> c :: acc) []) in
   Stream.Source.close source;

@@ -39,10 +39,10 @@ let compute model obs =
   let n_links = model.Model.n_links in
   (* The IMC'10 heuristic reports per-link probabilities with the crude
      whole-subset rule for unexpressible singletons; Correlation-complete
-     refines that (chain splitting) — one of the reasons it does better
-     on sparse topologies. *)
+     refines that (the adaptive fallback) — one of the reasons it does
+     better on sparse topologies. *)
   let marginals =
-    Array.init n_links (Prob_engine.link_marginal ~chain_split:false engine)
+    Array.init n_links (Prob_engine.link_marginal_with `Whole engine)
   in
   ( {
       Pc_result.marginals;

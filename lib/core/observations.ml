@@ -7,9 +7,6 @@ type t = {
   log_prob : float array;
       (* count -> its smoothed log-frequency: the T + 1 values a
          right-hand side can take, so building one takes no [log] *)
-  scratch : Bitset.t option Atomic.t;
-      (* leased by all_good_count; a concurrent holder makes the next
-         caller allocate a private one instead of blocking *)
 }
 
 let log_frequency ~t_intervals count =
@@ -29,7 +26,6 @@ let make ~t_intervals ~path_good =
     path_good;
     counts = Array.map Bitset.count path_good;
     log_prob = Array.init (t_intervals + 1) (log_frequency ~t_intervals);
-    scratch = Atomic.make (Some (Bitset.create t_intervals));
   }
 
 let create ~t_intervals ~n_paths =
@@ -81,36 +77,29 @@ let good_count t ~path =
   check_path t path;
   t.counts.(path)
 
-(* Run [f] on a scratch bit set of arbitrary prior content (callers
-   overwrite it wholesale before reading).  The cached one is leased with
-   a single atomic exchange; if another domain holds it we fall back to a
-   fresh allocation, so concurrent readers stay correct. *)
-let with_scratch t f =
-  match Atomic.exchange t.scratch None with
-  | Some b ->
-      let r = f b in
-      Atomic.set t.scratch (Some b);
-      r
-  | None -> f (Bitset.create t.t_intervals)
-
+(* The rows' conjunction, formed and counted one word at a time on the
+   rows' own words: their tails are clear, so every bit counted is an
+   interval, and a word stops being ANDed once it is zero. *)
 let all_good_count t paths =
-  match Array.length paths with
+  let n = Array.length paths in
+  for i = 0 to n - 1 do
+    check_path t paths.(i)
+  done;
+  match n with
   | 0 -> t.t_intervals
-  | 1 ->
-      check_path t paths.(0);
-      t.counts.(paths.(0))
+  | 1 -> t.counts.(paths.(0))
   | _ ->
-      check_path t paths.(0);
-      with_scratch t (fun acc ->
-          (* One word-level blit seeds the intersection — no clear pass,
-             no bit-at-a-time copy. *)
-          Bitset.copy_into ~into:acc t.path_good.(paths.(0));
-          Array.iter
-            (fun p ->
-              check_path t p;
-              Bitset.inter_into ~into:acc t.path_good.(p))
-            paths;
-          Bitset.count acc)
+      let total = ref 0 in
+      for w = 0 to Array.length (Bitset.words t.path_good.(0)) - 1 do
+        let acc = ref (Bitset.words t.path_good.(paths.(0))).(w) in
+        let i = ref 1 in
+        while !acc <> 0 && !i < n do
+          acc := !acc land (Bitset.words t.path_good.(paths.(!i))).(w);
+          incr i
+        done;
+        total := !total + Bitset.popcount !acc
+      done;
+      !total
 
 let smoothed_log_probs t counts =
   let b = Array.create_float (Array.length counts) in

@@ -20,10 +20,8 @@
     without recounting.  Counts-dependent reads ([good_frac],
     [always_good], singleton [all_good_count]) are O(1).
 
-    Concurrency: mutation is single-writer, but read-only queries
-    (including [all_good_count], which used to share one scratch bit set)
-    are safe from multiple domains — the scratch is leased atomically and
-    a concurrent reader falls back to a private allocation. *)
+    Concurrency: mutation is single-writer; reads share no state, so
+    read-only queries are safe from multiple domains. *)
 
 type t
 

@@ -153,8 +153,7 @@ let link_marginal_with strategy t e =
     invalid_arg "Prob_engine.link_marginal: link out of range";
   marginal strategy t plan e
 
-let link_marginal ?(chain_split = true) t e =
-  link_marginal_with (if chain_split then `Adaptive else `Whole) t e
+let link_marginal t e = link_marginal_with `Adaptive t e
 
 let link_marginals t =
   let plan = t.selection.Algorithm1.readout.Readout.entries in
@@ -255,9 +254,6 @@ let pattern_logprob t ~corr ~congested ~good =
           acc := !acc +. log (1.0 -. p))
         good;
       max log_floor !acc
-
-let n_rows t = Array.length t.selection.Algorithm1.rows
-let n_vars t = Eqn.n_vars t.selection.Algorithm1.registry
 
 let ambiguous_links t =
   Identifiability.ambiguous_links (model t) ~effective:(effective t)

@@ -57,29 +57,26 @@ val good_prob_est : t -> Subsets.t -> float option
     from identifiable super/sub-set pairs. *)
 type fallback = [ `Whole | `Split | `Adaptive ]
 
-(** [link_marginal ?chain_split t e] is the link's congestion probability
-    [P(X_e = 1)]:
+(** [link_marginal t e] is the link's congestion probability
+    [P(X_e = 1)], read with the [`Adaptive] fallback:
     - [0] for links outside the potentially congested set (they are
       certified good or unobserved);
     - [1 − exp z] for a registered singleton;
     - for an effective link whose singleton was never expressible (e.g. a
-      chain link always observed together with a neighbour), a fallback
-      from the smallest registered subset [S] containing it: with
-      [chain_split] (default), the subset's log good-probability is
-      split evenly across its links ([1 − G_S^{1/|S|}] — unbiased for
-      independent-alike chains); without it, the raw subset marginal
-      [1 − G_S] (the cruder rule the Correlation-heuristic baseline
-      uses).  Either way the link is flagged unidentifiable.
+      chain link always observed together with a neighbour), the
+      adaptive reading of the smallest registered subset [S] containing
+      it ({!fallback}); the link is flagged unidentifiable.
 
     What each link is read from is decided once per selection
     ({!Readout}); a call is arithmetic on the solution and, for the
     adaptive fallback, the window's path counts.
     @raise Invalid_argument if [e] is not a link of the model. *)
-val link_marginal : ?chain_split:bool -> t -> int -> float
+val link_marginal : t -> int -> float
 
 (** [link_marginal_with strategy t e] selects the chain-link fallback
-    explicitly (the ablation knob behind [tomo_cli fallback]);
-    [link_marginal] is [`Adaptive] / [`Whole] via [chain_split]. *)
+    explicitly: [link_marginal] is [link_marginal_with `Adaptive], the
+    Correlation-heuristic baseline reads [`Whole], and [tomo_cli
+    fallback] compares all three. *)
 val link_marginal_with : fallback -> t -> int -> float
 
 (** [link_marginals t] is every link's [link_marginal t e], indexed by
@@ -112,12 +109,6 @@ val set_congestion_prob : t -> int array -> float option
     marginals.  The result is clamped to [log 1e-12]. *)
 val pattern_logprob :
   t -> corr:int -> congested:int array -> good:int array -> float
-
-(** [n_rows t] / [n_vars t]: system dimensions (reported by the
-    experiments, cf. the paper's "minimum number of equations" claim). *)
-val n_rows : t -> int
-
-val n_vars : t -> int
 
 (** [ambiguous_links t] is the set of structurally ambiguous effective
     links of the solved system: links sharing their complete path set

@@ -105,11 +105,5 @@ let feed_string d s = feed d (Bytes.unsafe_of_string s)
 let next d = Queue.take_opt d.frames
 let at_boundary d = d.header_got = 0 && d.body_want = 0
 
-let pending d =
-  let queued =
-    Queue.fold (fun acc f -> acc + String.length f) 0 d.frames
-  in
-  queued + d.header_got + d.body_got
-
 let frames_decoded d = d.frames_decoded
 let bytes_fed d = d.bytes_fed

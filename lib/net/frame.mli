@@ -46,9 +46,6 @@ val next : decoder -> string option
     mid-frame. *)
 val at_boundary : decoder -> bool
 
-(** Undecoded bytes currently buffered (partial frame + queue). *)
-val pending : decoder -> int
-
 (** Fully decoded frames over the decoder's lifetime. *)
 val frames_decoded : decoder -> int
 

@@ -14,9 +14,6 @@ let make ov probs =
     probs;
   { ov; probs }
 
-let overlay t = t.ov
-let factor_prob t f = t.probs.(f)
-
 let draw_interval t rng =
   let factor_state = Array.map (fun q -> Rng.bool rng ~p:q) t.probs in
   let congested = Bitset.create (Overlay.n_links t.ov) in

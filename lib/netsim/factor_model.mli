@@ -21,9 +21,6 @@ type t
     length or a probability is outside [0, 1]. *)
 val make : Tomo_topology.Overlay.t -> float array -> t
 
-val overlay : t -> Tomo_topology.Overlay.t
-val factor_prob : t -> int -> float
-
 (** [draw_interval t rng] samples one interval's joint congestion state:
     a bit set over links, bit set = link congested. *)
 val draw_interval : t -> Tomo_util.Rng.t -> Tomo_util.Bitset.t

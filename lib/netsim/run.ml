@@ -135,8 +135,3 @@ let true_good_prob result s =
 
 let true_congestion_prob result s =
   epoch_average result (fun m -> Factor_model.congestion_prob m s)
-
-let true_congested_links result ~interval =
-  if interval < 0 || interval >= result.t_intervals then
-    invalid_arg "Run.true_congested_links: interval out of range";
-  Bitset.to_list result.link_congested.(interval)

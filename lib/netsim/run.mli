@@ -61,7 +61,3 @@ val run :
 val true_link_marginal : result -> int -> float
 val true_good_prob : result -> int array -> float
 val true_congestion_prob : result -> int array -> float
-
-(** [true_congested_links result ~interval] is the list of links actually
-    congested in an interval. *)
-val true_congested_links : result -> interval:int -> int list

@@ -165,16 +165,3 @@ let draw_probs t rng =
       end)
     order;
   probs
-
-let active_factors t =
-  (* Union over possible epochs: every eligible factor of every
-     congestible link. *)
-  let acc = Hashtbl.create 64 in
-  Array.iter
-    (fun e ->
-      Array.iter
-        (fun f -> if not (Hashtbl.mem acc f) then Hashtbl.add acc f ())
-        (eligible_factors t e))
-    t.congestible;
-  Hashtbl.fold (fun f () l -> f :: l) acc []
-  |> List.sort compare |> Array.of_list

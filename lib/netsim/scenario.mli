@@ -45,10 +45,6 @@ val overlay : t -> Tomo_topology.Overlay.t
     marginal congestion probability. *)
 val congestible_links : t -> int array
 
-(** [active_factors t] is the set of factors that may carry probability
-    in some epoch (the union over possible [draw_probs] outcomes). *)
-val active_factors : t -> int array
-
 (** [draw_probs t rng] draws one epoch's per-factor probabilities; all
     factors of non-congestible-only links stay at 0, and every
     congestible link ends up backed by at least one positive factor. *)

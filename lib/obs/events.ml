@@ -12,7 +12,6 @@
 let lock = Mutex.create ()
 let out : out_channel option ref = ref None
 let owns : bool ref = ref false
-let path_ref : string option ref = ref None
 let enabled_flag = ref false
 
 let enabled () = !enabled_flag
@@ -48,7 +47,6 @@ let close () =
   | None -> ());
   out := None;
   owns := false;
-  path_ref := None;
   enabled_flag := false;
   Mutex.unlock lock
 
@@ -66,11 +64,8 @@ let configure = function
            Some (open_out_gen [ Open_creat; Open_append; Open_text ] 0o644 path);
          owns := true
        end);
-      path_ref := Some path;
       enabled_flag := true;
       Mutex.unlock lock
-
-let configured_path () = !path_ref
 
 let emit ?ts event attrs =
   if !enabled_flag then begin

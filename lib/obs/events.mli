@@ -19,9 +19,6 @@ val configure : string option -> unit
 
 val enabled : unit -> bool
 
-(** The path given to [configure], if any. *)
-val configured_path : unit -> string option
-
 (** [emit ?ts event attrs] appends
     [{"ts":<seconds>,"event":<event>,"k":"v",...}].  [ts] defaults to
     now.  No-op while unconfigured; write failures print a warning and

@@ -3,8 +3,6 @@ type trace_mode = Trace_off | Trace_human | Trace_jsonl of string
 let mode = ref Trace_off
 let metrics_path : string option ref = ref None
 let exit_hook_registered = ref false
-let trace_mode () = !mode
-let metrics_out () = !metrics_path
 
 (* ------------------------------------------------------------------ *)
 (* JSON                                                                *)
@@ -52,8 +50,6 @@ let rec pp_span_at depth ppf (s : Trace.span) =
 let pp_roots ppf = function
   | [] -> Format.fprintf ppf "(no spans recorded)@."
   | roots -> List.iter (pp_span_at 0 ppf) roots
-
-let pp_span_tree ppf () = pp_roots ppf (Trace.roots ())
 
 let spans_jsonl buf spans =
   let rec emit path (s : Trace.span) =

@@ -29,12 +29,6 @@ type trace_mode =
     — the last call wins. *)
 val init : ?trace:trace_mode -> ?metrics_out:string -> unit -> unit
 
-val trace_mode : unit -> trace_mode
-val metrics_out : unit -> string option
-
-(** Render every completed root span as an indented tree. *)
-val pp_span_tree : Format.formatter -> unit -> unit
-
 (** Render the current metrics snapshot as aligned tables. *)
 val pp_metrics_table : Format.formatter -> unit -> unit
 

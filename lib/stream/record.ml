@@ -17,9 +17,6 @@ type event = Blank | Header | Paths of int | Tick of Bitset.t
 let create ?(origin = "<record>") () =
   { origin; lineno = 0; state = Expect_header; paths = 0; next_tick = 0 }
 
-let origin t = t.origin
-let lineno t = t.lineno
-let n_paths t = if t.state = Expect_ticks then Some t.paths else None
 let next_tick t = t.next_tick
 
 let fail_at ~origin ~lineno fmt =

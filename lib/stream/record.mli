@@ -29,14 +29,6 @@ type event =
     for replay, a peer name for sockets. *)
 val create : ?origin:string -> unit -> t
 
-val origin : t -> string
-
-(** Records fed so far (= the line number of the last record). *)
-val lineno : t -> int
-
-(** [Some n] once the [paths] record has been parsed. *)
-val n_paths : t -> int option
-
 (** The tick id the next [tick] record must carry. *)
 val next_tick : t -> int
 

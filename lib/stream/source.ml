@@ -1,19 +1,15 @@
 module Bitset = Tomo_util.Bitset
 module Obs = Tomo_obs
 
-module type S = sig
-  type conn
+type t = {
+  n_paths : int;
+  next : unit -> Bitset.t option;
+  close : unit -> unit;
+}
 
-  val n_paths : conn -> int
-  val next : conn -> Bitset.t option
-  val close : conn -> unit
-end
-
-type t = Source : (module S with type conn = 'c) * 'c -> t
-
-let n_paths (Source ((module M), conn)) = M.n_paths conn
-let next (Source ((module M), conn)) = M.next conn
-let close (Source ((module M), conn)) = M.close conn
+let n_paths t = t.n_paths
+let next t = t.next ()
+let close t = t.close ()
 
 let fold source f init =
   let rec go acc =
@@ -29,52 +25,16 @@ let drop source n =
   go 0
 
 (* ------------------------------------------------------------------ *)
-(* tomo-trace v1 over an input channel (file, stdin, or later a socket
-   stream — anything line-oriented).  The record grammar itself lives
+(* tomo-trace v1 from a file or stdin.  The record grammar itself lives
    in {!Record}, shared with the socket ingestion plane.               *)
 (* ------------------------------------------------------------------ *)
 
-type trace_conn = {
-  ic : in_channel;
-  owns_channel : bool;
-  rcd : Record.t;
-  mutable closed : bool;
-  mutable eof : bool;
-}
-
-module Trace_source = struct
-  type conn = trace_conn
-
-  let n_paths c = Option.value ~default:0 (Record.n_paths c.rcd)
-
-  (* Feed lines until one carries a tick batch; [None] = clean EOF. *)
-  let rec next c =
-    if c.closed || c.eof then None
-    else
-      match In_channel.input_line c.ic with
-      | None ->
-          c.eof <- true;
-          Obs.Events.emit "source_eof"
-            [
-              ("source", Record.origin c.rcd);
-              ("ticks", string_of_int (Record.next_tick c.rcd));
-            ];
-          None
-      | Some line -> (
-          match Record.feed c.rcd line with
-          | Record.Tick good -> Some good
-          | Record.Blank | Record.Header | Record.Paths _ -> next c)
-
-  let close c =
-    if not c.closed then begin
-      c.closed <- true;
-      if c.owns_channel then close_in c.ic
-    end
-end
-
-let of_trace_channel ?(filename = "<channel>") ?(owns_channel = false) ic =
+let of_trace_file path =
+  let filename, owns_channel, ic =
+    if path = "-" then ("<stdin>", false, stdin)
+    else (path, true, open_in path)
+  in
   let rcd = Record.create ~origin:filename () in
-  let conn = { ic; owns_channel; rcd; closed = false; eof = false } in
   (* Validate the header and path count eagerly, so a wrong file fails
      at open time rather than on the first [next]. *)
   let rec eat_until_paths saw_header =
@@ -85,57 +45,65 @@ let of_trace_channel ?(filename = "<channel>") ?(owns_channel = false) ic =
         else Record.fail_at ~origin:filename ~lineno:1 "empty trace"
     | Some line -> (
         match Record.feed rcd line with
-        | Record.Paths _ -> ()
+        | Record.Paths n -> n
         | Record.Header -> eat_until_paths true
         | Record.Blank -> eat_until_paths saw_header
         | Record.Tick _ -> assert false (* unreachable before Paths *))
   in
-  eat_until_paths false;
+  (* A header that fails raises before there is a source to close. *)
+  let n_paths =
+    try eat_until_paths false
+    with e ->
+      if owns_channel then close_in_noerr ic;
+      raise e
+  in
   Obs.Events.emit "source_open"
-    [
-      ("source", filename);
-      ("paths", string_of_int (Option.get (Record.n_paths rcd)));
-    ];
-  Source ((module Trace_source), conn)
-
-let of_trace_file path =
-  if path = "-" then of_trace_channel ~filename:"<stdin>" stdin
-  else
-    of_trace_channel ~filename:path ~owns_channel:true (open_in path)
+    [ ("source", filename); ("paths", string_of_int n_paths) ];
+  let closed = ref false and eof = ref false in
+  (* Feed lines until one carries a tick batch; [None] = clean EOF. *)
+  let rec next () =
+    if !closed || !eof then None
+    else
+      match In_channel.input_line ic with
+      | None ->
+          eof := true;
+          Obs.Events.emit "source_eof"
+            [
+              ("source", filename);
+              ("ticks", string_of_int (Record.next_tick rcd));
+            ];
+          None
+      | Some line -> (
+          match Record.feed rcd line with
+          | Record.Tick good -> Some good
+          | Record.Blank | Record.Header | Record.Paths _ -> next ())
+  in
+  let close () =
+    if not !closed then begin
+      closed := true;
+      if owns_channel then close_in ic
+    end
+  in
+  { n_paths; next; close }
 
 (* ------------------------------------------------------------------ *)
 (* Replaying a batch observations matrix interval by interval           *)
 (* ------------------------------------------------------------------ *)
 
-type obs_conn = { obs : Tomo.Observations.t; mutable cursor : int }
-
-module Obs_source = struct
-  type conn = obs_conn
-
-  let n_paths c = Tomo.Observations.n_paths c.obs
-
-  let next c =
-    if c.cursor >= Tomo.Observations.t_intervals c.obs then None
+let of_observations obs =
+  let n_paths = Tomo.Observations.n_paths obs in
+  Obs.Events.emit "source_open"
+    [ ("source", "<observations>"); ("paths", string_of_int n_paths) ];
+  let cursor = ref 0 in
+  let next () =
+    if !cursor >= Tomo.Observations.t_intervals obs then None
     else begin
-      let good =
-        Tomo.Observations.good_paths_at c.obs ~interval:c.cursor
-      in
-      c.cursor <- c.cursor + 1;
+      let good = Tomo.Observations.good_paths_at obs ~interval:!cursor in
+      incr cursor;
       Some good
     end
-
-  let close _ = ()
-end
-
-let of_observations obs =
-  Obs.Events.emit "source_open"
-    [
-      ("source", "<observations>");
-      ("paths", string_of_int (Tomo.Observations.n_paths obs));
-    ];
-  Source ((module Obs_source), { obs; cursor = 0 })
-
-let of_observations_file path = of_observations (Tomo.Observations_io.load path)
+  in
+  { n_paths; next; close = ignore }
 
 (* ------------------------------------------------------------------ *)
 (* Format sniffing: accept either replayable format by header           *)
@@ -151,7 +119,8 @@ let of_replay_file path =
         (fun () -> try input_line ic with End_of_file -> "")
     in
     match String.trim header with
-    | "tomo-observations v1" -> of_observations_file path
+    | "tomo-observations v1" ->
+        of_observations (Tomo.Observations_io.load path)
     | "tomo-trace v1" -> of_trace_file path
     | "" ->
         failwith

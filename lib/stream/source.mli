@@ -1,35 +1,28 @@
-(** Measurement sources: where the online engine's per-interval batches
+(** Measurement sources: where the replay engine's per-interval batches
     come from.
 
     A batch is one measurement interval's column of path statuses — a
     {!Tomo_util.Bitset.t} over paths, bit [p] set iff path [p] was
-    measured good.  Sources are abstracted behind the {!S} signature
-    (packed as a first-class module in {!t}), so the built-in replay
-    sources — a [tomo-trace v1] file/stdin stream
-    ({!Tomo_netsim.Trace_io}'s format) and an interval-by-interval
-    replay of a batch observations matrix — can later be joined by a
-    socket-backed implementation without touching the engine. *)
+    measured good.  There are two replay sources: a [tomo-trace v1]
+    file or stdin stream ({!Tomo_netsim.Trace_io}'s format) and an
+    interval-by-interval replay of an archived [tomo-observations v1]
+    matrix.  The socket ingestion plane ([Tomo_net.Hub]) does not go
+    through a source: it parses each frame with {!Record} and feeds the
+    engine directly. *)
 
-(** What a source implementation provides. *)
-module type S = sig
-  type conn
+type t
 
-  val n_paths : conn -> int
-
-  (** [next conn] blocks until the next interval batch is available and
-      returns its column of path statuses; [None] means the stream ended
-      cleanly.  @raise Failure on malformed input (with a
-      [file:line]-anchored message for the replay sources). *)
-  val next : conn -> Tomo_util.Bitset.t option
-
-  val close : conn -> unit
-end
-
-(** A connected source: an implementation packed with its connection. *)
-type t = Source : (module S with type conn = 'c) * 'c -> t
-
+(** [n_paths t] is the path count every batch of [t] is sized to. *)
 val n_paths : t -> int
+
+(** [next t] returns the next interval's column of path statuses;
+    [None] means the stream ended cleanly (or [t] was closed).
+    @raise Failure on malformed input, with a [file:line]-anchored
+    message. *)
 val next : t -> Tomo_util.Bitset.t option
+
+(** [close t] releases the source's file, if it owns one; closing twice
+    is a no-op. *)
 val close : t -> unit
 
 (** [fold source f init] drains the source, folding [f] over every
@@ -41,16 +34,11 @@ val fold : t -> ('a -> Tomo_util.Bitset.t -> 'a) -> 'a -> 'a
     source past the intervals its snapshot already contains. *)
 val drop : t -> int -> int
 
-(** [of_trace_channel ?filename ?owns_channel ic] reads [tomo-trace v1]
-    from a channel, validating the header eagerly and each tick lazily
-    (ragged/out-of-order/garbage lines raise [Failure] anchored at
-    [filename:line]).  [owns_channel] (default [false]) closes [ic] on
-    {!close}. *)
-val of_trace_channel :
-  ?filename:string -> ?owns_channel:bool -> in_channel -> t
-
-(** [of_trace_file path] opens a [tomo-trace v1] file, or stdin when
-    [path] is ["-"]. *)
+(** [of_trace_file path] reads a [tomo-trace v1] file, or stdin when
+    [path] is ["-"], validating the header and path count eagerly and
+    each tick lazily (ragged/out-of-order/garbage lines raise [Failure]
+    anchored at [path:line]).  A file whose header fails validation is
+    closed before the [Failure] propagates. *)
 val of_trace_file : string -> t
 
 (** [of_observations obs] replays a batch observation matrix one interval
@@ -58,15 +46,12 @@ val of_trace_file : string -> t
     {!Tomo.Observations_io} files to the streaming engine. *)
 val of_observations : Tomo.Observations.t -> t
 
-(** [of_observations_file path] is {!of_observations} over
-    [Tomo.Observations_io.load] (sharing its [file:line]-anchored
-    diagnostics for truncated or ragged archives). *)
-val of_observations_file : string -> t
-
 (** [of_replay_file path] sniffs the header line and dispatches to
-    {!of_trace_file} ([tomo-trace v1]) or {!of_observations_file}
-    ([tomo-observations v1]); ["-"] always reads a trace from stdin.
-    An empty/truncated file or an unknown header raises [Failure]
-    naming both accepted formats — the sniffer behind
-    [tomo_cli serve --replay]. *)
+    {!of_trace_file} ([tomo-trace v1]) or to {!of_observations} over
+    [Tomo.Observations_io.load] ([tomo-observations v1], sharing its
+    [file:line]-anchored diagnostics for truncated or ragged archives);
+    ["-"] always reads a trace from stdin.  An empty/truncated file or
+    an unknown header raises [Failure] naming both accepted formats —
+    the sniffer behind [tomo_cli serve --replay] and [batch-report
+    --replay]. *)
 val of_replay_file : string -> t

@@ -53,10 +53,6 @@ let bool t ~p =
   else if p >= 1. then true
   else Random.State.float t.state 1.0 < p
 
-let exponential t ~rate =
-  if rate <= 0. then invalid_arg "Rng.exponential: non-positive rate";
-  let u = 1.0 -. Random.State.float t.state 1.0 in
-  -.log u /. rate
 
 let shuffle t a =
   for i = Array.length a - 1 downto 1 do

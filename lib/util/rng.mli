@@ -44,9 +44,6 @@ val uniform : t -> lo:float -> hi:float -> float
 (** [bool t ~p] is [true] with probability [p] (clamped to [0,1]). *)
 val bool : t -> p:float -> bool
 
-(** [exponential t ~rate] samples an exponential variate. *)
-val exponential : t -> rate:float -> float
-
 (** [shuffle t a] permutes [a] in place, uniformly. *)
 val shuffle : t -> 'a array -> unit
 

@@ -14,8 +14,6 @@ let variance xs =
     let ss = Array.fold_left (fun acc x -> acc +. ((x -. m) ** 2.)) 0.0 xs in
     ss /. float_of_int (n - 1)
 
-let stddev xs = sqrt (variance xs)
-
 let check_no_nan name xs =
   if Array.exists Float.is_nan xs then invalid_arg (name ^ ": NaN sample")
 

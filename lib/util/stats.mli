@@ -11,9 +11,6 @@ val mean : float array -> float
     samples). *)
 val variance : float array -> float
 
-(** [stddev xs] is [sqrt (variance xs)]. *)
-val stddev : float array -> float
-
 (** [quantile xs q] is the [q]-quantile ([0 <= q <= 1]) using linear
     interpolation between order statistics.  @raise Invalid_argument on
     an empty sample, [q] outside [0,1], or a NaN sample (NaN admits no

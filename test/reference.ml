@@ -365,7 +365,7 @@ let heuristic model obs =
   let engine = Prob_engine.solve selection obs in
   let marginals =
     Array.init model.Model.n_links
-      (Prob_engine.link_marginal ~chain_split:false engine)
+      (Prob_engine.link_marginal_with `Whole engine)
   in
   ( {
       Pc_result.marginals;

@@ -196,6 +196,49 @@ let test_obs_flip_rejects () =
   check_bool "a refused flip leaves the cells alone" true
     (same_cells obs (busy_obs ()))
 
+(* [all_good_count] against a recount interval by interval, on rows of
+   1-200 intervals (so partial last words are covered) and queries of
+   0-6 paths, repeats included; a path outside the matrix is refused
+   wherever it sits in the query. *)
+let prop_all_good_count_recount =
+  QCheck.Test.make ~name:"all_good_count = bit-by-bit recount" ~count:300
+    (QCheck.int_range 0 1_000_000) (fun seed ->
+      let rng = Tomo_util.Rng.create seed in
+      let t = 1 + Tomo_util.Rng.int rng 200
+      and n = 1 + Tomo_util.Rng.int rng 8 in
+      let density = Tomo_util.Rng.uniform rng ~lo:0.5 ~hi:1.0 in
+      let rows =
+        Array.init n (fun _ ->
+            let b = Bitset.create t in
+            for i = 0 to t - 1 do
+              if Tomo_util.Rng.bool rng ~p:density then Bitset.set b i
+            done;
+            b)
+      in
+      let obs = Observations.make ~t_intervals:t ~path_good:rows in
+      let paths =
+        Array.init (Tomo_util.Rng.int rng 7) (fun _ -> Tomo_util.Rng.int rng n)
+      in
+      let recount = ref 0 in
+      for i = 0 to t - 1 do
+        if Array.for_all (fun p -> Bitset.get rows.(p) i) paths then
+          incr recount
+      done;
+      let at = Tomo_util.Rng.int rng (Array.length paths + 1) in
+      let with_stray =
+        Array.concat
+          [
+            Array.sub paths 0 at;
+            [| (if Tomo_util.Rng.bool rng ~p:0.5 then -1 else n) |];
+            Array.sub paths at (Array.length paths - at);
+          ]
+      in
+      Observations.all_good_count obs paths = !recount
+      &&
+      match Observations.all_good_count obs with_stray with
+      | _ -> false
+      | exception Invalid_argument _ -> true)
+
 let test_obs_always_good () =
   (* Only e1 ever congested: p3 = (e4,e3) is always good. *)
   let obs = Toy.observations ~interval_states:[| [ e1 ]; [ e1 ]; [] |] in
@@ -699,6 +742,7 @@ let () =
           Alcotest.test_case "flip range checks" `Quick test_obs_flip_rejects;
           Alcotest.test_case "always-good paths" `Quick test_obs_always_good;
           Alcotest.test_case "interval views" `Quick test_obs_interval_views;
+          qc prop_all_good_count_recount;
         ] );
       ( "subsets",
         [

@@ -565,19 +565,6 @@ let accepts_or_fails ~name ~count base parse =
       | () -> true
       | exception Failure _ -> true)
 
-let prop_overlay_mutations =
-  let overlay =
-    Tomo_topology.Brite.generate
-      ~params:
-        { Tomo_topology.Brite.default with n_ases = 12; n_paths = 20 }
-      ~seed:3 ()
-  in
-  accepts_or_fails ~name:"overlay: mutations fail with Failure" ~count:400
-    (Tomo_topology.Overlay_io.to_string overlay) (fun s ->
-      (* an overlay that parses must also build a model *)
-      let o = Tomo_topology.Overlay_io.of_string s in
-      ignore (Tomo_experiments.Workload.model_of_overlay o))
-
 let prop_observations_mutations =
   let rng = Rng.create 61 in
   let obs =
@@ -686,13 +673,6 @@ let test_huge_counts () =
     | () -> Alcotest.failf "%s accepted" what
     | exception Failure _ -> ()
   in
-  let overlay ~factors ~paths =
-    Printf.sprintf
-      "tomo-overlay v1\nases 1 source 0\nfactors %s\nfactor 0 0\nlinks 1\n\
-       link 0 0 intra 0\npaths %s\npath 0 0\n"
-      factors paths
-  in
-  let parse_overlay s = ignore (Tomo_topology.Overlay_io.of_string s) in
   let parse_observations s = ignore (Tomo.Observations_io.of_string s) in
   let parse_trace s =
     let r = Tomo_stream.Record.create () in
@@ -702,10 +682,6 @@ let test_huge_counts () =
   in
   List.iter
     (fun n ->
-      rejects ("overlay factors " ^ n) parse_overlay
-        (overlay ~factors:n ~paths:"1");
-      rejects ("overlay paths " ^ n) parse_overlay
-        (overlay ~factors:"1" ~paths:n);
       rejects ("observations paths " ^ n) parse_observations
         (Printf.sprintf
            "tomo-observations v1\npaths %s intervals 3\nrow 0 101\n" n);
@@ -752,24 +728,6 @@ let test_huge_counts () =
     (fun () ->
       ignore (Tomo_stream.Window.create ~capacity:(bound + 1) ~n_paths))
 
-(* The degenerate overlay: one that declares no paths parses into no
-   model, so it is rejected at its [paths] line. *)
-let test_overlay_without_paths () =
-  let text =
-    "tomo-overlay v1\nases 1 source 0\nfactors 1\nfactor 0 0\nlinks 1\n\
-     link 0 0 intra 0\npaths 0\n"
-  in
-  (match Tomo_topology.Overlay_io.of_string text with
-  | _ -> Alcotest.fail "an overlay without paths parsed"
-  | exception Failure msg ->
-      check_bool "anchored at the paths line" true
-        (String.starts_with ~prefix:"paths 0: " msg));
-  match Tomo_topology.Overlay_io.of_string (text ^ "path 0 0\n") with
-  | _ -> Alcotest.fail "a path beyond the declared count parsed"
-  | exception Failure msg ->
-      check_bool "count mismatch anchored at the paths line" true
-        (String.starts_with ~prefix:"paths 0: " msg)
-
 let () =
   Tomo_par.Pool.set_default_jobs 1;
   Alcotest.run "net"
@@ -806,14 +764,11 @@ let () =
         ] );
       ( "robust",
         [
-          QCheck_alcotest.to_alcotest prop_overlay_mutations;
           QCheck_alcotest.to_alcotest prop_observations_mutations;
           QCheck_alcotest.to_alcotest prop_snapshot_mutations;
           QCheck_alcotest.to_alcotest prop_record_mutations;
           QCheck_alcotest.to_alcotest prop_frame_mutations;
           QCheck_alcotest.to_alcotest prop_hello_mutations;
-          Alcotest.test_case "overlay without paths rejected" `Quick
-            test_overlay_without_paths;
           Alcotest.test_case "huge declared counts rejected" `Quick
             test_huge_counts;
         ] );

@@ -564,6 +564,88 @@ let test_source_drop () =
   check_int "drop past the end reports the shortfall" 4 (Source.drop src 10);
   check_bool "then the stream is dry" true (Source.next src = None)
 
+(* Closing twice is a no-op, on a file-backed source and on a replayed
+   matrix; a closed trace source is dry. *)
+let test_source_close_idempotent () =
+  with_temp_file "tomo-trace v1\npaths 2\ntick 0 10\n" (fun path ->
+      let src = Source.of_trace_file path in
+      Source.close src;
+      Source.close src;
+      check_bool "a closed trace is dry" true (Source.next src = None));
+  let src =
+    Source.of_observations
+      (Tomo.Observations.create ~t_intervals:2 ~n_paths:3)
+  in
+  Source.close src;
+  Source.close src
+
+(* One run of intervals, written as a tomo-trace v1 file and as a
+   tomo-observations v1 archive, replays the same columns through
+   [of_replay_file]: both built-in sources agree. *)
+let test_replay_formats_agree () =
+  let rng = Rng.create 13 in
+  let n_paths = 7 and total = 9 in
+  let cols = Array.init total (fun _ -> random_column rng n_paths) in
+  let obs = Tomo.Observations.create ~t_intervals:total ~n_paths in
+  Array.iteri
+    (fun i c -> Tomo.Observations.set_interval_statuses obs ~interval:i ~good:c)
+    cols;
+  let trace =
+    String.concat ""
+      (Printf.sprintf "tomo-trace v1\npaths %d\n" n_paths
+      :: List.mapi
+           (fun i c ->
+             Printf.sprintf "tick %d %s\n" i
+               (String.init n_paths (fun p ->
+                    if Bitset.get c p then '1' else '0')))
+           (Array.to_list cols))
+  in
+  let replay contents =
+    with_temp_file contents (fun path ->
+        let src = Source.of_replay_file path in
+        Fun.protect
+          ~finally:(fun () -> Source.close src)
+          (fun () ->
+            check_int "paths" n_paths (Source.n_paths src);
+            List.rev (Source.fold src (fun acc c -> c :: acc) [])))
+  in
+  let same name replayed =
+    check_int (name ^ " intervals") total (List.length replayed);
+    List.iteri
+      (fun i c ->
+        check_bool (Printf.sprintf "%s interval %d" name i) true
+          (Bitset.equal c cols.(i)))
+      replayed
+  in
+  same "trace" (replay trace);
+  same "archive" (replay (Tomo.Observations_io.to_string obs))
+
+(* A trace whose header fails validation is closed before the Failure
+   leaves [of_trace_file] or [of_replay_file]: ten failing opens through
+   each leave the process's descriptor count where it was. *)
+let test_failed_opens_close_files () =
+  if not (Sys.file_exists "/proc/self/fd") then Alcotest.skip ();
+  let open_fds () = Array.length (Sys.readdir "/proc/self/fd") in
+  let ten_failures name open_source contents =
+    with_temp_file contents (fun path ->
+        let before = open_fds () in
+        for _ = 1 to 10 do
+          match open_source path with
+          | src ->
+              Source.close src;
+              Alcotest.failf "%s: opened" name
+          | exception Failure _ -> ()
+        done;
+        check_int name before (open_fds ()))
+  in
+  ten_failures "bad header" Source.of_trace_file "bogus v9\n";
+  ten_failures "empty trace" Source.of_trace_file "";
+  ten_failures "truncated trace" Source.of_trace_file "tomo-trace v1\n";
+  ten_failures "truncated trace, sniffed" Source.of_replay_file
+    "tomo-trace v1\n";
+  ten_failures "bad path count, sniffed" Source.of_replay_file
+    "tomo-trace v1\npaths x\n"
+
 (* ------------------------------------------------------------------ *)
 (* Acceptance: streaming == batch on a simulated Netsim trace          *)
 (* ------------------------------------------------------------------ *)
@@ -736,6 +818,12 @@ let () =
           Alcotest.test_case "observations diagnostics" `Quick
             test_observations_io_errors;
           Alcotest.test_case "drop fast-forward" `Quick test_source_drop;
+          Alcotest.test_case "close is idempotent" `Quick
+            test_source_close_idempotent;
+          Alcotest.test_case "trace and archive replay alike" `Quick
+            test_replay_formats_agree;
+          Alcotest.test_case "failed opens close their files" `Quick
+            test_failed_opens_close_files;
         ] );
       ( "acceptance",
         [

@@ -163,6 +163,57 @@ let test_links_sharing_factor () =
   Array.sort compare counts;
   Alcotest.(check (array int)) "factor sharing" [| 1; 2 |] counts
 
+(* Two ASes, one factor each, one link per AS and one path over both:
+   the smallest overlay on which every check of [validate] can fail. *)
+let valid_overlay : Overlay.t =
+  {
+    Overlay.n_ases = 2;
+    source_as = 0;
+    n_factors = 2;
+    factor_owner = [| 0; 1 |];
+    links =
+      [|
+        { Overlay.id = 0; owner_as = 0; kind = Intra; factors = [| 0 |] };
+        { Overlay.id = 1; owner_as = 1; kind = Inter; factors = [| 1 |] };
+      |];
+    paths = [| { Overlay.id = 0; links = [| 0; 1 |] } |];
+  }
+
+(* One hand-built record per rejection of [Overlay.validate], each
+   breaking exactly one invariant of [valid_overlay]. *)
+let test_validate_rejections () =
+  Overlay.validate valid_overlay;
+  let with_link i f =
+    let links = Array.copy valid_overlay.Overlay.links in
+    links.(i) <- f links.(i);
+    { valid_overlay with Overlay.links }
+  in
+  let with_path_links links =
+    { valid_overlay with Overlay.paths = [| { Overlay.id = 0; links } |] }
+  in
+  List.iter
+    (fun (msg, t) ->
+      Alcotest.check_raises msg (Failure msg) (fun () -> Overlay.validate t))
+    [
+      ("link 1 has id 0", with_link 1 (fun l -> { l with Overlay.id = 0 }));
+      ( "link 1 owned by unknown AS 2",
+        with_link 1 (fun l -> { l with Overlay.owner_as = 2 }) );
+      ( "link 0 has no factors",
+        with_link 0 (fun l -> { l with Overlay.factors = [||] }) );
+      ( "link 0 references unknown factor 2",
+        with_link 0 (fun l -> { l with Overlay.factors = [| 2 |] }) );
+      ( "link 0 (AS 0) uses factor 1 of AS 1",
+        with_link 0 (fun l -> { l with Overlay.factors = [| 1 |] }) );
+      ( "path 0 has id 1",
+        {
+          valid_overlay with
+          Overlay.paths = [| { Overlay.id = 1; links = [| 0; 1 |] } |];
+        } );
+      ("path 0 is empty", with_path_links [||]);
+      ("path 0 uses unknown link 2", with_path_links [| 0; 2 |]);
+      ("path 0 traverses link 0 twice (loop)", with_path_links [| 0; 1; 0 |]);
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Generators                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -288,60 +339,6 @@ let prop_internet_connected =
       Graph.connected inet.Gen_common.as_graph
       && Array.for_all Graph.connected inet.Gen_common.internals)
 
-(* ------------------------------------------------------------------ *)
-(* Overlay serialization                                               *)
-(* ------------------------------------------------------------------ *)
-
-module Overlay_io = Tomo_topology.Overlay_io
-
-let overlays_equal (a : Overlay.t) (b : Overlay.t) =
-  a.Overlay.n_ases = b.Overlay.n_ases
-  && a.Overlay.source_as = b.Overlay.source_as
-  && a.Overlay.n_factors = b.Overlay.n_factors
-  && a.Overlay.factor_owner = b.Overlay.factor_owner
-  && a.Overlay.links = b.Overlay.links
-  && a.Overlay.paths = b.Overlay.paths
-
-let test_io_roundtrip () =
-  let t = Brite.generate ~params:small_brite ~seed:5 () in
-  let t' = Overlay_io.of_string (Overlay_io.to_string t) in
-  check_bool "roundtrip equality" true (overlays_equal t t')
-
-let test_io_file_roundtrip () =
-  let t = Sparse_topo.generate ~params:small_sparse ~seed:5 () in
-  let path = Filename.temp_file "tomo_overlay" ".txt" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Overlay_io.save path t;
-      let t' = Overlay_io.load path in
-      check_bool "file roundtrip" true (overlays_equal t t'))
-
-let test_io_rejects_garbage () =
-  (try
-     ignore (Overlay_io.of_string "not an overlay");
-     Alcotest.fail "garbage accepted"
-   with Failure _ -> ());
-  try
-    ignore
-      (Overlay_io.of_string
-         "tomo-overlay v1\nases 2 source 0\nfactors 1\nfactor 0 \
-          0\nlinks 1\nlink 0 1 inter 0\npaths 1\npath 0 0\n");
-    (* link owned by AS 1 but factor owned by AS 0: validation must
-       reject it *)
-    Alcotest.fail "invalid overlay accepted"
-  with Failure _ -> ()
-
-let prop_io_roundtrip =
-  QCheck.Test.make ~name:"overlay serialization roundtrips" ~count:10
-    (QCheck.int_range 0 500) (fun seed ->
-      let t =
-        Brite.generate
-          ~params:{ small_brite with Brite.n_paths = 50 }
-          ~seed ()
-      in
-      overlays_equal t (Overlay_io.of_string (Overlay_io.to_string t)))
-
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "topology"
@@ -364,6 +361,8 @@ let () =
             test_correlation_sets_partition;
           Alcotest.test_case "factor sharing map" `Quick
             test_links_sharing_factor;
+          Alcotest.test_case "validate rejections" `Quick
+            test_validate_rejections;
         ] );
       ( "generators",
         [
@@ -379,13 +378,5 @@ let () =
             test_intra_links_share_factors;
           qc prop_generated_overlays_valid;
           qc prop_internet_connected;
-        ] );
-      ( "overlay_io",
-        [
-          Alcotest.test_case "string roundtrip" `Quick test_io_roundtrip;
-          Alcotest.test_case "file roundtrip" `Quick test_io_file_roundtrip;
-          Alcotest.test_case "rejects malformed input" `Quick
-            test_io_rejects_garbage;
-          qc prop_io_roundtrip;
         ] );
     ]
