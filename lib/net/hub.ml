@@ -9,13 +9,6 @@ let h_queue = Obs.Metrics.histogram "net_queue_depth"
 
 type policy = Block | Drop_peer
 
-let policy_of_string = function
-  | "block" -> Ok Block
-  | "drop" -> Ok Drop_peer
-  | s -> Error (Printf.sprintf "unknown ingest policy %S (block|drop)" s)
-
-let policy_to_string = function Block -> "block" | Drop_peer -> "drop"
-
 (* Raised inside a reader thread to drop its peer with a reason;
    [Quit] is the silent exit used when the hub is shutting down. *)
 exception Peer_error of string
@@ -182,7 +175,7 @@ let register t p ~announced =
                   let snap = Stream.Snapshot.load path in
                   ( Stream.Engine.of_snapshot ~model:t.model snap,
                     snap.Stream.Snapshot.ticks )
-                with Failure msg | Invalid_argument msg ->
+                with Failure msg ->
                   raise
                     (Peer_error
                        (Printf.sprintf "snapshot restore failed: %s" msg)))

@@ -39,9 +39,6 @@
 (** What to do with a peer whose queue is full. *)
 type policy = Block | Drop_peer
 
-val policy_of_string : string -> (policy, string) result
-val policy_to_string : policy -> string
-
 type t
 
 (** [create ~model ~window ()] builds an idle hub (no socket of its own

@@ -34,23 +34,24 @@ let listen_to_string = function
   | Unix_sock p -> p
   | Tcp (host, port) -> Printf.sprintf "%s:%d" host port
 
-(* "HOST:PORT" or ":PORT" is TCP; anything else is a Unix socket path
-   (a bare "PORT" digit-string is also TCP on localhost, so
-   "--listen 9090" does what it looks like). *)
+(* "HOST:PORT" or ":PORT" is TCP; anything else is a Unix socket path,
+   except a bare digit string, which is always a port on localhost, so
+   "--listen 9090" does what it looks like and "--listen 99999999" is
+   an error rather than a socket file of that name. *)
 let listen_of_string s =
-  let is_port p =
-    match int_of_string_opt p with
-    | Some v when v > 0 && v < 65536 -> Some v
-    | _ -> None
+  let tcp host port =
+    match int_of_string_opt port with
+    | Some v when v > 0 && v < 65536 -> Ok (Tcp (host, v))
+    | _ -> Error (Printf.sprintf "bad port in listen address %S" s)
   in
   match String.rindex_opt s ':' with
-  | Some i when not (String.contains s '/') -> (
+  | Some i when not (String.contains s '/') ->
       let host = String.sub s 0 i in
-      let port = String.sub s (i + 1) (String.length s - i - 1) in
-      match is_port port with
-      | Some p -> Ok (Tcp ((if host = "" then "127.0.0.1" else host), p))
-      | None -> Error (Printf.sprintf "bad port in listen address %S" s))
-  | None when is_port s <> None -> Ok (Tcp ("127.0.0.1", Option.get (is_port s)))
+      tcp
+        (if host = "" then "127.0.0.1" else host)
+        (String.sub s (i + 1) (String.length s - i - 1))
+  | None when s <> "" && String.for_all (fun c -> c >= '0' && c <= '9') s ->
+      tcp "127.0.0.1" s
   | _ ->
       if s = "" then Error "empty listen address" else Ok (Unix_sock s)
 
@@ -224,28 +225,45 @@ let serve_client ~health ~status client =
 (* The accept loop, shared by telemetry and ingestion                  *)
 (* ------------------------------------------------------------------ *)
 
-let bind = function
-  | Unix_sock path ->
+(* A socket bound or connected to [l] by [f]; a failure names [l]. *)
+let socket_for l f =
+  let sa =
+    match l with
+    | Unix_sock path -> Unix.ADDR_UNIX path
+    | Tcp (host, port) -> (
+        match Unix.gethostbyname host with
+        | h -> Unix.ADDR_INET (h.Unix.h_addr_list.(0), port)
+        | exception Not_found -> (
+            try Unix.ADDR_INET (Unix.inet_addr_of_string host, port)
+            with Failure _ ->
+              failwith (listen_to_string l ^ ": unknown host")))
+  in
+  let fd = Unix.socket (Unix.domain_of_sockaddr sa) Unix.SOCK_STREAM 0 in
+  try
+    f fd sa;
+    fd
+  with Unix.Unix_error (e, fn, _) ->
+    Unix.close fd;
+    raise (Unix.Unix_error (e, fn, listen_to_string l))
+
+let connect l = socket_for l Unix.connect
+
+let bind l =
+  (match l with
+  | Unix_sock path -> (
       (* A stale socket file from a previous run would make bind fail;
          only ever remove something that actually is a socket. *)
-      (match Unix.lstat path with
+      match Unix.lstat path with
       | { Unix.st_kind = Unix.S_SOCK; _ } -> Unix.unlink path
       | _ -> ()
-      | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ());
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      Unix.bind fd (Unix.ADDR_UNIX path);
-      Unix.listen fd 16;
-      fd
-  | Tcp (host, port) ->
-      let addr =
-        try (Unix.gethostbyname host).Unix.h_addr_list.(0)
-        with Not_found -> Unix.inet_addr_of_string host
-      in
-      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-      Unix.setsockopt fd Unix.SO_REUSEADDR true;
-      Unix.bind fd (Unix.ADDR_INET (addr, port));
-      Unix.listen fd 16;
-      fd
+      | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ())
+  | Tcp _ -> ());
+  socket_for l (fun fd sa ->
+      (match l with
+      | Tcp _ -> Unix.setsockopt fd Unix.SO_REUSEADDR true
+      | Unix_sock _ -> ());
+      Unix.bind fd sa;
+      Unix.listen fd 16)
 
 type t = {
   fd : Unix.file_descr;

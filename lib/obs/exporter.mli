@@ -26,10 +26,17 @@ type listen =
   | Tcp of string * int  (** host, port *)
 
 (** ["HOST:PORT"], [":PORT"] and ["PORT"] parse as TCP (host defaults
-    to 127.0.0.1); anything else is a Unix-socket path. *)
+    to 127.0.0.1), and a port outside 1-65535 is an error; anything
+    else is a Unix-socket path, save that an all-digit address is always
+    read as a port. *)
 val listen_of_string : string -> (listen, string) result
 
 val listen_to_string : listen -> string
+
+(** [connect l] is a stream socket connected to [l].
+    @raise Unix.Unix_error naming [l] (its third field) if the connect
+    fails, and [Failure] if a TCP host does not resolve. *)
+val connect : listen -> Unix.file_descr
 
 (** [serve ~events ~failure l ~on_accept] binds and listens on [l] and
     starts the accept thread, which hands each connection to
@@ -39,7 +46,7 @@ val listen_to_string : listen -> string
     ["<failure>: <exception>"].  Emits [<events>_listening] here and
     [<events>_stopped] at {!stop}.  A stale Unix socket file at the path
     is removed first; TCP sockets get [SO_REUSEADDR].
-    @raise Unix.Unix_error on bind failures. *)
+    @raise Unix.Unix_error naming [l] on bind failures. *)
 val serve :
   events:string ->
   failure:string ->

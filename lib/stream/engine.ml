@@ -86,9 +86,8 @@ let save_snapshot t path =
 
 let of_snapshot ~model snap =
   if snap.Snapshot.n_paths <> model.Tomo.Model.n_paths then
-    invalid_arg
-      (Printf.sprintf
-         "Engine.of_snapshot: snapshot has %d paths, model has %d"
+    failwith
+      (Printf.sprintf "snapshot has %d paths, model has %d"
          snap.Snapshot.n_paths model.Tomo.Model.n_paths);
   of_window model (Snapshot.window_of snap)
 

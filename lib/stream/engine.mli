@@ -88,8 +88,8 @@ val save_snapshot : t -> string -> unit
 
 (** [of_snapshot ~model snap] resumes: the next estimate is
     bit-identical to an engine that never stopped.
-    @raise Invalid_argument if the snapshot's path count does not match
-    the model. *)
+    @raise Failure if the snapshot's path count does not match the
+    model: a snapshot saved for another model is bad input. *)
 val of_snapshot : model:Tomo.Model.t -> Snapshot.t -> t
 
 (** [run ?snapshot_out ?snapshot_every ?max_ticks t source ~on_tick]

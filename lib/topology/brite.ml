@@ -1,8 +1,3 @@
-module Rng = Tomo_util.Rng
-module Obs = Tomo_obs
-
-let c_generated = Obs.Metrics.counter "topologies_generated"
-
 type params = {
   n_ases : int;
   attach : int;
@@ -27,77 +22,8 @@ let default =
   }
 
 let generate ?(params = default) ~seed () =
-  Obs.Trace.with_span "brite.generate" @@ fun () ->
-  let rng = Rng.create seed in
-  let topo_rng = Rng.split rng ~label:"internet" in
-  let path_rng = Rng.split rng ~label:"paths" in
-  let inet =
-    Gen_common.generate_internet topo_rng ~n_ases:params.n_ases
-      ~attach:params.attach ~extra_edge_frac:params.extra_edge_frac
-      ~routers_lo:params.routers_lo ~routers_hi:params.routers_hi
-  in
-  let source_as = Gen_common.hub_as inet in
-  let b = Overlay.Builder.create ~n_ases:params.n_ases ~source_as in
-  let n_src_routers = Graph.n_nodes inet.Gen_common.internals.(source_as) in
-  let vantages =
-    Array.init (min params.n_vantages n_src_routers) (fun _ ->
-        Rng.int path_rng n_src_routers)
-  in
-  let added = ref 0 and tries = ref 0 in
-  let max_tries = params.n_paths * 30 in
-  while !added < params.n_paths && !tries < max_tries do
-    incr tries;
-    let dest_as = Rng.int path_rng params.n_ases in
-    if dest_as <> source_as then begin
-      match
-        Graph.shortest_path ~rng:path_rng inet.Gen_common.as_graph
-          ~src:source_as ~dst:dest_as
-      with
-      | None -> ()
-      | Some as_route -> (
-          let vantage_router = Rng.choose path_rng vantages in
-          (* Border-attached destinations end at the entry border of the
-             destination AS (last hop = the inter-domain link); others at
-             a random internal router (adding an intra-domain tail). *)
-          let entry_border =
-            match List.rev as_route with
-            | last :: prev :: _ ->
-                let _, entry =
-                  if prev < last then
-                    Hashtbl.find inet.Gen_common.borders (prev, last)
-                  else
-                    let e, x =
-                      Hashtbl.find inet.Gen_common.borders (last, prev)
-                    in
-                    (x, e)
-                in
-                Some entry
-            | _ -> None
-          in
-          let dest_router =
-            match entry_border with
-            | Some r
-              when Rng.bool path_rng ~p:params.border_attach_frac ->
-                r
-            | _ ->
-                Rng.int path_rng
-                  (Graph.n_nodes inet.Gen_common.internals.(dest_as))
-          in
-          match
-            Gen_common.expand_route b inet path_rng ~vantage_router
-              ~dest_router ~as_route
-          with
-          | None -> ()
-          | Some links -> (
-              match Overlay.Builder.add_path b links with
-              | Some _ -> incr added
-              | None -> ()))
-    end
-  done;
-  let ov = Overlay.Builder.finalize b in
-  Obs.Metrics.incr c_generated;
-  if Obs.Trace.enabled () then begin
-    Obs.Trace.add_attr "links" (string_of_int (Overlay.n_links ov));
-    Obs.Trace.add_attr "paths" (string_of_int (Overlay.n_paths ov))
-  end;
-  ov
+  Gen_common.generate ~span:"brite.generate" ~seed ~n_ases:params.n_ases
+    ~attach:params.attach ~extra_edge_frac:params.extra_edge_frac
+    ~routers_lo:params.routers_lo ~routers_hi:params.routers_hi
+    ~n_paths:params.n_paths ~n_vantages:params.n_vantages
+    ~border_attach_frac:params.border_attach_frac

@@ -20,7 +20,7 @@ type params = {
   n_vantages : int;  (** probing end-hosts in the source AS (default 5) *)
   border_attach_frac : float;
       (** fraction of destination end-hosts attached directly at the
-          entry border router (default 0.5).  Border-attached
+          entry border router (default 0.6).  Border-attached
           destinations make the inter-domain link the path's last hop,
           which keeps the dense criss-cross structure — and hence
           Identifiability++ — that the paper attributes to Brite

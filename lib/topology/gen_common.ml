@@ -1,4 +1,7 @@
 module Rng = Tomo_util.Rng
+module Obs = Tomo_obs
+
+let c_generated = Obs.Metrics.counter "topologies_generated"
 
 type internet = {
   as_graph : Graph.t;
@@ -91,6 +94,7 @@ let generate_internet rng ~n_ases ~attach ~extra_edge_frac ~routers_lo
     (Graph.edges as_graph);
   { as_graph; internals; borders }
 
+(* The AS of maximum peering degree: the source ISP. *)
 let hub_as inet =
   let best = ref 0 in
   for v = 1 to Graph.n_nodes inet.as_graph - 1 do
@@ -137,6 +141,10 @@ let inter_link b ~from_as ~to_as =
     ~factors:(fun () ->
       [| Overlay.Builder.factor b ~owner:to_as ~key:("x" ^ key) |])
 
+(* An AS-level route (node list from the vantage AS) as AS-level link
+   ids registered in [b]: an inter-domain link per AS hop, and an
+   intra-domain link wherever the route moves between routers of one AS.
+   [None] when the route degenerates (one AS, vantage = destination). *)
 let expand_route b inet rng ~vantage_router ~dest_router ~as_route =
   match as_route with
   | [] -> None
@@ -174,3 +182,65 @@ let expand_route b inet rng ~vantage_router ~dest_router ~as_route =
       match !acc with
       | [] -> None
       | links -> Some (Array.of_list (List.rev links))
+
+let generate ~span ~seed ~n_ases ~attach ~extra_edge_frac ~routers_lo
+    ~routers_hi ~n_paths ~n_vantages ~border_attach_frac =
+  Obs.Trace.with_span span @@ fun () ->
+  let rng = Rng.create seed in
+  let topo_rng = Rng.split rng ~label:"internet" in
+  let path_rng = Rng.split rng ~label:"paths" in
+  let inet =
+    generate_internet topo_rng ~n_ases ~attach ~extra_edge_frac ~routers_lo
+      ~routers_hi
+  in
+  let source_as = hub_as inet in
+  let b = Overlay.Builder.create ~n_ases ~source_as in
+  let n_src_routers = Graph.n_nodes inet.internals.(source_as) in
+  let vantages =
+    Array.init (min n_vantages n_src_routers) (fun _ ->
+        Rng.int path_rng n_src_routers)
+  in
+  let added = ref 0 and tries = ref 0 in
+  let max_tries = n_paths * 30 in
+  while !added < n_paths && !tries < max_tries do
+    incr tries;
+    let dest_as = Rng.int path_rng n_ases in
+    if dest_as <> source_as then begin
+      match
+        Graph.shortest_path ~rng:path_rng inet.as_graph ~src:source_as
+          ~dst:dest_as
+      with
+      | None -> ()
+      | Some as_route -> (
+          let vantage_router = Rng.choose path_rng vantages in
+          (* A border-attached destination ends at the entry border of
+             its AS (last hop = the inter-domain link); the others at a
+             random internal router (adding an intra-domain tail). *)
+          let entry_border =
+            match List.rev as_route with
+            | last :: prev :: _ -> Some (snd (border_pair inet prev last))
+            | _ -> None
+          in
+          let dest_router =
+            match entry_border with
+            | Some r when Rng.bool path_rng ~p:border_attach_frac -> r
+            | _ -> Rng.int path_rng (Graph.n_nodes inet.internals.(dest_as))
+          in
+          match
+            expand_route b inet path_rng ~vantage_router ~dest_router
+              ~as_route
+          with
+          | None -> ()
+          | Some links -> (
+              match Overlay.Builder.add_path b links with
+              | Some _ -> incr added
+              | None -> ()))
+    end
+  done;
+  let ov = Overlay.Builder.finalize b in
+  Obs.Metrics.incr c_generated;
+  if Obs.Trace.enabled () then begin
+    Obs.Trace.add_attr "links" (string_of_int (Overlay.n_links ov));
+    Obs.Trace.add_attr "paths" (string_of_int (Overlay.n_paths ov))
+  end;
+  ov

@@ -1,11 +1,11 @@
 (** Shared machinery for the topology generators: a two-level "internet"
-    (AS-level peering graph + per-AS router-level internals) and the
+    (AS-level peering graph + per-AS router-level internals), the
     expansion of AS-level routes into AS-level link sequences backed by
-    router-level factors.
+    router-level factors, and the path sampler over both.
 
     Both the Brite-like generator and the Sparse (traceroute-campaign)
-    generator drive this module; they differ only in the shape of the AS
-    graph and in how measurement paths are collected. *)
+    generator drive this module; they differ only in their parameters,
+    above all in how many peerings each new AS attaches with. *)
 
 type internet = {
   as_graph : Graph.t;  (** peering relationships between ASes *)
@@ -34,30 +34,33 @@ val generate_internet :
   routers_hi:int ->
   internet
 
-(** [hub_as inet] is the AS of maximum peering degree — the natural
-    "source ISP" for the Brite scenario. *)
-val hub_as : internet -> int
+(** [generate ~span ~seed ~n_ases ~attach ~extra_edge_frac ~routers_lo
+    ~routers_hi ~n_paths ~n_vantages ~border_attach_frac] builds an
+    overlay inside span [span], deterministically in [seed]:
 
-(** [expand_route b inet rng ~vantage_router ~dest_router ~as_route]
-    expands an AS-level route (node list, starting at the vantage AS) into
-    a sequence of AS-level link ids registered in builder [b]:
-
-    - consecutive ASes contribute an inter-domain link (owned by the
-      downstream AS, backed by one private factor);
-    - movement between routers inside one AS contributes an intra-domain
-      link backed by the factors (router-level edges) of the internal
+    - the internet of {!generate_internet};
+    - the source AS is the AS of maximum peering degree, with
+      [n_vantages] vantage routers drawn inside it;
+    - up to [n_paths] paths, each from a random vantage along a shortest
+      AS route to a random destination AS, ending at that AS's entry
+      border router with probability [border_attach_frac] and at a
+      random internal router otherwise.  Consecutive ASes contribute an
+      inter-domain link (owned by the downstream AS, one private
+      factor); movement between routers inside an AS contributes an
+      intra-domain link backed by the router-level edges of its internal
       shortest path, so intra-domain links of one AS share factors — the
       correlation ground truth.
 
-    [vantage_router] is the local router id where the probing end-host
-    attaches in the first AS; [dest_router] the attachment in the last
-    AS.  Returns [None] if the route degenerates (single AS with vantage =
-    destination). *)
-val expand_route :
-  Overlay.Builder.b ->
-  internet ->
-  Tomo_util.Rng.t ->
-  vantage_router:int ->
-  dest_router:int ->
-  as_route:int list ->
-  int array option
+    Counts [topologies_generated]. *)
+val generate :
+  span:string ->
+  seed:int ->
+  n_ases:int ->
+  attach:int ->
+  extra_edge_frac:float ->
+  routers_lo:int ->
+  routers_hi:int ->
+  n_paths:int ->
+  n_vantages:int ->
+  border_attach_frac:float ->
+  Overlay.t

@@ -30,7 +30,7 @@ type params = {
   n_vantages : int;  (** vantage end-hosts in the source AS (default 3) *)
   border_attach_frac : float;
       (** fraction of traceroute targets whose AS-level trace ends at the
-          destination AS's entry border router (default 0.7): at AS-level
+          destination AS's entry border router (default 0.5): at AS-level
           granularity most traces end on the inter-domain link into the
           destination AS; the rest terminate at an internal router and
           contribute an intra-domain tail link *)

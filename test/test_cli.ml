@@ -1,0 +1,222 @@
+(* The built tomo_cli at its error boundary: bad input — a malformed or
+   missing file, an unusable socket, a stream that does not fit the
+   model — ends the program with exit 123 and exactly one stderr line,
+   [tomo_cli: <message>], whose message names the file or address; a
+   command-line usage error exits 124; any other exception is a bug and
+   still exits 125. *)
+
+let cli = "../bin/tomo_cli.exe"
+let smoke = "../data/smoke.trace"
+
+let rec rm_rf path =
+  if Sys.is_directory path then begin
+    Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
+    Sys.rmdir path
+  end
+  else Sys.remove path
+
+let tmpdir =
+  let dir = Filename.temp_file "tomo_cli_test" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o700;
+  at_exit (fun () -> try rm_rf dir with Sys_error _ -> ());
+  dir
+
+let tmp name = Filename.concat tmpdir name
+
+let write name text =
+  Out_channel.with_open_bin (tmp name) (fun oc -> output_string oc text);
+  tmp name
+
+(* Run the CLI with [args]; its exit code and the lines of its stderr. *)
+let run args =
+  let out = tmp "stdout" and err = tmp "stderr" in
+  let fd path =
+    Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o600
+  in
+  let fd_out = fd out and fd_err = fd err in
+  let pid =
+    Unix.create_process cli
+      (Array.of_list (cli :: args))
+      Unix.stdin fd_out fd_err
+  in
+  Unix.close fd_out;
+  Unix.close fd_err;
+  let code =
+    match snd (Unix.waitpid [] pid) with
+    | Unix.WEXITED c -> c
+    | Unix.WSIGNALED s | Unix.WSTOPPED s ->
+        Alcotest.failf "killed by signal %d" s
+  in
+  let lines =
+    In_channel.with_open_bin err In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (( <> ) "")
+  in
+  (code, lines)
+
+let serve_replay ?(extra = []) file =
+  [ "serve"; "--scale"; "small"; "--seed"; "7"; "--window"; "40" ]
+  @ [ "--replay"; file ] @ extra
+
+(* An OCaml-escaped byte, as Printexc would print a non-ASCII one. *)
+let escaped line =
+  let n = String.length line in
+  let rec go i =
+    i + 3 < n
+    && (line.[i] = '\\'
+        && String.for_all
+             (fun c -> c >= '0' && c <= '9')
+             (String.sub line (i + 1) 3)
+       || go (i + 1))
+  in
+  go 0
+
+let contains s sub =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+  in
+  go 0
+
+(* Exit 123 and one stderr line, [tomo_cli: <prefix>...], unescaped. *)
+let bad_input ~prefix args () =
+  let code, lines = run args in
+  Alcotest.(check int) "exit status" 123 code;
+  match lines with
+  | [ line ] ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%S starts with %S" line ("tomo_cli: " ^ prefix))
+        true
+        (String.starts_with ~prefix:("tomo_cli: " ^ prefix) line);
+      Alcotest.(check bool) "no exception syntax" false
+        (contains line "internal error" || contains line "Failure(");
+      Alcotest.(check bool) "no escaped byte" false (escaped line)
+  | _ ->
+      Alcotest.failf "expected one stderr line, got:\n%s"
+        (String.concat "\n" lines)
+
+let usage_error args () =
+  let code, lines = run args in
+  Alcotest.(check int) "exit status" 124 code;
+  Alcotest.(check bool) "tomo_cli: on stderr" true
+    (match lines with
+    | first :: _ -> String.starts_with ~prefix:"tomo_cli: " first
+    | [] -> false)
+
+let bad_replay_cases =
+  let case name text prefix =
+    let file = write name text in
+    Alcotest.test_case name `Quick
+      (bad_input ~prefix:(file ^ prefix) (serve_replay file))
+  in
+  [
+    case "bad header" "tomo-trace v9\npaths 150\n"
+      ":1: unknown replay format \"tomo-trace v9\"";
+    case "empty file" "" ": empty or truncated replay file — expected";
+    case "no paths line" "tomo-trace v1\n"
+      ":1: truncated trace: missing 'paths <n>' line";
+    case "ragged tick"
+      ("tomo-trace v1\npaths 150\ntick 0 " ^ String.make 149 '1' ^ "\n")
+      ":3: ragged tick: expected 150 status characters, got 149";
+    Alcotest.test_case "missing file" `Quick
+      (bad_input ~prefix:(tmp "nope.trace" ^ ": No such file or directory")
+         (serve_replay (tmp "nope.trace")));
+  ]
+
+(* A snapshot of the smoke trace's first 45 ticks, then three bad
+   restores from it. *)
+let snapshot_cases =
+  let snap = tmp "smoke.snap" in
+  let saved () =
+    if not (Sys.file_exists snap) then begin
+      let code, _ =
+        run
+          (serve_replay smoke
+             ~extra:[ "--max-ticks"; "45"; "--snapshot-out"; snap ])
+      in
+      Alcotest.(check int) "snapshot written" 0 code
+    end;
+    In_channel.with_open_bin snap In_channel.input_all
+  in
+  [
+    Alcotest.test_case "corrupt snapshot" `Quick (fun () ->
+        let text = Bytes.of_string (saved ()) in
+        Bytes.set text 40 (if Bytes.get text 40 = '0' then '1' else '0');
+        let bad = write "corrupt.snap" (Bytes.to_string text) in
+        bad_input ~prefix:(bad ^ ": corrupted snapshot: ")
+          (serve_replay smoke ~extra:[ "--snapshot-in"; bad ])
+          ());
+    Alcotest.test_case "missing snapshot" `Quick
+      (bad_input ~prefix:(tmp "nope.snap" ^ ": No such file or directory")
+         (serve_replay smoke ~extra:[ "--snapshot-in"; tmp "nope.snap" ]));
+    Alcotest.test_case "snapshot of another model" `Quick (fun () ->
+        ignore (saved ());
+        bad_input
+          ~prefix:(snap ^ ": snapshot has 150 paths, model has 450")
+          [
+            "serve"; "--scale"; "medium"; "--seed"; "7"; "--replay"; smoke;
+            "--snapshot-in"; snap;
+          ]
+          ());
+  ]
+
+let other_cases =
+  [
+    Alcotest.test_case "window longer than the trace" `Quick
+      (bad_input
+         ~prefix:(smoke ^ ": trace has only 60 intervals; --window 100")
+         [
+           "batch-report"; "--scale"; "small"; "--seed"; "7"; "--replay";
+           smoke; "--window"; "100";
+         ]);
+    Alcotest.test_case "serve without a stream" `Quick
+      (bad_input ~prefix:"serve needs a stream: "
+         [ "serve"; "--scale"; "small" ]);
+    Alcotest.test_case "send to a missing socket" `Quick
+      (bad_input
+         ~prefix:(tmp "nope.sock" ^ ": connect: ")
+         [ "send-trace"; "--to"; tmp "nope.sock"; "--trace"; smoke ]);
+  ]
+
+let usage_cases =
+  [
+    Alcotest.test_case "unknown topology" `Quick
+      (usage_error (serve_replay smoke ~extra:[ "--topology"; "mesh" ]));
+    Alcotest.test_case "unknown ingest policy" `Quick
+      (usage_error
+         [ "serve"; "--ingest"; tmp "in.sock"; "--ingest-policy"; "bogus" ]);
+    Alcotest.test_case "all-digit address out of port range" `Quick
+      (usage_error (serve_replay smoke ~extra:[ "--listen"; "99999999" ]));
+  ]
+
+let boundary_cases =
+  [
+    Alcotest.test_case "good replay exits 0, stderr empty" `Quick (fun () ->
+        let code, lines = run (serve_replay smoke) in
+        Alcotest.(check int) "exit status" 0 code;
+        Alcotest.(check (list string)) "stderr" [] lines);
+    (* [Run.run] refuses zero intervals with Invalid_argument: a bug's
+       exception, which the boundary leaves to cmdliner. *)
+    Alcotest.test_case "Invalid_argument still exits 125" `Quick (fun () ->
+        let code, lines =
+          run
+            [
+              "gen-trace"; "--scale"; "small"; "--intervals"; "0"; "--out";
+              tmp "zero.trace";
+            ]
+        in
+        Alcotest.(check int) "exit status" 125 code;
+        Alcotest.(check bool) "reported as an internal error" true
+          (List.exists (fun l -> contains l "Invalid_argument") lines));
+  ]
+
+let () =
+  Alcotest.run "cli"
+    [
+      ("replay", bad_replay_cases);
+      ("snapshot", snapshot_cases);
+      ("input", other_cases);
+      ("usage", usage_cases);
+      ("boundary", boundary_cases);
+    ]

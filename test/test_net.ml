@@ -728,6 +728,42 @@ let test_huge_counts () =
     (fun () ->
       ignore (Tomo_stream.Window.create ~capacity:(bound + 1) ~n_paths))
 
+(* A snapshot saved for another model is bad input, not a bug: restoring
+   it raises a Failure that names both path counts, and a hub that finds
+   one in its snapshot directory drops the peer and goes on serving. *)
+let test_wrong_model_snapshot () =
+  let n_paths = robust_model.Tomo.Model.n_paths in
+  let other =
+    Tomo_stream.Snapshot.
+      {
+        n_paths = n_paths + 1;
+        capacity = 4;
+        ticks = 1;
+        columns = [| Bitset.create (n_paths + 1) |];
+      }
+  in
+  (match Engine.of_snapshot ~model:robust_model other with
+  | _ -> Alcotest.fail "a snapshot of another model restored"
+  | exception Failure msg ->
+      Alcotest.(check string)
+        "names both path counts"
+        (Printf.sprintf "snapshot has %d paths, model has %d" (n_paths + 1)
+           n_paths)
+        msg);
+  with_tmpdir (fun dir ->
+      Tomo_obs.Sink.write_atomic
+        (Filename.concat dir "alpha.snap")
+        (Tomo_stream.Snapshot.to_string other);
+      let hub = Hub.create ~model:robust_model ~window:4 ~snapshot_dir:dir () in
+      let runner = Thread.create Hub.run hub in
+      let th, _ =
+        spawn_peer hub (trace_frames ~peer:"alpha" ~n_paths robust_columns)
+      in
+      wait_for (fun () -> (Hub.stats hub).Hub.peers_dropped = 1) "a drop";
+      Hub.request_stop hub;
+      Thread.join runner;
+      Thread.join th)
+
 let () =
   Tomo_par.Pool.set_default_jobs 1;
   Alcotest.run "net"
@@ -771,5 +807,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_hello_mutations;
           Alcotest.test_case "huge declared counts rejected" `Quick
             test_huge_counts;
+          Alcotest.test_case "snapshot of another model is a Failure" `Quick
+            test_wrong_model_snapshot;
         ] );
     ]

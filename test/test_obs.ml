@@ -765,7 +765,33 @@ let test_listen_of_string () =
   check_bool "out-of-range port is an error" true
     (match Exporter.listen_of_string ":99999" with
     | Error _ -> true
-    | Ok _ -> false)
+    | Ok _ -> false);
+  (* An all-digit address is always a port, never a socket file. *)
+  List.iter
+    (fun s ->
+      check_bool (s ^ " is a bad port") true
+        (Exporter.listen_of_string s
+        = Error (Printf.sprintf "bad port in listen address %S" s)))
+    [ "99999999"; "0"; "65536"; "99999999999999999999" ];
+  check_bool "65535 is the last port" true
+    (Exporter.listen_of_string "65535"
+    = ok (Exporter.Tcp ("127.0.0.1", 65535)))
+
+(* A failed bind or connect names its address in the Unix_error, so the
+   CLI's one-line diagnostic can say which socket. *)
+let test_socket_failure_names_address () =
+  let path = "/nonexistent-tomo-dir/tomo.sock" in
+  let names what f =
+    match f () with
+    | _ -> Alcotest.failf "%s on %s succeeded" what path
+    | exception Unix.Unix_error (Unix.ENOENT, fn, arg) ->
+        check_string (what ^ " call") what fn;
+        check_string (what ^ " names the address") path arg
+  in
+  names "bind" (fun () ->
+      Exporter.stop (Exporter.start (Exporter.Unix_sock path)));
+  names "connect" (fun () ->
+      Unix.close (Exporter.connect (Exporter.Unix_sock path)))
 
 let http_get sock_path path =
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -1017,6 +1043,8 @@ let () =
             test_prometheus_golden;
           Alcotest.test_case "listen address parsing" `Quick
             test_listen_of_string;
+          Alcotest.test_case "failed bind or connect names the address"
+            `Quick test_socket_failure_names_address;
           Alcotest.test_case "HTTP round trip over a unix socket" `Quick
             test_exporter_round_trip;
           Alcotest.test_case "default /healthz is valid JSON" `Quick
