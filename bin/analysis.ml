@@ -3,7 +3,7 @@
 
 open Common
 
-let report scale seed _seeds () =
+let report scale seed () =
   Format.fprintf ppf
     "Monitoring report: peers of the source ISP (scale=%s, seed=%d)@."
     (W.scale_to_string scale) seed;
@@ -18,7 +18,7 @@ let report scale seed _seeds () =
   in
   Tomo_experiments.Peer_report.render ppf ~top:15 peers
 
-let summary scale seed _seeds () =
+let summary scale seed () =
   List.iter
     (fun topology ->
       let w =
@@ -29,7 +29,7 @@ let summary scale seed _seeds () =
         Tomo_topology.Overlay.pp_summary w.W.overlay)
     [ W.Brite; W.Sparse ]
 
-let identifiability scale seed _seeds () =
+let identifiability scale seed () =
   List.iter
     (fun topology ->
       let model = model_for scale seed topology in

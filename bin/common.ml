@@ -38,11 +38,15 @@ let seeds_arg =
     value & opt int 1
     & info [ "seeds" ] ~docv:"N"
         ~doc:
-          "Average figures over N topologies (seeds SEED..SEED+N-1). \
-           Applies to fig3, fig4a, fig4b and all.")
+          "Average the figure over N topologies (seeds SEED..SEED+N-1). \
+           Only fig3, fig4a, fig4b and all take it; all averages those \
+           three figures and runs the others on SEED.")
 
-(* A term applying [f] to --scale, --seed and --seeds. *)
-let experiment f = Term.(const f $ scale_arg $ seed_arg $ seeds_arg)
+(* A term applying [f] to --scale and --seed. *)
+let experiment f = Term.(const f $ scale_arg $ seed_arg)
+
+(* The same for a figure that averages over --seeds. *)
+let averaged f = Term.(experiment f $ seeds_arg)
 
 let topology_arg =
   Arg.(

@@ -3,8 +3,9 @@
 
      tomo_cli fig3 --scale medium --seed 1 --seeds 3 --csv out/
 
-   `--seeds N` averages a figure over N independently generated
-   topologies (seed, seed+1, ...). *)
+   `--seeds N` averages fig3, fig4a and fig4b over N independently
+   generated topologies (seed, seed+1, ...); the other experiments run
+   one topology and do not take the flag. *)
 
 open Cmdliner
 open Common
@@ -24,7 +25,7 @@ let csv_arg =
 
 let seed_list seed n = List.init (max 1 n) (fun i -> seed + i)
 
-let announce name scale seed seeds =
+let announce ?(seeds = 1) name scale seed =
   Format.fprintf ppf "Running %s (scale=%s, seed=%d%s)...@." name
     (W.scale_to_string scale) seed
     (if seeds > 1 then Printf.sprintf ", %d seeds averaged" seeds else "")
@@ -38,13 +39,13 @@ let write_csv csv name render x =
     csv
 
 let fig3 scale seed seeds csv () =
-  announce "Figure 3" scale seed seeds;
+  announce "Figure 3" scale seed ~seeds;
   let rows = Fig3.run_averaged ~scale ~seeds:(seed_list seed seeds) in
   Render.fig3 ppf rows;
   write_csv csv "fig3.csv" Render.fig3_csv rows
 
 let fig4_mae topology title csv_name scale seed seeds csv () =
-  announce title scale seed seeds;
+  announce title scale seed ~seeds;
   let rows =
     Fig4.run_mae_averaged ~topology ~scale ~seeds:(seed_list seed seeds)
   in
@@ -63,14 +64,14 @@ let fig4b =
      (Sparse)"
     "fig4b.csv"
 
-let fig4c scale seed seeds csv () =
-  announce "Figure 4(c)" scale seed seeds;
+let fig4c scale seed csv () =
+  announce "Figure 4(c)" scale seed;
   let curves = Fig4.run_cdf ~scale ~seed ~steps:10 in
   Render.fig4_cdf ppf curves;
   write_csv csv "fig4c.csv" Render.fig4_cdf_csv curves
 
-let fig4d scale seed seeds csv () =
-  announce "Figure 4(d)" scale seed seeds;
+let fig4d scale seed csv () =
+  announce "Figure 4(d)" scale seed;
   let cells = Fig4.run_subsets ~scale ~seed in
   Render.fig4_subsets ppf cells;
   write_csv csv "fig4d.csv" Render.fig4_subsets_csv cells
@@ -78,40 +79,45 @@ let fig4d scale seed seeds csv () =
 let all scale seed seeds csv () =
   List.iter
     (fun figure -> figure scale seed seeds csv ())
-    [ fig3; fig4a; fig4b; fig4c; fig4d ];
+    [ fig3; fig4a; fig4b ];
+  fig4c scale seed csv ();
+  fig4d scale seed csv ();
   Render.table2 ppf
 
-let ablation scale seed seeds () =
-  announce "subset-size ablation" scale seed seeds;
+let ablation scale seed () =
+  announce "subset-size ablation" scale seed;
   Ablation.render_subset_rows ppf
     (Ablation.subset_size_sweep ~scale ~seed ~sizes:[ 1; 2; 3; 4 ])
 
-let fallback scale seed seeds () =
-  announce "fallback-strategy ablation" scale seed seeds;
+let fallback scale seed () =
+  announce "fallback-strategy ablation" scale seed;
   Ablation.render_fallback_rows ppf (Ablation.fallback_sweep ~scale ~seed)
 
-let probes scale seed seeds () =
-  announce "probing sensitivity" scale seed seeds;
+let probes scale seed () =
+  announce "probing sensitivity" scale seed;
   Ablation.render_probe_rows ppf
     (Ablation.probe_sweep ~scale ~seed ~budgets:[ 1600; 400; 100; 25 ])
 
-let convergence scale seed seeds () =
-  announce "estimation convergence" scale seed seeds;
+let convergence scale seed () =
+  announce "estimation convergence" scale seed;
   Ablation.render_interval_rows ppf
     (Ablation.interval_sweep ~scale ~seed
        ~lengths:[ 50; 100; 200; 400; 800; 1600 ])
 
 let cmds =
-  let figure f = Term.(experiment f $ csv_arg) in
+  let figure f = Term.(experiment f $ csv_arg)
+  and averaged_figure f = Term.(averaged f $ csv_arg) in
   [
     cmd "fig3" "Figure 3: Boolean-Inference accuracy (both panels)."
-      (figure fig3);
-    cmd "fig4a" "Figure 4(a): PC error on Brite topologies." (figure fig4a);
-    cmd "fig4b" "Figure 4(b): PC error on Sparse topologies." (figure fig4b);
+      (averaged_figure fig3);
+    cmd "fig4a" "Figure 4(a): PC error on Brite topologies."
+      (averaged_figure fig4a);
+    cmd "fig4b" "Figure 4(b): PC error on Sparse topologies."
+      (averaged_figure fig4b);
     cmd "fig4c" "Figure 4(c): error CDF (No Independence, Sparse)."
       (figure fig4c);
     cmd "fig4d" "Figure 4(d): links vs correlation subsets." (figure fig4d);
-    cmd "all" "Run every figure and table." (figure all);
+    cmd "all" "Run every figure and table." (averaged_figure all);
     ( Cmd.info "table2" ~doc:"Print the paper's Table 2 (static).",
       Term.const (fun () -> Render.table2 ppf) );
     cmd "ablation" "Subset-size budget ablation (§4)." (experiment ablation);

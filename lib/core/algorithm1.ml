@@ -39,19 +39,37 @@ type selection = {
   readout : Readout.t;
 }
 
+(* Ê: every subset a single-path equation induces, plus the enumerated
+   target subsets up to the configured size, both read from the
+   signature table of [effective]. *)
+let registry_of config model effective =
+  let table =
+    Obs.Trace.with_span "algorithm1.signatures" (fun () ->
+        Signatures.build model ~effective)
+  in
+  let registry =
+    Obs.Trace.with_span "algorithm1.registry" (fun () ->
+        let registry = Eqn.registry table in
+        Eqn.register_single_path_masks registry;
+        Subsets.enumerate table ~max_size:config.max_subset_size
+          ~limit_per_set (fun corr mask ->
+            ignore (Eqn.add_mask registry ~corr mask 0));
+        registry)
+  in
+  (table, registry)
+
 (* The selected rows are independent by construction, so their A·Aᵀ is
    positive definite: factor it once here and every solve until the next
-   selection is two triangular solves.  The identifiable flags are read
-   off the final null space, and the readout plan is decided from them
-   here too, so reading a marginal is per-solve arithmetic only. *)
-let finish model effective registry rows tracker =
-  let identifiable = Nullspace.determined tracker in
+   selection is two triangular solves.  The readout plan is decided from
+   the identifiable flags here too, so reading a marginal is per-solve
+   arithmetic only. *)
+let finish model effective registry rows ~identifiable ~nullity =
   {
     model;
     effective;
     registry;
     rows;
-    nullity = Nullspace.dim tracker;
+    nullity;
     identifiable;
     factor =
       Some
@@ -132,24 +150,10 @@ let select ?(config = default_config) model obs =
   Obs.Trace.with_span "algorithm1.select" @@ fun () ->
   Obs.Metrics.incr c_selections;
   let effective = Subsets.effective_links model obs in
-  let table =
-    Obs.Trace.with_span "algorithm1.signatures" (fun () ->
-        Signatures.build model ~effective)
-  in
-  let registry =
-    Obs.Trace.with_span "algorithm1.registry" (fun () ->
-        (* Ê: every subset a single-path equation induces, plus the
-           enumerated target subsets up to the configured size, both
-           read from the signature table. *)
-        let registry = Eqn.registry table in
-        Eqn.register_single_path_masks registry;
-        Subsets.enumerate table ~max_size:config.max_subset_size
-          ~limit_per_set (fun corr mask ->
-            ignore (Eqn.add_mask registry ~corr mask 0));
-        registry)
-  in
+  let table, registry = registry_of config model effective in
   let n = Eqn.n_vars registry in
-  if n = 0 then finish model effective registry [||] (Nullspace.tracker 0)
+  if n = 0 then
+    finish model effective registry [||] ~identifiable:[||] ~nullity:0
   else begin
     Obs.Metrics.set_gauge g_unknowns (float_of_int n);
     if Obs.Trace.enabled () then
@@ -328,8 +332,71 @@ let select ?(config = default_config) model obs =
            nullity %d"
           (Bitset.count effective) n (Array.length rows)
           (Nullspace.dim tracker));
-    finish model effective registry rows tracker
+    (* The identifiable flags are read off the final null space. *)
+    finish model effective registry rows
+      ~identifiable:(Nullspace.determined tracker)
+      ~nullity:(Nullspace.dim tracker)
   end
+
+(* A selection's answer, flat: row [i]'s paths are
+   [row_paths.(row_start.(i))] to [row_paths.(row_start.(i + 1) - 1)]. *)
+type decision = {
+  d_effective : Bitset.t;
+  row_start : int array;
+  row_paths : int array;
+  d_identifiable : Bitset.t;  (* per variable *)
+  d_nullity : int;
+}
+
+let decision sel =
+  let n_rows = Array.length sel.rows in
+  let row_start = Array.make (n_rows + 1) 0 in
+  Array.iteri
+    (fun i r -> row_start.(i + 1) <- row_start.(i) + Array.length r.Eqn.paths)
+    sel.rows;
+  let row_paths = Array.make row_start.(n_rows) 0 in
+  Array.iteri
+    (fun i r ->
+      Array.blit r.Eqn.paths 0 row_paths row_start.(i)
+        (Array.length r.Eqn.paths))
+    sel.rows;
+  let d_identifiable = Bitset.create (Array.length sel.identifiable) in
+  Array.iteri (fun v b -> if b then Bitset.set d_identifiable v)
+    sel.identifiable;
+  {
+    d_effective = Bitset.copy sel.effective;
+    row_start;
+    row_paths;
+    d_identifiable;
+    d_nullity = sel.nullity;
+  }
+
+(* The registry is a function of the effective links, and a row's
+   variables a function of its paths over that registry: resolving the
+   recorded rows through the same resolver [select] used gives them the
+   variables [select] gave them, and [finish] does the rest as it does
+   for [select]. *)
+let of_decision model d =
+  Obs.Trace.with_span "algorithm1.rebuild" @@ fun () ->
+  let effective = Bitset.copy d.d_effective in
+  let _, registry = registry_of default_config model effective in
+  let n = Eqn.n_vars registry in
+  if Bitset.length d.d_identifiable <> n then
+    invalid_arg "Algorithm1.of_decision: the registry has changed";
+  let resolver = Eqn.resolver registry in
+  let rows =
+    Array.init (Array.length d.row_start - 1) (fun i ->
+        let paths =
+          Array.sub d.row_paths d.row_start.(i)
+            (d.row_start.(i + 1) - d.row_start.(i))
+        in
+        match Eqn.row_vars resolver ~paths with
+        | [||] -> invalid_arg "Algorithm1.of_decision: a row does not resolve"
+        | vars -> { Eqn.paths; vars = Array.copy vars })
+  in
+  finish model effective registry rows
+    ~identifiable:(Array.init n (Bitset.get d.d_identifiable))
+    ~nullity:d.d_nullity
 
 let n_identifiable sel =
   Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 sel.identifiable

@@ -81,6 +81,26 @@ type selection = {
     returning. *)
 val select : ?config:config -> Model.t -> Observations.t -> selection
 
+(** A selection's answer in compact form: its effective links, its
+    rows' path sets in order, its per-variable identifiable flags and
+    its nullity.  It holds no registry, signature table, factor or
+    readout: {!of_decision} rebuilds those. *)
+type decision
+
+(** [decision sel] records [sel]'s answer. *)
+val decision : selection -> decision
+
+(** [of_decision model d] is the selection [d] was recorded from,
+    field for field, when that selection was [select model obs]: the
+    signature table and registry of [d]'s effective links are built by
+    the same code as [select]'s, each row's variables resolved from its
+    paths, and the factor and readout built from those.  It skips the
+    seed and grow phases, so it costs a fraction of a [select] (span
+    [algorithm1.rebuild]).
+    @raise Invalid_argument if the rebuilt registry does not match [d]
+    (a selection of another model, or made under another [config]). *)
+val of_decision : Model.t -> decision -> selection
+
 (** [sort_grow_order ~shift keys] sorts, in place, keys that pack a
     weight above [shift] bits and a variable below, by decreasing
     weight: the order the grow phase tries variables in

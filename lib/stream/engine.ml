@@ -5,6 +5,7 @@ module Pool = Tomo_par.Pool
 let c_ticks = Obs.Metrics.counter "stream_ticks"
 let c_estimates = Obs.Metrics.counter "stream_estimates"
 let c_reselects = Obs.Metrics.counter "stream_reselects"
+let c_cache_hits = Obs.Metrics.counter "stream_selection_cache_hits"
 let g_occupancy = Obs.Metrics.gauge "stream_window_occupancy"
 let g_capacity = Obs.Metrics.gauge "stream_window_capacity"
 
@@ -40,17 +41,26 @@ type selection_state = {
   always_good : Bitset.t;
 }
 
-type last_estimate = { at_tick : int; rows : int; vars : int }
+type last_estimate = { at_tick : int; rows : int; vars : int; nullity : int }
+
+(* Algorithm 1's answers for the last [selection_cache_capacity] distinct
+   always-good sets the engine selected for, most recently used first
+   (DESIGN, "Selection cache").  A window whose always-good set returns
+   to one of them rebuilds its selection from the cached answer
+   ({!Tomo.Algorithm1.of_decision}) instead of selecting again. *)
+let selection_cache_capacity = 8
 
 type t = {
   model : Tomo.Model.t;
   window : Window.t;
   mutable sel : selection_state option;
+  mutable cache : (Bitset.t * Tomo.Algorithm1.decision) list;
   (* Per-engine lifetime stats behind [status] — the global Metrics
      counters aggregate across engines and reset with the registry, so
      the status view keeps its own. *)
   mutable n_estimates : int;
   mutable n_reselects : int;
+  mutable n_cache_hits : int;
   mutable last : last_estimate option;  (* None before the first *)
 }
 
@@ -65,8 +75,10 @@ let of_window model window =
     model;
     window;
     sel = None;
+    cache = [];
     n_estimates = 0;
     n_reselects = 0;
+    n_cache_hits = 0;
     last = None;
   }
 
@@ -91,18 +103,36 @@ let of_snapshot ~model snap =
          snap.Snapshot.n_paths model.Tomo.Model.n_paths);
   of_window model (Snapshot.window_of snap)
 
+(* A reselect looks its always-good set up in the cache.  A hit
+   rebuilds the selection from the cached answer and moves the entry to
+   the front; a miss runs Algorithm 1 and puts its answer in front,
+   pushing the least recently used entry out of a full cache. *)
 let build_selection t ~always =
   Obs.Trace.with_span ~histogram:h_stage_reselect "stream.reselect"
   @@ fun () ->
   Obs.Metrics.incr c_reselects;
   t.n_reselects <- t.n_reselects + 1;
+  let hit = List.find_opt (fun (key, _) -> Bitset.equal key always) t.cache in
   Obs.Events.emit "reselect"
     [
       ("tick", string_of_int (Window.ticks t.window));
       ("always_good", string_of_int (Bitset.count always));
+      ("cached", string_of_bool (hit <> None));
     ];
   let obs = Window.observations t.window in
-  let selection = Tomo.Algorithm1.select t.model obs in
+  let selection =
+    match hit with
+    | Some ((_, decision) as entry) ->
+        Obs.Metrics.incr c_cache_hits;
+        t.n_cache_hits <- t.n_cache_hits + 1;
+        t.cache <- entry :: List.filter (fun e -> e != entry) t.cache;
+        Tomo.Algorithm1.of_decision t.model decision
+    | None ->
+        let selection = Tomo.Algorithm1.select t.model obs in
+        let kept = List.filteri (fun i _ -> i < selection_cache_capacity - 1) in
+        t.cache <- (always, Tomo.Algorithm1.decision selection) :: kept t.cache;
+        selection
+  in
   let rows = selection.Tomo.Algorithm1.rows in
   let mask_ptr, mask_word, mask_bits =
     Bitset.occupied_words ~len:t.model.Tomo.Model.n_paths
@@ -161,7 +191,14 @@ let solve t =
   let n_rows = Array.length sel.Tomo.Algorithm1.rows in
   let tick = Window.ticks t.window in
   t.n_estimates <- t.n_estimates + 1;
-  t.last <- Some { at_tick = tick; rows = n_rows; vars = n_vars };
+  t.last <-
+    Some
+      {
+        at_tick = tick;
+        rows = n_rows;
+        vars = n_vars;
+        nullity = sel.Tomo.Algorithm1.nullity;
+      };
   {
     tick;
     result =
@@ -250,6 +287,8 @@ let run ?snapshot_out ?(snapshot_every = 1) ?max_ticks t source
 (* Status snapshot (for the telemetry exporter)                        *)
 (* ------------------------------------------------------------------ *)
 
+type selection_cache = { hits : int; misses : int; entries : int }
+
 type status = {
   st_ticks : int;
   st_occupancy : int;
@@ -257,6 +296,7 @@ type status = {
   st_full : bool;
   st_estimates : int;
   st_reselects : int;
+  st_selection_cache : selection_cache;
   st_last : last_estimate option;
 }
 
@@ -272,6 +312,12 @@ let status t =
     st_full = Window.is_full t.window;
     st_estimates = t.n_estimates;
     st_reselects = t.n_reselects;
+    st_selection_cache =
+      {
+        hits = t.n_cache_hits;
+        misses = t.n_reselects - t.n_cache_hits;
+        entries = List.length t.cache;
+      };
     st_last = t.last;
   }
 
@@ -285,12 +331,17 @@ let status_json ?uptime_s ?snapshot_age_s ?last_error st =
     (if st.st_full then "true" else "false");
   Printf.bprintf b ",\"estimates\":%d,\"reselects\":%d" st.st_estimates
     st.st_reselects;
+  let c = st.st_selection_cache in
+  Printf.bprintf b
+    ",\"selection_cache\":{\"hits\":%d,\"misses\":%d,\"entries\":%d}"
+    c.hits c.misses c.entries;
   Buffer.add_string b ",\"last_estimate\":";
   (match st.st_last with
   | None -> Buffer.add_string b "null"
   | Some l ->
-      Printf.bprintf b "{\"tick\":%d,\"rows\":%d,\"vars\":%d}" l.at_tick
-        l.rows l.vars);
+      Printf.bprintf b
+        "{\"tick\":%d,\"rows\":%d,\"vars\":%d,\"nullity\":%d}" l.at_tick
+        l.rows l.vars l.nullity);
   (match uptime_s with
   | None -> ()
   | Some u -> Printf.bprintf b ",\"uptime_s\":%.3f" u);

@@ -8,7 +8,11 @@
 
     - the equation-system {e selection} is cached and recomputed only
       when the window's always-good path set changes (the only
-      observation input Algorithm 1 reads);
+      observation input Algorithm 1 reads); and Algorithm 1's answers
+      for the last 8 distinct always-good sets are kept in compact form
+      ({!Tomo.Algorithm1.decision}), so a set that comes back rebuilds
+      its selection from its answer ({!Tomo.Algorithm1.of_decision})
+      instead of running Algorithm 1 again;
     - the per-row all-good {e counts} feeding the right-hand sides are
       updated incrementally from the evicted/fresh column pair each
       push, testing only the words of the two columns that a row's
@@ -30,18 +34,22 @@
 
     Observability (via {!Tomo_obs.Metrics} and {!Tomo_obs.Trace}, off
     unless a sink is configured): counters [stream_ticks],
-    [stream_estimates], [stream_reselects]; gauges
+    [stream_estimates], [stream_reselects] (every change of the
+    selection), [stream_selection_cache_hits] (the reselects answered
+    from the cache); gauges
     [stream_window_occupancy], [stream_window_capacity]; and one span
     per stage, feeding one histogram from the span's own clock readings
     ({!Tomo_obs.Trace.with_span}): [stream.tick] / [stream_tick_s], with
     children [stream.ingest] / [stream_stage_ingest_s] (push and count
-    bookkeeping), [stream.reselect] / [stream_stage_reselect_s]
-    (Algorithm 1 re-run) and [stream.solve] / [stream_stage_solve_s]
-    (the estimate), whose child [stream.system_solve] / [stream_solve_s]
-    is the factorized solve alone; and [stream.snapshot] /
-    [stream_stage_snapshot_s] ({!save_snapshot}).  Lifecycle events
-    (via {!Tomo_obs.Events}, off unless configured): [reselect], plus
-    [source_open]/[source_eof] from {!Source} and
+    bookkeeping), [stream.reselect] / [stream_stage_reselect_s] (a
+    change of the selection, Algorithm 1 or the cache's rebuild) and
+    [stream.solve] / [stream_stage_solve_s] (the estimate), whose child
+    [stream.system_solve] / [stream_solve_s] is the factorized solve
+    alone; and [stream.snapshot] / [stream_stage_snapshot_s]
+    ({!save_snapshot}).  Lifecycle events (via {!Tomo_obs.Events}, off
+    unless configured): [reselect] (its [tick], the size of the
+    [always_good] set, and whether the cache answered it, [cached]),
+    plus [source_open]/[source_eof] from {!Source} and
     [snapshot_written]/[snapshot_restored] from {!Snapshot}. *)
 
 type t
@@ -53,6 +61,11 @@ type estimate = {
   engine : Tomo.Prob_engine.t;
       (** the solved system, for subset/pattern queries *)
 }
+
+(** How many answers the selection cache holds: 8, a constant.  At 8,
+    99% of the reselects of the [sparse] benchmark workload are
+    answered from it (DESIGN, "Selection cache"). *)
+val selection_cache_capacity : int
 
 (** [create ~model ~window ()] is an empty engine whose sliding window
     holds [window] intervals.
@@ -68,10 +81,13 @@ val ticks : t -> int
 (** [ingest t good] feeds one interval batch (bit [p] set iff path [p]
     measured good; ownership transfers to the window).  Returns the
     refreshed estimate, or [None] while the window is still warming
-    up.  [?pool] is ignored: an estimate no longer fans out over a
-    pool.  It stays only because the end-to-end benchmark
-    ([bench/e2e/e2e.ml]) still passes it, and goes once that caller
-    drops it. *)
+    up.  When the batch changes the window's always-good set, the
+    selection is rebuilt from the cached answer for the new set if the
+    cache holds one, and selected by Algorithm 1 otherwise; the
+    estimate is the same bits either way.  [?pool] is ignored: an
+    estimate no longer fans out over a pool.  It stays only because
+    the end-to-end benchmark ([bench/e2e/e2e.ml]) still passes it, and
+    goes once that caller drops it. *)
 val ingest : ?pool:Tomo_par.Pool.t -> t -> Tomo_util.Bitset.t -> estimate option
 
 (** [current t] re-estimates from the window as it stands (e.g. right
@@ -87,7 +103,9 @@ val snapshot : t -> Snapshot.t
 val save_snapshot : t -> string -> unit
 
 (** [of_snapshot ~model snap] resumes: the next estimate is
-    bit-identical to an engine that never stopped.
+    bit-identical to an engine that never stopped.  The restored engine
+    starts with an empty selection cache (a snapshot holds the window
+    alone), so its first selection is Algorithm 1's.
     @raise Failure if the snapshot's path count does not match the
     model: a snapshot saved for another model is bad input. *)
 val of_snapshot : model:Tomo.Model.t -> Snapshot.t -> t
@@ -110,8 +128,15 @@ val run :
   on_tick:(t -> estimate option -> unit) ->
   estimate option
 
-(** The tick and system size of an estimate. *)
-type last_estimate = { at_tick : int; rows : int; vars : int }
+(** The tick and system size of an estimate, and the dimension of
+    its system's null space ({!Tomo.Algorithm1.selection}'s
+    [nullity]): 0 when every variable is determined. *)
+type last_estimate = { at_tick : int; rows : int; vars : int; nullity : int }
+
+(** What the selection cache did over the engine's lifetime:
+    [hits + misses] is [st_reselects]; [entries] is how many answers it
+    holds now, at most {!selection_cache_capacity}. *)
+type selection_cache = { hits : int; misses : int; entries : int }
 
 (** An immutable copy of the engine's scalar state, captured on the
     engine's own thread ({!status}) and safe to hand to the telemetry
@@ -122,7 +147,9 @@ type status = {
   st_capacity : int;
   st_full : bool;
   st_estimates : int;  (** estimates this engine computed (lifetime) *)
-  st_reselects : int;  (** Algorithm 1 re-runs this engine performed *)
+  st_reselects : int;
+      (** selection changes this engine made, from the cache or not *)
+  st_selection_cache : selection_cache;
   st_last : last_estimate option;
       (** the latest estimate; [None] before the first *)
 }
@@ -133,8 +160,10 @@ val status : t -> status
     status as the stable JSON object served at [/healthz] and
     [/status]: [{"status":"ok"|"warming_up","ticks":..,"window":
     {"occupancy":..,"capacity":..,"full":..},"estimates":..,
-    "reselects":..,"last_estimate":{..}|null,("uptime_s":..,)
-    "snapshot_age_s":..|null,"last_error":..|null}]. *)
+    "reselects":..,"selection_cache":{"hits":..,"misses":..,
+    "entries":..},"last_estimate":{"tick":..,"rows":..,"vars":..,
+    "nullity":..}|null,("uptime_s":..,)"snapshot_age_s":..|null,
+    "last_error":..|null}]. *)
 val status_json :
   ?uptime_s:float ->
   ?snapshot_age_s:float ->

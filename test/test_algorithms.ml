@@ -1088,6 +1088,44 @@ let test_wide_set_selection () =
   check_bool "selection ≡ reference" true
     (selections_equal sel (Reference.select model obs))
 
+(* The streaming engine's selection cache keeps a selection's
+   [decision] and rebuilds the selection from it: the rebuilt selection
+   is the one [select] returned, field for field, and solves to the
+   same bits.  The decision of a selection made under another
+   configuration, whose registry differs, is refused. *)
+let test_rebuilt_selection () =
+  List.iter
+    (fun topology ->
+      let w =
+        W.prepare
+          (W.spec ~scale:W.Small ~seed:3 topology Tomo_netsim.Scenario.Random)
+      in
+      let model = w.W.model and obs = w.W.obs in
+      let name = W.topology_to_string topology in
+      let sel = Algorithm1.select model obs in
+      let d = Algorithm1.decision sel in
+      let re = Algorithm1.of_decision model d in
+      check_bool (name ^ ": rows, paths and vars") true
+        (re.Algorithm1.rows = sel.Algorithm1.rows);
+      check_bool (name ^ ": identifiable flags") true
+        (re.Algorithm1.identifiable = sel.Algorithm1.identifiable);
+      check_int (name ^ ": nullity") sel.Algorithm1.nullity
+        re.Algorithm1.nullity;
+      check_bool (name ^ ": readout") true
+        (re.Algorithm1.readout = sel.Algorithm1.readout);
+      check_bool (name ^ ": every field") true (compare re sel = 0);
+      let a = Prob_engine.solve sel obs and b = Prob_engine.solve re obs in
+      check_bool (name ^ ": solved values, bitwise") true
+        (Array.for_all2 same_bits a.Prob_engine.values b.Prob_engine.values);
+      let other =
+        Algorithm1.select ~config:{ Algorithm1.max_subset_size = 1 } model obs
+      in
+      check_bool (name ^ ": another config's decision refused") true
+        (match Algorithm1.of_decision model (Algorithm1.decision other) with
+        | _ -> false
+        | exception Invalid_argument _ -> true))
+    [ W.Brite; W.Sparse ]
+
 (* ------------------------------------------------------------------ *)
 (* The signature table against the generic bit-set path                *)
 (* ------------------------------------------------------------------ *)
@@ -1703,6 +1741,8 @@ let () =
           qc prop_grow_order_matches_array_sort;
           Alcotest.test_case "70-link set: Algorithm 1 ≡ reference" `Quick
             test_wide_set_selection;
+          Alcotest.test_case "rebuilt from its decision ≡ select" `Quick
+            test_rebuilt_selection;
         ] );
       ( "signatures",
         [

@@ -179,6 +179,30 @@ let other_cases =
          [ "send-trace"; "--to"; tmp "nope.sock"; "--trace"; smoke ]);
   ]
 
+(* [all --seeds 2]: the figures that average say so in their first
+   line, fig4c and fig4d run one seed and do not claim to average. *)
+let all_seeds () =
+  let code, _ = run [ "all"; "--scale"; "small"; "--seeds"; "2" ] in
+  Alcotest.(check int) "exit status" 0 code;
+  let running =
+    In_channel.with_open_bin (tmp "stdout") In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (String.starts_with ~prefix:"Running Figure ")
+  in
+  List.iter
+    (fun (figure, averaged) ->
+      match List.filter (fun l -> contains l figure) running with
+      | [ line ] ->
+          Alcotest.(check bool) line averaged (contains line "2 seeds averaged")
+      | _ -> Alcotest.failf "%s announced other than once" figure)
+    [
+      ("Figure 3 ", true);
+      ("Figure 4(a)", true);
+      ("Figure 4(b)", true);
+      ("Figure 4(c)", false);
+      ("Figure 4(d)", false);
+    ]
+
 let usage_cases =
   [
     Alcotest.test_case "unknown topology" `Quick
@@ -188,6 +212,15 @@ let usage_cases =
          [ "serve"; "--ingest"; tmp "in.sock"; "--ingest-policy"; "bogus" ]);
     Alcotest.test_case "all-digit address out of port range" `Quick
       (usage_error (serve_replay smoke ~extra:[ "--listen"; "99999999" ]));
+    Alcotest.test_case "--seeds only where it averages" `Quick (fun () ->
+        List.iter
+          (fun sub -> usage_error [ sub; "--seeds"; "2" ] ())
+          [
+            "fig4c"; "fig4d"; "ablation"; "fallback"; "probes"; "convergence";
+            "report"; "summary"; "identifiability";
+          ]);
+    Alcotest.test_case "all --seeds averages fig3, fig4a, fig4b" `Quick
+      all_seeds;
   ]
 
 let boundary_cases =

@@ -881,14 +881,18 @@ let test_status_json_golden () =
       st_capacity = 40;
       st_full = true;
       st_estimates = 21;
-      st_reselects = 1;
-      st_last = Some { Engine.at_tick = 60; rows = 565; vars = 595 };
+      st_reselects = 12;
+      st_selection_cache = { Engine.hits = 2; misses = 10; entries = 8 };
+      st_last =
+        Some { Engine.at_tick = 60; rows = 565; vars = 595; nullity = 30 };
     }
   in
   check_string "full engine"
     "{\"status\":\"ok\",\"ticks\":60,\"window\":{\"occupancy\":40,\
-     \"capacity\":40,\"full\":true},\"estimates\":21,\"reselects\":1,\
-     \"last_estimate\":{\"tick\":60,\"rows\":565,\"vars\":595},\
+     \"capacity\":40,\"full\":true},\"estimates\":21,\"reselects\":12,\
+     \"selection_cache\":{\"hits\":2,\"misses\":10,\"entries\":8},\
+     \"last_estimate\":{\"tick\":60,\"rows\":565,\"vars\":595,\
+     \"nullity\":30},\
      \"uptime_s\":1.500,\"snapshot_age_s\":0.250,\"last_error\":null}"
     (Engine.status_json ~uptime_s:1.5 ~snapshot_age_s:0.25 st);
   let warming =
@@ -903,7 +907,8 @@ let test_status_json_golden () =
   in
   check_string "warming up, with a sink error"
     "{\"status\":\"warming_up\",\"ticks\":12,\"window\":{\"occupancy\":12,\
-     \"capacity\":40,\"full\":false},\"estimates\":0,\"reselects\":1,\
+     \"capacity\":40,\"full\":false},\"estimates\":0,\"reselects\":12,\
+     \"selection_cache\":{\"hits\":2,\"misses\":10,\"entries\":8},\
      \"last_estimate\":null,\"snapshot_age_s\":null,\
      \"last_error\":\"boom \\\"quoted\\\"\"}"
     (Engine.status_json ~last_error:"boom \"quoted\"" warming)
@@ -930,7 +935,14 @@ let test_engine_status () =
       let r = est.Engine.result in
       check_int "last estimate stamped with its tick" 3 l.Engine.at_tick;
       check_int "rows recorded" r.Tomo.Pc_result.n_rows l.Engine.rows;
-      check_int "vars recorded" r.Tomo.Pc_result.n_vars l.Engine.vars
+      check_int "vars recorded" r.Tomo.Pc_result.n_vars l.Engine.vars;
+      check_int "nullity recorded"
+        est.Engine.engine.Tomo.Prob_engine.selection.Tomo.Algorithm1.nullity
+        l.Engine.nullity;
+      let c = st.Engine.st_selection_cache in
+      check_int "one selection, a miss" 1 c.Engine.misses;
+      check_int "no hit" 0 c.Engine.hits;
+      check_int "its answer cached" 1 c.Engine.entries
   | _ -> Alcotest.fail "no last estimate after two estimates"
 
 let test_stream_metrics_exported () =

@@ -42,9 +42,9 @@ let shuffled_prefix rng n k =
   done;
   Array.sub a 0 k
 
-let random_model rng =
+let random_model ?(min_paths = 3) rng =
   let n_links = 4 + Rng.int rng 6 in
-  let n_paths = 3 + Rng.int rng 5 in
+  let n_paths = min_paths + Rng.int rng 5 in
   let paths =
     Array.init n_paths (fun _ ->
         let k = 1 + Rng.int rng (min 4 n_links) in
@@ -293,6 +293,119 @@ let streaming_equals_batch_qcheck =
   QCheck.Test.make ~count:60 ~name:"streaming == batch at every tick"
     QCheck.(int_range 0 100_000)
     prop_streaming_equals_batch
+
+(* ------------------------------------------------------------------ *)
+(* The selection cache                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* A stream whose always-good set tours more distinct sets than the
+   selection cache holds and comes back to them out of order.  Each
+   visit holds one of [k] distinct columns for [window] ticks, so the
+   visit ends with the always-good set equal to that column.  The tour
+   visits every column in turn, which is more distinct sets than the
+   cache holds, so the first answers are evicted; then the last column
+   but one, which at most two other sets separate from its previous
+   visit, so it is a hit; then the first column and random columns,
+   never the same twice in a row. *)
+let cache_case seed =
+  let rng = Rng.create (seed + 128_000) in
+  let model = random_model ~min_paths:6 rng in
+  let n_paths = model.Tomo.Model.n_paths in
+  let window = 1 + Rng.int rng 3 in
+  let k = Engine.selection_cache_capacity + 2 + Rng.int rng 3 in
+  let palette = ref [] in
+  while List.length !palette < k do
+    let c = random_column rng n_paths in
+    if not (List.exists (Bitset.equal c) !palette) then palette := c :: !palette
+  done;
+  let palette = Array.of_list (List.rev !palette) in
+  let visits = ref [ 0; k - 2 ] in
+  for _ = 1 to 10 + Rng.int rng 6 do
+    let next = Rng.int rng (k - 1) in
+    visits := (if next = List.hd !visits then k - 1 else next) :: !visits
+  done;
+  let visits = List.init k Fun.id @ List.rev !visits in
+  let cols =
+    List.concat_map (fun v -> List.init window (fun _ -> palette.(v))) visits
+  in
+  (model, Array.of_list cols, window)
+
+(* The selected system behind two estimates: the rows' path sets and
+   variables, the identifiable flags and the nullity. *)
+let same_selection (a : Engine.estimate) (b : Engine.estimate) =
+  let sa = a.Engine.engine.Tomo.Prob_engine.selection
+  and sb = b.Engine.engine.Tomo.Prob_engine.selection in
+  sa.Tomo.Algorithm1.rows = sb.Tomo.Algorithm1.rows
+  && sa.Tomo.Algorithm1.identifiable = sb.Tomo.Algorithm1.identifiable
+  && sa.Tomo.Algorithm1.nullity = sb.Tomo.Algorithm1.nullity
+
+(* Every full-window tick of the tour against the batch pipeline over
+   the same intervals, bitwise, and the selection behind it against
+   the batch selection; the tour must hit the cache and miss more often
+   than the cache has entries, so answers were evicted. *)
+let prop_cache_like_batch seed =
+  let model, cols, window = cache_case seed in
+  let engine = Engine.create ~model ~window () in
+  let ok = ref true in
+  Array.iteri
+    (fun i col ->
+      let tick = i + 1 in
+      match Engine.ingest engine (Bitset.copy col) with
+      | None -> if tick >= window then ok := false
+      | Some e ->
+          let batch = batch_estimate model cols ~window ~tick in
+          if
+            tick < window
+            || not (same_estimate ~window e batch && same_selection e batch)
+          then ok := false)
+    cols;
+  let c = (Engine.status engine).Engine.st_selection_cache in
+  !ok && c.Engine.hits > 0
+  && c.Engine.misses > Engine.selection_cache_capacity
+  && c.Engine.entries = Engine.selection_cache_capacity
+
+let cache_like_batch_qcheck =
+  QCheck.Test.make ~count:60
+    ~name:"selection cache: hits, misses, evictions; == batch"
+    (Qgen.int_range 0 100_000)
+    prop_cache_like_batch
+
+(* A run killed right after its first cache hit, restored from its
+   snapshot and continued reports what the run that never stopped
+   reports, at every tick; the restored engine's cache starts empty. *)
+let test_restore_after_hit () =
+  for seed = 0 to 9 do
+    let model, cols, window = cache_case seed in
+    let a = Engine.create ~model ~window () in
+    let report e = Option.map (Engine.report_to_string ~window) e in
+    let hits e = (Engine.status e).Engine.st_selection_cache.Engine.hits in
+    let first_hit = ref None in
+    let expected =
+      Array.mapi
+        (fun i col ->
+          let r = report (Engine.ingest a (Bitset.copy col)) in
+          if !first_hit = None && hits a > 0 then first_hit := Some (i + 1);
+          r)
+        cols
+    in
+    let cut = Option.get !first_hit in
+    let b = Engine.create ~model ~window () in
+    for i = 0 to cut - 1 do
+      ignore (Engine.ingest b (Bitset.copy cols.(i)))
+    done;
+    let restored =
+      Engine.of_snapshot ~model
+        (Snapshot.of_string (Snapshot.to_string (Engine.snapshot b)))
+    in
+    let c = (Engine.status restored).Engine.st_selection_cache in
+    check_int "restored cache is empty" 0 (c.Engine.entries + c.Engine.hits);
+    check_bool "current() after the restore" true
+      (report (Engine.current restored) = expected.(cut - 1));
+    for i = cut to Array.length cols - 1 do
+      if report (Engine.ingest restored (Bitset.copy cols.(i))) <> expected.(i)
+      then Alcotest.failf "seed %d: report differs at tick %d" seed (i + 1)
+    done
+  done
 
 (* The same on random models over 64-200 paths, where a selected row's
    path mask spans up to four words, so the engine's per-word count
@@ -808,6 +921,8 @@ let () =
           QCheck_alcotest.to_alcotest snapshot_resume_qcheck;
           Alcotest.test_case "corruption rejected" `Quick
             test_snapshot_corruption;
+          Alcotest.test_case "restore after a cache hit" `Quick
+            test_restore_after_hit;
         ] );
       ( "source",
         [
@@ -843,5 +958,6 @@ let () =
           QCheck_alcotest.to_alcotest wide_streaming_equals_batch_qcheck;
           Alcotest.test_case "wide models: rows span words" `Quick
             test_wide_rows_span_words;
+          QCheck_alcotest.to_alcotest cache_like_batch_qcheck;
         ] );
     ]
