@@ -13,6 +13,17 @@ let ppf = Format.std_formatter
 let choice to_string values =
   Arg.enum (List.map (fun v -> (to_string v, v)) values)
 
+(* A count: a positive integer, checked when the command line parses,
+   so 0 or a negative value is a usage error naming its flag. *)
+let positive =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | _ ->
+        Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 (* A socket address, checked when the command line parses; the string
    as typed rides along for /status. *)
 let addr =
@@ -35,7 +46,7 @@ let seed_arg =
 
 let seeds_arg =
   Arg.(
-    value & opt int 1
+    value & opt positive 1
     & info [ "seeds" ] ~docv:"N"
         ~doc:
           "Average the figure over N topologies (seeds SEED..SEED+N-1). \
@@ -106,7 +117,7 @@ let report_out_arg =
 let jobs_arg =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some positive) None
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
           "Run experiment cells — and the per-interval probe \

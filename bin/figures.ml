@@ -23,7 +23,7 @@ let csv_arg =
           "Also write the figure's data as CSV files into $(docv) \
            (created if missing). Applies to fig3, fig4a-d and all.")
 
-let seed_list seed n = List.init (max 1 n) (fun i -> seed + i)
+let seed_list seed n = List.init n (fun i -> seed + i)
 
 let announce ?(seeds = 1) name scale seed =
   Format.fprintf ppf "Running %s (scale=%s, seed=%d%s)...@." name

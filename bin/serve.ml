@@ -26,7 +26,7 @@ let snapshot_out_arg =
 
 let snapshot_every_arg =
   Arg.(
-    value & opt int 10
+    value & opt positive 10
     & info [ "snapshot-every" ] ~docv:"K"
         ~doc:"Snapshot cadence in ticks (with --snapshot-out).")
 
@@ -92,7 +92,7 @@ let ingest_arg =
 
 let ingest_queue_arg =
   Arg.(
-    value & opt int 64
+    value & opt positive 64
     & info [ "ingest-queue" ] ~docv:"N"
         ~doc:
           "Per-peer bounded queue capacity in ticks: how far a peer's \

@@ -24,7 +24,7 @@ let nonstationary_arg =
 let intervals_arg =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some positive) None
     & info [ "intervals" ] ~docv:"T"
         ~doc:"Trace length in intervals (default: the scale's length).")
 

@@ -338,14 +338,25 @@ let select ?(config = default_config) model obs =
       ~nullity:(Nullspace.dim tracker)
   end
 
-(* A selection's answer, flat: row [i]'s paths are
-   [row_paths.(row_start.(i))] to [row_paths.(row_start.(i + 1) - 1)]. *)
+(* A selection's answer.  Until its first rebuild, the rows are kept
+   flat: row [i]'s paths are [row_paths.(row_start.(i))] to
+   [row_paths.(row_start.(i + 1) - 1)].  The first rebuild replaces
+   them with what it derived from the answer alone — the rows with
+   their variables, the factor and the readout plan — and every later
+   rebuild reuses those. *)
+type parts =
+  | Answer of { row_start : int array; row_paths : int array }
+  | Built of {
+      rows : Eqn.row array;
+      factor : Sparse_chol.t option;
+      readout : Readout.t;
+    }
+
 type decision = {
   d_effective : Bitset.t;
-  row_start : int array;
-  row_paths : int array;
   d_identifiable : Bitset.t;  (* per variable *)
   d_nullity : int;
+  mutable parts : parts;
 }
 
 let decision sel =
@@ -365,17 +376,20 @@ let decision sel =
     sel.identifiable;
   {
     d_effective = Bitset.copy sel.effective;
-    row_start;
-    row_paths;
     d_identifiable;
     d_nullity = sel.nullity;
+    parts = Answer { row_start; row_paths };
   }
+
+let is_built d = match d.parts with Built _ -> true | Answer _ -> false
 
 (* The registry is a function of the effective links, and a row's
    variables a function of its paths over that registry: resolving the
    recorded rows through the same resolver [select] used gives them the
    variables [select] gave them, and [finish] does the rest as it does
-   for [select]. *)
+   for [select].  The rows, factor and readout depend on the answer
+   alone, so the first rebuild keeps them in [d]; only the registry,
+   which the selection carries, is built again on every rebuild. *)
 let of_decision model d =
   Obs.Trace.with_span "algorithm1.rebuild" @@ fun () ->
   let effective = Bitset.copy d.d_effective in
@@ -383,20 +397,38 @@ let of_decision model d =
   let n = Eqn.n_vars registry in
   if Bitset.length d.d_identifiable <> n then
     invalid_arg "Algorithm1.of_decision: the registry has changed";
-  let resolver = Eqn.resolver registry in
-  let rows =
-    Array.init (Array.length d.row_start - 1) (fun i ->
-        let paths =
-          Array.sub d.row_paths d.row_start.(i)
-            (d.row_start.(i + 1) - d.row_start.(i))
-        in
-        match Eqn.row_vars resolver ~paths with
-        | [||] -> invalid_arg "Algorithm1.of_decision: a row does not resolve"
-        | vars -> { Eqn.paths; vars = Array.copy vars })
-  in
-  finish model effective registry rows
-    ~identifiable:(Array.init n (Bitset.get d.d_identifiable))
-    ~nullity:d.d_nullity
+  let identifiable = Array.init n (Bitset.get d.d_identifiable) in
+  match d.parts with
+  | Built { rows; factor; readout } ->
+      {
+        model;
+        effective;
+        registry;
+        rows;
+        nullity = d.d_nullity;
+        identifiable;
+        factor;
+        readout;
+      }
+  | Answer { row_start; row_paths } ->
+      let resolver = Eqn.resolver registry in
+      let rows =
+        Array.init (Array.length row_start - 1) (fun i ->
+            let paths =
+              Array.sub row_paths row_start.(i)
+                (row_start.(i + 1) - row_start.(i))
+            in
+            match Eqn.row_vars resolver ~paths with
+            | [||] ->
+                invalid_arg "Algorithm1.of_decision: a row does not resolve"
+            | vars -> { Eqn.paths; vars = Array.copy vars })
+      in
+      let sel =
+        finish model effective registry rows ~identifiable
+          ~nullity:d.d_nullity
+      in
+      d.parts <- Built { rows; factor = sel.factor; readout = sel.readout };
+      sel
 
 let n_identifiable sel =
   Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 sel.identifiable

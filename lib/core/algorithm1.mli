@@ -84,19 +84,33 @@ val select : ?config:config -> Model.t -> Observations.t -> selection
 (** A selection's answer in compact form: its effective links, its
     rows' path sets in order, its per-variable identifiable flags and
     its nullity.  It holds no registry, signature table, factor or
-    readout: {!of_decision} rebuilds those. *)
+    readout: {!of_decision} rebuilds those.
+
+    A decision is filled in place by its first rebuild, which keeps in
+    it what it derived from the answer alone: the rows with their
+    variables, the factor and the readout plan, in place of the rows'
+    path sets.  Every later rebuild shares those with the first, so a
+    decision belongs to one engine (one model) and nothing may write
+    to the rows, factor or readout of a selection rebuilt from it. *)
 type decision
 
 (** [decision sel] records [sel]'s answer. *)
 val decision : selection -> decision
 
+(** [is_built d] holds once {!of_decision} has rebuilt [d], so [d]
+    keeps its rows, factor and readout plan. *)
+val is_built : decision -> bool
+
 (** [of_decision model d] is the selection [d] was recorded from,
     field for field, when that selection was [select model obs]: the
     signature table and registry of [d]'s effective links are built by
     the same code as [select]'s, each row's variables resolved from its
-    paths, and the factor and readout built from those.  It skips the
-    seed and grow phases, so it costs a fraction of a [select] (span
-    [algorithm1.rebuild]).
+    paths, and the factor and readout built from those.  The first
+    rebuild keeps the rows, factor and readout in [d] ({!is_built});
+    a later one builds the signature table and registry alone and
+    returns the kept parts, physically equal to the first's.  It skips
+    the seed and grow phases, so it costs a fraction of a [select]
+    (span [algorithm1.rebuild]).
     @raise Invalid_argument if the rebuilt registry does not match [d]
     (a selection of another model, or made under another [config]). *)
 val of_decision : Model.t -> decision -> selection

@@ -6,6 +6,7 @@ let c_ticks = Obs.Metrics.counter "stream_ticks"
 let c_estimates = Obs.Metrics.counter "stream_estimates"
 let c_reselects = Obs.Metrics.counter "stream_reselects"
 let c_cache_hits = Obs.Metrics.counter "stream_selection_cache_hits"
+let c_cache_built_hits = Obs.Metrics.counter "stream_selection_cache_built_hits"
 let g_occupancy = Obs.Metrics.gauge "stream_window_occupancy"
 let g_capacity = Obs.Metrics.gauge "stream_window_capacity"
 
@@ -47,7 +48,9 @@ type last_estimate = { at_tick : int; rows : int; vars : int; nullity : int }
    always-good sets the engine selected for, most recently used first
    (DESIGN, "Selection cache").  A window whose always-good set returns
    to one of them rebuilds its selection from the cached answer
-   ({!Tomo.Algorithm1.of_decision}) instead of selecting again. *)
+   ({!Tomo.Algorithm1.of_decision}) instead of selecting again; from its
+   first rebuild on, the answer keeps the rows, factor and readout, and
+   an evicted answer takes them with it. *)
 let selection_cache_capacity = 8
 
 type t = {
@@ -106,7 +109,9 @@ let of_snapshot ~model snap =
 (* A reselect looks its always-good set up in the cache.  A hit
    rebuilds the selection from the cached answer and moves the entry to
    the front; a miss runs Algorithm 1 and puts its answer in front,
-   pushing the least recently used entry out of a full cache. *)
+   pushing the least recently used entry out of a full cache.  A hit on
+   an answer an earlier hit rebuilt reuses that rebuild's parts (a
+   built hit). *)
 let build_selection t ~always =
   Obs.Trace.with_span ~histogram:h_stage_reselect "stream.reselect"
   @@ fun () ->
@@ -124,6 +129,8 @@ let build_selection t ~always =
     match hit with
     | Some ((_, decision) as entry) ->
         Obs.Metrics.incr c_cache_hits;
+        if Tomo.Algorithm1.is_built decision then
+          Obs.Metrics.incr c_cache_built_hits;
         t.n_cache_hits <- t.n_cache_hits + 1;
         t.cache <- entry :: List.filter (fun e -> e != entry) t.cache;
         Tomo.Algorithm1.of_decision t.model decision
@@ -287,7 +294,7 @@ let run ?snapshot_out ?(snapshot_every = 1) ?max_ticks t source
 (* Status snapshot (for the telemetry exporter)                        *)
 (* ------------------------------------------------------------------ *)
 
-type selection_cache = { hits : int; misses : int; entries : int }
+type selection_cache = { hits : int; misses : int; entries : int; built : int }
 
 type status = {
   st_ticks : int;
@@ -317,6 +324,10 @@ let status t =
         hits = t.n_cache_hits;
         misses = t.n_reselects - t.n_cache_hits;
         entries = List.length t.cache;
+        built =
+          List.fold_left
+            (fun n (_, d) -> if Tomo.Algorithm1.is_built d then n + 1 else n)
+            0 t.cache;
       };
     st_last = t.last;
   }
@@ -333,8 +344,9 @@ let status_json ?uptime_s ?snapshot_age_s ?last_error st =
     st.st_reselects;
   let c = st.st_selection_cache in
   Printf.bprintf b
-    ",\"selection_cache\":{\"hits\":%d,\"misses\":%d,\"entries\":%d}"
-    c.hits c.misses c.entries;
+    ",\"selection_cache\":{\"hits\":%d,\"misses\":%d,\"entries\":%d,\
+     \"built\":%d}"
+    c.hits c.misses c.entries c.built;
   Buffer.add_string b ",\"last_estimate\":";
   (match st.st_last with
   | None -> Buffer.add_string b "null"

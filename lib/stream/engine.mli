@@ -12,7 +12,9 @@
       for the last 8 distinct always-good sets are kept in compact form
       ({!Tomo.Algorithm1.decision}), so a set that comes back rebuilds
       its selection from its answer ({!Tomo.Algorithm1.of_decision})
-      instead of running Algorithm 1 again;
+      instead of running Algorithm 1 again; from its first rebuild on,
+      an answer keeps that rebuild's rows, factor and readout plan, so
+      a later one builds only the signature table and the registry;
     - the per-row all-good {e counts} feeding the right-hand sides are
       updated incrementally from the evicted/fresh column pair each
       push, testing only the words of the two columns that a row's
@@ -36,7 +38,8 @@
     unless a sink is configured): counters [stream_ticks],
     [stream_estimates], [stream_reselects] (every change of the
     selection), [stream_selection_cache_hits] (the reselects answered
-    from the cache); gauges
+    from the cache), [stream_selection_cache_built_hits] (those of them
+    that reused an earlier rebuild's parts); gauges
     [stream_window_occupancy], [stream_window_capacity]; and one span
     per stage, feeding one histogram from the span's own clock readings
     ({!Tomo_obs.Trace.with_span}): [stream.tick] / [stream_tick_s], with
@@ -135,8 +138,10 @@ type last_estimate = { at_tick : int; rows : int; vars : int; nullity : int }
 
 (** What the selection cache did over the engine's lifetime:
     [hits + misses] is [st_reselects]; [entries] is how many answers it
-    holds now, at most {!selection_cache_capacity}. *)
-type selection_cache = { hits : int; misses : int; entries : int }
+    holds now, at most {!selection_cache_capacity}; [built] is how many
+    of those keep the rows, factor and readout of an earlier rebuild
+    ({!Tomo.Algorithm1.is_built}), at most [entries]. *)
+type selection_cache = { hits : int; misses : int; entries : int; built : int }
 
 (** An immutable copy of the engine's scalar state, captured on the
     engine's own thread ({!status}) and safe to hand to the telemetry
@@ -161,7 +166,7 @@ val status : t -> status
     [/status]: [{"status":"ok"|"warming_up","ticks":..,"window":
     {"occupancy":..,"capacity":..,"full":..},"estimates":..,
     "reselects":..,"selection_cache":{"hits":..,"misses":..,
-    "entries":..},"last_estimate":{"tick":..,"rows":..,"vars":..,
+    "entries":..,"built":..},"last_estimate":{"tick":..,"rows":..,"vars":..,
     "nullity":..}|null,("uptime_s":..,)"snapshot_age_s":..|null,
     "last_error":..|null}]. *)
 val status_json :

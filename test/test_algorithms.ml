@@ -1091,7 +1091,10 @@ let test_wide_set_selection () =
 (* The streaming engine's selection cache keeps a selection's
    [decision] and rebuilds the selection from it: the rebuilt selection
    is the one [select] returned, field for field, and solves to the
-   same bits.  The decision of a selection made under another
+   same bits.  The first rebuild keeps its rows, factor and readout in
+   the decision; the second is [select]'s selection field for field
+   too, solves to the same bits, and shares those three with the
+   first.  The decision of a selection made under another
    configuration, whose registry differs, is refused. *)
 let test_rebuilt_selection () =
   List.iter
@@ -1104,7 +1107,11 @@ let test_rebuilt_selection () =
       let name = W.topology_to_string topology in
       let sel = Algorithm1.select model obs in
       let d = Algorithm1.decision sel in
+      check_bool (name ^ ": a new decision is not built") false
+        (Algorithm1.is_built d);
       let re = Algorithm1.of_decision model d in
+      check_bool (name ^ ": built by its first rebuild") true
+        (Algorithm1.is_built d);
       check_bool (name ^ ": rows, paths and vars") true
         (re.Algorithm1.rows = sel.Algorithm1.rows);
       check_bool (name ^ ": identifiable flags") true
@@ -1117,6 +1124,18 @@ let test_rebuilt_selection () =
       let a = Prob_engine.solve sel obs and b = Prob_engine.solve re obs in
       check_bool (name ^ ": solved values, bitwise") true
         (Array.for_all2 same_bits a.Prob_engine.values b.Prob_engine.values);
+      let again = Algorithm1.of_decision model d in
+      check_bool (name ^ ": second rebuild, every field") true
+        (compare again sel = 0);
+      let c = Prob_engine.solve again obs in
+      check_bool (name ^ ": second rebuild solved, bitwise") true
+        (Array.for_all2 same_bits a.Prob_engine.values c.Prob_engine.values);
+      check_bool (name ^ ": second rebuild shares the first's parts") true
+        (again.Algorithm1.rows == re.Algorithm1.rows
+        && again.Algorithm1.factor == re.Algorithm1.factor
+        && again.Algorithm1.readout == re.Algorithm1.readout);
+      check_bool (name ^ ": and builds its own registry") true
+        (again.Algorithm1.registry != re.Algorithm1.registry);
       let other =
         Algorithm1.select ~config:{ Algorithm1.max_subset_size = 1 } model obs
       in

@@ -104,6 +104,25 @@ let usage_error args () =
     | first :: _ -> String.starts_with ~prefix:"tomo_cli: " first
     | [] -> false)
 
+(* A count flag given [value]: a usage error whose first line names the
+   flag and asks for a positive integer.  The value is glued to the flag
+   ([--flag=V], [-jV]), so a negative one is not read as an option. *)
+let not_a_count ~flag ~value args () =
+  let glued =
+    if String.starts_with ~prefix:"--" flag then flag ^ "=" ^ value
+    else flag ^ value
+  in
+  let code, lines = run (args @ [ glued ]) in
+  Alcotest.(check int) "exit status" 124 code;
+  match lines with
+  | first :: _ ->
+      Alcotest.(check string) "first stderr line"
+        (Printf.sprintf
+           "tomo_cli: option '%s': expected a positive integer, got %S" flag
+           value)
+        first
+  | [] -> Alcotest.fail "empty stderr"
+
 let bad_replay_cases =
   let case name text prefix =
     let file = write name text in
@@ -221,6 +240,21 @@ let usage_cases =
           ]);
     Alcotest.test_case "all --seeds averages fig3, fig4a, fig4b" `Quick
       all_seeds;
+    Alcotest.test_case "count flags take positive integers" `Quick (fun () ->
+        List.iter
+          (fun (flag, args) ->
+            List.iter
+              (fun value -> not_a_count ~flag ~value args ())
+              [ "0"; "-2"; "ten" ])
+          [
+            ( "--intervals",
+              [ "gen-trace"; "--scale"; "small"; "--out"; tmp "z.trace" ] );
+            ("--snapshot-every", serve_replay smoke);
+            ("--ingest-queue", [ "serve"; "--ingest"; tmp "in.sock" ]);
+            ("--seeds", [ "fig3"; "--scale"; "small" ]);
+            ("-j", [ "fig3"; "--scale"; "small" ]);
+            ("--jobs", [ "fig4a"; "--scale"; "small" ]);
+          ]);
   ]
 
 let boundary_cases =
@@ -229,15 +263,12 @@ let boundary_cases =
         let code, lines = run (serve_replay smoke) in
         Alcotest.(check int) "exit status" 0 code;
         Alcotest.(check (list string)) "stderr" [] lines);
-    (* [Run.run] refuses zero intervals with Invalid_argument: a bug's
-       exception, which the boundary leaves to cmdliner. *)
+    (* The metrics flusher refuses an infinite period with
+       Invalid_argument: a bug's exception, which the boundary leaves to
+       cmdliner. *)
     Alcotest.test_case "Invalid_argument still exits 125" `Quick (fun () ->
         let code, lines =
-          run
-            [
-              "gen-trace"; "--scale"; "small"; "--intervals"; "0"; "--out";
-              tmp "zero.trace";
-            ]
+          run (serve_replay smoke ~extra:[ "--flush-every"; "inf" ])
         in
         Alcotest.(check int) "exit status" 125 code;
         Alcotest.(check bool) "reported as an internal error" true

@@ -882,7 +882,8 @@ let test_status_json_golden () =
       st_full = true;
       st_estimates = 21;
       st_reselects = 12;
-      st_selection_cache = { Engine.hits = 2; misses = 10; entries = 8 };
+      st_selection_cache =
+        { Engine.hits = 2; misses = 10; entries = 8; built = 1 };
       st_last =
         Some { Engine.at_tick = 60; rows = 565; vars = 595; nullity = 30 };
     }
@@ -890,7 +891,8 @@ let test_status_json_golden () =
   check_string "full engine"
     "{\"status\":\"ok\",\"ticks\":60,\"window\":{\"occupancy\":40,\
      \"capacity\":40,\"full\":true},\"estimates\":21,\"reselects\":12,\
-     \"selection_cache\":{\"hits\":2,\"misses\":10,\"entries\":8},\
+     \"selection_cache\":{\"hits\":2,\"misses\":10,\"entries\":8,\
+     \"built\":1},\
      \"last_estimate\":{\"tick\":60,\"rows\":565,\"vars\":595,\
      \"nullity\":30},\
      \"uptime_s\":1.500,\"snapshot_age_s\":0.250,\"last_error\":null}"
@@ -908,7 +910,8 @@ let test_status_json_golden () =
   check_string "warming up, with a sink error"
     "{\"status\":\"warming_up\",\"ticks\":12,\"window\":{\"occupancy\":12,\
      \"capacity\":40,\"full\":false},\"estimates\":0,\"reselects\":12,\
-     \"selection_cache\":{\"hits\":2,\"misses\":10,\"entries\":8},\
+     \"selection_cache\":{\"hits\":2,\"misses\":10,\"entries\":8,\
+     \"built\":1},\
      \"last_estimate\":null,\"snapshot_age_s\":null,\
      \"last_error\":\"boom \\\"quoted\\\"\"}"
     (Engine.status_json ~last_error:"boom \"quoted\"" warming)
@@ -942,7 +945,32 @@ let test_engine_status () =
       let c = st.Engine.st_selection_cache in
       check_int "one selection, a miss" 1 c.Engine.misses;
       check_int "no hit" 0 c.Engine.hits;
-      check_int "its answer cached" 1 c.Engine.entries
+      check_int "its answer cached" 1 c.Engine.entries;
+      check_int "not yet rebuilt" 0 c.Engine.built;
+      (* Path 0 congested in one interval leaves the always-good set
+         and comes back as the interval leaves the window of 2: each
+         return to a set is a hit, and the first hit on an answer keeps
+         its rebuild's parts. *)
+      let cache_after ~path0_good =
+        let col = Tomo_util.Bitset.create model.Tomo.Model.n_paths in
+        Tomo_util.Bitset.set_all col;
+        if not path0_good then Tomo_util.Bitset.clear col 0;
+        ignore (Engine.ingest engine col);
+        let c = (Engine.status engine).Engine.st_selection_cache in
+        (c.Engine.hits, c.Engine.misses, c.Engine.entries, c.Engine.built)
+      in
+      List.iter
+        (fun (path0_good, expected, what) ->
+          let hits, misses, entries, built = cache_after ~path0_good in
+          check_bool what true ((hits, misses, entries, built) = expected))
+        [
+          (false, (0, 2, 2, 0), "a new set: a miss");
+          (true, (0, 2, 2, 0), "the same set: no reselect");
+          (true, (1, 2, 2, 1), "back to the first set: a hit, rebuilt");
+          (false, (2, 2, 2, 2), "back to the second set: a hit, rebuilt");
+          (true, (2, 2, 2, 2), "the same set: no reselect");
+          (true, (3, 2, 2, 2), "a hit on a rebuilt answer keeps built");
+        ]
   | _ -> Alcotest.fail "no last estimate after two estimates"
 
 let test_stream_metrics_exported () =

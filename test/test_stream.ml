@@ -306,7 +306,10 @@ let streaming_equals_batch_qcheck =
    cache holds, so the first answers are evicted; then the last column
    but one, which at most two other sets separate from its previous
    visit, so it is a hit; then the first column and random columns,
-   never the same twice in a row. *)
+   never the same twice in a row; then the last of those and another
+   column in turn, five visits over at most three sets (the two
+   columns and, for a window above one, their intersection), so a set
+   comes back after a hit on it: a built hit. *)
 let cache_case seed =
   let rng = Rng.create (seed + 128_000) in
   let model = random_model ~min_paths:6 rng in
@@ -324,7 +327,11 @@ let cache_case seed =
     let next = Rng.int rng (k - 1) in
     visits := (if next = List.hd !visits then k - 1 else next) :: !visits
   done;
-  let visits = List.init k Fun.id @ List.rev !visits in
+  let last = List.hd !visits in
+  let other = (last + 1 + Rng.int rng (k - 1)) mod k in
+  let visits =
+    List.init k Fun.id @ List.rev !visits @ [ other; last; other; last; other ]
+  in
   let cols =
     List.concat_map (fun v -> List.init window (fun _ -> palette.(v))) visits
   in
@@ -339,18 +346,33 @@ let same_selection (a : Engine.estimate) (b : Engine.estimate) =
   && sa.Tomo.Algorithm1.identifiable = sb.Tomo.Algorithm1.identifiable
   && sa.Tomo.Algorithm1.nullity = sb.Tomo.Algorithm1.nullity
 
+(* [ingest] that also says whether the tick was a built hit: a hit on
+   an answer an earlier hit rebuilt, which leaves the count of built
+   entries as it was (a first hit raises it). *)
+let ingest_noting_built_hit engine col =
+  let cache () = (Engine.status engine).Engine.st_selection_cache in
+  let before = cache () in
+  let est = Engine.ingest engine col in
+  let after = cache () in
+  ( est,
+    after.Engine.hits > before.Engine.hits
+    && after.Engine.built = before.Engine.built )
+
 (* Every full-window tick of the tour against the batch pipeline over
    the same intervals, bitwise, and the selection behind it against
-   the batch selection; the tour must hit the cache and miss more often
-   than the cache has entries, so answers were evicted. *)
+   the batch selection; the tour must hit the cache, reuse an earlier
+   hit's parts, and miss more often than the cache has entries, so
+   answers were evicted. *)
 let prop_cache_like_batch seed =
   let model, cols, window = cache_case seed in
   let engine = Engine.create ~model ~window () in
-  let ok = ref true in
+  let ok = ref true and built_hits = ref 0 in
   Array.iteri
     (fun i col ->
       let tick = i + 1 in
-      match Engine.ingest engine (Bitset.copy col) with
+      let est, built_hit = ingest_noting_built_hit engine (Bitset.copy col) in
+      if built_hit then incr built_hits;
+      match est with
       | None -> if tick >= window then ok := false
       | Some e ->
           let batch = batch_estimate model cols ~window ~tick in
@@ -360,9 +382,11 @@ let prop_cache_like_batch seed =
           then ok := false)
     cols;
   let c = (Engine.status engine).Engine.st_selection_cache in
-  !ok && c.Engine.hits > 0
+  !ok && c.Engine.hits > 0 && !built_hits > 0
   && c.Engine.misses > Engine.selection_cache_capacity
   && c.Engine.entries = Engine.selection_cache_capacity
+  && 0 < c.Engine.built
+  && c.Engine.built <= c.Engine.entries
 
 let cache_like_batch_qcheck =
   QCheck.Test.make ~count:60
@@ -370,25 +394,30 @@ let cache_like_batch_qcheck =
     (Qgen.int_range 0 100_000)
     prop_cache_like_batch
 
-(* A run killed right after its first cache hit, restored from its
-   snapshot and continued reports what the run that never stopped
-   reports, at every tick; the restored engine's cache starts empty. *)
+(* A run killed right after its first built hit (a hit that reused an
+   earlier hit's parts), restored from its snapshot and continued
+   reports what the run that never stopped reports, at every tick; the
+   restored engine's cache starts empty. *)
 let test_restore_after_hit () =
   for seed = 0 to 9 do
     let model, cols, window = cache_case seed in
     let a = Engine.create ~model ~window () in
     let report e = Option.map (Engine.report_to_string ~window) e in
-    let hits e = (Engine.status e).Engine.st_selection_cache.Engine.hits in
-    let first_hit = ref None in
+    let first_built_hit = ref None in
     let expected =
       Array.mapi
         (fun i col ->
-          let r = report (Engine.ingest a (Bitset.copy col)) in
-          if !first_hit = None && hits a > 0 then first_hit := Some (i + 1);
-          r)
+          let est, built_hit = ingest_noting_built_hit a (Bitset.copy col) in
+          if !first_built_hit = None && built_hit then
+            first_built_hit := Some (i + 1);
+          report est)
         cols
     in
-    let cut = Option.get !first_hit in
+    let cut =
+      match !first_built_hit with
+      | Some cut -> cut
+      | None -> Alcotest.failf "seed %d: no built hit" seed
+    in
     let b = Engine.create ~model ~window () in
     for i = 0 to cut - 1 do
       ignore (Engine.ingest b (Bitset.copy cols.(i)))
@@ -398,7 +427,8 @@ let test_restore_after_hit () =
         (Snapshot.of_string (Snapshot.to_string (Engine.snapshot b)))
     in
     let c = (Engine.status restored).Engine.st_selection_cache in
-    check_int "restored cache is empty" 0 (c.Engine.entries + c.Engine.hits);
+    check_int "restored cache is empty" 0
+      (c.Engine.entries + c.Engine.hits + c.Engine.built);
     check_bool "current() after the restore" true
       (report (Engine.current restored) = expected.(cut - 1));
     for i = cut to Array.length cols - 1 do
