@@ -10,6 +10,7 @@ module Log = (val Logs.src_log src : Logs.LOG)
 module Obs = Tomo_obs
 
 let c_selections = Obs.Metrics.counter "alg1_selections"
+let c_registries = Obs.Metrics.counter "alg1_registries"
 let c_equations = Obs.Metrics.counter "equations_formed"
 let c_rows_rejected = Obs.Metrics.counter "equations_rejected_dependent"
 let c_candidates = Obs.Metrics.counter "alg1_candidate_rows_materialized"
@@ -43,6 +44,7 @@ type selection = {
    target subsets up to the configured size, both read from the
    signature table of [effective]. *)
 let registry_of config model effective =
+  Obs.Metrics.incr c_registries;
   let table =
     Obs.Trace.with_span "algorithm1.signatures" (fun () ->
         Signatures.build model ~effective)
@@ -340,24 +342,20 @@ let select ?(config = default_config) model obs =
 
 (* A selection's answer.  Until its first rebuild, the rows are kept
    flat: row [i]'s paths are [row_paths.(row_start.(i))] to
-   [row_paths.(row_start.(i + 1) - 1)].  The first rebuild replaces
-   them with what it derived from the answer alone — the rows with
-   their variables, the factor and the readout plan — and every later
-   rebuild reuses those. *)
-type parts =
-  | Answer of { row_start : int array; row_paths : int array }
-  | Built of {
-      rows : Eqn.row array;
-      factor : Sparse_chol.t option;
-      readout : Readout.t;
+   [row_paths.(row_start.(i + 1) - 1)].  The first rebuild replaces the
+   answer with the selection it rebuilt, which every later rebuild
+   returns. *)
+type state =
+  | Answer of {
+      effective : Bitset.t;
+      identifiable : Bitset.t;  (* per variable *)
+      nullity : int;
+      row_start : int array;
+      row_paths : int array;
     }
+  | Built of selection
 
-type decision = {
-  d_effective : Bitset.t;
-  d_identifiable : Bitset.t;  (* per variable *)
-  d_nullity : int;
-  mutable parts : parts;
-}
+type decision = state ref
 
 let decision sel =
   let n_rows = Array.length sel.rows in
@@ -371,52 +369,45 @@ let decision sel =
       Array.blit r.Eqn.paths 0 row_paths row_start.(i)
         (Array.length r.Eqn.paths))
     sel.rows;
-  let d_identifiable = Bitset.create (Array.length sel.identifiable) in
-  Array.iteri (fun v b -> if b then Bitset.set d_identifiable v)
+  let identifiable = Bitset.create (Array.length sel.identifiable) in
+  Array.iteri (fun v b -> if b then Bitset.set identifiable v)
     sel.identifiable;
-  {
-    d_effective = Bitset.copy sel.effective;
-    d_identifiable;
-    d_nullity = sel.nullity;
-    parts = Answer { row_start; row_paths };
-  }
+  ref
+    (Answer
+       {
+         effective = Bitset.copy sel.effective;
+         identifiable;
+         nullity = sel.nullity;
+         row_start;
+         row_paths;
+       })
 
-let is_built d = match d.parts with Built _ -> true | Answer _ -> false
+let is_built d = match !d with Built _ -> true | Answer _ -> false
 
 (* The registry is a function of the effective links, and a row's
    variables a function of its paths over that registry: resolving the
    recorded rows through the same resolver [select] used gives them the
    variables [select] gave them, and [finish] does the rest as it does
-   for [select].  The rows, factor and readout depend on the answer
-   alone, so the first rebuild keeps them in [d]; only the registry,
-   which the selection carries, is built again on every rebuild. *)
+   for [select].  None of it reads the window, so the first rebuild
+   keeps the whole selection in [d] and every later one returns it. *)
 let of_decision model d =
   Obs.Trace.with_span "algorithm1.rebuild" @@ fun () ->
-  let effective = Bitset.copy d.d_effective in
-  let _, registry = registry_of default_config model effective in
-  let n = Eqn.n_vars registry in
-  if Bitset.length d.d_identifiable <> n then
-    invalid_arg "Algorithm1.of_decision: the registry has changed";
-  let identifiable = Array.init n (Bitset.get d.d_identifiable) in
-  match d.parts with
-  | Built { rows; factor; readout } ->
-      {
-        model;
-        effective;
-        registry;
-        rows;
-        nullity = d.d_nullity;
-        identifiable;
-        factor;
-        readout;
-      }
-  | Answer { row_start; row_paths } ->
+  match !d with
+  | Built sel ->
+      if sel.model != model then
+        invalid_arg "Algorithm1.of_decision: a decision of another model";
+      sel
+  | Answer a ->
+      let _, registry = registry_of default_config model a.effective in
+      let n = Eqn.n_vars registry in
+      if Bitset.length a.identifiable <> n then
+        invalid_arg "Algorithm1.of_decision: the registry has changed";
       let resolver = Eqn.resolver registry in
       let rows =
-        Array.init (Array.length row_start - 1) (fun i ->
+        Array.init (Array.length a.row_start - 1) (fun i ->
             let paths =
-              Array.sub row_paths row_start.(i)
-                (row_start.(i + 1) - row_start.(i))
+              Array.sub a.row_paths a.row_start.(i)
+                (a.row_start.(i + 1) - a.row_start.(i))
             in
             match Eqn.row_vars resolver ~paths with
             | [||] ->
@@ -424,10 +415,11 @@ let of_decision model d =
             | vars -> { Eqn.paths; vars = Array.copy vars })
       in
       let sel =
-        finish model effective registry rows ~identifiable
-          ~nullity:d.d_nullity
+        finish model a.effective registry rows
+          ~identifiable:(Array.init n (Bitset.get a.identifiable))
+          ~nullity:a.nullity
       in
-      d.parts <- Built { rows; factor = sel.factor; readout = sel.readout };
+      d := Built sel;
       sel
 
 let n_identifiable sel =

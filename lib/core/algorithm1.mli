@@ -87,32 +87,42 @@ val select : ?config:config -> Model.t -> Observations.t -> selection
     readout: {!of_decision} rebuilds those.
 
     A decision is filled in place by its first rebuild, which keeps in
-    it what it derived from the answer alone: the rows with their
-    variables, the factor and the readout plan, in place of the rows'
-    path sets.  Every later rebuild shares those with the first, so a
-    decision belongs to one engine (one model) and nothing may write
-    to the rows, factor or readout of a selection rebuilt from it. *)
+    it the whole selection it rebuilt, registry and identifiable flags
+    included, in place of the answer: none of it depends on more than
+    the answer and the model.  Every later rebuild returns that
+    selection itself, so a built decision's selection is shared by
+    every later hit of its engine.  A decision therefore belongs to one
+    engine (one model), and nothing may write to a selection rebuilt
+    from it.  Nothing does: after {!select} or {!of_decision} returns,
+    a selection's registry, rows, flags, factor and readout are only
+    read ({!Prob_engine}, {!Readout}, {!Correlation_complete} and the
+    streaming engine read them; the only code that adds variables to a
+    registry is this module's own registry construction, and
+    {!Identifiability} and {!Correlation_heuristic} on registries of
+    their own). *)
 type decision
 
 (** [decision sel] records [sel]'s answer. *)
 val decision : selection -> decision
 
 (** [is_built d] holds once {!of_decision} has rebuilt [d], so [d]
-    keeps its rows, factor and readout plan. *)
+    keeps the selection it rebuilt. *)
 val is_built : decision -> bool
 
 (** [of_decision model d] is the selection [d] was recorded from,
-    field for field, when that selection was [select model obs]: the
-    signature table and registry of [d]'s effective links are built by
-    the same code as [select]'s, each row's variables resolved from its
-    paths, and the factor and readout built from those.  The first
-    rebuild keeps the rows, factor and readout in [d] ({!is_built});
-    a later one builds the signature table and registry alone and
-    returns the kept parts, physically equal to the first's.  It skips
-    the seed and grow phases, so it costs a fraction of a [select]
-    (span [algorithm1.rebuild]).
-    @raise Invalid_argument if the rebuilt registry does not match [d]
-    (a selection of another model, or made under another [config]). *)
+    field for field, when that selection was [select model obs].  The
+    first rebuild builds the signature table and registry of [d]'s
+    effective links with [select]'s code, resolves each row's
+    variables from its paths, builds the factor and readout from
+    those, and keeps the selection in [d] ({!is_built}); it skips the
+    seed and grow phases, so it costs a fraction of a [select].  A
+    later rebuild returns that selection, physically, and builds
+    nothing (span [algorithm1.rebuild]).  The counter
+    [alg1_registries] counts the registries [select] and first
+    rebuilds build.
+    @raise Invalid_argument if the first rebuild's registry does not
+    match [d] (a selection of another model, or made under another
+    [config]), or if [d] was built under another model. *)
 val of_decision : Model.t -> decision -> selection
 
 (** [sort_grow_order ~shift keys] sorts, in place, keys that pack a

@@ -181,13 +181,28 @@ let last_error_ref : string option ref = ref None
 let last_error () = !last_error_ref
 let record_error msg = last_error_ref := Some msg
 
+(* The reason a [Sys_error] message gives, without the file name it
+   may start with ([open_out]'s "name: reason"; a failed write or close
+   gives the reason alone).  The reason is the text after the last
+   ": ", which no system error string holds. *)
+let reason msg =
+  let rec from i =
+    if i < 1 then msg
+    else if msg.[i - 1] = ':' && msg.[i] = ' ' then
+      String.sub msg (i + 1) (String.length msg - i - 1)
+    else from (i - 1)
+  in
+  from (String.length msg - 1)
+
 (* A sink that cannot be written must not take the results down with
-   it: report, remember (for /healthz), and carry on. *)
-let nonfatal what f =
+   it: report, remember (for /healthz), and carry on.  The warning names
+   [path] once, whichever step failed. *)
+let nonfatal what path f =
   try f ()
   with Sys_error msg ->
-    record_error (Printf.sprintf "cannot write %s: %s" what msg);
-    Printf.eprintf "tomo_obs: cannot write %s: %s\n%!" what msg
+    let msg = Printf.sprintf "cannot write %s %s: %s" what path (reason msg) in
+    record_error msg;
+    Printf.eprintf "tomo_obs: %s\n%!" msg
 
 (* A scrape or kill between open and close must never observe a torn
    file, so write a hidden sibling temp file and rename it over the
@@ -202,7 +217,7 @@ let nonfatal what f =
    umask), a symlink is written through (the rename lands on the file it
    names, not on the link), and a device or pipe such as /dev/stdout,
    which a rename would replace rather than write, is written in place. *)
-let write_atomic path content =
+let replace path content =
   let path = try Unix.realpath path with Unix.Unix_error _ -> path in
   match (Unix.stat path).Unix.st_kind with
   | Unix.S_CHR | Unix.S_BLK | Unix.S_FIFO ->
@@ -227,6 +242,12 @@ let write_atomic path content =
       with e ->
         (try Sys.remove tmp with Sys_error _ -> ());
         raise e)
+
+(* A failure names [path] as the caller gave it, once: not the temp
+   file, nor the file a symlink resolves to. *)
+let write_atomic path content =
+  try replace path content
+  with Sys_error msg -> raise (Sys_error (path ^ ": " ^ reason msg))
 
 (* The body runs under [flush_lock]: a periodic flusher thread and an
    exiting main thread may both call [flush], and each completed span /
@@ -258,7 +279,7 @@ let flush () =
           output_string stderr (Buffer.contents buf);
           Stdlib.flush stderr)
         else
-          nonfatal ("trace file " ^ path) (fun () ->
+          nonfatal "trace file" path (fun () ->
               let oc =
                 open_out_gen [ Open_creat; Open_append; Open_text ] 0o644 path
               in
@@ -270,7 +291,7 @@ let flush () =
   | None -> ()
   | Some path ->
       let json = snapshot_json (Metrics.snapshot ()) ^ "\n" in
-      nonfatal ("metrics file " ^ path) (fun () ->
+      nonfatal "metrics file" path (fun () ->
           if path = "-" then begin
             output_string stdout json;
             Stdlib.flush stdout

@@ -57,7 +57,9 @@ val flush : unit -> unit
     over [path], so a reader or a kill never observes a torn file.  On
     any failure, a close that cannot write out the buffered content (a
     full disk) included, the temp file is removed, [path] is left as it
-    was and the exception re-raised (typically [Sys_error]).  As with
+    was and the exception re-raised; a [Sys_error]'s message becomes
+    [path ^ ": " ^ reason], naming [path] as given once, whichever
+    file the failing step touched.  As with
     [open_out], the file gets [open_out]'s mode, a symlink is written
     through to the file it names, and a device or pipe (say
     [/dev/stdout]) is written in place, not atomically.  Every file the program

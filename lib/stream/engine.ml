@@ -21,23 +21,27 @@ let h_stage_reselect = Obs.Metrics.histogram "stream_stage_reselect_s"
 let h_stage_solve = Obs.Metrics.histogram "stream_stage_solve_s"
 let h_stage_snapshot = Obs.Metrics.histogram "stream_stage_snapshot_s"
 
-(* The engine's cached view of the selected equation system.  [counts]
-   is maintained incrementally: pushing a batch changes exactly one ring
-   slot, so each row's all-good count moves by the difference between the
-   evicted and the fresh column.  Each row's path mask is kept as the
-   words it occupies ({!Bitset.occupied_words}), flat over the rows:
-   row [i]'s nonzero words are
-   [mask_bits.(p)] at word index [mask_word.(p)], for [p] from
+(* Each row's path mask, kept as the words it occupies
+   ({!Bitset.occupied_words}), flat over the rows: row [i]'s nonzero
+   words are [mask_bits.(p)] at word index [mask_word.(p)], for [p] from
    [mask_ptr.(i)] to [mask_ptr.(i + 1) - 1], so a count update reads
-   only those words of the two columns.  [always_good] records the
-   observation input the selection was derived from — Algorithm 1 reads
-   observations only through the always-good path set, so the selection
-   stays valid exactly as long as that set does. *)
-type selection_state = {
-  selection : Tomo.Algorithm1.selection;
+   only those words of the two columns. *)
+type row_masks = {
   mask_ptr : int array;
   mask_word : int array;
   mask_bits : int array;
+}
+
+(* The engine's cached view of the selected equation system.  [counts]
+   is maintained incrementally: pushing a batch changes exactly one ring
+   slot, so each row's all-good count moves by the difference between the
+   evicted and the fresh column.  [always_good] records the observation
+   input the selection was derived from — Algorithm 1 reads observations
+   only through the always-good path set, so the selection stays valid
+   exactly as long as that set does. *)
+type selection_state = {
+  selection : Tomo.Algorithm1.selection;
+  masks : row_masks;
   counts : int array;  (* per row: all-good count over the window *)
   always_good : Bitset.t;
 }
@@ -48,16 +52,24 @@ type last_estimate = { at_tick : int; rows : int; vars : int; nullity : int }
    always-good sets the engine selected for, most recently used first
    (DESIGN, "Selection cache").  A window whose always-good set returns
    to one of them rebuilds its selection from the cached answer
-   ({!Tomo.Algorithm1.of_decision}) instead of selecting again; from its
-   first rebuild on, the answer keeps the rows, factor and readout, and
-   an evicted answer takes them with it. *)
+   ({!Tomo.Algorithm1.of_decision}) instead of selecting again.  From
+   its first hit on, an entry keeps the rebuilt selection (in its
+   decision) and the row masks: every part of a selection state but the
+   counts, which the window decides.  An evicted entry takes them with
+   it. *)
 let selection_cache_capacity = 8
+
+type entry = {
+  key : Bitset.t;  (* the always-good set *)
+  decision : Tomo.Algorithm1.decision;
+  mutable kept_masks : row_masks option;  (* from the first hit on *)
+}
 
 type t = {
   model : Tomo.Model.t;
   window : Window.t;
   mutable sel : selection_state option;
-  mutable cache : (Bitset.t * Tomo.Algorithm1.decision) list;
+  mutable cache : entry list;
   (* Per-engine lifetime stats behind [status] — the global Metrics
      counters aggregate across engines and reset with the registry, so
      the status view keeps its own. *)
@@ -106,53 +118,80 @@ let of_snapshot ~model snap =
          snap.Snapshot.n_paths model.Tomo.Model.n_paths);
   of_window model (Snapshot.window_of snap)
 
+let masks_of t selection =
+  let mask_ptr, mask_word, mask_bits =
+    Bitset.occupied_words ~len:t.model.Tomo.Model.n_paths
+      (Array.map (fun r -> r.Tomo.Eqn.paths) selection.Tomo.Algorithm1.rows)
+  in
+  { mask_ptr; mask_word; mask_bits }
+
 (* A reselect looks its always-good set up in the cache.  A hit
    rebuilds the selection from the cached answer and moves the entry to
    the front; a miss runs Algorithm 1 and puts its answer in front,
    pushing the least recently used entry out of a full cache.  A hit on
-   an answer an earlier hit rebuilt reuses that rebuild's parts (a
-   built hit). *)
+   an answer an earlier hit rebuilt (a built hit) reuses that rebuild's
+   selection and row masks, so it only counts the rows over the
+   window. *)
 let build_selection t ~always =
   Obs.Trace.with_span ~histogram:h_stage_reselect "stream.reselect"
   @@ fun () ->
   Obs.Metrics.incr c_reselects;
   t.n_reselects <- t.n_reselects + 1;
-  let hit = List.find_opt (fun (key, _) -> Bitset.equal key always) t.cache in
-  Obs.Events.emit "reselect"
-    [
-      ("tick", string_of_int (Window.ticks t.window));
-      ("always_good", string_of_int (Bitset.count always));
-      ("cached", string_of_bool (hit <> None));
-    ];
-  let obs = Window.observations t.window in
-  let selection =
+  let hit = List.find_opt (fun e -> Bitset.equal e.key always) t.cache in
+  let built =
     match hit with
-    | Some ((_, decision) as entry) ->
+    | Some e -> Tomo.Algorithm1.is_built e.decision
+    | None -> false
+  in
+  if Obs.Events.enabled () then
+    Obs.Events.emit "reselect"
+      [
+        ("tick", string_of_int (Window.ticks t.window));
+        ("always_good", string_of_int (Bitset.count always));
+        ("cached", string_of_bool (hit <> None));
+        ("built", string_of_bool built);
+      ];
+  let obs = Window.observations t.window in
+  let selection, masks =
+    match hit with
+    | Some entry ->
         Obs.Metrics.incr c_cache_hits;
-        if Tomo.Algorithm1.is_built decision then
-          Obs.Metrics.incr c_cache_built_hits;
+        if built then Obs.Metrics.incr c_cache_built_hits;
         t.n_cache_hits <- t.n_cache_hits + 1;
         t.cache <- entry :: List.filter (fun e -> e != entry) t.cache;
-        Tomo.Algorithm1.of_decision t.model decision
+        let selection = Tomo.Algorithm1.of_decision t.model entry.decision in
+        let masks =
+          match entry.kept_masks with
+          | Some masks -> masks
+          | None ->
+              let masks = masks_of t selection in
+              entry.kept_masks <- Some masks;
+              masks
+        in
+        (selection, masks)
     | None ->
         let selection = Tomo.Algorithm1.select t.model obs in
         let kept = List.filteri (fun i _ -> i < selection_cache_capacity - 1) in
-        t.cache <- (always, Tomo.Algorithm1.decision selection) :: kept t.cache;
-        selection
-  in
-  let rows = selection.Tomo.Algorithm1.rows in
-  let mask_ptr, mask_word, mask_bits =
-    Bitset.occupied_words ~len:t.model.Tomo.Model.n_paths
-      (Array.map (fun r -> r.Tomo.Eqn.paths) rows)
+        let entry =
+          {
+            key = always;
+            decision = Tomo.Algorithm1.decision selection;
+            kept_masks = None;
+          }
+        in
+        t.cache <- entry :: kept t.cache;
+        (selection, masks_of t selection)
   in
   (* A fresh selection's counts are the batch pipeline's own, read off
      the full window's observations. *)
   let counts =
     Array.map
       (fun r -> Tomo.Observations.all_good_count obs r.Tomo.Eqn.paths)
-      rows
+      selection.Tomo.Algorithm1.rows
   in
-  { selection; mask_ptr; mask_word; mask_bits; counts; always_good = always }
+  { selection; masks; counts; always_good = always }
+
+let row_masks t = Option.map (fun s -> s.masks) t.sel
 
 (* Refresh [sel.counts] after one ring slot was replaced: a row was
    all-good in the evicted column iff none of its paths is missing from
@@ -163,7 +202,7 @@ let build_selection t ~always =
    sets over those paths ({!Window.push} refuses any other), so the
    reads skip their bounds checks, about 30% of the loop's cost. *)
 let update_counts sel ~evicted ~fresh =
-  let { mask_ptr; mask_word; mask_bits; counts; _ } = sel in
+  let { mask_ptr; mask_word; mask_bits } = sel.masks and counts = sel.counts in
   let evicted = Bitset.words evicted and fresh = Bitset.words fresh in
   for i = 0 to Array.length counts - 1 do
     let gone = ref 0 and missing = ref 0 in
@@ -326,7 +365,8 @@ let status t =
         entries = List.length t.cache;
         built =
           List.fold_left
-            (fun n (_, d) -> if Tomo.Algorithm1.is_built d then n + 1 else n)
+            (fun n e ->
+              if Tomo.Algorithm1.is_built e.decision then n + 1 else n)
             0 t.cache;
       };
     st_last = t.last;

@@ -13,8 +13,9 @@
       ({!Tomo.Algorithm1.decision}), so a set that comes back rebuilds
       its selection from its answer ({!Tomo.Algorithm1.of_decision})
       instead of running Algorithm 1 again; from its first rebuild on,
-      an answer keeps that rebuild's rows, factor and readout plan, so
-      a later one builds only the signature table and the registry;
+      an entry keeps that rebuild's whole selection and its rows' mask
+      words, so a later hit on it is the lookup and a count of the rows
+      over the window;
     - the per-row all-good {e counts} feeding the right-hand sides are
       updated incrementally from the evicted/fresh column pair each
       push, testing only the words of the two columns that a row's
@@ -39,7 +40,7 @@
     [stream_estimates], [stream_reselects] (every change of the
     selection), [stream_selection_cache_hits] (the reselects answered
     from the cache), [stream_selection_cache_built_hits] (those of them
-    that reused an earlier rebuild's parts); gauges
+    that reused an earlier rebuild's selection and masks); gauges
     [stream_window_occupancy], [stream_window_capacity]; and one span
     per stage, feeding one histogram from the span's own clock readings
     ({!Tomo_obs.Trace.with_span}): [stream.tick] / [stream_tick_s], with
@@ -51,7 +52,9 @@
     alone; and [stream.snapshot] / [stream_stage_snapshot_s]
     ({!save_snapshot}).  Lifecycle events (via {!Tomo_obs.Events}, off
     unless configured): [reselect] (its [tick], the size of the
-    [always_good] set, and whether the cache answered it, [cached]),
+    [always_good] set, whether the cache answered it, [cached], and
+    whether that answer had been rebuilt before, [built]; the
+    attributes are rendered only while the event log is open),
     plus [source_open]/[source_eof] from {!Source} and
     [snapshot_written]/[snapshot_restored] from {!Snapshot}. *)
 
@@ -92,6 +95,15 @@ val ticks : t -> int
     the end-to-end benchmark ([bench/e2e/e2e.ml]) still passes it, and
     goes once that caller drops it. *)
 val ingest : ?pool:Tomo_par.Pool.t -> t -> Tomo_util.Bitset.t -> estimate option
+
+(** The words the current selection's rows occupy, which each tick's
+    count update reads ({!Tomo_util.Bitset.occupied_words}); [None]
+    before the first selection.  From an answer's first hit on, its
+    cache entry keeps them, and every later hit on it reuses them,
+    physically ([==]). *)
+type row_masks
+
+val row_masks : t -> row_masks option
 
 (** [current t] re-estimates from the window as it stands (e.g. right
     after a restore, without waiting for the next batch); [None] while
@@ -139,7 +151,7 @@ type last_estimate = { at_tick : int; rows : int; vars : int; nullity : int }
 (** What the selection cache did over the engine's lifetime:
     [hits + misses] is [st_reselects]; [entries] is how many answers it
     holds now, at most {!selection_cache_capacity}; [built] is how many
-    of those keep the rows, factor and readout of an earlier rebuild
+    of those keep the selection and row masks of an earlier rebuild
     ({!Tomo.Algorithm1.is_built}), at most [entries]. *)
 type selection_cache = { hits : int; misses : int; entries : int; built : int }
 

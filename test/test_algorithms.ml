@@ -1091,11 +1091,12 @@ let test_wide_set_selection () =
 (* The streaming engine's selection cache keeps a selection's
    [decision] and rebuilds the selection from it: the rebuilt selection
    is the one [select] returned, field for field, and solves to the
-   same bits.  The first rebuild keeps its rows, factor and readout in
-   the decision; the second is [select]'s selection field for field
-   too, solves to the same bits, and shares those three with the
-   first.  The decision of a selection made under another
-   configuration, whose registry differs, is refused. *)
+   same bits.  The first rebuild keeps its whole selection in the
+   decision; the second returns that selection itself, registry and
+   flags included, which is still [select]'s field for field and
+   solves to the same bits.  The decision of a selection made under
+   another configuration, whose registry differs, is refused, and so is
+   a built decision handed another model. *)
 let test_rebuilt_selection () =
   List.iter
     (fun topology ->
@@ -1125,17 +1126,27 @@ let test_rebuilt_selection () =
       check_bool (name ^ ": solved values, bitwise") true
         (Array.for_all2 same_bits a.Prob_engine.values b.Prob_engine.values);
       let again = Algorithm1.of_decision model d in
+      check_bool (name ^ ": second rebuild is the first's selection") true
+        (again == re
+        && again.Algorithm1.registry == re.Algorithm1.registry
+        && again.Algorithm1.identifiable == re.Algorithm1.identifiable);
       check_bool (name ^ ": second rebuild, every field") true
         (compare again sel = 0);
       let c = Prob_engine.solve again obs in
       check_bool (name ^ ": second rebuild solved, bitwise") true
         (Array.for_all2 same_bits a.Prob_engine.values c.Prob_engine.values);
-      check_bool (name ^ ": second rebuild shares the first's parts") true
-        (again.Algorithm1.rows == re.Algorithm1.rows
-        && again.Algorithm1.factor == re.Algorithm1.factor
-        && again.Algorithm1.readout == re.Algorithm1.readout);
-      check_bool (name ^ ": and builds its own registry") true
-        (again.Algorithm1.registry != re.Algorithm1.registry);
+      let copy =
+        Model.make ~n_links:model.Model.n_links
+          ~paths:
+            (Array.map
+               (fun l -> Array.of_list (Bitset.to_list l))
+               model.Model.path_links)
+          ~corr_sets:model.Model.corr_sets
+      in
+      check_bool (name ^ ": a built decision refuses another model") true
+        (match Algorithm1.of_decision copy d with
+        | _ -> false
+        | exception Invalid_argument _ -> true);
       let other =
         Algorithm1.select ~config:{ Algorithm1.max_subset_size = 1 } model obs
       in

@@ -1,9 +1,9 @@
 (* The built tomo_cli at its error boundary: bad input — a malformed or
    missing file, an unusable socket, a stream that does not fit the
-   model — ends the program with exit 123 and exactly one stderr line,
-   [tomo_cli: <message>], whose message names the file or address; a
-   command-line usage error exits 124; any other exception is a bug and
-   still exits 125. *)
+   model, an output file that cannot be written — ends the program
+   with exit 123 and exactly one stderr line, [tomo_cli: <message>],
+   whose message names the file or address; a command-line usage error
+   exits 124; any other exception is a bug and still exits 125. *)
 
 let cli = "../bin/tomo_cli.exe"
 let smoke = "../data/smoke.trace"
@@ -198,6 +198,55 @@ let other_cases =
          [ "send-trace"; "--to"; tmp "nope.sock"; "--trace"; smoke ]);
   ]
 
+(* A whole-file write that fails names the file it was asked to write,
+   once, and the reason: exit 123 and exactly [line] on stderr.  No
+   byte fits on /dev/full, and nothing can be made inside it. *)
+let failed_write ~line args () =
+  let code, lines = run args in
+  Alcotest.(check int) "exit status" 123 code;
+  Alcotest.(check (list string)) "stderr" [ line ] lines
+
+let failed_write_cases =
+  let full = "/dev/full" in
+  let no_space = "tomo_cli: /dev/full: No space left on device" in
+  [
+    Alcotest.test_case "gen-trace --out" `Quick
+      (failed_write ~line:no_space
+         [ "gen-trace"; "--scale"; "small"; "--intervals"; "5"; "--out"; full ]);
+    Alcotest.test_case "serve --report-out" `Quick
+      (failed_write ~line:no_space
+         (serve_replay smoke ~extra:[ "--report-out"; full ]));
+    Alcotest.test_case "serve --snapshot-out" `Quick
+      (failed_write ~line:no_space
+         (serve_replay smoke ~extra:[ "--snapshot-out"; full ]));
+    Alcotest.test_case "batch-report --report-out" `Quick
+      (failed_write ~line:no_space
+         [
+           "batch-report"; "--scale"; "small"; "--seed"; "7"; "--window"; "40";
+           "--replay"; smoke; "--report-out"; full;
+         ]);
+    Alcotest.test_case "fig3 --csv: the CSV, not its temp file" `Quick
+      (failed_write ~line:"tomo_cli: /dev/full/fig3.csv: Not a directory"
+         [ "fig3"; "--scale"; "small"; "--csv"; full ]);
+    (* The metrics file is telemetry: its failure is a warning naming
+       the file once, not the temp file, and the run still succeeds. *)
+    Alcotest.test_case "serve --metrics-out warns once" `Quick (fun () ->
+        let metrics = tmp "missing/metrics.json" in
+        let code, lines =
+          run (serve_replay smoke ~extra:[ "--metrics-out"; metrics ])
+        in
+        Alcotest.(check int) "exit status" 0 code;
+        Alcotest.(check (list string))
+          "stderr"
+          [
+            Printf.sprintf
+              "tomo_obs: cannot write metrics file %s: No such file or \
+               directory"
+              metrics;
+          ]
+          lines);
+  ]
+
 (* [all --seeds 2]: the figures that average say so in their first
    line, fig4c and fig4d run one seed and do not claim to average. *)
 let all_seeds () =
@@ -281,6 +330,7 @@ let () =
       ("replay", bad_replay_cases);
       ("snapshot", snapshot_cases);
       ("input", other_cases);
+      ("output", failed_write_cases);
       ("usage", usage_cases);
       ("boundary", boundary_cases);
     ]

@@ -560,6 +560,51 @@ let test_event_file_round_trip () =
   check_bool "newline in attr value escaped" true
     (contains ~needle:"line\\nbreak" (List.nth lines 1))
 
+(* Each reselect's event says whether the cache answered it, [cached],
+   and whether that answer had been rebuilt by an earlier hit, [built]:
+   on the toy model at window 2, path 0 congested in one interval moves
+   the always-good set away and back, giving two misses, a first hit on
+   each answer and then a built hit. *)
+let test_reselect_events () =
+  let tmp = Filename.temp_file "tomo_events" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () ->
+      Events.close ();
+      try Sys.remove tmp with Sys_error _ -> ())
+  @@ fun () ->
+  Events.configure (Some tmp);
+  let model = Tomo.Toy.case1 () in
+  let engine = Engine.create ~model ~window:2 () in
+  List.iter
+    (fun path0_good ->
+      let col = Tomo_util.Bitset.create model.Tomo.Model.n_paths in
+      Tomo_util.Bitset.set_all col;
+      if not path0_good then Tomo_util.Bitset.clear col 0;
+      ignore (Engine.ingest engine col))
+    [ true; true; true; false; true; true; false; true; true ];
+  Events.close ();
+  let reselects =
+    In_channel.with_open_bin tmp In_channel.input_lines
+    |> List.filter (contains ~needle:"\"event\":\"reselect\"")
+  in
+  let answered line =
+    let attr k = contains ~needle:(Printf.sprintf "\"%s\":\"true\"" k) line in
+    (attr "cached", attr "built")
+  in
+  check_bool "miss, miss, first hit, first hit, built hit" true
+    (List.map answered reselects
+    = [
+        (false, false); (false, false); (true, false); (true, false);
+        (true, true);
+      ]);
+  List.iter
+    (fun line ->
+      check_bool "every attribute present" true
+        (List.for_all
+           (fun k -> contains ~needle:(Printf.sprintf "\"%s\":" k) line)
+           [ "tick"; "always_good"; "cached"; "built" ]))
+    reselects
+
 (* ------------------------------------------------------------------ *)
 (* Flush: idempotent, atomic, drains exactly once                      *)
 (* ------------------------------------------------------------------ *)
@@ -1076,6 +1121,8 @@ let () =
           QCheck_alcotest.to_alcotest event_escaping_prop;
           Alcotest.test_case "file round trip" `Quick
             test_event_file_round_trip;
+          Alcotest.test_case "reselect: cached and built" `Quick
+            test_reselect_events;
         ] );
       ( "exporter",
         [

@@ -346,41 +346,79 @@ let same_selection (a : Engine.estimate) (b : Engine.estimate) =
   && sa.Tomo.Algorithm1.identifiable = sb.Tomo.Algorithm1.identifiable
   && sa.Tomo.Algorithm1.nullity = sb.Tomo.Algorithm1.nullity
 
-(* [ingest] that also says whether the tick was a built hit: a hit on
-   an answer an earlier hit rebuilt, which leaves the count of built
-   entries as it was (a first hit raises it). *)
-let ingest_noting_built_hit engine col =
-  let cache () = (Engine.status engine).Engine.st_selection_cache in
-  let before = cache () in
+(* [ingest] that also says what the tick's reselect was, read off the
+   engine's status: none, a miss, a first hit (which builds its answer,
+   so the count of built entries rises) or a built hit (a hit on an
+   answer an earlier hit rebuilt, which leaves that count as it was). *)
+type reselect = Kept | Miss | First_hit | Built_hit
+
+let ingest_noting engine col =
+  let before = Engine.status engine in
   let est = Engine.ingest engine col in
-  let after = cache () in
+  let after = Engine.status engine in
+  let c = before.Engine.st_selection_cache
+  and c' = after.Engine.st_selection_cache in
   ( est,
-    after.Engine.hits > before.Engine.hits
-    && after.Engine.built = before.Engine.built )
+    if after.Engine.st_reselects = before.Engine.st_reselects then Kept
+    else if c'.Engine.hits = c.Engine.hits then Miss
+    else if c'.Engine.built = c.Engine.built then Built_hit
+    else First_hit )
+
+(* What a built hit must not do again: build a registry or factor. *)
+let c_registries = Tomo_obs.Metrics.counter "alg1_registries"
+let c_factorizations = Tomo_obs.Metrics.counter "sparse_chol_factorizations"
+
+let registries_and_factors () =
+  ( Tomo_obs.Metrics.counter_value c_registries,
+    Tomo_obs.Metrics.counter_value c_factorizations )
+
+let with_metrics f =
+  let was = Tomo_obs.Metrics.enabled () in
+  Tomo_obs.Metrics.set_enabled true;
+  Fun.protect ~finally:(fun () -> Tomo_obs.Metrics.set_enabled was) f
 
 (* Every full-window tick of the tour against the batch pipeline over
    the same intervals, bitwise, and the selection behind it against
    the batch selection; the tour must hit the cache, reuse an earlier
-   hit's parts, and miss more often than the cache has entries, so
-   answers were evicted. *)
+   hit's selection, and miss more often than the cache has entries, so
+   answers were evicted.  A built hit builds no registry and factors
+   nothing, and its row masks are those of the last reselect to the
+   same always-good set (a hit on the same entry: had the entry been
+   evicted and selected again since, this hit would be its first). *)
 let prop_cache_like_batch seed =
   let model, cols, window = cache_case seed in
   let engine = Engine.create ~model ~window () in
-  let ok = ref true and built_hits = ref 0 in
-  Array.iteri
-    (fun i col ->
-      let tick = i + 1 in
-      let est, built_hit = ingest_noting_built_hit engine (Bitset.copy col) in
-      if built_hit then incr built_hits;
-      match est with
-      | None -> if tick >= window then ok := false
-      | Some e ->
-          let batch = batch_estimate model cols ~window ~tick in
-          if
-            tick < window
-            || not (same_estimate ~window e batch && same_selection e batch)
-          then ok := false)
-    cols;
+  let ok = ref true and built_hits = ref 0 and masks = ref [] in
+  with_metrics (fun () ->
+      Array.iteri
+        (fun i col ->
+          let tick = i + 1 in
+          let built_before = registries_and_factors () in
+          let est, reselect = ingest_noting engine (Bitset.copy col) in
+          if reselect <> Kept then begin
+            let always = Window.always_good_paths (Engine.window engine) in
+            let current = Engine.row_masks engine in
+            let same_set (s, _) = Bitset.equal s always in
+            if reselect = Built_hit then begin
+              incr built_hits;
+              if registries_and_factors () <> built_before then ok := false;
+              match (List.find_opt same_set !masks, current) with
+              | Some (_, Some kept), Some now when kept == now -> ()
+              | _ -> ok := false
+            end;
+            masks :=
+              (Bitset.copy always, current)
+              :: List.filter (fun e -> not (same_set e)) !masks
+          end;
+          match est with
+          | None -> if tick >= window then ok := false
+          | Some e ->
+              let batch = batch_estimate model cols ~window ~tick in
+              if
+                tick < window
+                || not (same_estimate ~window e batch && same_selection e batch)
+              then ok := false)
+        cols);
   let c = (Engine.status engine).Engine.st_selection_cache in
   !ok && c.Engine.hits > 0 && !built_hits > 0
   && c.Engine.misses > Engine.selection_cache_capacity
@@ -407,8 +445,8 @@ let test_restore_after_hit () =
     let expected =
       Array.mapi
         (fun i col ->
-          let est, built_hit = ingest_noting_built_hit a (Bitset.copy col) in
-          if !first_built_hit = None && built_hit then
+          let est, reselect = ingest_noting a (Bitset.copy col) in
+          if !first_built_hit = None && reselect = Built_hit then
             first_built_hit := Some (i + 1);
           report est)
         cols
