@@ -34,6 +34,7 @@ type selection = {
   effective : Bitset.t;
   registry : Eqn.registry;
   rows : Eqn.row array;
+  seeded : Bitset.t;
   nullity : int;
   identifiable : bool array;
   factor : Sparse_chol.t option;
@@ -65,12 +66,13 @@ let registry_of config model effective =
    selection is two triangular solves.  The readout plan is decided from
    the identifiable flags here too, so reading a marginal is per-solve
    arithmetic only. *)
-let finish model effective registry rows ~identifiable ~nullity =
+let finish model effective registry rows ~seeded ~identifiable ~nullity =
   {
     model;
     effective;
     registry;
     rows;
+    seeded;
     nullity;
     identifiable;
     factor =
@@ -155,7 +157,8 @@ let select ?(config = default_config) model obs =
   let table, registry = registry_of config model effective in
   let n = Eqn.n_vars registry in
   if n = 0 then
-    finish model effective registry [||] ~identifiable:[||] ~nullity:0
+    finish model effective registry [||] ~seeded:(Bitset.create 0)
+      ~identifiable:[||] ~nullity:0
   else begin
     Obs.Metrics.set_gauge g_unknowns (float_of_int n);
     if Obs.Trace.enabled () then
@@ -175,11 +178,12 @@ let select ?(config = default_config) model obs =
        — collapse into one batched elimination. *)
     let seed_pools = Array.make n [||] in
     let rows = ref [] in
+    let seeded = Bitset.create n in
     (* The registry is frozen from here on: rows only look up. *)
     let resolver = Eqn.resolver registry in
     let tracker =
       Obs.Trace.with_span "algorithm1.seed" (fun () ->
-          let seed_rows = ref [] and n_seed = ref 0 in
+          let seed_rows = ref [] and seed_vars = ref [] in
           for v = 0 to n - 1 do
             let paths = Eqn.pool registry v in
             if Array.length paths > 0 then begin
@@ -187,11 +191,12 @@ let select ?(config = default_config) model obs =
               match Eqn.row_fast resolver ~paths with
               | Some row ->
                   seed_rows := row :: !seed_rows;
-                  incr n_seed
+                  seed_vars := v :: !seed_vars
               | None -> ()
             end
           done;
           let seed_rows = Array.of_list (List.rev !seed_rows) in
+          let seed_vars = Array.of_list (List.rev !seed_vars) in
           let keep =
             Obs.Trace.with_span "algorithm1.independent" (fun () ->
                 Sparse_gauss.select_independent ~tol ~cols:n
@@ -203,6 +208,7 @@ let select ?(config = default_config) model obs =
               if keep.(i) then begin
                 kept := row :: !kept;
                 incr n_kept;
+                Bitset.set seeded seed_vars.(i);
                 Obs.Metrics.incr c_equations
               end
               else Obs.Metrics.incr c_rows_rejected)
@@ -335,92 +341,80 @@ let select ?(config = default_config) model obs =
           (Bitset.count effective) n (Array.length rows)
           (Nullspace.dim tracker));
     (* The identifiable flags are read off the final null space. *)
-    finish model effective registry rows
+    finish model effective registry rows ~seeded
       ~identifiable:(Nullspace.determined tracker)
       ~nullity:(Nullspace.dim tracker)
   end
 
-(* A selection's answer.  Until its first rebuild, the rows are kept
-   flat: row [i]'s paths are [row_paths.(row_start.(i))] to
-   [row_paths.(row_start.(i + 1) - 1)].  The first rebuild replaces the
-   answer with the selection it rebuilt, which every later rebuild
-   returns. *)
-type state =
-  | Answer of {
-      effective : Bitset.t;
-      identifiable : Bitset.t;  (* per variable *)
-      nullity : int;
-      row_start : int array;
-      row_paths : int array;
-    }
-  | Built of selection
+(* A selection's answer.  Its seed rows are the seed pools of the
+   variables in [seeded], in variable order, so only the grow rows keep
+   their paths, flat: grow row [g]'s paths are [grow_paths.(grow_start.(g))]
+   to [grow_paths.(grow_start.(g + 1) - 1)]. *)
+type decision = {
+  effective : Bitset.t;
+  identifiable : Bitset.t;  (* per variable *)
+  nullity : int;
+  seeded : Bitset.t;  (* per variable *)
+  grow_start : int array;
+  grow_paths : int array;
+}
 
-type decision = state ref
-
-let decision sel =
-  let n_rows = Array.length sel.rows in
-  let row_start = Array.make (n_rows + 1) 0 in
-  Array.iteri
-    (fun i r -> row_start.(i + 1) <- row_start.(i) + Array.length r.Eqn.paths)
-    sel.rows;
-  let row_paths = Array.make row_start.(n_rows) 0 in
-  Array.iteri
-    (fun i r ->
-      Array.blit r.Eqn.paths 0 row_paths row_start.(i)
-        (Array.length r.Eqn.paths))
-    sel.rows;
+let decision (sel : selection) =
+  let n_seed = Bitset.count sel.seeded in
+  let n_grow = Array.length sel.rows - n_seed in
+  let grow_paths g = sel.rows.(n_seed + g).Eqn.paths in
+  let grow_start = Array.make (n_grow + 1) 0 in
+  for g = 0 to n_grow - 1 do
+    grow_start.(g + 1) <- grow_start.(g) + Array.length (grow_paths g)
+  done;
+  let flat = Array.make grow_start.(n_grow) 0 in
+  for g = 0 to n_grow - 1 do
+    Array.blit (grow_paths g) 0 flat grow_start.(g)
+      (Array.length (grow_paths g))
+  done;
   let identifiable = Bitset.create (Array.length sel.identifiable) in
   Array.iteri (fun v b -> if b then Bitset.set identifiable v)
     sel.identifiable;
-  ref
-    (Answer
-       {
-         effective = Bitset.copy sel.effective;
-         identifiable;
-         nullity = sel.nullity;
-         row_start;
-         row_paths;
-       })
+  {
+    effective = Bitset.copy sel.effective;
+    identifiable;
+    nullity = sel.nullity;
+    seeded = Bitset.copy sel.seeded;
+    grow_start;
+    grow_paths = flat;
+  }
 
-let is_built d = match !d with Built _ -> true | Answer _ -> false
-
-(* The registry is a function of the effective links, and a row's
-   variables a function of its paths over that registry: resolving the
-   recorded rows through the same resolver [select] used gives them the
-   variables [select] gave them, and [finish] does the rest as it does
-   for [select].  None of it reads the window, so the first rebuild
-   keeps the whole selection in [d] and every later one returns it. *)
+(* The registry is a function of the effective links, a seed row's
+   paths a function of its variable over that registry ([Eqn.pool], as
+   [select] took them), and a row's variables a function of its paths:
+   resolving the rows through the same resolver [select] used gives
+   them the variables [select] gave them, and [finish] does the rest
+   as it does for [select]. *)
 let of_decision model d =
   Obs.Trace.with_span "algorithm1.rebuild" @@ fun () ->
-  match !d with
-  | Built sel ->
-      if sel.model != model then
-        invalid_arg "Algorithm1.of_decision: a decision of another model";
-      sel
-  | Answer a ->
-      let _, registry = registry_of default_config model a.effective in
-      let n = Eqn.n_vars registry in
-      if Bitset.length a.identifiable <> n then
-        invalid_arg "Algorithm1.of_decision: the registry has changed";
-      let resolver = Eqn.resolver registry in
-      let rows =
-        Array.init (Array.length a.row_start - 1) (fun i ->
-            let paths =
-              Array.sub a.row_paths a.row_start.(i)
-                (a.row_start.(i + 1) - a.row_start.(i))
-            in
-            match Eqn.row_vars resolver ~paths with
-            | [||] ->
-                invalid_arg "Algorithm1.of_decision: a row does not resolve"
-            | vars -> { Eqn.paths; vars = Array.copy vars })
-      in
-      let sel =
-        finish model a.effective registry rows
-          ~identifiable:(Array.init n (Bitset.get a.identifiable))
-          ~nullity:a.nullity
-      in
-      d := Built sel;
-      sel
+  let _, registry = registry_of default_config model d.effective in
+  let n = Eqn.n_vars registry in
+  if Bitset.length d.identifiable <> n then
+    invalid_arg "Algorithm1.of_decision: the registry has changed";
+  let resolver = Eqn.resolver registry in
+  let row paths =
+    match Eqn.row_vars resolver ~paths with
+    | [||] -> invalid_arg "Algorithm1.of_decision: a row does not resolve"
+    | vars -> { Eqn.paths; vars = Array.copy vars }
+  in
+  let seed =
+    Array.of_list
+      (List.map (fun v -> row (Eqn.pool registry v)) (Bitset.to_list d.seeded))
+  in
+  let grow =
+    Array.init (Array.length d.grow_start - 1) (fun g ->
+        row
+          (Array.sub d.grow_paths d.grow_start.(g)
+             (d.grow_start.(g + 1) - d.grow_start.(g))))
+  in
+  finish model d.effective registry (Array.append seed grow) ~seeded:d.seeded
+    ~identifiable:(Array.init n (Bitset.get d.identifiable))
+    ~nullity:d.nullity
 
-let n_identifiable sel =
+let n_identifiable (sel : selection) =
   Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 sel.identifiable

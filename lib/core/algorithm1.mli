@@ -53,6 +53,11 @@ type selection = {
   effective : Tomo_util.Bitset.t;  (** potentially congested links *)
   registry : Eqn.registry;
   rows : Eqn.row array;  (** the selected, linearly independent system *)
+  seeded : Tomo_util.Bitset.t;
+      (** per variable: Algorithm 1 kept its seed row, the path set
+          {!Eqn.pool} (lines 1-5).  [rows] opens with those rows, in
+          variable order, and the grow phase's rows follow.  Empty for a
+          pool no seed phase chose (Correlation-heuristic). *)
   nullity : int;
       (** dimension of the selected system's null space: unknowns minus
           rows for Algorithm 1's independent selection *)
@@ -82,47 +87,40 @@ type selection = {
 val select : ?config:config -> Model.t -> Observations.t -> selection
 
 (** A selection's answer in compact form: its effective links, its
-    rows' path sets in order, its per-variable identifiable flags and
-    its nullity.  It holds no registry, signature table, factor or
-    readout: {!of_decision} rebuilds those.
+    per-variable identifiable flags, its nullity, the variables whose
+    seed row it kept ([seeded]) and the grow rows' path sets in order.
+    A seed row is not stored: its path set is its variable's seed pool,
+    which {!of_decision} recomputes.  It holds no registry, signature
+    table, factor or readout either: {!of_decision} rebuilds those.  A
+    decision is immutable and holds no model: {!of_decision} is given
+    the model its selection was made under. *)
+type decision
 
-    A decision is filled in place by its first rebuild, which keeps in
-    it the whole selection it rebuilt, registry and identifiable flags
-    included, in place of the answer: none of it depends on more than
-    the answer and the model.  Every later rebuild returns that
-    selection itself, so a built decision's selection is shared by
-    every later hit of its engine.  A decision therefore belongs to one
-    engine (one model), and nothing may write to a selection rebuilt
-    from it.  Nothing does: after {!select} or {!of_decision} returns,
-    a selection's registry, rows, flags, factor and readout are only
-    read ({!Prob_engine}, {!Readout}, {!Correlation_complete} and the
+(** [decision sel] records the answer of [sel], a selection {!select}
+    or {!of_decision} returned. *)
+val decision : selection -> decision
+
+(** [of_decision model d] is the selection [d] was recorded from,
+    field for field, when that selection was [select model obs]: it
+    builds the signature table and registry of [d]'s effective links
+    with [select]'s code, recomputes the kept variables' seed pools,
+    resolves every row's variables from its paths through the resolver
+    [select] uses, and builds the factor and readout from those.  It
+    skips the seed, independence, basis and grow phases, so it costs a
+    fraction of a [select] (span [algorithm1.rebuild]).  The counter
+    [alg1_registries] counts the registries [select] and [of_decision]
+    build.  Nothing may write to the selection it returns, which the
+    streaming engine may keep and hand to later estimates; nothing
+    does: after {!select} or {!of_decision} returns, a selection's
+    registry, rows, flags, factor and readout are only read
+    ({!Prob_engine}, {!Readout}, {!Correlation_complete} and the
     streaming engine read them; the only code that adds variables to a
     registry is this module's own registry construction, and
     {!Identifiability} and {!Correlation_heuristic} on registries of
-    their own). *)
-type decision
-
-(** [decision sel] records [sel]'s answer. *)
-val decision : selection -> decision
-
-(** [is_built d] holds once {!of_decision} has rebuilt [d], so [d]
-    keeps the selection it rebuilt. *)
-val is_built : decision -> bool
-
-(** [of_decision model d] is the selection [d] was recorded from,
-    field for field, when that selection was [select model obs].  The
-    first rebuild builds the signature table and registry of [d]'s
-    effective links with [select]'s code, resolves each row's
-    variables from its paths, builds the factor and readout from
-    those, and keeps the selection in [d] ({!is_built}); it skips the
-    seed and grow phases, so it costs a fraction of a [select].  A
-    later rebuild returns that selection, physically, and builds
-    nothing (span [algorithm1.rebuild]).  The counter
-    [alg1_registries] counts the registries [select] and first
-    rebuilds build.
-    @raise Invalid_argument if the first rebuild's registry does not
-    match [d] (a selection of another model, or made under another
-    [config]), or if [d] was built under another model. *)
+    their own).
+    @raise Invalid_argument if the registry does not match [d] or a
+    row does not resolve over it (a selection of another model, or
+    made under another [config]). *)
 val of_decision : Model.t -> decision -> selection
 
 (** [sort_grow_order ~shift keys] sorts, in place, keys that pack a

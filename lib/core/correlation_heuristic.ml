@@ -27,6 +27,7 @@ let compute model obs =
       effective;
       registry;
       rows;
+      seeded = Tomo_util.Bitset.create (Eqn.n_vars registry);
       nullity = Nullspace.dim tr;
       identifiable;
       (* Redundant rows with inconsistent right-hand sides: A·Aᵀ is

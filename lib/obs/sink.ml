@@ -279,13 +279,19 @@ let flush () =
           output_string stderr (Buffer.contents buf);
           Stdlib.flush stderr)
         else
+          (* The close is inside the [try], as in [replace]: a full disk
+             shows there, and a [Sys_error] it raises must reach
+             [nonfatal] as it is, not wrapped in [Fun.Finally_raised]. *)
           nonfatal "trace file" path (fun () ->
               let oc =
                 open_out_gen [ Open_creat; Open_append; Open_text ] 0o644 path
               in
-              Fun.protect
-                ~finally:(fun () -> close_out oc)
-                (fun () -> output_string oc (Buffer.contents buf)))
+              try
+                output_string oc (Buffer.contents buf);
+                close_out oc
+              with e ->
+                close_out_noerr oc;
+                raise e)
       end);
   match !metrics_path with
   | None -> ()

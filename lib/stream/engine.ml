@@ -53,16 +53,20 @@ type last_estimate = { at_tick : int; rows : int; vars : int; nullity : int }
    (DESIGN, "Selection cache").  A window whose always-good set returns
    to one of them rebuilds its selection from the cached answer
    ({!Tomo.Algorithm1.of_decision}) instead of selecting again.  From
-   its first hit on, an entry keeps the rebuilt selection (in its
-   decision) and the row masks: every part of a selection state but the
-   counts, which the window decides.  An evicted entry takes them with
-   it. *)
-let selection_cache_capacity = 8
+   its second hit on, an entry keeps the selection its latest rebuild
+   made and that selection's row masks, every part of a selection state
+   but the counts, which the window decides, for as long as it stays
+   among the [selection_cache_kept] most recently used: a hit then
+   reuses them.  Falling further back drops them, and the compact
+   answer stays until the entry is evicted. *)
+let selection_cache_capacity = 256
+let selection_cache_kept = 8
 
 type entry = {
   key : Bitset.t;  (* the always-good set *)
   decision : Tomo.Algorithm1.decision;
-  mutable kept_masks : row_masks option;  (* from the first hit on *)
+  mutable hits : int;
+  mutable kept : (Tomo.Algorithm1.selection * row_masks) option;
 }
 
 type t = {
@@ -125,63 +129,66 @@ let masks_of t selection =
   in
   { mask_ptr; mask_word; mask_bits }
 
-(* A reselect looks its always-good set up in the cache.  A hit
-   rebuilds the selection from the cached answer and moves the entry to
-   the front; a miss runs Algorithm 1 and puts its answer in front,
-   pushing the least recently used entry out of a full cache.  A hit on
-   an answer an earlier hit rebuilt (a built hit) reuses that rebuild's
-   selection and row masks, so it only counts the rows over the
-   window. *)
+(* A reselect looks its always-good set up in the cache.  A hit moves
+   the entry to the front and reuses the selection and row masks it
+   keeps, or rebuilds them from its answer and, from its second hit on,
+   keeps them; a miss runs Algorithm 1 and puts its answer in front,
+   pushing the least recently used entry out of a full cache.  Either
+   way the entry that moved past the first [selection_cache_kept] drops
+   what it kept. *)
 let build_selection t ~always =
   Obs.Trace.with_span ~histogram:h_stage_reselect "stream.reselect"
   @@ fun () ->
   Obs.Metrics.incr c_reselects;
   t.n_reselects <- t.n_reselects + 1;
   let hit = List.find_opt (fun e -> Bitset.equal e.key always) t.cache in
-  let built =
-    match hit with
-    | Some e -> Tomo.Algorithm1.is_built e.decision
-    | None -> false
-  in
+  let kept = Option.bind hit (fun e -> e.kept) in
   if Obs.Events.enabled () then
     Obs.Events.emit "reselect"
       [
         ("tick", string_of_int (Window.ticks t.window));
         ("always_good", string_of_int (Bitset.count always));
         ("cached", string_of_bool (hit <> None));
-        ("built", string_of_bool built);
+        ("built", string_of_bool (Option.is_some kept));
       ];
   let obs = Window.observations t.window in
   let selection, masks =
     match hit with
     | Some entry ->
         Obs.Metrics.incr c_cache_hits;
-        if built then Obs.Metrics.incr c_cache_built_hits;
         t.n_cache_hits <- t.n_cache_hits + 1;
+        entry.hits <- entry.hits + 1;
         t.cache <- entry :: List.filter (fun e -> e != entry) t.cache;
-        let selection = Tomo.Algorithm1.of_decision t.model entry.decision in
-        let masks =
-          match entry.kept_masks with
-          | Some masks -> masks
-          | None ->
-              let masks = masks_of t selection in
-              entry.kept_masks <- Some masks;
-              masks
-        in
-        (selection, masks)
+        (match kept with
+        | Some kept ->
+            Obs.Metrics.incr c_cache_built_hits;
+            kept
+        | None ->
+            let selection =
+              Tomo.Algorithm1.of_decision t.model entry.decision
+            in
+            let rebuilt = (selection, masks_of t selection) in
+            if entry.hits >= 2 then entry.kept <- Some rebuilt;
+            rebuilt)
     | None ->
         let selection = Tomo.Algorithm1.select t.model obs in
-        let kept = List.filteri (fun i _ -> i < selection_cache_capacity - 1) in
+        let older =
+          List.filteri (fun i _ -> i < selection_cache_capacity - 1)
+        in
         let entry =
           {
             key = always;
             decision = Tomo.Algorithm1.decision selection;
-            kept_masks = None;
+            hits = 0;
+            kept = None;
           }
         in
-        t.cache <- entry :: kept t.cache;
+        t.cache <- entry :: older t.cache;
         (selection, masks_of t selection)
   in
+  (match List.nth_opt t.cache selection_cache_kept with
+  | Some e -> e.kept <- None
+  | None -> ());
   (* A fresh selection's counts are the batch pipeline's own, read off
      the full window's observations. *)
   let counts =
@@ -349,8 +356,16 @@ type status = {
 (* A status is an immutable copy of the engine's scalar state: the serve
    loop captures one per tick and publishes it, so the exporter thread
    renders a consistent snapshot without ever touching live engine
-   internals. *)
+   internals.  So it does not walk the cache: every miss adds an entry
+   and only a full cache drops one, and only the first
+   [selection_cache_kept] entries can keep a selection. *)
 let status t =
+  let rec kept i = function
+    | e :: rest when i < selection_cache_kept ->
+        Bool.to_int (Option.is_some e.kept) + kept (i + 1) rest
+    | _ -> 0
+  in
+  let misses = t.n_reselects - t.n_cache_hits in
   {
     st_ticks = Window.ticks t.window;
     st_occupancy = Window.occupancy t.window;
@@ -361,13 +376,9 @@ let status t =
     st_selection_cache =
       {
         hits = t.n_cache_hits;
-        misses = t.n_reselects - t.n_cache_hits;
-        entries = List.length t.cache;
-        built =
-          List.fold_left
-            (fun n e ->
-              if Tomo.Algorithm1.is_built e.decision then n + 1 else n)
-            0 t.cache;
+        misses;
+        entries = min misses selection_cache_capacity;
+        built = kept 0 t.cache;
       };
     st_last = t.last;
   }

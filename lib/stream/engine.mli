@@ -9,13 +9,14 @@
     - the equation-system {e selection} is cached and recomputed only
       when the window's always-good path set changes (the only
       observation input Algorithm 1 reads); and Algorithm 1's answers
-      for the last 8 distinct always-good sets are kept in compact form
-      ({!Tomo.Algorithm1.decision}), so a set that comes back rebuilds
-      its selection from its answer ({!Tomo.Algorithm1.of_decision})
-      instead of running Algorithm 1 again; from its first rebuild on,
-      an entry keeps that rebuild's whole selection and its rows' mask
-      words, so a later hit on it is the lookup and a count of the rows
-      over the window;
+      for the last 256 distinct always-good sets are kept in compact
+      form ({!Tomo.Algorithm1.decision}), so a set that comes back
+      rebuilds its selection from its answer
+      ({!Tomo.Algorithm1.of_decision}) instead of running Algorithm 1
+      again; from its second hit on, an entry among the 8 most recently
+      used keeps its rebuilt selection and its rows' mask words, so a
+      later hit on it is the lookup and a count of the rows over the
+      window;
     - the per-row all-good {e counts} feeding the right-hand sides are
       updated incrementally from the evicted/fresh column pair each
       push, testing only the words of the two columns that a row's
@@ -40,7 +41,7 @@
     [stream_estimates], [stream_reselects] (every change of the
     selection), [stream_selection_cache_hits] (the reselects answered
     from the cache), [stream_selection_cache_built_hits] (those of them
-    that reused an earlier rebuild's selection and masks); gauges
+    that reused the selection and masks their entry kept); gauges
     [stream_window_occupancy], [stream_window_capacity]; and one span
     per stage, feeding one histogram from the span's own clock readings
     ({!Tomo_obs.Trace.with_span}): [stream.tick] / [stream_tick_s], with
@@ -53,7 +54,7 @@
     ({!save_snapshot}).  Lifecycle events (via {!Tomo_obs.Events}, off
     unless configured): [reselect] (its [tick], the size of the
     [always_good] set, whether the cache answered it, [cached], and
-    whether that answer had been rebuilt before, [built]; the
+    whether the entry kept a selection for it, [built]; the
     attributes are rendered only while the event log is open),
     plus [source_open]/[source_eof] from {!Source} and
     [snapshot_written]/[snapshot_restored] from {!Snapshot}. *)
@@ -68,10 +69,17 @@ type estimate = {
       (** the solved system, for subset/pattern queries *)
 }
 
-(** How many answers the selection cache holds: 8, a constant.  At 8,
-    99% of the reselects of the [sparse] benchmark workload are
-    answered from it (DESIGN, "Selection cache"). *)
+(** How many answers the selection cache holds: 256, a constant,
+    least recently used first out.  At 256, 42% of the reselects of
+    the [churn] benchmark workload are answered from it, against 3% at
+    8 (DESIGN, "Selection cache"). *)
 val selection_cache_capacity : int
+
+(** How many of the cache's most recently used entries may keep a
+    rebuilt selection and its row masks: 8, a constant.  An entry keeps
+    them from its second hit on, and drops them when it falls behind
+    the first 8. *)
+val selection_cache_kept : int
 
 (** [create ~model ~window ()] is an empty engine whose sliding window
     holds [window] intervals.
@@ -98,9 +106,10 @@ val ingest : ?pool:Tomo_par.Pool.t -> t -> Tomo_util.Bitset.t -> estimate option
 
 (** The words the current selection's rows occupy, which each tick's
     count update reads ({!Tomo_util.Bitset.occupied_words}); [None]
-    before the first selection.  From an answer's first hit on, its
-    cache entry keeps them, and every later hit on it reuses them,
-    physically ([==]). *)
+    before the first selection.  A cache entry keeps them from its
+    second hit on, while it stays among the {!selection_cache_kept}
+    most recently used, and a hit on it then reuses them, physically
+    ([==]). *)
 type row_masks
 
 val row_masks : t -> row_masks option
@@ -151,8 +160,8 @@ type last_estimate = { at_tick : int; rows : int; vars : int; nullity : int }
 (** What the selection cache did over the engine's lifetime:
     [hits + misses] is [st_reselects]; [entries] is how many answers it
     holds now, at most {!selection_cache_capacity}; [built] is how many
-    of those keep the selection and row masks of an earlier rebuild
-    ({!Tomo.Algorithm1.is_built}), at most [entries]. *)
+    of those keep the selection and row masks of an earlier rebuild,
+    at most [min entries selection_cache_kept]. *)
 type selection_cache = { hits : int; misses : int; entries : int; built : int }
 
 (** An immutable copy of the engine's scalar state, captured on the

@@ -356,6 +356,7 @@ let heuristic model obs =
       effective;
       registry;
       rows;
+      seeded = Tomo_util.Bitset.create (Eqn.n_vars registry);
       nullity = Nullspace.dim tr;
       identifiable;
       factor = None;

@@ -1088,73 +1088,87 @@ let test_wide_set_selection () =
   check_bool "selection ≡ reference" true
     (selections_equal sel (Reference.select model obs))
 
-(* The streaming engine's selection cache keeps a selection's
+(* The last [window] intervals of [obs], as a window of their own. *)
+let last_window obs window =
+  let t = Observations.t_intervals obs in
+  let w =
+    Observations.create ~t_intervals:window ~n_paths:(Observations.n_paths obs)
+  in
+  for i = 0 to window - 1 do
+    Observations.set_interval_statuses w ~interval:i
+      ~good:(Observations.good_paths_at obs ~interval:(t - window + i))
+  done;
+  w
+
+(* The streaming engine's selection cache keeps a selection's compact
    [decision] and rebuilds the selection from it: the rebuilt selection
-   is the one [select] returned, field for field, and solves to the
-   same bits.  The first rebuild keeps its whole selection in the
-   decision; the second returns that selection itself, registry and
-   flags included, which is still [select]'s field for field and
-   solves to the same bits.  The decision of a selection made under
-   another configuration, whose registry differs, is refused, and so is
-   a built decision handed another model. *)
+   is the one [select] returned, field for field, seed rows recomputed
+   from their variables' pools and grow rows resolved from their paths,
+   and it solves to the same bits.  This holds on small and medium
+   Brite and Sparse windows of 3, 20 and 100 intervals, and a medium
+   decision stays a few hundred words, where its selection holds tens
+   of thousands.  The decision of a selection made under another
+   configuration, whose registry differs, is refused. *)
 let test_rebuilt_selection () =
   List.iter
-    (fun topology ->
+    (fun (scale, topology) ->
       let w =
-        W.prepare
-          (W.spec ~scale:W.Small ~seed:3 topology Tomo_netsim.Scenario.Random)
+        W.prepare (W.spec ~scale ~seed:3 topology Tomo_netsim.Scenario.Random)
       in
-      let model = w.W.model and obs = w.W.obs in
-      let name = W.topology_to_string topology in
-      let sel = Algorithm1.select model obs in
-      let d = Algorithm1.decision sel in
-      check_bool (name ^ ": a new decision is not built") false
-        (Algorithm1.is_built d);
-      let re = Algorithm1.of_decision model d in
-      check_bool (name ^ ": built by its first rebuild") true
-        (Algorithm1.is_built d);
-      check_bool (name ^ ": rows, paths and vars") true
-        (re.Algorithm1.rows = sel.Algorithm1.rows);
-      check_bool (name ^ ": identifiable flags") true
-        (re.Algorithm1.identifiable = sel.Algorithm1.identifiable);
-      check_int (name ^ ": nullity") sel.Algorithm1.nullity
-        re.Algorithm1.nullity;
-      check_bool (name ^ ": readout") true
-        (re.Algorithm1.readout = sel.Algorithm1.readout);
-      check_bool (name ^ ": every field") true (compare re sel = 0);
-      let a = Prob_engine.solve sel obs and b = Prob_engine.solve re obs in
-      check_bool (name ^ ": solved values, bitwise") true
-        (Array.for_all2 same_bits a.Prob_engine.values b.Prob_engine.values);
-      let again = Algorithm1.of_decision model d in
-      check_bool (name ^ ": second rebuild is the first's selection") true
-        (again == re
-        && again.Algorithm1.registry == re.Algorithm1.registry
-        && again.Algorithm1.identifiable == re.Algorithm1.identifiable);
-      check_bool (name ^ ": second rebuild, every field") true
-        (compare again sel = 0);
-      let c = Prob_engine.solve again obs in
-      check_bool (name ^ ": second rebuild solved, bitwise") true
-        (Array.for_all2 same_bits a.Prob_engine.values c.Prob_engine.values);
-      let copy =
-        Model.make ~n_links:model.Model.n_links
-          ~paths:
-            (Array.map
-               (fun l -> Array.of_list (Bitset.to_list l))
-               model.Model.path_links)
-          ~corr_sets:model.Model.corr_sets
-      in
-      check_bool (name ^ ": a built decision refuses another model") true
-        (match Algorithm1.of_decision copy d with
-        | _ -> false
-        | exception Invalid_argument _ -> true);
-      let other =
-        Algorithm1.select ~config:{ Algorithm1.max_subset_size = 1 } model obs
-      in
-      check_bool (name ^ ": another config's decision refused") true
-        (match Algorithm1.of_decision model (Algorithm1.decision other) with
-        | _ -> false
-        | exception Invalid_argument _ -> true))
-    [ W.Brite; W.Sparse ]
+      let model = w.W.model in
+      List.iter
+        (fun window ->
+          let obs = last_window w.W.obs window in
+          let name =
+            Printf.sprintf "%s %s, window %d" (W.scale_to_string scale)
+              (W.topology_to_string topology)
+              window
+          in
+          let sel = Algorithm1.select model obs in
+          let n_seed = Bitset.count sel.Algorithm1.seeded in
+          check_bool (name ^ ": seed rows and grow rows") true
+            (0 < n_seed && n_seed < Array.length sel.Algorithm1.rows);
+          let d = Algorithm1.decision sel in
+          let re = Algorithm1.of_decision model d in
+          check_bool (name ^ ": rows, paths and vars") true
+            (compare re.Algorithm1.rows sel.Algorithm1.rows = 0);
+          check_bool (name ^ ": seeded variables") true
+            (Bitset.equal re.Algorithm1.seeded sel.Algorithm1.seeded);
+          check_bool (name ^ ": identifiable flags") true
+            (compare re.Algorithm1.identifiable sel.Algorithm1.identifiable
+            = 0);
+          check_int (name ^ ": nullity") sel.Algorithm1.nullity
+            re.Algorithm1.nullity;
+          check_bool (name ^ ": readout") true
+            (compare re.Algorithm1.readout sel.Algorithm1.readout = 0);
+          check_bool (name ^ ": every field") true (compare re sel = 0);
+          let a = Prob_engine.solve sel obs and b = Prob_engine.solve re obs in
+          check_bool (name ^ ": solved values, bitwise") true
+            (Array.for_all2 same_bits a.Prob_engine.values
+               b.Prob_engine.values);
+          if scale = W.Medium then
+            check_bool
+              (Printf.sprintf "%s: decision of %d words <= 200" name
+                 (Obj.reachable_words (Obj.repr d)))
+              true
+              (Obj.reachable_words (Obj.repr d) <= 200))
+        [ 3; 20; 100 ])
+    [
+      (W.Small, W.Brite); (W.Small, W.Sparse); (W.Medium, W.Brite);
+      (W.Medium, W.Sparse);
+    ];
+  let w =
+    W.prepare
+      (W.spec ~scale:W.Small ~seed:3 W.Brite Tomo_netsim.Scenario.Random)
+  in
+  let other =
+    Algorithm1.select ~config:{ Algorithm1.max_subset_size = 1 } w.W.model
+      w.W.obs
+  in
+  check_bool "another config's decision refused" true
+    (match Algorithm1.of_decision w.W.model (Algorithm1.decision other) with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
 
 (* ------------------------------------------------------------------ *)
 (* The signature table against the generic bit-set path                *)

@@ -28,16 +28,18 @@ let write name text =
   Out_channel.with_open_bin (tmp name) (fun oc -> output_string oc text);
   tmp name
 
-(* Run the CLI with [args]; its exit code and the lines of its stderr. *)
-let run args =
+(* Run the CLI with [args], and [env] added to the environment; its
+   exit code and the lines of its stderr. *)
+let run ?(env = []) args =
   let out = tmp "stdout" and err = tmp "stderr" in
   let fd path =
     Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o600
   in
   let fd_out = fd out and fd_err = fd err in
   let pid =
-    Unix.create_process cli
+    Unix.create_process_env cli
       (Array.of_list (cli :: args))
+      (Array.append (Unix.environment ()) (Array.of_list env))
       Unix.stdin fd_out fd_err
   in
   Unix.close fd_out;
@@ -245,6 +247,28 @@ let failed_write_cases =
               metrics;
           ]
           lines);
+    (* So is the JSON-lines trace file: a close that fails on a full
+       disk is the same one warning, and the report is unchanged. *)
+    Alcotest.test_case "TOMO_TRACE file warns once" `Quick (fun () ->
+        let report name =
+          let file = tmp name in
+          (file, serve_replay smoke ~extra:[ "--report-out"; file ])
+        in
+        let plain, plain_args = report "plain.report" in
+        let traced, traced_args = report "traced.report" in
+        let code, _ = run plain_args in
+        Alcotest.(check int) "untraced exit status" 0 code;
+        let code, lines = run ~env:[ "TOMO_TRACE=" ^ full ] traced_args in
+        Alcotest.(check int) "exit status" 0 code;
+        Alcotest.(check (list string))
+          "stderr"
+          [
+            "tomo_obs: cannot write trace file /dev/full: No space left on \
+             device";
+          ]
+          lines;
+        let read f = In_channel.with_open_bin f In_channel.input_all in
+        Alcotest.(check string) "the same report" (read plain) (read traced));
   ]
 
 (* [all --seeds 2]: the figures that average say so in their first

@@ -561,10 +561,11 @@ let test_event_file_round_trip () =
     (contains ~needle:"line\\nbreak" (List.nth lines 1))
 
 (* Each reselect's event says whether the cache answered it, [cached],
-   and whether that answer had been rebuilt by an earlier hit, [built]:
-   on the toy model at window 2, path 0 congested in one interval moves
-   the always-good set away and back, giving two misses, a first hit on
-   each answer and then a built hit. *)
+   and whether with the selection its entry kept, [built]: on the toy
+   model at window 2, path 0 congested in one interval moves the
+   always-good set away and back, giving two misses, a first and a
+   second hit on each answer, both rebuilt, and then a hit on the
+   selection the second hit kept. *)
 let test_reselect_events () =
   let tmp = Filename.temp_file "tomo_events" ".jsonl" in
   Fun.protect
@@ -581,7 +582,10 @@ let test_reselect_events () =
       Tomo_util.Bitset.set_all col;
       if not path0_good then Tomo_util.Bitset.clear col 0;
       ignore (Engine.ingest engine col))
-    [ true; true; true; false; true; true; false; true; true ];
+    [
+      true; true; true; false; true; true; false; true; true; false; true;
+      true;
+    ];
   Events.close ();
   let reselects =
     In_channel.with_open_bin tmp In_channel.input_lines
@@ -591,11 +595,11 @@ let test_reselect_events () =
     let attr k = contains ~needle:(Printf.sprintf "\"%s\":\"true\"" k) line in
     (attr "cached", attr "built")
   in
-  check_bool "miss, miss, first hit, first hit, built hit" true
+  check_bool "miss, miss, two first hits, two second hits, kept hit" true
     (List.map answered reselects
     = [
         (false, false); (false, false); (true, false); (true, false);
-        (true, true);
+        (true, false); (true, false); (true, true);
       ]);
   List.iter
     (fun line ->
@@ -994,8 +998,8 @@ let test_engine_status () =
       check_int "not yet rebuilt" 0 c.Engine.built;
       (* Path 0 congested in one interval leaves the always-good set
          and comes back as the interval leaves the window of 2: each
-         return to a set is a hit, and the first hit on an answer keeps
-         its rebuild's parts. *)
+         return to a set is a hit, and the second hit on an answer
+         keeps its rebuild's selection, the first none. *)
       let cache_after ~path0_good =
         let col = Tomo_util.Bitset.create model.Tomo.Model.n_paths in
         Tomo_util.Bitset.set_all col;
@@ -1011,10 +1015,13 @@ let test_engine_status () =
         [
           (false, (0, 2, 2, 0), "a new set: a miss");
           (true, (0, 2, 2, 0), "the same set: no reselect");
-          (true, (1, 2, 2, 1), "back to the first set: a hit, rebuilt");
-          (false, (2, 2, 2, 2), "back to the second set: a hit, rebuilt");
-          (true, (2, 2, 2, 2), "the same set: no reselect");
-          (true, (3, 2, 2, 2), "a hit on a rebuilt answer keeps built");
+          (true, (1, 2, 2, 0), "back to the first set: a first hit");
+          (false, (2, 2, 2, 0), "back to the second set: a first hit");
+          (true, (2, 2, 2, 0), "the same set: no reselect");
+          (true, (3, 2, 2, 1), "a second hit keeps its selection");
+          (false, (4, 2, 2, 2), "so does the other's");
+          (true, (4, 2, 2, 2), "the same set: no reselect");
+          (true, (5, 2, 2, 2), "a hit on a kept selection keeps it");
         ]
   | _ -> Alcotest.fail "no last estimate after two estimates"
 

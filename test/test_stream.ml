@@ -300,40 +300,93 @@ let streaming_equals_batch_qcheck =
 
 (* A stream whose always-good set tours more distinct sets than the
    selection cache holds and comes back to them out of order.  Each
-   visit holds one of [k] distinct columns for [window] ticks, so the
-   visit ends with the always-good set equal to that column.  The tour
-   visits every column in turn, which is more distinct sets than the
-   cache holds, so the first answers are evicted; then the last column
-   but one, which at most two other sets separate from its previous
-   visit, so it is a hit; then the first column and random columns,
-   never the same twice in a row; then the last of those and another
-   column in turn, five visits over at most three sets (the two
-   columns and, for a window above one, their intersection), so a set
-   comes back after a hit on it: a built hit. *)
+   visit holds one column for [window] ticks, so the visit ends with
+   the always-good set equal to that column; with a window above one,
+   the ticks between two visits see the two columns' intersection.
+   The model has 12-16 paths, so enough of its columns are distinct.
+   The tour:
+   - visits distinct columns in turn until it has made 2-4 more
+     distinct always-good sets than the cache holds, so the first
+     answers are evicted, then the first column again and the last but
+     one (a hit);
+   - makes 10-15 random visits among them, never the same twice in a
+     row, most of them hits on entries far back in the cache;
+   - alternates two fresh columns [a] and [b] four times each: a miss,
+     a first hit, a second hit (which rebuilds, though its entry is
+     recent: the first hit kept nothing) and a hit that reuses what the
+     second hit kept;
+   - visits nine columns that do not hold [a], so neither they nor any
+     set between them is [a]'s, and then [a] again: its entry has
+     fallen past the first {!Engine.selection_cache_kept}, so this hit
+     rebuilds too. *)
 let cache_case seed =
   let rng = Rng.create (seed + 128_000) in
-  let model = random_model ~min_paths:6 rng in
+  let model = random_model ~min_paths:12 rng in
   let n_paths = model.Tomo.Model.n_paths in
   let window = 1 + Rng.int rng 3 in
-  let k = Engine.selection_cache_capacity + 2 + Rng.int rng 3 in
-  let palette = ref [] in
-  while List.length !palette < k do
+  let target = Engine.selection_cache_capacity + 2 + Rng.int rng 3 in
+  let palette = ref [] and sets = ref [] and n_sets = ref 0 in
+  let add s =
+    if not (List.exists (Bitset.equal s) !sets) then begin
+      sets := s :: !sets;
+      incr n_sets
+    end
+  in
+  while !n_sets < target do
     let c = random_column rng n_paths in
-    if not (List.exists (Bitset.equal c) !palette) then palette := c :: !palette
+    if not (List.exists (Bitset.equal c) !palette) then begin
+      (match !palette with
+      | p :: _ when window > 1 -> add (Bitset.inter p c)
+      | _ -> ());
+      add c;
+      palette := c :: !palette
+    end
   done;
   let palette = Array.of_list (List.rev !palette) in
+  let k = Array.length palette in
   let visits = ref [ 0; k - 2 ] in
   for _ = 1 to 10 + Rng.int rng 6 do
     let next = Rng.int rng (k - 1) in
     visits := (if next = List.hd !visits then k - 1 else next) :: !visits
   done;
-  let last = List.hd !visits in
-  let other = (last + 1 + Rng.int rng (k - 1)) mod k in
+  let tour =
+    Array.to_list palette @ List.map (fun v -> palette.(v)) (List.rev !visits)
+  in
+  (* [a] and [b]: columns that are none of the tour's sets so far, [a]
+     one that nine palette columns do not hold. *)
+  let seen =
+    let rec between = function
+      | x :: (y :: _ as rest) -> Bitset.inter x y :: between rest
+      | _ -> []
+    in
+    tour @ between tour
+  in
+  let rec new_set () =
+    let c = random_column rng n_paths in
+    if List.exists (Bitset.equal c) seen then new_set () else c
+  in
+  let rec pick_a () =
+    let a = new_set () in
+    match
+      List.filter (fun c -> not (Bitset.subset a c)) (Array.to_list palette)
+    with
+    | c1 :: c2 :: c3 :: c4 :: c5 :: c6 :: c7 :: c8 :: c9 :: _ ->
+        (a, [ c1; c2; c3; c4; c5; c6; c7; c8; c9 ])
+    | _ -> pick_a ()
+  in
+  let a, away = pick_a () in
+  let rec pick_b () =
+    let b = new_set () in
+    if Bitset.equal a b then pick_b () else b
+  in
+  let b = pick_b () in
   let visits =
-    List.init k Fun.id @ List.rev !visits @ [ other; last; other; last; other ]
+    tour
+    @ List.concat (List.init 4 (fun _ -> [ a; b ]))
+    @ away @ [ a ]
   in
   let cols =
-    List.concat_map (fun v -> List.init window (fun _ -> palette.(v))) visits
+    List.concat_map (fun c -> List.init window (fun _ -> c)) visits
   in
   (model, Array.of_list cols, window)
 
@@ -346,85 +399,151 @@ let same_selection (a : Engine.estimate) (b : Engine.estimate) =
   && sa.Tomo.Algorithm1.identifiable = sb.Tomo.Algorithm1.identifiable
   && sa.Tomo.Algorithm1.nullity = sb.Tomo.Algorithm1.nullity
 
-(* [ingest] that also says what the tick's reselect was, read off the
-   engine's status: none, a miss, a first hit (which builds its answer,
-   so the count of built entries rises) or a built hit (a hit on an
-   answer an earlier hit rebuilt, which leaves that count as it was). *)
-type reselect = Kept | Miss | First_hit | Built_hit
-
-let ingest_noting engine col =
-  let before = Engine.status engine in
-  let est = Engine.ingest engine col in
-  let after = Engine.status engine in
-  let c = before.Engine.st_selection_cache
-  and c' = after.Engine.st_selection_cache in
-  ( est,
-    if after.Engine.st_reselects = before.Engine.st_reselects then Kept
-    else if c'.Engine.hits = c.Engine.hits then Miss
-    else if c'.Engine.built = c.Engine.built then Built_hit
-    else First_hit )
-
-(* What a built hit must not do again: build a registry or factor. *)
-let c_registries = Tomo_obs.Metrics.counter "alg1_registries"
-let c_factorizations = Tomo_obs.Metrics.counter "sparse_chol_factorizations"
-
-let registries_and_factors () =
-  ( Tomo_obs.Metrics.counter_value c_registries,
-    Tomo_obs.Metrics.counter_value c_factorizations )
-
 let with_metrics f =
   let was = Tomo_obs.Metrics.enabled () in
   Tomo_obs.Metrics.set_enabled true;
   Fun.protect ~finally:(fun () -> Tomo_obs.Metrics.set_enabled was) f
 
+let counter name =
+  let c = Tomo_obs.Metrics.counter name in
+  fun () -> Tomo_obs.Metrics.counter_value c
+
+let selections = counter "alg1_selections"
+let registries = counter "alg1_registries"
+let factorizations = counter "sparse_chol_factorizations"
+let kept_hits = counter "stream_selection_cache_built_hits"
+
+(* [ingest] that also says what the tick's reselect was, read off the
+   engine's status and counters: none, a miss, a hit that rebuilt its
+   selection from the cached answer, or a hit that reused the
+   selection its entry kept. *)
+type reselect = Unchanged | Miss | Rebuilt_hit | Kept_hit
+
+let ingest_noting engine col =
+  with_metrics @@ fun () ->
+  let before = Engine.status engine and kept = kept_hits () in
+  let est = Engine.ingest engine col in
+  let after = Engine.status engine in
+  ( est,
+    if after.Engine.st_reselects = before.Engine.st_reselects then Unchanged
+    else if
+      after.Engine.st_selection_cache.Engine.hits
+      = before.Engine.st_selection_cache.Engine.hits
+    then Miss
+    else if kept_hits () > kept then Kept_hit
+    else Rebuilt_hit )
+
+(* The cache as specified: its always-good sets, most recently used
+   first, each with the hits on it.  An entry keeps a selection from
+   its second hit on, while it is among the first
+   {!Engine.selection_cache_kept}: a hit on it reuses the selection
+   exactly when it was hit twice before and is still among them. *)
+type spec_entry = { set : Bitset.t; mutable hits : int }
+
+(* The spec's answer to a reselect to [always]: what it should be, the
+   position and earlier hits of the entry it hits, and the new cache. *)
+let spec_reselect cache always =
+  let rec find i = function
+    | [] -> None
+    | e :: rest ->
+        if Bitset.equal e.set always then Some (i, e) else find (i + 1) rest
+  in
+  match find 0 cache with
+  | None ->
+      let older =
+        List.filteri (fun i _ -> i < Engine.selection_cache_capacity - 1) cache
+      in
+      (Miss, -1, 0, { set = Bitset.copy always; hits = 0 } :: older)
+  | Some (i, e) ->
+      let earlier = e.hits in
+      e.hits <- e.hits + 1;
+      ( (if i < Engine.selection_cache_kept && earlier >= 2 then Kept_hit
+         else Rebuilt_hit),
+        i,
+        earlier,
+        e :: List.filter (fun x -> x != e) cache )
+
+let spec_kept cache =
+  List.length
+    (List.filteri
+       (fun i e -> i < Engine.selection_cache_kept && e.hits >= 2)
+       cache)
+
 (* Every full-window tick of the tour against the batch pipeline over
    the same intervals, bitwise, and the selection behind it against
-   the batch selection; the tour must hit the cache, reuse an earlier
-   hit's selection, and miss more often than the cache has entries, so
-   answers were evicted.  A built hit builds no registry and factors
-   nothing, and its row masks are those of the last reselect to the
-   same always-good set (a hit on the same entry: had the entry been
-   evicted and selected again since, this hit would be its first). *)
+   the batch selection; every reselect against the spec: a miss runs
+   Algorithm 1, a rebuilt hit builds a registry but selects nothing, a
+   kept hit builds no registry and factors nothing and its selection
+   and row masks are those of the last reselect to the same always-good
+   set ([==]), and the
+   cache holds as many entries, and as many kept selections, as the
+   spec's.  The tour must evict answers (more misses than the cache has
+   entries), hit an entry whose first hit kept nothing, reuse a kept
+   selection, and hit an entry that kept one and then fell past the
+   first {!Engine.selection_cache_kept}, which rebuilds. *)
 let prop_cache_like_batch seed =
   let model, cols, window = cache_case seed in
   let engine = Engine.create ~model ~window () in
-  let ok = ref true and built_hits = ref 0 and masks = ref [] in
-  with_metrics (fun () ->
-      Array.iteri
-        (fun i col ->
-          let tick = i + 1 in
-          let built_before = registries_and_factors () in
-          let est, reselect = ingest_noting engine (Bitset.copy col) in
-          if reselect <> Kept then begin
-            let always = Window.always_good_paths (Engine.window engine) in
-            let current = Engine.row_masks engine in
-            let same_set (s, _) = Bitset.equal s always in
-            if reselect = Built_hit then begin
-              incr built_hits;
-              if registries_and_factors () <> built_before then ok := false;
-              match (List.find_opt same_set !masks, current) with
-              | Some (_, Some kept), Some now when kept == now -> ()
-              | _ -> ok := false
-            end;
-            masks :=
-              (Bitset.copy always, current)
-              :: List.filter (fun e -> not (same_set e)) !masks
-          end;
-          match est with
-          | None -> if tick >= window then ok := false
-          | Some e ->
-              let batch = batch_estimate model cols ~window ~tick in
-              if
-                tick < window
-                || not (same_estimate ~window e batch && same_selection e batch)
-              then ok := false)
-        cols);
+  let ok = ref true and last = ref [] and spec = ref [] in
+  let second_hits = ref 0 and kept = ref 0 and dropped = ref 0 in
+  Array.iteri
+    (fun i col ->
+      let tick = i + 1 in
+      let before = (selections (), registries (), factorizations ()) in
+      let est, reselect = ingest_noting engine (Bitset.copy col) in
+      if reselect <> Unchanged then begin
+        let always = Window.always_good_paths (Engine.window engine) in
+        let expected, position, earlier, cache = spec_reselect !spec always in
+        spec := cache;
+        let s, r, f = before in
+        let moved =
+          (selections () - s, registries () - r, factorizations () - f)
+        in
+        let selection (e : Engine.estimate) =
+          e.Engine.engine.Tomo.Prob_engine.selection
+        in
+        let current = (Engine.row_masks engine, Option.map selection est) in
+        let same_set (x, _) = Bitset.equal x always in
+        (match reselect with
+        | Miss -> if moved <> (1, 1, 1) then ok := false
+        | Rebuilt_hit ->
+            if moved <> (0, 1, 1) then ok := false;
+            if earlier = 1 && position < Engine.selection_cache_kept then
+              incr second_hits;
+            if earlier >= 2 && position >= Engine.selection_cache_kept then
+              incr dropped
+        | Kept_hit -> (
+            incr kept;
+            if moved <> (0, 0, 0) then ok := false;
+            match (List.find_opt same_set !last, current) with
+            | Some (_, (Some m, Some s)), (Some m', Some s')
+              when m == m' && s == s' ->
+                ()
+            | _ -> ok := false)
+        | Unchanged -> ());
+        if reselect <> expected then ok := false;
+        let c = (Engine.status engine).Engine.st_selection_cache in
+        if
+          c.Engine.entries <> List.length !spec
+          || c.Engine.built <> spec_kept !spec
+        then ok := false;
+        last :=
+          (Bitset.copy always, current)
+          :: List.filter (fun e -> not (same_set e)) !last
+      end;
+      match est with
+      | None -> if tick >= window then ok := false
+      | Some e ->
+          let batch = batch_estimate model cols ~window ~tick in
+          if
+            tick < window
+            || not (same_estimate ~window e batch && same_selection e batch)
+          then ok := false)
+    cols;
   let c = (Engine.status engine).Engine.st_selection_cache in
-  !ok && c.Engine.hits > 0 && !built_hits > 0
+  !ok && !second_hits > 0 && !kept > 0 && !dropped > 0
   && c.Engine.misses > Engine.selection_cache_capacity
   && c.Engine.entries = Engine.selection_cache_capacity
-  && 0 < c.Engine.built
-  && c.Engine.built <= c.Engine.entries
 
 let cache_like_batch_qcheck =
   QCheck.Test.make ~count:60
@@ -432,8 +551,8 @@ let cache_like_batch_qcheck =
     (Qgen.int_range 0 100_000)
     prop_cache_like_batch
 
-(* A run killed right after its first built hit (a hit that reused an
-   earlier hit's parts), restored from its snapshot and continued
+(* A run killed right after its first kept hit (a hit that reused the
+   selection its entry kept), restored from its snapshot and continued
    reports what the run that never stopped reports, at every tick; the
    restored engine's cache starts empty. *)
 let test_restore_after_hit () =
@@ -441,20 +560,20 @@ let test_restore_after_hit () =
     let model, cols, window = cache_case seed in
     let a = Engine.create ~model ~window () in
     let report e = Option.map (Engine.report_to_string ~window) e in
-    let first_built_hit = ref None in
+    let first_kept_hit = ref None in
     let expected =
       Array.mapi
         (fun i col ->
           let est, reselect = ingest_noting a (Bitset.copy col) in
-          if !first_built_hit = None && reselect = Built_hit then
-            first_built_hit := Some (i + 1);
+          if !first_kept_hit = None && reselect = Kept_hit then
+            first_kept_hit := Some (i + 1);
           report est)
         cols
     in
     let cut =
-      match !first_built_hit with
+      match !first_kept_hit with
       | Some cut -> cut
-      | None -> Alcotest.failf "seed %d: no built hit" seed
+      | None -> Alcotest.failf "seed %d: no kept hit" seed
     in
     let b = Engine.create ~model ~window () in
     for i = 0 to cut - 1 do
