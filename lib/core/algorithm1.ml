@@ -65,24 +65,29 @@ let registry_of config model effective =
    positive definite: factor it once here and every solve until the next
    selection is two triangular solves.  The readout plan is decided from
    the identifiable flags here too, so reading a marginal is per-solve
-   arithmetic only. *)
+   arithmetic only.  After the readout no one reads the signature
+   table again, so the registry drops it. *)
 let finish model effective registry rows ~seeded ~identifiable ~nullity =
-  {
-    model;
-    effective;
-    registry;
-    rows;
-    seeded;
-    nullity;
-    identifiable;
-    factor =
-      Some
-        (Sparse_chol.factor ~cols:(Eqn.n_vars registry)
-           (Array.map (fun r -> r.Eqn.vars) rows));
-    readout =
-      Obs.Trace.with_span "algorithm1.readout" (fun () ->
-          Readout.build model ~effective registry ~identifiable);
-  }
+  let selection =
+    {
+      model;
+      effective;
+      registry;
+      rows;
+      seeded;
+      nullity;
+      identifiable;
+      factor =
+        Some
+          (Sparse_chol.factor ~cols:(Eqn.n_vars registry)
+             (Array.map (fun r -> r.Eqn.vars) rows));
+      readout =
+        Obs.Trace.with_span "algorithm1.readout" (fun () ->
+            Readout.build model ~effective registry ~identifiable);
+    }
+  in
+  Eqn.finish registry;
+  selection
 
 (* SortByHammingWeight, as a monomorphic copy of Stdlib's [Array.sort]
    (a ternary heap sort).  Each key packs a weight above [shift] bits
@@ -346,43 +351,71 @@ let select ?(config = default_config) model obs =
       ~nullity:(Nullspace.dim tracker)
   end
 
-(* A selection's answer.  Its seed rows are the seed pools of the
-   variables in [seeded], in variable order, so only the grow rows keep
-   their paths, flat: grow row [g]'s paths are [grow_paths.(grow_start.(g))]
-   to [grow_paths.(grow_start.(g + 1) - 1)]. *)
-type decision = {
-  effective : Bitset.t;
-  identifiable : Bitset.t;  (* per variable *)
-  nullity : int;
-  seeded : Bitset.t;  (* per variable *)
-  grow_start : int array;
-  grow_paths : int array;
-}
+(* A selection's answer, packed into one string: three LEB128 numbers
+   (the variable count, the nullity and the number of grow-row paths),
+   then a stream of bits, each byte's lowest bit first:
+   - the effective links, one bit per link of the model;
+   - the identifiable flags, then the seeded flags, one bit per
+     variable;
+   - the grow rows' paths, flat and in order: per path, a bit set on
+     each row's first path, then the path in [path_bits model] bits.
+   The seed rows are the seed pools of the variables in [seeded], in
+   variable order, so only the grow rows keep their paths. *)
+type decision = string
+
+let decision_bytes = String.length
+
+(* The fewest bits that hold every path of [model]. *)
+let path_bits model =
+  let rec go k = if 1 lsl k >= model.Model.n_paths then k else go (k + 1) in
+  max 1 (go 0)
+
+let rec add_leb128 b x =
+  if x < 0x80 then Buffer.add_char b (Char.chr x)
+  else begin
+    Buffer.add_char b (Char.chr (0x80 lor (x land 0x7f)));
+    add_leb128 b (x lsr 7)
+  end
 
 let decision (sel : selection) =
+  let n_vars = Array.length sel.identifiable in
   let n_seed = Bitset.count sel.seeded in
-  let n_grow = Array.length sel.rows - n_seed in
-  let grow_paths g = sel.rows.(n_seed + g).Eqn.paths in
-  let grow_start = Array.make (n_grow + 1) 0 in
-  for g = 0 to n_grow - 1 do
-    grow_start.(g + 1) <- grow_start.(g) + Array.length (grow_paths g)
+  let grow = Array.sub sel.rows n_seed (Array.length sel.rows - n_seed) in
+  let n_grow_paths =
+    Array.fold_left (fun n r -> n + Array.length r.Eqn.paths) 0 grow
+  in
+  let width = path_bits sel.model in
+  let b = Buffer.create 64 in
+  List.iter (add_leb128 b) [ n_vars; sel.nullity; n_grow_paths ];
+  let n_bits =
+    sel.model.Model.n_links + (2 * n_vars) + (n_grow_paths * (1 + width))
+  in
+  let bits = Bytes.make ((n_bits + 7) / 8) '\000' and pos = ref 0 in
+  let put x =
+    if x then
+      Bytes.set_uint8 bits (!pos lsr 3)
+        (Bytes.get_uint8 bits (!pos lsr 3) lor (1 lsl (!pos land 7)));
+    incr pos
+  in
+  for e = 0 to sel.model.Model.n_links - 1 do
+    put (Bitset.get sel.effective e)
   done;
-  let flat = Array.make grow_start.(n_grow) 0 in
-  for g = 0 to n_grow - 1 do
-    Array.blit (grow_paths g) 0 flat grow_start.(g)
-      (Array.length (grow_paths g))
+  Array.iter put sel.identifiable;
+  for v = 0 to n_vars - 1 do
+    put (Bitset.get sel.seeded v)
   done;
-  let identifiable = Bitset.create (Array.length sel.identifiable) in
-  Array.iteri (fun v b -> if b then Bitset.set identifiable v)
-    sel.identifiable;
-  {
-    effective = Bitset.copy sel.effective;
-    identifiable;
-    nullity = sel.nullity;
-    seeded = Bitset.copy sel.seeded;
-    grow_start;
-    grow_paths = flat;
-  }
+  Array.iter
+    (fun r ->
+      Array.iteri
+        (fun i p ->
+          put (i = 0);
+          for k = 0 to width - 1 do
+            put ((p lsr k) land 1 = 1)
+          done)
+        r.Eqn.paths)
+    grow;
+  Buffer.add_bytes b bits;
+  Buffer.contents b
 
 (* The registry is a function of the effective links, a seed row's
    paths a function of its variable over that registry ([Eqn.pool], as
@@ -392,10 +425,34 @@ let decision (sel : selection) =
    as it does for [select]. *)
 let of_decision model d =
   Obs.Trace.with_span "algorithm1.rebuild" @@ fun () ->
-  let _, registry = registry_of default_config model d.effective in
-  let n = Eqn.n_vars registry in
-  if Bitset.length d.identifiable <> n then
+  let byte = ref 0 in
+  let rec leb128 shift acc =
+    let c = Char.code d.[!byte] in
+    incr byte;
+    let acc = acc lor ((c land 0x7f) lsl shift) in
+    if c < 0x80 then acc else leb128 (shift + 7) acc
+  in
+  let n_vars = leb128 0 0 in
+  let nullity = leb128 0 0 in
+  let n_grow_paths = leb128 0 0 in
+  let pos = ref (8 * !byte) in
+  let get () =
+    let x = Char.code d.[!pos lsr 3] land (1 lsl (!pos land 7)) <> 0 in
+    incr pos;
+    x
+  in
+  let effective = Bitset.create model.Model.n_links in
+  for e = 0 to model.Model.n_links - 1 do
+    if get () then Bitset.set effective e
+  done;
+  let _, registry = registry_of default_config model effective in
+  if Eqn.n_vars registry <> n_vars then
     invalid_arg "Algorithm1.of_decision: the registry has changed";
+  let identifiable = Array.init n_vars (fun _ -> get ()) in
+  let seeded = Bitset.create n_vars in
+  for v = 0 to n_vars - 1 do
+    if get () then Bitset.set seeded v
+  done;
   let resolver = Eqn.resolver registry in
   let row paths =
     match Eqn.row_vars resolver ~paths with
@@ -403,18 +460,26 @@ let of_decision model d =
     | vars -> { Eqn.paths; vars = Array.copy vars }
   in
   let seed =
-    Array.of_list
-      (List.map (fun v -> row (Eqn.pool registry v)) (Bitset.to_list d.seeded))
+    List.map (fun v -> row (Eqn.pool registry v)) (Bitset.to_list seeded)
   in
-  let grow =
-    Array.init (Array.length d.grow_start - 1) (fun g ->
-        row
-          (Array.sub d.grow_paths d.grow_start.(g)
-             (d.grow_start.(g + 1) - d.grow_start.(g))))
+  let width = path_bits model in
+  let grow = ref [] and paths = ref [] in
+  let close_row () =
+    if !paths <> [] then grow := row (Array.of_list (List.rev !paths)) :: !grow;
+    paths := []
   in
-  finish model d.effective registry (Array.append seed grow) ~seeded:d.seeded
-    ~identifiable:(Array.init n (Bitset.get d.identifiable))
-    ~nullity:d.nullity
+  for _ = 1 to n_grow_paths do
+    if get () then close_row ();
+    let p = ref 0 in
+    for k = 0 to width - 1 do
+      if get () then p := !p lor (1 lsl k)
+    done;
+    paths := !p :: !paths
+  done;
+  close_row ();
+  finish model effective registry
+    (Array.of_list (seed @ List.rev !grow))
+    ~seeded ~identifiable ~nullity
 
 let n_identifiable (sel : selection) =
   Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 sel.identifiable

@@ -83,22 +83,26 @@ type selection = {
     the selection itself is purely structural.  The selected rows are
     factorized ({!Tomo_linalg.Sparse_chol}) and the readout plan, with
     its per-link identifiable flags, is built ({!Readout.build}) before
-    returning. *)
+    returning, and the registry is finished ({!Eqn.finish}). *)
 val select : ?config:config -> Model.t -> Observations.t -> selection
 
-(** A selection's answer in compact form: its effective links, its
-    per-variable identifiable flags, its nullity, the variables whose
-    seed row it kept ([seeded]) and the grow rows' path sets in order.
-    A seed row is not stored: its path set is its variable's seed pool,
-    which {!of_decision} recomputes.  It holds no registry, signature
-    table, factor or readout either: {!of_decision} rebuilds those.  A
-    decision is immutable and holds no model: {!of_decision} is given
-    the model its selection was made under. *)
+(** A selection's answer, packed into one string: its effective
+    links, its per-variable identifiable flags, the variables whose seed
+    row it kept ([seeded]), one bit each, its nullity, and the grow
+    rows' paths, each in the fewest bits that hold every path of the
+    model.  A seed row is not stored: its path set is its variable's
+    seed pool, which {!of_decision} recomputes.  It holds no registry,
+    signature table, factor or readout either: {!of_decision} rebuilds
+    those.  A decision is immutable and holds no model: {!of_decision}
+    is given the model its selection was made under. *)
 type decision
 
 (** [decision sel] records the answer of [sel], a selection {!select}
     or {!of_decision} returned. *)
 val decision : selection -> decision
+
+(** [decision_bytes d] is the length of [d]'s packed string. *)
+val decision_bytes : decision -> int
 
 (** [of_decision model d] is the selection [d] was recorded from,
     field for field, when that selection was [select model obs]: it
@@ -114,10 +118,9 @@ val decision : selection -> decision
     does: after {!select} or {!of_decision} returns, a selection's
     registry, rows, flags, factor and readout are only read
     ({!Prob_engine}, {!Readout}, {!Correlation_complete} and the
-    streaming engine read them; the only code that adds variables to a
-    registry is this module's own registry construction, and
-    {!Identifiability} and {!Correlation_heuristic} on registries of
-    their own).
+    streaming engine read them), and its registry is finished
+    ({!Eqn.finish}): it keeps no signature table and refuses new
+    variables.
     @raise Invalid_argument if the registry does not match [d] or a
     row does not resolve over it (a selection of another model, or
     made under another [config]). *)

@@ -36,6 +36,7 @@ let compute model obs =
       readout = Readout.build model ~effective registry ~identifiable;
     }
   in
+  Eqn.finish registry;
   let engine = Prob_engine.solve selection obs in
   let n_links = model.Model.n_links in
   (* The IMC'10 heuristic reports per-link probabilities with the crude

@@ -4,9 +4,15 @@ module Bitset = Tomo_util.Bitset
    table's format, by open addressing over flat arrays: a slot holds a
    variable or [-1], and the key is read back from the variable's own
    entries, so a lookup hashes and compares ints only.  The first word
-   of a key is hashed and compared before the others. *)
+   of a key is hashed and compared before the others.  [finish] drops
+   the table: a finished registry's readers ([find], [find_mask],
+   [subset_of_var], [mask_of_var], [n_vars]) read the slots, the
+   per-variable arrays and the table's three position arrays only. *)
 type registry = {
-  table : Signatures.t;
+  mutable table : Signatures.t option;  (* [None] once finished *)
+  link_pos : int array;
+  pos_word : int array;
+  pos_bit : int array;
   w : int;  (* words per mask *)
   mutable slots : int array;  (* power-of-two size, at most half full *)
   mutable corr : int array;  (* per variable *)
@@ -25,7 +31,10 @@ let registry (table : Signatures.t) =
     slots := 2 * !slots
   done;
   {
-    table;
+    table = Some table;
+    link_pos = table.Signatures.link_pos;
+    pos_word = table.Signatures.pos_word;
+    pos_bit = table.Signatures.pos_bit;
     w;
     slots = Array.make !slots (-1);
     corr = Array.make n 0;
@@ -33,6 +42,14 @@ let registry (table : Signatures.t) =
     subsets = Array.make n None;
     count = 0;
   }
+
+(* The table of a registry still open to new variables. *)
+let table_of reg fn =
+  match reg.table with
+  | Some t -> t
+  | None -> invalid_arg (fn ^ ": the registry is finished")
+
+let finish reg = reg.table <- None
 
 let n_vars reg = reg.count
 
@@ -70,10 +87,11 @@ let insert reg v =
 
 (* Record a new variable, growing the flat arrays by doubling. *)
 let add_mask reg ~corr a i =
+  let table = table_of reg "Eqn.add_mask" in
   match find_mask reg ~corr a i with
   | -1 ->
       let v = reg.count and w = reg.w in
-      let s = Subsets.of_mask reg.table ~corr a i in
+      let s = Subsets.of_mask table ~corr a i in
       if v >= Array.length reg.corr then begin
         let more = max 64 v in
         reg.masks <- Array.append reg.masks (Array.make (more * w) 0);
@@ -98,15 +116,14 @@ let add_mask reg ~corr a i =
 
 (* A subset's mask, or [None] if a link is not effective. *)
 let mask_of_subset reg (s : Subsets.t) =
-  let t = reg.table in
-  let pos = t.Signatures.link_pos in
+  let pos = reg.link_pos in
   if Array.exists (fun e -> pos.(e) < 0) s.Subsets.links then None
   else begin
     let a = Array.make reg.w 0 in
     Array.iter
       (fun e ->
-        let j = t.Signatures.pos_word.(pos.(e)) in
-        a.(j) <- a.(j) lor t.Signatures.pos_bit.(pos.(e)))
+        let j = reg.pos_word.(pos.(e)) in
+        a.(j) <- a.(j) lor reg.pos_bit.(pos.(e)))
       s.Subsets.links;
     Some a
   end
@@ -120,6 +137,7 @@ let find reg s =
       | v -> Some v)
 
 let add reg s =
+  ignore (table_of reg "Eqn.add");
   match mask_of_subset reg s with
   | None -> invalid_arg "Eqn.add: a link outside the effective set"
   | Some a -> add_mask reg ~corr:s.Subsets.corr a 0
@@ -135,12 +153,13 @@ let mask_of_var reg v =
   Array.sub reg.masks (v * reg.w) reg.w
 
 let pool reg v =
+  let table = table_of reg "Eqn.pool" in
   if v < 0 || v >= reg.count then invalid_arg "Eqn.pool: unknown variable";
-  Signatures.pool reg.table ~corr:reg.corr.(v) reg.masks (v * reg.w)
+  Signatures.pool table ~corr:reg.corr.(v) reg.masks (v * reg.w)
 
 (* A path's pairs on one set are adjacent: gather them into one mask. *)
 let register_single_path_masks reg =
-  let t = reg.table and w = reg.w in
+  let t = table_of reg "Eqn.register_single_path_masks" and w = reg.w in
   let buf = Array.make w 0 in
   for p = 0 to t.Signatures.model.Model.n_paths - 1 do
     let k = ref t.Signatures.path_start.(p)
@@ -167,6 +186,7 @@ type row = { paths : int array; vars : int array }
    buffers. *)
 type resolver = {
   rz_reg : registry;
+  rz_table : Signatures.t;
   rz_stamp : int array;  (* per correlation set: generation *)
   rz_mask : int array;  (* per set [c]: the candidate's mask at [c * w] *)
   rz_order : int array;  (* the candidate's sets in first-seen order *)
@@ -176,9 +196,11 @@ type resolver = {
 }
 
 let resolver reg =
-  let n_corr = Model.n_corr_sets reg.table.Signatures.model in
+  let table = table_of reg "Eqn.resolver" in
+  let n_corr = Model.n_corr_sets table.Signatures.model in
   {
     rz_reg = reg;
+    rz_table = table;
     rz_stamp = Array.make n_corr 0;
     rz_mask = Array.make (n_corr * reg.w) 0;
     rz_order = Array.make n_corr 0;
@@ -194,7 +216,7 @@ let gather rz paths =
   let gen = rz.rz_gen + 1 in
   rz.rz_gen <- gen;
   let stamp = rz.rz_stamp and mask = rz.rz_mask in
-  let t = rz.rz_reg.table in
+  let t = rz.rz_table in
   let pair_set = t.Signatures.pair_set
   and pair_slot = t.Signatures.pair_slot
   and pair_mask = t.Signatures.pair_mask
@@ -283,11 +305,12 @@ let first_link (t : Signatures.t) c mask i =
                           + Bitset.popcount ((m land -m) - 1))
 
 let row_grow rz ~paths =
+  ignore (table_of rz.rz_reg "Eqn.row_grow");
   let n_groups = gather rz paths in
   if n_groups = 0 then None
   else begin
     let reg = rz.rz_reg and order = rz.rz_order and mask = rz.rz_mask in
-    let key c = first_link reg.table c mask (c * reg.w) in
+    let key c = first_link rz.rz_table c mask (c * reg.w) in
     (* Insertion sort of the sets by their smallest link. *)
     for i = 1 to n_groups - 1 do
       let c = order.(i) in

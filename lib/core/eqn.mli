@@ -16,17 +16,32 @@
 (** Variables over one {!Signatures} table: a map from (correlation
     set, mask in the table's format) to variable, open addressing over
     flat arrays that hashes and compares ints only, plus each
-    variable's subset.  Variables are numbered in registration order. *)
+    variable's subset.  Variables are numbered in registration order.
+
+    A registry is open until {!finish}: it may gain variables, and it
+    answers {!pool} and makes resolvers.  A finished registry keeps
+    its variables and only the table's per-link positions, and
+    answers {!find}, {!find_mask}, {!subset_of_var}, {!mask_of_var} and
+    {!n_vars}; the functions that read the rest of the table refuse
+    it. *)
 type registry
 
 val registry : Signatures.t -> registry
 val n_vars : registry -> int
 
+(** [finish reg] drops [reg]'s signature table, so a registry kept
+    after its selection is built holds no more than its readers read.
+    From then on {!add}, {!add_mask}, {!pool},
+    {!register_single_path_masks}, {!resolver} and {!row_grow} raise
+    [Invalid_argument].  Finishing twice is harmless. *)
+val finish : registry -> unit
+
 (** [find reg s] / [add reg s]: lookup / get-or-create the variable index
     of a subset, through its mask.  A subset holding a link outside the
     table's effective set is never registered: [find] returns [None]
     for it.
-    @raise Invalid_argument from [add] on such a subset. *)
+    @raise Invalid_argument from [add] on such a subset, or on a
+    finished registry. *)
 val find : registry -> Subsets.t -> int option
 
 val add : registry -> Subsets.t -> int

@@ -49,31 +49,39 @@ type selection_state = {
 type last_estimate = { at_tick : int; rows : int; vars : int; nullity : int }
 
 (* Algorithm 1's answers for the last [selection_cache_capacity] distinct
-   always-good sets the engine selected for, most recently used first
-   (DESIGN, "Selection cache").  A window whose always-good set returns
-   to one of them rebuilds its selection from the cached answer
+   always-good sets the engine selected for (DESIGN, "Selection
+   cache").  A window whose always-good set returns to one of them
+   rebuilds its selection from the cached answer
    ({!Tomo.Algorithm1.of_decision}) instead of selecting again.  From
    its second hit on, an entry keeps the selection its latest rebuild
    made and that selection's row masks, every part of a selection state
    but the counts, which the window decides, for as long as it stays
    among the [selection_cache_kept] most recently used: a hit then
-   reuses them.  Falling further back drops them, and the compact
+   reuses them.  Falling further back drops them, and the packed
    answer stays until the entry is evicted. *)
-let selection_cache_capacity = 256
+let selection_cache_capacity = 2048
 let selection_cache_kept = 8
 
+(* A cache entry, found by its key in a hash table and linked into a
+   circular list in recency order: [older] leads from the most recently
+   used entry to the least, whose [older] is the most recent again, and
+   [newer] leads back.  An entry alone links to itself. *)
 type entry = {
-  key : Bitset.t;  (* the always-good set *)
+  key : string;  (* the always-good set's bytes ({!Bitset.to_string}) *)
   decision : Tomo.Algorithm1.decision;
   mutable hits : int;
   mutable kept : (Tomo.Algorithm1.selection * row_masks) option;
+  mutable newer : entry;
+  mutable older : entry;
 }
 
 type t = {
   model : Tomo.Model.t;
   window : Window.t;
   mutable sel : selection_state option;
-  mutable cache : entry list;
+  cache : (string, entry) Hashtbl.t;
+  mutable newest : entry option;  (* the front of the recency list *)
+  mutable answer_bytes : int;  (* the cached keys' and answers' bytes *)
   (* Per-engine lifetime stats behind [status] — the global Metrics
      counters aggregate across engines and reset with the registry, so
      the status view keeps its own. *)
@@ -94,7 +102,9 @@ let of_window model window =
     model;
     window;
     sel = None;
-    cache = [];
+    cache = Hashtbl.create 64;
+    newest = None;
+    answer_bytes = 0;
     n_estimates = 0;
     n_reselects = 0;
     n_cache_hits = 0;
@@ -129,19 +139,48 @@ let masks_of t selection =
   in
   { mask_ptr; mask_word; mask_bits }
 
+(* Take [e] off the recency list. *)
+let unlink t e =
+  if e.older == e then t.newest <- None
+  else begin
+    e.newer.older <- e.older;
+    e.older.newer <- e.newer;
+    match t.newest with
+    | Some n when n == e -> t.newest <- Some e.older
+    | _ -> ()
+  end;
+  e.newer <- e;
+  e.older <- e
+
+(* Put [e], which is on no list, in front. *)
+let push_front t e =
+  (match t.newest with
+  | None -> ()
+  | Some n ->
+      let oldest = n.newer in
+      e.older <- n;
+      e.newer <- oldest;
+      n.newer <- e;
+      oldest.older <- e);
+  t.newest <- Some e
+
+let entry_bytes e =
+  String.length e.key + Tomo.Algorithm1.decision_bytes e.decision
+
 (* A reselect looks its always-good set up in the cache.  A hit moves
    the entry to the front and reuses the selection and row masks it
    keeps, or rebuilds them from its answer and, from its second hit on,
    keeps them; a miss runs Algorithm 1 and puts its answer in front,
-   pushing the least recently used entry out of a full cache.  Either
-   way the entry that moved past the first [selection_cache_kept] drops
+   evicting the least recently used entry of a full cache.  Either way
+   the entry that moved past the first [selection_cache_kept] drops
    what it kept. *)
 let build_selection t ~always =
   Obs.Trace.with_span ~histogram:h_stage_reselect "stream.reselect"
   @@ fun () ->
   Obs.Metrics.incr c_reselects;
   t.n_reselects <- t.n_reselects + 1;
-  let hit = List.find_opt (fun e -> Bitset.equal e.key always) t.cache in
+  let key = Bitset.to_string always in
+  let hit = Hashtbl.find_opt t.cache key in
   let kept = Option.bind hit (fun e -> e.kept) in
   if Obs.Events.enabled () then
     Obs.Events.emit "reselect"
@@ -158,7 +197,8 @@ let build_selection t ~always =
         Obs.Metrics.incr c_cache_hits;
         t.n_cache_hits <- t.n_cache_hits + 1;
         entry.hits <- entry.hits + 1;
-        t.cache <- entry :: List.filter (fun e -> e != entry) t.cache;
+        unlink t entry;
+        push_front t entry;
         (match kept with
         | Some kept ->
             Obs.Metrics.incr c_cache_built_hits;
@@ -172,23 +212,33 @@ let build_selection t ~always =
             rebuilt)
     | None ->
         let selection = Tomo.Algorithm1.select t.model obs in
-        let older =
-          List.filteri (fun i _ -> i < selection_cache_capacity - 1)
-        in
-        let entry =
+        (match t.newest with
+        | Some n when Hashtbl.length t.cache >= selection_cache_capacity ->
+            let oldest = n.newer in
+            unlink t oldest;
+            Hashtbl.remove t.cache oldest.key;
+            t.answer_bytes <- t.answer_bytes - entry_bytes oldest
+        | _ -> ());
+        let rec entry =
           {
-            key = always;
+            key;
             decision = Tomo.Algorithm1.decision selection;
             hits = 0;
             kept = None;
+            newer = entry;
+            older = entry;
           }
         in
-        t.cache <- entry :: older t.cache;
+        Hashtbl.replace t.cache key entry;
+        push_front t entry;
+        t.answer_bytes <- t.answer_bytes + entry_bytes entry;
         (selection, masks_of t selection)
   in
-  (match List.nth_opt t.cache selection_cache_kept with
-  | Some e -> e.kept <- None
-  | None -> ());
+  (match t.newest with
+  | Some n when Hashtbl.length t.cache > selection_cache_kept ->
+      let rec nth e i = if i = 0 then e else nth e.older (i - 1) in
+      (nth n selection_cache_kept).kept <- None
+  | _ -> ());
   (* A fresh selection's counts are the batch pipeline's own, read off
      the full window's observations. *)
   let counts =
@@ -340,7 +390,13 @@ let run ?snapshot_out ?(snapshot_every = 1) ?max_ticks t source
 (* Status snapshot (for the telemetry exporter)                        *)
 (* ------------------------------------------------------------------ *)
 
-type selection_cache = { hits : int; misses : int; entries : int; built : int }
+type selection_cache = {
+  hits : int;
+  misses : int;
+  entries : int;
+  built : int;
+  answer_bytes : int;
+}
 
 type status = {
   st_ticks : int;
@@ -356,16 +412,14 @@ type status = {
 (* A status is an immutable copy of the engine's scalar state: the serve
    loop captures one per tick and publishes it, so the exporter thread
    renders a consistent snapshot without ever touching live engine
-   internals.  So it does not walk the cache: every miss adds an entry
-   and only a full cache drops one, and only the first
-   [selection_cache_kept] entries can keep a selection. *)
+   internals.  It reads no more than the first [selection_cache_kept]
+   entries: only those can keep a selection. *)
 let status t =
-  let rec kept i = function
-    | e :: rest when i < selection_cache_kept ->
-        Bool.to_int (Option.is_some e.kept) + kept (i + 1) rest
-    | _ -> 0
+  let first = min selection_cache_kept (Hashtbl.length t.cache) in
+  let rec kept e i =
+    if i = first then 0
+    else Bool.to_int (Option.is_some e.kept) + kept e.older (i + 1)
   in
-  let misses = t.n_reselects - t.n_cache_hits in
   {
     st_ticks = Window.ticks t.window;
     st_occupancy = Window.occupancy t.window;
@@ -376,9 +430,10 @@ let status t =
     st_selection_cache =
       {
         hits = t.n_cache_hits;
-        misses;
-        entries = min misses selection_cache_capacity;
-        built = kept 0 t.cache;
+        misses = t.n_reselects - t.n_cache_hits;
+        entries = Hashtbl.length t.cache;
+        built = (match t.newest with None -> 0 | Some n -> kept n 0);
+        answer_bytes = t.answer_bytes;
       };
     st_last = t.last;
   }
@@ -396,8 +451,8 @@ let status_json ?uptime_s ?snapshot_age_s ?last_error st =
   let c = st.st_selection_cache in
   Printf.bprintf b
     ",\"selection_cache\":{\"hits\":%d,\"misses\":%d,\"entries\":%d,\
-     \"built\":%d}"
-    c.hits c.misses c.entries c.built;
+     \"built\":%d,\"answer_bytes\":%d}"
+    c.hits c.misses c.entries c.built c.answer_bytes;
   Buffer.add_string b ",\"last_estimate\":";
   (match st.st_last with
   | None -> Buffer.add_string b "null"

@@ -9,9 +9,10 @@
     - the equation-system {e selection} is cached and recomputed only
       when the window's always-good path set changes (the only
       observation input Algorithm 1 reads); and Algorithm 1's answers
-      for the last 256 distinct always-good sets are kept in compact
-      form ({!Tomo.Algorithm1.decision}), so a set that comes back
-      rebuilds its selection from its answer
+      for the last 2048 distinct always-good sets are kept packed
+      ({!Tomo.Algorithm1.decision}) in a hash table keyed on the set's
+      bytes, whose entries are linked in recency order, so a set that
+      comes back rebuilds its selection from its answer
       ({!Tomo.Algorithm1.of_decision}) instead of running Algorithm 1
       again; from its second hit on, an entry among the 8 most recently
       used keeps its rebuilt selection and its rows' mask words, so a
@@ -69,10 +70,10 @@ type estimate = {
       (** the solved system, for subset/pattern queries *)
 }
 
-(** How many answers the selection cache holds: 256, a constant,
-    least recently used first out.  At 256, 42% of the reselects of
-    the [churn] benchmark workload are answered from it, against 3% at
-    8 (DESIGN, "Selection cache"). *)
+(** How many answers the selection cache holds: 2048, a constant,
+    least recently used first out.  At 2048, 67% of the reselects of
+    the [churn] benchmark workload are answered from it, against 42% at
+    256 and 3% at 8 (DESIGN, "Selection cache"). *)
 val selection_cache_capacity : int
 
 (** How many of the cache's most recently used entries may keep a
@@ -161,8 +162,17 @@ type last_estimate = { at_tick : int; rows : int; vars : int; nullity : int }
     [hits + misses] is [st_reselects]; [entries] is how many answers it
     holds now, at most {!selection_cache_capacity}; [built] is how many
     of those keep the selection and row masks of an earlier rebuild,
-    at most [min entries selection_cache_kept]. *)
-type selection_cache = { hits : int; misses : int; entries : int; built : int }
+    at most [min entries selection_cache_kept]; [answer_bytes] is the
+    bytes of the packed answers ({!Tomo.Algorithm1.decision_bytes}) and
+    of their keys (the always-good sets, a bit a path) that the cache
+    holds now. *)
+type selection_cache = {
+  hits : int;
+  misses : int;
+  entries : int;
+  built : int;
+  answer_bytes : int;
+}
 
 (** An immutable copy of the engine's scalar state, captured on the
     engine's own thread ({!status}) and safe to hand to the telemetry
@@ -187,8 +197,8 @@ val status : t -> status
     [/status]: [{"status":"ok"|"warming_up","ticks":..,"window":
     {"occupancy":..,"capacity":..,"full":..},"estimates":..,
     "reselects":..,"selection_cache":{"hits":..,"misses":..,
-    "entries":..,"built":..},"last_estimate":{"tick":..,"rows":..,"vars":..,
-    "nullity":..}|null,("uptime_s":..,)"snapshot_age_s":..|null,
+    "entries":..,"built":..,"answer_bytes":..},"last_estimate":
+    {"tick":..,"rows":..,"vars":..,"nullity":..}|null,("uptime_s":..,)"snapshot_age_s":..|null,
     "last_error":..|null}]. *)
 val status_json :
   ?uptime_s:float ->

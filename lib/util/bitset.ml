@@ -267,6 +267,15 @@ let of_list n l =
   List.iter (set t) l;
   t
 
+let to_string t =
+  let b = Bytes.make ((t.len + 7) / 8) '\000' in
+  iter
+    (fun i ->
+      Bytes.set_uint8 b (i lsr 3)
+        (Bytes.get_uint8 b (i lsr 3) lor (1 lsl (i land 7))))
+    t;
+  Bytes.unsafe_to_string b
+
 let pp ppf t =
   Format.fprintf ppf "{%a}"
     (Format.pp_print_list

@@ -151,5 +151,11 @@ val to_list : t -> int list
     set. *)
 val of_list : int -> int list -> t
 
+(** [to_string t] is [t]'s bits, eight to a byte: bit [i] is bit
+    [i mod 8] of byte [i / 8], in [(length t + 7) / 8] bytes.  Two sets
+    of one capacity are equal iff their strings are, so the string can
+    key a hash table. *)
+val to_string : t -> string
+
 (** [pp] prints a bit set as the list of its set indices. *)
 val pp : Format.formatter -> t -> unit

@@ -1105,10 +1105,33 @@ let last_window obs window =
    is the one [select] returned, field for field, seed rows recomputed
    from their variables' pools and grow rows resolved from their paths,
    and it solves to the same bits.  This holds on small and medium
-   Brite and Sparse windows of 3, 20 and 100 intervals, and a medium
-   decision stays a few hundred words, where its selection holds tens
-   of thousands.  The decision of a selection made under another
-   configuration, whose registry differs, is refused. *)
+   Brite and Sparse windows of 3, 20 and 100 intervals.  A decision is
+   one string of the packed size: a bit per effective-link flag and two
+   per variable, a start bit and [path_bits] bits per grow-row path,
+   and a header of three LEB128 numbers; at medium scale that is at
+   most 40 words, where its selection holds tens of thousands.  The
+   decision of a selection made under another configuration, whose
+   registry differs, is refused. *)
+let packed_bytes (sel : Algorithm1.selection) =
+  let model = sel.Algorithm1.model in
+  let leb128 x = if x < 0x80 then 1 else if x < 0x4000 then 2 else 3 in
+  let n_vars = Array.length sel.Algorithm1.identifiable in
+  let n_seed = Bitset.count sel.Algorithm1.seeded in
+  let grow_paths = ref 0 in
+  Array.iteri
+    (fun i r ->
+      if i >= n_seed then
+        grow_paths := !grow_paths + Array.length r.Eqn.paths)
+    sel.Algorithm1.rows;
+  let path_bits = ref 1 in
+  while 1 lsl !path_bits < model.Model.n_paths do
+    incr path_bits
+  done;
+  leb128 n_vars + leb128 sel.Algorithm1.nullity + leb128 !grow_paths
+  + (model.Model.n_links + (2 * n_vars) + (!grow_paths * (1 + !path_bits))
+    + 7)
+    / 8
+
 let test_rebuilt_selection () =
   List.iter
     (fun (scale, topology) ->
@@ -1146,12 +1169,17 @@ let test_rebuilt_selection () =
           check_bool (name ^ ": solved values, bitwise") true
             (Array.for_all2 same_bits a.Prob_engine.values
                b.Prob_engine.values);
+          let bytes = Algorithm1.decision_bytes d in
+          check_int (name ^ ": packed bytes") (packed_bytes sel) bytes;
+          check_int (name ^ ": one string")
+            ((bytes / 8) + 2)
+            (Obj.reachable_words (Obj.repr d));
           if scale = W.Medium then
             check_bool
-              (Printf.sprintf "%s: decision of %d words <= 200" name
+              (Printf.sprintf "%s: decision of %d words <= 40" name
                  (Obj.reachable_words (Obj.repr d)))
               true
-              (Obj.reachable_words (Obj.repr d) <= 200))
+              (Obj.reachable_words (Obj.repr d) <= 40))
         [ 3; 20; 100 ])
     [
       (W.Small, W.Brite); (W.Small, W.Sparse); (W.Medium, W.Brite);

@@ -638,6 +638,43 @@ let test_registry_roundtrip () =
     (Invalid_argument "Eqn.subset_of_var: unknown variable") (fun () ->
       ignore (Eqn.subset_of_var reg 99))
 
+(* A finished registry answers its readers as before and refuses
+   every function that reads the signature table it dropped; so does
+   the registry of a selection Algorithm 1 returns. *)
+let test_finished_registry () =
+  let m = Toy.case1 () in
+  let eff = all_effective m in
+  let reg = Eqn.registry (Signatures.build m ~effective:eff) in
+  Eqn.register_single_path_masks reg;
+  let rz = Eqn.resolver reg in
+  let s = Subsets.make m ~corr:1 [| e2; e3 |] in
+  let v = Eqn.add reg s in
+  let mask = Eqn.mask_of_var reg v in
+  Eqn.finish reg;
+  check_int "variables kept" 5 (Eqn.n_vars reg);
+  check_bool "find" true (Eqn.find reg s = Some v);
+  check_int "find_mask" v (Eqn.find_mask reg ~corr:1 mask 0);
+  check_bool "subset_of_var" true (Subsets.equal s (Eqn.subset_of_var reg v));
+  check_bool "an earlier resolver still looks rows up" true
+    (Eqn.row_fast rz ~paths:[| p1 |] <> None);
+  let refused name f =
+    match f () with
+    | () -> Alcotest.failf "%s: a finished registry accepted it" name
+    | exception Invalid_argument msg ->
+        Alcotest.(check string) name (name ^ ": the registry is finished") msg
+  in
+  refused "Eqn.add" (fun () -> ignore (Eqn.add reg s));
+  refused "Eqn.add_mask" (fun () -> ignore (Eqn.add_mask reg ~corr:1 mask 0));
+  refused "Eqn.pool" (fun () -> ignore (Eqn.pool reg v));
+  refused "Eqn.register_single_path_masks" (fun () ->
+      Eqn.register_single_path_masks reg);
+  refused "Eqn.resolver" (fun () -> ignore (Eqn.resolver reg));
+  refused "Eqn.row_grow" (fun () -> ignore (Eqn.row_grow rz ~paths:[| p2 |]));
+  check_int "nothing added" 5 (Eqn.n_vars reg);
+  let sel = Tomo.Algorithm1.select m (busy_obs ()) in
+  refused "Eqn.add" (fun () ->
+      ignore (Eqn.add sel.Tomo.Algorithm1.registry s))
+
 (* ------------------------------------------------------------------ *)
 (* Observations serialization                                          *)
 (* ------------------------------------------------------------------ *)
@@ -775,6 +812,8 @@ let () =
             test_register_single_path_vars;
           Alcotest.test_case "registry roundtrip" `Quick
             test_registry_roundtrip;
+          Alcotest.test_case "finished registry" `Quick
+            test_finished_registry;
         ] );
       ( "observations_io",
         [

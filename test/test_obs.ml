@@ -932,7 +932,13 @@ let test_status_json_golden () =
       st_estimates = 21;
       st_reselects = 12;
       st_selection_cache =
-        { Engine.hits = 2; misses = 10; entries = 8; built = 1 };
+        {
+          Engine.hits = 2;
+          misses = 10;
+          entries = 8;
+          built = 1;
+          answer_bytes = 1432;
+        };
       st_last =
         Some { Engine.at_tick = 60; rows = 565; vars = 595; nullity = 30 };
     }
@@ -941,7 +947,7 @@ let test_status_json_golden () =
     "{\"status\":\"ok\",\"ticks\":60,\"window\":{\"occupancy\":40,\
      \"capacity\":40,\"full\":true},\"estimates\":21,\"reselects\":12,\
      \"selection_cache\":{\"hits\":2,\"misses\":10,\"entries\":8,\
-     \"built\":1},\
+     \"built\":1,\"answer_bytes\":1432},\
      \"last_estimate\":{\"tick\":60,\"rows\":565,\"vars\":595,\
      \"nullity\":30},\
      \"uptime_s\":1.500,\"snapshot_age_s\":0.250,\"last_error\":null}"
@@ -960,7 +966,7 @@ let test_status_json_golden () =
     "{\"status\":\"warming_up\",\"ticks\":12,\"window\":{\"occupancy\":12,\
      \"capacity\":40,\"full\":false},\"estimates\":0,\"reselects\":12,\
      \"selection_cache\":{\"hits\":2,\"misses\":10,\"entries\":8,\
-     \"built\":1},\
+     \"built\":1,\"answer_bytes\":1432},\
      \"last_estimate\":null,\"snapshot_age_s\":null,\
      \"last_error\":\"boom \\\"quoted\\\"\"}"
     (Engine.status_json ~last_error:"boom \"quoted\"" warming)
@@ -996,6 +1002,14 @@ let test_engine_status () =
       check_int "no hit" 0 c.Engine.hits;
       check_int "its answer cached" 1 c.Engine.entries;
       check_int "not yet rebuilt" 0 c.Engine.built;
+      let selection =
+        est.Engine.engine.Tomo.Prob_engine.selection
+      in
+      check_int "its key's and answer's bytes"
+        (((model.Tomo.Model.n_paths + 7) / 8)
+        + Tomo.Algorithm1.decision_bytes (Tomo.Algorithm1.decision selection))
+        c.Engine.answer_bytes;
+      let one_entry = c.Engine.answer_bytes in
       (* Path 0 congested in one interval leaves the always-good set
          and comes back as the interval leaves the window of 2: each
          return to a set is a hit, and the second hit on an answer
@@ -1006,12 +1020,20 @@ let test_engine_status () =
         if not path0_good then Tomo_util.Bitset.clear col 0;
         ignore (Engine.ingest engine col);
         let c = (Engine.status engine).Engine.st_selection_cache in
-        (c.Engine.hits, c.Engine.misses, c.Engine.entries, c.Engine.built)
+        ( (c.Engine.hits, c.Engine.misses, c.Engine.entries, c.Engine.built),
+          c.Engine.answer_bytes )
       in
+      let two_entries = ref 0 in
       List.iter
         (fun (path0_good, expected, what) ->
-          let hits, misses, entries, built = cache_after ~path0_good in
-          check_bool what true ((hits, misses, entries, built) = expected))
+          let counts, bytes = cache_after ~path0_good in
+          check_bool what true (counts = expected);
+          (* Only a miss adds bytes, and a hit none. *)
+          if !two_entries = 0 then begin
+            check_bool "a second answer adds bytes" true (bytes > one_entry);
+            two_entries := bytes
+          end
+          else check_int (what ^ ": answer bytes") !two_entries bytes)
         [
           (false, (0, 2, 2, 0), "a new set: a miss");
           (true, (0, 2, 2, 0), "the same set: no reselect");

@@ -303,7 +303,8 @@ let streaming_equals_batch_qcheck =
    visit holds one column for [window] ticks, so the visit ends with
    the always-good set equal to that column; with a window above one,
    the ticks between two visits see the two columns' intersection.
-   The model has 12-16 paths, so enough of its columns are distinct.
+   The model has 16-20 paths, so it has tens of thousands of columns,
+   more than the cache holds many times over.
    The tour:
    - visits distinct columns in turn until it has made 2-4 more
      distinct always-good sets than the cache holds, so the first
@@ -321,24 +322,21 @@ let streaming_equals_batch_qcheck =
      rebuilds too. *)
 let cache_case seed =
   let rng = Rng.create (seed + 128_000) in
-  let model = random_model ~min_paths:12 rng in
+  let model = random_model ~min_paths:16 rng in
   let n_paths = model.Tomo.Model.n_paths in
   let window = 1 + Rng.int rng 3 in
   let target = Engine.selection_cache_capacity + 2 + Rng.int rng 3 in
-  let palette = ref [] and sets = ref [] and n_sets = ref 0 in
-  let add s =
-    if not (List.exists (Bitset.equal s) !sets) then begin
-      sets := s :: !sets;
-      incr n_sets
-    end
-  in
-  while !n_sets < target do
+  let palette = ref [] and in_palette = Hashtbl.create 4096 in
+  let sets = Hashtbl.create 4096 in
+  let add s = Hashtbl.replace sets (Bitset.to_string s) () in
+  while Hashtbl.length sets < target do
     let c = random_column rng n_paths in
-    if not (List.exists (Bitset.equal c) !palette) then begin
+    if not (Hashtbl.mem in_palette (Bitset.to_string c)) then begin
       (match !palette with
       | p :: _ when window > 1 -> add (Bitset.inter p c)
       | _ -> ());
       add c;
+      Hashtbl.replace in_palette (Bitset.to_string c) ();
       palette := c :: !palette
     end
   done;
@@ -433,12 +431,12 @@ let ingest_noting engine col =
     else if kept_hits () > kept then Kept_hit
     else Rebuilt_hit )
 
-(* The cache as specified: its always-good sets, most recently used
-   first, each with the hits on it.  An entry keeps a selection from
-   its second hit on, while it is among the first
+(* The cache as specified: its always-good sets (as their bytes), most
+   recently used first, each with the hits on it.  An entry keeps a
+   selection from its second hit on, while it is among the first
    {!Engine.selection_cache_kept}: a hit on it reuses the selection
    exactly when it was hit twice before and is still among them. *)
-type spec_entry = { set : Bitset.t; mutable hits : int }
+type spec_entry = { set : string; mutable hits : int }
 
 (* The spec's answer to a reselect to [always]: what it should be, the
    position and earlier hits of the entry it hits, and the new cache. *)
@@ -446,14 +444,14 @@ let spec_reselect cache always =
   let rec find i = function
     | [] -> None
     | e :: rest ->
-        if Bitset.equal e.set always then Some (i, e) else find (i + 1) rest
+        if String.equal e.set always then Some (i, e) else find (i + 1) rest
   in
   match find 0 cache with
   | None ->
       let older =
         List.filteri (fun i _ -> i < Engine.selection_cache_capacity - 1) cache
       in
-      (Miss, -1, 0, { set = Bitset.copy always; hits = 0 } :: older)
+      (Miss, -1, 0, { set = always; hits = 0 } :: older)
   | Some (i, e) ->
       let earlier = e.hits in
       e.hits <- e.hits + 1;
@@ -484,7 +482,7 @@ let spec_kept cache =
 let prop_cache_like_batch seed =
   let model, cols, window = cache_case seed in
   let engine = Engine.create ~model ~window () in
-  let ok = ref true and last = ref [] and spec = ref [] in
+  let ok = ref true and last = Hashtbl.create 4096 and spec = ref [] in
   let second_hits = ref 0 and kept = ref 0 and dropped = ref 0 in
   Array.iteri
     (fun i col ->
@@ -492,7 +490,9 @@ let prop_cache_like_batch seed =
       let before = (selections (), registries (), factorizations ()) in
       let est, reselect = ingest_noting engine (Bitset.copy col) in
       if reselect <> Unchanged then begin
-        let always = Window.always_good_paths (Engine.window engine) in
+        let always =
+          Bitset.to_string (Window.always_good_paths (Engine.window engine))
+        in
         let expected, position, earlier, cache = spec_reselect !spec always in
         spec := cache;
         let s, r, f = before in
@@ -503,7 +503,6 @@ let prop_cache_like_batch seed =
           e.Engine.engine.Tomo.Prob_engine.selection
         in
         let current = (Engine.row_masks engine, Option.map selection est) in
-        let same_set (x, _) = Bitset.equal x always in
         (match reselect with
         | Miss -> if moved <> (1, 1, 1) then ok := false
         | Rebuilt_hit ->
@@ -515,8 +514,8 @@ let prop_cache_like_batch seed =
         | Kept_hit -> (
             incr kept;
             if moved <> (0, 0, 0) then ok := false;
-            match (List.find_opt same_set !last, current) with
-            | Some (_, (Some m, Some s)), (Some m', Some s')
+            match (Hashtbl.find_opt last always, current) with
+            | Some (Some m, Some s), (Some m', Some s')
               when m == m' && s == s' ->
                 ()
             | _ -> ok := false)
@@ -527,9 +526,7 @@ let prop_cache_like_batch seed =
           c.Engine.entries <> List.length !spec
           || c.Engine.built <> spec_kept !spec
         then ok := false;
-        last :=
-          (Bitset.copy always, current)
-          :: List.filter (fun e -> not (same_set e)) !last
+        Hashtbl.replace last always current
       end;
       match est with
       | None -> if tick >= window then ok := false

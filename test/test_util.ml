@@ -278,6 +278,26 @@ let prop_bitset_roundtrip =
       let dedup = List.sort_uniq compare l in
       Bitset.to_list (Bitset.of_list 200 l) = dedup)
 
+(* [to_string]: bit [i] is bit [i mod 8] of byte [i / 8], at capacities
+   that end inside a byte and on a word boundary, and two sets' strings
+   are equal exactly when the sets are. *)
+let prop_bitset_to_string =
+  QCheck.Test.make ~name:"bitset to_string: a bit a path, equal iff equal"
+    ~count:200
+    QCheck.(triple (make bitset_list_gen) (make bitset_list_gen) (int_range 0 3))
+    (fun (la, lb, c) ->
+      let len = List.nth [ 200; 126; 127; 193 ] c in
+      let keep = List.filter (fun i -> i < len) in
+      let a = Bitset.of_list len (keep la) and b = Bitset.of_list len (keep lb) in
+      let sa = Bitset.to_string a in
+      String.length sa = (len + 7) / 8
+      && List.for_all
+           (fun i ->
+             Bitset.get a i
+             = (Char.code sa.[i / 8] land (1 lsl (i mod 8)) <> 0))
+           (List.init len Fun.id)
+      && Bool.equal (String.equal sa (Bitset.to_string b)) (Bitset.equal a b))
+
 let prop_bitset_demorgan =
   QCheck.Test.make ~name:"bitset |a∪b| = |a|+|b|-|a∩b|" ~count:200
     QCheck.(pair (make bitset_list_gen) (make bitset_list_gen))
@@ -698,6 +718,7 @@ let () =
           Alcotest.test_case "set operations" `Quick test_bitset_ops;
           Alcotest.test_case "iteration" `Quick test_bitset_iteration;
           qc prop_bitset_roundtrip;
+          qc prop_bitset_to_string;
           qc prop_bitset_demorgan;
           qc prop_bitset_diff_disjoint;
           qc prop_bitset_word_ops_invariant;
