@@ -24,6 +24,17 @@ let positive =
   in
   Arg.conv (parse, Format.pp_print_int)
 
+(* A duration: finite seconds, at least 0, where 0 means off; checked
+   when the command line parses, so a negative, infinite or nan value is
+   a usage error naming its flag. *)
+let seconds =
+  let parse s =
+    match float_of_string_opt s with
+    | Some x when Float.is_finite x && x >= 0.0 -> Ok x
+    | _ -> Error (`Msg (Printf.sprintf "expected finite seconds >= 0, got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_float)
+
 (* A socket address, checked when the command line parses; the string
    as typed rides along for /status. *)
 let addr =

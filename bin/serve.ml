@@ -61,7 +61,7 @@ let listen_arg =
 
 let flush_every_arg =
   Arg.(
-    value & opt float 0.0
+    value & opt seconds 0.0
     & info [ "flush-every" ] ~docv:"SECONDS"
         ~doc:
           "Flush the metrics/trace sinks every $(docv) seconds (atomic \
@@ -70,7 +70,7 @@ let flush_every_arg =
 
 let linger_arg =
   Arg.(
-    value & opt float 0.0
+    value & opt seconds 0.0
     & info [ "linger" ] ~docv:"SECONDS"
         ~doc:
           "With --listen: keep serving the telemetry endpoints for \
@@ -113,7 +113,7 @@ let ingest_policy_arg =
 
 let idle_timeout_arg =
   Arg.(
-    value & opt float 0.0
+    value & opt seconds 0.0
     & info [ "idle-timeout" ] ~docv:"SECONDS"
         ~doc:
           "Drop a peer that sends nothing for $(docv) seconds (guards \

@@ -16,18 +16,6 @@
 
 open Cmdliner
 
-(* The one error boundary.  Failure, Sys_error and Unix_error carry a
-   message that names the file or address at fault; any other exception
-   escapes to cmdliner, which reports it as an internal error. *)
-let guard run =
-  match run () with
-  | () -> Ok ()
-  | exception (Failure msg | Sys_error msg) -> Error msg
-  | exception Unix.Unix_error (e, fn, arg) ->
-      Error
-        (String.concat ": "
-           (List.filter (( <> ) "") [ arg; fn; Unix.error_message e ]))
-
 let () =
   let info =
     Cmd.info "tomo_cli" ~version:"1.0.0"
@@ -35,9 +23,6 @@ let () =
         "Reproduce the evaluation of 'Shifting Network Tomography Toward \
          A Practical Goal' (CoNEXT 2011)."
   in
-  let cmds =
-    List.map
-      (fun (info, run) -> Cmd.v info Term.(const guard $ run))
-      (Figures.cmds @ Analysis.cmds @ Serve.cmds @ Traces.cmds)
-  in
-  exit (Cmd.eval_result (Cmd.group info cmds))
+  exit
+    (Boundary.eval info
+       (Figures.cmds @ Analysis.cmds @ Serve.cmds @ Traces.cmds))

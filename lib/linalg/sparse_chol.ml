@@ -60,158 +60,187 @@ type t = {
   core_piv : int array;  (* the row swapped with row k at LU step k *)
 }
 
-(* Counting-sort transpose of a CSR pattern: for each of [n] columns, the
-   rows holding it, ascending. *)
-let transpose ~n ptr idx =
-  let m = Array.length ptr - 1 in
-  let t_ptr = Array.make (n + 1) 0 in
-  Array.iter (fun j -> t_ptr.(j + 1) <- t_ptr.(j + 1) + 1) idx;
-  for j = 0 to n - 1 do
-    t_ptr.(j + 1) <- t_ptr.(j + 1) + t_ptr.(j)
-  done;
-  let fill = Array.sub t_ptr 0 n in
-  let t_idx = Array.make (Array.length idx) 0 in
-  for i = 0 to m - 1 do
-    for p = ptr.(i) to ptr.(i + 1) - 1 do
-      let j = idx.(p) in
-      t_idx.(fill.(j)) <- i;
-      fill.(j) <- fill.(j) + 1
-    done
-  done;
-  (t_ptr, t_idx)
-
-(* Aᵀ over elimination positions: [transpose] of A's rows taken in
-   elimination order, so each column lists its rows' positions
-   ascending. *)
-let positions_by_column ~cols a_ptr a_idx perm =
-  let m = Array.length perm in
-  let p_ptr = Array.make (m + 1) 0 in
-  Array.iteri
-    (fun k r -> p_ptr.(k + 1) <- p_ptr.(k) + a_ptr.(r + 1) - a_ptr.(r))
-    perm;
-  let p_idx = Array.make p_ptr.(m) 0 in
-  Array.iteri
-    (fun k r ->
-      Array.blit a_idx a_ptr.(r) p_idx p_ptr.(k) (a_ptr.(r + 1) - a_ptr.(r)))
-    perm;
-  transpose ~n:cols p_ptr p_idx
+(* Set bits of a word, as [Bitset.popcount] counts them: a call into
+   [Bitset] is not inlined under the dev profile's [-opaque], and the
+   ordering counts bits in its innermost loops.  One SWAR pass over the
+   63 bits: the top 2-bit field holds bit 62 alone, and the byte sums
+   (at most 63) never carry. *)
+let popcount x =
+  let x = x - ((x lsr 1) land 0x5555555555555555) in
+  let x = (x land 0x3333333333333333) + ((x lsr 2) land 0x3333333333333333) in
+  let x = (x + (x lsr 4)) land 0x0F0F0F0F0F0F0F0F in
+  (x * 0x0101010101010101) lsr 56
 
 (* Exact minimum degree over the row-overlap graph of G.  [adj] holds one
    [w]-word adjacency bit row per node, flat.  Eliminating [v] joins its
    live neighbours into a clique, and those neighbours are exactly the
-   pattern of [v]'s column of L.  Returns the order and, per position,
-   that pattern as original row indices.  Ties go to the lowest row
-   index. *)
+   pattern of [v]'s column of L.  Returns the order, per position that
+   pattern as original row indices, and per node the number of patterns
+   holding it (its row count in L).  Ties go to the lowest row index.
+
+   The live nodes sit in degree buckets, one [w]-word bit row per
+   degree, so the pick is the lowest set bit of the lowest non-empty
+   bucket.  A neighbour [u] of [v] loses [v] but gains at least itself
+   among [v]'s neighbours, so no degree falls by more than 1 and the
+   lowest non-empty bucket after [v] is at least deg v − 1: the search
+   restarts there, not at 0. *)
 let min_degree m w ~word ~mask adj =
   let bits = Bitset.word_bits in
-  let deg = Array.make m 0 in
+  let deg = Array.make m 0
+  and bucket = Array.make (m * w) 0
+  and in_bucket = Array.make m 0 in
   for i = 0 to m - 1 do
+    let d = ref 0 in
     for q = 0 to w - 1 do
-      deg.(i) <- deg.(i) + Bitset.popcount adj.((i * w) + q)
-    done
-  done;
-  let perm = Array.make m 0 and pattern = Array.make m [||] in
-  let clear_bit base u =
-    let q = base + word.(u) in
-    adj.(q) <- adj.(q) land lnot mask.(u)
-  in
-  for k = 0 to m - 1 do
-    let v = ref 0 in
-    for i = 1 to m - 1 do
-      if Array.unsafe_get deg i < Array.unsafe_get deg !v then v := i
+      d := !d + popcount adj.((i * w) + q)
     done;
-    let v = !v in
+    let d = !d in
+    deg.(i) <- d;
+    let c = (d * w) + word.(i) in
+    bucket.(c) <- bucket.(c) lor mask.(i);
+    in_bucket.(d) <- in_bucket.(d) + 1
+  done;
+  let perm = Array.make m 0
+  and pattern = Array.make m [||]
+  and row_count = Array.make m 0
+  and live = Array.make w 0 in
+  let lowest = ref 0 in
+  for k = 0 to m - 1 do
+    while in_bucket.(!lowest) = 0 do
+      incr lowest
+    done;
+    let b0 = !lowest * w in
+    let q = ref 0 in
+    while bucket.(b0 + !q) = 0 do
+      incr q
+    done;
+    let x = bucket.(b0 + !q) in
+    let v = (!q * bits) + popcount ((x land -x) - 1) in
+    let dv = !lowest in
+    bucket.(b0 + !q) <- x land lnot mask.(v);
+    in_bucket.(dv) <- in_bucket.(dv) - 1;
     let bv = v * w in
-    let pat = Array.make deg.(v) 0 and c = ref 0 in
+    (* v's neighbours, and the words holding them *)
+    let pat = Array.make dv 0 and c = ref 0 and n_live = ref 0 in
     for q = 0 to w - 1 do
       let x = ref adj.(bv + q) in
+      if !x <> 0 then begin
+        live.(!n_live) <- q;
+        incr n_live
+      end;
       while !x <> 0 do
         let b = !x land - !x in
-        pat.(!c) <- (q * bits) + Bitset.popcount (b - 1);
+        pat.(!c) <- (q * bits) + popcount (b - 1);
         incr c;
         x := !x lxor b
       done
     done;
-    deg.(v) <- max_int;
     perm.(k) <- v;
     pattern.(k) <- pat;
-    Array.iter
-      (fun u ->
-        let bu = u * w in
-        (* Row u gains v's neighbours it lacked (u itself among them) and
-           loses v; only words that gain bits are counted. *)
-        let c = ref (deg.(u) - 2) in
-        for q = 0 to w - 1 do
-          let a = Array.unsafe_get adj (bu + q) in
-          let gain = Array.unsafe_get adj (bv + q) land lnot a in
-          if gain <> 0 then begin
-            Array.unsafe_set adj (bu + q) (a lor gain);
-            c := !c + Bitset.popcount gain
-          end
-        done;
-        clear_bit bu u;
-        clear_bit bu v;
-        deg.(u) <- !c)
-      pat
+    for p = 0 to dv - 1 do
+      let u = pat.(p) in
+      let bu = u * w in
+      (* Row u gains v's neighbours it lacked (u itself among them) and
+         loses v; only words that gain bits are counted. *)
+      let du = deg.(u) in
+      let c = ref (du - 2) in
+      for t = 0 to !n_live - 1 do
+        let q = Array.unsafe_get live t in
+        let a = Array.unsafe_get adj (bu + q) in
+        let gain = Array.unsafe_get adj (bv + q) land lnot a in
+        if gain <> 0 then begin
+          Array.unsafe_set adj (bu + q) (a lor gain);
+          c := !c + popcount gain
+        end
+      done;
+      let cu = bu + word.(u) and cv = bu + word.(v) in
+      adj.(cu) <- adj.(cu) land lnot mask.(u);
+      adj.(cv) <- adj.(cv) land lnot mask.(v);
+      let c = !c in
+      if c <> du then begin
+        let o = (du * w) + word.(u) and n = (c * w) + word.(u) in
+        bucket.(o) <- bucket.(o) land lnot mask.(u);
+        in_bucket.(du) <- in_bucket.(du) - 1;
+        bucket.(n) <- bucket.(n) lor mask.(u);
+        in_bucket.(c) <- in_bucket.(c) + 1;
+        deg.(u) <- c
+      end;
+      row_count.(u) <- row_count.(u) + 1
+    done;
+    lowest := max 0 (dv - 1)
   done;
-  (perm, pattern)
+  (perm, pattern, row_count)
 
-(* Cholesky factor of [M = A_s·A_sᵀ], where [A_s] (CSR [s_ptr]/[s_idx],
-   transposed [sc_ptr]/[sc_row]) is the system without its dense
-   columns, or the whole system when none is left out.  A pivot at or
-   below [pivot_tol] times its row's diagonal entry [|row_s|] is
-   dropped, or with [~modify] raised by [δ = |row_s|] (1 for a row with
-   no entry left), Andersen's modification, which factors
-   [M + δ·e_r·e_rᵀ] instead.  Returns the factor over the full rows
-   [a_ptr]/[a_idx], without a correction, and the modified pivots as
-   (position, δ) by ascending position. *)
-let cholesky ~modify ~cols a_ptr a_idx s_ptr s_idx sc_ptr sc_row =
-  let m = Array.length a_ptr - 1 in
+(* Cholesky factor of [M = A_s·A_sᵀ], where [A_s] is the system [rows]
+   (its columns [c_ptr]/[c_row]) without its [skip] columns, or the whole
+   system when none is skipped.  A pivot at or below [pivot_tol] times
+   its row's diagonal entry [|row_s|] is dropped, or with [~modify]
+   raised by [δ = |row_s|] (1 for a row with no entry left), Andersen's
+   modification, which factors [M + δ·e_r·e_rᵀ] instead.  Returns the
+   factor over the full rows, without a correction, and the modified
+   pivots as (position, δ) by ascending position. *)
+let cholesky ~modify ~cols rows c_ptr c_row skip =
+  let m = Array.length rows in
   let bits = Bitset.word_bits in
   let w = (m + bits - 1) / bits in
   (* Word index and bit of each node, tabulated: [bits] is not a
      compile-time constant, so [/] and [mod] by it would divide. *)
-  let word = Array.init m (fun u -> u / bits)
-  and mask = Array.init m (fun u -> 1 lsl (u mod bits)) in
-  (* Rows sharing a variable are adjacent in M. *)
-  let adj = Array.make (m * w) 0 in
-  for i = 0 to m - 1 do
-    for p = s_ptr.(i) to s_ptr.(i + 1) - 1 do
-      let j = s_idx.(p) in
-      for q = sc_ptr.(j) to sc_ptr.(j + 1) - 1 do
-        let u = sc_row.(q) in
-        if u <> i then begin
-          let c = (i * w) + word.(u) in
-          adj.(c) <- adj.(c) lor mask.(u)
-        end
-      done
-    done
+  let word = Array.make m 0 and mask = Array.make m 0 in
+  for u = 0 to m - 1 do
+    word.(u) <- u / bits;
+    mask.(u) <- 1 lsl (u mod bits)
   done;
-  let perm, pattern = min_degree m w ~word ~mask adj in
+  (* Rows sharing a variable are adjacent in M: each pair of a column's
+     rows, once. *)
+  let adj = Array.make (m * w) 0 in
+  for j = 0 to cols - 1 do
+    if not skip.(j) then
+      for p = c_ptr.(j) to c_ptr.(j + 1) - 1 do
+        let i = c_row.(p) in
+        let bi = i * w and wi = word.(i) and mi = mask.(i) in
+        for q = p + 1 to c_ptr.(j + 1) - 1 do
+          let u = c_row.(q) in
+          if u <> i then begin
+            let c = bi + word.(u) in
+            adj.(c) <- adj.(c) lor mask.(u);
+            let c = (u * w) + wi in
+            adj.(c) <- adj.(c) lor mi
+          end
+        done
+      done
+  done;
+  let perm, pattern, row_count = min_degree m w ~word ~mask adj in
   let inv = Array.make m 0 in
-  Array.iteri (fun k r -> inv.(r) <- k) perm;
+  for k = 0 to m - 1 do
+    inv.(perm.(k)) <- k
+  done;
   (* Row structure of L over positions (the columns holding an entry in
      each row, ascending), then its column structure by transposing
      back, which sorts each column's rows without a comparison sort. *)
-  let r_ptr = Array.make (m + 1) 0 in
-  Array.iter
-    (Array.iter (fun u -> r_ptr.(inv.(u) + 1) <- r_ptr.(inv.(u) + 1) + 1))
-    pattern;
-  for i = 0 to m - 1 do
-    r_ptr.(i + 1) <- r_ptr.(i + 1) + r_ptr.(i)
+  let r_ptr = Array.make (m + 1) 0 and l_ptr = Array.make (m + 1) 0 in
+  for k = 0 to m - 1 do
+    r_ptr.(k + 1) <- r_ptr.(k) + row_count.(perm.(k));
+    l_ptr.(k + 1) <- l_ptr.(k) + Array.length pattern.(k)
   done;
   let r_col = Array.make r_ptr.(m) 0 in
   let fill = Array.sub r_ptr 0 m in
-  Array.iteri
-    (fun k pat ->
-      Array.iter
-        (fun u ->
-          let i = inv.(u) in
-          r_col.(fill.(i)) <- k;
-          fill.(i) <- fill.(i) + 1)
-        pat)
-    pattern;
-  let l_ptr, l_row = transpose ~n:m r_ptr r_col in
+  for k = 0 to m - 1 do
+    let pat = pattern.(k) in
+    for p = 0 to Array.length pat - 1 do
+      let i = inv.(pat.(p)) in
+      r_col.(fill.(i)) <- k;
+      fill.(i) <- fill.(i) + 1
+    done
+  done;
+  let l_row = Array.make l_ptr.(m) 0 in
+  let fill = Array.sub l_ptr 0 m in
+  for i = 0 to m - 1 do
+    for q = r_ptr.(i) to r_ptr.(i + 1) - 1 do
+      let k = r_col.(q) in
+      l_row.(fill.(k)) <- i;
+      fill.(k) <- fill.(k) + 1
+    done
+  done;
   let l_val = Array.make l_ptr.(m) 0.0 in
   (* Left-looking numeric factorization: column k is M's column k
      (rows >= k) minus the earlier columns with an entry in row k.
@@ -224,13 +253,17 @@ let cholesky ~modify ~cols a_ptr a_idx s_ptr s_idx sc_ptr sc_row =
   let lo = ref infinity and hi = ref 0.0 in
   for k = 0 to m - 1 do
     let r = perm.(k) in
-    for p = s_ptr.(r) to s_ptr.(r + 1) - 1 do
-      let j = Array.unsafe_get s_idx p in
-      for q = Array.unsafe_get sc_ptr j to Array.unsafe_get sc_ptr (j + 1) - 1
-      do
-        let i = Array.unsafe_get inv (Array.unsafe_get sc_row q) in
-        if i >= k then Array.unsafe_set x i (Array.unsafe_get x i +. 1.0)
-      done
+    let row = rows.(r) and kept = ref 0 in
+    for p = 0 to Array.length row - 1 do
+      let j = Array.unsafe_get row p in
+      if not (Array.unsafe_get skip j) then begin
+        incr kept;
+        for q = Array.unsafe_get c_ptr j to Array.unsafe_get c_ptr (j + 1) - 1
+        do
+          let i = Array.unsafe_get inv (Array.unsafe_get c_row q) in
+          if i >= k then Array.unsafe_set x i (Array.unsafe_get x i +. 1.0)
+        done
+      end
     done;
     for q = r_ptr.(k) to r_ptr.(k + 1) - 1 do
       let j = Array.unsafe_get r_col q in
@@ -246,7 +279,7 @@ let cholesky ~modify ~cols a_ptr a_idx s_ptr s_idx sc_ptr sc_row =
     done;
     let d = x.(k) in
     x.(k) <- 0.0;
-    let g_kk = float_of_int (s_ptr.(r + 1) - s_ptr.(r)) in
+    let g_kk = float_of_int !kept in
     let small = not (d > pivot_tol *. g_kk) in
     let d =
       if small && modify then begin
@@ -278,12 +311,23 @@ let cholesky ~modify ~cols a_ptr a_idx s_ptr s_idx sc_ptr sc_row =
       done
     end
   done;
-  let at_ptr, at_pos = positions_by_column ~cols a_ptr a_idx perm in
+  (* Aᵀ over elimination positions: each column lists its rows'
+     positions ascending, so it has A's column counts. *)
+  let at_pos = Array.make c_ptr.(cols) 0 in
+  let fill = Array.sub c_ptr 0 cols in
+  for k = 0 to m - 1 do
+    let row = rows.(perm.(k)) in
+    for p = 0 to Array.length row - 1 do
+      let j = row.(p) in
+      at_pos.(fill.(j)) <- k;
+      fill.(j) <- fill.(j) + 1
+    done
+  done;
   ( {
       m;
       n = cols;
       perm;
-      at_ptr;
+      at_ptr = c_ptr;
       at_pos;
       l_ptr;
       l_row;
@@ -398,74 +442,96 @@ let lu_solve q lu piv s =
     s.(i) <- !acc /. lu.((i * q) + i)
   done
 
+(* [forward] on a vector that is mostly +0.0, skipping a +0.0 entry: it
+   would subtract ±0.0 from the later entries, which leaves them as they
+   are.  No entry is ever −0.0 (the vectors start at +0.0 and positive
+   values, an exact cancellation gives +0.0 and [diag] is positive), so
+   the result is [forward]'s bit for bit. *)
+let forward_sparse t z =
+  let { m; l_ptr; l_row; l_val; diag; _ } = t in
+  for k = 0 to m - 1 do
+    let d = diag.(k) in
+    if d = 0.0 then z.(k) <- 0.0
+    else begin
+      let zk = z.(k) in
+      if zk <> 0.0 then begin
+        let zk = zk /. d in
+        z.(k) <- zk;
+        for p = l_ptr.(k) to l_ptr.(k + 1) - 1 do
+          let i = Array.unsafe_get l_row p in
+          Array.unsafe_set z i
+            (Array.unsafe_get z i -. (Array.unsafe_get l_val p *. zk))
+        done
+      end
+    end
+  done
+
 (* The split: factor [M = A_s·A_sᵀ] of the rows without their [dense]
    columns, with Andersen's modification on the rows that leaves
    dependent, and add the columns back as [G = M' + U·S·Uᵀ].  With
    [M' = L·Lᵀ] and [V = L⁻¹·U], Sherman-Morrison-Woodbury gives
    [G⁻¹ = L⁻ᵀ·(I − V·C⁻¹·Vᵀ)·L⁻¹] with the [q × q] core [C = S + Vᵀ·V].
    [None] when [G] is singular. *)
-let split ~cols a_ptr a_idx c_ptr c_row dense =
-  let m = Array.length a_ptr - 1 in
-  let s_ptr = Array.make (m + 1) 0 in
-  for i = 0 to m - 1 do
-    s_ptr.(i + 1) <- s_ptr.(i);
-    for p = a_ptr.(i) to a_ptr.(i + 1) - 1 do
-      if not dense.(a_idx.(p)) then s_ptr.(i + 1) <- s_ptr.(i + 1) + 1
-    done
+let split ~cols rows c_ptr c_row dense =
+  let t, modified = cholesky ~modify:true ~cols rows c_ptr c_row dense in
+  let d = ref 0 in
+  for j = 0 to cols - 1 do
+    if dense.(j) then incr d
   done;
-  let s_idx = Array.make s_ptr.(m) 0 and f = ref 0 in
-  Array.iter
-    (fun j ->
-      if not dense.(j) then begin
-        s_idx.(!f) <- j;
-        incr f
-      end)
-    a_idx;
-  let sc_ptr, sc_row = transpose ~n:cols s_ptr s_idx in
-  let t, modified =
-    cholesky ~modify:true ~cols a_ptr a_idx s_ptr s_idx sc_ptr sc_row
-  in
-  let hubs = List.filter (fun j -> dense.(j)) (List.init cols Fun.id) in
-  let d = List.length hubs in
+  let d = !d and n_modified = List.length modified in
   (* Leaving out d columns lowers the row rank by at most d: more
      modified pivots than that mean the full rows are dependent. *)
-  if List.length modified > d then None
+  if n_modified > d then None
   else begin
+    let m = t.m and q = d + n_modified in
     let inv = Array.make m 0 in
-    Array.iteri (fun k r -> inv.(r) <- k) t.perm;
-    (* U's columns over positions, as (nonzero positions, value). *)
-    let u =
-      List.map
-        (fun j ->
-          ( Array.init (c_ptr.(j + 1) - c_ptr.(j)) (fun p ->
-                inv.(c_row.(c_ptr.(j) + p))),
-            1.0 ))
-        hubs
-      @ List.map (fun (k, delta) -> ([| k |], sqrt delta)) modified
-    in
-    (* V = L⁻¹·U, one forward solve per column, keeping the nonzeros. *)
+    for k = 0 to m - 1 do
+      inv.(t.perm.(k)) <- k
+    done;
+    (* V = L⁻¹·U, one forward solve per column of U, keeping the
+       nonzeros.  U's first [d] columns are the dense columns over
+       positions, the others √δ at a modified pivot. *)
     let col = Array.make m 0.0 in
-    let v =
-      List.map
-        (fun (pos, x) ->
-          Array.iter (fun k -> col.(k) <- x) pos;
-          forward t col;
-          let nz =
-            Array.of_list
-              (List.filter (fun k -> col.(k) <> 0.0) (List.init m Fun.id))
-          in
-          let vals = Array.map (fun k -> col.(k)) nz in
-          Array.fill col 0 m 0.0;
-          (nz, vals))
-        u
+    let v_ptr = Array.make (q + 1) 0
+    and nz_pos = Array.make q [||]
+    and nz_val = Array.make q [||] in
+    let keep c =
+      forward_sparse t col;
+      let n = ref 0 in
+      for k = 0 to m - 1 do
+        if col.(k) <> 0.0 then incr n
+      done;
+      let pos = Array.make !n 0 and vals = Array.create_float !n in
+      let n = ref 0 in
+      for k = 0 to m - 1 do
+        if col.(k) <> 0.0 then begin
+          pos.(!n) <- k;
+          vals.(!n) <- col.(k);
+          incr n
+        end
+      done;
+      Array.fill col 0 m 0.0;
+      nz_pos.(c) <- pos;
+      nz_val.(c) <- vals;
+      v_ptr.(c + 1) <- v_ptr.(c) + !n
     in
-    let q = d + List.length modified in
-    let v_ptr = Array.make (q + 1) 0 in
+    let c = ref 0 in
+    for j = 0 to cols - 1 do
+      if dense.(j) then begin
+        for p = c_ptr.(j) to c_ptr.(j + 1) - 1 do
+          col.(inv.(c_row.(p))) <- 1.0
+        done;
+        keep !c;
+        incr c
+      end
+    done;
     List.iteri
-      (fun c (nz, _) -> v_ptr.(c + 1) <- v_ptr.(c) + Array.length nz)
-      v;
-    let v_pos = Array.concat (List.map fst v)
-    and v_val = Array.concat (List.map snd v) in
+      (fun i (k, delta) ->
+        col.(k) <- sqrt delta;
+        keep (d + i))
+      modified;
+    let v_pos = Array.concat (Array.to_list nz_pos)
+    and v_val = Array.concat (Array.to_list nz_val) in
     (* C = S + Vᵀ·V, each column against a dense copy of V's column. *)
     let core = Array.make (q * q) 0.0 in
     for c' = 0 to q - 1 do
@@ -491,35 +557,47 @@ let split ~cols a_ptr a_idx c_ptr c_row dense =
 let factor ~cols rows =
   Obs.Trace.with_span "sparse_chol.factor" @@ fun () ->
   let m = Array.length rows in
-  let a_ptr = Array.make (m + 1) 0 in
-  Array.iteri (fun i r -> a_ptr.(i + 1) <- a_ptr.(i) + Array.length r) rows;
-  let a_idx = Array.make a_ptr.(m) 0 in
-  Array.iteri
-    (fun i r ->
-      Array.iteri
-        (fun q j ->
-          if j < 0 || j >= cols then
-            invalid_arg "Sparse_chol.factor: variable index out of range";
-          a_idx.(a_ptr.(i) + q) <- j)
-        r)
-    rows;
-  let c_ptr, c_row = transpose ~n:cols a_ptr a_idx in
-  let dense =
-    Array.init cols (fun j -> is_dense ~m (c_ptr.(j + 1) - c_ptr.(j)))
-  in
+  (* A's columns: the rows holding each variable, ascending. *)
+  let c_ptr = Array.make (cols + 1) 0 in
+  for i = 0 to m - 1 do
+    let row = rows.(i) in
+    for p = 0 to Array.length row - 1 do
+      let j = row.(p) in
+      if j < 0 || j >= cols then
+        invalid_arg "Sparse_chol.factor: variable index out of range";
+      c_ptr.(j + 1) <- c_ptr.(j + 1) + 1
+    done
+  done;
+  let dense = Array.make cols false and any_dense = ref false in
+  for j = 0 to cols - 1 do
+    if is_dense ~m c_ptr.(j + 1) then begin
+      dense.(j) <- true;
+      any_dense := true
+    end;
+    c_ptr.(j + 1) <- c_ptr.(j + 1) + c_ptr.(j)
+  done;
+  let c_row = Array.make c_ptr.(cols) 0 in
+  let fill = Array.sub c_ptr 0 cols in
+  for i = 0 to m - 1 do
+    let row = rows.(i) in
+    for p = 0 to Array.length row - 1 do
+      let j = row.(p) in
+      c_row.(fill.(j)) <- i;
+      fill.(j) <- fill.(j) + 1
+    done
+  done;
   (* A singular G, or no dense column, leaves the correction empty:
      L factors G itself and drops its dependent rows. *)
   let split =
-    if Array.exists Fun.id dense then
-      split ~cols a_ptr a_idx c_ptr c_row dense
-    else None
+    if !any_dense then split ~cols rows c_ptr c_row dense else None
   in
   let t =
     match split with
     | Some t -> t
     | None ->
         fst
-          (cholesky ~modify:false ~cols a_ptr a_idx a_ptr a_idx c_ptr c_row)
+          (cholesky ~modify:false ~cols rows c_ptr c_row
+             (if !any_dense then Array.make cols false else dense))
   in
   let l_nnz = Array.length t.l_row + m and q = Array.length t.v_ptr - 1 in
   Obs.Metrics.incr c_factorizations;

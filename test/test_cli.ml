@@ -125,6 +125,20 @@ let not_a_count ~flag ~value args () =
         first
   | [] -> Alcotest.fail "empty stderr"
 
+(* A duration flag given [value]: a usage error whose first line names
+   the flag and asks for finite seconds, at least 0. *)
+let not_seconds ~flag ~value args () =
+  let code, lines = run (args @ [ flag ^ "=" ^ value ]) in
+  Alcotest.(check int) "exit status" 124 code;
+  match lines with
+  | first :: _ ->
+      Alcotest.(check string) "first stderr line"
+        (Printf.sprintf
+           "tomo_cli: option '%s': expected finite seconds >= 0, got %S"
+           flag value)
+        first
+  | [] -> Alcotest.fail "empty stderr"
+
 let bad_replay_cases =
   let case name text prefix =
     let file = write name text in
@@ -328,6 +342,18 @@ let usage_cases =
             ("-j", [ "fig3"; "--scale"; "small" ]);
             ("--jobs", [ "fig4a"; "--scale"; "small" ]);
           ]);
+    Alcotest.test_case "duration flags take finite seconds >= 0" `Quick
+      (fun () ->
+        List.iter
+          (fun (flag, args) ->
+            List.iter
+              (fun value -> not_seconds ~flag ~value args ())
+              [ "inf"; "-1"; "nan"; "-inf"; "ten" ])
+          [
+            ("--flush-every", serve_replay smoke);
+            ("--linger", serve_replay smoke);
+            ("--idle-timeout", [ "serve"; "--ingest"; tmp "in.sock" ]);
+          ]);
   ]
 
 let boundary_cases =
@@ -336,16 +362,33 @@ let boundary_cases =
         let code, lines = run (serve_replay smoke) in
         Alcotest.(check int) "exit status" 0 code;
         Alcotest.(check (list string)) "stderr" [] lines);
-    (* The metrics flusher refuses an infinite period with
-       Invalid_argument: a bug's exception, which the boundary leaves to
-       cmdliner. *)
+    (* No command line reaches a bug's exception, so the boundary itself
+       runs a command that raises Invalid_argument: it leaves it to
+       cmdliner, which reports an internal error.  A Failure from the
+       same command is bad input, one line and 123. *)
     Alcotest.test_case "Invalid_argument still exits 125" `Quick (fun () ->
-        let code, lines =
-          run (serve_replay smoke ~extra:[ "--flush-every"; "inf" ])
+        let eval exn =
+          let buf = Buffer.create 256 in
+          let err = Format.formatter_of_buffer buf in
+          let code =
+            Boundary.eval ~argv:[| "tomo_cli"; "raise" |] ~err
+              (Cmdliner.Cmd.info "tomo_cli")
+              [
+                ( Cmdliner.Cmd.info "raise",
+                  Cmdliner.Term.const (fun () -> raise exn) );
+              ]
+          in
+          Format.pp_print_flush err ();
+          (code, Buffer.contents buf)
         in
+        let code, text = eval (Invalid_argument "a bug") in
         Alcotest.(check int) "exit status" 125 code;
         Alcotest.(check bool) "reported as an internal error" true
-          (List.exists (fun l -> contains l "Invalid_argument") lines));
+          (contains text "Invalid_argument");
+        let code, text = eval (Failure "bad.trace: truncated") in
+        Alcotest.(check int) "Failure: exit status" 123 code;
+        Alcotest.(check string) "Failure: one line"
+          "tomo_cli: bad.trace: truncated\n" text);
   ]
 
 let () =

@@ -1111,6 +1111,11 @@ let bits_equal x y =
        (fun u v -> Int64.equal (Int64.bits_of_float u) (Int64.bits_of_float v))
        x y
 
+(* A factor's bytes: every field, each float by its bits, so equal bytes
+   mean the same order, pattern and values, -0.0 and nan included.
+   Polymorphic equality would take -0.0 for +0.0 and fail on any nan. *)
+let factor_bytes f = Marshal.to_string f [ Marshal.No_sharing ]
+
 (* Random incidence systems cut down to their greedy independent rows —
    the shape Algorithm 1 hands over. *)
 let independent_system rng ~n ~m =
@@ -1140,7 +1145,7 @@ let chol_properties_hold ~n rows b =
   && residual_inf ~rows ~b x <= 1e-9
   && !ntx <= 1e-9
   && Array.for_all2 (fun u v -> abs_float (u -. v) <= 1e-7) x cg
-  && f = f'
+  && factor_bytes f = factor_bytes f'
   && bits_equal x (Sparse_chol.solve f' b)
 
 let prop_chol_min_norm =
@@ -1281,6 +1286,134 @@ let test_chol_hub_duplicate_dropped () =
         (residual_inf ~rows ~b x <= 1e-9))
     [ (60, own); (20, random) ]
 
+(* ---- The factor against its reference, bit for bit ---------------- *)
+
+module Sparse_chol_ref = Tomo_oracles.Sparse_chol_ref
+
+(* The factor and a solve, each equal to the reference's to the bit.
+   The two factor records have one layout, so their bytes compare every
+   field: the order, L's pattern and values, the diagonal, the
+   correction (V, the core and its pivots), the dropped rows and the
+   pivot ratio. *)
+let chol_matches_reference ~cols rows b =
+  let f = Sparse_chol.factor ~cols rows
+  and g = Sparse_chol_ref.factor ~cols rows in
+  factor_bytes f = factor_bytes g
+  && bits_equal (Sparse_chol.solve f b) (Sparse_chol_ref.solve g b)
+
+(* Incidence systems of every shape the factor branches on: [h] hubs
+   (the last [h] variables, each in about half the rows) beside one to
+   four other variables per row, and among the rows copies of earlier
+   rows, twins that differ from an earlier row in one hub, rows of hubs
+   only and empty rows.  Left as drawn (odd seeds), rows are dropped and
+   the split falls back; cut down to their greedy independent rows (even
+   seeds), as Algorithm 1 hands them over, the split holds and modifies
+   the pivots of the rows that leaving the hubs out makes dependent.
+   Past 252 rows each adjacency and degree-bucket row takes more than
+   four words, and the scratch lands on the major heap. *)
+let mixed_system rng ~n ~m ~h =
+  let hubs () =
+    List.filter
+      (fun _ -> Rng.bool rng ~p:0.5)
+      (List.init h (fun k -> n - h + k))
+  in
+  let others () = List.init (1 + Rng.int rng 4) (fun _ -> Rng.int rng (n - h)) in
+  let rows = Array.make m [||] in
+  for i = 0 to m - 1 do
+    let row =
+      match Rng.int rng 20 with
+      | 0 when i > 0 -> Array.to_list rows.(Rng.int rng i)
+      | 1 when i > 0 && h > 0 ->
+          let flip = n - h + Rng.int rng h in
+          let r = Array.to_list rows.(Rng.int rng i) in
+          if List.mem flip r then List.filter (( <> ) flip) r else flip :: r
+      | 2 when h > 0 -> [ n - h + Rng.int rng h ]
+      | 3 -> []
+      | _ -> others () @ hubs ()
+    in
+    rows.(i) <- Array.of_list (List.sort_uniq compare row)
+  done;
+  rows
+
+let mixed_case (h, m, n, seed) =
+  let rng = Rng.create (seed + 46_000) in
+  let cols = n + h in
+  let rows = mixed_system rng ~n:cols ~m ~h in
+  let rows =
+    if seed mod 2 = 1 then rows
+    else
+      let keep = Sgauss.select_independent ~tol:1e-8 ~cols rows in
+      Array.of_list (List.filteri (fun i _ -> keep.(i)) (Array.to_list rows))
+  in
+  ( cols,
+    rows,
+    Array.map (fun _ -> Rng.uniform rng ~lo:(-4.) ~hi:0.) rows )
+
+let prop_chol_matches_reference =
+  QCheck.Test.make
+    ~name:"Sparse_chol ≡ reference factor (bits): hubs, dependent rows, m > 256"
+    ~count:300
+    QCheck.(
+      quad (int_range 0 4) (Qgen.int_range 1 420) (Qgen.int_range 1 480)
+        (int_range 0 10_000))
+    (fun case ->
+      let cols, rows, b = mixed_case case in
+      chol_matches_reference ~cols rows b)
+
+(* The serve workloads' own shapes: each recorded selection splits out
+   its hubs and modifies pivots, and [steady]'s and [sparse]'s run past
+   four words a row. *)
+let test_chol_recorded_selections () =
+  List.iter
+    (fun (name, (cols, text)) ->
+      let rows =
+        String.split_on_char '\n' (String.trim text)
+        |> List.map (fun line ->
+               String.split_on_char ' ' line
+               |> List.filter (( <> ) "")
+               |> List.map int_of_string |> Array.of_list)
+        |> Array.of_list
+      in
+      let rng = Rng.create 47_000 in
+      let b = Array.map (fun _ -> Rng.uniform rng ~lo:(-4.) ~hi:0.) rows in
+      check_bool (name ^ ": factor ≡ reference") true
+        (chol_matches_reference ~cols rows b);
+      check_bool (name ^ ": hubs split out") true
+        (Sparse_chol.dense_cols (Sparse_chol.factor ~cols rows) > 0))
+    Chol_selections.
+      [ ("churn", churn); ("steady", steady); ("sparse", sparse) ]
+
+(* The mixed systems reach every branch the property means to cover: a
+   property that never split, modified a pivot, fell back or ran past
+   four words a row would prove nothing about those paths. *)
+let test_chol_reference_census () =
+  let modified = Tomo_obs.Metrics.counter "sparse_chol_modified_pivots" in
+  let was = Tomo_obs.Metrics.enabled () in
+  Tomo_obs.Metrics.set_enabled true;
+  let before = Tomo_obs.Metrics.counter_value modified in
+  let split = ref 0 and fallback = ref 0 and dropped = ref 0 and wide = ref 0 in
+  for seed = 0 to 59 do
+    let case = (seed mod 5, 1 + (seed * 7 mod 420), 1 + (seed * 13 mod 480), seed) in
+    let cols, rows, b = mixed_case case in
+    check_bool "factor ≡ reference" true (chol_matches_reference ~cols rows b);
+    let f = Sparse_chol.factor ~cols rows in
+    let m = Array.length rows in
+    let counts = Array.make cols 0 in
+    Array.iter (Array.iter (fun j -> counts.(j) <- counts.(j) + 1)) rows;
+    let has_hub = Array.exists (fun c -> c * c >= 4 * m) counts in
+    if Sparse_chol.dense_cols f > 0 then incr split
+    else if has_hub then incr fallback;
+    if Sparse_chol.dropped f > 0 then incr dropped;
+    if m > 252 then incr wide
+  done;
+  let mods = Tomo_obs.Metrics.counter_value modified - before in
+  Tomo_obs.Metrics.set_enabled was;
+  check_bool "some systems split" true (!split > 0);
+  check_bool "some splits fall back" true (!fallback > 0);
+  check_bool "some rows dropped" true (!dropped > 0);
+  check_bool "some systems wider than four words a row" true (!wide > 0);
+  check_bool "modified pivots occur" true (mods > 0)
+
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "linalg"
@@ -1391,6 +1524,11 @@ let () =
           Alcotest.test_case "hub census" `Quick test_chol_hub_census;
           Alcotest.test_case "duplicated hub row dropped" `Quick
             test_chol_hub_duplicate_dropped;
+          qc prop_chol_matches_reference;
+          Alcotest.test_case "reference census" `Quick
+            test_chol_reference_census;
+          Alcotest.test_case "recorded serve selections ≡ reference (bits)"
+            `Quick test_chol_recorded_selections;
         ] );
       ( "witness",
         [
