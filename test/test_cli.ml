@@ -362,7 +362,7 @@ let boundary_cases =
         let code, lines = run (serve_replay smoke) in
         Alcotest.(check int) "exit status" 0 code;
         Alcotest.(check (list string)) "stderr" [] lines);
-    (* No command line reaches a bug's exception, so the boundary itself
+    (* No known command line reaches a bug's exception, so the boundary
        runs a command that raises Invalid_argument: it leaves it to
        cmdliner, which reports an internal error.  A Failure from the
        same command is bad input, one line and 123. *)
