@@ -86,16 +86,30 @@ let popcount x =
    restarts there, not at 0. *)
 let min_degree m w ~word ~mask adj =
   let bits = Bitset.word_bits in
-  let deg = Array.make m 0
-  and bucket = Array.make (m * w) 0
-  and in_bucket = Array.make m 0 in
+  let deg = Array.make m 0 and in_bucket = Array.make m 0 in
+  let top = ref 0 in
   for i = 0 to m - 1 do
     let d = ref 0 in
     for q = 0 to w - 1 do
       d := !d + popcount adj.((i * w) + q)
     done;
-    let d = !d in
-    deg.(i) <- d;
+    deg.(i) <- !d;
+    top := max !top !d
+  done;
+  (* Bucket rows exist up to the largest degree reached so far, [rows]
+     of them, and double (up to [m]) when an update passes them. *)
+  let rows = ref (!top + 1) in
+  let buckets = ref (Array.make (!rows * w) 0) in
+  let grow d =
+    let n = min m (max (d + 1) (2 * !rows)) in
+    let b = Array.make (n * w) 0 in
+    Array.blit !buckets 0 b 0 (!rows * w);
+    buckets := b;
+    rows := n
+  in
+  let bucket = !buckets in
+  for i = 0 to m - 1 do
+    let d = deg.(i) in
     let c = (d * w) + word.(i) in
     bucket.(c) <- bucket.(c) lor mask.(i);
     in_bucket.(d) <- in_bucket.(d) + 1
@@ -109,6 +123,7 @@ let min_degree m w ~word ~mask adj =
     while in_bucket.(!lowest) = 0 do
       incr lowest
     done;
+    let bucket = !buckets in
     let b0 = !lowest * w in
     let q = ref 0 in
     while bucket.(b0 + !q) = 0 do
@@ -158,6 +173,8 @@ let min_degree m w ~word ~mask adj =
       adj.(cv) <- adj.(cv) land lnot mask.(v);
       let c = !c in
       if c <> du then begin
+        if c >= !rows then grow c;
+        let bucket = !buckets in
         let o = (du * w) + word.(u) and n = (c * w) + word.(u) in
         bucket.(o) <- bucket.(o) land lnot mask.(u);
         in_bucket.(du) <- in_bucket.(du) - 1;

@@ -89,6 +89,7 @@ type t = {
   mutable n_reselects : int;
   mutable n_cache_hits : int;
   mutable last : last_estimate option;  (* None before the first *)
+  fingerprint : int64 Lazy.t;  (* the model's, for snapshots *)
 }
 
 type estimate = {
@@ -109,6 +110,7 @@ let of_window model window =
     n_reselects = 0;
     n_cache_hits = 0;
     last = None;
+    fingerprint = lazy (Snapshot.model_fingerprint model);
   }
 
 let create ~model ~window () =
@@ -119,7 +121,8 @@ let create ~model ~window () =
 let window t = t.window
 let ticks t = Window.ticks t.window
 
-let snapshot t = Snapshot.capture t.window
+let snapshot t =
+  { (Snapshot.capture t.window) with model = Some (Lazy.force t.fingerprint) }
 
 let save_snapshot t path =
   Obs.Trace.with_span ~histogram:h_stage_snapshot "stream.snapshot"
@@ -130,6 +133,16 @@ let of_snapshot ~model snap =
     failwith
       (Printf.sprintf "snapshot has %d paths, model has %d"
          snap.Snapshot.n_paths model.Tomo.Model.n_paths);
+  Option.iter
+    (fun fp ->
+      let expected = Snapshot.model_fingerprint model in
+      if fp <> expected then
+        failwith
+          (Printf.sprintf
+             "snapshot is of another model (model fnv1a64 %016Lx, this \
+              model's %016Lx)"
+             fp expected))
+    snap.Snapshot.model;
   of_window model (Snapshot.window_of snap)
 
 let masks_of t selection =

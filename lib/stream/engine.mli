@@ -120,7 +120,9 @@ val row_masks : t -> row_masks option
     warming up. *)
 val current : t -> estimate option
 
-(** [snapshot t] captures resumable state; see {!Snapshot}. *)
+(** [snapshot t] captures resumable state, with the model's
+    fingerprint (computed by [t]'s first snapshot, then kept); see
+    {!Snapshot}. *)
 val snapshot : t -> Snapshot.t
 
 (** [save_snapshot t path] captures [t] and saves it atomically to
@@ -132,7 +134,8 @@ val save_snapshot : t -> string -> unit
     starts with an empty selection cache (a snapshot holds the window
     alone), so its first selection is Algorithm 1's.
     @raise Failure if the snapshot's path count does not match the
-    model: a snapshot saved for another model is bad input. *)
+    model, or it records a model fingerprint other than [model]'s: a
+    snapshot saved for another model is bad input. *)
 val of_snapshot : model:Tomo.Model.t -> Snapshot.t -> t
 
 (** [run ?snapshot_out ?snapshot_every ?max_ticks t source ~on_tick]

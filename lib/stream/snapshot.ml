@@ -9,6 +9,7 @@ type t = {
   capacity : int;
   ticks : int;
   columns : Bitset.t array;  (* the filled slots, in slot order *)
+  model : int64 option;
 }
 
 let capture window =
@@ -19,6 +20,7 @@ let capture window =
     columns =
       Array.init (Window.occupancy window) (fun slot ->
           Bitset.copy (Window.column window ~slot));
+    model = None;
   }
 
 let window_of t =
@@ -42,12 +44,27 @@ let fnv1a64 s =
     s;
   !h
 
+let model_fingerprint (m : Tomo.Model.t) =
+  let buf = Buffer.create 4096 in
+  Printf.bprintf buf "links %d paths %d\n" m.n_links m.n_paths;
+  let line tag iter =
+    Buffer.add_string buf tag;
+    iter (fun l -> Printf.bprintf buf " %d" l);
+    Buffer.add_char buf '\n'
+  in
+  Array.iter (fun p -> line "path" (fun f -> Bitset.iter f p)) m.path_links;
+  Array.iter (fun c -> line "set" (fun f -> Array.iter f c)) m.corr_sets;
+  fnv1a64 (Buffer.contents buf)
+
 let payload t =
   let buf = Buffer.create (64 + (Array.length t.columns * (t.n_paths + 16))) in
   Buffer.add_string buf "tomo-snapshot v1\n";
   Buffer.add_string buf
     (Printf.sprintf "paths %d capacity %d ticks %d\n" t.n_paths t.capacity
        t.ticks);
+  Option.iter
+    (fun fp -> Printf.bprintf buf "model fnv1a64 %016Lx\n" fp)
+    t.model;
   Array.iteri
     (fun slot col ->
       let bits = Bytes.make t.n_paths '0' in
@@ -124,6 +141,17 @@ let of_string ?(filename = "<string>") s =
       if capacity > Window.max_capacity then
         corrupt ~filename "capacity %d above the largest window (%d)" capacity
           Window.max_capacity;
+      let model, cols =
+        match cols with
+        | line :: rest when String.starts_with ~prefix:"model " line -> (
+            match words line with
+            | [ "model"; "fnv1a64"; hex ] when String.length hex = 16 -> (
+                match Int64.of_string_opt ("0x" ^ hex) with
+                | Some fp -> (Some fp, rest)
+                | None -> corrupt ~filename "bad model line %S" line)
+            | _ -> corrupt ~filename "bad model line %S" line)
+        | _ -> (None, cols)
+      in
       let filled = min ticks capacity in
       let columns = Array.make filled (Bitset.create 1) in
       let seen = Array.make filled false in
@@ -154,7 +182,7 @@ let of_string ?(filename = "<string>") s =
         cols;
       if not (Array.for_all Fun.id seen) then
         corrupt ~filename "truncated snapshot: expected %d columns" filled;
-      { n_paths; capacity; ticks; columns }
+      { n_paths; capacity; ticks; columns; model }
   | first :: _ -> corrupt ~filename "unknown snapshot format: %S" first
   | [] -> corrupt ~filename "empty snapshot"
 

@@ -14,9 +14,14 @@
     {v
     tomo-snapshot v1
     paths <n> capacity <w> ticks <k>
+    model fnv1a64 <16 hex digits>    (the model fingerprint, if recorded)
     col <slot> <status-string>       (one per filled slot)
     checksum fnv1a64 <16 hex digits>
     v}
+
+    A file without the [model] line (one written before snapshots
+    recorded it) still loads, and restores onto any model with its path
+    count.
 
     {!save} writes to a temp file and renames, so a crash mid-save never
     corrupts the previous snapshot; {!load} rejects torn, truncated or
@@ -27,11 +32,21 @@ type t = {
   capacity : int;
   ticks : int;
   columns : Tomo_util.Bitset.t array;
+  model : int64 option;
+      (** {!model_fingerprint} of the model the window was measured on;
+          [None] when not recorded *)
 }
 
 (** [capture window] copies the window state out (the live window may
-    keep mutating afterwards). *)
+    keep mutating afterwards).  A bare window knows no model, so
+    [model = None]; {!Engine.snapshot} records its model's. *)
 val capture : Window.t -> t
+
+(** [model_fingerprint m] is the FNV-1a 64 hash, as the checksum's, of a
+    text rendering of [m]'s link and path counts, each path's links
+    (ascending) and each correlation set's links: two models that differ
+    in any of them differ in it but for a hash collision. *)
+val model_fingerprint : Tomo.Model.t -> int64
 
 (** [window_of t] rebuilds a live window. *)
 val window_of : t -> Window.t

@@ -109,15 +109,51 @@ let border_pair inet a b =
     let rb, ra = Hashtbl.find inet.borders (b, a) in
     (ra, rb)
 
+module Int_tbl = Hashtbl.Make (Int)
+
+(* One generation's [Overlay.Builder] and its links by integer key, so
+   a route that re-traverses a link costs one lookup, and the string key
+   [Overlay.Builder.link] takes is formatted only for a new link. *)
+type gen = {
+  b : Overlay.Builder.b;
+  inet : internet;
+  rng : Rng.t;
+  intra : int Int_tbl.t;  (* (AS, from router, to router) → link *)
+  inter : int Int_tbl.t;  (* (from AS, to AS) → link *)
+  stride : int;  (* above every router id *)
+}
+
+let gen b inet rng =
+  {
+    b;
+    inet;
+    rng;
+    intra = Int_tbl.create 1024;
+    inter = Int_tbl.create 1024;
+    stride =
+      Array.fold_left (fun m g -> max m (Graph.n_nodes g)) 1 inet.internals;
+  }
+
+(* [tbl]'s link under [k], registered by [create] when new. *)
+let memo tbl k create =
+  match Int_tbl.find tbl k with
+  | id -> id
+  | exception Not_found ->
+      let id = create () in
+      Int_tbl.add tbl k id;
+      id
+
 (* Intra-domain AS-level link from router [u] to router [v] of AS [a]:
    factors are the router-level edges of the internal shortest path, which
    intra links of the same AS share. *)
-let intra_link b inet rng ~as_id ~from_r ~to_r =
+let intra_link g ~as_id ~from_r ~to_r =
+  memo g.intra ((((as_id * g.stride) + from_r) * g.stride) + to_r)
+  @@ fun () ->
   let key = Printf.sprintf "intra:%d:%d->%d" as_id from_r to_r in
-  Overlay.Builder.link b ~owner:as_id ~key ~kind:Overlay.Intra
+  Overlay.Builder.link g.b ~owner:as_id ~key ~kind:Overlay.Intra
     ~factors:(fun () ->
       match
-        Graph.shortest_path ~rng inet.internals.(as_id) ~src:from_r
+        Graph.shortest_path ~rng:g.rng g.inet.internals.(as_id) ~src:from_r
           ~dst:to_r
       with
       | None | Some [ _ ] ->
@@ -126,26 +162,28 @@ let intra_link b inet rng ~as_id ~from_r ~to_r =
           let rec edges = function
             | x :: (y :: _ as rest) ->
                 let lo = min x y and hi = max x y in
-                Overlay.Builder.factor b ~owner:as_id
+                Overlay.Builder.factor g.b ~owner:as_id
                   ~key:(Printf.sprintf "redge:%d-%d" lo hi)
                 :: edges rest
             | _ -> []
           in
           Array.of_list (edges nodes))
 
-let inter_link b ~from_as ~to_as =
+let inter_link g ~from_as ~to_as =
+  memo g.inter ((from_as * Graph.n_nodes g.inet.as_graph) + to_as)
+  @@ fun () ->
   let key = Printf.sprintf "inter:%d->%d" from_as to_as in
   (* Owned by the downstream AS; one private factor per direction so that
      correlation sets never straddle AS boundaries. *)
-  Overlay.Builder.link b ~owner:to_as ~key ~kind:Overlay.Inter
+  Overlay.Builder.link g.b ~owner:to_as ~key ~kind:Overlay.Inter
     ~factors:(fun () ->
-      [| Overlay.Builder.factor b ~owner:to_as ~key:("x" ^ key) |])
+      [| Overlay.Builder.factor g.b ~owner:to_as ~key:("x" ^ key) |])
 
 (* An AS-level route (node list from the vantage AS) as AS-level link
-   ids registered in [b]: an inter-domain link per AS hop, and an
+   ids registered in [g.b]: an inter-domain link per AS hop, and an
    intra-domain link wherever the route moves between routers of one AS.
    [None] when the route degenerates (one AS, vantage = destination). *)
-let expand_route b inet rng ~vantage_router ~dest_router ~as_route =
+let expand_route g ~vantage_router ~dest_router ~as_route =
   match as_route with
   | [] -> None
   | [ only_as ] ->
@@ -153,7 +191,7 @@ let expand_route b inet rng ~vantage_router ~dest_router ~as_route =
       else
         Some
           [|
-            intra_link b inet rng ~as_id:only_as ~from_r:vantage_router
+            intra_link g ~as_id:only_as ~from_r:vantage_router
               ~to_r:dest_router;
           |]
   | first :: _ ->
@@ -161,19 +199,16 @@ let expand_route b inet rng ~vantage_router ~dest_router ~as_route =
       let cur = ref vantage_router in
       let rec walk = function
         | a :: (next :: _ as rest) ->
-            let exit_r, entry_r = border_pair inet a next in
+            let exit_r, entry_r = border_pair g.inet a next in
             if !cur <> exit_r then
-              acc :=
-                intra_link b inet rng ~as_id:a ~from_r:!cur ~to_r:exit_r
-                :: !acc;
-            acc := inter_link b ~from_as:a ~to_as:next :: !acc;
+              acc := intra_link g ~as_id:a ~from_r:!cur ~to_r:exit_r :: !acc;
+            acc := inter_link g ~from_as:a ~to_as:next :: !acc;
             cur := entry_r;
             walk rest
         | [ last ] ->
             if !cur <> dest_router then
               acc :=
-                intra_link b inet rng ~as_id:last ~from_r:!cur
-                  ~to_r:dest_router
+                intra_link g ~as_id:last ~from_r:!cur ~to_r:dest_router
                 :: !acc
         | [] -> ()
       in
@@ -195,6 +230,7 @@ let generate ~span ~seed ~n_ases ~attach ~extra_edge_frac ~routers_lo
   in
   let source_as = hub_as inet in
   let b = Overlay.Builder.create ~n_ases ~source_as in
+  let g = gen b inet path_rng in
   let n_src_routers = Graph.n_nodes inet.internals.(source_as) in
   let vantages =
     Array.init (min n_vantages n_src_routers) (fun _ ->
@@ -226,10 +262,7 @@ let generate ~span ~seed ~n_ases ~attach ~extra_edge_frac ~routers_lo
             | Some r when Rng.bool path_rng ~p:border_attach_frac -> r
             | _ -> Rng.int path_rng (Graph.n_nodes inet.internals.(dest_as))
           in
-          match
-            expand_route b inet path_rng ~vantage_router ~dest_router
-              ~as_route
-          with
+          match expand_route g ~vantage_router ~dest_router ~as_route with
           | None -> ()
           | Some links -> (
               match Overlay.Builder.add_path b links with

@@ -102,12 +102,12 @@ module Builder = struct
     b_n_ases : int;
     b_source_as : int;
     factor_ids : (int * string, int) Hashtbl.t;
-    mutable factor_owners : int list;  (* reversed *)
+    mutable factor_owners : int array;  (* the first [b_n_factors] used *)
     mutable b_n_factors : int;
     link_ids : (int * string, int) Hashtbl.t;
     mutable proto_links : proto_link list;  (* reversed *)
     mutable b_n_links : int;
-    path_sigs : (string, unit) Hashtbl.t;
+    path_sigs : (int array, unit) Hashtbl.t;
     mutable b_paths : int array list;  (* reversed *)
     mutable b_n_paths : int;
   }
@@ -120,7 +120,7 @@ module Builder = struct
       b_n_ases = n_ases;
       b_source_as = source_as;
       factor_ids = Hashtbl.create 1024;
-      factor_owners = [];
+      factor_owners = [||];
       b_n_factors = 0;
       link_ids = Hashtbl.create 1024;
       proto_links = [];
@@ -136,7 +136,12 @@ module Builder = struct
     | None ->
         let id = b.b_n_factors in
         Hashtbl.add b.factor_ids (owner, key) id;
-        b.factor_owners <- owner :: b.factor_owners;
+        if id = Array.length b.factor_owners then begin
+          let a = Array.make (max 64 (2 * id)) 0 in
+          Array.blit b.factor_owners 0 a 0 id;
+          b.factor_owners <- a
+        end;
+        b.factor_owners.(id) <- owner;
         b.b_n_factors <- id + 1;
         id
 
@@ -147,12 +152,11 @@ module Builder = struct
         let fs = factors () in
         if Array.length fs = 0 then
           invalid_arg "Builder.link: link needs at least one factor";
-        let owners = Array.of_list (List.rev b.factor_owners) in
         Array.iter
           (fun f ->
             if f < 0 || f >= b.b_n_factors then
               invalid_arg "Builder.link: unknown factor";
-            if owners.(f) <> owner then
+            if b.factor_owners.(f) <> owner then
               invalid_arg "Builder.link: factor owned by a different AS")
           fs;
         let id = b.b_n_links in
@@ -165,12 +169,9 @@ module Builder = struct
 
   let add_path b links =
     if Array.length links = 0 then invalid_arg "Builder.add_path: empty";
-    let sig_ =
-      String.concat "," (Array.to_list (Array.map string_of_int links))
-    in
-    if Hashtbl.mem b.path_sigs sig_ then None
+    if Hashtbl.mem b.path_sigs links then None
     else begin
-      Hashtbl.add b.path_sigs sig_ ();
+      Hashtbl.add b.path_sigs links ();
       let id = b.b_n_paths in
       b.b_paths <- links :: b.b_paths;
       b.b_n_paths <- id + 1;
@@ -196,13 +197,12 @@ module Builder = struct
       proto;
     let kept = Array.of_list (List.rev !kept) in
     (* Compact factors of surviving links. *)
-    let old_factor_owner = Array.of_list (List.rev b.factor_owners) in
     let new_factor_id = Array.make b.b_n_factors (-1) in
     let factor_owner_rev = ref [] and n_factors = ref 0 in
     let remap_factor f =
       if new_factor_id.(f) < 0 then begin
         new_factor_id.(f) <- !n_factors;
-        factor_owner_rev := old_factor_owner.(f) :: !factor_owner_rev;
+        factor_owner_rev := b.factor_owners.(f) :: !factor_owner_rev;
         incr n_factors
       end;
       new_factor_id.(f)

@@ -53,14 +53,16 @@ let bool t ~p =
   else if p >= 1. then true
   else Random.State.float t.state 1.0 < p
 
-
-let shuffle t a =
-  for i = Array.length a - 1 downto 1 do
+let shuffle_prefix t a n =
+  if n < 0 || n > Array.length a then invalid_arg "Rng.shuffle_prefix";
+  for i = n - 1 downto 1 do
     let j = Random.State.int t.state (i + 1) in
     let tmp = a.(i) in
     a.(i) <- a.(j);
     a.(j) <- tmp
   done
+
+let shuffle t a = shuffle_prefix t a (Array.length a)
 
 let choose t a =
   if Array.length a = 0 then invalid_arg "Rng.choose: empty array";

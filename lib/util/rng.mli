@@ -47,6 +47,12 @@ val bool : t -> p:float -> bool
 (** [shuffle t a] permutes [a] in place, uniformly. *)
 val shuffle : t -> 'a array -> unit
 
+(** [shuffle_prefix t a n] permutes [a.(0 .. n-1)] in place with the
+    draws [shuffle] makes on an array of length [n], leaving the rest of
+    [a] alone: shuffling a prefix of a reused buffer is shuffling a copy
+    of that prefix.  @raise Invalid_argument unless [0 <= n <= length a]. *)
+val shuffle_prefix : t -> 'a array -> int -> unit
+
 (** [choose t a] is a uniformly chosen element of [a].
     @raise Invalid_argument on an empty array. *)
 val choose : t -> 'a array -> 'a

@@ -159,7 +159,7 @@ let bad_replay_cases =
          (serve_replay (tmp "nope.trace")));
   ]
 
-(* A snapshot of the smoke trace's first 45 ticks, then three bad
+(* A snapshot of the smoke trace's first 45 ticks, then four bad
    restores from it. *)
 let snapshot_cases =
   let snap = tmp "smoke.snap" in
@@ -193,6 +193,16 @@ let snapshot_cases =
             "serve"; "--scale"; "medium"; "--seed"; "7"; "--replay"; smoke;
             "--snapshot-in"; snap;
           ]
+          ());
+    (* Small Sparse has 150 paths too: only the fingerprint tells the
+       models apart. *)
+    Alcotest.test_case "snapshot of another model, same path count" `Quick
+      (fun () ->
+        ignore (saved ());
+        bad_input
+          ~prefix:(snap ^ ": snapshot is of another model (model fnv1a64 ")
+          (serve_replay smoke
+             ~extra:[ "--topology"; "sparse"; "--snapshot-in"; snap ])
           ());
   ]
 

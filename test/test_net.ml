@@ -700,6 +700,7 @@ let test_huge_counts () =
         capacity;
         ticks = 1;
         columns = [| robust_columns.(0) |];
+        model = None;
       }
   in
   List.iter
@@ -740,6 +741,7 @@ let test_wrong_model_snapshot () =
         capacity = 4;
         ticks = 1;
         columns = [| Bitset.create (n_paths + 1) |];
+        model = None;
       }
   in
   (match Engine.of_snapshot ~model:robust_model other with

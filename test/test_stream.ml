@@ -770,6 +770,42 @@ let test_snapshot_corruption () =
   check_failure_containing "empty" "corrupted snapshot" (fun () ->
       Snapshot.of_string "")
 
+(* A snapshot names its model by fingerprint: restoring it onto another
+   model with the same path count fails, and the same window without
+   the [model] line (a file written before snapshots recorded it)
+   restores onto either. *)
+let test_snapshot_model_identity () =
+  let model = Tomo.Toy.case1 () in
+  let n_paths = model.Tomo.Model.n_paths in
+  let paths = Array.init n_paths (fun p -> [| p |]) in
+  let other =
+    Tomo.Model.make ~n_links:n_paths ~paths
+      ~corr_sets:(Array.init n_paths (fun l -> [| l |]))
+  in
+  let e = Engine.create ~model ~window:3 () in
+  let rng = Rng.create 9 in
+  for _ = 1 to 5 do
+    ignore (Engine.ingest e (random_column rng n_paths))
+  done;
+  let text = Snapshot.to_string (Engine.snapshot e) in
+  check_bool "model line" true
+    (contains ~needle:"\nmodel fnv1a64 " text);
+  let snap = Snapshot.of_string text in
+  check_bool "fingerprint read back" true
+    (snap.Snapshot.model = Some (Snapshot.model_fingerprint model));
+  check_bool "models told apart" true
+    (Snapshot.model_fingerprint model <> Snapshot.model_fingerprint other);
+  ignore (Engine.of_snapshot ~model snap);
+  check_failure_containing "another model" "snapshot is of another model"
+    (fun () -> Engine.of_snapshot ~model:other snap);
+  let bare =
+    Snapshot.of_string (Snapshot.to_string { snap with Snapshot.model = None })
+  in
+  check_bool "no model line" false
+    (contains ~needle:"model" (Snapshot.to_string bare));
+  ignore (Engine.of_snapshot ~model bare);
+  ignore (Engine.of_snapshot ~model:other bare)
+
 (* ------------------------------------------------------------------ *)
 (* Replay sources: diagnostics and fast-forward                        *)
 (* ------------------------------------------------------------------ *)
@@ -1107,6 +1143,8 @@ let () =
             test_snapshot_corruption;
           Alcotest.test_case "restore after a cache hit" `Quick
             test_restore_after_hit;
+          Alcotest.test_case "model identity" `Quick
+            test_snapshot_model_identity;
         ] );
       ( "source",
         [

@@ -2,6 +2,8 @@
    topology generators. *)
 
 module Graph = Tomo_topology.Graph
+module Graph_ref = Tomo_oracles.Graph_ref
+module Workload = Tomo_experiments.Workload
 module Overlay = Tomo_topology.Overlay
 module Gen_common = Tomo_topology.Gen_common
 module Brite = Tomo_topology.Brite
@@ -81,6 +83,56 @@ let prop_shortest_path_valid =
           List.hd nodes = src
           && List.hd (List.rev nodes) = dst
           && consecutive nodes)
+
+(* The same [add_edge] sequence into the graph and its list-based
+   reference, in rounds, with searches between them: every query must
+   agree, and [shortest_path ~rng] must make the same draws, which one
+   further draw from each generator shows.  Searches on a grown graph
+   reuse the search arrays of earlier ones. *)
+let prop_graph_matches_reference =
+  QCheck.Test.make ~name:"graph equals its list-based reference, draws included"
+    ~count:200 (QCheck.int_range 0 100_000) (fun seed ->
+      let rng = Rng.create seed in
+      let n = 1 + Rng.int rng 24 in
+      let g = Graph.create n and r = Graph_ref.create n in
+      let search_seed = Rng.int rng 1_000_000 in
+      let rng_g = Rng.create search_seed and rng_r = Rng.create search_seed in
+      let nodes = List.init n Fun.id in
+      let same_queries () =
+        Graph.edges g = Graph_ref.edges r
+        && Graph.n_edges g = Graph_ref.n_edges r
+        && Graph.connected g = Graph_ref.connected r
+        && List.for_all
+             (fun u ->
+               Graph.neighbors g u = Graph_ref.neighbors r u
+               && Graph.degree g u = Graph_ref.degree r u
+               && List.for_all
+                    (fun v -> Graph.has_edge g u v = Graph_ref.has_edge r u v)
+                    nodes)
+             nodes
+      in
+      let same_searches () =
+        List.for_all
+          (fun _ ->
+            let src = Rng.int rng n and dst = Rng.int rng n in
+            Graph.shortest_path ~rng:rng_g g ~src ~dst
+            = Graph_ref.shortest_path ~rng:rng_r r ~src ~dst
+            && Graph.shortest_path g ~src ~dst
+               = Graph_ref.shortest_path r ~src ~dst)
+          [ 1; 2; 3; 4; 5 ]
+        && Rng.int rng_g 1_000_000 = Rng.int rng_r 1_000_000
+      in
+      List.for_all
+        (fun _ ->
+          for _ = 1 to Rng.int rng (2 * n) do
+            let u = Rng.int rng n and v = Rng.int rng n in
+            if u <> v && not (Graph_ref.has_edge r u v) then begin
+              Graph.add_edge g u v;
+              Graph_ref.add_edge r u v
+            end
+          done;
+          same_queries () && same_searches ())
+        [ 1; 2; 3 ])
 
 (* ------------------------------------------------------------------ *)
 (* Overlay builder                                                     *)
@@ -339,6 +391,52 @@ let prop_internet_connected =
       Graph.connected inet.Gen_common.as_graph
       && Array.for_all Graph.connected inet.Gen_common.internals)
 
+(* MD5 of each overlay's [Marshal] bytes (with [No_sharing]) as the
+   generator made them over list-based graphs, string link keys and
+   decimal path signatures: the array-based generator must reproduce
+   every overlay byte for byte, ids and draws included. *)
+let recorded_overlays =
+  Workload.
+    [
+      (Small, Brite, 1, "6c03cc4a854c6a9d5ed38ed9e64bef7f");
+      (Small, Brite, 2, "84d02feb295d867c99df720c24346284");
+      (Small, Brite, 3, "3683f61fcf442debe562595961a9ca8c");
+      (Small, Brite, 4, "202b370095e90e192ac06aed23912322");
+      (Small, Brite, 5, "060b152923c32128e4e0115318ea1b0e");
+      (Small, Sparse, 1, "bfe49a2dcdd81cfc993fb1f118f27315");
+      (Small, Sparse, 2, "4815fad78b6fb8a482d6a538573e2f6b");
+      (Small, Sparse, 3, "43123ead62c687a7c2eb4e778380ff9b");
+      (Small, Sparse, 4, "0d9764e3e25c814b6ad585e82dffa5f0");
+      (Small, Sparse, 5, "6dc5560f8fe3603cc646349b26a3807a");
+      (Medium, Brite, 1, "11edb44410a472ad36bc8e0826b18c5f");
+      (Medium, Brite, 2, "37c859022348e3f03bf1a7fc3a04345e");
+      (Medium, Brite, 3, "a281226c4980aff553659e0a47331e15");
+      (Medium, Brite, 4, "201d5a194ab56f407e0871d636ca9ecf");
+      (Medium, Brite, 5, "4a19f29f5a8b2e9d03cd81a5afe75648");
+      (Medium, Sparse, 1, "c4fa15c27e97beb9d355710d46833677");
+      (Medium, Sparse, 2, "276d4e1086799306f513929480997001");
+      (Medium, Sparse, 3, "8fe81c52337e4d10cddef09c85ee4380");
+      (Medium, Sparse, 4, "b15cb630598a027eb6598babe4ff0f3b");
+      (Medium, Sparse, 5, "e9336236d8ec7e3e929a2e146a056645");
+      (Paper, Brite, 7, "d571ef069afcc60fe7c7f660f92677da");
+      (Paper, Sparse, 7, "2e30e21c06b38dda3dca278d0e560d8d");
+    ]
+
+let test_recorded_overlays () =
+  List.iter
+    (fun (scale, topology, seed, digest) ->
+      let ov =
+        Workload.generate_overlay
+          (Workload.spec ~scale ~seed topology Tomo_netsim.Scenario.Random)
+      in
+      Alcotest.(check string)
+        (Printf.sprintf "%s %s seed %d" (Workload.scale_to_string scale)
+           (Workload.topology_to_string topology) seed)
+        digest
+        (Digest.to_hex
+           (Digest.string (Marshal.to_string ov [ Marshal.No_sharing ]))))
+    recorded_overlays
+
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "topology"
@@ -349,6 +447,7 @@ let () =
           Alcotest.test_case "shortest path" `Quick test_graph_shortest_path;
           Alcotest.test_case "disconnected" `Quick test_graph_disconnected;
           qc prop_shortest_path_valid;
+          qc prop_graph_matches_reference;
         ] );
       ( "builder",
         [
@@ -378,5 +477,6 @@ let () =
             test_intra_links_share_factors;
           qc prop_generated_overlays_valid;
           qc prop_internet_connected;
+          Alcotest.test_case "recorded overlays" `Quick test_recorded_overlays;
         ] );
     ]
